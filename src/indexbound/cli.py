@@ -23,7 +23,7 @@ from . import bounds as bounds_mod
 from . import hodge as hodge_mod
 from . import hypersurface as hyp_mod
 from . import testfns as testfns_mod
-from .spectral import assemble_jacobi
+from .spectral import SpectralError, assemble_jacobi
 
 
 class ConfigError(Exception):
@@ -143,14 +143,18 @@ def _spectrum_block(scenario):
     block = {
         "eigenvalues": rep.eigenvalues.tolist(),
         "index": rep.morse_index,
+        "inertia_index": rep.inertia_index,
         "count_below": {"0.0": rep.morse_index},
         "max_residual": float(rep.residuals.max()),
         "cluster_ids": rep.cluster_ids.tolist(),
+        "shift": rep.shift,
+        "dofs": rep.n_dofs,
+        "factor_nnz": rep.factor_nnz,
     }
     try:
         block["count_below"][f"{scenario.eta}"] = rep.count_below(scenario.eta)
-    except Exception:
-        pass
+    except SpectralError as exc:
+        block["count_below_error"] = str(exc)
     return block, rep, system
 
 

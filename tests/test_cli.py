@@ -141,3 +141,23 @@ def test_bundled_configs_load():
         path = cli.bundled_config(name)
         scenario = cli.Scenario(path)
         assert scenario.id
+
+
+def test_spectrum_solver_diagnostics(run_all):
+    _, out = run_all
+    spec = json.loads((out / "torus-small.json").read_text())["spectrum"]
+    assert spec["inertia_index"] == spec["index"] == 5
+    assert spec["dofs"] == 32 * 32
+    assert spec["shift"] < min(spec["eigenvalues"])
+    assert spec["factor_nnz"] >= spec["dofs"]
+    assert "count_below_error" not in spec
+
+
+def test_uncovered_threshold_is_recorded(tmp_path):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(CONFIG.replace("eta = 0.0", "eta = 1e6"))
+    code = cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    spec = json.loads((tmp_path / "torus-small.json").read_text())["spectrum"]
+    assert "1000000.0" not in spec["count_below"]
+    assert "spectral window" in spec["count_below_error"]

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from indexbound import hypersurface as hyp
-from indexbound.spectral import SpectralError, SpectralSystem
+from indexbound.spectral import (
+    SpectralError,
+    SpectralSystem,
+    _negative_pivots,
+    _symmetric_lu,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +99,35 @@ def test_odd_parity_spectrum(torus_projective):
     assert np.abs(spec.eigenvalues[:4] + 2.0).max() < 0.05
     assert spec.morse_index == 4
     assert spec.eigenvalues[4] > 1.0
+
+
+def test_matches_dense_oracle():
+    # the generalized symmetric eigenproblem solved densely on a small grid
+    system = SpectralSystem(hyp.clifford_torus(32))
+    spec = system.spectrum(how_many=16)
+    A = (system.stiffness - system.potential).toarray()
+    oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
+    assert np.abs(spec.eigenvalues - oracle[:16]).max() < 1e-9
+
+
+def test_inertia_matches_index(torus_spectrum, equator2, torus_projective):
+    assert torus_spectrum.inertia_index == torus_spectrum.morse_index == 5
+    spec = SpectralSystem(equator2).spectrum(how_many=6)
+    assert spec.inertia_index == spec.morse_index == 1
+    surface, lift = torus_projective
+    spec = SpectralSystem(surface, parity="odd", lift=lift).spectrum(how_many=8)
+    assert spec.inertia_index == spec.morse_index == 4
+
+
+def test_spectrum_is_deterministic(torus_system, torus_spectrum):
+    again = torus_system.spectrum(how_many=16)
+    assert np.array_equal(again.eigenvalues, torus_spectrum.eigenvalues)
+
+
+def test_inertia_needs_diagonal_pivots():
+    with pytest.raises(SpectralError, match="off-diagonal pivot"):
+        _negative_pivots(_symmetric_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]])))
+    with pytest.raises(SpectralError, match="singular"):
+        _symmetric_lu(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0]]))
+    indefinite = sp.csc_matrix([[2.0, 0.0, 1.0], [0.0, -3.0, 0.0], [1.0, 0.0, 1.0]])
+    assert _negative_pivots(_symmetric_lu(indefinite)) == 1
