@@ -29,6 +29,11 @@ class BoundsError(Exception):
     pass
 
 
+# Relative tolerance of the paper's strict inequalities: a margin within
+# STRICT_TOL of zero, relative to its scale, is roundoff and never passes.
+STRICT_TOL = 1e-12
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -46,7 +51,8 @@ class CertificateReport:
     verdict: str = field(init=False)
 
     def __post_init__(self):
-        passed = self.hypothesis_margin < 0 and self.actual_count >= self.required_count
+        passed = (self.normalized_margin < -STRICT_TOL
+                  and self.actual_count >= self.required_count)
         self.verdict = "pass" if passed else "fail"
 
     def as_dict(self):
@@ -61,6 +67,7 @@ class CertificateReport:
             "counts_ok": self.actual_count >= self.required_count,
             "margin": self.hypothesis_margin,
             "normalized_margin": self.normalized_margin,
+            "tol": STRICT_TOL,
             "verdict": self.verdict,
         }
 
@@ -241,14 +248,16 @@ def margins_cross(ambient):
         kind = ambient.kind
     n = n_plus_1 - 1
     margin = (8.0 / 3.0) * (n + 3 - K)
+    scale = (8.0 / 3.0) * (n + 3 + abs(K))
     values = {"einstein_constant": float(K), "margin": margin, "kind": kind}
-    if margin == 0.0:
+    if abs(margin) <= STRICT_TOL * scale:
         verdict = "borderline: strict by the projective-space residual checks"
     elif margin < 0.0:
         verdict = "pass"
     else:
         verdict = "fail"
-    return MarginReport("cross", values, {"margin": 0.0}, verdict)
+    return MarginReport("cross", values, {"margin": 0.0, "tol": STRICT_TOL},
+                        verdict)
 
 
 def margins_product_q(grid_points=2001, samples=10000, seed=0,
@@ -324,22 +333,31 @@ def margins_scalar3(ambient, samples=200, seed=0):
     """Scalar-curvature condition 2 R - |H|^2 > 0 and the contraction identity
     R = |H|^2 - |II|^2 on random samples of the ambient embedding."""
     rng = np.random.default_rng(seed)
-    min_margin = np.inf
+    min_margin, scale = np.inf, 0.0
     max_contraction = 0.0
     for _ in range(samples):
         p = ambient.random_point(rng)
         R = ambient.scalar_curvature(p)
         H = ambient.mean_curvature_vector(p)
         ii_sq = ambient.ii_total_norm_sq(p)
-        min_margin = min(min_margin, 2.0 * R - float(H @ H))
+        margin = 2.0 * R - float(H @ H)
+        if margin < min_margin:
+            min_margin, scale = margin, 2.0 * abs(R) + float(H @ H)
         max_contraction = max(
             max_contraction, abs(R - (float(H @ H) - ii_sq))
         )
     values = {"min_2R_minus_H2": float(min_margin),
               "contraction_residual": float(max_contraction)}
-    verdict = "pass" if min_margin > 0 and max_contraction < 1e-8 else "fail"
-    return MarginReport("scalar3", values,
-                        {"margin": 0.0, "contraction": 1e-8}, verdict)
+    if max_contraction >= 1e-8:
+        verdict = "fail"
+    elif abs(min_margin) <= STRICT_TOL * scale:
+        verdict = "borderline: 2R - |H|^2 vanishes to roundoff"
+    else:
+        verdict = "pass" if min_margin > 0 else "fail"
+    return MarginReport(
+        "scalar3", values,
+        {"margin": 0.0, "tol": STRICT_TOL, "contraction": 1e-8}, verdict,
+    )
 
 
 def application_margins(application, target=None, **kwargs):

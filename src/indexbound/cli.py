@@ -137,6 +137,10 @@ def _jsonable(x):
     return x
 
 
+def _margin_block(m):
+    return {"values": m.values, "thresholds": m.thresholds, "verdict": m.verdict}
+
+
 def _spectrum_block(scenario):
     system = assemble_jacobi(scenario.surface)
     rep = system.spectrum(how_many=scenario.how_many)
@@ -239,20 +243,20 @@ def run_tasks(scenario, tasks, rng, artifacts=None):
         amb = scenario.ambient
         if isinstance(amb, ambient_mod.SphereModel) and basis:
             m = bounds_mod.margins_sphere(surf, basis[0])
-            margins["sphere"] = {"values": m.values, "verdict": m.verdict}
+            margins["sphere"] = _margin_block(m)
         if amb.einstein_constant is not None and not isinstance(
             amb, ambient_mod.SphereModel
         ):
             m = bounds_mod.margins_cross(amb)
-            margins["cross"] = {"values": m.values, "verdict": m.verdict}
+            margins["cross"] = _margin_block(m)
         if isinstance(amb, ambient_mod.CircleTimesSphereModel):
             m = bounds_mod.margins_product_q(seed=scenario.seed)
-            margins["product_q"] = {"values": m.values, "verdict": m.verdict}
+            margins["product_q"] = _margin_block(m)
         if isinstance(amb, ambient_mod.EllipsoidModel):
             m = bounds_mod.margins_convex(amb, seed=scenario.seed)
-            margins["convex"] = {"values": m.values, "verdict": m.verdict}
+            margins["convex"] = _margin_block(m)
         m = bounds_mod.margins_scalar3(amb, seed=scenario.seed)
-        margins["scalar3"] = {"values": m.values, "verdict": m.verdict}
+        margins["scalar3"] = _margin_block(m)
         report["margins"] = margins
         ok &= all(
             v["verdict"].startswith(("pass", "borderline"))

@@ -203,6 +203,7 @@ class FemSystem:
 
         self.fuse = self._fusion_labels(grid, positions, fuse_tol)
         self.n_dofs = int(self.fuse.max()) + 1
+        _, self._first_node = np.unique(self.fuse, return_index=True)
         Z = sp.coo_matrix(
             (np.ones(grid.n_nodes), (np.arange(grid.n_nodes), self.fuse)),
             shape=(grid.n_nodes, self.n_dofs),
@@ -219,29 +220,18 @@ class FemSystem:
         if positions is None:
             return np.arange(grid.n_nodes)
         keys = np.round(np.asarray(positions) / tol).astype(np.int64)
-        _, labels = np.unique(keys, axis=0, return_inverse=True)
+        _, first, labels = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
         # relabel so that DOF order follows first appearance in node order
-        order = np.full(labels.max() + 1, -1, dtype=np.int64)
-        nxt = 0
-        out = np.empty_like(labels)
-        for i, lab in enumerate(labels):
-            if order[lab] < 0:
-                order[lab] = nxt
-                nxt += 1
-            out[i] = order[lab]
-        return out
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return rank[labels.ravel()]
 
     # -- helpers --------------------------------------------------------------
     def to_dof(self, node_values):
         """Restrict per-node values to DOFs, taking the first representative."""
-        node_values = np.asarray(node_values)
-        out = np.empty((self.n_dofs,) + node_values.shape[1:], node_values.dtype)
-        seen = np.zeros(self.n_dofs, dtype=bool)
-        for i, d in enumerate(self.fuse):
-            if not seen[d]:
-                out[d] = node_values[i]
-                seen[d] = True
-        return out
+        return np.asarray(node_values)[self._first_node]
 
     def to_nodes(self, dof_values):
         return np.asarray(dof_values)[self.fuse]

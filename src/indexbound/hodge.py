@@ -1,8 +1,10 @@
 """Harmonic one-forms on discrete hypersurfaces.
 
-For two-dimensional surfaces the basis comes from the kernel of a lowest-order
-edge-element (Whitney) one-form Laplacian on the triangulated grid; in higher
-dimensions the catalog surfaces carry their harmonic forms in closed form
+For two-dimensional surfaces b1 comes from the Euler characteristic of the
+triangulated grid, and the basis from its tree-cotree generators: one closed
+edge cochain per generator, made harmonic for the lowest-order edge-element
+(Whitney) Hodge Laplacian by one scalar Poisson solve.  In higher dimensions
+the catalog surfaces carry their harmonic forms in closed form
 (circle-factor forms dt).  Also provides the surface Hodge star and the
 integrated Bochner identity residual used to reject non-harmonic probes.
 """
@@ -10,6 +12,7 @@ integrated Bochner identity residual used to reject non-harmonic probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,29 +90,36 @@ def one_form_from_sharp(surface, sharp_nodes, provenance="analytic-catalog"):
 
 def gradient_one_form(surface, f_fn, step=None):
     """df for a scalar function of the grid parameters (non-harmonic probe)."""
-    params = surface.node_params
+    from .hypersurface import chart_jacobian
+
     step = step or surface.fd_step
-    k = params.shape[-1]
-    df = np.empty(params.shape)
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = step
-        df[:, i] = (f_fn(params + e) - f_fn(params - e)) / (2.0 * step)
-    _, C, _ = _frames_with_coeffs(surface)
-    comp = np.einsum("nai,ni->na", C, df)
+    df = chart_jacobian(lambda p: f_fn(p)[..., None], surface.node_params, step)
+    C = surface.node_fields()["coeffs"]
+    comp = np.einsum("nai,ni->na", C, df[..., 0])
     return DiscreteOneForm(surface, comp, "analytic-catalog")
-
-
-def _frames_with_coeffs(surface):
-    from .hypersurface import chart_jacobian, orthonormal_frames
-
-    jac = chart_jacobian(surface.chart_fn, surface.node_params, surface.fd_step)
-    frames, coeffs, ok = orthonormal_frames(jac)
-    return frames, coeffs, ok
 
 
 # ---------------------------------------------------------------------------
 # Whitney edge-element solver (surfaces only)
+
+# local edges (a, b) of a triangle; local edge k runs from corner k to k + 1
+_LOCAL_EDGES = np.array([[0, 1], [1, 2], [2, 0]])
+
+
+class _WhitneyMesh(NamedTuple):
+    """Triangulated fused mesh: incidences, Whitney mass and the
+    per-triangle data that evaluates an edge cochain."""
+
+    edges: np.ndarray  # (E, 2) vertex pairs a < b, sorted
+    tris: np.ndarray  # (T, 3) vertex labels
+    tri_edges: np.ndarray  # (T, 3) edge of each local edge
+    tri_signs: np.ndarray  # (T, 3) +1 where the local edge runs a -> b
+    d0: sp.csr_matrix  # (E, V) vertex -> edge coboundary
+    d1: sp.csr_matrix  # (T, E) edge -> face coboundary
+    M1: sp.csr_matrix  # (E, E) Whitney one-form mass
+    grads: np.ndarray  # (T, 3, 2) barycentric gradients, parameter covectors
+    area: np.ndarray  # (T,) metric areas
+
 
 def _triangulate(surface):
     """Split the fine node lattice into triangles on fused vertex labels.
@@ -118,100 +128,63 @@ def _triangulate(surface):
     parameter coordinates of their corners (seam-consistent).
     """
     grid = surface.grid
-    fem = surface.fem()
     shape = grid.shape
-    fuse = fem.fuse
-    ii, jj = np.meshgrid(np.arange(shape[0]), np.arange(shape[1]), indexing="ij")
-
-    def nid(i, j):
-        ax0, ax1 = grid.axes
-        i = i % shape[0] if ax0.periodic else i
-        j = j % shape[1] if ax1.periodic else j
-        return np.ravel_multi_index((i, j), shape)
-
-    tris, params = [], []
-    ax0, ax1 = grid.axes
-    i_max = shape[0] if ax0.periodic else shape[0] - 1
-    j_max = shape[1] if ax1.periodic else shape[1] - 1
-    p = grid.node_params.reshape(shape + (2,))
-    h0 = ax0.length / (shape[0] if ax0.periodic else shape[0] - 1)
-    h1 = ax1.length / (shape[1] if ax1.periodic else shape[1] - 1)
-    for i in range(i_max):
-        for j in range(j_max):
-            base = p[i, j]
-            corners = {
-                (0, 0): base,
-                (1, 0): base + [h0, 0.0],
-                (0, 1): base + [0.0, h1],
-                (1, 1): base + [h0, h1],
-            }
-            ids = {off: fuse[nid(i + off[0], j + off[1])] for off in corners}
-            for tri in [((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))]:
-                vs = [ids[o] for o in tri]
-                if len(set(vs)) < 3:
-                    continue  # degenerate at a fused pole
-                tris.append(vs)
-                params.append([corners[o] for o in tri])
-    return np.asarray(tris), np.asarray(params)
+    spans = [n if ax.periodic else n - 1 for ax, n in zip(grid.axes, shape)]
+    h = np.array([ax.length / s for ax, s in zip(grid.axes, spans)])
+    # two triangles per lattice square, as (di, dj) corner offsets
+    offs = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    ii, jj = np.meshgrid(np.arange(spans[0]), np.arange(spans[1]), indexing="ij")
+    ci = (ii[..., None, None] + offs[..., 0]) % shape[0]
+    cj = (jj[..., None, None] + offs[..., 1]) % shape[1]
+    tris = surface.fem().fuse[np.ravel_multi_index((ci, cj), shape)].reshape(-1, 3)
+    base = grid.node_params.reshape(shape + (2,))[ii, jj]
+    params = (base[:, :, None, None, :] + offs * h).reshape(-1, 3, 2)
+    # drop triangles that are degenerate at a fused pole
+    keep = np.all(np.diff(np.sort(tris, axis=1), axis=1) != 0, axis=1)
+    return tris[keep], params[keep]
 
 
 def _whitney_matrices(surface):
-    """d0, d1, M0 (lumped), M1, M2 on the triangulated fused mesh."""
+    """d0, d1 and M1 on the triangulated fused mesh, as a _WhitneyMesh."""
     tris, tparams = _triangulate(surface)
-    n_v = surface.fem().n_dofs
+    n_v, n_t = surface.fem().n_dofs, len(tris)
 
-    # edge table
-    edges = {}
-    tri_edges = np.empty(tris.shape, dtype=np.int64)
-    tri_signs = np.empty(tris.shape)
-    for t, tri in enumerate(tris):
-        for k, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
-            va, vb = tri[a], tri[b]
-            key = (min(va, vb), max(va, vb))
-            if key not in edges:
-                edges[key] = len(edges)
-            tri_edges[t, k] = edges[key]
-            tri_signs[t, k] = 1.0 if va < vb else -1.0
+    # edge table: one row per sorted vertex pair
+    ends = tris[:, _LOCAL_EDGES]  # (T, 3, 2)
+    tri_signs = np.where(ends[..., 0] < ends[..., 1], 1.0, -1.0)
+    keys = ends.min(axis=-1) * n_v + ends.max(axis=-1)
+    edge_keys, tri_edges = np.unique(keys, return_inverse=True)
+    tri_edges = tri_edges.reshape(tris.shape)
+    edges = np.stack(np.divmod(edge_keys, n_v), axis=-1)
     n_e = len(edges)
 
-    d0 = sp.lil_matrix((n_e, n_v))
-    for (a, b), e in edges.items():
-        d0[e, a] = -1.0
-        d0[e, b] = 1.0
-    d0 = d0.tocsr()
-
-    d1 = sp.lil_matrix((len(tris), n_e))
-    for t in range(len(tris)):
-        for k in range(3):
-            d1[t, tri_edges[t, k]] += tri_signs[t, k]
-    d1 = d1.tocsr()
+    d0 = sp.csr_matrix(
+        (np.tile([-1.0, 1.0], n_e), (np.repeat(np.arange(n_e), 2), edges.ravel())),
+        shape=(n_e, n_v),
+    )
+    d1 = sp.csr_matrix(
+        (tri_signs.ravel(), (np.repeat(np.arange(n_t), 3), tri_edges.ravel())),
+        shape=(n_t, n_e),
+    )
 
     # per-triangle metric from the surface chart at the centroid
-    cent = tparams.mean(axis=1)
-    g = surface.metric_fn(cent)  # (T, 2, 2)
+    g = surface.metric_fn(tparams.mean(axis=1))  # (T, 2, 2)
     ginv = np.linalg.inv(g)
-    detg = np.linalg.det(g)
     E = tparams[:, 1:, :] - tparams[:, :1, :]  # (T, 2, 2) edge param vectors
-    area_param = 0.5 * np.abs(np.linalg.det(E))
-    area = area_param * np.sqrt(detg)
+    area = 0.5 * np.abs(np.linalg.det(E)) * np.sqrt(np.linalg.det(g))
 
     # barycentric gradients as parameter covectors: rows of inverse(E)^T
-    Einv = np.linalg.inv(E)
-    grad12 = np.swapaxes(Einv, -1, -2)  # (T, 2 funcs lambda_1,2, 2 comps)
+    grad12 = np.swapaxes(np.linalg.inv(E), -1, -2)  # (T, lambda_1,2, comps)
     grad0 = -grad12.sum(axis=1, keepdims=True)
     grads = np.concatenate([grad0, grad12], axis=1)  # (T, 3, 2)
 
     # Whitney one-forms at edge midpoints; 3-midpoint rule is exact here
-    lam_mid = np.array(
-        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-    )  # (q, vertex)
-    edge_verts = [(0, 1), (1, 2), (2, 0)]
-    W = np.empty((len(tris), 3, 3, 2))  # (T, q, edge, comp)
-    for k, (a, b) in enumerate(edge_verts):
-        W[:, :, k, :] = (
-            lam_mid[None, :, a, None] * grads[:, None, b, :]
-            - lam_mid[None, :, b, None] * grads[:, None, a, :]
-        )
+    lam_mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])  # (q, v)
+    a, b = _LOCAL_EDGES.T
+    W = (  # (T, q, edge, comp)
+        lam_mid[None, :, a, None] * grads[:, None, b, :]
+        - lam_mid[None, :, b, None] * grads[:, None, a, :]
+    )
     inner = np.einsum("tqac,tcd,tqbd->tqab", W, ginv, W)
     M1_loc = (area[:, None, None] / 3.0) * inner.sum(axis=1)
     M1_loc *= tri_signs[:, :, None] * tri_signs[:, None, :]
@@ -219,89 +192,119 @@ def _whitney_matrices(surface):
     rows = np.repeat(tri_edges[:, :, None], 3, axis=2).ravel()
     cols = np.repeat(tri_edges[:, None, :], 3, axis=1).ravel()
     M1 = sp.coo_matrix((M1_loc.ravel(), (rows, cols)), shape=(n_e, n_e)).tocsr()
-
-    M0 = np.zeros(n_v)
-    for t, tri in enumerate(tris):
-        M0[tri] += area[t] / 3.0
-    M0 = sp.diags(M0)
-
-    M2 = sp.diags(1.0 / area)
-    return d0, d1, M0, M1, M2, edges, tris, tparams, grads, area
+    return _WhitneyMesh(edges, tris, tri_edges, tri_signs, d0, d1, M1, grads, area)
 
 
-def _edge_cochain_to_nodes(surface, mats, omega_e):
+def _edge_cochain_to_nodes(surface, mesh, omega_e):
     """Whitney evaluation of an edge cochain at the vertices, averaged over
     incident triangles, returned as frame components at grid nodes."""
-    d0, d1, M0, M1, M2, edges, tris, tparams, grads, area = mats
     fem = surface.fem()
-    n_v = fem.n_dofs
-    cov = np.zeros((n_v, 2))
-    wsum = np.zeros(n_v)
-    edge_verts = [(0, 1), (1, 2), (2, 0)]
-    edge_idx = np.empty((len(tris), 3), dtype=np.int64)
-    sign = np.empty((len(tris), 3))
-    for t, tri in enumerate(tris):
-        for k, (a, b) in enumerate(edge_verts):
-            va, vb = tri[a], tri[b]
-            edge_idx[t, k] = edges[(min(va, vb), max(va, vb))]
-            sign[t, k] = 1.0 if va < vb else -1.0
-    vals = omega_e[edge_idx] * sign  # oriented values per local edge
-    for corner in range(3):
-        # lambda_corner = 1 there; W_(ab) evaluates to +/- grad of the other vertex
-        contrib = np.zeros((len(tris), 2))
-        for k, (a, b) in enumerate(edge_verts):
-            if a == corner:
-                contrib += vals[:, k, None] * grads[:, b, :]
-            elif b == corner:
-                contrib -= vals[:, k, None] * grads[:, a, :]
-        v = tris[:, corner]
-        np.add.at(cov, v, contrib * (area[:, None] / 3.0))
-        np.add.at(wsum, v, area / 3.0)
-    cov /= wsum[:, None]
+    vals = omega_e[mesh.tri_edges] * mesh.tri_signs  # oriented, per local edge
+    # at corner c (lambda_c = 1) only the local edges c -> c+1 and c+2 -> c
+    # are nonzero, as +grad lambda_{c+1} and -grad lambda_{c+2}
+    contrib = (
+        vals[:, :, None] * np.roll(mesh.grads, -1, axis=1)
+        - np.roll(vals, 1, axis=1)[:, :, None] * np.roll(mesh.grads, 1, axis=1)
+    )  # (T, corner, comp)
+    w = np.repeat(mesh.area / 3.0, 3)
+    v = mesh.tris.ravel()
+    wsum = np.bincount(v, weights=w, minlength=fem.n_dofs)
+    cov = np.stack(
+        [np.bincount(v, weights=w * contrib[..., i].ravel(), minlength=fem.n_dofs)
+         for i in range(2)],
+        axis=-1,
+    ) / wsum[:, None]
 
     # parameter covector -> frame components via the frame coefficient matrix
-    _, C, _ = _frames_with_coeffs(surface)
-    cov_nodes = cov[fem.fuse]
-    comp = np.einsum("nai,ni->na", C, cov_nodes)
-    return comp
+    C = surface.node_fields()["coeffs"]
+    return np.einsum("nai,ni->na", C, cov[fem.fuse])
 
 
-def harmonic_one_forms(surface, num_probe=6):
+def harmonic_one_forms(surface):
     """L2-orthonormal basis of harmonic one-forms on a catalog hypersurface."""
     if surface.dim == 2:
-        return _harmonic_forms_whitney(surface, num_probe)
+        return _harmonic_forms_whitney(surface)
     return _harmonic_forms_catalog(surface)
 
 
-def _harmonic_forms_whitney(surface, num_probe):
-    mats = _whitney_matrices(surface)
-    d0, d1, M0, M1, M2 = mats[:5]
-    M0_inv = sp.diags(1.0 / M0.diagonal())
-    A = (d1.T @ M2 @ d1 + M1 @ d0 @ M0_inv @ d0.T @ M1).tocsc()
-    A = 0.5 * (A + A.T)
-    k = max(num_probe, surface.betti_one + 2)
-    vals, vecs = spla.eigsh(A, k=k, M=M1.tocsc(), sigma=-0.05)
-    order = np.argsort(vals)
-    vals, vecs = np.abs(vals[order]), vecs[:, order]
+def _euler_betti_one(mesh):
+    """b1 = 2 - (V - E + F) of the closed orientable triangulated surface."""
+    return 2 - (mesh.d0.shape[1] - len(mesh.edges) + len(mesh.tris))
 
-    # rank decision at relative eigenvalue gap 1e6 below the top of the window
-    threshold = vals[-1] / 1e6
-    kernel_dim = int(np.sum(vals < threshold))
-    if kernel_dim != surface.betti_one:
+
+def _bfs_tree_edges(n_nodes, links, link_ids):
+    """Ids of the links, (m, 2) node pairs, of a BFS spanning tree from node 0."""
+    # imported here so that runs without a Whitney solve do not load csgraph
+    from scipy.sparse.csgraph import breadth_first_order
+
+    graph = sp.csr_matrix(
+        (np.ones(len(links)), (links[:, 0], links[:, 1])), shape=(n_nodes, n_nodes)
+    )
+    order, pred = breadth_first_order(graph, 0, directed=False)
+    if len(order) != n_nodes:
+        raise HodgeError("the triangulated surface is not connected")
+    child = order[1:]
+    key = np.minimum(child, pred[child]) * n_nodes + np.maximum(child, pred[child])
+    link_keys = links.min(axis=1) * n_nodes + links.max(axis=1)
+    by_key = np.argsort(link_keys, kind="stable")
+    return link_ids[by_key[np.searchsorted(link_keys[by_key], key)]]
+
+
+def _tree_cotree(mesh):
+    """(cotree, generators) edge ids.  The cotree is a BFS spanning tree of
+    the faces across the edges off a BFS spanning tree of the vertices; the
+    b1 generators are the edges in neither tree."""
+    n_v, n_e, n_t = mesh.d0.shape[1], len(mesh.edges), len(mesh.tris)
+    d1c = mesh.d1.tocsc()
+    if np.any(np.diff(d1c.indptr) != 2):
+        raise HodgeError("the triangulated surface is not closed")
+    faces = d1c.indices.reshape(n_e, 2)  # the two faces of each edge
+    tree = _bfs_tree_edges(n_v, mesh.edges, np.arange(n_e))
+    free = np.ones(n_e, dtype=bool)
+    free[tree] = False
+    rest = np.flatnonzero(free)
+    cotree = _bfs_tree_edges(n_t, faces[rest], rest)
+    free[cotree] = False
+    return cotree, np.flatnonzero(free)
+
+
+def _harmonic_cochains(mesh):
+    """(E, b1) harmonic edge cochains, one per tree-cotree generator."""
+    cotree, gens = _tree_cotree(mesh)
+    # closed cochains: 1 on a generator, 0 on the tree and the other
+    # generators; d1 omega = 0 fixes the cotree values.  The cotree columns
+    # of d1 without the root face (row 0) form a nonsingular tree incidence.
+    d0, d1, M1 = mesh.d0, mesh.d1, mesh.M1
+    omega = np.zeros((d1.shape[1], len(gens)))
+    omega[gens, np.arange(len(gens))] = 1.0
+    cotree_lu = spla.splu(d1[1:][:, cotree].tocsc())
+    omega[cotree] = cotree_lu.solve(-d1[1:][:, gens].toarray())
+
+    # harmonic representatives omega - d0 f, (d0^T M1 d0) f = d0^T M1 omega,
+    # with f pinned to 0 at vertex 0
+    poisson_lu = spla.splu((d0.T @ M1 @ d0).tocsc()[1:, 1:],
+                           permc_spec="MMD_AT_PLUS_A",
+                           options={"SymmetricMode": True})
+    f = np.zeros((d0.shape[1], len(gens)))
+    f[1:] = poisson_lu.solve((d0.T @ (M1 @ omega))[1:])
+    return omega - d0 @ f
+
+
+def _harmonic_forms_whitney(surface):
+    mesh = _whitney_matrices(surface)
+    b1 = _euler_betti_one(mesh)
+    if b1 != surface.betti_one:
         raise HodgeError(
-            f"discrete Hodge kernel dimension {kernel_dim} does not match "
-            f"the expected first Betti number {surface.betti_one} "
-            f"(eigenvalues {vals[:4]})"
+            f"Euler characteristic gives b1 = {b1}, but the surface declares "
+            f"the first Betti number {surface.betti_one}"
         )
-    basis = [
-        DiscreteOneForm(
-            surface,
-            _edge_cochain_to_nodes(surface, mats, vecs[:, i]),
-            "hodge-solver",
-        )
-        for i in range(kernel_dim)
-    ]
-    return _orthonormalize(basis)
+    if b1 == 0:
+        return []
+    return _orthonormalize([
+        DiscreteOneForm(surface, _edge_cochain_to_nodes(surface, mesh, h),
+                        "hodge-solver")
+        for h in _harmonic_cochains(mesh).T
+    ])
 
 
 def _harmonic_forms_catalog(surface):
@@ -314,11 +317,7 @@ def _harmonic_forms_catalog(surface):
     ):
         # the circle-factor form d(alpha); its dual is the circle direction
         # scaled by one over the squared circle speed
-        from .hypersurface import chart_jacobian
-
-        params = surface.node_params
-        jac = chart_jacobian(surface.chart_fn, params, surface.fd_step)
-        dalpha_vec = jac[:, 0, :]
+        dalpha_vec = surface.node_fields()["jacobian"][:, 0, :]
         r_sq = np.einsum("nd,nd->n", dalpha_vec, dalpha_vec)
         sharp = dalpha_vec / r_sq[:, None]
         form = one_form_from_sharp(surface, sharp)
@@ -409,7 +408,7 @@ def bochner_residual(surface, form):
     fields = surface.node_fields()
     frames = fields["frames"]
     ok = fields["interior"]
-    _, C, _ = _frames_with_coeffs(surface)
+    C = fields["coeffs"]
 
     sharp = form.sharp
     dsharp = _grid_gradient(surface, sharp)  # (n, axes, d)

@@ -194,6 +194,7 @@ class DiscreteHypersurface:
         fields = {
             "jacobian": jac,
             "frames": frames,
+            "coeffs": coeffs,
             "interior": ok,
             "shape_operator": np.where(ok[..., None, None], a_sym, 0.0),
             "shape_asymmetry": np.where(

@@ -181,3 +181,15 @@ def test_borderline_decay_under_refinement():
 def test_borderline_requires_complex_ambient(torus48):
     with pytest.raises(bounds.BoundsError):
         bounds.borderline_cp_report(torus48)
+
+
+def test_certificate_roundoff_margin_fails():
+    common = dict(mode="Prop41", eta=-2.0, q=2, d=4, required_count=1,
+                  required_real=1 / 3, actual_count=5)
+    tiny = bounds.CertificateReport(hypothesis_margin=-1e-16,
+                                    normalized_margin=-1e-16, **common)
+    assert tiny.verdict == "fail"
+    assert tiny.as_dict()["tol"] == bounds.STRICT_TOL
+    clear = bounds.CertificateReport(hypothesis_margin=-1e-3,
+                                     normalized_margin=-1e-3, **common)
+    assert clear.verdict == "pass"

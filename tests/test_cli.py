@@ -161,3 +161,24 @@ def test_uncovered_threshold_is_recorded(tmp_path):
     spec = json.loads((tmp_path / "torus-small.json").read_text())["spectrum"]
     assert "1000000.0" not in spec["count_below"]
     assert "spectral window" in spec["count_below_error"]
+
+
+def test_cp2_borderline_margins_pass(tmp_path):
+    config = str(cli.bundled_config("cp2-borderline.cfg"))
+    code = cli.main(["margins", "--config", config, "--out", str(tmp_path)])
+    assert code == 0
+    margins = json.loads((tmp_path / "cp2-borderline.json").read_text())["margins"]
+    assert margins["scalar3"]["verdict"].startswith("borderline")
+    assert margins["cross"]["verdict"].startswith("borderline")
+    assert margins["scalar3"]["thresholds"]["tol"] > 0.0
+
+
+def test_clifford_all_reruns_byte_identical(tmp_path):
+    config = str(cli.bundled_config("clifford.cfg"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        code = cli.main(["all", "--config", config, "--out", str(out),
+                         "--resolution-scale", "0.5"])
+        assert code == 0
+    for name in ("clifford.json", "clifford-spectrum.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from indexbound import hodge, hypersurface as hyp
 
@@ -99,3 +100,30 @@ def test_kernel_mismatch_raises():
     object.__setattr__(surf, "betti_one", 3)
     with pytest.raises(hodge.HodgeError):
         hodge.harmonic_one_forms(surf)
+
+
+def test_whitney_basis_exact_and_repeatable(torus48, torus_forms):
+    mesh = hodge._whitney_matrices(torus48)
+    harmonic = hodge._harmonic_cochains(mesh)
+    assert harmonic.shape[1] == 2
+    # Whitney Hodge Laplacian d1^T M2 d1 + M1 d0 M0^-1 d0^T M1, lumped M0
+    m0 = np.bincount(mesh.tris.ravel(), weights=np.repeat(mesh.area / 3.0, 3))
+    lap = (
+        mesh.d1.T @ sp.diags(1.0 / mesh.area) @ mesh.d1
+        + mesh.M1 @ mesh.d0 @ sp.diags(1.0 / m0) @ mesh.d0.T @ mesh.M1
+    )
+    for h in harmonic.T:
+        assert np.linalg.norm(lap @ h) <= 1e-9 * np.linalg.norm(mesh.M1 @ h)
+        assert np.abs(mesh.d1 @ h).max() <= 1e-14
+    again = hodge.harmonic_one_forms(torus48)
+    for a, b in zip(torus_forms, again):
+        assert np.array_equal(a.components, b.components)
+
+
+def test_euler_characteristic_betti_one(torus48, equator2):
+    ellipsoid = hyp.ellipsoid_section([1.0, 1.2, 1.5, 2.0], 12)
+    for surf, b1 in ((torus48, 2), (equator2, 0), (ellipsoid, 0)):
+        assert hodge._euler_betti_one(hodge._whitney_matrices(surf)) == b1
+    # the sphere charts fuse each pole row into one vertex
+    for surf in (equator2, ellipsoid):
+        assert surf.fem().n_dofs == surf.grid.n_nodes - 2 * (surf.grid.shape[1] - 1)

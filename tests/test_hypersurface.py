@@ -165,3 +165,24 @@ def test_free_involution_required():
     surf = hyp.clifford_torus(16)
     with pytest.raises(ValueError):
         hyp.DoubleCoverLift(surf, lambda p: p)  # identity map has fixed points
+
+
+def test_fusion_labels_and_to_dof_match_node_loop(equator2):
+    # reference: the node-by-node loops the vectorized code replaces
+    fem = equator2.fem()
+    keys = np.round(equator2.positions / 1e-8).astype(np.int64)
+    _, labels = np.unique(keys, axis=0, return_inverse=True)
+    order, expected = {}, []
+    for lab in labels.ravel():
+        expected.append(order.setdefault(lab, len(order)))
+    assert np.array_equal(fem.fuse, expected)
+    assert fem.n_dofs < equator2.grid.n_nodes  # the poles are fused
+
+    values = equator2.positions
+    first = np.empty((fem.n_dofs, values.shape[1]))
+    seen = set()
+    for i, d in enumerate(fem.fuse):
+        if d not in seen:
+            first[d] = values[i]
+            seen.add(d)
+    assert np.array_equal(fem.to_dof(values), first)
