@@ -4,6 +4,11 @@ Each model knows how to embed points, produce orthonormal tangent frames,
 evaluate the second fundamental form of the embedding, and recover curvature
 through the Gauss equation.  All evaluations are pure functions of
 (model, point, vectors); models are immutable after construction.
+
+Every geometry method takes leading batch axes: points of shape (..., *P)
+(P is (m+1,) for most models, (p+1, 4) for quaternionic points) and ambient
+vectors of shape (..., d) broadcast against each other, and scalar results
+have shape (...).  A single point is the case without batch axes.
 """
 
 from __future__ import annotations
@@ -19,14 +24,6 @@ class AmbientError(Exception):
 
 class TangencyError(AmbientError):
     """A vector handed to a pointwise operation is not tangent."""
-
-
-@dataclass(frozen=True)
-class TangentVectorAt:
-    """An ambient R^d vector attached to a point of the embedded manifold."""
-
-    base_point: np.ndarray
-    components: np.ndarray
 
 
 #: residual keys backed by finite differences, allowed a looser tolerance
@@ -53,6 +50,15 @@ class IdentityReport:
     @property
     def ok(self):
         return not self.failures
+
+
+def _dot(a, b):
+    """Inner product over the last axis, broadcasting the leading ones."""
+    return np.einsum("...d,...d->...", a, b)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +96,8 @@ class AmbientModel:
     kind = "abstract"
     einstein_constant = None
     has_complex_structure = False
+    #: number of trailing axes of one point
+    point_ndim = 1
 
     def __init__(self, intrinsic_dim, embed_dim):
         if intrinsic_dim < 1:
@@ -105,7 +113,7 @@ class AmbientModel:
         raise NotImplementedError
 
     def tangent_frame(self, point):
-        """Orthonormal basis of the tangent space, shape (intrinsic_dim, d)."""
+        """Orthonormal basis of the tangent space, shape (..., intrinsic_dim, d)."""
         raise NotImplementedError
 
     def ii_quad(self, point, X):
@@ -121,18 +129,24 @@ class AmbientModel:
         raise NotImplementedError
 
     # -- shared operations ----------------------------------------------------
+    def _expand(self, point, count=1):
+        """`point` with `count` length-one axes in front of its own axes, so
+        that it broadcasts against vectors indexed by frame directions."""
+        at = np.ndim(point) - self.point_ndim
+        return np.expand_dims(point, tuple(range(at, at + count)))
+
     def project_tangent(self, point, v):
         frame = self.tangent_frame(point)
-        return frame.T @ (frame @ v)
+        coords = np.einsum("...ad,...d->...a", frame, v)
+        return np.einsum("...ad,...a->...d", frame, coords)
 
     def tangency_residual(self, point, v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        return np.linalg.norm(v - self.project_tangent(point, v)) / nv
+        nv = np.linalg.norm(v, axis=-1)
+        off = np.linalg.norm(v - self.project_tangent(point, v), axis=-1)
+        return np.where(nv == 0.0, 0.0, off / np.where(nv == 0.0, 1.0, nv))
 
     def check_tangent(self, point, v, tol=1e-7):
-        if self.tangency_residual(point, v) > tol:
+        if np.any(self.tangency_residual(point, v) > tol):
             raise TangencyError("vector is not tangent at the given point")
 
     def ii(self, point, X, Y):
@@ -157,62 +171,66 @@ class AmbientModel:
     def riemann_xyxy(self, point, X, Y):
         """Rm(X, Y, X, Y) of the ambient metric via the Gauss equation."""
         iixy = self.ii(point, X, Y)
-        return float(
-            self.ii_quad(point, X) @ self.ii_quad(point, Y) - iixy @ iixy
-        )
+        return _dot(self.ii_quad(point, X), self.ii_quad(point, Y)) - _dot(iixy, iixy)
 
     def ricci(self, point, X):
         """Ric(X, X), summing sectional terms over an orthonormal frame."""
-        if np.linalg.norm(X) == 0.0:
+        if np.any(np.linalg.norm(X, axis=-1) == 0.0):
             raise AmbientError("cannot complete a frame around the zero vector")
         frame = self.tangent_frame(point)
-        return sum(self.riemann_xyxy(point, X, e) for e in frame)
+        rm = self.riemann_xyxy(self._expand(point), X[..., None, :], frame)
+        return rm.sum(axis=-1)
+
+    def _ii_frame_pairs(self, point):
+        """II(e_a, e_b) over all pairs of the tangent frame, (..., k, k, d)."""
+        frame = self.tangent_frame(point)
+        return self.ii(self._expand(point, 2), frame[..., :, None, :],
+                       frame[..., None, :, :])
 
     def scalar_curvature(self, point):
-        frame = self.tangent_frame(point)
-        return sum(
-            self.riemann_xyxy(point, e, f) for e in frame for f in frame
-        )
+        ii = self._ii_frame_pairs(point)
+        return (np.einsum("...aad,...bbd->...", ii, ii)
+                - np.einsum("...abd,...abd->...", ii, ii))
 
     def mean_curvature_vector(self, point):
-        frame = self.tangent_frame(point)
-        return sum(self.ii_quad(point, e) for e in frame)
+        return np.einsum("...aad->...d", self._ii_frame_pairs(point))
 
     def ii_total_norm_sq(self, point):
         """|II|^2 summed over an orthonormal frame pair."""
-        frame = self.tangent_frame(point)
-        return sum(
-            float(np.dot(self.ii(point, e, f), self.ii(point, e, f)))
-            for e in frame
-            for f in frame
-        )
+        ii = self._ii_frame_pairs(point)
+        return np.einsum("...abd,...abd->...", ii, ii)
 
     def random_tangent(self, point, rng, unit=True):
         frame = self.tangent_frame(point)
-        c = rng.standard_normal(frame.shape[0])
-        v = frame.T @ c
-        if unit:
-            v /= np.linalg.norm(v)
-        return v
+        v = np.einsum("...a,...ad->...d", rng.standard_normal(frame.shape[:-1]), frame)
+        return _unit(v) if unit else v
 
     def random_orthonormal_pair(self, point, rng):
         X = self.random_tangent(point, rng)
         Y = self.random_tangent(point, rng, unit=False)
-        Y = Y - (Y @ X) * X
-        return X, Y / np.linalg.norm(Y)
+        return X, _unit(Y - _dot(Y, X)[..., None] * X)
 
     # -- optional complex structure ------------------------------------------
     def complex_structure(self, point, X):
         raise AmbientError(f"model kind {self.kind!r} carries no complex structure")
 
 
-def _orthonormal_complement(vectors, dim):
-    """Rows orthonormal, spanning the complement of `vectors` in R^dim."""
-    vs = np.atleast_2d(vectors)
-    q, _ = np.linalg.qr(np.concatenate([vs.T, np.eye(dim)], axis=1))
-    # first columns of q reproduce span(vs); the rest complete it
-    comp = q[:, vs.shape[0] : dim]
-    return comp.T
+def _orthonormal_complement(vectors):
+    """Rows orthonormal, spanning the complement of the rows of `vectors`
+    (..., r, dim) in R^dim (or C^dim); shape (..., dim - r, dim)."""
+    r, dim = vectors.shape[-2:]
+    eye = np.broadcast_to(np.eye(dim, dtype=vectors.dtype),
+                          vectors.shape[:-2] + (dim, dim))
+    q, _ = np.linalg.qr(np.concatenate([np.swapaxes(vectors, -1, -2), eye], axis=-1))
+    # first columns of q reproduce the span of `vectors`; the rest complete it
+    return np.swapaxes(q[..., :, r:], -1, -2)
+
+
+def _great_circle(base, vel, t):
+    """Point at time t of the unit-sphere great circle through `base` with
+    velocity `vel`; stays at `base` where vel = 0."""
+    s = np.linalg.norm(vel, axis=-1, keepdims=True)
+    return np.cos(s * t) * base + np.sin(s * t) * vel / np.where(s == 0.0, 1.0, s)
 
 
 class SphereModel(AmbientModel):
@@ -227,8 +245,7 @@ class SphereModel(AmbientModel):
         self.einstein_constant = float(dim - 1)
 
     def point(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / np.linalg.norm(x)
+        return _unit(np.asarray(x, dtype=float))
 
     def random_point(self, rng):
         return self.point(rng.standard_normal(self.embed_dim))
@@ -237,16 +254,13 @@ class SphereModel(AmbientModel):
         return point
 
     def tangent_frame(self, point):
-        return _orthonormal_complement(point, self.embed_dim)
+        return _orthonormal_complement(point[..., None, :])
 
     def ii_quad(self, point, X):
-        return -float(X @ X) * point
+        return -_dot(X, X)[..., None] * point
 
     def curve(self, point, X, t):
-        s = np.linalg.norm(X)
-        if s == 0.0:
-            return point.copy()
-        return np.cos(s * t) * point + np.sin(s * t) * X / s
+        return _great_circle(point, X, t)
 
 
 class RealProjectiveModel(SphereModel):
@@ -293,6 +307,13 @@ class _ProjectiveVeroneseBase(AmbientModel):
         raise NotImplementedError
 
     # -- generic pieces -------------------------------------------------------
+    def _per_point(self, a):
+        """A (...) array shaped to broadcast against (..., *P) points."""
+        return np.reshape(a, np.shape(a) + (1,) * self.point_ndim)
+
+    def point_from_homogeneous(self, z):
+        return z / self._per_point(np.sqrt(self.norm_sq(z)))
+
     def position(self, z):
         return self.flatten(self.chart(z))
 
@@ -306,16 +327,13 @@ class _ProjectiveVeroneseBase(AmbientModel):
 
     def ii_quad(self, z, X):
         v = self.horizontal_from_ambient(z, X)
-        return self.flatten(
-            2.0 * (self.self_outer(v) - self.norm_sq(v) * self.chart(z))
-        )
+        return 2.0 * (self.flatten(self.self_outer(v))
+                      - self.norm_sq(v)[..., None] * self.position(z))
 
     def curve(self, z, X, t):
         v = self.horizontal_from_ambient(z, X)
-        s = np.sqrt(self.norm_sq(v))
-        if s == 0.0:
-            return self.position(z)
-        zt = np.cos(s * t) * z + np.sin(s * t) * v / s
+        s = self._per_point(np.sqrt(self.norm_sq(v)))
+        zt = np.cos(s * t) * z + np.sin(s * t) * v / np.where(s == 0.0, 1.0, s)
         return self.position(zt)
 
 
@@ -378,25 +396,20 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         return v - z * np.einsum("...i,...i->...", np.conj(z), v)[..., None]
 
     def point_from_homogeneous(self, z):
-        z = np.asarray(z, dtype=complex)
-        return z / np.sqrt(self.norm_sq(z))[..., None]
+        return super().point_from_homogeneous(np.asarray(z, dtype=complex))
 
     def random_point(self, rng):
         z = rng.standard_normal(self.m + 1) + 1j * rng.standard_normal(self.m + 1)
         return self.point_from_homogeneous(z)
 
     def tangent_frame(self, z):
-        basis = np.concatenate(
-            [z[:, None], np.eye(self.m + 1, dtype=complex)], axis=1
+        # rows of w span the complex orthogonal complement of z; the frame is
+        # w_1, i w_1, w_2, i w_2, ... carried to the ambient space
+        w = _orthonormal_complement(z[..., None, :])
+        lifts = np.stack([w, 1j * w], axis=-2).reshape(
+            w.shape[:-2] + (2 * self.m, self.m + 1)
         )
-        q, _ = np.linalg.qr(basis)
-        # columns 1.. span the complex orthogonal complement of z
-        frame = []
-        for k in range(1, self.m + 1):
-            w = q[:, k]
-            frame.append(self.tangent_from_horizontal(z, w))
-            frame.append(self.tangent_from_horizontal(z, 1j * w))
-        return np.asarray(frame)
+        return self.tangent_from_horizontal(z[..., None, :], lifts)
 
     def complex_structure(self, z, X):
         v = self.horizontal_from_ambient(z, X)
@@ -404,23 +417,23 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
 
     def sectional_formula(self, z, X, Y):
         """1 + 3 g(X, JY)^2 for orthonormal X, Y."""
-        return 1.0 + 3.0 * float(X @ self.complex_structure(z, Y)) ** 2
+        return 1.0 + 3.0 * _dot(X, self.complex_structure(z, Y)) ** 2
 
     def nabla_j_residual(self, z, rng, h=1e-5):
         """Finite-difference residual of the parallelism of J along a random curve."""
         X = self.random_tangent(z, rng)
         Y = self.random_tangent(z, rng)
-        v = self.horizontal_from_ambient(z, X)
+        return self.j_parallel_residual(z, X, Y, h)
 
-        def z_at(t):
-            s = np.sqrt(self.norm_sq(v))
-            return self.point_from_homogeneous(
-                np.cos(s * t) * z + np.sin(s * t) * v / s
-            )
+    def j_parallel_residual(self, z, X, Y, h=1e-5):
+        """|nabla_X (J W) - J nabla_X W| at z, where W is the tangent part of
+        the frozen ambient vector Y along the geodesic with velocity X."""
+        v = self.horizontal_from_ambient(z, X)
+        s = np.sqrt(self.norm_sq(v))[..., None]
 
         # W(t): projection of the frozen ambient vector Y onto the tangent space
         def W(t):
-            zt = z_at(t)
+            zt = self.point_from_homogeneous(np.cos(s * t) * z + np.sin(s * t) * v / s)
             w = self.horizontal_from_ambient(zt, Y)
             return self.tangent_from_horizontal(zt, w), zt
 
@@ -432,8 +445,7 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         dJW = (JW(h) - JW(-h)) / (2 * h)
         nab_W = self.project_tangent(z, dW)
         nab_JW = self.project_tangent(z, dJW)
-        res = nab_JW - self.complex_structure(z, nab_W)
-        return float(np.linalg.norm(res))
+        return np.linalg.norm(nab_JW - self.complex_structure(z, nab_W), axis=-1)
 
 
 class QuaternionicProjectiveVeroneseModel(_ProjectiveVeroneseBase):
@@ -441,6 +453,7 @@ class QuaternionicProjectiveVeroneseModel(_ProjectiveVeroneseBase):
     Hermitian matrices; Einstein with constant 4p + 8."""
 
     kind = "quaternionic_projective_veronese"
+    point_ndim = 2
 
     def __init__(self, p):
         if p < 1:
@@ -493,51 +506,30 @@ class QuaternionicProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         return v - qmul(z, q[..., None, :])
 
     def point_from_homogeneous(self, z):
-        z = np.asarray(z, dtype=float)
-        return z / np.sqrt(self.norm_sq(z))
+        return super().point_from_homogeneous(np.asarray(z, dtype=float))
 
     def random_point(self, rng):
         return self.point_from_homogeneous(rng.standard_normal((self.p + 1, 4)))
 
     def tangent_frame(self, z):
-        # Gram-Schmidt the coordinate directions against the four vertical
-        # directions z * {1, i, j, k}, keeping 4p horizontal lifts.
-        vert = [qmul(z, np.tile(e, (self.p + 1, 1))) for e in np.eye(4)]
-        frame = []
-        horiz = []
-        for i in range(self.p + 1):
-            for a in range(4):
-                v = np.zeros((self.p + 1, 4))
-                v[i, a] = 1.0
-                v = self.horizontal_project(z, v)
-                for w in horiz:
-                    v = v - w * np.sum(w * v)
-                nv = np.sqrt(self.norm_sq(v))
-                if nv < 1e-8:
-                    continue
-                v = v / nv
-                horiz.append(v)
-                frame.append(self.tangent_from_horizontal(z, v))
-                if len(frame) == 4 * self.p:
-                    return np.asarray(frame)
-        raise AmbientError("failed to build a horizontal frame")
+        # horizontal lifts: the real orthogonal complement of the four
+        # vertical directions z * {1, i, j, k}
+        n1 = self.p + 1
+        vert = qmul(z[..., None, :, :], np.eye(4)[:, None, :])
+        horiz = _orthonormal_complement(vert.reshape(vert.shape[:-2] + (4 * n1,)))
+        return self.tangent_from_horizontal(
+            z[..., None, :, :], horiz.reshape(horiz.shape[:-1] + (n1, 4))
+        )
 
     def quaternionic_structures(self, z, X):
         """[IX, JX, KX] via right multiplication on the horizontal lift."""
         v = self.horizontal_from_ambient(z, X)
-        out = []
-        for a in range(1, 4):
-            e = np.zeros(4)
-            e[a] = 1.0
-            out.append(
-                self.tangent_from_horizontal(z, qmul(v, np.tile(e, (self.p + 1, 1))))
-            )
-        return out
+        return [self.tangent_from_horizontal(z, qmul(v, e)) for e in np.eye(4)[1:]]
 
     def sectional_formula(self, z, X, Y):
         """1 + 3 sum_a g(X, A_a Y)^2 over the local quaternionic structures."""
         return 1.0 + 3.0 * sum(
-            float(X @ W) ** 2 for W in self.quaternionic_structures(z, Y)
+            _dot(X, W) ** 2 for W in self.quaternionic_structures(z, Y)
         )
 
 
@@ -551,9 +543,8 @@ class _ProductSphereModel(AmbientModel):
         super().__init__(dim1 + dim2, dim1 + dim2 + 2)
 
     def point(self, x):
-        x = np.asarray(x, dtype=float)
-        c, s = x[: self.split], x[self.split :]
-        return np.concatenate([c / np.linalg.norm(c), s / np.linalg.norm(s)])
+        c, s = self.factors(np.asarray(x, dtype=float))
+        return np.concatenate([_unit(c), _unit(s)], axis=-1)
 
     def random_point(self, rng):
         return self.point(rng.standard_normal(self.embed_dim))
@@ -566,37 +557,31 @@ class _ProductSphereModel(AmbientModel):
 
     def tangent_frame(self, point):
         c, s = self.factors(point)
-        f1 = _orthonormal_complement(c, self.split)
-        f2 = _orthonormal_complement(s, self.embed_dim - self.split)
-        frame = np.zeros((self.intrinsic_dim, self.embed_dim))
-        frame[: self.dim1, : self.split] = f1
-        frame[self.dim1 :, self.split :] = f2
+        frame = np.zeros(point.shape[:-1] + (self.intrinsic_dim, self.embed_dim))
+        frame[..., : self.dim1, : self.split] = _orthonormal_complement(c[..., None, :])
+        frame[..., self.dim1 :, self.split :] = _orthonormal_complement(s[..., None, :])
         return frame
 
     def ii_quad(self, point, X):
         c, s = self.factors(point)
         X1, X2 = self.factors(X)
-        return np.concatenate([-float(X1 @ X1) * c, -float(X2 @ X2) * s])
+        return np.concatenate(
+            [-_dot(X1, X1)[..., None] * c, -_dot(X2, X2)[..., None] * s], axis=-1
+        )
 
     def curve(self, point, X, t):
-        c, s = self.factors(point)
-        X1, X2 = self.factors(X)
-        out = []
-        for base, vel in ((c, X1), (s, X2)):
-            sp = np.linalg.norm(vel)
-            if sp == 0.0:
-                out.append(base.copy())
-            else:
-                out.append(np.cos(sp * t) * base + np.sin(sp * t) * vel / sp)
-        return np.concatenate(out)
+        return np.concatenate(
+            [_great_circle(base, vel, t)
+             for base, vel in zip(self.factors(point), self.factors(X))],
+            axis=-1,
+        )
 
     def riemann_product_formula(self, point, X, Y):
         """|pi2 X|^2 |pi2 Y|^2 - <pi2 X, pi2 Y>^2 (+ first factor when dim1 >= 2)."""
-        X1, Y1 = self.factors(X)[0], self.factors(Y)[0]
-        X2, Y2 = self.factors(X)[1], self.factors(Y)[1]
-        val = float(X2 @ X2) * float(Y2 @ Y2) - float(X2 @ Y2) ** 2
+        (X1, X2), (Y1, Y2) = self.factors(X), self.factors(Y)
+        val = _dot(X2, X2) * _dot(Y2, Y2) - _dot(X2, Y2) ** 2
         if self.dim1 >= 2:
-            val += float(X1 @ X1) * float(Y1 @ Y1) - float(X1 @ Y1) ** 2
+            val = val + _dot(X1, X1) * _dot(Y1, Y1) - _dot(X1, Y1) ** 2
         return val
 
 
@@ -640,7 +625,7 @@ class EllipsoidModel(AmbientModel):
 
     def point(self, x):
         x = np.asarray(x, dtype=float)
-        return x / np.sqrt(np.sum(x**2 * self._g))
+        return x / np.sqrt(np.sum(x**2 * self._g, axis=-1, keepdims=True))
 
     def random_point(self, rng):
         return self.point(rng.standard_normal(self.embed_dim))
@@ -649,16 +634,15 @@ class EllipsoidModel(AmbientModel):
         return point
 
     def outward_normal(self, point):
-        grad = self._g * point
-        return grad / np.linalg.norm(grad)
+        return _unit(self._g * point)
 
     def tangent_frame(self, point):
-        return _orthonormal_complement(self.outward_normal(point), self.embed_dim)
+        return _orthonormal_complement(self.outward_normal(point)[..., None, :])
 
     def ii_quad(self, point, X):
         nu = self.outward_normal(point)
-        accel = -float(np.sum(X**2 * self._g)) * point
-        return float(accel @ nu) * nu
+        accel = -_dot(X * self._g, X)[..., None] * point
+        return _dot(accel, nu)[..., None] * nu
 
     def curve(self, point, X, t):
         return self.point(point + t * X)
@@ -666,11 +650,10 @@ class EllipsoidModel(AmbientModel):
     def principal_curvatures(self, point):
         """Eigenvalues of the shape operator w.r.t. the outward normal
         (positive on convex bodies), ascending."""
-        nu = self.outward_normal(point)
         frame = self.tangent_frame(point)
-        scale = np.linalg.norm(self._g * point)
-        W = (frame * self._g) @ frame.T / scale
-        return np.sort(np.linalg.eigvalsh(W))
+        scale = np.linalg.norm(self._g * point, axis=-1)[..., None, None]
+        W = np.einsum("...ad,...bd->...ab", frame * self._g, frame) / scale
+        return np.linalg.eigvalsh(W)
 
 
 class GenericEmbeddedHypersurfaceModel(AmbientModel):
@@ -686,9 +669,16 @@ class GenericEmbeddedHypersurfaceModel(AmbientModel):
         self.height_fn = height_fn
         self.fd_step = float(fd_step)
 
+    def _height(self, x):
+        """height_fn over the leading axes of x, one base point at a time:
+        a user-supplied height function is not assumed to broadcast."""
+        flat = np.reshape(x, (-1, x.shape[-1]))
+        heights = [float(self.height_fn(xi)) for xi in flat]
+        return np.array(heights).reshape(x.shape[:-1])
+
     def point(self, x):
         x = np.asarray(x, dtype=float)
-        return np.concatenate([x, [float(self.height_fn(x))]])
+        return np.concatenate([x, self._height(x)[..., None]], axis=-1)
 
     def random_point(self, rng):
         return self.point(rng.standard_normal(self.intrinsic_dim))
@@ -700,41 +690,39 @@ class GenericEmbeddedHypersurfaceModel(AmbientModel):
         h = self.fd_step
 
         def d(step):
-            g = np.zeros(len(x))
-            for i in range(len(x)):
-                e = np.zeros(len(x))
-                e[i] = step
-                g[i] = (self.height_fn(x + e) - self.height_fn(x - e)) / (2 * step)
-            return g
+            return np.stack(
+                [(self._height(x + step * e) - self._height(x - step * e)) / (2 * step)
+                 for e in np.eye(x.shape[-1])],
+                axis=-1,
+            )
 
         return (4.0 * d(h) - d(2.0 * h)) / 3.0
 
     def outward_normal(self, point):
-        g = self._gradient(point[:-1])
-        nu = np.concatenate([-g, [1.0]])
-        return nu / np.linalg.norm(nu)
+        g = self._gradient(point[..., :-1])
+        return _unit(np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1))
 
     def tangent_frame(self, point):
-        return _orthonormal_complement(self.outward_normal(point), self.embed_dim)
+        return _orthonormal_complement(self.outward_normal(point)[..., None, :])
 
     def ii_quad(self, point, X):
-        x = point[:-1]
-        xi = X[:-1]
+        x = point[..., :-1]
+        xi = X[..., :-1]
         h = self.fd_step
 
         def quad(step):
             return (
-                self.height_fn(x + step * xi)
-                - 2.0 * self.height_fn(x)
-                + self.height_fn(x - step * xi)
+                self._height(x + step * xi)
+                - 2.0 * self._height(x)
+                + self._height(x - step * xi)
             ) / step**2
 
         hess = (4.0 * quad(h) - quad(2.0 * h)) / 3.0
         nu = self.outward_normal(point)
-        return hess * nu[-1] * nu
+        return (hess * nu[..., -1])[..., None] * nu
 
     def curve(self, point, X, t):
-        return self.point(point[:-1] + t * X[:-1])
+        return self.point(point[..., :-1] + t * X[..., :-1])
 
 
 _KINDS = {
@@ -767,74 +755,80 @@ def make_ambient(kind, **parameters):
 
 def verify_model_identities(model, sample_count, seed=0):
     """Random-sample self-checks of a model; returns an IdentityReport whose
-    residuals are maxima over (point, orthonormal pair) draws."""
+    residuals are maxima over (point, orthonormal pair) draws.
+
+    The samples are drawn one at a time (the point, the coefficients of X and
+    Y in the tangent frame, and for a complex structure those of the two
+    tangents of the parallelism check); every check then runs once on the
+    whole batch.
+    """
     if sample_count < 1:
         raise AmbientError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
+    n_tangents = 4 if model.has_complex_structure else 2
+    points, coeffs = [], []
+    for _ in range(sample_count):
+        points.append(model.random_point(rng))
+        coeffs.append([rng.standard_normal(model.intrinsic_dim)
+                       for _ in range(n_tangents)])
+    p = np.array(points)
+    frame = model.tangent_frame(p)
+    V = np.einsum("sta,sad->std", np.array(coeffs), frame)
+    X = _unit(V[:, 0])
+    Y = _unit(V[:, 1] - _dot(V[:, 1], X)[:, None] * X)
     res = {}
 
-    def bump(key, value):
-        res[key] = max(res.get(key, 0.0), abs(float(value)))
+    def bump(key, values):
+        res[key] = float(np.max(np.abs(values)))
 
-    for _ in range(sample_count):
-        p = model.random_point(rng)
-        X, Y = model.random_orthonormal_pair(p, rng)
-        pos = model.position(p)
+    iixx, iiyy, iixy = model.ii_quad(p, X), model.ii_quad(p, Y), model.ii(p, X, Y)
+    # tangency of the frame against computed normal directions
+    bump("frame_tangency", np.einsum("sad,sd->sa", frame, iixx))
+    bump("ii_symmetry", np.linalg.norm(iixy - model.ii(p, Y, X), axis=-1))
+    c = 1.7
+    bump("ii_scaling",
+         np.linalg.norm(model.ii_quad(p, c * X) - c**2 * iixx, axis=-1))
+    bump("gauss_fd_closure",
+         np.linalg.norm(iixx - model.ii_quad_fd(p, X), axis=-1))
 
-        # tangency of the frame against computed normal directions
-        bump("frame_tangency", np.abs(model.tangent_frame(p) @ model.ii_quad(p, X)).max()
-             if np.linalg.norm(model.ii_quad(p, X)) > 0 else 0.0)
-        bump("ii_symmetry",
-             np.linalg.norm(model.ii(p, X, Y) - model.ii(p, Y, X)))
-        c = 1.7
-        bump("ii_scaling",
-             np.linalg.norm(model.ii_quad(p, c * X) - c**2 * model.ii_quad(p, X)))
-        bump("gauss_fd_closure",
-             np.linalg.norm(model.ii_quad(p, X) - model.ii_quad_fd(p, X)))
+    if model.einstein_constant is not None:
+        bump("einstein", model.ricci(p, X) - model.einstein_constant)
 
-        if model.einstein_constant is not None:
-            bump("einstein", model.ricci(p, X) - model.einstein_constant)
+    rm = model.riemann_xyxy(p, X, Y)
+    if isinstance(model, SphereModel):
+        bump("umbilicity", np.linalg.norm(iixy, axis=-1) - np.abs(_dot(X, Y)))
+        bump("sectional_one", rm - 1.0)
 
-        if isinstance(model, SphereModel):
-            bump("umbilicity",
-                 np.linalg.norm(model.ii(p, X, Y)) - abs(float(X @ Y)))
-            bump("sectional_one", model.riemann_xyxy(p, X, Y) - 1.0)
+    if isinstance(model, _ProjectiveVeroneseBase):
+        if isinstance(model, ComplexProjectiveVeroneseModel):
+            A = model.unflatten(model.position(p))
+            bump("variety_projector", A @ A - A)
+            bump("variety_trace", np.trace(A, axis1=-2, axis2=-1).real - 1.0)
+        bump("veronese_ii_quad", _dot(iixx, iixx) - 4.0)
+        bump("veronese_polarized", _dot(iixx, iiyy) + 2.0 * _dot(iixy, iixy) - 4.0)
+        bump("veronese_mixed", _dot(iixy, iixy) - (4.0 - rm) / 3.0)
+        bump("sectional_range_low", np.maximum(0.0, 1.0 - rm))
+        bump("sectional_range_high", np.maximum(0.0, rm - 4.0))
+        bump("sectional_formula", rm - model.sectional_formula(p, X, Y))
 
-        if isinstance(model, _ProjectiveVeroneseBase):
-            A = model.unflatten(pos)
-            if isinstance(model, ComplexProjectiveVeroneseModel):
-                bump("variety_projector",
-                     np.abs(A @ A - A).max())
-                bump("variety_trace", np.trace(A).real - 1.0)
-            rm = model.riemann_xyxy(p, X, Y)
-            bump("veronese_ii_quad", model.ii_quad(p, X) @ model.ii_quad(p, X) - 4.0)
-            bump("veronese_polarized",
-                 model.ii_quad(p, X) @ model.ii_quad(p, Y)
-                 + 2.0 * model.ii(p, X, Y) @ model.ii(p, X, Y) - 4.0)
-            bump("veronese_mixed",
-                 model.ii(p, X, Y) @ model.ii(p, X, Y) - (4.0 - rm) / 3.0)
-            bump("sectional_range_low", max(0.0, 1.0 - rm))
-            bump("sectional_range_high", max(0.0, rm - 4.0))
-            bump("sectional_formula", rm - model.sectional_formula(p, X, Y))
+    if model.has_complex_structure:
+        JX = model.complex_structure(p, X)
+        bump("complex_isometry",
+             np.linalg.norm(JX, axis=-1) - np.linalg.norm(X, axis=-1))
+        bump("complex_square",
+             np.linalg.norm(model.complex_structure(p, JX) + X, axis=-1))
+        bump("complex_parallel",
+             model.j_parallel_residual(p, _unit(V[:, 2]), _unit(V[:, 3])))
 
-        if model.has_complex_structure:
-            JX = model.complex_structure(p, X)
-            bump("complex_isometry", np.linalg.norm(JX) - np.linalg.norm(X))
-            bump("complex_square",
-                 np.linalg.norm(model.complex_structure(p, JX) + X))
-            bump("complex_parallel", model.nabla_j_residual(p, rng))
+    if isinstance(model, _ProductSphereModel):
+        bump("product_curvature", rm - model.riemann_product_formula(p, X, Y))
 
-        if isinstance(model, _ProductSphereModel):
-            bump("product_curvature",
-                 model.riemann_xyxy(p, X, Y) - model.riemann_product_formula(p, X, Y))
-
-        if isinstance(model, EllipsoidModel):
+    if isinstance(model, EllipsoidModel):
+        nu = model.outward_normal(p)
+        bump("shape_vs_ii", _dot(iixx, nu) + _dot(model._g * X, X)
+             / np.linalg.norm(model._g * p, axis=-1))
+        if np.allclose(model.semi_axes, model.semi_axes[0]):
             k = model.principal_curvatures(p)
-            nu = model.outward_normal(p)
-            bump("shape_vs_ii",
-                 model.ii_quad(p, X) @ nu + float((model._g * X) @ X)
-                 / np.linalg.norm(model._g * p))
-            if np.allclose(model.semi_axes, model.semi_axes[0]):
-                bump("round_umbilic", k.max() - k.min())
+            bump("round_umbilic", k.max(axis=-1) - k.min(axis=-1))
 
     return IdentityReport(kind=model.kind, sample_count=sample_count, residuals=res)

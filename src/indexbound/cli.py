@@ -162,7 +162,11 @@ def _spectrum_block(scenario):
     return block, rep, system
 
 
-def run_tasks(scenario, tasks, rng, artifacts=None):
+#: why a task that needs the stability potential skips a surface without one
+_NO_POTENTIAL = "surface carries no potential"
+
+
+def run_tasks(scenario, tasks, artifacts=None):
     """Execute the requested task set; returns (report dict, ok flag).
 
     When `artifacts` is a dict, non-JSON side products (the spectrum report)
@@ -185,16 +189,21 @@ def run_tasks(scenario, tasks, rng, artifacts=None):
             scenario.ambient, 200, seed=scenario.seed
         )
         checks = surf.pointwise_checks(seed=scenario.seed)
+        tol = scenario.tolerances["pointwise"]
         report["residuals"] = {
             "ambient": amb_rep.residuals,
             "hypersurface": checks,
+            "pointwise_tolerance": tol,
         }
         ok &= amb_rep.ok
-        ok &= max(checks.values()) < 1e-6
+        ok &= max(checks.values()) < tol
 
     if "spectrum" in tasks:
-        block, spectrum_rep, system = _spectrum_block(scenario)
-        report["spectrum"] = block
+        if surf.fem().potential is None:
+            report["spectrum"] = {"skipped": _NO_POTENTIAL}
+        else:
+            block, spectrum_rep, system = _spectrum_block(scenario)
+            report["spectrum"] = block
 
     needs_forms = {"verify-identity", "certify"} & set(tasks)
     basis = None
@@ -279,11 +288,14 @@ def run_tasks(scenario, tasks, rng, artifacts=None):
             ) < tol
 
     if "bounds" in tasks:
-        if spectrum_rep is None and surf.dim == 2:
-            _, spectrum_rep, system = _spectrum_block(scenario)
-        if surf.dim == 2 or surf.name.startswith(
+        needs_spectrum = surf.dim == 2 or surf.name.startswith(
             ("generalized_clifford", "circle_times_equator", "equator")
-        ):
+        )
+        if needs_spectrum and surf.fem().potential is None:
+            report["bounds"] = {"skipped": _NO_POTENTIAL}
+        elif needs_spectrum:
+            if spectrum_rep is None and surf.dim == 2:
+                _, spectrum_rep, system = _spectrum_block(scenario)
             table = bounds_mod.index_bound_report(surf, spectrum=spectrum_rep)
             report["bounds"] = table
             ok &= bool(table["consistent"]) and bool(table["constant_closure"])
@@ -361,11 +373,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rng = np.random.default_rng(scenario.seed)
     artifacts = {}
     try:
-        report, ok = run_tasks(scenario, TASK_NAMES[args.command], rng,
-                               artifacts)
+        report, ok = run_tasks(scenario, TASK_NAMES[args.command], artifacts)
     except Exception as exc:  # solver or assembly failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

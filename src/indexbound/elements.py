@@ -233,9 +233,6 @@ class FemSystem:
         """Restrict per-node values to DOFs, taking the first representative."""
         return np.asarray(node_values)[self._first_node]
 
-    def to_nodes(self, dof_values):
-        return np.asarray(dof_values)[self.fuse]
-
     def integrate(self, dof_values):
         """Integral over the surface of a function given by DOF values."""
         return float(self.node_weights @ np.asarray(dof_values))

@@ -390,15 +390,11 @@ def _ricci_m(surface, U):
                 - np.einsum("nd,nd->n", U1, N1) ** 2
             )
     else:
-        ric_n = np.empty(len(U))
-        rm_unun = np.empty(len(U))
-        for i in range(len(U)):
-            if np.linalg.norm(U[i]) < 1e-14:
-                ric_n[i] = rm_unun[i] = 0.0
-                continue
-            pt = surface.model_point_fn(surface.node_params[i])
-            ric_n[i] = model.ricci(pt, U[i])
-            rm_unun[i] = model.riemann_xyxy(pt, U[i], N[i])
+        ric_n, rm_unun = np.zeros((2, len(U)))
+        i = np.flatnonzero(np.linalg.norm(U, axis=-1) >= 1e-14)
+        pt = surface.model_point_fn(surface.node_params[i])
+        ric_n[i] = model.ricci(pt, U[i])
+        rm_unun[i] = model.riemann_xyxy(pt, U[i], N[i])
     return ric_n - rm_unun - a_u_sq
 
 

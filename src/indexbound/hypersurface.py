@@ -211,12 +211,9 @@ class DiscreteHypersurface:
         return fields
 
     def ric_nn(self, node_indices):
-        """Ambient Ricci in the normal direction at selected nodes (loop-based)."""
-        out = np.empty(len(node_indices))
-        for j, i in enumerate(node_indices):
-            point = self.model_point_fn(self.node_params[i])
-            out[j] = self.ambient.ricci(point, self.normals[i])
-        return out
+        """Ambient Ricci in the normal direction at selected nodes."""
+        points = self.model_point_fn(self.node_params[node_indices])
+        return self.ambient.ricci(points, self.normals[node_indices])
 
     def pointwise_checks(self, sample=200, seed=0):
         """Max residuals of the defining properties at interior nodes."""
@@ -235,13 +232,10 @@ class DiscreteHypersurface:
         rng = np.random.default_rng(seed)
         idx = np.flatnonzero(ok)
         idx = rng.choice(idx, size=min(sample, len(idx)), replace=False)
-        tang = max(
-            self.ambient.tangency_residual(
-                self.model_point_fn(self.node_params[i]), self.normals[i]
-            )
-            for i in idx
+        tang = self.ambient.tangency_residual(
+            self.model_point_fn(self.node_params[idx]), self.normals[idx]
         )
-        res["normal_ambient_tangency"] = float(tang)
+        res["normal_ambient_tangency"] = float(tang.max())
         res["shape_asymmetry"] = float(f["shape_asymmetry"][ok].max())
         res["minimality"] = float(np.abs(f["mean_curvature"][ok]).max())
         if self._metric_fn is not None:
@@ -298,16 +292,16 @@ class DoubleCoverLift:
         for j, ax in enumerate(grid.axes):
             if ax.periodic:
                 image[:, j] = ax.lo + np.mod(image[:, j] - ax.lo, ax.length)
-        key = {}
+        # match the images to the nodes on integer keys at resolution tol
         scale = 1.0 / tol
-        for i, p in enumerate(grid.node_params):
-            key[tuple(np.round(p * scale).astype(np.int64))] = i
-        perm = np.empty(grid.n_nodes, dtype=np.int64)
-        for i, p in enumerate(image):
-            k = tuple(np.round(p * scale).astype(np.int64))
-            if k not in key:
-                raise ValueError("involution does not map grid nodes to grid nodes")
-            perm[i] = key[k]
+        keys = np.round(np.concatenate([grid.node_params, image]) * scale)
+        _, label = np.unique(keys.astype(np.int64), axis=0, return_inverse=True)
+        label = label.reshape(-1)
+        node_of = np.full(label.max() + 1, -1, dtype=np.int64)
+        node_of[label[: grid.n_nodes]] = np.arange(grid.n_nodes)
+        perm = node_of[label[grid.n_nodes :]]
+        if np.any(perm < 0):
+            raise ValueError("involution does not map grid nodes to grid nodes")
         if np.any(perm[perm] != np.arange(grid.n_nodes)):
             raise ValueError("map is not an involution on the grid")
         if np.any(perm == np.arange(grid.n_nodes)):

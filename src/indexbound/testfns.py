@@ -142,29 +142,18 @@ def integrand_fields(surface, sharp):
             scal += dimf * (dimf - 1)
         return ii_ew, ii_en, rm_ew, ric_nn, scal
 
-    # generic fallback: pointwise through the model operations
-    ii_ew = np.empty(n_nodes)
-    ii_en = np.empty(n_nodes)
-    rm_ew = np.empty(n_nodes)
-    ric_nn = np.empty(n_nodes)
-    scal = np.empty(n_nodes)
-    interior = surface.node_fields()["interior"]
-    for i in range(n_nodes):
-        if not interior[i]:
-            ii_ew[i] = ii_en[i] = rm_ew[i] = ric_nn[i] = scal[i] = 0.0
-            continue
-        pt = surface.model_point_fn(surface.node_params[i])
-        ii_ew[i] = sum(
-            float(np.dot(v, v))
-            for v in (model.ii(pt, e, sharp[i]) for e in frames[i])
-        )
-        ii_en[i] = sum(
-            float(np.dot(v, v))
-            for v in (model.ii(pt, e, N[i]) for e in frames[i])
-        )
-        rm_ew[i] = sum(model.riemann_xyxy(pt, e, sharp[i]) for e in frames[i])
-        ric_nn[i] = model.ricci(pt, N[i])
-        scal[i] = model.scalar_curvature(pt)
+    # generic fallback: one batched call per field over the interior nodes
+    ii_ew, ii_en, rm_ew, ric_nn, scal = np.zeros((5, n_nodes))
+    i = np.flatnonzero(surface.node_fields()["interior"])
+    pt = surface.model_point_fn(surface.node_params[i])
+    pt_e = np.expand_dims(pt, 1)  # broadcasts against the frame axis
+    e, w = frames[i], sharp[i, None]
+    ii_w, ii_n = model.ii(pt_e, e, w), model.ii(pt_e, e, N[i, None])
+    ii_ew[i] = np.einsum("nad,nad->n", ii_w, ii_w)
+    ii_en[i] = np.einsum("nad,nad->n", ii_n, ii_n)
+    rm_ew[i] = model.riemann_xyxy(pt_e, e, w).sum(axis=-1)
+    ric_nn[i] = model.ricci(pt, N[i])
+    scal[i] = model.scalar_curvature(pt)
     return ii_ew, ii_en, rm_ew, ric_nn, scal
 
 

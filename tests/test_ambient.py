@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from indexbound.ambient import (
+    _FD_CHECKS,
     AmbientError,
+    SphereModel,
     TangencyError,
     make_ambient,
     verify_model_identities,
@@ -159,3 +161,153 @@ def test_riemann_scaling_symmetry(rng):
     r = model.riemann_xyxy(p, X, Y)
     assert abs(model.riemann_xyxy(p, 1.7 * X, Y) - 1.7**2 * r) < 1e-10
     assert abs(model.riemann_xyxy(p, Y, X) - r) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched geometry against the per-point formulas
+
+def _riemann_ref(model, p, X, Y):
+    iixy = model.ii(p, X, Y)
+    return float(model.ii_quad(p, X) @ model.ii_quad(p, Y) - iixy @ iixy)
+
+
+def _ricci_ref(model, p, X):
+    return sum(_riemann_ref(model, p, X, e) for e in model.tangent_frame(p))
+
+
+def _scalar_ref(model, p):
+    frame = model.tangent_frame(p)
+    return sum(_riemann_ref(model, p, e, f) for e in frame for f in frame)
+
+
+def _batch(model, rng, shape=(3, 5)):
+    """Points of the given batch shape with an orthonormal tangent pair each."""
+    p = np.array([model.random_point(rng) for _ in range(np.prod(shape))])
+    X, Y = model.random_orthonormal_pair(p, rng)
+    unflat = lambda a: a.reshape(shape + a.shape[1:])
+    return unflat(p), unflat(X), unflat(Y)
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_batched_frame_orthonormal_and_tangent(kind, params, rng):
+    model = make_ambient(kind, **params)
+    p, _, _ = _batch(model, rng)
+    frame = model.tangent_frame(p)
+    k = model.intrinsic_dim
+    assert frame.shape == (3, 5, k, model.embed_dim)
+    gram = np.einsum("...ad,...bd->...ab", frame, frame)
+    assert np.abs(gram - np.eye(k)).max() < 1e-12
+    # the frame is orthogonal to the normal directions II(e_a, e_b) ...
+    ii = model.ii(np.expand_dims(p, (2, 3)), frame[..., :, None, :],
+                  frame[..., None, :, :])
+    assert np.abs(np.einsum("...cd,...abd->...abc", frame, ii)).max() < 1e-12
+    # ... and each frame vector is the velocity of a curve in the manifold
+    h = 1e-5
+    pe = np.expand_dims(p, 2)
+    vel = (model.curve(pe, frame, h) - model.curve(pe, frame, -h)) / (2 * h)
+    assert np.abs(vel - frame).max() < 1e-8
+    for i in np.ndindex(3, 5):
+        assert np.abs(frame[i] - model.tangent_frame(p[i])).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_batched_curvature_matches_pointwise(kind, params, rng):
+    model = make_ambient(kind, **params)
+    p, X, Y = _batch(model, rng)
+    ric, rm = model.ricci(p, X), model.riemann_xyxy(p, X, Y)
+    scal = model.scalar_curvature(p)
+    assert ric.shape == rm.shape == scal.shape == (3, 5)
+    for i in np.ndindex(3, 5):
+        assert abs(ric[i] - _ricci_ref(model, p[i], X[i])) < 1e-12
+        assert abs(rm[i] - _riemann_ref(model, p[i], X[i], Y[i])) < 1e-12
+        assert abs(scal[i] - _scalar_ref(model, p[i])) < 1e-12
+
+
+def test_batched_sphere_closed_forms(rng):
+    model = make_ambient("sphere", dim=4)
+    p, X, Y = _batch(model, rng)
+    assert np.abs(model.riemann_xyxy(p, X, Y) - 1.0).max() < 1e-12
+    assert np.abs(model.ricci(p, X) - 3.0).max() < 1e-12
+    assert np.abs(model.scalar_curvature(p) - 12.0).max() < 1e-12
+    assert np.abs(model.mean_curvature_vector(p) + 4.0 * p).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("circle_times_sphere", {"n": 3}),
+    ("sphere_times_sphere", {"p": 2, "q": 3}),
+])
+def test_batched_product_closed_forms(kind, params, rng):
+    model = make_ambient(kind, **params)
+    p, X, Y = _batch(model, rng)
+    rm = model.riemann_xyxy(p, X, Y)
+    assert np.abs(rm - model.riemann_product_formula(p, X, Y)).max() < 1e-12
+    d1, d2 = model.dim1, model.intrinsic_dim - model.dim1
+    X1, X2 = model.factors(X)
+    ric = (d1 - 1) * np.sum(X1 * X1, axis=-1) + (d2 - 1) * np.sum(X2 * X2, axis=-1)
+    assert np.abs(model.ricci(p, X) - ric).max() < 1e-12
+    scal = d1 * (d1 - 1) + d2 * (d2 - 1)
+    assert np.abs(model.scalar_curvature(p) - scal).max() < 1e-12
+
+
+def _verify_ref(model, sample_count, seed):
+    """The self-checks one sample at a time, as the reference for the batch."""
+    rng = np.random.default_rng(seed)
+    res = {}
+
+    def bump(key, value):
+        res[key] = max(res.get(key, 0.0), abs(float(value)))
+
+    for _ in range(sample_count):
+        p = model.random_point(rng)
+        X, Y = model.random_orthonormal_pair(p, rng)
+        iixx, iiyy, iixy = model.ii_quad(p, X), model.ii_quad(p, Y), model.ii(p, X, Y)
+        bump("frame_tangency", np.abs(model.tangent_frame(p) @ iixx).max())
+        bump("ii_symmetry", np.linalg.norm(iixy - model.ii(p, Y, X)))
+        bump("ii_scaling", np.linalg.norm(model.ii_quad(p, 1.7 * X) - 1.7**2 * iixx))
+        bump("gauss_fd_closure", np.linalg.norm(iixx - model.ii_quad_fd(p, X)))
+        if model.einstein_constant is not None:
+            bump("einstein", _ricci_ref(model, p, X) - model.einstein_constant)
+        rm = _riemann_ref(model, p, X, Y)
+        if isinstance(model, SphereModel):
+            bump("umbilicity", np.linalg.norm(iixy) - abs(float(X @ Y)))
+            bump("sectional_one", rm - 1.0)
+        if model.kind.endswith("veronese"):
+            if model.has_complex_structure:
+                A = model.unflatten(model.position(p))
+                bump("variety_projector", np.abs(A @ A - A).max())
+                bump("variety_trace", np.trace(A).real - 1.0)
+            bump("veronese_ii_quad", iixx @ iixx - 4.0)
+            bump("veronese_polarized", iixx @ iiyy + 2.0 * iixy @ iixy - 4.0)
+            bump("veronese_mixed", iixy @ iixy - (4.0 - rm) / 3.0)
+            bump("sectional_range_low", max(0.0, 1.0 - rm))
+            bump("sectional_range_high", max(0.0, rm - 4.0))
+            bump("sectional_formula", rm - model.sectional_formula(p, X, Y))
+        if model.has_complex_structure:
+            JX = model.complex_structure(p, X)
+            bump("complex_isometry", np.linalg.norm(JX) - np.linalg.norm(X))
+            bump("complex_square", np.linalg.norm(model.complex_structure(p, JX) + X))
+            bump("complex_parallel", model.nabla_j_residual(p, rng))
+        if hasattr(model, "riemann_product_formula"):
+            bump("product_curvature", rm - model.riemann_product_formula(p, X, Y))
+        if model.kind == "ellipsoid":
+            nu = model.outward_normal(p)
+            bump("shape_vs_ii", iixx @ nu + float((model._g * X) @ X)
+                 / np.linalg.norm(model._g * p))
+            if np.allclose(model.semi_axes, model.semi_axes[0]):
+                k = model.principal_curvatures(p)
+                bump("round_umbilic", k.max() - k.min())
+    return res
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS + [
+    ("ellipsoid", {"semi_axes": [1.0, 1.0, 1.0, 1.0]}),
+])
+def test_verify_matches_pointwise_loop(kind, params):
+    model = make_ambient(kind, **params)
+    batched = verify_model_identities(model, 200, seed=12345)
+    reference = _verify_ref(model, 200, 12345)
+    assert set(batched.residuals) == set(reference)
+    for key, value in reference.items():
+        tol = 1e-6 if key in _FD_CHECKS else 1e-12
+        assert abs(batched.residuals[key] - value) <= tol, key
+    assert batched.sample_count == 200 and batched.ok

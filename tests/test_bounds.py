@@ -193,3 +193,54 @@ def test_certificate_roundoff_margin_fails():
     clear = bounds.CertificateReport(hypothesis_margin=-1e-3,
                                      normalized_margin=-1e-3, **common)
     assert clear.verdict == "pass"
+
+
+def _scalar3_ref(ambient, samples, seed):
+    """min 2R - |H|^2 and the contraction residual, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    min_margin, max_contraction = np.inf, 0.0
+    for _ in range(samples):
+        p = ambient.random_point(rng)
+        frame = ambient.tangent_frame(p)
+        R = sum(ambient.riemann_xyxy(p, e, f) for e in frame for f in frame)
+        H = sum(ambient.ii_quad(p, e) for e in frame)
+        ii_sq = sum(float(ambient.ii(p, e, f) @ ambient.ii(p, e, f))
+                    for e in frame for f in frame)
+        min_margin = min(min_margin, 2.0 * R - float(H @ H))
+        max_contraction = max(max_contraction, abs(R - (float(H @ H) - ii_sq)))
+    return min_margin, max_contraction
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("complex_projective_veronese", {"m": 2}),
+    ("sphere", {"dim": 3}),
+    ("sphere_times_sphere", {"p": 2, "q": 2}),
+])
+def test_scalar3_matches_pointwise_loop(kind, params):
+    ambient = make_ambient(kind, **params)
+    rep = bounds.margins_scalar3(ambient, samples=200, seed=12345)
+    min_margin, contraction = _scalar3_ref(ambient, 200, 12345)
+    assert abs(rep.values["min_2R_minus_H2"] - min_margin) < 1e-12
+    assert abs(rep.values["contraction_residual"] - contraction) < 1e-12
+    if kind == "complex_projective_veronese":
+        assert rep.verdict.startswith("borderline")
+
+
+def test_traced_gauss_matches_pointwise_loop(geodesic_cp2):
+    model = geodesic_cp2.ambient
+    rep = bounds.borderline_cp_report(geodesic_cp2)
+    params = geodesic_cp2.node_params
+    ok = geodesic_cp2.node_fields()["interior"]
+    rng = np.random.default_rng(0)
+    idx = rng.choice(np.flatnonzero(ok), size=min(200, int(ok.sum())),
+                     replace=False)
+    worst = 0.0
+    for i in idx:
+        z = model.point_from_homogeneous(geodesic_cp2.model_point_fn(params[i]))
+        N = geodesic_cp2.normals[i]
+        jn = model.tangent_from_horizontal(
+            z, 1j * model.horizontal_from_ambient(z, N))
+        frame = model.tangent_frame(z)
+        ric = sum(model.riemann_xyxy(z, jn, e) for e in frame)
+        worst = max(worst, abs(ric - model.riemann_xyxy(z, jn, N) - 2.0))
+    assert abs(rep["traced_gauss_residual"] - worst) < 1e-12

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from indexbound import cli
+from indexbound.ambient import IdentityReport
 
 
 CONFIG = """\
@@ -182,3 +183,35 @@ def test_clifford_all_reruns_byte_identical(tmp_path):
         assert code == 0
     for name in ("clifford.json", "clifford-spectrum.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_ellipsoid_fails_on_convex_pinching(tmp_path):
+    config = str(cli.bundled_config("ellipsoid-elongated.cfg"))
+    code = cli.main(["all", "--config", config, "--out", str(tmp_path)])
+    assert code == 1
+    report = json.loads((tmp_path / "ellipsoid-elongated.json").read_text())
+    no_potential = {"skipped": "surface carries no potential"}
+    assert report["spectrum"] == no_potential
+    assert report["bounds"] == no_potential
+    assert report["identity"] == {"skipped": "no harmonic one-forms (b1 = 0)"}
+    assert report["certificate"] == {"skipped": "no harmonic one-forms (b1 = 0)"}
+    assert report["borderline"] == {"skipped": "ambient is not complex projective"}
+    margins = report["margins"]
+    assert set(margins) == {"convex", "scalar3"}
+    assert margins["convex"]["verdict"] == "fail"
+    assert margins["scalar3"]["verdict"] == "pass"
+    residuals = report["residuals"]
+    assert max(residuals["hypersurface"].values()) < residuals["pointwise_tolerance"]
+    assert IdentityReport("ellipsoid", 200, residuals["ambient"]).ok
+
+
+def test_pointwise_tolerance_gates_identities(tmp_path):
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(CONFIG)
+    assert cli.main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "torus-small.json").read_text())
+    assert report["residuals"]["pointwise_tolerance"] == 1e-8
+    worst = max(report["residuals"]["hypersurface"].values())
+    assert 0.0 < worst < 1e-8
+    cfg.write_text(CONFIG + f"pointwise = {worst / 2}\n")
+    assert cli.main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 1

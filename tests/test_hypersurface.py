@@ -186,3 +186,43 @@ def test_fusion_labels_and_to_dof_match_node_loop(equator2):
             first[d] = values[i]
             seen.add(d)
     assert np.array_equal(fem.to_dof(values), first)
+
+
+def _lift_permutation_ref(surface, involution_fn, tol=1e-9):
+    """Node pairing by a dict of rounded parameter keys, one node at a time."""
+    grid = surface.grid
+    image = np.asarray(involution_fn(grid.node_params), dtype=float)
+    for j, ax in enumerate(grid.axes):
+        if ax.periodic:
+            image[:, j] = ax.lo + np.mod(image[:, j] - ax.lo, ax.length)
+    scale = 1.0 / tol
+    key = {tuple(np.round(p * scale).astype(np.int64)): i
+           for i, p in enumerate(grid.node_params)}
+    return np.array([key[tuple(np.round(p * scale).astype(np.int64))]
+                     for p in image])
+
+
+@pytest.mark.parametrize("nodes", [16, 24])
+def test_double_cover_permutation_matches_node_loop(nodes):
+    surface, lift = hyp.clifford_torus_projective(nodes)
+    ref = _lift_permutation_ref(surface, lambda p: p + np.pi)
+    assert np.array_equal(lift.node_permutation, ref)
+
+
+def test_double_cover_rejects_bad_maps():
+    surf = hyp.clifford_torus(16)
+    with pytest.raises(ValueError, match="grid nodes"):
+        hyp.DoubleCoverLift(surf, lambda p: p + 0.1)
+    with pytest.raises(ValueError, match="not an involution"):
+        hyp.DoubleCoverLift(surf, lambda p: p + 2.0 * np.pi / 16)
+    with pytest.raises(ValueError, match="free"):
+        hyp.DoubleCoverLift(surf, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
+
+
+def test_ric_nn_matches_pointwise(geodesic_cp2):
+    idx = np.arange(0, geodesic_cp2.grid.n_nodes, 37)
+    model = geodesic_cp2.ambient
+    ref = [model.ricci(geodesic_cp2.model_point_fn(geodesic_cp2.node_params[i]),
+                       geodesic_cp2.normals[i]) for i in idx]
+    assert np.abs(geodesic_cp2.ric_nn(idx) - ref).max() < 1e-12
+    assert np.abs(geodesic_cp2.ric_nn(idx) - 6.0).max() < 1e-10
