@@ -154,6 +154,7 @@ def _spectrum_block(scenario):
         "shift": rep.shift,
         "dofs": rep.n_dofs,
         "factor_nnz": rep.factor_nnz,
+        "ordering": rep.ordering,
     }
     try:
         block["count_below"][f"{scenario.eta}"] = rep.count_below(scenario.eta)

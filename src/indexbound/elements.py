@@ -97,15 +97,18 @@ class TensorGrid:
         return int(np.ravel_multi_index(multi, self.shape))
 
     def cell_connectivity(self):
-        """Global node indices per cell, shape (n_cells_total, 3**ndim)."""
-        per_axis = [a.cell_conn() for a in self.axes]
-        cell_counts = [a.n_cells for a in self.axes]
-        conns = []
-        for cell_multi in itertools.product(*[range(c) for c in cell_counts]):
-            local = [per_axis[d][cell_multi[d]] for d in range(self.ndim)]
-            combos = np.array(list(itertools.product(*local)))
-            conns.append(np.ravel_multi_index(combos.T, self.shape))
-        return np.asarray(conns)
+        """Global node indices per cell, shape (n_cells_total, 3**ndim).
+
+        Cells and their local nodes both run in C order of their multi-index.
+        """
+        k = self.ndim
+        per_axis = []
+        for d, a in enumerate(self.axes):
+            shape = [1] * (2 * k)
+            shape[d], shape[k + d] = a.n_cells, 3
+            per_axis.append(a.cell_conn().reshape(shape))
+        conn = np.ravel_multi_index(np.broadcast_arrays(*per_axis), self.shape)
+        return conn.reshape(-1, 3**k)
 
     def cell_origins(self):
         """Lower corner parameter values of each cell, shape (n_cells_total, ndim)."""

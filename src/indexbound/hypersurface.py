@@ -262,14 +262,17 @@ class DiscreteHypersurface:
         buf.write(f"# nodes {self.grid.n_nodes} dofs {fem.n_dofs} "
                   f"dim {k} embed {d}\n")
         buf.write("# node: index dof param_1..param_k x_1..x_d weight\n")
-        wnode = fem.node_weights[fem.fuse]
-        for i in range(self.grid.n_nodes):
-            p = " ".join(f"{v:.12g}" for v in self.node_params[i])
-            x = " ".join(f"{v:.12g}" for v in self.positions[i])
-            buf.write(f"node {i} {fem.fuse[i]} {p} {x} {wnode[i]:.12g}\n")
+        rows = np.column_stack(
+            [self.node_params, self.positions, fem.node_weights[fem.fuse]]
+        ).tolist()
+        line = "node %d %d" + " %.12g" * (k + d + 1) + "\n"
+        buf.writelines(
+            line % (i, f, *r) for i, (f, r) in enumerate(zip(fem.fuse.tolist(), rows))
+        )
         buf.write("# cell: index node_indices\n")
-        for c, conn in enumerate(self.grid.cell_connectivity()):
-            buf.write("cell %d %s\n" % (c, " ".join(map(str, conn))))
+        conn = self.grid.cell_connectivity()
+        line = "cell %d" + " %d" * conn.shape[1] + "\n"
+        buf.writelines(line % (c, *r) for c, r in enumerate(conn.tolist()))
         return buf.getvalue()
 
 

@@ -10,6 +10,11 @@ solve below the spectrum (Ericsson & Ruhe 1980, "The spectral transformation
 Lanczos method").  The Morse index is then counted a second time, without
 eigenvectors, from the inertia of K - P (Sylvester's law): the negative
 pivots of its symmetric factorization.
+
+Both factorizations share one fill-reducing ordering.  On a grid of three or
+more axes it is a nested dissection of the tensor grid (George 1973, "Nested
+dissection of a regular finite element mesh"); on a surface grid SuperLU's
+minimum degree ordering of A^T + A fills less and is kept.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ class SpectrumReport:
     inertia_index: int  # negative pivots of K - P, checked against the index
     shift: float  # shift-invert point of the Lanczos solve
     factor_nnz: int  # nonzeros of the shift factor, L.nnz + U.nnz
+    ordering: str  # fill-reducing ordering of both factors
     cluster_gap: float = 1e-3
 
     @property
@@ -103,6 +109,11 @@ class SpectralSystem:
         self.stiffness = K.tocsr()
         self.potential = P.tocsr()
         self.mass = M.tocsr()
+        # one symmetric permutation for both factors, or None for SuperLU's own
+        self.permutation = None
+        if fem.grid.ndim >= 3:
+            pattern = abs(self.stiffness) + abs(self.potential) + abs(self.mass)
+            self.permutation = _nested_dissection(fem, pattern, self.basis)
 
     @property
     def n_dofs(self):
@@ -135,9 +146,17 @@ class SpectralSystem:
             np.abs(self.potential.diagonal()).sum()
             / max(self.mass.diagonal().sum(), 1e-300)
         ) - 1.0
-        lu = _symmetric_lu(A - sigma * M)
+        q = self.permutation
+        lu = _symmetric_lu(A - sigma * M, q)
         factor_nnz = lu.L.nnz + lu.U.nnz
-        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=A.dtype)
+        if q is None:
+            solve = lu.solve
+        else:
+            def solve(b):
+                x = np.empty(n)
+                x[q] = lu.solve(np.ravel(b)[q])
+                return x
+        OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=A.dtype)
         # fixed seed: reruns give bitwise-equal eigenvalues.  Gaussian, not
         # constant: a constant vector is M-orthogonal to every nonconstant
         # torus mode, which Lanczos then recovers only through roundoff.
@@ -149,10 +168,10 @@ class SpectralSystem:
             raise SpectralError(
                 f"eigensolver failed to converge: {exc}"
             ) from exc
-        del lu, OPinv  # only one factor alive at a time
+        del lu, solve, OPinv  # only one factor alive at a time
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        inertia = _negative_pivots(_symmetric_lu(A))
+        inertia = _negative_pivots(_symmetric_lu(A, q))
         below = int(np.sum(vals < 0))
         # fewer eigenvalues than pivots below zero is fine only when the
         # computed window ends below zero
@@ -175,15 +194,92 @@ class SpectralSystem:
             inertia_index=inertia,
             shift=sigma,
             factor_nnz=factor_nnz,
+            ordering="mmd_at_plus_a" if q is None else "nested_dissection",
             cluster_gap=cluster_gap,
         )
 
 
-def _symmetric_lu(A):
+#: parts of at most this many DOFs are not dissected further
+_ND_LEAF = 64
+
+
+def _nested_dissection(fem, pattern, basis=None):
+    """Nested-dissection order of the DOFs of a pencil on `fem.grid`.
+
+    A DOF sits at the grid multi-index of its first node; an odd-parity column
+    of `basis` sits at its first DOF.  A part is split across its longest
+    extent at an even grid index, a Q2 cell-boundary plane, so the cut is one
+    node layer thick; a periodic axis not yet opened is cut at 0 and at its
+    middle.  The separator is the cut plus every DOF of one side still adjacent
+    to the other side in the symmetric `pattern` (fused pole DOFs, or any
+    coordinates that do not follow the graph).  The order is [side A, side B,
+    separator], recursively; separators and small parts keep grid order.
+    """
+    grid = fem.grid
+    node = fem._first_node
+    if basis is not None:
+        B = basis.tocsc()
+        B.sort_indices()
+        node = node[B.indices[B.indptr[:-1]]]
+    coords = np.stack(np.unravel_index(node, grid.shape), axis=1)
+    period = np.array([a.n_nodes for a in grid.axes])
+    pattern = pattern.tocsr()
+    local = np.full(len(coords), -1)  # index within the current part, or -1
+    order = []
+
+    def dissect(part, closed):
+        c = coords[part]
+        lo, hi = c.min(axis=0), c.max(axis=0)
+        ax = int(np.argmax(np.where(closed, period, hi - lo + 1)))
+        x = c[:, ax]
+        if closed[ax]:
+            mid = 2 * (period[ax] // 4)
+            in_a, in_b = (x > 0) & (x < mid), x > mid
+            closed = closed.copy()
+            closed[ax] = False
+        else:
+            mid = (lo[ax] + hi[ax]) // 2
+            mid += mid % 2 if mid + 1 < hi[ax] else -(mid % 2)
+            in_a, in_b = x < mid, x > mid
+        a = part[in_a]
+        rows = pattern[a]
+        local[part] = np.arange(len(part))
+        nbr = local[rows.indices]
+        cross = np.append(in_b, False)[nbr]
+        a_touch = np.unique(np.repeat(np.flatnonzero(in_a),
+                                      np.diff(rows.indptr))[cross])
+        b_touch = np.unique(nbr[cross])
+        local[part] = -1
+        if len(a_touch) <= len(b_touch):
+            in_a[a_touch] = False
+        else:
+            in_b[b_touch] = False
+        if not (in_a.any() and in_b.any()):
+            order.append(part)
+            return
+        for side in (part[in_a], part[in_b]):
+            if len(side) <= _ND_LEAF:
+                order.append(side)
+            else:
+                dissect(side, closed)
+        order.append(part[~(in_a | in_b)])
+
+    dissect(np.arange(len(coords)), np.array([a.periodic for a in grid.axes]))
+    return np.concatenate(order)
+
+
+def _symmetric_lu(A, q=None):
     """Sparse LU of a symmetric matrix with diagonal pivots only, so that
-    P A P^T = L D L^T and diag(U) = D carries the inertia of A."""
+    P A P^T = L D L^T and diag(U) = D carries the inertia of A.
+
+    With a permutation q the factor is of A[q][:, q] in that order; without
+    one SuperLU orders A by minimum degree on A^T + A."""
+    if q is None:
+        spec = "MMD_AT_PLUS_A"
+    else:
+        A, spec = A[q][:, q], "NATURAL"
     try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return spla.splu(A, permc_spec=spec, diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         raise SpectralError(f"singular factor: {exc}") from exc

@@ -215,3 +215,16 @@ def test_pointwise_tolerance_gates_identities(tmp_path):
     assert 0.0 < worst < 1e-8
     cfg.write_text(CONFIG + f"pointwise = {worst / 2}\n")
     assert cli.main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("name, ordering", [
+    ("cp2-borderline.cfg", "nested_dissection"),
+    ("clifford.cfg", "mmd_at_plus_a"),
+])
+def test_spectrum_reports_ordering(name, ordering, tmp_path):
+    config = str(cli.bundled_config(name))
+    code = cli.main(["spectrum", "--config", config, "--out", str(tmp_path),
+                     "--resolution-scale", "0.5"])
+    assert code == 0
+    report = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())
+    assert report["spectrum"]["ordering"] == ordering

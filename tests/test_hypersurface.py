@@ -1,3 +1,6 @@
+import io
+import itertools
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,46 @@ def test_ric_nn_matches_pointwise(geodesic_cp2):
                        geodesic_cp2.normals[i]) for i in idx]
     assert np.abs(geodesic_cp2.ric_nn(idx) - ref).max() < 1e-12
     assert np.abs(geodesic_cp2.ric_nn(idx) - 6.0).max() < 1e-10
+
+
+def _cell_connectivity_ref(grid):
+    """Cell connectivity by one itertools loop per cell."""
+    per_axis = [a.cell_conn() for a in grid.axes]
+    conns = []
+    for cell in itertools.product(*[range(a.n_cells) for a in grid.axes]):
+        local = [per_axis[d][cell[d]] for d in range(grid.ndim)]
+        combos = np.array(list(itertools.product(*local)))
+        conns.append(np.ravel_multi_index(combos.T, grid.shape))
+    return np.asarray(conns)
+
+
+def _mesh_dump_ref(surface):
+    """Mesh dump formatted one node and one cell per iteration."""
+    fem = surface.fem()
+    buf = io.StringIO()
+    buf.write(f"# surface {surface.name}\n")
+    buf.write(f"# nodes {surface.grid.n_nodes} dofs {fem.n_dofs} "
+              f"dim {surface.dim} embed {surface.embed_dim}\n")
+    buf.write("# node: index dof param_1..param_k x_1..x_d weight\n")
+    wnode = fem.node_weights[fem.fuse]
+    for i in range(surface.grid.n_nodes):
+        p = " ".join(f"{v:.12g}" for v in surface.node_params[i])
+        x = " ".join(f"{v:.12g}" for v in surface.positions[i])
+        buf.write(f"node {i} {fem.fuse[i]} {p} {x} {wnode[i]:.12g}\n")
+    buf.write("# cell: index node_indices\n")
+    for c, conn in enumerate(_cell_connectivity_ref(surface.grid)):
+        buf.write("cell %d %s\n" % (c, " ".join(map(str, conn))))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hyp.clifford_torus(16),
+    lambda: hyp.geodesic_sphere_cp2(12),
+], ids=["clifford_torus16", "geodesic_sphere_cp2_12"])
+def test_mesh_dump_and_connectivity_match_loops(make):
+    surface = make()
+    conn = surface.grid.cell_connectivity()
+    ref = _cell_connectivity_ref(surface.grid)
+    assert conn.dtype == ref.dtype
+    assert np.array_equal(conn, ref)
+    assert surface.mesh_dump().encode() == _mesh_dump_ref(surface).encode()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from indexbound import hypersurface as hyp
 from indexbound.spectral import (
@@ -131,3 +132,69 @@ def test_inertia_needs_diagonal_pivots():
         _symmetric_lu(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0]]))
     indefinite = sp.csc_matrix([[2.0, 0.0, 1.0], [0.0, -3.0, 0.0], [1.0, 0.0, 1.0]])
     assert _negative_pivots(_symmetric_lu(indefinite)) == 1
+
+
+@pytest.fixture(scope="module")
+def cp2_system(geodesic_cp2):
+    return SpectralSystem(geodesic_cp2)
+
+
+@pytest.fixture(scope="module")
+def cp2_spectrum(cp2_system):
+    return cp2_system.spectrum(how_many=24)
+
+
+def _dense_window(system, k):
+    A = (system.stiffness - system.potential).toarray()
+    return scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)[:k]
+
+
+def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
+    # every eigenvalue of the window, including the top one: on the torus the
+    # window of 24 ends inside the 8-fold cluster near 6.0042, on CP^2 the
+    # pencil is factored in nested-dissection order
+    torus = SpectralSystem(hyp.clifford_torus(32))
+    spec = torus.spectrum(how_many=24)
+    assert spec.ordering == "mmd_at_plus_a"
+    assert np.abs(spec.eigenvalues - _dense_window(torus, 24)).max() < 1e-9
+    assert np.sum(np.abs(spec.eigenvalues - 6.0042) < 1e-3) == 8
+    assert cp2_spectrum.ordering == "nested_dissection"
+    oracle = _dense_window(cp2_system, 24)
+    assert np.abs(cp2_spectrum.eigenvalues - oracle).max() < 1e-9
+
+
+def _mmd_fill(system, shift):
+    A = (system.stiffness - system.potential - shift * system.mass).tocsc()
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_nested_dissection_permutation(cp2_system, cp2_spectrum):
+    q = cp2_system.permutation
+    assert np.array_equal(np.sort(q), np.arange(cp2_system.n_dofs))
+    # the tensor-grid ordering fills less than minimum degree on a 3-D grid
+    assert cp2_spectrum.factor_nnz < _mmd_fill(cp2_system, cp2_spectrum.shift)
+    assert cp2_spectrum.inertia_index == cp2_spectrum.morse_index == 1
+
+
+def test_surface_pencil_keeps_mmd(torus_system, torus_spectrum):
+    assert torus_system.permutation is None
+    assert torus_spectrum.ordering == "mmd_at_plus_a"
+    assert torus_spectrum.factor_nnz == _mmd_fill(torus_system,
+                                                  torus_spectrum.shift)
+
+
+def test_odd_parity_on_three_axes_matches_dense_oracle():
+    # an odd-parity column is placed at its first DOF; the antipodal map
+    # pairs DOFs across the grid, so the adjacency check builds the separators
+    surface = hyp.equator_in_sphere(3, 13)
+    lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
+        [np.pi - p[:, 0], np.pi - p[:, 1], p[:, 2] + np.pi], axis=1))
+    system = SpectralSystem(surface, parity="odd", lift=lift)
+    spec = system.spectrum(how_many=12)
+    assert spec.ordering == "nested_dissection"
+    assert np.array_equal(np.sort(system.permutation),
+                          np.arange(system.n_dofs))
+    assert np.abs(spec.eigenvalues - _dense_window(system, 12)).max() < 1e-9
+    assert spec.inertia_index == spec.morse_index == 0
