@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,11 +147,15 @@ def _reference_tensors(ndim):
 
 
 class FemSystem:
-    """Assembled Galerkin matrices for -div(grad) + V on a curved chart.
+    """Galerkin matrices for -div(grad) + V on a curved chart.
+
+    `stiffness` and `potential` are assembled on first use, from the metric
+    evaluated once at construction: only the index-form pencil reads them.
 
     Attributes
     ----------
     stiffness, mass, potential : scipy.sparse.csr_matrix, at fused-DOF level
+        (`potential` is None without a potential function)
     fuse : (n_nodes,) int array mapping grid nodes to DOFs
     node_weights : (n_dofs,) quadrature weights (consistent-mass row sums)
     """
@@ -158,65 +163,59 @@ class FemSystem:
     def __init__(self, grid, metric_fn, potential_fn=None, positions=None,
                  fuse_tol=1e-8):
         self.grid = grid
+        self._potential_fn = potential_fn
         ndim = grid.ndim
-        conn = grid.cell_connectivity()
-        origins = grid.cell_origins()
         hs = np.array([a.h for a in grid.axes])
-
-        gauss_local, w, vals, grads = _reference_tensors(ndim)
+        gauss_local, w, self._vals, grads = _reference_tensors(ndim)
         # physical gradients: reference gradient scaled by 1/h per axis
-        grads_phys = grads / hs[None, None, :]
-        cellvol = float(np.prod(hs))
-
+        self._grads = grads / hs[None, None, :]
         # quadrature points in parameter space, (C, G, ndim)
+        origins = grid.cell_origins()
         qp = origins[:, None, :] + gauss_local[None, :, :] * hs[None, None, :]
         C, G = qp.shape[:2]
-        flat_qp = qp.reshape(-1, ndim)
-
-        g = np.asarray(metric_fn(flat_qp)).reshape(C, G, ndim, ndim)
-        detg = np.linalg.det(g)
+        self._qp = qp.reshape(-1, ndim)
+        self._g = np.asarray(metric_fn(self._qp)).reshape(C, G, ndim, ndim)
+        detg = np.linalg.det(self._g)
         if np.any(detg <= 0):
             raise ValueError("metric is not positive definite at a quadrature point")
-        vol = np.sqrt(detg)  # (C, G)
-        ginv = np.linalg.inv(g)
-
-        scale = w[None, :] * vol * cellvol  # (C, G)
-        K_e = np.einsum("cg,cgab,gia,gjb->cij", scale, ginv, grads_phys,
-                        grads_phys, optimize=True)
-        M_e = np.einsum("cg,gi,gj->cij", scale, vals, vals, optimize=True)
-        if potential_fn is not None:
-            V = np.asarray(potential_fn(flat_qp)).reshape(C, G)
-            P_e = np.einsum("cg,gi,gj->cij", scale * V, vals, vals,
-                            optimize=True)
-        else:
-            P_e = None
-
-        rows = np.repeat(conn[:, :, None], conn.shape[1], axis=2).ravel()
-        cols = np.repeat(conn[:, None, :], conn.shape[1], axis=1).ravel()
-
-        def build(E):
-            A = sp.coo_matrix(
-                (E.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)
-            )
-            return A.tocsr()
-
-        K = build(K_e)
-        M = build(M_e)
-        P = build(P_e) if P_e is not None else None
+        self._scale = w[None, :] * np.sqrt(detg) * float(np.prod(hs))  # (C, G)
 
         self.fuse = self._fusion_labels(grid, positions, fuse_tol)
         self.n_dofs = int(self.fuse.max()) + 1
         _, self._first_node = np.unique(self.fuse, return_index=True)
-        Z = sp.coo_matrix(
+        self.prolong = sp.coo_matrix(
             (np.ones(grid.n_nodes), (np.arange(grid.n_nodes), self.fuse)),
             shape=(grid.n_nodes, self.n_dofs),
         ).tocsr()
-        self.prolong = Z
-
-        self.stiffness = (Z.T @ K @ Z).tocsr()
-        self.mass = (Z.T @ M @ Z).tocsr()
-        self.potential = (Z.T @ P @ Z).tocsr() if P is not None else None
+        self.mass = self._assemble(self._scale)
         self.node_weights = np.asarray(self.mass.sum(axis=1)).ravel()
+
+    def _assemble(self, scale, ginv=None):
+        """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
+        sum_g scale ginv(grad phi_i, grad phi_j) when `ginv` is given."""
+        if ginv is None:
+            E = np.einsum("cg,gi,gj->cij", scale, self._vals, self._vals,
+                          optimize=True)
+        else:
+            E = np.einsum("cg,cgab,gia,gjb->cij", scale, ginv, self._grads,
+                          self._grads, optimize=True)
+        conn = self.grid.cell_connectivity()
+        rows = np.repeat(conn[:, :, None], conn.shape[1], axis=2).ravel()
+        cols = np.repeat(conn[:, None, :], conn.shape[1], axis=1).ravel()
+        n, Z = self.grid.n_nodes, self.prolong
+        A = sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        return (Z.T @ A @ Z).tocsr()
+
+    @cached_property
+    def stiffness(self):
+        return self._assemble(self._scale, np.linalg.inv(self._g))
+
+    @cached_property
+    def potential(self):
+        if self._potential_fn is None:
+            return None
+        V = np.asarray(self._potential_fn(self._qp)).reshape(self._scale.shape)
+        return self._assemble(self._scale * V)
 
     @staticmethod
     def _fusion_labels(grid, positions, tol):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ambient import (
     AmbientError,
@@ -498,6 +497,9 @@ def circle_times_equator(n, nodes=24):
 def minimal_geodesic_sphere_radius(model, lo=0.3, hi=1.3):
     """Radius at which the geodesic sphere about a point is minimal, found by
     root-bracketing on the numerically computed mean curvature."""
+    # imported here, not at module level: scipy.optimize adds about 0.3 s to
+    # the start-up of every command-line run, and none of them calls this
+    from scipy.optimize import brentq
 
     def mean_curv(r):
         surf = geodesic_sphere_cp2(nodes=8, radius=r)

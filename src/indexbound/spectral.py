@@ -134,20 +134,28 @@ class SpectralSystem:
     def spectrum(self, how_many=24, cluster_gap=1e-3):
         """Lowest eigenvalues of (K - P) phi = lambda M phi, smallest first.
 
-        Raises SpectralError when the inertia of K - P disagrees with the
-        number of eigenvalues found below zero.
+        Raises SpectralError when the shift factor has a negative pivot (the
+        shift is not below the spectrum), or when the inertia of K - P
+        disagrees with the number of eigenvalues found below zero.
         """
         A = (self.stiffness - self.potential).tocsc()
         M = self.mass.tocsc()
         n = self.n_dofs
         how_many = min(how_many, n - 1)  # ARPACK needs k < n
-        # shift below the spectrum: lambda_1 >= -max potential density
+        # below the spectrum (checked by inertia), not at 0: on CP^2 the indefinite
+        # factor at 0 has max |L| = 166 and leaves Lanczos residuals near 1e-3
         sigma = -float(
             np.abs(self.potential.diagonal()).sum()
             / max(self.mass.diagonal().sum(), 1e-300)
         ) - 1.0
         q = self.permutation
         lu = _symmetric_lu(A - sigma * M, q)
+        negative = _negative_pivots(lu)
+        if negative:
+            raise SpectralError(
+                f"shift {sigma:.6g} is not below the spectrum: the factor of "
+                f"K - P - shift M has {negative} negative pivots"
+            )
         factor_nnz = lu.L.nnz + lu.U.nnz
         if q is None:
             solve = lu.solve

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,29 @@ def test_single_subcommands(config_path, tmp_path):
         assert code == 0, task
 
 
+def test_cli_run_leaves_scipy_optimize_unimported(tmp_path):
+    # a fresh interpreter, as each command-line run is: importing
+    # scipy.optimize costs every run about 0.3 s that no CLI path uses
+    argv = ["spectrum", "--config", str(cli.bundled_config("clifford.cfg")),
+            "--out", str(tmp_path), "--resolution-scale", "0.25"]
+    script = (
+        "import json, sys\n"
+        "from indexbound import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules "
+        "if m.startswith('scipy.optimize'))]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+
+
 def test_missing_config_is_usage_error(tmp_path):
     code = cli.main(
         ["all", "--config", str(tmp_path / "missing.cfg"),
@@ -174,15 +201,74 @@ def test_cp2_borderline_margins_pass(tmp_path):
     assert margins["scalar3"]["thresholds"]["tol"] > 0.0
 
 
-def test_clifford_all_reruns_byte_identical(tmp_path):
-    config = str(cli.bundled_config("clifford.cfg"))
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        code = cli.main(["all", "--config", config, "--out", str(out),
-                         "--resolution-scale", "0.5"])
-        assert code == 0
-    for name in ("clifford.json", "clifford-spectrum.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+def _run_half(name, out):
+    return cli.main(["all", "--config", str(cli.bundled_config(name)),
+                     "--out", str(out), "--resolution-scale", "0.5"])
+
+
+@pytest.fixture(scope="module")
+def bundled_all(request, tmp_path_factory):
+    """`all` on a bundled config at half resolution: (id, exit code, out dir)."""
+    out = tmp_path_factory.mktemp("bundled")
+    return request.param.replace(".cfg", ""), _run_half(request.param, out), out
+
+
+@pytest.mark.parametrize("bundled_all", ["clifford.cfg", "cp2-borderline.cfg"],
+                         indirect=True)
+def test_all_reruns_byte_identical(bundled_all, tmp_path):
+    # clifford.cfg runs the minimum-degree factor path, cp2-borderline.cfg
+    # the nested-dissection one
+    sid, code, first = bundled_all
+    assert code == 0
+    assert _run_half(f"{sid}.cfg", tmp_path) == 0
+    for name in (f"{sid}.json", f"{sid}-spectrum.csv"):
+        assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def _pointwise_residuals_ok(report, ambient):
+    residuals = report["residuals"]
+    assert max(residuals["hypersurface"].values()) < residuals["pointwise_tolerance"]
+    assert IdentityReport(ambient, 200, residuals["ambient"]).ok
+
+
+@pytest.mark.parametrize("bundled_all", ["clifford.cfg"], indirect=True)
+def test_clifford_passes_every_block(bundled_all):
+    _, code, out = bundled_all
+    assert code == 0
+    report = json.loads((out / "clifford.json").read_text())
+    _pointwise_residuals_ok(report, "sphere")
+    spec = report["spectrum"]
+    assert spec["index"] == spec["inertia_index"] == 5
+    for prop in ("Prop31", "Prop32"):
+        assert report["identity"][prop]["relative_residual"] < 1e-4
+    for block in ("certificate", "certificate_starred"):
+        assert report[block]["verdict"] == "pass"
+        assert report[block]["actual"] == 5
+    assert {k: v["verdict"] for k, v in report["margins"].items()} == {
+        "sphere": "pass", "scalar3": "pass"}
+    assert report["borderline"] == {"skipped": "ambient is not complex projective"}
+    bounds = report["bounds"]
+    assert bounds["index"] == bounds["bound"] == 5
+    assert bounds["consistent"] and bounds["constant_closure"] and bounds["tight"]
+
+
+@pytest.mark.parametrize("bundled_all", ["cp2-borderline.cfg"], indirect=True)
+def test_cp2_borderline_passes_every_block(bundled_all):
+    _, code, out = bundled_all
+    assert code == 0
+    report = json.loads((out / "cp2-borderline.json").read_text())
+    _pointwise_residuals_ok(report, "complex_projective_veronese")
+    spec = report["spectrum"]
+    assert spec["index"] == spec["inertia_index"] == 1
+    assert report["identity"] == {"skipped": "no harmonic one-forms (b1 = 0)"}
+    assert report["certificate"] == {"skipped": "no harmonic one-forms (b1 = 0)"}
+    margins = report["margins"]
+    assert set(margins) == {"cross", "scalar3"}
+    assert all(m["verdict"].startswith("borderline") for m in margins.values())
+    border = report["borderline"]
+    assert max(border["div_jn_residual"], border["decomposition_residual"],
+               border["traced_gauss_residual"]) < 1e-5
+    assert report["bounds"] == {"constant": "1/36", "constant_closure": True}
 
 
 def test_ellipsoid_fails_on_convex_pinching(tmp_path):

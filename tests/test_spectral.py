@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -198,3 +200,19 @@ def test_odd_parity_on_three_axes_matches_dense_oracle():
                           np.arange(system.n_dofs))
     assert np.abs(spec.eigenvalues - _dense_window(system, 12)).max() < 1e-9
     assert spec.inertia_index == spec.morse_index == 0
+
+
+def test_shift_above_lambda_one_is_refused():
+    # one DOF with a large potential pulls lambda_1 far below the mean
+    # potential density that the shift is taken from
+    system = SpectralSystem(hyp.clifford_torus(16))
+    n = system.n_dofs
+    system.potential = system.potential + sp.csr_matrix(
+        ([1e3], ([0], [0])), shape=(n, n))
+    with pytest.raises(SpectralError, match="not below the spectrum") as err:
+        system.spectrum(how_many=8)
+    shift, count = re.search(r"shift (\S+) .* has (\d+) negative pivots",
+                             str(err.value)).groups()
+    A = (system.stiffness - system.potential).toarray()
+    oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
+    assert int(count) == np.sum(oracle < float(shift)) >= 1
