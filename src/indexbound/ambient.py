@@ -278,35 +278,11 @@ class _ProjectiveVeroneseBase(AmbientModel):
 
     Points are unit vectors z (modulo phase / unit-quaternion action); ambient
     coordinates flatten Hermitian matrices isometrically for the metric
-    <A, B> = Re tr(AB) / 2.
+    <A, B> = Re tr(AB) / 2.  Subclasses define `chart` (z -> z z*), `outer`
+    (z, w -> z w* + w z*), `matvec`, `norm_sq`, `horizontal_project`, and
+    `flatten` / `unflatten` between Hermitian matrices and the ambient space.
     """
 
-    def horizontal_project(self, z, v):
-        raise NotImplementedError
-
-    def flatten(self, A):
-        raise NotImplementedError
-
-    def unflatten(self, a):
-        raise NotImplementedError
-
-    def chart(self, z):
-        raise NotImplementedError
-
-    def matvec(self, A, z):
-        raise NotImplementedError
-
-    def outer(self, z, w):
-        """z w* + w z* as a Hermitian matrix."""
-        raise NotImplementedError
-
-    def self_outer(self, z):
-        raise NotImplementedError
-
-    def norm_sq(self, z):
-        raise NotImplementedError
-
-    # -- generic pieces -------------------------------------------------------
     def _per_point(self, a):
         """A (...) array shaped to broadcast against (..., *P) points."""
         return np.reshape(a, np.shape(a) + (1,) * self.point_ndim)
@@ -327,7 +303,7 @@ class _ProjectiveVeroneseBase(AmbientModel):
 
     def ii_quad(self, z, X):
         v = self.horizontal_from_ambient(z, X)
-        return 2.0 * (self.flatten(self.self_outer(v))
+        return 2.0 * (self.flatten(self.chart(v))
                       - self.norm_sq(v)[..., None] * self.position(z))
 
     def curve(self, z, X, t):
@@ -379,9 +355,6 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
 
     def matvec(self, A, z):
         return np.einsum("...ij,...j->...i", A, z)
-
-    def self_outer(self, z):
-        return self.chart(z)
 
     def outer(self, z, w):
         return (
@@ -489,9 +462,6 @@ class QuaternionicProjectiveVeroneseModel(_ProjectiveVeroneseBase):
 
     def matvec(self, A, z):
         return qmul(A, z[..., None, :, :]).sum(axis=-2)
-
-    def self_outer(self, z):
-        return self.chart(z)
 
     def outer(self, z, w):
         return qmul(z[..., :, None, :], qconj(w)[..., None, :, :]) + qmul(

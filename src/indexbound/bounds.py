@@ -16,7 +16,6 @@ from .ambient import (
     ComplexProjectiveVeroneseModel,
     EllipsoidModel,
     QuaternionicProjectiveVeroneseModel,
-    RealProjectiveModel,
     SphereModel,
     SphereTimesSphereModel,
 )
@@ -164,9 +163,7 @@ def index_bound_report(surface, spectrum=None, how_many=24):
     C = theorem_constant(ambient)
     b1 = surface.betti_one
     bound = math.ceil(C * b1)
-    sphere_case = isinstance(ambient, SphereModel) and not isinstance(
-        ambient, RealProjectiveModel
-    )
+    sphere_case = ambient.kind == "sphere"  # not its quotient RP^n
     totally_geodesic = (
         surface.node_fields()["a_norm_sq"].max() < 1e-8
     )
@@ -356,8 +353,7 @@ def margins_scalar3(ambient, samples=200, seed=0):
 def application_margins(application, target=None, **kwargs):
     """Dispatch to the per-application margin evaluations."""
     if application == "sphere":
-        surface, form = target
-        return margins_sphere(surface, form)
+        return margins_sphere(*target)  # (surface, form)
     if application == "cross":
         return margins_cross(target)
     if application == "product_q":
@@ -421,11 +417,7 @@ def borderline_cp_report(surface, f_fn=None, step_factor=1e-3):
 
     # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2 |grad_X JN|^2
     f_vals = f_fn(params)
-    df = np.empty(params.shape)
-    for i in range(params.shape[-1]):
-        e = np.zeros(params.shape[-1])
-        e[i] = step
-        df[:, i] = (f_fn(params + e) - f_fn(params - e)) / (2.0 * step)
+    df = chart_jacobian(lambda p: f_fn(p)[..., None], params, step)[..., 0]
     xf = np.einsum("nab,nb->na", coeffs, df)
     d_omega = tangential(frame_derivative(omega_sharp_field))
     d_jn_t = tangential(d_jn)

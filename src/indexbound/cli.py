@@ -12,7 +12,9 @@ import argparse
 import configparser
 import csv
 import json
+import operator
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -30,60 +32,54 @@ class ConfigError(Exception):
     pass
 
 
-_AMBIENT_PARAMS = {
-    "sphere": [("dim", int)],
-    "real_projective": [("dim", int)],
-    "complex_projective_veronese": [("m", int)],
-    "quaternionic_projective_veronese": [("p", int)],
-    "circle_times_sphere": [("n", int)],
-    "sphere_times_sphere": [("p", int), ("q", int)],
-    "ellipsoid": [("semi_axes", lambda s: [float(x) for x in s.split()])],
+#: each ambient kind: its config parameters, and the margins and the
+#: borderline checks that apply in it
+_AMBIENTS = {
+    "sphere": ([("dim", int)], ("sphere", "scalar3")),
+    "real_projective": ([("dim", int)], ("sphere", "scalar3")),
+    "complex_projective_veronese": (
+        [("m", int)], ("cross", "scalar3", "borderline")),
+    "quaternionic_projective_veronese": ([("p", int)], ("cross", "scalar3")),
+    "circle_times_sphere": ([("n", int)], ("product_q", "scalar3")),
+    "sphere_times_sphere": ([("p", int), ("q", int)], ("scalar3",)),
+    "ellipsoid": ([("semi_axes", lambda s: [float(x) for x in s.split()])],
+                  ("convex", "scalar3")),
 }
 
 
 def _build_ambient(section):
     kind = section.get("kind")
-    if kind not in _AMBIENT_PARAMS:
+    if kind not in _AMBIENTS:
         raise ConfigError(f"unknown ambient kind {kind!r}")
     params = {}
-    for name, conv in _AMBIENT_PARAMS[kind]:
+    for name, conv in _AMBIENTS[kind][0]:
         if name not in section:
             raise ConfigError(f"ambient kind {kind!r} needs parameter {name!r}")
         params[name] = conv(section[name])
     return ambient_mod.make_ambient(kind, **params)
 
 
+_shape = operator.attrgetter("kind", "intrinsic_dim", "embed_dim")
+
+
 def _build_surface(section, ambient, resolution_scale):
+    """The configured surface and, in a quotient ambient, its DoubleCoverLift."""
     kind = section.get("kind")
-    nodes = max(4, int(round(section.getint("nodes", 24) * resolution_scale)))
-    lift = None
-    if kind == "clifford_torus":
-        if ambient.kind == "real_projective":
-            surface, lift = hyp_mod.clifford_torus_projective(nodes)
-        elif ambient.kind == "sphere" and ambient.intrinsic_dim == 3:
-            surface = hyp_mod.clifford_torus(nodes)
-        else:
-            raise ConfigError("clifford_torus needs a three-sphere ambient")
-    elif kind == "equator":
-        n = section.getint("n", 2)
-        surface = hyp_mod.equator_in_sphere(n, nodes)
-    elif kind == "generalized_clifford":
-        surface = hyp_mod.generalized_clifford(section.getint("n", 3), nodes)
-    elif kind == "circle_times_equator":
-        surface = hyp_mod.circle_times_equator(section.getint("n", 3), nodes)
-    elif kind == "geodesic_sphere_cp2":
-        surface = hyp_mod.geodesic_sphere_cp2(nodes)
-    elif kind == "ellipsoid_section":
-        if not isinstance(ambient, ambient_mod.EllipsoidModel):
-            raise ConfigError("ellipsoid_section needs an ellipsoid ambient")
-        surface = hyp_mod.ellipsoid_section(ambient.semi_axes, nodes)
-    else:
+    if kind not in hyp_mod.SURFACE_KINDS:
         raise ConfigError(f"unknown hypersurface kind {kind!r}")
-    if surface.ambient.kind != ambient.kind:
+    entry = hyp_mod.SURFACE_KINDS[kind]
+    nodes = max(4, int(round(section.getint("nodes", 24) * resolution_scale)))
+    params = {name: section.getint(name, default)
+              for name, default in entry.params.items()}
+    surface = (entry.build(ambient, nodes, **params)
+               if ambient.kind in entry.ambients else None)
+    if surface is None or _shape(surface.ambient) != _shape(ambient):
         raise ConfigError(
-            f"hypersurface {kind!r} is incompatible with ambient {ambient.kind!r}"
+            f"hypersurface {kind!r} is incompatible with ambient {ambient.kind!r} "
+            f"of dimension {ambient.intrinsic_dim}"
         )
-    return surface, lift
+    deck = entry.ambients[ambient.kind]
+    return surface, deck and hyp_mod.DoubleCoverLift(surface, deck)
 
 
 class Scenario:
@@ -101,9 +97,8 @@ class Scenario:
         if "scenario" not in parser:
             raise ConfigError("config lacks a [scenario] section")
         self.id = parser["scenario"].get("id", Path(config_path).stem)
-        self.seed = seed if seed is not None else parser["scenario"].getint(
-            "seed", 12345
-        )
+        self.seed = (seed if seed is not None
+                     else parser["scenario"].getint("seed", 12345))
         if "ambient" not in parser or "hypersurface" not in parser:
             raise ConfigError("config needs [ambient] and [hypersurface] sections")
         self.ambient = _build_ambient(parser["ambient"])
@@ -130,20 +125,12 @@ def _jsonable(x):
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         return x.item()
-    if hasattr(x, "numerator") and hasattr(x, "denominator") and not isinstance(
-        x, (int, float)
-    ):
+    if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return x
 
 
-def _margin_block(m):
-    return {"values": m.values, "thresholds": m.thresholds, "verdict": m.verdict}
-
-
-def _spectrum_block(scenario):
-    system = assemble_jacobi(scenario.surface)
-    rep = system.spectrum(how_many=scenario.how_many)
+def _spectrum_block(rep, eta):
     block = {
         "eigenvalues": rep.eigenvalues.tolist(),
         "index": rep.morse_index,
@@ -157,21 +144,154 @@ def _spectrum_block(scenario):
         "ordering": rep.ordering,
     }
     try:
-        block["count_below"][f"{scenario.eta}"] = rep.count_below(scenario.eta)
+        block["count_below"][f"{eta}"] = rep.count_below(eta)
     except SpectralError as exc:
         block["count_below_error"] = str(exc)
-    return block, rep, system
+    return block
 
 
-#: why a task that needs the stability potential skips a surface without one
+#: why a task skips a surface without a stability potential, or without forms
 _NO_POTENTIAL = "surface carries no potential"
+_NO_FORMS = "no harmonic one-forms (b1 = 0)"
+
+
+class _Run:
+    """What the tasks of one run share: the harmonic basis, set by the hodge
+    stage, and the spectrum, solved by the first task that needs it (on the
+    quotient's pencil when the scenario has a DoubleCoverLift)."""
+
+    def __init__(self, scenario):
+        self.scenario, self.surface = scenario, scenario.surface
+        self.basis = self.spectrum = None
+
+    def spectrum_report(self):
+        if self.spectrum is None:
+            lift = self.scenario.lift
+            parity = None if lift is None else lift.quotient_parity()
+            system = assemble_jacobi(self.surface, parity=parity, lift=lift)
+            self.spectrum = system.spectrum(how_many=self.scenario.how_many)
+        return self.spectrum
+
+
+def _identities(run, report):
+    sc = run.scenario
+    amb_rep = ambient_mod.verify_model_identities(sc.ambient, 200, seed=sc.seed)
+    checks = run.surface.pointwise_checks(seed=sc.seed)
+    tol = sc.tolerances["pointwise"]
+    report["residuals"] = {
+        "ambient": amb_rep.residuals,
+        "hypersurface": checks,
+        "pointwise_tolerance": tol,
+    }
+    return amb_rep.ok and max(checks.values()) < tol
+
+
+def _spectrum(run, report):
+    if run.surface.fem().potential is None:
+        report["spectrum"] = {"skipped": _NO_POTENTIAL}
+    else:
+        report["spectrum"] = _spectrum_block(run.spectrum_report(),
+                                             run.scenario.eta)
+    return True
+
+
+def _hodge(run, report):
+    run.basis = hodge_mod.harmonic_one_forms(run.surface)
+    return True
+
+
+def _verify_identity(run, report):
+    if not run.basis:
+        report["identity"] = {"skipped": _NO_FORMS}
+        return True
+    sc = run.scenario
+    c = np.random.default_rng(sc.seed).standard_normal(len(run.basis))
+    form = hodge_mod.combine(run.basis, c)
+    modes = ("Prop32", "Prop31") if run.surface.dim == 2 else ("Prop32",)
+    report["identity"] = {
+        mode: testfns_mod.q_identity_report(run.surface, form, mode)
+        for mode in modes
+    }
+    return all(rep["relative_residual"] < sc.tolerances["identity"]
+               for rep in report["identity"].values())
+
+
+def _certify(run, report):
+    if not run.basis:
+        report["certificate"] = {"skipped": _NO_FORMS}
+        return True
+    spectrum = run.spectrum_report()
+    modes = [("certificate", "Prop41")]
+    if run.surface.dim == 2:
+        modes.append(("certificate_starred", "Prop43"))
+    ok = True
+    for key, mode in modes:
+        cert = bounds_mod.concentration_certificate(
+            run.surface, run.basis, run.scenario.eta, mode, spectrum=spectrum
+        )
+        report[key] = cert.as_dict()
+        ok &= cert.verdict == "pass"
+    return ok
+
+
+def _margins(run, report):
+    sc = run.scenario
+    margins = {}
+    for name in _AMBIENTS[sc.ambient.kind][1]:
+        if name == "borderline" or (name == "sphere" and not run.basis):
+            continue
+        target = (run.surface, run.basis[0]) if name == "sphere" else sc.ambient
+        m = bounds_mod.application_margins(name, target, seed=sc.seed)
+        margins[name] = {"values": m.values, "thresholds": m.thresholds,
+                         "verdict": m.verdict}
+    report["margins"] = margins
+    return all(v["verdict"].startswith(("pass", "borderline"))
+               for v in margins.values())
+
+
+def _borderline(run, report):
+    if "borderline" not in _AMBIENTS[run.scenario.ambient.kind][1]:
+        report["borderline"] = {"skipped": "ambient is not complex projective"}
+        return True
+    report["borderline"] = rep = bounds_mod.borderline_cp_report(run.surface)
+    return max(rep["div_jn_residual"], rep["decomposition_residual"],
+               rep["traced_gauss_residual"]) < run.scenario.tolerances["borderline"]
+
+
+def _bounds(run, report):
+    surf = run.surface
+    if not hyp_mod.SURFACE_KINDS[surf.kind].compares_index:
+        C = bounds_mod.theorem_constant(run.scenario.ambient)
+        report["bounds"] = {"constant": C, "constant_closure": True}
+        return True
+    if surf.fem().potential is None:
+        report["bounds"] = {"skipped": _NO_POTENTIAL}
+        return True
+    report["bounds"] = table = bounds_mod.index_bound_report(
+        surf, spectrum=run.spectrum_report())
+    return bool(table["consistent"]) and bool(table["constant_closure"])
+
+
+#: the stages of a run in order; "hodge" runs when a task needs the forms
+_STAGES = {
+    "identities": _identities,
+    "spectrum": _spectrum,
+    "hodge": _hodge,
+    "verify-identity": _verify_identity,
+    "certify": _certify,
+    "margins": _margins,
+    "borderline": _borderline,
+    "bounds": _bounds,
+}
 
 
 def run_tasks(scenario, tasks, artifacts=None):
     """Execute the requested task set; returns (report dict, ok flag).
 
-    When `artifacts` is a dict, non-JSON side products (the spectrum report)
-    are stored there for the caller to serialize separately.
+    A stage that raises ends the run: the report then carries an `error`
+    naming the stage, and ok is False.  When `artifacts` is a dict, non-JSON
+    side products (the spectrum report) are stored there for the caller to
+    serialize separately.
     """
     surf = scenario.surface
     report = {
@@ -181,147 +301,29 @@ def run_tasks(scenario, tasks, artifacts=None):
         "resolution": [ax.n_nodes for ax in surf.axes],
         "seed": scenario.seed,
     }
+    tasks = set(tasks)
+    if tasks & {"verify-identity", "certify"}:
+        tasks.add("hodge")
+    run = _Run(scenario)
     ok = True
-    spectrum_rep = None
-    system = None
-
-    if "identities" in tasks:
-        amb_rep = ambient_mod.verify_model_identities(
-            scenario.ambient, 200, seed=scenario.seed
-        )
-        checks = surf.pointwise_checks(seed=scenario.seed)
-        tol = scenario.tolerances["pointwise"]
-        report["residuals"] = {
-            "ambient": amb_rep.residuals,
-            "hypersurface": checks,
-            "pointwise_tolerance": tol,
-        }
-        ok &= amb_rep.ok
-        ok &= max(checks.values()) < tol
-
-    if "spectrum" in tasks:
-        if surf.fem().potential is None:
-            report["spectrum"] = {"skipped": _NO_POTENTIAL}
-        else:
-            block, spectrum_rep, system = _spectrum_block(scenario)
-            report["spectrum"] = block
-
-    needs_forms = {"verify-identity", "certify"} & set(tasks)
-    basis = None
-    if needs_forms:
+    for stage, task in _STAGES.items():
+        if stage not in tasks:
+            continue
         try:
-            basis = hodge_mod.harmonic_one_forms(surf)
-        except hodge_mod.HodgeError as exc:
-            report["error"] = str(exc)
-            return report, False
-
-    if "verify-identity" in tasks:
-        if not basis:
-            report["identity"] = {"skipped": "no harmonic one-forms (b1 = 0)"}
-        else:
-            rng_local = np.random.default_rng(scenario.seed)
-            c = rng_local.standard_normal(len(basis))
-            form = hodge_mod.combine(basis, c)
-            rep32 = testfns_mod.q_identity_report(surf, form, "Prop32")
-            report["identity"] = {"Prop32": rep32}
-            ok &= rep32["relative_residual"] < scenario.tolerances["identity"]
-            if surf.dim == 2:
-                rep31 = testfns_mod.q_identity_report(surf, form, "Prop31")
-                report["identity"]["Prop31"] = rep31
-                ok &= rep31["relative_residual"] < scenario.tolerances["identity"]
-
-    if "certify" in tasks:
-        if not basis:
-            report["certificate"] = {"skipped": "no harmonic one-forms (b1 = 0)"}
-        else:
-            if spectrum_rep is None:
-                _, spectrum_rep, system = _spectrum_block(scenario)
-            cert = bounds_mod.concentration_certificate(
-                surf, basis, scenario.eta, "Prop41", spectrum=spectrum_rep
-            )
-            report["certificate"] = cert.as_dict()
-            ok &= cert.verdict == "pass"
-            if surf.dim == 2:
-                cert43 = bounds_mod.concentration_certificate(
-                    surf, basis, scenario.eta, "Prop43", spectrum=spectrum_rep
-                )
-                report["certificate_starred"] = cert43.as_dict()
-                ok &= cert43.verdict == "pass"
-
-    if "margins" in tasks:
-        margins = {}
-        amb = scenario.ambient
-        if isinstance(amb, ambient_mod.SphereModel) and basis:
-            m = bounds_mod.margins_sphere(surf, basis[0])
-            margins["sphere"] = _margin_block(m)
-        if amb.einstein_constant is not None and not isinstance(
-            amb, ambient_mod.SphereModel
-        ):
-            m = bounds_mod.margins_cross(amb)
-            margins["cross"] = _margin_block(m)
-        if isinstance(amb, ambient_mod.CircleTimesSphereModel):
-            m = bounds_mod.margins_product_q(seed=scenario.seed)
-            margins["product_q"] = _margin_block(m)
-        if isinstance(amb, ambient_mod.EllipsoidModel):
-            m = bounds_mod.margins_convex(amb, seed=scenario.seed)
-            margins["convex"] = _margin_block(m)
-        m = bounds_mod.margins_scalar3(amb, seed=scenario.seed)
-        margins["scalar3"] = _margin_block(m)
-        report["margins"] = margins
-        ok &= all(
-            v["verdict"].startswith(("pass", "borderline"))
-            for v in margins.values()
-        )
-
-    if "borderline" in tasks:
-        if not isinstance(
-            scenario.ambient, ambient_mod.ComplexProjectiveVeroneseModel
-        ):
-            report["borderline"] = {"skipped": "ambient is not complex projective"}
-        else:
-            rep = bounds_mod.borderline_cp_report(surf)
-            report["borderline"] = rep
-            tol = scenario.tolerances["borderline"]
-            ok &= max(
-                rep["div_jn_residual"],
-                rep["decomposition_residual"],
-                rep["traced_gauss_residual"],
-            ) < tol
-
-    if "bounds" in tasks:
-        needs_spectrum = surf.dim == 2 or surf.name.startswith(
-            ("generalized_clifford", "circle_times_equator", "equator")
-        )
-        if needs_spectrum and surf.fem().potential is None:
-            report["bounds"] = {"skipped": _NO_POTENTIAL}
-        elif needs_spectrum:
-            if spectrum_rep is None and surf.dim == 2:
-                _, spectrum_rep, system = _spectrum_block(scenario)
-            table = bounds_mod.index_bound_report(surf, spectrum=spectrum_rep)
-            report["bounds"] = table
-            ok &= bool(table["consistent"]) and bool(table["constant_closure"])
-        else:
-            C = bounds_mod.theorem_constant(scenario.ambient)
-            report["bounds"] = {"constant": C, "constant_closure": True}
-
-    if artifacts is not None and spectrum_rep is not None:
-        artifacts["spectrum"] = spectrum_rep
-    return report, bool(ok)
+            ok &= bool(task(run, report))
+        except Exception as exc:  # solver, assembly or geometry failure
+            report["error"] = {"stage": stage, "type": type(exc).__name__,
+                               "message": str(exc)}
+            ok = False
+            break
+    if artifacts is not None and run.spectrum is not None:
+        artifacts["spectrum"] = run.spectrum
+    return report, ok
 
 
-TASK_NAMES = {
-    "identities": {"identities"},
-    "spectrum": {"spectrum"},
-    "verify-identity": {"verify-identity"},
-    "certify": {"certify"},
-    "margins": {"margins"},
-    "borderline": {"borderline"},
-    "bounds": {"bounds"},
-    "all": {
-        "identities", "spectrum", "verify-identity", "certify",
-        "margins", "borderline", "bounds",
-    },
-}
+#: each command and the tasks it runs
+TASK_NAMES = {name: {name} for name in _STAGES if name != "hodge"}
+TASK_NAMES["all"] = set(TASK_NAMES)
 
 
 def bundled_config(name):
@@ -361,9 +363,7 @@ def main(argv=None):
     parser.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
 
-    config = args.config
-    if config is None:
-        config = str(bundled_config("clifford.cfg"))
+    config = args.config or str(bundled_config("clifford.cfg"))
 
     try:
         scenario = Scenario(
@@ -375,11 +375,11 @@ def main(argv=None):
         return 2
 
     artifacts = {}
-    try:
-        report, ok = run_tasks(scenario, TASK_NAMES[args.command], artifacts)
-    except Exception as exc:  # solver or assembly failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report, ok = run_tasks(scenario, TASK_NAMES[args.command], artifacts)
+    if "error" in report:
+        err = report["error"]
+        print(f"error in {err['stage']}: {err['type']}: {err['message']}",
+              file=sys.stderr)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,9 +401,10 @@ def main(argv=None):
         (out_dir / f"{scenario.id}-spectrum.csv").write_text(
             artifacts["spectrum"].to_csv()
         )
-    (out_dir / f"{scenario.id}-mesh.txt").write_text(
-        scenario.surface.mesh_dump()
-    )
+    if "error" not in report:  # the mesh dump assembles what may have failed
+        (out_dir / f"{scenario.id}-mesh.txt").write_text(
+            scenario.surface.mesh_dump()
+        )
 
     print(f"{scenario.id}: {'pass' if ok else 'fail'} -> {json_path}")
     return 0 if ok else 1

@@ -11,6 +11,7 @@ counterparts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,9 +95,6 @@ class TensorGrid:
     def ndim(self):
         return len(self.axes)
 
-    def node_index(self, multi):
-        return int(np.ravel_multi_index(multi, self.shape))
-
     def cell_connectivity(self):
         """Global node indices per cell, shape (n_cells_total, 3**ndim).
 
@@ -122,28 +120,18 @@ def _reference_tensors(ndim):
     """Tensor-product shape values / gradients at the Gauss points.
 
     Returns (gauss_local, weights, vals, grads) with shapes
-    (G, ndim), (G,), (G, L), (G, L, ndim) for G = L = 3**ndim.
+    (G, ndim), (G,), (G, L), (G, L, ndim) for G = L = 3**ndim; points and
+    local nodes both run in C order of their multi-index.
     """
-    pts_1d = [_GP] * ndim
-    gauss_local = np.array(list(itertools.product(*pts_1d)))
-    weights = np.prod(
-        np.array(list(itertools.product(*([_GW] * ndim)))), axis=-1
-    )
-    sv = shape1d(_GP)  # (3, 3): point, node
-    sg = dshape1d(_GP)
-    g_idx = list(itertools.product(range(3), repeat=ndim))
-    l_idx = g_idx
-    G = L = 3**ndim
-    vals = np.ones((G, L))
-    grads = np.ones((G, L, ndim))
-    for gi, gm in enumerate(g_idx):
-        for li, lm in enumerate(l_idx):
-            for d in range(ndim):
-                vals[gi, li] *= sv[gm[d], lm[d]]
-                for dd in range(ndim):
-                    f = sg[gm[dd], lm[dd]] if dd == d else sv[gm[dd], lm[dd]]
-                    grads[gi, li, d] *= f
-    return gauss_local, weights, vals, grads
+    gauss_local = np.array(list(itertools.product(*[_GP] * ndim)))
+    sv, sg = shape1d(_GP), dshape1d(_GP)  # (3, 3): point, node
+
+    def kron(factors):
+        return functools.reduce(np.kron, factors)
+
+    grads = [kron([sg if dd == d else sv for dd in range(ndim)])
+             for d in range(ndim)]
+    return gauss_local, kron([_GW] * ndim), kron([sv] * ndim), np.stack(grads, -1)
 
 
 class FemSystem:

@@ -4,7 +4,7 @@ For two-dimensional surfaces b1 comes from the Euler characteristic of the
 triangulated grid, and the basis from its tree-cotree generators: one closed
 edge cochain per generator, made harmonic for the lowest-order edge-element
 (Whitney) Hodge Laplacian by one scalar Poisson solve.  In higher dimensions
-the catalog surfaces carry their harmonic forms in closed form
+each catalog kind's registry entry gives its harmonic forms in closed form
 (circle-factor forms dt).  Also provides the surface Hodge star and the
 integrated Bochner identity residual used to reject non-harmonic probes.
 """
@@ -17,6 +17,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .hypersurface import SURFACE_KINDS, chart_jacobian
 
 
 class HodgeError(Exception):
@@ -90,8 +92,6 @@ def one_form_from_sharp(surface, sharp_nodes, provenance="analytic-catalog"):
 
 def gradient_one_form(surface, f_fn, step=None):
     """df for a scalar function of the grid parameters (non-harmonic probe)."""
-    from .hypersurface import chart_jacobian
-
     step = step or surface.fd_step
     df = chart_jacobian(lambda p: f_fn(p)[..., None], surface.node_params, step)
     C = surface.node_fields()["coeffs"]
@@ -221,10 +221,18 @@ def _edge_cochain_to_nodes(surface, mesh, omega_e):
 
 
 def harmonic_one_forms(surface):
-    """L2-orthonormal basis of harmonic one-forms on a catalog hypersurface."""
+    """L2-orthonormal basis of harmonic one-forms on a catalog hypersurface: the
+    Whitney solve on surfaces, its SURFACE_KINDS entry's closed forms above."""
     if surface.dim == 2:
         return _harmonic_forms_whitney(surface)
-    return _harmonic_forms_catalog(surface)
+    if surface.betti_one == 0:
+        return []
+    sharps = getattr(SURFACE_KINDS.get(surface.kind), "harmonic_sharps", None)
+    if sharps is None:
+        raise HodgeError(
+            f"no harmonic-form catalog entry for surface {surface.name!r}")
+    return _orthonormalize([one_form_from_sharp(surface, sharp)
+                            for sharp in sharps(surface)])
 
 
 def _euler_betti_one(mesh):
@@ -307,24 +315,6 @@ def _harmonic_forms_whitney(surface):
     ])
 
 
-def _harmonic_forms_catalog(surface):
-    """Closed-form harmonic forms for higher-dimensional catalog kinds."""
-    name = surface.name
-    if surface.betti_one == 0:
-        return []
-    if name.startswith("generalized_clifford") or name.startswith(
-        "circle_times_equator"
-    ):
-        # the circle-factor form d(alpha); its dual is the circle direction
-        # scaled by one over the squared circle speed
-        dalpha_vec = surface.node_fields()["jacobian"][:, 0, :]
-        r_sq = np.einsum("nd,nd->n", dalpha_vec, dalpha_vec)
-        sharp = dalpha_vec / r_sq[:, None]
-        form = one_form_from_sharp(surface, sharp)
-        return _orthonormalize([form])
-    raise HodgeError(f"no harmonic-form catalog entry for surface {name!r}")
-
-
 def hodge_star_surface(surface, form):
     """Surface Hodge star in the positively oriented node frame."""
     if surface.dim != 2:
@@ -372,19 +362,16 @@ def _ricci_m(surface, U):
         ric_n = model.einstein_constant * u_sq
         rm_unun = u_sq  # sectional curvature one, U tangent to M so U ⟂ N
     elif isinstance(model, _ProductSphereModel):
-        U2 = U[:, model.split:]
-        N2 = N[:, model.split:]
+        U2, N2 = U[:, model.split:], N[:, model.split:]
         d2 = model.intrinsic_dim - model.dim1
         ric_n = (d2 - 1) * np.einsum("nd,nd->n", U2, U2)
-        if model.dim1 >= 2:
-            U1 = U[:, : model.split]
-            ric_n += (model.dim1 - 1) * np.einsum("nd,nd->n", U1, U1)
         rm_unun = (
             np.einsum("nd,nd->n", U2, U2) * np.einsum("nd,nd->n", N2, N2)
             - np.einsum("nd,nd->n", U2, N2) ** 2
         )
         if model.dim1 >= 2:
             U1, N1 = U[:, : model.split], N[:, : model.split]
+            ric_n += (model.dim1 - 1) * np.einsum("nd,nd->n", U1, U1)
             rm_unun += (
                 np.einsum("nd,nd->n", U1, U1) * np.einsum("nd,nd->n", N1, N1)
                 - np.einsum("nd,nd->n", U1, N1) ** 2

@@ -11,18 +11,13 @@ catalog entry expressible in closed form.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .ambient import (
-    AmbientError,
-    CircleTimesSphereModel,
-    ComplexProjectiveVeroneseModel,
-    EllipsoidModel,
-    RealProjectiveModel,
-    SphereModel,
-    make_ambient,
-)
+from .ambient import AmbientError, make_ambient
 from .elements import Axis, FemSystem, TensorGrid
 
 
@@ -111,8 +106,9 @@ class DiscreteHypersurface:
 
     def __init__(self, name, ambient, axes, chart_fn, normal_fn,
                  metric_fn=None, potential_fn=None, model_point_fn=None,
-                 betti_one=0, fd_step_frac=1e-6):
+                 betti_one=0, fd_step_frac=1e-6, kind=None):
         self.name = name
+        self.kind = kind  # key of its SURFACE_KINDS entry
         self.ambient = ambient
         self.axes = list(axes)
         self.chart_fn = chart_fn
@@ -150,6 +146,7 @@ class DiscreteHypersurface:
             self.name, self.ambient, axes, self.chart_fn, self.normal_fn,
             metric_fn=self._metric_fn, potential_fn=self._potential_fn,
             model_point_fn=self.model_point_fn, betti_one=self.betti_one,
+            kind=self.kind,
         )
 
     # -- chart-derived fields -------------------------------------------------
@@ -282,8 +279,8 @@ class DoubleCoverLift:
     """Pairing of grid nodes under a free involution of the parameter grid.
 
     Used to compute spectra of quotient hypersurfaces (projective ambients):
-    fields on the quotient correspond to even fields upstairs, while the unit
-    normal of a one-sided quotient is odd.
+    functions on the quotient correspond to even functions upstairs, and
+    `quotient_parity` says which parity its Jacobi fields have.
     """
 
     def __init__(self, surface, involution_fn, tol=1e-9):
@@ -310,14 +307,11 @@ class DoubleCoverLift:
             raise ValueError("involution must be free")
         self.node_permutation = perm
 
-    def parity_split(self, node_field):
-        """Even and odd parts of a per-node field (any trailing shape)."""
+    def classify(self, node_field, tol=1e-8):
+        """'even', 'odd' or 'mixed' for a per-node field (any trailing shape)."""
         f = np.asarray(node_field)
         g = f[self.node_permutation]
-        return 0.5 * (f + g), 0.5 * (f - g)
-
-    def classify(self, node_field, tol=1e-8):
-        even, odd = self.parity_split(node_field)
+        even, odd = 0.5 * (f + g), 0.5 * (f - g)
         scale = max(float(np.abs(node_field).max()), 1.0)
         if np.abs(odd).max() <= tol * scale:
             return "even"
@@ -341,22 +335,35 @@ class DoubleCoverLift:
         perm[fem.fuse] = fem.fuse[self.node_permutation]
         return perm
 
-    def odd_projector(self, fem):
-        """Columns spanning the odd subspace at DOF level, (n_dofs, n_odd)."""
-        import scipy.sparse as sp
+    def quotient_parity(self):
+        """Parity of the Jacobi fields of the quotient hypersurface.
 
+        For a deck map with differential -Id, as the antipodal map x -> -x
+        of a sphere cover has, an odd unit normal descends: the quotient is
+        two-sided and its normal variations f N have even f.  An even normal
+        makes the quotient one-sided, and f odd.
+        """
+        normal = self.classify(self.surface.normals)
+        if normal == "mixed":
+            raise ValueError("the unit normal is neither even nor odd; "
+                             "the quotient has no normal line field")
+        return "even" if normal == "odd" else "odd"
+
+    def parity_projector(self, fem, parity):
+        """Orthonormal columns spanning the even or odd DOFs, (n_dofs, n_cols):
+        e_i +- e_j per DOF pair {i, j}, and e_i per fixed DOF when even."""
+        sign = {"even": 1.0, "odd": -1.0}[parity]
         perm = self.dof_permutation(fem)
-        rows, cols, vals = [], [], []
-        col = 0
-        for i in range(fem.n_dofs):
-            j = perm[i]
-            if j <= i:
-                continue
-            rows += [i, j]
-            cols += [col, col]
-            vals += [1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)]
-            col += 1
-        return sp.coo_matrix((vals, (rows, cols)), shape=(fem.n_dofs, col)).tocsr()
+        dof = np.arange(fem.n_dofs)
+        first = np.flatnonzero(dof <= perm if parity == "even" else dof < perm)
+        # a fixed DOF gets both halves on one entry, which the CSR sums
+        w = np.where(perm[first] == first, 0.5, 1.0 / np.sqrt(2.0))
+        col = np.arange(len(first))
+        return sp.csr_matrix(
+            (np.concatenate([w, sign * w]),
+             (np.concatenate([first, perm[first]]), np.tile(col, 2))),
+            shape=(fem.n_dofs, len(first)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +400,28 @@ def clifford_torus(nodes=96, ambient=None):
     return DiscreteHypersurface(
         "clifford_torus", model, axes, chart, normal,
         metric_fn=metric, potential_fn=lambda p: np.full(p.shape[:-1], 4.0),
-        betti_one=2,
+        betti_one=2, kind="clifford_torus",
     )
 
 
 def clifford_torus_projective(nodes=96):
     """Clifford torus with its projective ambient plus the deck involution."""
     surface = clifford_torus(nodes, ambient=make_ambient("real_projective", dim=3))
-    lift = DoubleCoverLift(surface, lambda p: p + np.pi)
-    return surface, lift
+    return surface, DoubleCoverLift(surface, _antipodal_torus)
+
+
+def _antipodal_torus(p):
+    """x -> -x on the Clifford torus, in its angles."""
+    return p + np.pi
+
+
+def _last_axis_normal(d):
+    """The constant unit normal along the last of d embedding axes."""
+    def normal(p):
+        out = np.zeros(p.shape[:-1] + (d,))
+        out[..., -1] = 1.0
+        return out
+    return normal
 
 
 def equator_in_sphere(n, nodes=32):
@@ -413,16 +433,12 @@ def equator_in_sphere(n, nodes=32):
         pad = np.zeros(x.shape[:-1] + (1,))
         return np.concatenate([x, pad], axis=-1)
 
-    def normal(p):
-        out = np.zeros(p.shape[:-1] + (n + 2,))
-        out[..., -1] = 1.0
-        return out
-
     return DiscreteHypersurface(
-        f"equator_s{n}", model, spherical_axes(n, nodes), chart, normal,
+        f"equator_s{n}", model, spherical_axes(n, nodes), chart,
+        _last_axis_normal(n + 2),
         metric_fn=spherical_metric,
         potential_fn=lambda p: np.full(p.shape[:-1], float(n)),
-        betti_one=0,
+        betti_one=0, kind="equator",
     )
 
 
@@ -456,7 +472,7 @@ def generalized_clifford(n, nodes=24):
         f"generalized_clifford_s1xs{n - 1}", model, axes, chart, normal,
         metric_fn=metric,
         potential_fn=lambda p: np.full(p.shape[:-1], 2.0 * n),
-        betti_one=1,
+        betti_one=1, kind="generalized_clifford",
     )
 
 
@@ -473,11 +489,6 @@ def circle_times_equator(n, nodes=24):
             [np.stack([np.cos(t), np.sin(t)], axis=-1), w, pad], axis=-1
         )
 
-    def normal(p):
-        out = np.zeros(p.shape[:-1] + (n + 3,))
-        out[..., -1] = 1.0
-        return out
-
     def metric(p):
         g = np.zeros(p.shape[:-1] + (n, n))
         g[..., 0, 0] = 1.0
@@ -487,10 +498,11 @@ def circle_times_equator(n, nodes=24):
     axes = [Axis("t", 2 * np.pi, nodes, periodic=True)]
     axes += spherical_axes(n - 1, nodes)
     return DiscreteHypersurface(
-        f"circle_times_equator_s{n - 1}", model, axes, chart, normal,
+        f"circle_times_equator_s{n - 1}", model, axes, chart,
+        _last_axis_normal(n + 3),
         metric_fn=metric,
         potential_fn=lambda p: np.full(p.shape[:-1], n - 1.0),
-        betti_one=1,
+        betti_one=1, kind="circle_times_equator",
     )
 
 
@@ -558,7 +570,7 @@ def geodesic_sphere_cp2(nodes=24, radius=None):
         "geodesic_sphere_cp2", model, axes, chart, normal,
         potential_fn=potential,
         model_point_fn=lambda p: z_and_zdot(p)[0],
-        betti_one=0,
+        betti_one=0, kind="geodesic_sphere_cp2",
     )
 
 
@@ -575,12 +587,62 @@ def ellipsoid_section(semi_axes, nodes=24):
         pad = np.zeros(x.shape[:-1] + (1,))
         return np.concatenate([x, pad], axis=-1)
 
-    def normal(p):
-        out = np.zeros(p.shape[:-1] + (len(semi_axes),))
-        out[..., -1] = 1.0
-        return out
-
     return DiscreteHypersurface(
-        "ellipsoid_section", model, spherical_axes(k, nodes), chart, normal,
-        betti_one=0,
+        "ellipsoid_section", model, spherical_axes(k, nodes), chart,
+        _last_axis_normal(len(semi_axes)),
+        betti_one=0, kind="ellipsoid_section",
     )
+
+
+# ---------------------------------------------------------------------------
+# registry: what the scenario runner needs to know about each catalog kind
+
+def circle_factor_sharps(surface):
+    """Metric dual of the circle-factor form d(alpha) at the nodes: the circle
+    direction scaled by one over the squared circle speed."""
+    dalpha_vec = surface.node_fields()["jacobian"][:, 0, :]
+    r_sq = np.einsum("nd,nd->n", dalpha_vec, dalpha_vec)
+    return [dalpha_vec / r_sq[:, None]]
+
+
+@dataclass(frozen=True)
+class SurfaceKind:
+    """One catalog kind; adding a kind is adding an entry to SURFACE_KINDS.
+
+    `build(ambient, nodes, **params)` returns the surface in `ambient`.
+    `ambients` maps each ambient kind it lives in to None, or for a quotient
+    ambient to the deck involution of the parameter grid: the surface is then
+    the double cover.  `params` are its integer config parameters with their
+    defaults.  `harmonic_sharps(surface)` gives the metric duals of its
+    harmonic one-forms when dim >= 3.  `compares_index` says whether the
+    bounds block compares the bound with the computed index.
+    """
+
+    build: Callable
+    ambients: dict
+    params: dict = field(default_factory=dict)
+    harmonic_sharps: Callable | None = None
+    compares_index: bool = True
+
+
+SURFACE_KINDS = {
+    "clifford_torus": SurfaceKind(
+        lambda ambient, nodes: clifford_torus(
+            nodes, make_ambient(ambient.kind, dim=3)),
+        {"sphere": None, "real_projective": _antipodal_torus}),
+    "equator": SurfaceKind(
+        lambda ambient, nodes, n: equator_in_sphere(n, nodes),
+        {"sphere": None}, {"n": 2}),
+    "generalized_clifford": SurfaceKind(
+        lambda ambient, nodes, n: generalized_clifford(n, nodes),
+        {"sphere": None}, {"n": 3}, circle_factor_sharps),
+    "circle_times_equator": SurfaceKind(
+        lambda ambient, nodes, n: circle_times_equator(n, nodes),
+        {"circle_times_sphere": None}, {"n": 3}, circle_factor_sharps),
+    "geodesic_sphere_cp2": SurfaceKind(
+        lambda ambient, nodes: geodesic_sphere_cp2(nodes),
+        {"complex_projective_veronese": None}, compares_index=False),
+    "ellipsoid_section": SurfaceKind(
+        lambda ambient, nodes: ellipsoid_section(ambient.semi_axes, nodes),
+        {"ellipsoid": None}),
+}

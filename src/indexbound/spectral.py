@@ -2,8 +2,9 @@
 
 The Galerkin matrices of the surface give the symmetric pencil
 (K - P) phi = lambda M phi whose negative eigenvalues count unstable
-deformation directions (the Morse index).  Odd-parity restriction onto the
-double-cover subspace handles one-sided quotients.
+deformation directions (the Morse index).  Restriction to the even or odd
+functions of a double cover gives the pencil of a two-sided or a one-sided
+quotient.
 
 The low end of the spectrum comes from one symmetric shift-invert Lanczos
 solve below the spectrum (Ericsson & Ruhe 1980, "The spectral transformation
@@ -20,7 +21,7 @@ minimum degree ordering of A^T + A fills less and is kept.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,7 +84,7 @@ def _cluster(eigenvalues, gap):
 
 class SpectralSystem:
     """Assembled index-form pencil for one hypersurface (optionally restricted
-    to the odd-parity subspace of a double cover)."""
+    to the even or odd functions of a double cover, `parity`)."""
 
     def __init__(self, surface, parity=None, lift=None):
         fem = surface.fem()
@@ -96,16 +97,13 @@ class SpectralSystem:
         self.fem = fem
         self.parity = parity
         K, P, M = fem.stiffness, fem.potential, fem.mass
-        if parity is None:
-            self.basis = None
-        elif parity == "odd":
-            if lift is None:
-                raise SpectralError("odd-parity restriction needs a DoubleCoverLift")
-            B = lift.odd_projector(fem)
+        self.basis = None
+        if parity is not None:
+            if parity not in ("even", "odd") or lift is None:
+                raise SpectralError(f"parity {parity!r} is not 'even' or "
+                                    "'odd', or has no DoubleCoverLift")
+            self.basis = B = lift.parity_projector(fem, parity)
             K, P, M = (B.T @ A @ B for A in (K, P, M))
-            self.basis = B
-        else:
-            raise SpectralError(f"unknown parity {parity!r}")
         self.stiffness = K.tocsr()
         self.potential = P.tocsr()
         self.mass = M.tocsr()
@@ -214,8 +212,8 @@ _ND_LEAF = 64
 def _nested_dissection(fem, pattern, basis=None):
     """Nested-dissection order of the DOFs of a pencil on `fem.grid`.
 
-    A DOF sits at the grid multi-index of its first node; an odd-parity column
-    of `basis` sits at its first DOF.  A part is split across its longest
+    A DOF sits at the grid multi-index of its first node; a parity column of
+    `basis` sits at its first DOF.  A part is split across its longest
     extent at an even grid index, a Q2 cell-boundary plane, so the cut is one
     node layer thick; a periodic axis not yet opened is cut at 0 and at its
     middle.  The separator is the cut plus every DOF of one side still adjacent

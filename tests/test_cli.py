@@ -8,6 +8,8 @@ import pytest
 
 from indexbound import cli
 from indexbound.ambient import IdentityReport
+from indexbound.hodge import HodgeError
+from indexbound.spectral import SpectralError
 
 
 CONFIG = """\
@@ -314,3 +316,58 @@ def test_spectrum_reports_ordering(name, ordering, tmp_path):
     assert code == 0
     report = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())
     assert report["spectrum"]["ordering"] == ordering
+
+
+@pytest.fixture(scope="module")
+def rp3_config(tmp_path_factory):
+    p = tmp_path_factory.mktemp("cfg") / "rp3.cfg"
+    p.write_text(CONFIG.replace("id = torus-small", "id = rp3")
+                 .replace("kind = sphere", "kind = real_projective"))
+    return p
+
+
+def test_rp3_spectrum_is_the_quotient_pencil(rp3_config, tmp_path):
+    # the S^3 cover has 1,024 DOFs and index 5; the two-sided quotient in RP^3
+    # keeps the even functions: half the DOFs, and index 1 (the constant)
+    code = cli.main(["spectrum", "--config", str(rp3_config), "--out", str(tmp_path)])
+    assert code == 0
+    spec = json.loads((tmp_path / "rp3.json").read_text())["spectrum"]
+    assert spec["dofs"] == 512
+    assert spec["index"] == spec["inertia_index"] == 1
+
+
+def test_rp3_bounds_are_tight(rp3_config, tmp_path):
+    code = cli.main(["bounds", "--config", str(rp3_config), "--out", str(tmp_path)])
+    assert code == 0
+    bounds = json.loads((tmp_path / "rp3.json").read_text())["bounds"]
+    assert bounds["ambient"] == "real_projective"
+    assert bounds["index"] == bounds["bound"] == 1
+    assert bounds["consistent"] and bounds["tight"]
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("stage, owner, attr, exc", [
+    ("spectrum", cli, "assemble_jacobi", SpectralError("no factor")),
+    ("hodge", cli.hodge_mod, "harmonic_one_forms", HodgeError("no forms")),
+    ("margins", cli.bounds_mod, "margins_scalar3", FloatingPointError("nan")),
+])
+def test_failed_stage_writes_its_json(stage, owner, attr, exc, config_path,
+                                      tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(owner, attr, _raise(exc))
+    code = cli.main(["all", "--config", str(config_path), "--out", str(tmp_path),
+                     "--resolution-scale", "0.5"])
+    assert code == 1
+    report = json.loads((tmp_path / "torus-small.json").read_text())
+    assert report["error"] == {"stage": stage, "type": type(exc).__name__,
+                               "message": str(exc)}
+    # the stages before the failing one kept their blocks
+    assert "residuals" in report
+    assert ("spectrum" in report) == (stage != "spectrum")
+    assert f"error in {stage}" in capsys.readouterr().err
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[-1].endswith(",fail")

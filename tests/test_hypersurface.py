@@ -157,7 +157,7 @@ def test_double_cover_descend(torus_projective):
 def test_odd_projector_shape(torus_projective):
     surface, lift = torus_projective
     fem = surface.fem()
-    Z = lift.odd_projector(fem)
+    Z = lift.parity_projector(fem, "odd")
     assert Z.shape == (fem.n_dofs, fem.n_dofs // 2)
     # columns are mass-orthogonal to even functions
     even = fem.to_dof(np.cos(surface.grid.node_params.sum(axis=1)))
@@ -272,3 +272,45 @@ def test_mesh_dump_and_connectivity_match_loops(make):
     assert conn.dtype == ref.dtype
     assert np.array_equal(conn, ref)
     assert surface.mesh_dump().encode() == _mesh_dump_ref(surface).encode()
+
+
+def _antipodal_sphere_lift(nodes=13):
+    surface = hyp.equator_in_sphere(2, nodes)
+    return surface, hyp.DoubleCoverLift(surface, lambda p: np.stack(
+        [np.pi - p[:, 0], p[:, 1] + np.pi], axis=1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hyp.clifford_torus_projective(16), _antipodal_sphere_lift])
+def test_parity_projectors_split_the_dofs(make):
+    surface, lift = make()
+    fem = surface.fem()
+    even, odd = (lift.parity_projector(fem, p).toarray() for p in ("even", "odd"))
+    Q = np.hstack([even, odd])
+    assert Q.shape == (fem.n_dofs, fem.n_dofs)
+    assert np.abs(Q.T @ Q - np.eye(fem.n_dofs)).max() < 1e-15
+    perm = lift.dof_permutation(fem)
+    assert np.array_equal(even[perm], even) and np.array_equal(odd[perm], -odd)
+
+
+def test_parity_projector_keeps_fixed_dofs_even():
+    # a half turn about the polar axis fixes both fused pole DOFs
+    surface = hyp.equator_in_sphere(2, 13)
+    lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
+        [p[:, 0], p[:, 1] + np.pi], axis=1))
+    fem = surface.fem()
+    even, odd = (lift.parity_projector(fem, p) for p in ("even", "odd"))
+    assert even.shape[1] == odd.shape[1] + 2 == (fem.n_dofs + 2) // 2
+    assert np.abs((even.T @ even).toarray() - np.eye(even.shape[1])).max() < 1e-15
+
+
+def test_quotient_parity_from_the_normal(torus_projective):
+    # the Clifford torus is two-sided in RP^3 (odd normal, even Jacobi
+    # fields); the equator RP^2 is one-sided (even normal, odd fields)
+    assert torus_projective[1].quotient_parity() == "even"
+    assert _antipodal_sphere_lift()[1].quotient_parity() == "odd"
+    # a half turn of one circle factor moves the normal to neither sign
+    surface = hyp.clifford_torus(16)
+    lift = hyp.DoubleCoverLift(surface, lambda p: p + np.array([np.pi, 0.0]))
+    with pytest.raises(ValueError, match="neither even nor odd"):
+        lift.quotient_parity()

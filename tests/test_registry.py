@@ -1,0 +1,100 @@
+"""Every SURFACE_KINDS entry, in every ambient kind it declares, runs each
+task of `all` through the scenario runner; an undeclared pairing is a config
+error.  Parametrized over the registry itself, so a new entry is covered
+without a test edit."""
+
+import numpy as np
+import pytest
+
+from indexbound import cli
+from indexbound.ambient import make_ambient
+from indexbound.hypersurface import SURFACE_KINDS
+
+#: one ambient of each kind the runner parses; a probe surface built in it
+#: supplies the dimensions its own ambient needs
+EXAMPLE_AMBIENTS = {
+    "sphere": {"dim": 3},
+    "real_projective": {"dim": 3},
+    "complex_projective_veronese": {"m": 2},
+    "quaternionic_projective_veronese": {"p": 1},
+    "circle_times_sphere": {"n": 3},
+    "sphere_times_sphere": {"p": 2, "q": 2},
+    "ellipsoid": {"semi_axes": [1.0, 1.2, 1.5, 2.0]},
+}
+
+#: the documented reasons a task of `all` may skip
+SKIPPED = {
+    "surface carries no potential",
+    "no harmonic one-forms (b1 = 0)",
+    "ambient is not complex projective",
+}
+
+#: the report block each task of `all` writes
+BLOCKS = {
+    "identities": "residuals", "spectrum": "spectrum",
+    "verify-identity": "identity", "certify": "certificate",
+    "margins": "margins", "borderline": "borderline", "bounds": "bounds",
+}
+
+PAIRS = [(kind, amb) for kind, entry in SURFACE_KINDS.items()
+         for amb in entry.ambients]
+
+
+def _config(tmp_path, kind, ambient_kind, params, nodes=8):
+    lines = [f"{name} = {' '.join(map(str, np.atleast_1d(value)))}"
+             for name, value in params.items()]
+    path = tmp_path / f"{kind}-{ambient_kind}.cfg"
+    path.write_text(
+        "[scenario]\nid = registry\n"
+        f"[ambient]\nkind = {ambient_kind}\n" + "\n".join(lines) + "\n"
+        f"[hypersurface]\nkind = {kind}\nnodes = {nodes}\n"
+        "[certificate]\neigenvalues = 12\n"
+    )
+    return path
+
+
+def _own_ambient_params(kind, ambient_kind):
+    """Config parameters of the ambient that `kind` builds from the example."""
+    entry = SURFACE_KINDS[kind]
+    example = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
+    model = entry.build(example, 4, **entry.params).ambient
+    return {name: model.intrinsic_dim if name == "dim" else getattr(model, name)
+            for name, _ in cli._AMBIENTS[ambient_kind][0]}
+
+
+def test_examples_cover_every_ambient_kind():
+    assert set(EXAMPLE_AMBIENTS) == set(cli._AMBIENTS)
+    assert {amb for _, amb in PAIRS} <= set(cli._AMBIENTS)
+
+
+@pytest.mark.parametrize("kind, ambient_kind", PAIRS)
+def test_every_task_runs_or_skips(kind, ambient_kind, tmp_path):
+    path = _config(tmp_path, kind, ambient_kind,
+                   _own_ambient_params(kind, ambient_kind))
+    scenario = cli.Scenario(path)
+    quotient = SURFACE_KINDS[kind].ambients[ambient_kind] is not None
+    assert (scenario.lift is not None) == quotient
+    report, _ = cli.run_tasks(scenario, cli.TASK_NAMES["all"])
+    assert "error" not in report, report["error"]
+    for task in cli.TASK_NAMES["all"]:
+        skipped = report[BLOCKS[task]].get("skipped")
+        assert skipped is None or skipped in SKIPPED, task
+    if quotient:
+        assert 2 * report["spectrum"]["dofs"] == scenario.surface.fem().n_dofs
+
+
+@pytest.mark.parametrize("kind", SURFACE_KINDS)
+def test_undeclared_pairing_is_config_error(kind, tmp_path):
+    ambient_kind = next(a for a in EXAMPLE_AMBIENTS
+                        if a not in SURFACE_KINDS[kind].ambients)
+    path = _config(tmp_path, kind, ambient_kind, EXAMPLE_AMBIENTS[ambient_kind])
+    with pytest.raises(cli.ConfigError, match="incompatible"):
+        cli.Scenario(path)
+    assert cli.main(["identities", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+
+
+def test_ambient_of_another_dimension_is_config_error(tmp_path):
+    path = _config(tmp_path, "clifford_torus", "sphere", {"dim": 4})
+    assert cli.main(["identities", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2

@@ -216,3 +216,25 @@ def test_shift_above_lambda_one_is_refused():
     A = (system.stiffness - system.potential).toarray()
     oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
     assert int(count) == np.sum(oracle < float(shift)) >= 1
+
+
+def test_parity_pencils_sum_to_the_cover(torus_projective):
+    # the S^3 cover of the Clifford torus in RP^3 splits into its even and odd
+    # functions: the DOFs, the Morse index and the low clusters add up
+    surface, lift = torus_projective
+    cover, even, odd = (
+        SpectralSystem(surface, parity=p, lift=lift).spectrum(how_many=16)
+        for p in (None, "even", "odd")
+    )
+    assert (cover.n_dofs, even.n_dofs, odd.n_dofs) == (1024, 512, 512)
+    assert (cover.morse_index, even.morse_index, odd.morse_index) == (5, 1, 4)
+    for spec in (cover, even, odd):
+        assert spec.inertia_index == spec.morse_index
+    # through the 4-fold cluster at 4.004, below the cover's truncated 6.004
+    merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
+    assert np.abs(merged[:13] - cover.eigenvalues[:13]).max() < 1e-9
+    # the two-sided quotient keeps the even pencil: -4, then the four
+    # Killing-field modes just above zero
+    assert lift.quotient_parity() == "even"
+    assert abs(even.eigenvalues[0] + 4.0) < 1e-9
+    assert np.all((even.eigenvalues[1:5] > 0) & (even.eigenvalues[1:5] < 1e-3))
