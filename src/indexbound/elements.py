@@ -137,8 +137,9 @@ def _reference_tensors(ndim):
 class FemSystem:
     """Galerkin matrices for -div(grad) + V on a curved chart.
 
-    `stiffness` and `potential` are assembled on first use, from the metric
-    evaluated once at construction: only the index-form pencil reads them.
+    `mass`, `stiffness` and `potential` are assembled on first use, from the
+    metric evaluated once at construction: only the index-form pencil reads
+    them.  The quadrature weights need no matrix.
 
     Attributes
     ----------
@@ -175,8 +176,11 @@ class FemSystem:
             (np.ones(grid.n_nodes), (np.arange(grid.n_nodes), self.fuse)),
             shape=(grid.n_nodes, self.n_dofs),
         ).tocsr()
-        self.mass = self._assemble(self._scale)
-        self.node_weights = np.asarray(self.mass.sum(axis=1)).ravel()
+        # the mass matrix's row sums without the matrix: each cell's row
+        # sums, gathered over the cells, then over the fused nodes
+        rows = np.einsum("cg,gi->ci", self._scale, self._vals).ravel()
+        per_node = np.bincount(grid.cell_connectivity().ravel(), rows, grid.n_nodes)
+        self.node_weights = np.bincount(self.fuse, per_node, self.n_dofs)
 
     def _assemble(self, scale, ginv=None):
         """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
@@ -193,6 +197,10 @@ class FemSystem:
         n, Z = self.grid.n_nodes, self.prolong
         A = sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         return (Z.T @ A @ Z).tocsr()
+
+    @cached_property
+    def mass(self):
+        return self._assemble(self._scale)
 
     @cached_property
     def stiffness(self):

@@ -314,3 +314,18 @@ def test_quotient_parity_from_the_normal(torus_projective):
     lift = hyp.DoubleCoverLift(surface, lambda p: p + np.array([np.pi, 0.0]))
     with pytest.raises(ValueError, match="neither even nor odd"):
         lift.quotient_parity()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hyp.clifford_torus(32),
+    lambda: hyp.geodesic_sphere_cp2(12),
+    lambda: hyp.equator_in_sphere(2, 13),
+    lambda: hyp.circle_times_equator(3, 8),
+])
+def test_node_weights_are_mass_row_sums(make):
+    # the weights are gathered without the mass matrix, so they match its row
+    # sums to roundoff, not bitwise
+    fem = make().fem()
+    assert "mass" not in vars(fem)  # not assembled for the weights
+    rows = np.asarray(fem.mass.sum(axis=1)).ravel()
+    assert np.abs(fem.node_weights - rows).max() <= 1e-15 * np.abs(rows).max()
