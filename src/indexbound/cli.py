@@ -14,6 +14,7 @@ import csv
 import json
 import operator
 import sys
+import traceback
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -312,6 +313,7 @@ def run_tasks(scenario, tasks, artifacts=None):
         try:
             ok &= bool(task(run, report))
         except Exception as exc:  # solver, assembly or geometry failure
+            traceback.print_exc()
             report["error"] = {"stage": stage, "type": type(exc).__name__,
                                "message": str(exc)}
             ok = False
