@@ -181,23 +181,31 @@ class AmbientModel:
         rm = self.riemann_xyxy(self._expand(point), X[..., None, :], frame)
         return rm.sum(axis=-1)
 
-    def _ii_frame_pairs(self, point):
-        """II(e_a, e_b) over all pairs of the tangent frame, (..., k, k, d)."""
-        frame = self.tangent_frame(point)
-        return self.ii(self._expand(point, 2), frame[..., :, None, :],
-                       frame[..., None, :, :])
+    def ii_frame_pairs(self, point, frame=None):
+        """II(e_a, e_b) over all pairs of the tangent frame (or of `frame`),
+        (..., k, k, d), from ii_quad on each e_a and on e_a + e_b for a < b."""
+        frame = self.tangent_frame(point) if frame is None else frame
+        k = frame.shape[-2]
+        a, b = np.triu_indices(k, 1)
+        diag = self.ii_quad(self._expand(point), frame)
+        sums = self.ii_quad(self._expand(point), frame[..., a, :] + frame[..., b, :])
+        pairs = np.concatenate(
+            [diag, 0.5 * (sums - diag[..., a, :] - diag[..., b, :])], axis=-2)
+        where = np.diag(np.arange(k))  # position in `pairs` of each (a, b)
+        where[a, b] = where[b, a] = np.arange(k, k + len(a))
+        return np.take(pairs, where, axis=-2)
 
     def scalar_curvature(self, point):
-        ii = self._ii_frame_pairs(point)
+        ii = self.ii_frame_pairs(point)
         return (np.einsum("...aad,...bbd->...", ii, ii)
                 - np.einsum("...abd,...abd->...", ii, ii))
 
     def mean_curvature_vector(self, point):
-        return np.einsum("...aad->...d", self._ii_frame_pairs(point))
+        return np.einsum("...aad->...d", self.ii_frame_pairs(point))
 
     def ii_total_norm_sq(self, point):
         """|II|^2 summed over an orthonormal frame pair."""
-        ii = self._ii_frame_pairs(point)
+        ii = self.ii_frame_pairs(point)
         return np.einsum("...abd,...abd->...", ii, ii)
 
     def random_tangent(self, point, rng, unit=True):

@@ -19,9 +19,8 @@ from .ambient import (
     SphereModel,
     SphereTimesSphereModel,
 )
-from .hodge import hodge_star_surface
 from .spectral import assemble_jacobi
-from .testfns import TestFunctionError, _rhs_integrand, integrand_quadratic_form
+from .testfns import _rhs_integrand, integrand_quadratic_form
 
 
 class BoundsError(Exception):
@@ -262,8 +261,7 @@ def margins_product_q(grid_points=2001, samples=10000, seed=0,
     """Grid minimum of q(theta, phi), closed-form agreement, and pointwise
     negativity of the wedge integrand on S^1 x S^{n-1} for n = 3, 4."""
     t = np.linspace(0.0, np.pi, grid_points)
-    th, ph = np.meshgrid(t, t, indexing="ij")
-    qv = q_closed_form(th, ph)
+    qv = q_closed_form(t[:, None], t[None, :])  # the (theta, phi) grid
     i_min = np.unravel_index(np.argmin(qv), qv.shape)
     rng = np.random.default_rng(seed)
     ths = rng.uniform(0, np.pi, samples)

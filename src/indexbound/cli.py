@@ -303,7 +303,10 @@ def run_tasks(scenario, tasks, artifacts=None):
         "seed": scenario.seed,
     }
     tasks = set(tasks)
-    if tasks & {"verify-identity", "certify"}:
+    needs_forms = {"verify-identity", "certify"}
+    if "sphere" in _AMBIENTS[scenario.ambient.kind][1]:
+        needs_forms.add("margins")  # the sphere margin is taken on a form
+    if tasks & needs_forms:
         tasks.add("hodge")
     run = _Run(scenario)
     ok = True

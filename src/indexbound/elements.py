@@ -172,15 +172,11 @@ class FemSystem:
         self.fuse = self._fusion_labels(grid, positions, fuse_tol)
         self.n_dofs = int(self.fuse.max()) + 1
         _, self._first_node = np.unique(self.fuse, return_index=True)
-        self.prolong = sp.coo_matrix(
-            (np.ones(grid.n_nodes), (np.arange(grid.n_nodes), self.fuse)),
-            shape=(grid.n_nodes, self.n_dofs),
-        ).tocsr()
+        self._cell_dofs = self.fuse[grid.cell_connectivity()]  # (C, L)
         # the mass matrix's row sums without the matrix: each cell's row
-        # sums, gathered over the cells, then over the fused nodes
+        # sums, gathered over the cells
         rows = np.einsum("cg,gi->ci", self._scale, self._vals).ravel()
-        per_node = np.bincount(grid.cell_connectivity().ravel(), rows, grid.n_nodes)
-        self.node_weights = np.bincount(self.fuse, per_node, self.n_dofs)
+        self.node_weights = np.bincount(self._cell_dofs.ravel(), rows, self.n_dofs)
 
     def _assemble(self, scale, ginv=None):
         """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
@@ -191,12 +187,14 @@ class FemSystem:
         else:
             E = np.einsum("cg,cgab,gia,gjb->cij", scale, ginv, self._grads,
                           self._grads, optimize=True)
-        conn = self.grid.cell_connectivity()
+        conn = self._cell_dofs
         rows = np.repeat(conn[:, :, None], conn.shape[1], axis=2).ravel()
         cols = np.repeat(conn[:, None, :], conn.shape[1], axis=1).ravel()
-        n, Z = self.grid.n_nodes, self.prolong
+        n = self.n_dofs
         A = sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        return (Z.T @ A @ Z).tocsr()
+        # tocsr sums the duplicates in place, in arrays sized for all of
+        # them (1.6 times nnz on CP^2); the copy keeps only nnz
+        return A.copy()
 
     @cached_property
     def mass(self):

@@ -344,45 +344,13 @@ def _grid_gradient(surface, node_field):
     return np.stack(out, axis=1)
 
 
-def _ricci_m(surface, U):
-    """Intrinsic Ricci Ric^M(U, U) at the nodes via the traced Gauss identity
-    for minimal hypersurfaces."""
-    from .ambient import SphereModel, _ProductSphereModel
-
-    fields = surface.node_fields()
-    frames = fields["frames"]
-    A = fields["shape_operator"]
-    N = surface.normals
-    Uf = np.einsum("nad,nd->na", frames, U)  # frame components of U
-    a_u_sq = np.einsum("nab,nb,nac,nc->n", A, Uf, A, Uf)
-
-    model = surface.ambient
-    if isinstance(model, SphereModel):
-        u_sq = np.einsum("nd,nd->n", U, U)
-        ric_n = model.einstein_constant * u_sq
-        rm_unun = u_sq  # sectional curvature one, U tangent to M so U ⟂ N
-    elif isinstance(model, _ProductSphereModel):
-        U2, N2 = U[:, model.split:], N[:, model.split:]
-        d2 = model.intrinsic_dim - model.dim1
-        ric_n = (d2 - 1) * np.einsum("nd,nd->n", U2, U2)
-        rm_unun = (
-            np.einsum("nd,nd->n", U2, U2) * np.einsum("nd,nd->n", N2, N2)
-            - np.einsum("nd,nd->n", U2, N2) ** 2
-        )
-        if model.dim1 >= 2:
-            U1, N1 = U[:, : model.split], N[:, : model.split]
-            ric_n += (model.dim1 - 1) * np.einsum("nd,nd->n", U1, U1)
-            rm_unun += (
-                np.einsum("nd,nd->n", U1, U1) * np.einsum("nd,nd->n", N1, N1)
-                - np.einsum("nd,nd->n", U1, N1) ** 2
-            )
-    else:
-        ric_n, rm_unun = np.zeros((2, len(U)))
-        i = np.flatnonzero(np.linalg.norm(U, axis=-1) >= 1e-14)
-        pt = surface.model_point_fn(surface.node_params[i])
-        ric_n[i] = model.ricci(pt, U[i])
-        rm_unun[i] = model.riemann_xyxy(pt, U[i], N[i])
-    return ric_n - rm_unun - a_u_sq
+def _ricci_m(surface, c):
+    """Intrinsic Ricci Ric^M(w, w) at the nodes, for the frame components c
+    of w, via the traced Gauss identity for minimal hypersurfaces:
+    Ric(w, w) - Rm(N, w, N, w) - |A w|^2."""
+    rm_ew = surface.ambient_curvature().rm_ew
+    Ac = np.einsum("nab,nb->na", surface.node_fields()["shape_operator"], c)
+    return np.einsum("na,nab,nb->n", c, rm_ew, c) - np.einsum("na,na->n", Ac, Ac)
 
 
 def bochner_residual(surface, form):
@@ -399,7 +367,7 @@ def bochner_residual(surface, form):
     proj = np.einsum("nad,nbd->nab", along_frame, frames)
     grad_sq = np.einsum("nab,nab->n", proj, proj)
 
-    ric_term = _ricci_m(surface, sharp)
+    ric_term = _ricci_m(surface, form.components)
     grad_sq = np.where(ok, grad_sq, 0.0)
     ric_term = np.where(ok, ric_term, 0.0)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,6 +101,18 @@ def orthonormal_frames(jac, tol=1e-10):
     return frames, coeffs, ok
 
 
+class AmbientCurvature(NamedTuple):
+    """Ambient curvature at the nodes, through the Gauss equation.  For a
+    vector w with surface frame components c, c^T ii_ew c is
+    sum_k |II(e_k, w)|^2 and c^T rm_ew c is Ric(w, w) - Rm(N, w, N, w)."""
+
+    ii_ew: np.ndarray  # (n_nodes, n, n)
+    rm_ew: np.ndarray  # (n_nodes, n, n)
+    ii_en: np.ndarray  # sum_k |II(e_k, N)|^2
+    ric_nn: np.ndarray  # Ric(N, N)
+    scal: np.ndarray  # ambient scalar curvature
+
+
 class DiscreteHypersurface:
     """A closed minimal hypersurface sampled on a structured parameter grid."""
 
@@ -125,6 +137,7 @@ class DiscreteHypersurface:
         self.normals = normal_fn(self.node_params)
         self._fem = None
         self._fields = None
+        self._curvature = None
 
     # -- dimensions -----------------------------------------------------------
     @property
@@ -205,6 +218,40 @@ class DiscreteHypersurface:
         )
         self._fields = fields
         return fields
+
+    def ambient_curvature(self):
+        """The ambient II over pairs of the ambient's tangent frame F at every
+        node, evaluated once and contracted into an AmbientCurvature.  A sum
+        over the surface frame e_k is the sum over F less its N term."""
+        if self._curvature is not None:
+            return self._curvature
+        model = self.ambient
+        pt = self.model_point_fn(self.node_params)
+        F = model.tangent_frame(pt)  # (n_nodes, m, d)
+        n_nodes, m = F.shape[:2]
+        Ft = F.swapaxes(1, 2)
+        T = model.ii_frame_pairs(pt, F)  # II(F_i, F_j), (n_nodes, m, m, d)
+        rows = T.reshape(n_nodes, m, -1)  # row i: II(F_i, F_j) over j
+        E = self.node_fields()["frames"] @ Ft  # e_a in the frame F
+        nu = self.normals[:, None, :] @ Ft  # N in the frame F, (n_nodes, 1, m)
+        TN = (nu @ rows).reshape(n_nodes, m, -1)  # II(N, F_j)
+        tnn = (nu @ TN)[:, 0]  # II(N, N)
+        H = np.einsum("niid->nd", T)  # mean curvature vector
+        S = rows @ rows.swapaxes(1, 2)  # <II(F_i, .), II(F_i, .)> summed over i
+        R = TN @ TN.swapaxes(1, 2)  # <II(N, .), II(N, .)>
+        # Ric(X, X) - Rm(N, X, N, X) = <H - II(N, N), II(X, X)> - S + R
+        HT = (T.reshape(n_nodes, m * m, -1) @ (H - tnn)[:, :, None]
+              ).reshape(n_nodes, m, m)
+        s_nn = np.trace(R, axis1=1, axis2=2)  # sum_i |II(F_i, N)|^2
+        Et = E.swapaxes(1, 2)
+        self._curvature = AmbientCurvature(
+            ii_ew=E @ (S - R) @ Et,
+            rm_ew=E @ (HT - S + R) @ Et,
+            ii_en=s_nn - np.einsum("nd,nd->n", tnn, tnn),
+            ric_nn=np.einsum("nd,nd->n", H, tnn) - s_nn,
+            scal=np.einsum("nd,nd->n", H, H) - np.trace(S, axis1=1, axis2=2),
+        )
+        return self._curvature
 
     def ric_nn(self, node_indices):
         """Ambient Ricci in the normal direction at selected nodes."""

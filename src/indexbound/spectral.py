@@ -24,7 +24,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
@@ -41,7 +40,7 @@ class SpectrumReport:
     residuals: np.ndarray
     cluster_ids: np.ndarray
     n_dofs: int
-    inertia_index: int  # negative pivots of K - P, checked against the index
+    inertia_index: int  # negative pivots of K - P: the Morse index
     shift: float  # shift-invert point of the Lanczos solve
     factor_nnz: int  # nonzeros of the shift factor, L.nnz + U.nnz
     ordering: str  # fill-reducing ordering of both factors
@@ -49,12 +48,17 @@ class SpectrumReport:
 
     @property
     def morse_index(self):
-        return self.count_below(0.0)
+        """The inertia count, which spectrum() has checked against the
+        eigenvalues wherever the computed window reaches zero."""
+        return self.inertia_index
 
     def count_below(self, eta):
-        """Number of eigenvalues strictly below eta (raises if the computed
-        window may not cover them all)."""
+        """Number of eigenvalues strictly below eta: the inertia count at
+        eta = 0, else counted in the window (raises if the computed window
+        may not cover them all)."""
         eta = float(eta)
+        if eta == 0.0:
+            return self.inertia_index
         if len(self.eigenvalues) and eta > self.eigenvalues[-1]:
             raise SpectralError(
                 "threshold exceeds the computed spectral window; "

@@ -5,7 +5,9 @@ integrand quadratic form over a space of harmonic forms.
 The functions are the Euclidean coordinates of omega-sharp (surface case) or
 of the wedge N ^ omega-sharp (general case); summing the index form over them
 collapses, after the Bochner formula, to a curvature/second-fundamental-form
-integral evaluated here independently through the ambient model.
+integral.  Its integrand is a per-node quadratic form in the frame components
+of the form, built from the surface's one evaluation of the ambient second
+fundamental form (`DiscreteHypersurface.ambient_curvature`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import SphereModel, _ProductSphereModel
-from .hodge import bochner_residual, combine, hodge_star_surface
-from .spectral import assemble_jacobi
+from .hodge import bochner_residual, hodge_star_surface
 
 
 class TestFunctionError(Exception):
@@ -82,101 +82,39 @@ def test_functions(surface, form, mode, rotation=None):
 
 
 # ---------------------------------------------------------------------------
-# ambient integrand pieces at the nodes
+# the curvature integrands as per-node quadratic forms in frame components
 
-def integrand_fields(surface, sharp):
-    """Batched node fields entering the curvature integrands:
-    sum_k |II(e_k, w)|^2, sum_k |II(e_k, N)|^2, sum_k Rm(e_k, w, e_k, w),
-    Ric(N, N), and the ambient scalar curvature."""
-    model = surface.ambient
-    frames = surface.node_fields()["frames"]
-    N = surface.normals
-    n_nodes = len(N)
+#: the surface Hodge star on frame components, a quarter turn
+_STAR = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-    if isinstance(model, SphereModel):
-        # II(X, Y) = -<X, Y> x on the unit sphere
-        comp = np.einsum("nad,nd->na", frames, sharp)
-        ii_ew = np.einsum("na,na->n", comp, comp)
-        ii_en = np.zeros(n_nodes)  # frames orthogonal to the ambient-tangent N
-        w_sq = np.einsum("nd,nd->n", sharp, sharp)
-        rm_ew = surface.dim * w_sq - ii_ew
-        dim = model.intrinsic_dim
-        ric_nn = np.full(n_nodes, float(dim - 1))
-        scal = np.full(n_nodes, float(dim * (dim - 1)))
-        return ii_ew, ii_en, rm_ew, ric_nn, scal
 
-    if isinstance(model, _ProductSphereModel):
-        s = model.split
-
-        def split(v):
-            return v[..., :s], v[..., s:]
-
-        e1, e2 = split(frames)
-        w1, w2 = split(sharp)
-        n1, n2 = split(N)
-        # II((X1,X2),(Y1,Y2)) = (-<X1,Y1> c, -<X2,Y2> s), unit factor points
-        a1 = np.einsum("nad,nd->na", e1, w1)
-        a2 = np.einsum("nad,nd->na", e2, w2)
-        ii_ew = np.einsum("na,na->n", a1, a1) + np.einsum("na,na->n", a2, a2)
-        b1 = np.einsum("nad,nd->na", e1, n1)
-        b2 = np.einsum("nad,nd->na", e2, n2)
-        ii_en = np.einsum("na,na->n", b1, b1) + np.einsum("na,na->n", b2, b2)
-
-        rm_ew = np.zeros(n_nodes)
-        for (e, wf, dimf) in ((e2, w2, model.intrinsic_dim - model.dim1),
-                              (e1, w1, model.dim1)):
-            if dimf < 2:
-                continue
-            ee = np.einsum("nad,nad->na", e, e)
-            ww = np.einsum("nd,nd->n", wf, wf)
-            ew = np.einsum("nad,nd->na", e, wf)
-            rm_ew += np.einsum("na,n->n", ee, ww) - np.einsum("na,na->n", ew, ew)
-
-        ric_nn = np.zeros(n_nodes)
-        scal = np.zeros(n_nodes)
-        for (nf, dimf) in ((n2, model.intrinsic_dim - model.dim1),
-                           (n1, model.dim1)):
-            if dimf < 2:
-                continue
-            ric_nn += (dimf - 1) * np.einsum("nd,nd->n", nf, nf)
-            scal += dimf * (dimf - 1)
-        return ii_ew, ii_en, rm_ew, ric_nn, scal
-
-    # generic fallback: one batched call per field over the interior nodes
-    ii_ew, ii_en, rm_ew, ric_nn, scal = np.zeros((5, n_nodes))
-    i = np.flatnonzero(surface.node_fields()["interior"])
-    pt = surface.model_point_fn(surface.node_params[i])
-    pt_e = np.expand_dims(pt, 1)  # broadcasts against the frame axis
-    e, w = frames[i], sharp[i, None]
-    ii_w, ii_n = model.ii(pt_e, e, w), model.ii(pt_e, e, N[i, None])
-    ii_ew[i] = np.einsum("nad,nad->n", ii_w, ii_w)
-    ii_en[i] = np.einsum("nad,nad->n", ii_n, ii_n)
-    rm_ew[i] = model.riemann_xyxy(pt_e, e, w).sum(axis=-1)
-    ric_nn[i] = model.ricci(pt, N[i])
-    scal[i] = model.scalar_curvature(pt)
-    return ii_ew, ii_en, rm_ew, ric_nn, scal
+def integrand_matrices(surface, mode):
+    """Per-node (n, n) matrices Q whose quadratic form c^T Q c, for the frame
+    components c of omega, is the curvature integrand of `mode`; the ambient
+    curvature is the surface's one cached evaluation."""
+    if mode not in ("Prop32", "Prop31", "Prop43"):
+        raise TestFunctionError(f"unknown integrand mode {mode!r}")
+    cv = surface.ambient_curvature()
+    eye = np.eye(surface.dim)
+    if mode == "Prop32":
+        scalar = cv.ii_en - cv.ric_nn
+        return cv.ii_ew - cv.rm_ew + scalar[:, None, None] * eye
+    if mode == "Prop31":
+        return cv.ii_ew - 0.5 * cv.scal[:, None, None] * eye
+    # Prop43: ii_ew of omega and of its star, minus scal |omega|^2
+    return cv.ii_ew + _STAR.T @ cv.ii_ew @ _STAR - cv.scal[:, None, None] * eye
 
 
 def _rhs_integrand(surface, form, mode):
-    sharp = form.sharp
-    w_sq = form.norm_sq
-    ii_ew, ii_en, rm_ew, ric_nn, scal = integrand_fields(surface, sharp)
-    if mode == "Prop32":
-        return ii_ew + ii_en * w_sq - rm_ew - ric_nn * w_sq
-    if mode == "Prop31":
-        return ii_ew - 0.5 * scal * w_sq
-    if mode == "Prop43":
-        star_sharp = hodge_star_surface(surface, form).sharp
-        ii_ew_star = integrand_fields(surface, star_sharp)[0]
-        return ii_ew + ii_ew_star - scal * w_sq
-    raise TestFunctionError(f"unknown integrand mode {mode!r}")
+    c = form.components
+    return np.einsum("na,nab,nb->n", c, integrand_matrices(surface, mode), c)
 
 
-def q_identity_report(surface, form, mode, system=None, bochner_tol=1e-6):
+def q_identity_report(surface, form, mode, bochner_tol=1e-6):
     """Both sides of the summed index-form identity and their mismatch.
 
-    lhs sums Q over the test functions through the assembled discrete
-    matrices; rhs integrates the ambient curvature integrand by quadrature.
+    lhs sums Q over the test functions through the surface's assembled
+    K - P; rhs integrates the ambient curvature integrand by quadrature.
     Non-harmonic forms are rejected through the Bochner residual.
     """
     if mode == "Prop31" and surface.dim != 2:
@@ -189,12 +127,9 @@ def q_identity_report(surface, form, mode, system=None, bochner_tol=1e-6):
         raise TestFunctionError(
             f"form is not harmonic: integrated Bochner residual {res:.3e}"
         )
-    system = system or assemble_jacobi(surface)
     fem = surface.fem()
-    tf = test_functions(surface, form, mode)
-    lhs = sum(
-        system.q_value(fem.to_dof(tf.functions[:, i])) for i in range(tf.count)
-    )
+    U = fem.to_dof(test_functions(surface, form, mode).functions)
+    lhs = float(np.sum(U * ((fem.stiffness - fem.potential) @ U)))
     integrand = _rhs_integrand(surface, form, mode)
     rhs = fem.integrate(fem.to_dof(integrand))
     norm_sq = fem.integrate(fem.to_dof(form.norm_sq))
@@ -236,33 +171,24 @@ class IntegrandForm:
 
 
 def integrand_quadratic_form(surface, basis, mode="Prop32", cond_limit=1e8):
-    """Assemble the integrand Gram matrix on a basis of harmonic forms by
-    polarization of the pointwise-quadratic integrand."""
+    """The integrand Gram matrix on a basis of harmonic forms, integrated
+    from c_a^T Q c_b at the nodes."""
     if not basis:
         raise TestFunctionError("empty basis of harmonic forms")
     if mode == "Prop43" and surface.dim != 2:
         raise TestFunctionError("the starred certificate needs a surface (n = 2)")
+    C = np.stack([w.components for w in basis])  # (q, n_nodes, n)
+    if np.any(np.abs(C).max(axis=(1, 2)) == 0.0):
+        raise TestFunctionError("zero form not allowed in a basis")
     fem = surface.fem()
-    q = len(basis)
 
-    def integral(form):
-        if np.abs(form.components).max() == 0.0:
-            raise TestFunctionError("zero form not allowed in a basis")
-        return fem.integrate(fem.to_dof(_rhs_integrand(surface, form, mode)))
+    def gram(X, Y):
+        pairs = fem.to_dof(np.einsum("pna,qna->npq", X, Y))
+        return np.einsum("n,npq->pq", fem.node_weights, pairs)
 
-    diag = [integral(w) for w in basis]
-    G = np.zeros((q, q))
-    M = np.zeros((q, q))
-    for a in range(q):
-        G[a, a] = diag[a]
-        M[a, a] = basis[a].l2_norm_sq()
-        for b in range(a + 1, q):
-            s = combine([basis[a], basis[b]], [1.0, 1.0])
-            G[a, b] = G[b, a] = 0.5 * (
-                fem.integrate(fem.to_dof(_rhs_integrand(surface, s, mode)))
-                - diag[a] - diag[b]
-            )
-            M[a, b] = M[b, a] = basis[a].l2_inner(basis[b])
+    QC = np.einsum("nab,qnb->qna", integrand_matrices(surface, mode), C)
+    G = gram(C, QC)
+    M = gram(C, C)
     if np.linalg.cond(M) > cond_limit:
         raise TestFunctionError("harmonic basis is ill-conditioned")
-    return IntegrandForm(mode=mode, gram=G, mass=M)
+    return IntegrandForm(mode=mode, gram=0.5 * (G + G.T), mass=M)

@@ -47,8 +47,7 @@ def _angle_one_form(surface):
     return hodge.DiscreteOneForm(surface, comps, "analytic-catalog")
 
 
-def test_criterion_01_wedge_energy_identity(torus96, t96_forms, t96_system,
-                                            capsys):
+def test_criterion_01_wedge_energy_identity(torus96, t96_forms, capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     forms = [_angle_one_form(torus96)]
@@ -57,8 +56,7 @@ def test_criterion_01_wedge_energy_identity(torus96, t96_forms, t96_system,
     worst = 0.0
     ratio_err = 0.0
     for w in forms:
-        rep = testfns.q_identity_report(torus96, w, "Prop32",
-                                        system=t96_system)
+        rep = testfns.q_identity_report(torus96, w, "Prop32")
         worst = max(worst, rep["relative_residual"])
         ratio_err = max(
             ratio_err, abs(rep["rhs"] / rep["norm_sq_integral"] + 2.0)
@@ -71,8 +69,7 @@ def test_criterion_01_wedge_energy_identity(torus96, t96_forms, t96_system,
             capsys)
 
 
-def test_criterion_02_coordinate_energy_identity(torus96, t96_forms,
-                                                 t96_system, capsys):
+def test_criterion_02_coordinate_energy_identity(torus96, t96_forms, capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(102)
     forms = [_angle_one_form(torus96)]
@@ -81,8 +78,7 @@ def test_criterion_02_coordinate_energy_identity(torus96, t96_forms,
     worst = 0.0
     ratio_err = 0.0
     for w in forms:
-        rep = testfns.q_identity_report(torus96, w, "Prop31",
-                                        system=t96_system)
+        rep = testfns.q_identity_report(torus96, w, "Prop31")
         worst = max(worst, rep["relative_residual"])
         # integrand sum_k |II(e_k, w)|^2 - (R/2)|w|^2 with R = 6 gives -2|w|^2
         ratio_err = max(

@@ -254,6 +254,35 @@ def test_clifford_passes_every_block(bundled_all):
     assert bounds["consistent"] and bounds["constant_closure"] and bounds["tight"]
 
 
+@pytest.mark.parametrize("bundled_all", ["clifford.cfg"], indirect=True)
+def test_margins_alone_match_all(bundled_all, tmp_path):
+    # margins alone runs the hodge stage for the sphere margin's form
+    _, _, out = bundled_all
+    config = str(cli.bundled_config("clifford.cfg"))
+    assert cli.main(["margins", "--config", config, "--out", str(tmp_path),
+                     "--resolution-scale", "0.5"]) == 0
+    alone = json.loads((tmp_path / "clifford.json").read_text())["margins"]
+    full = json.loads((out / "clifford.json").read_text())["margins"]
+    assert set(alone) == {"sphere", "scalar3"}
+    assert ({k: v["verdict"] for k, v in alone.items()}
+            == {k: v["verdict"] for k, v in full.items()})
+
+
+def test_spectrum_index_beyond_the_window(tmp_path):
+    # every computed eigenvalue is negative: the index is the inertia count
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(CONFIG.replace("kind = clifford_torus\nnodes = 32",
+                                  "kind = generalized_clifford\nn = 3\nnodes = 8")
+                   .replace("dim = 3", "dim = 4")
+                   .replace("eigenvalues = 16", "eigenvalues = 6"))
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    spec = json.loads((tmp_path / "torus-small.json").read_text())["spectrum"]
+    assert spec["dofs"] == 336
+    assert spec["index"] == spec["inertia_index"] == spec["count_below"]["0.0"] == 6
+    assert "count_below_error" not in spec
+    assert len(spec["eigenvalues"]) == 6 and max(spec["eigenvalues"]) < 0
+
+
 @pytest.mark.parametrize("bundled_all", ["cp2-borderline.cfg"], indirect=True)
 def test_cp2_borderline_passes_every_block(bundled_all):
     _, code, out = bundled_all

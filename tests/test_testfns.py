@@ -1,10 +1,8 @@
-import copy
-
 import numpy as np
 import pytest
 
 from indexbound import hodge, hypersurface as hyp, testfns
-from indexbound.ambient import AmbientModel
+from indexbound.ambient import SphereModel
 from indexbound.spectral import SpectralSystem
 
 
@@ -45,28 +43,23 @@ def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
     assert abs(q(base) - q(rotd)) < 1e-10
 
 
-def test_energy_identity_wedge(torus48, torus_forms, torus_system):
-    rep = testfns.q_identity_report(
-        torus48, torus_forms[0], "Prop32", system=torus_system
-    )
+def test_energy_identity_wedge(torus48, torus_forms):
+    rep = testfns.q_identity_report(torus48, torus_forms[0], "Prop32")
     assert rep["relative_residual"] < 1e-4
     assert abs(rep["rhs"] / rep["norm_sq_integral"] + 2.0) < 1e-6
 
 
-def test_energy_identity_coordinates(torus48, torus_forms, torus_system):
-    rep = testfns.q_identity_report(
-        torus48, torus_forms[0], "Prop31", system=torus_system
-    )
+def test_energy_identity_coordinates(torus48, torus_forms):
+    rep = testfns.q_identity_report(torus48, torus_forms[0], "Prop31")
     assert rep["relative_residual"] < 1e-4
 
 
-def test_identity_rejects_gradient_probe(torus48, torus_system):
+def test_identity_rejects_gradient_probe(torus48):
     probe = hodge.gradient_one_form(
         torus48, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])
     )
     with pytest.raises(testfns.TestFunctionError):
-        testfns.q_identity_report(torus48, probe, "Prop32",
-                                  system=torus_system)
+        testfns.q_identity_report(torus48, probe, "Prop32")
 
 
 def test_coordinate_mode_needs_dimension_two():
@@ -101,36 +94,108 @@ def test_higher_dimension_identity():
     assert abs(rep["rhs"] / rep["norm_sq_integral"] + 4.0) < 1e-6
 
 
-class _Opaque(AmbientModel):
-    """Forwards the embedding geometry of a model without its type, so that
-    the integrand code takes its generic batched path."""
+def _closed_form_fields(surface, sharp):
+    """The sphere and sphere-product integrand fields in closed form:
+    sum_k |II(e_k, w)|^2, sum_k |II(e_k, N)|^2, sum_k Rm(e_k, w, e_k, w),
+    Ric(N, N) and the ambient scalar curvature at every node."""
+    model = surface.ambient
+    frames = surface.node_fields()["frames"]
+    N = surface.normals
+    n_nodes = len(N)
+    if isinstance(model, SphereModel):
+        # II(X, Y) = -<X, Y> x on the unit sphere
+        comp = np.einsum("nad,nd->na", frames, sharp)
+        ii_ew = np.einsum("na,na->n", comp, comp)
+        w_sq = np.einsum("nd,nd->n", sharp, sharp)
+        dim = model.intrinsic_dim
+        return (ii_ew, np.zeros(n_nodes), surface.dim * w_sq - ii_ew,
+                np.full(n_nodes, dim - 1.0), np.full(n_nodes, dim * (dim - 1.0)))
+    # II((X1, X2), (Y1, Y2)) = (-<X1, Y1> c, -<X2, Y2> s)
+    e1, e2 = model.factors(frames)
+    w1, w2 = model.factors(sharp)
+    n1, n2 = model.factors(N)
+    a1 = np.einsum("nad,nd->na", e1, w1)
+    a2 = np.einsum("nad,nd->na", e2, w2)
+    b1 = np.einsum("nad,nd->na", e1, n1)
+    b2 = np.einsum("nad,nd->na", e2, n2)
+    ii_ew = np.einsum("na,na->n", a1, a1) + np.einsum("na,na->n", a2, a2)
+    ii_en = np.einsum("na,na->n", b1, b1) + np.einsum("na,na->n", b2, b2)
+    rm_ew, ric_nn, scal = np.zeros((3, n_nodes))
+    for e, wf, nf, dimf in ((e1, w1, n1, model.dim1), (e2, w2, n2, model.dim2)):
+        if dimf < 2:
+            continue
+        ee = np.einsum("nad,nad->na", e, e)
+        ww = np.einsum("nd,nd->n", wf, wf)
+        ew = np.einsum("nad,nd->na", e, wf)
+        rm_ew += np.einsum("na,n->n", ee, ww) - np.einsum("na,na->n", ew, ew)
+        ric_nn += (dimf - 1) * np.einsum("nd,nd->n", nf, nf)
+        scal += dimf * (dimf - 1)
+    return ii_ew, ii_en, rm_ew, ric_nn, scal
 
-    def __init__(self, inner):
-        super().__init__(inner.intrinsic_dim, inner.embed_dim)
-        self.inner = inner
-        self.einstein_constant = inner.einstein_constant
 
-    def tangent_frame(self, point):
-        return self.inner.tangent_frame(point)
-
-    def ii_quad(self, point, X):
-        return self.inner.ii_quad(point, X)
+def _closed_form_ricci_m(surface, U):
+    """Ric^M(U, U) = Ric(U, U) - Rm(U, N, U, N) - |A U|^2 in closed form."""
+    model = surface.ambient
+    fields = surface.node_fields()
+    N = surface.normals
+    Uf = np.einsum("nad,nd->na", fields["frames"], U)
+    AU = np.einsum("nab,nb->na", fields["shape_operator"], Uf)
+    dot = lambda x, y: np.einsum("nd,nd->n", x, y)
+    if isinstance(model, SphereModel):
+        ric_u, rm_unun = model.einstein_constant * dot(U, U), dot(U, U)
+    else:
+        ric_u, rm_unun = np.zeros((2, len(U)))
+        for Uk, Nk, dimf in zip(model.factors(U), model.factors(N),
+                                (model.dim1, model.dim2)):
+            if dimf >= 2:
+                ric_u += (dimf - 1) * dot(Uk, Uk)
+                rm_unun += dot(Uk, Uk) * dot(Nk, Nk) - dot(Uk, Nk) ** 2
+    return ric_u - rm_unun - dot(AU, AU)
 
 
 @pytest.mark.parametrize("make", [
     lambda: hyp.clifford_torus(24),
     lambda: hyp.circle_times_equator(3, 10),
+    lambda: hyp.generalized_clifford(3, 12),
 ])
 def test_generic_integrand_matches_closed_forms(make):
+    """The one curvature evaluation against the closed forms, at every node
+    (chart poles included)."""
     surf = make()
-    opaque = copy.copy(surf)
-    opaque.ambient = _Opaque(surf.ambient)
-    ok = surf.node_fields()["interior"]
-    sharp = hodge.harmonic_one_forms(surf)[0].sharp
-    closed = testfns.integrand_fields(surf, sharp)
-    generic = testfns.integrand_fields(opaque, sharp)
-    for a, b in zip(closed, generic):
-        assert np.abs(a - b)[ok].max() < 1e-12
-    ric_closed = hodge._ricci_m(surf, sharp)
-    ric_generic = hodge._ricci_m(opaque, sharp)
-    assert np.abs(ric_closed - ric_generic)[ok].max() < 1e-12
+    form = hodge.harmonic_one_forms(surf)[0]
+    c = form.components
+    cv = surf.ambient_curvature()
+    generic = (np.einsum("na,nab,nb->n", c, cv.ii_ew, c), cv.ii_en,
+               np.einsum("na,nab,nb->n", c, cv.rm_ew, c), cv.ric_nn, cv.scal)
+    for a, b in zip(_closed_form_fields(surf, form.sharp), generic):
+        assert np.abs(a - b).max() < 1e-12
+    ric_m = hodge._ricci_m(surf, c)
+    assert np.abs(_closed_form_ricci_m(surf, form.sharp) - ric_m).max() < 1e-12
+    assert surf.ambient_curvature() is cv  # evaluated once per surface
+
+
+def test_curvature_on_cp2_geodesic_sphere():
+    surf = hyp.geodesic_sphere_cp2(12)
+    cv = surf.ambient_curvature()
+    model = surf.ambient
+    assert np.abs(cv.ric_nn - model.einstein_constant).max() < 1e-12
+    assert model.einstein_constant == 6.0
+    scal = model.scalar_curvature(surf.model_point_fn(surf.node_params))
+    assert np.abs(cv.scal - scal).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["Prop32", "Prop43"])
+def test_gram_matches_polarization(torus48, torus_forms, mode):
+    """The Gram matrix from one contraction against the polarization of the
+    integrated integrand."""
+    fem = torus48.fem()
+
+    def integral(form):
+        return fem.integrate(fem.to_dof(testfns._rhs_integrand(torus48, form, mode)))
+
+    a, b = torus_forms
+    ref = np.diag([integral(a), integral(b)])
+    ref[0, 1] = ref[1, 0] = 0.5 * (
+        integral(hodge.combine([a, b], [1.0, 1.0])) - ref[0, 0] - ref[1, 1])
+    gram = testfns.integrand_quadratic_form(torus48, torus_forms, mode).gram
+    assert np.abs(gram - ref).max() < 1e-12 * np.abs(ref).max()
