@@ -14,6 +14,8 @@ have shape (...).  A single point is the case without batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -703,32 +705,63 @@ class GenericEmbeddedHypersurfaceModel(AmbientModel):
         return self.point(point[..., :-1] + t * X[..., :-1])
 
 
-_KINDS = {
-    "sphere": lambda p: SphereModel(p["dim"]),
-    "real_projective": lambda p: RealProjectiveModel(p["dim"]),
-    "complex_projective_veronese": lambda p: ComplexProjectiveVeroneseModel(p["m"]),
-    "quaternionic_projective_veronese": lambda p: QuaternionicProjectiveVeroneseModel(
-        p["p"]
-    ),
-    "circle_times_sphere": lambda p: CircleTimesSphereModel(p["n"]),
-    "sphere_times_sphere": lambda p: SphereTimesSphereModel(p["p"], p["q"]),
-    "ellipsoid": lambda p: EllipsoidModel(p["semi_axes"]),
-    "generic_embedded_hypersurface": lambda p: GenericEmbeddedHypersurfaceModel(
-        p["height_fn"], p["base_dim"]
-    ),
+@dataclass(frozen=True)
+class AmbientKind:
+    """One ambient kind; adding a kind is adding an entry to AMBIENT_KINDS.
+
+    `model` is built by keyword from `params`, which maps each parameter to
+    the converter of its INI value, or to None when a config cannot give it.
+    `margins` names the bounds margins that apply.  `constant(model)` is the
+    paper's stated index-bound constant, or None where it states none.
+    """
+
+    model: type
+    params: dict
+    margins: tuple
+    constant: Callable
+
+
+AMBIENT_KINDS = {
+    # S^{n+1} and RP^{n+1}, dim = n + 1: 2/((n+2)(n+1))
+    "sphere": AmbientKind(
+        SphereModel, {"dim": int}, ("sphere", "scalar3"),
+        lambda a: Fraction(2, (a.intrinsic_dim + 1) * a.intrinsic_dim)),
+    "real_projective": AmbientKind(
+        RealProjectiveModel, {"dim": int}, ("sphere", "scalar3"),
+        lambda a: Fraction(2, (a.intrinsic_dim + 1) * a.intrinsic_dim)),
+    "complex_projective_veronese": AmbientKind(
+        ComplexProjectiveVeroneseModel, {"m": int}, ("cross", "scalar3"),
+        lambda a: Fraction(2, a.m * (a.m + 2) * (a.m + 1) ** 2)),
+    "quaternionic_projective_veronese": AmbientKind(
+        QuaternionicProjectiveVeroneseModel, {"p": int}, ("cross", "scalar3"),
+        lambda a: Fraction(2, (2 * a.p + 3) * (2 * a.p + 1) * (a.p + 1) * a.p)),
+    "circle_times_sphere": AmbientKind(
+        CircleTimesSphereModel, {"n": int}, ("product_q", "scalar3"),
+        lambda a: Fraction(2, (a.n + 3) * (a.n + 2))),
+    "sphere_times_sphere": AmbientKind(
+        SphereTimesSphereModel, {"p": int, "q": int}, ("scalar3",),
+        lambda a: Fraction(2, (a.p + a.q + 2) * (a.p + a.q + 1))),
+    # pinched convex hypersurfaces of R^d: the generic constant itself
+    "ellipsoid": AmbientKind(
+        EllipsoidModel, {"semi_axes": lambda s: [float(x) for x in s.split()]},
+        ("convex", "scalar3"), lambda a: Fraction(2, a.embed_dim * (a.embed_dim - 1))),
+    "generic_embedded_hypersurface": AmbientKind(
+        GenericEmbeddedHypersurfaceModel, {"height_fn": None, "base_dim": int},
+        ("scalar3",), lambda a: None),
 }
 
 
 def make_ambient(kind, **parameters):
-    """Construct an ambient model by kind name; see _KINDS for parameters."""
+    """Construct an ambient model by kind name; see AMBIENT_KINDS for parameters."""
     try:
-        builder = _KINDS[kind]
+        entry = AMBIENT_KINDS[kind]
     except KeyError:
         raise AmbientError(f"unknown ambient kind {kind!r}") from None
     try:
-        return builder(parameters)
+        kwargs = {name: parameters[name] for name in entry.params}
     except KeyError as exc:
         raise AmbientError(f"missing parameter {exc} for kind {kind!r}") from None
+    return entry.model(**kwargs)
 
 
 def verify_model_identities(model, sample_count, seed=0):

@@ -12,14 +12,11 @@ from fractions import Fraction
 import numpy as np
 
 from .ambient import (
-    CircleTimesSphereModel,
+    AMBIENT_KINDS,
     ComplexProjectiveVeroneseModel,
     EllipsoidModel,
-    QuaternionicProjectiveVeroneseModel,
     SphereModel,
-    SphereTimesSphereModel,
 )
-from .spectral import assemble_jacobi
 from .testfns import _rhs_integrand, integrand_quadratic_form
 
 
@@ -70,10 +67,10 @@ class CertificateReport:
         }
 
 
-def concentration_certificate(surface, basis, eta, mode="Prop41",
-                              system=None, spectrum=None, how_many=24):
+def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
     """Certificate that at least a fixed fraction of dim(V) eigenvalues of the
-    Jacobi operator lie strictly below eta.
+    Jacobi operator lie strictly below eta, counted in `spectrum`, the
+    SpectrumReport of the run's pencil (the quotient's, for a quotient).
 
     The hypothesis is that the integrand Gram form minus eta (Prop41) or
     2 eta (Prop43) times the L2 mass is negative definite; the conclusion
@@ -98,10 +95,6 @@ def concentration_certificate(surface, basis, eta, mode="Prop41",
     else:
         raise BoundsError(f"unknown certificate mode {mode!r}")
     required = math.ceil(required_real)
-
-    if spectrum is None:
-        system = system or assemble_jacobi(surface)
-        spectrum = system.spectrum(how_many=how_many)
     actual = spectrum.count_below(eta)
     return CertificateReport(
         mode=mode, eta=float(eta), q=q, d=d,
@@ -115,29 +108,14 @@ def concentration_certificate(surface, basis, eta, mode="Prop41",
 # theorem constants (exact rationals)
 
 def theorem_constant(ambient):
-    """The index-bound constant for the ambient kind, as an exact Fraction,
-    together with the generic form 2/(d(d-1)) it must equal."""
+    """The constant its AMBIENT_KINDS entry states for the ambient, as an exact
+    Fraction, checked against the generic form 2/(d(d-1)) it must equal."""
+    entry = AMBIENT_KINDS.get(ambient.kind)
+    stated = entry and entry.constant(ambient)
+    if stated is None:
+        raise BoundsError(f"no theorem constant for ambient kind {ambient.kind!r}")
     d = ambient.embed_dim
     generic = Fraction(2, d * (d - 1))
-    if isinstance(ambient, ComplexProjectiveVeroneseModel):
-        m = ambient.m
-        stated = Fraction(2, m * (m + 2) * (m + 1) ** 2)
-    elif isinstance(ambient, QuaternionicProjectiveVeroneseModel):
-        p = ambient.p
-        stated = Fraction(2, (2 * p + 3) * (2 * p + 1) * (p + 1) * p)
-    elif isinstance(ambient, CircleTimesSphereModel):
-        n = ambient.n
-        stated = Fraction(2, (n + 3) * (n + 2))
-    elif isinstance(ambient, SphereTimesSphereModel):
-        p, q = ambient.p, ambient.q
-        stated = Fraction(2, (p + q + 2) * (p + q + 1))
-    elif isinstance(ambient, SphereModel):  # includes RealProjective
-        n = ambient.intrinsic_dim - 1
-        stated = Fraction(2, (n + 2) * (n + 1))
-    elif isinstance(ambient, EllipsoidModel):
-        stated = generic
-    else:
-        raise BoundsError(f"no theorem constant for ambient kind {ambient.kind!r}")
     if stated != generic:
         raise BoundsError(
             f"constant table inconsistency for {ambient.kind!r}: "
@@ -156,8 +134,9 @@ def cayley_constant_check():
     return CAYLEY_PLANE_CONSTANT == Fraction(2, d * (d - 1))
 
 
-def index_bound_report(surface, spectrum=None, how_many=24):
-    """Theorem-constant lower bound for the surface against its computed index."""
+def index_bound_report(surface, spectrum):
+    """Theorem-constant lower bound for the surface against the Morse index of
+    `spectrum`, the SpectrumReport of the run's pencil."""
     ambient = surface.ambient
     C = theorem_constant(ambient)
     b1 = surface.betti_one
@@ -169,8 +148,6 @@ def index_bound_report(surface, spectrum=None, how_many=24):
     if sphere_case and not totally_geodesic:
         n = surface.dim
         bound += n + 2
-    if spectrum is None:
-        spectrum = assemble_jacobi(surface).spectrum(how_many=how_many)
     index = spectrum.morse_index
     return {
         "surface": surface.name,

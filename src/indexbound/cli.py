@@ -33,28 +33,13 @@ class ConfigError(Exception):
     pass
 
 
-#: each ambient kind: its config parameters, and the margins and the
-#: borderline checks that apply in it
-_AMBIENTS = {
-    "sphere": ([("dim", int)], ("sphere", "scalar3")),
-    "real_projective": ([("dim", int)], ("sphere", "scalar3")),
-    "complex_projective_veronese": (
-        [("m", int)], ("cross", "scalar3", "borderline")),
-    "quaternionic_projective_veronese": ([("p", int)], ("cross", "scalar3")),
-    "circle_times_sphere": ([("n", int)], ("product_q", "scalar3")),
-    "sphere_times_sphere": ([("p", int), ("q", int)], ("scalar3",)),
-    "ellipsoid": ([("semi_axes", lambda s: [float(x) for x in s.split()])],
-                  ("convex", "scalar3")),
-}
-
-
 def _build_ambient(section):
     kind = section.get("kind")
-    if kind not in _AMBIENTS:
+    if kind not in ambient_mod.AMBIENT_KINDS:
         raise ConfigError(f"unknown ambient kind {kind!r}")
     params = {}
-    for name, conv in _AMBIENTS[kind][0]:
-        if name not in section:
+    for name, conv in ambient_mod.AMBIENT_KINDS[kind].params.items():
+        if conv is None or name not in section:  # None: it has no INI form
             raise ConfigError(f"ambient kind {kind!r} needs parameter {name!r}")
         params[name] = conv(section[name])
     return ambient_mod.make_ambient(kind, **params)
@@ -117,18 +102,13 @@ class Scenario:
         self.how_many = int(cert.get("eigenvalues", 24))
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
+def _json_default(x):
+    """JSON form of the report values json.dump does not know."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _spectrum_block(rep, eta):
@@ -238,8 +218,8 @@ def _certify(run, report):
 def _margins(run, report):
     sc = run.scenario
     margins = {}
-    for name in _AMBIENTS[sc.ambient.kind][1]:
-        if name == "borderline" or (name == "sphere" and not run.basis):
+    for name in ambient_mod.AMBIENT_KINDS[sc.ambient.kind].margins:
+        if name == "sphere" and not run.basis:
             continue
         target = (run.surface, run.basis[0]) if name == "sphere" else sc.ambient
         m = bounds_mod.application_margins(name, target, seed=sc.seed)
@@ -251,7 +231,7 @@ def _margins(run, report):
 
 
 def _borderline(run, report):
-    if "borderline" not in _AMBIENTS[run.scenario.ambient.kind][1]:
+    if not run.scenario.ambient.has_complex_structure:
         report["borderline"] = {"skipped": "ambient is not complex projective"}
         return True
     report["borderline"] = rep = bounds_mod.borderline_cp_report(run.surface)
@@ -304,7 +284,7 @@ def run_tasks(scenario, tasks, artifacts=None):
     }
     tasks = set(tasks)
     needs_forms = {"verify-identity", "certify"}
-    if "sphere" in _AMBIENTS[scenario.ambient.kind][1]:
+    if "sphere" in ambient_mod.AMBIENT_KINDS[scenario.ambient.kind].margins:
         needs_forms.add("margins")  # the sphere margin is taken on a form
     if tasks & needs_forms:
         tasks.add("hodge")
@@ -390,7 +370,7 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{scenario.id}.json"
     with open(json_path, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
     summary_path = out_dir / "summary.csv"

@@ -31,7 +31,6 @@ class DiscreteOneForm:
 
     surface: object
     components: np.ndarray  # (n_nodes, n) values omega(e_k)
-    provenance: str  # 'analytic-catalog' or 'hodge-solver'
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.components)):
@@ -56,7 +55,7 @@ class DiscreteOneForm:
         return self.l2_inner(self)
 
     def scaled(self, c):
-        return DiscreteOneForm(self.surface, c * self.components, self.provenance)
+        return DiscreteOneForm(self.surface, c * self.components)
 
 
 def combine(basis, coefficients):
@@ -64,7 +63,7 @@ def combine(basis, coefficients):
     if len(basis) != len(coefficients):
         raise HodgeError("coefficient count does not match basis size")
     comp = sum(c * w.components for c, w in zip(coefficients, basis))
-    return DiscreteOneForm(basis[0].surface, comp, basis[0].provenance)
+    return DiscreteOneForm(basis[0].surface, comp)
 
 
 def _orthonormalize(basis):
@@ -73,9 +72,9 @@ def _orthonormalize(basis):
         comp = w.components.copy()
         for u in out:
             comp = comp - u.l2_inner(
-                DiscreteOneForm(w.surface, comp, w.provenance)
+                DiscreteOneForm(w.surface, comp)
             ) * u.components
-        cand = DiscreteOneForm(w.surface, comp, w.provenance)
+        cand = DiscreteOneForm(w.surface, comp)
         nrm = np.sqrt(cand.l2_norm_sq())
         if nrm < 1e-10:
             raise HodgeError("harmonic basis is numerically dependent")
@@ -83,11 +82,11 @@ def _orthonormalize(basis):
     return out
 
 
-def one_form_from_sharp(surface, sharp_nodes, provenance="analytic-catalog"):
+def one_form_from_sharp(surface, sharp_nodes):
     """Frame components of a one-form given its ambient metric dual at nodes."""
     frames = surface.node_fields()["frames"]
     comp = np.einsum("nad,nd->na", frames, np.asarray(sharp_nodes))
-    return DiscreteOneForm(surface, comp, provenance)
+    return DiscreteOneForm(surface, comp)
 
 
 def gradient_one_form(surface, f_fn, step=None):
@@ -96,7 +95,7 @@ def gradient_one_form(surface, f_fn, step=None):
     df = chart_jacobian(lambda p: f_fn(p)[..., None], surface.node_params, step)
     C = surface.node_fields()["coeffs"]
     comp = np.einsum("nai,ni->na", C, df[..., 0])
-    return DiscreteOneForm(surface, comp, "analytic-catalog")
+    return DiscreteOneForm(surface, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +308,7 @@ def _harmonic_forms_whitney(surface):
     if b1 == 0:
         return []
     return _orthonormalize([
-        DiscreteOneForm(surface, _edge_cochain_to_nodes(surface, mesh, h),
-                        "hodge-solver")
+        DiscreteOneForm(surface, _edge_cochain_to_nodes(surface, mesh, h))
         for h in _harmonic_cochains(mesh).T
     ])
 
@@ -321,7 +319,7 @@ def hodge_star_surface(surface, form):
         raise HodgeError("the surface star is defined only for n = 2")
     c = form.components
     starred = np.stack([-c[:, 1], c[:, 0]], axis=-1)
-    return DiscreteOneForm(surface, starred, form.provenance)
+    return DiscreteOneForm(surface, starred)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .ambient import AmbientError, make_ambient
+from .ambient import make_ambient
 from .elements import Axis, FemSystem, TensorGrid
 
 
@@ -126,7 +126,7 @@ class DiscreteHypersurface:
         self.chart_fn = chart_fn
         self.normal_fn = normal_fn
         self._metric_fn = metric_fn
-        self._potential_fn = potential_fn
+        self.potential_fn = potential_fn  # closed-form potential, or None
         self.model_point_fn = model_point_fn or (lambda p: chart_fn(p))
         self.betti_one = int(betti_one)
         self.fd_step = fd_step_frac * min(a.length for a in self.axes)
@@ -157,7 +157,7 @@ class DiscreteHypersurface:
         ]
         return DiscreteHypersurface(
             self.name, self.ambient, axes, self.chart_fn, self.normal_fn,
-            metric_fn=self._metric_fn, potential_fn=self._potential_fn,
+            metric_fn=self._metric_fn, potential_fn=self.potential_fn,
             model_point_fn=self.model_point_fn, betti_one=self.betti_one,
             kind=self.kind,
         )
@@ -169,19 +169,10 @@ class DiscreteHypersurface:
         jac = chart_jacobian(self.chart_fn, params, self.fd_step)
         return np.einsum("...ad,...bd->...ab", jac, jac)
 
-    def potential_fn(self, params):
-        if self._potential_fn is not None:
-            return self._potential_fn(params)
-        raise AmbientError(
-            f"surface {self.name!r} has no closed-form potential; "
-            "use node_fields()['potential_generic']"
-        )
-
     def fem(self):
         if self._fem is None:
-            pot = self._potential_fn
             self._fem = FemSystem(
-                self.grid, self.metric_fn, potential_fn=pot,
+                self.grid, self.metric_fn, potential_fn=self.potential_fn,
                 positions=self.positions,
             )
         return self._fem
@@ -287,10 +278,8 @@ class DiscreteHypersurface:
                 "...ad,...bd->...ab", f["jacobian"][ok], f["jacobian"][ok]
             )
             res["metric_consistency"] = float(np.abs(g_an - g_fd).max())
-        if self._potential_fn is not None:
+        if self.potential_fn is not None:
             pot = np.atleast_1d(self.potential_fn(self.node_params[idx]))
-            if pot.shape == ():
-                pot = np.full(len(idx), float(pot))
             generic = self.ric_nn(idx) + f["a_norm_sq"][idx]
             res["potential_consistency"] = float(np.abs(pot - generic).max())
         return res

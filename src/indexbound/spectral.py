@@ -44,7 +44,6 @@ class SpectrumReport:
     shift: float  # shift-invert point of the Lanczos solve
     factor_nnz: int  # nonzeros of the shift factor, L.nnz + U.nnz
     ordering: str  # fill-reducing ordering of both factors
-    cluster_gap: float = 1e-3
 
     @property
     def morse_index(self):
@@ -76,12 +75,16 @@ class SpectrumReport:
         return buf.getvalue()
 
 
-def _cluster(eigenvalues, gap):
+#: relative gap between consecutive eigenvalues that starts a new cluster
+CLUSTER_GAP = 1e-3
+
+
+def _cluster(eigenvalues):
     ids = np.zeros(len(eigenvalues), dtype=int)
     for i in range(1, len(eigenvalues)):
         scale = max(1.0, abs(eigenvalues[i]), abs(eigenvalues[i - 1]))
         ids[i] = ids[i - 1] + (
-            eigenvalues[i] - eigenvalues[i - 1] > gap * scale
+            eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_GAP * scale
         )
     return ids
 
@@ -99,7 +102,6 @@ class SpectralSystem:
             )
         self.surface = surface
         self.fem = fem
-        self.parity = parity
         K, P, M = fem.stiffness, fem.potential, fem.mass
         self.basis = None
         if parity is not None:
@@ -133,7 +135,7 @@ class SpectralSystem:
     def rayleigh_quotient(self, dof_vector):
         return self.q_value(dof_vector) / self.l2_norm_sq(dof_vector)
 
-    def spectrum(self, how_many=24, cluster_gap=1e-3):
+    def spectrum(self, how_many=24):
         """Lowest eigenvalues of (K - P) phi = lambda M phi, smallest first.
 
         Raises SpectralError when the shift factor has a negative pivot (the
@@ -199,13 +201,12 @@ class SpectralSystem:
             surface=self.surface.name,
             eigenvalues=vals,
             residuals=res,
-            cluster_ids=_cluster(vals, cluster_gap),
+            cluster_ids=_cluster(vals),
             n_dofs=n,
             inertia_index=inertia,
             shift=sigma,
             factor_nnz=factor_nnz,
             ordering="mmd_at_plus_a" if q is None else "nested_dissection",
-            cluster_gap=cluster_gap,
         )
 
 

@@ -44,7 +44,7 @@ def _angle_one_form(surface):
     frame components (sqrt(2), 0), squared norm 2."""
     comps = np.zeros((surface.grid.n_nodes, 2))
     comps[:, 0] = np.sqrt(2.0)
-    return hodge.DiscreteOneForm(surface, comps, "analytic-catalog")
+    return hodge.DiscreteOneForm(surface, comps)
 
 
 def test_criterion_01_wedge_energy_identity(torus96, t96_forms, capsys):
@@ -307,7 +307,7 @@ def test_criterion_11_harmonic_form_solver(torus96, t96_forms, equator2,
     for k in range(2):
         comps = np.zeros((torus96.grid.n_nodes, 2))
         comps[:, k] = np.sqrt(2.0 / vol)  # unit L2 norm
-        w = hodge.DiscreteOneForm(torus96, comps, "analytic-catalog")
+        w = hodge.DiscreteOneForm(torus96, comps)
         coeffs = np.array([w.l2_inner(b) for b in t96_forms])
         dist = max(dist, np.sqrt(abs(w.l2_norm_sq() - coeffs @ coeffs)))
     ok = kernel_torus == 2 and kernel_sphere == 0 and dist < 1e-4

@@ -1,13 +1,14 @@
 """Every SURFACE_KINDS entry, in every ambient kind it declares, runs each
 task of `all` through the scenario runner; an undeclared pairing is a config
-error.  Parametrized over the registry itself, so a new entry is covered
-without a test edit."""
+error.  Every AMBIENT_KINDS entry names its own model and states a constant
+that passes the closure check.  Parametrized over the registries themselves,
+so a new entry is covered without a test edit."""
 
 import numpy as np
 import pytest
 
-from indexbound import cli
-from indexbound.ambient import make_ambient
+from indexbound import bounds, cli
+from indexbound.ambient import AMBIENT_KINDS, make_ambient
 from indexbound.hypersurface import SURFACE_KINDS
 
 #: one ambient of each kind the runner parses; a probe surface built in it
@@ -36,6 +37,10 @@ BLOCKS = {
     "margins": "margins", "borderline": "borderline", "bounds": "bounds",
 }
 
+#: the ambient kinds a config can give: every parameter has an INI converter
+CONFIGURABLE = {kind for kind, entry in AMBIENT_KINDS.items()
+                if None not in entry.params.values()}
+
 PAIRS = [(kind, amb) for kind, entry in SURFACE_KINDS.items()
          for amb in entry.ambients]
 
@@ -59,12 +64,30 @@ def _own_ambient_params(kind, ambient_kind):
     example = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
     model = entry.build(example, 4, **entry.params).ambient
     return {name: model.intrinsic_dim if name == "dim" else getattr(model, name)
-            for name, _ in cli._AMBIENTS[ambient_kind][0]}
+            for name in AMBIENT_KINDS[ambient_kind].params}
 
 
 def test_examples_cover_every_ambient_kind():
-    assert set(EXAMPLE_AMBIENTS) == set(cli._AMBIENTS)
-    assert {amb for _, amb in PAIRS} <= set(cli._AMBIENTS)
+    assert set(EXAMPLE_AMBIENTS) == CONFIGURABLE
+    assert {amb for _, amb in PAIRS} <= CONFIGURABLE
+
+
+@pytest.mark.parametrize("kind", AMBIENT_KINDS)
+def test_ambient_kind_entry(kind, tmp_path):
+    entry = AMBIENT_KINDS[kind]
+    assert entry.model.kind == kind
+    if kind in CONFIGURABLE:
+        model = make_ambient(kind, **EXAMPLE_AMBIENTS[kind])
+        assert bounds.theorem_constant(model) == entry.constant(model)
+        return
+    # the generic graph: the paper states no constant, and its height
+    # function cannot come from a config
+    model = make_ambient(kind, height_fn=lambda x: x @ x, base_dim=2)
+    with pytest.raises(bounds.BoundsError, match="no theorem constant"):
+        bounds.theorem_constant(model)
+    path = _config(tmp_path, "clifford_torus", kind, {"base_dim": 2})
+    assert cli.main(["identities", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)
