@@ -13,10 +13,12 @@ import numpy as np
 
 from .ambient import (
     AMBIENT_KINDS,
+    CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
     EllipsoidModel,
     SphereModel,
 )
+from .hypersurface import chart_jacobian, orthonormal_frames
 from .testfns import _rhs_integrand, integrand_quadratic_form
 
 
@@ -153,8 +155,6 @@ def index_bound_report(surface, spectrum):
         "surface": surface.name,
         "ambient": ambient.kind,
         "constant": C,
-        "constant_closure": C
-        == Fraction(2, ambient.embed_dim * (ambient.embed_dim - 1)),
         "betti_one": b1,
         "bound": bound,
         "index": index,
@@ -233,10 +233,11 @@ def margins_cross(ambient):
                         verdict)
 
 
-def margins_product_q(grid_points=2001, samples=10000, seed=0,
-                      surfaces=None):
+def margins_product_q(surface, form, grid_points=2001, samples=10000, seed=0):
     """Grid minimum of q(theta, phi), closed-form agreement, and pointwise
-    negativity of the wedge integrand on S^1 x S^{n-1} for n = 3, 4."""
+    negativity of the wedge integrand of `form` on a surface of S^1 x S^n."""
+    if not isinstance(surface.ambient, CircleTimesSphereModel):
+        raise BoundsError("the product margin needs a circle-times-sphere ambient")
     t = np.linspace(0.0, np.pi, grid_points)
     qv = q_closed_form(t[:, None], t[None, :])  # the (theta, phi) grid
     i_min = np.unravel_index(np.argmin(qv), qv.shape)
@@ -246,27 +247,17 @@ def margins_product_q(grid_points=2001, samples=10000, seed=0,
     agree = float(
         np.abs(q_closed_form(ths, phs) - q_defining_expression(ths, phs)).max()
     )
+    integrand = _rhs_integrand(surface, form, "Prop32")
+    integrand_max = float(integrand[surface.node_fields()["interior"]].max())
     values = {
         "q_min": float(qv[i_min]),
         "argmin_theta": float(t[i_min[0]]),
         "argmin_phi": float(t[i_min[1]]),
         "closed_form_agreement": agree,
+        f"integrand_max_{surface.name}": integrand_max,
     }
-    if surfaces is None:
-        from .hypersurface import circle_times_equator
-        surfaces = [circle_times_equator(n, 14) for n in (3, 4)]
-    for surf in surfaces:
-        from .hodge import harmonic_one_forms
-
-        form = harmonic_one_forms(surf)[0]
-        integrand = _rhs_integrand(surf, form, "Prop32")
-        ok = surf.node_fields()["interior"]
-        values[f"integrand_max_{surf.name}"] = float(integrand[ok].max())
-    ok_verdict = (
-        abs(values["q_min"] - 0.875) < 1e-6
-        and agree < 1e-12
-        and all(v < 0 for k, v in values.items() if k.startswith("integrand_max"))
-    )
+    ok_verdict = (abs(values["q_min"] - 0.875) < 1e-6 and agree < 1e-12
+                  and integrand_max < 0)
     return MarginReport(
         "product_q", values,
         {"q_min": 0.875, "closed_form_agreement": 1e-12, "integrand_max": 0.0},
@@ -325,19 +316,23 @@ def margins_scalar3(ambient, samples=200, seed=0):
     )
 
 
-def application_margins(application, target=None, **kwargs):
-    """Dispatch to the per-application margin evaluations."""
-    if application == "sphere":
-        return margins_sphere(*target)  # (surface, form)
-    if application == "cross":
-        return margins_cross(target)
-    if application == "product_q":
-        return margins_product_q(**kwargs)
-    if application == "convex":
-        return margins_convex(target, **kwargs)
-    if application == "scalar3":
-        return margins_scalar3(target, **kwargs)
-    raise BoundsError(f"unknown application {application!r}")
+def application_margins(name, surface, basis, seed=0):
+    """The margin `name` of a run: `sphere` and `product_q` are taken on the
+    first form of the harmonic `basis` (None when it is empty, b1 = 0), the
+    others on the surface's ambient."""
+    if name in ("sphere", "product_q") and not basis:
+        return None
+    if name == "sphere":
+        return margins_sphere(surface, basis[0])
+    if name == "product_q":
+        return margins_product_q(surface, basis[0], seed=seed)
+    if name == "cross":
+        return margins_cross(surface.ambient)
+    if name == "convex":
+        return margins_convex(surface.ambient, seed=seed)
+    if name == "scalar3":
+        return margins_scalar3(surface.ambient, seed=seed)
+    raise BoundsError(f"unknown application {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +350,6 @@ def borderline_cp_report(surface, f_fn=None, step_factor=1e-3):
         raise BoundsError("the borderline report needs a complex projective ambient")
     if f_fn is None:
         f_fn = lambda p: np.ones(p.shape[:-1])
-
-    from .hypersurface import chart_jacobian, orthonormal_frames
 
     params = surface.node_params
     h_min = min(ax.h for ax in surface.axes)

@@ -71,8 +71,7 @@ def _build_surface(section, ambient, resolution_scale):
 class Scenario:
     """Parsed scenario: ambient + hypersurface + tasks + tolerances."""
 
-    def __init__(self, config_path, resolution_scale=1.0, seed=None,
-                 tol_scale=1.0):
+    def __init__(self, config_path, resolution_scale=1.0, seed=None):
         parser = configparser.ConfigParser()
         try:
             read = parser.read(config_path)
@@ -93,9 +92,9 @@ class Scenario:
         )
         tol = parser["tolerances"] if "tolerances" in parser else {}
         self.tolerances = {
-            "identity": tol_scale * float(tol.get("identity", 1e-4)),
-            "pointwise": tol_scale * float(tol.get("pointwise", 1e-8)),
-            "borderline": tol_scale * float(tol.get("borderline", 1e-5)),
+            "identity": float(tol.get("identity", 1e-4)),
+            "pointwise": float(tol.get("pointwise", 1e-8)),
+            "borderline": float(tol.get("borderline", 1e-5)),
         }
         cert = parser["certificate"] if "certificate" in parser else {}
         self.eta = float(cert.get("eta", 0.0))
@@ -219,12 +218,11 @@ def _margins(run, report):
     sc = run.scenario
     margins = {}
     for name in ambient_mod.AMBIENT_KINDS[sc.ambient.kind].margins:
-        if name == "sphere" and not run.basis:
-            continue
-        target = (run.surface, run.basis[0]) if name == "sphere" else sc.ambient
-        m = bounds_mod.application_margins(name, target, seed=sc.seed)
-        margins[name] = {"values": m.values, "thresholds": m.thresholds,
-                         "verdict": m.verdict}
+        m = bounds_mod.application_margins(name, run.surface, run.basis,
+                                           seed=sc.seed)
+        if m is not None:
+            margins[name] = {"values": m.values, "thresholds": m.thresholds,
+                             "verdict": m.verdict}
     report["margins"] = margins
     return all(v["verdict"].startswith(("pass", "borderline"))
                for v in margins.values())
@@ -242,15 +240,15 @@ def _borderline(run, report):
 def _bounds(run, report):
     surf = run.surface
     if not hyp_mod.SURFACE_KINDS[surf.kind].compares_index:
-        C = bounds_mod.theorem_constant(run.scenario.ambient)
-        report["bounds"] = {"constant": C, "constant_closure": True}
+        report["bounds"] = {
+            "constant": bounds_mod.theorem_constant(run.scenario.ambient)}
         return True
     if surf.fem().potential is None:
         report["bounds"] = {"skipped": _NO_POTENTIAL}
         return True
     report["bounds"] = table = bounds_mod.index_bound_report(
         surf, spectrum=run.spectrum_report())
-    return bool(table["consistent"]) and bool(table["constant_closure"])
+    return bool(table["consistent"])
 
 
 #: the stages of a run in order; "hodge" runs when a task needs the forms
@@ -283,10 +281,7 @@ def run_tasks(scenario, tasks, artifacts=None):
         "seed": scenario.seed,
     }
     tasks = set(tasks)
-    needs_forms = {"verify-identity", "certify"}
-    if "sphere" in ambient_mod.AMBIENT_KINDS[scenario.ambient.kind].margins:
-        needs_forms.add("margins")  # the sphere margin is taken on a form
-    if tasks & needs_forms:
+    if tasks & {"verify-identity", "certify", "margins"}:  # they need the forms
         tasks.add("hodge")
     run = _Run(scenario)
     ok = True
@@ -345,16 +340,13 @@ def main(argv=None):
                         help="output directory for JSON/CSV reports")
     parser.add_argument("--resolution-scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
 
     config = args.config or str(bundled_config("clifford.cfg"))
 
     try:
-        scenario = Scenario(
-            config, resolution_scale=args.resolution_scale,
-            seed=args.seed, tol_scale=args.tol_scale,
-        )
+        scenario = Scenario(config, resolution_scale=args.resolution_scale,
+                            seed=args.seed)
     except (ConfigError, ambient_mod.AmbientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

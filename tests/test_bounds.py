@@ -97,7 +97,6 @@ def test_constant_closure_families():
 def test_index_bound_table(torus48, torus_spectrum):
     rep = bounds.index_bound_report(torus48, spectrum=torus_spectrum)
     assert rep["constant"] == Fraction(1, 6)
-    assert rep["constant_closure"]
     assert rep["bound"] == 5  # ceil(2/6) + n + 2
     assert rep["index"] == 5
     assert rep["consistent"] and rep["tight"]
@@ -121,13 +120,18 @@ def test_margins_cross():
     assert cayley.verdict == "pass"
 
 
-def test_q_profile_minimum():
-    rep = bounds.margins_product_q(grid_points=501, samples=2000)
+def test_q_profile_minimum(torus48, torus_forms):
+    surf = hyp.circle_times_equator(3, 8)
+    form = hodge.harmonic_one_forms(surf)[0]
+    rep = bounds.margins_product_q(surf, form, grid_points=501, samples=2000)
     assert abs(rep.values["q_min"] - 7.0 / 8.0) < 1e-4
     assert rep.values["closed_form_agreement"] < 1e-12
     # the minimiser satisfies cos^2(theta) = 1/4 at phi = pi/2
     assert abs(np.cos(rep.values["argmin_theta"]) ** 2 - 0.25) < 1e-2
     assert abs(rep.values["argmin_phi"] - np.pi / 2) < 1e-2
+    assert rep.values["integrand_max_circle_times_equator_s2"] < 0.0
+    with pytest.raises(bounds.BoundsError):
+        bounds.margins_product_q(torus48, torus_forms[0])
 
 
 def test_margins_convex():
@@ -154,13 +158,14 @@ def test_margins_scalar3():
     assert rep.verdict == "pass"
 
 
-def test_application_dispatch():
-    rep = bounds.application_margins(
-        "scalar3", target=make_ambient("sphere", dim=3), samples=10
-    )
+def test_application_dispatch(torus48, torus_forms):
+    rep = bounds.application_margins("scalar3", torus48, torus_forms)
     assert rep.application == "scalar3"
+    # the form margins have nothing to be taken on when b1 = 0
+    assert bounds.application_margins("sphere", torus48, []) is None
+    assert bounds.application_margins("product_q", torus48, []) is None
     with pytest.raises(bounds.BoundsError):
-        bounds.application_margins("nonexistent")
+        bounds.application_margins("nonexistent", torus48, [])
 
 
 def test_borderline_residuals(geodesic_cp2):

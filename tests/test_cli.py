@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from indexbound import cli
+from indexbound import cli, hypersurface as hyp
 from indexbound.ambient import IdentityReport
-from indexbound.hodge import HodgeError
+from indexbound.hodge import HodgeError, harmonic_one_forms
 from indexbound.spectral import SpectralError
+from indexbound.testfns import _rhs_integrand
 
 
 CONFIG = """\
@@ -203,6 +204,23 @@ def test_cp2_borderline_margins_pass(tmp_path):
     assert margins["scalar3"]["thresholds"]["tol"] > 0.0
 
 
+def test_product_margin_judged_on_the_configured_surface(tmp_path):
+    cfg = tmp_path / "product.cfg"
+    cfg.write_text(CONFIG.replace("kind = sphere\ndim = 3",
+                                  "kind = circle_times_sphere\nn = 4")
+                   .replace("kind = clifford_torus\nnodes = 32",
+                            "kind = circle_times_equator\nn = 4\nnodes = 8"))
+    assert cli.main(["margins", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    values = json.loads((tmp_path / "torus-small.json").read_text())[
+        "margins"]["product_q"]["values"]
+    integrand_keys = {k for k in values if k.startswith("integrand_max")}
+    assert integrand_keys == {"integrand_max_circle_times_equator_s3"}
+    surf = hyp.circle_times_equator(4, 8)
+    integrand = _rhs_integrand(surf, harmonic_one_forms(surf)[0], "Prop32")
+    expected = integrand[surf.node_fields()["interior"]].max()
+    assert abs(values["integrand_max_circle_times_equator_s3"] - expected) < 1e-12
+
+
 def _run_half(name, out):
     return cli.main(["all", "--config", str(cli.bundled_config(name)),
                      "--out", str(out), "--resolution-scale", "0.5"])
@@ -251,7 +269,7 @@ def test_clifford_passes_every_block(bundled_all):
     assert report["borderline"] == {"skipped": "ambient is not complex projective"}
     bounds = report["bounds"]
     assert bounds["index"] == bounds["bound"] == 5
-    assert bounds["consistent"] and bounds["constant_closure"] and bounds["tight"]
+    assert bounds["consistent"] and bounds["tight"]
 
 
 @pytest.mark.parametrize("bundled_all", ["clifford.cfg"], indirect=True)
@@ -299,7 +317,7 @@ def test_cp2_borderline_passes_every_block(bundled_all):
     border = report["borderline"]
     assert max(border["div_jn_residual"], border["decomposition_residual"],
                border["traced_gauss_residual"]) < 1e-5
-    assert report["bounds"] == {"constant": "1/36", "constant_closure": True}
+    assert report["bounds"] == {"constant": "1/36"}
 
 
 def test_ellipsoid_fails_on_convex_pinching(tmp_path):

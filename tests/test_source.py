@@ -1,4 +1,5 @@
-"""Static checks of the package source: every module-level import is used."""
+"""Static checks of the package source: every module-level import is used,
+and no function imports a module of the package."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,19 @@ def unused_imports(source):
     return [name for name in imported if name not in read]
 
 
+def function_package_imports(source):
+    """Line numbers of the relative imports, those of a package module, made
+    inside a function body of `source`."""
+    tree = ast.parse(source)
+    return sorted({
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    })
+
+
 def test_unused_import_is_found():
     source = "import os\nimport sys\nfrom math import pi, tau\n\nprint(sys.argv, pi)\n"
     assert unused_imports(source) == ["os", "tau"]
@@ -33,3 +47,17 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_function_package_import_is_found():
+    source = (
+        "from .ambient import make_ambient\n"
+        "def f():\n    from scipy.optimize import brentq\n"
+        "def g():\n    def h():\n        from .hodge import combine\n"
+    )
+    assert function_package_imports(source) == [6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    assert function_package_imports(path.read_text()) == []
