@@ -24,10 +24,6 @@ class AmbientError(Exception):
     """Invalid model parameters or chart-domain violations."""
 
 
-class TangencyError(AmbientError):
-    """A vector handed to a pointwise operation is not tangent."""
-
-
 #: residual keys backed by finite differences, allowed a looser tolerance
 _FD_CHECKS = frozenset({"gauss_fd_closure", "ii_scaling", "complex_parallel"})
 
@@ -147,10 +143,6 @@ class AmbientModel:
         off = np.linalg.norm(v - self.project_tangent(point, v), axis=-1)
         return np.where(nv == 0.0, 0.0, off / np.where(nv == 0.0, 1.0, nv))
 
-    def check_tangent(self, point, v, tol=1e-7):
-        if np.any(self.tangency_residual(point, v) > tol):
-            raise TangencyError("vector is not tangent at the given point")
-
     def ii(self, point, X, Y):
         """Second fundamental form II(X, Y), by polarization of ii_quad."""
         return 0.25 * (self.ii_quad(point, X + Y) - self.ii_quad(point, X - Y))
@@ -214,11 +206,6 @@ class AmbientModel:
         frame = self.tangent_frame(point)
         v = np.einsum("...a,...ad->...d", rng.standard_normal(frame.shape[:-1]), frame)
         return _unit(v) if unit else v
-
-    def random_orthonormal_pair(self, point, rng):
-        X = self.random_tangent(point, rng)
-        Y = self.random_tangent(point, rng, unit=False)
-        return X, _unit(Y - _dot(Y, X)[..., None] * X)
 
     # -- optional complex structure ------------------------------------------
     def complex_structure(self, point, X):
@@ -401,12 +388,6 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
     def sectional_formula(self, z, X, Y):
         """1 + 3 g(X, JY)^2 for orthonormal X, Y."""
         return 1.0 + 3.0 * _dot(X, self.complex_structure(z, Y)) ** 2
-
-    def nabla_j_residual(self, z, rng, h=1e-5):
-        """Finite-difference residual of the parallelism of J along a random curve."""
-        X = self.random_tangent(z, rng)
-        Y = self.random_tangent(z, rng)
-        return self.j_parallel_residual(z, X, Y, h)
 
     def j_parallel_residual(self, z, X, Y, h=1e-5):
         """|nabla_X (J W) - J nabla_X W| at z, where W is the tangent part of

@@ -126,16 +126,6 @@ def theorem_constant(ambient):
     return stated
 
 
-CAYLEY_PLANE_CONSTANT = Fraction(1, 351)
-CAYLEY_PLANE_EMBED_DIM = 27
-
-
-def cayley_constant_check():
-    """1/351 must be 2/(d(d-1)) for the 27-dimensional embedding."""
-    d = CAYLEY_PLANE_EMBED_DIM
-    return CAYLEY_PLANE_CONSTANT == Fraction(2, d * (d - 1))
-
-
 def index_bound_report(surface, spectrum):
     """Theorem-constant lower bound for the surface against the Morse index of
     `spectrum`, the SpectrumReport of the run's pencil."""
@@ -210,19 +200,14 @@ def margins_sphere(surface, form):
 def margins_cross(ambient):
     """Einstein margin (8/3)(n+3-K) of a rank-one ambient; zero flags the
     borderline complex-projective case."""
-    if ambient == "cayley":
-        n_plus_1, K = 16, 36
-        kind = "cayley_plane"
-    else:
-        K = ambient.einstein_constant
-        if K is None:
-            raise BoundsError("cross margin needs an Einstein ambient")
-        n_plus_1 = ambient.intrinsic_dim
-        kind = ambient.kind
-    n = n_plus_1 - 1
+    K = ambient.einstein_constant
+    if K is None:
+        raise BoundsError("cross margin needs an Einstein ambient")
+    n = ambient.intrinsic_dim - 1
     margin = (8.0 / 3.0) * (n + 3 - K)
     scale = (8.0 / 3.0) * (n + 3 + abs(K))
-    values = {"einstein_constant": float(K), "margin": margin, "kind": kind}
+    values = {"einstein_constant": float(K), "margin": margin,
+              "kind": ambient.kind}
     if abs(margin) <= STRICT_TOL * scale:
         verdict = "borderline: strict by the projective-space residual checks"
     elif margin < 0.0:

@@ -26,7 +26,7 @@ from . import bounds as bounds_mod
 from . import hodge as hodge_mod
 from . import hypersurface as hyp_mod
 from . import testfns as testfns_mod
-from .spectral import SpectralError, assemble_jacobi
+from .spectral import assemble_jacobi
 
 
 class ConfigError(Exception):
@@ -111,23 +111,19 @@ def _json_default(x):
 
 
 def _spectrum_block(rep, eta):
-    block = {
+    return {
         "eigenvalues": rep.eigenvalues.tolist(),
         "index": rep.morse_index,
         "inertia_index": rep.inertia_index,
-        "count_below": {"0.0": rep.morse_index},
+        "count_below": {"0.0": rep.morse_index, f"{eta}": rep.count_below(eta)},
         "max_residual": float(rep.residuals.max()),
         "cluster_ids": rep.cluster_ids.tolist(),
-        "shift": rep.shift,
         "dofs": rep.n_dofs,
+        "blocks": len(rep.block_sizes),
+        "invariance_defect": rep.invariance_defect,
         "factor_nnz": rep.factor_nnz,
         "ordering": rep.ordering,
     }
-    try:
-        block["count_below"][f"{eta}"] = rep.count_below(eta)
-    except SpectralError as exc:
-        block["count_below_error"] = str(exc)
-    return block
 
 
 #: why a task skips a surface without a stability potential, or without forms

@@ -23,6 +23,9 @@ import scipy.sparse as sp
 _GP = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
 _GW = np.array([5.0, 8.0, 5.0]) / 18.0
 
+#: cells whose element matrices are formed at once
+_CELL_CHUNK = 256
+
 
 def shape1d(x):
     """Values of the three quadratic nodal shapes on [0, 1] at x, shape (..., 3)."""
@@ -181,12 +184,19 @@ class FemSystem:
     def _assemble(self, scale, ginv=None):
         """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
         sum_g scale ginv(grad phi_i, grad phi_j) when `ginv` is given."""
-        if ginv is None:
-            E = np.einsum("cg,gi,gj->cij", scale, self._vals, self._vals,
-                          optimize=True)
-        else:
-            E = np.einsum("cg,cgab,gia,gjb->cij", scale, ginv, self._grads,
-                          self._grads, optimize=True)
+        # one small product per cell runs on one BLAS thread, so the sums do
+        # not depend on the thread count; chunks keep the temporaries small
+        L = self._vals.shape[1]
+        E = np.empty((len(scale), L, L))
+        for c in range(0, len(scale), _CELL_CHUNK):
+            s = scale[c:c + _CELL_CHUNK]
+            if ginv is None:  # V^T diag(scale) V
+                E[c:c + _CELL_CHUNK] = (self._vals.T * s[:, None, :]) @ self._vals
+            else:  # sum_g grads[g] (scale ginv)[g] grads[g]^T
+                T = (s[:, :, None, None] * ginv[c:c + _CELL_CHUNK]
+                     ) @ self._grads.transpose(0, 2, 1)
+                E[c:c + _CELL_CHUNK] = (self._grads.transpose(1, 0, 2)
+                                        .reshape(L, -1) @ T.reshape(len(s), -1, L))
         conn = self._cell_dofs
         rows = np.repeat(conn[:, :, None], conn.shape[1], axis=2).ravel()
         cols = np.repeat(conn[:, None, :], conn.shape[1], axis=1).ravel()
@@ -232,7 +242,3 @@ class FemSystem:
     def integrate(self, dof_values):
         """Integral over the surface of a function given by DOF values."""
         return float(self.node_weights @ np.asarray(dof_values))
-
-    @property
-    def volume(self):
-        return float(self.node_weights.sum())

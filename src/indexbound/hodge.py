@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hypersurface import SURFACE_KINDS, chart_jacobian
+from .hypersurface import SURFACE_KINDS
 
 
 class HodgeError(Exception):
@@ -86,15 +86,6 @@ def one_form_from_sharp(surface, sharp_nodes):
     """Frame components of a one-form given its ambient metric dual at nodes."""
     frames = surface.node_fields()["frames"]
     comp = np.einsum("nad,nd->na", frames, np.asarray(sharp_nodes))
-    return DiscreteOneForm(surface, comp)
-
-
-def gradient_one_form(surface, f_fn, step=None):
-    """df for a scalar function of the grid parameters (non-harmonic probe)."""
-    step = step or surface.fd_step
-    df = chart_jacobian(lambda p: f_fn(p)[..., None], surface.node_params, step)
-    C = surface.node_fields()["coeffs"]
-    comp = np.einsum("nai,ni->na", C, df[..., 0])
     return DiscreteOneForm(surface, comp)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ambient import make_ambient
 from .elements import Axis, FemSystem, TensorGrid
@@ -147,20 +146,6 @@ class DiscreteHypersurface:
     @property
     def embed_dim(self):
         return self.ambient.embed_dim
-
-    def with_resolution(self, scale):
-        """A re-sampled copy with node counts multiplied by `scale`."""
-        axes = [
-            Axis(a.name, a.length, max(4, int(round(a.nodes * scale))),
-                 periodic=a.periodic, lo=a.lo)
-            for a in self.axes
-        ]
-        return DiscreteHypersurface(
-            self.name, self.ambient, axes, self.chart_fn, self.normal_fn,
-            metric_fn=self._metric_fn, potential_fn=self.potential_fn,
-            model_point_fn=self.model_point_fn, betti_one=self.betti_one,
-            kind=self.kind,
-        )
 
     # -- chart-derived fields -------------------------------------------------
     def metric_fn(self, params):
@@ -316,7 +301,8 @@ class DoubleCoverLift:
 
     Used to compute spectra of quotient hypersurfaces (projective ambients):
     functions on the quotient correspond to even functions upstairs, and
-    `quotient_parity` says which parity its Jacobi fields have.
+    `quotient_parity` says which parity its Jacobi fields have.  The spectral
+    layer needs the involution to be a whole-cell shift of the grid.
     """
 
     def __init__(self, surface, involution_fn, tol=1e-9):
@@ -355,22 +341,6 @@ class DoubleCoverLift:
             return "odd"
         return "mixed"
 
-    def descend(self, node_field, tol=1e-8):
-        """Values of an even field on the quotient, one per node pair.
-
-        Raises ValueError for fields that are not even: they do not descend.
-        """
-        if self.classify(node_field, tol) != "even":
-            raise ValueError("field is odd or mixed; it does not descend")
-        keep = np.arange(len(self.node_permutation)) < self.node_permutation
-        return np.asarray(node_field)[keep]
-
-    def dof_permutation(self, fem):
-        """The involution acting on fused DOFs."""
-        perm = np.empty(fem.n_dofs, dtype=np.int64)
-        perm[fem.fuse] = fem.fuse[self.node_permutation]
-        return perm
-
     def quotient_parity(self):
         """Parity of the Jacobi fields of the quotient hypersurface.
 
@@ -384,22 +354,6 @@ class DoubleCoverLift:
             raise ValueError("the unit normal is neither even nor odd; "
                              "the quotient has no normal line field")
         return "even" if normal == "odd" else "odd"
-
-    def parity_projector(self, fem, parity):
-        """Orthonormal columns spanning the even or odd DOFs, (n_dofs, n_cols):
-        e_i +- e_j per DOF pair {i, j}, and e_i per fixed DOF when even."""
-        sign = {"even": 1.0, "odd": -1.0}[parity]
-        perm = self.dof_permutation(fem)
-        dof = np.arange(fem.n_dofs)
-        first = np.flatnonzero(dof <= perm if parity == "even" else dof < perm)
-        # a fixed DOF gets both halves on one entry, which the CSR sums
-        w = np.where(perm[first] == first, 0.5, 1.0 / np.sqrt(2.0))
-        col = np.arange(len(first))
-        return sp.csr_matrix(
-            (np.concatenate([w, sign * w]),
-             (np.concatenate([first, perm[first]]), np.tile(col, 2))),
-            shape=(fem.n_dofs, len(first)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +392,6 @@ def clifford_torus(nodes=96, ambient=None):
         metric_fn=metric, potential_fn=lambda p: np.full(p.shape[:-1], 4.0),
         betti_one=2, kind="clifford_torus",
     )
-
-
-def clifford_torus_projective(nodes=96):
-    """Clifford torus with its projective ambient plus the deck involution."""
-    surface = clifford_torus(nodes, ambient=make_ambient("real_projective", dim=3))
-    return surface, DoubleCoverLift(surface, _antipodal_torus)
 
 
 def _antipodal_torus(p):
@@ -540,21 +488,6 @@ def circle_times_equator(n, nodes=24):
         potential_fn=lambda p: np.full(p.shape[:-1], n - 1.0),
         betti_one=1, kind="circle_times_equator",
     )
-
-
-def minimal_geodesic_sphere_radius(model, lo=0.3, hi=1.3):
-    """Radius at which the geodesic sphere about a point is minimal, found by
-    root-bracketing on the numerically computed mean curvature."""
-    # imported here, not at module level: scipy.optimize adds about 0.3 s to
-    # the start-up of every command-line run, and none of them calls this
-    from scipy.optimize import brentq
-
-    def mean_curv(r):
-        surf = geodesic_sphere_cp2(nodes=8, radius=r)
-        f = surf.node_fields()
-        return float(f["mean_curvature"][f["interior"]].mean())
-
-    return brentq(mean_curv, lo, hi, xtol=1e-10)
 
 
 def geodesic_sphere_cp2(nodes=24, radius=None):

@@ -36,11 +36,6 @@ class TestFunctionSet:
     def count(self):
         return self.functions.shape[1]
 
-    def norm_identity_residual(self):
-        """max over nodes of | sum_i u_i^2 - |omega|^2 | (must be ~1e-12)."""
-        total = np.einsum("ni,ni->n", self.functions, self.functions)
-        return float(np.abs(total - self.form_norm_sq).max())
-
 
 def test_functions(surface, form, mode, rotation=None):
     """Build the coordinate test functions of `form` on `surface`.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from indexbound import hypersurface as hyp
+from oracles import clifford_torus_projective
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +22,7 @@ def equator2():
 
 @pytest.fixture(scope="session")
 def torus_projective():
-    return hyp.clifford_torus_projective(32)
+    return clifford_torus_projective(32)
 
 
 @pytest.fixture(scope="session")

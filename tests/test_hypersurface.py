@@ -7,6 +7,13 @@ import pytest
 from indexbound import hypersurface as hyp
 from indexbound.ambient import make_ambient
 from indexbound.elements import Axis, FemSystem, TensorGrid
+from indexbound.spectral import SpectralSystem
+from oracles import (
+    clifford_torus_projective,
+    descend,
+    minimal_geodesic_sphere_radius,
+    with_resolution,
+)
 
 
 def test_axis_cell_counts():
@@ -39,7 +46,7 @@ def test_fem_flat_torus_spectrum():
     # flat-torus Laplacian: 0, then 1 with multiplicity four
     assert abs(vals[0]) < 1e-10
     assert np.abs(vals[1:5] - 1.0).max() < 1e-4
-    assert abs(fem.volume - 4 * np.pi**2) < 1e-10
+    assert abs(fem.node_weights.sum() - 4 * np.pi**2) < 1e-10
 
 
 def test_fem_integrates_exactly():
@@ -58,7 +65,7 @@ def test_fem_integrates_exactly():
 
 def test_torus_volume_and_minimality(torus48):
     fem = torus48.fem()
-    assert abs(fem.volume - 2 * np.pi**2) < 1e-10
+    assert abs(fem.node_weights.sum() - 2 * np.pi**2) < 1e-10
     checks = torus48.pointwise_checks(sample=100, seed=1)
     assert checks["minimality"] < 1e-9
     assert checks["normal_unit"] < 1e-12
@@ -86,7 +93,7 @@ def test_generalized_clifford_geometry():
     checks = surf.pointwise_checks(sample=60, seed=2)
     assert checks["minimality"] < 1e-8
     assert checks["potential_consistency"] < 1e-7
-    assert abs(surf.fem().volume - 16 * np.pi**2 / (3 * np.sqrt(3))) < 1e-5
+    assert abs(surf.fem().node_weights.sum() - 16 * np.pi**2 / (3 * np.sqrt(3))) < 1e-5
 
 
 def test_circle_times_equator_geometry():
@@ -103,14 +110,13 @@ def test_ellipsoid_section_totally_geodesic():
 
 
 def test_with_resolution(torus48):
-    finer = torus48.with_resolution(1.5)
+    finer = with_resolution(torus48, 1.5)
     assert finer.axes[0].n_nodes == 72
-    assert abs(finer.fem().volume - 2 * np.pi**2) < 1e-10
+    assert abs(finer.fem().node_weights.sum() - 2 * np.pi**2) < 1e-10
 
 
 def test_geodesic_sphere_radius():
-    model = make_ambient("complex_projective_veronese", m=2)
-    r = hyp.minimal_geodesic_sphere_radius(model)
+    r = minimal_geodesic_sphere_radius()
     assert abs(r - np.pi / 3) < 1e-9
 
 
@@ -148,20 +154,10 @@ def test_double_cover_descend(torus_projective):
     surface, lift = torus_projective
     params = surface.grid.node_params
     even = np.cos(2.0 * params[:, 0])
-    down = lift.descend(even)
+    down = descend(lift, even)
     assert down.shape[0] * 2 == even.shape[0]
     with pytest.raises(ValueError):
-        lift.descend(np.sin(params[:, 0]))
-
-
-def test_odd_projector_shape(torus_projective):
-    surface, lift = torus_projective
-    fem = surface.fem()
-    Z = lift.parity_projector(fem, "odd")
-    assert Z.shape == (fem.n_dofs, fem.n_dofs // 2)
-    # columns are mass-orthogonal to even functions
-    even = fem.to_dof(np.cos(surface.grid.node_params.sum(axis=1)))
-    assert np.abs(Z.T @ (fem.mass @ even)).max() < 1e-10
+        descend(lift, np.sin(params[:, 0]))
 
 
 def test_free_involution_required():
@@ -207,7 +203,7 @@ def _lift_permutation_ref(surface, involution_fn, tol=1e-9):
 
 @pytest.mark.parametrize("nodes", [16, 24])
 def test_double_cover_permutation_matches_node_loop(nodes):
-    surface, lift = hyp.clifford_torus_projective(nodes)
+    surface, lift = clifford_torus_projective(nodes)
     ref = _lift_permutation_ref(surface, lambda p: p + np.pi)
     assert np.array_equal(lift.node_permutation, ref)
 
@@ -280,28 +276,17 @@ def _antipodal_sphere_lift(nodes=13):
         [np.pi - p[:, 0], p[:, 1] + np.pi], axis=1))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: hyp.clifford_torus_projective(16), _antipodal_sphere_lift])
-def test_parity_projectors_split_the_dofs(make):
-    surface, lift = make()
-    fem = surface.fem()
-    even, odd = (lift.parity_projector(fem, p).toarray() for p in ("even", "odd"))
-    Q = np.hstack([even, odd])
-    assert Q.shape == (fem.n_dofs, fem.n_dofs)
-    assert np.abs(Q.T @ Q - np.eye(fem.n_dofs)).max() < 1e-15
-    perm = lift.dof_permutation(fem)
-    assert np.array_equal(even[perm], even) and np.array_equal(odd[perm], -odd)
-
-
 def test_parity_projector_keeps_fixed_dofs_even():
-    # a half turn about the polar axis fixes both fused pole DOFs
+    # a half turn about the polar axis fixes both fused pole DOFs: the even
+    # characters of the half turn keep them, the odd ones drop them
     surface = hyp.equator_in_sphere(2, 13)
     lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
         [p[:, 0], p[:, 1] + np.pi], axis=1))
     fem = surface.fem()
-    even, odd = (lift.parity_projector(fem, p) for p in ("even", "odd"))
-    assert even.shape[1] == odd.shape[1] + 2 == (fem.n_dofs + 2) // 2
-    assert np.abs((even.T @ even).toarray() - np.eye(even.shape[1])).max() < 1e-15
+    even, odd = (SpectralSystem(surface, parity=p, lift=lift).spectrum()
+                 for p in ("even", "odd"))
+    assert even.n_dofs == odd.n_dofs + 2 == (fem.n_dofs + 2) // 2
+    assert even.block_sizes.sum() + odd.block_sizes.sum() == fem.n_dofs
 
 
 def test_quotient_parity_from_the_normal(torus_projective):

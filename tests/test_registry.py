@@ -7,9 +7,11 @@ so a new entry is covered without a test edit."""
 import numpy as np
 import pytest
 
-from indexbound import bounds, cli
+from indexbound import bounds, cli, hypersurface as hyp
 from indexbound.ambient import AMBIENT_KINDS, make_ambient
 from indexbound.hypersurface import SURFACE_KINDS
+from indexbound.spectral import SpectralError, SpectralSystem
+from oracles import dense_spectrum, parity_basis
 
 #: one ambient of each kind the runner parses; a probe surface built in it
 #: supplies the dimensions its own ambient needs
@@ -121,3 +123,29 @@ def test_ambient_of_another_dimension_is_config_error(tmp_path):
     path = _config(tmp_path, "clifford_torus", "sphere", {"dim": 4})
     assert cli.main(["identities", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("kind, ambient_kind", PAIRS)
+def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
+    # the whole block spectrum of each pencil, and of both parities of a
+    # quotient, against one dense solve of the same pencil
+    entry = SURFACE_KINDS[kind]
+    ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
+    surface = entry.build(ambient, 8, **entry.params)
+    fem = surface.fem()
+    if fem.potential is None:
+        with pytest.raises(SpectralError, match="no potential"):
+            SpectralSystem(surface)
+        return
+    deck = entry.ambients[ambient_kind]
+    lift = deck and hyp.DoubleCoverLift(surface, deck)
+    for parity in (None,) if lift is None else ("even", "odd"):
+        system = SpectralSystem(surface, parity=parity, lift=lift)
+        spec = system.spectrum()
+        basis = lift and parity_basis(fem, lift, parity)
+        oracle = dense_spectrum(system, basis)
+        assert len(oracle) <= 600
+        assert spec.block_sizes.sum() == spec.n_dofs == len(oracle)
+        scale = np.abs(oracle).max()
+        assert np.abs(spec.all_eigenvalues - oracle).max() < 1e-9 * scale
+        assert spec.morse_index == np.sum(oracle < 0)

@@ -1,7 +1,9 @@
 """Static checks of the package source: every module-level import is used,
-and no function imports a module of the package."""
+no function imports a module of the package, and the package keeps one
+eigensolver path (dense solves of symmetry blocks, no ARPACK)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,21 @@ def test_function_package_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_level_package_imports(path):
     assert function_package_imports(path.read_text()) == []
+
+
+def iterative_eigensolver_lines(source):
+    """Line numbers of `source` that name scipy's ARPACK wrapper eigsh or
+    ARPACK itself."""
+    return [i for i, line in enumerate(source.splitlines(), 1)
+            if re.search(r"eigsh|arpack", line, re.IGNORECASE)]
+
+
+def test_iterative_eigensolver_is_found():
+    source = "import numpy as np\nfrom scipy.sparse.linalg import eigsh\n"
+    assert iterative_eigensolver_lines(source) == [2]
+    assert iterative_eigensolver_lines("except spla.ArpackNoConvergence:\n") == [1]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_iterative_eigensolver(path):
+    assert iterative_eigensolver_lines(path.read_text()) == []

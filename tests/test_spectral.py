@@ -1,4 +1,10 @@
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +12,17 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from indexbound import hypersurface as hyp
+import indexbound
+from indexbound import hypersurface as hyp, spectral
+from indexbound.ambient import make_ambient
 from indexbound.spectral import (
+    INVARIANCE_TOL,
     SpectralError,
     SpectralSystem,
-    _negative_pivots,
+    _inertia,
     _symmetric_lu,
 )
+from oracles import dense_spectrum, parity_basis, rayleigh_quotient
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +63,9 @@ def test_count_below(torus_spectrum):
 
 
 def test_count_below_requires_coverage(torus_spectrum):
-    with pytest.raises(SpectralError):
-        # the threshold exceeds the computed part of the spectrum
-        torus_spectrum.count_below(1e6)
+    # the block spectrum is the whole spectrum: a threshold above it counts
+    # every DOF
+    assert torus_spectrum.count_below(1e6) == torus_spectrum.n_dofs == 48 * 48
 
 
 def test_csv_format(torus_spectrum):
@@ -68,8 +78,9 @@ def test_csv_format(torus_spectrum):
 
 
 def test_rayleigh_quotient_matches_spectrum(torus_system, torus_spectrum):
-    v = torus_system.eigenvectors[:, 0]
-    rq = torus_system.rayleigh_quotient(v)
+    # the constant function is the lowest eigenfunction: K 1 = 0 and P = 4 M
+    rq = rayleigh_quotient(torus_system, np.ones(torus_system.fem.n_dofs))
+    assert abs(rq + 4.0) < 1e-12
     assert abs(rq - torus_spectrum.eigenvalues[0]) < 1e-8
 
 
@@ -83,7 +94,7 @@ def test_variational_upper_bound(torus48, torus_system, torus_spectrum):
     # any trial function bounds the lowest eigenvalue from above
     params = torus48.grid.node_params
     trial = torus48.fem().to_dof(np.cos(params[:, 0] - params[:, 1]))
-    assert torus_system.rayleigh_quotient(trial) >= torus_spectrum.eigenvalues[0]
+    assert rayleigh_quotient(torus_system, trial) >= torus_spectrum.eigenvalues[0]
 
 
 def test_discrete_eigenvalues_bound_exact_from_above(torus48):
@@ -110,16 +121,18 @@ def test_matches_dense_oracle():
     spec = system.spectrum(how_many=16)
     A = (system.stiffness - system.potential).toarray()
     oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
-    assert np.abs(spec.eigenvalues - oracle[:16]).max() < 1e-9
+    assert len(spec.eigenvalues) >= 16
+    assert np.abs(spec.eigenvalues - oracle[:len(spec.eigenvalues)]).max() < 1e-9
 
 
 def test_inertia_matches_index(torus_spectrum, equator2, torus_projective):
     assert torus_spectrum.inertia_index == torus_spectrum.morse_index == 5
     spec = SpectralSystem(equator2).spectrum(how_many=6)
     assert spec.inertia_index == spec.morse_index == 1
+    # a quotient's inertia is the cover's: the negative pivots of its K - P
     surface, lift = torus_projective
     spec = SpectralSystem(surface, parity="odd", lift=lift).spectrum(how_many=8)
-    assert spec.inertia_index == spec.morse_index == 4
+    assert (spec.inertia_index, spec.morse_index) == (5, 4)
 
 
 def test_spectrum_is_deterministic(torus_system, torus_spectrum):
@@ -127,13 +140,24 @@ def test_spectrum_is_deterministic(torus_system, torus_spectrum):
     assert np.array_equal(again.eigenvalues, torus_spectrum.eigenvalues)
 
 
+def test_blocks_gathered_in_chunks_match(monkeypatch):
+    # a gather budget of one block solves each character on its own
+    system = SpectralSystem(hyp.circle_times_equator(3, 8))
+    whole = system.spectrum()
+    monkeypatch.setattr(spectral, "_GATHER_ENTRIES", 1)
+    chunked = system.spectrum()
+    assert np.array_equal(np.sort(chunked.block_sizes), np.sort(whole.block_sizes))
+    assert np.abs(chunked.all_eigenvalues - whole.all_eigenvalues).max() < 1e-12
+
+
 def test_inertia_needs_diagonal_pivots():
     with pytest.raises(SpectralError, match="off-diagonal pivot"):
-        _negative_pivots(_symmetric_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]])))
+        _inertia(_symmetric_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]])))
     with pytest.raises(SpectralError, match="singular"):
         _symmetric_lu(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0]]))
     indefinite = sp.csc_matrix([[2.0, 0.0, 1.0], [0.0, -3.0, 0.0], [1.0, 0.0, 1.0]])
-    assert _negative_pivots(_symmetric_lu(indefinite)) == 1
+    lu = _symmetric_lu(indefinite)
+    assert _inertia(lu) == (1, lu.L.nnz + lu.U.nnz)
 
 
 @pytest.fixture(scope="module")
@@ -152,16 +176,18 @@ def _dense_window(system, k):
 
 
 def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
-    # every eigenvalue of the window, including the top one: on the torus the
-    # window of 24 ends inside the 8-fold cluster near 6.0042, on CP^2 the
-    # pencil is factored in nested-dissection order
+    # every reported eigenvalue, through the end of the last cluster: on the
+    # torus 24 ends in the 4-fold cluster near 12, after all 8 copies near
+    # 6.0042; on CP^2 the inertia factor is in nested-dissection order
     torus = SpectralSystem(hyp.clifford_torus(32))
     spec = torus.spectrum(how_many=24)
     assert spec.ordering == "mmd_at_plus_a"
-    assert np.abs(spec.eigenvalues - _dense_window(torus, 24)).max() < 1e-9
+    assert len(spec.eigenvalues) == 25
+    assert np.abs(spec.eigenvalues - _dense_window(torus, 25)).max() < 1e-9
     assert np.sum(np.abs(spec.eigenvalues - 6.0042) < 1e-3) == 8
     assert cp2_spectrum.ordering == "nested_dissection"
-    oracle = _dense_window(cp2_system, 24)
+    assert len(cp2_spectrum.eigenvalues) >= 24
+    oracle = _dense_window(cp2_system, len(cp2_spectrum.eigenvalues))
     assert np.abs(cp2_spectrum.eigenvalues - oracle).max() < 1e-9
 
 
@@ -174,48 +200,86 @@ def _mmd_fill(system, shift):
 
 def test_nested_dissection_permutation(cp2_system, cp2_spectrum):
     q = cp2_system.permutation
-    assert np.array_equal(np.sort(q), np.arange(cp2_system.n_dofs))
+    assert np.array_equal(np.sort(q), np.arange(cp2_system.fem.n_dofs))
     # the tensor-grid ordering fills less than minimum degree on a 3-D grid
-    assert cp2_spectrum.factor_nnz < _mmd_fill(cp2_system, cp2_spectrum.shift)
+    assert cp2_spectrum.factor_nnz < _mmd_fill(cp2_system, 0.0)
     assert cp2_spectrum.inertia_index == cp2_spectrum.morse_index == 1
 
 
 def test_surface_pencil_keeps_mmd(torus_system, torus_spectrum):
     assert torus_system.permutation is None
     assert torus_spectrum.ordering == "mmd_at_plus_a"
-    assert torus_spectrum.factor_nnz == _mmd_fill(torus_system,
-                                                  torus_spectrum.shift)
+    assert torus_spectrum.factor_nnz == _mmd_fill(torus_system, 0.0)
 
 
 def test_odd_parity_on_three_axes_matches_dense_oracle():
-    # an odd-parity column is placed at its first DOF; the antipodal map
-    # pairs DOFs across the grid, so the adjacency check builds the separators
+    # a half turn about the polar axes pairs DOFs across the grid and fixes
+    # the fused poles, which the odd characters drop
     surface = hyp.equator_in_sphere(3, 13)
     lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
-        [np.pi - p[:, 0], np.pi - p[:, 1], p[:, 2] + np.pi], axis=1))
+        [p[:, 0], p[:, 1], p[:, 2] + np.pi], axis=1))
     system = SpectralSystem(surface, parity="odd", lift=lift)
     spec = system.spectrum(how_many=12)
     assert spec.ordering == "nested_dissection"
     assert np.array_equal(np.sort(system.permutation),
-                          np.arange(system.n_dofs))
-    assert np.abs(spec.eigenvalues - _dense_window(system, 12)).max() < 1e-9
-    assert spec.inertia_index == spec.morse_index == 0
+                          np.arange(system.fem.n_dofs))
+    oracle = dense_spectrum(system, parity_basis(surface.fem(), lift, "odd"))
+    assert spec.n_dofs == len(oracle)
+    assert np.abs(spec.all_eigenvalues - oracle).max() < 1e-9
+    # the cover's index 1 is the even constant function
+    assert (spec.inertia_index, spec.morse_index) == (1, 0)
 
 
-def test_shift_above_lambda_one_is_refused():
-    # one DOF with a large potential pulls lambda_1 far below the mean
-    # potential density that the shift is taken from
+def test_non_translation_deck_is_refused():
+    # the antipodal map of the equator reflects the polar angle
+    surface = hyp.equator_in_sphere(2, 13)
+    lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
+        [np.pi - p[:, 0], p[:, 1] + np.pi], axis=1))
+    with pytest.raises(SpectralError, match="not a whole-cell shift"):
+        SpectralSystem(surface, parity="odd", lift=lift).spectrum()
+    # with 17 cells per axis the half-period shift moves vertex nodes onto
+    # cell midpoints
+    surface = hyp.clifford_torus(34, make_ambient("real_projective", dim=3))
+    lift = hyp.DoubleCoverLift(surface, lambda p: p + np.pi)
+    assert surface.grid.axes[0].n_cells == 17
+    with pytest.raises(SpectralError, match="not a whole-cell shift"):
+        SpectralSystem(surface, parity="even", lift=lift).spectrum()
+
+
+def test_shift_that_splits_a_dof_is_refused():
+    # fuse two nodes whose one-cell shifts land on two different DOFs
+    fem = hyp.clifford_torus(16).fem()
+    fuse = fem.fuse.copy()
+    fuse[1] = fuse[0]
+    broken = SimpleNamespace(grid=fem.grid, fuse=fuse, n_dofs=fem.n_dofs,
+                             _first_node=fem._first_node)
+    with pytest.raises(SpectralError, match="two nodes of one DOF"):
+        spectral._CellShifts(broken)
+
+
+def _torus_shift_defect(X, nodes):
+    """max |S X S^T - X| / max |X| over the one-cell shifts S of the torus
+    grid, whose DOFs are its nodes in C order, on a dense X."""
+    T = X.reshape(nodes, nodes, nodes, nodes)
+    moved = (np.roll(T, 2, axis=(a, a + 2)) for a in (0, 1))
+    return max(np.abs(m - T).max() for m in moved) / np.abs(X).max()
+
+
+def test_perturbed_potential_is_refused_by_the_invariance_defect():
+    # one DOF with a large potential breaks the symmetry the blocks need
     system = SpectralSystem(hyp.clifford_torus(16))
-    n = system.n_dofs
+    n = system.fem.n_dofs
+    A = (system.stiffness - system.potential).toarray()
+    assert _torus_shift_defect(A, 16) < 1e-15
     system.potential = system.potential + sp.csr_matrix(
         ([1e3], ([0], [0])), shape=(n, n))
-    with pytest.raises(SpectralError, match="not below the spectrum") as err:
+    with pytest.raises(SpectralError, match="invariance defect") as err:
         system.spectrum(how_many=8)
-    shift, count = re.search(r"shift (\S+) .* has (\d+) negative pivots",
-                             str(err.value)).groups()
+    defect = float(re.search(r"invariance defect (\S+)", str(err.value))[1])
     A = (system.stiffness - system.potential).toarray()
-    oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
-    assert int(count) == np.sum(oracle < float(shift)) >= 1
+    assert defect > INVARIANCE_TOL
+    # the message rounds to 3 digits
+    assert abs(defect - _torus_shift_defect(A, 16)) < 5e-3 * defect
 
 
 def test_parity_pencils_sum_to_the_cover(torus_projective):
@@ -229,12 +293,46 @@ def test_parity_pencils_sum_to_the_cover(torus_projective):
     assert (cover.n_dofs, even.n_dofs, odd.n_dofs) == (1024, 512, 512)
     assert (cover.morse_index, even.morse_index, odd.morse_index) == (5, 1, 4)
     for spec in (cover, even, odd):
-        assert spec.inertia_index == spec.morse_index
-    # through the 4-fold cluster at 4.004, below the cover's truncated 6.004
-    merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
-    assert np.abs(merged[:13] - cover.eigenvalues[:13]).max() < 1e-9
+        assert spec.inertia_index == cover.morse_index
+    # the whole spectra, every eigenvalue of the cover once
+    merged = np.sort(np.concatenate([even.all_eigenvalues, odd.all_eigenvalues]))
+    assert np.abs(merged - cover.all_eigenvalues).max() < 1e-9
     # the two-sided quotient keeps the even pencil: -4, then the four
     # Killing-field modes just above zero
     assert lift.quotient_parity() == "even"
     assert abs(even.eigenvalues[0] + 4.0) < 1e-9
     assert np.all((even.eigenvalues[1:5] > 0) & (even.eigenvalues[1:5] < 1e-3))
+
+
+#: the spectrum of circle_times_equator(3, 14) in a fresh interpreter
+_PROBE = """
+import json
+from indexbound import hypersurface as hyp
+from indexbound.spectral import SpectralSystem
+rep = SpectralSystem(hyp.circle_times_equator(3, 14)).spectrum(how_many=12)
+print(json.dumps([rep.eigenvalues.tolist(), rep.count_below(1.5)]))
+"""
+
+
+def _probe_at_blas_threads(threads):
+    src = str(Path(indexbound.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_spectrum_is_complete_at_one_and_two_blas_threads():
+    # a shift-invert Lanczos window found only 3 of the 4 copies near
+    # 1.0022165 at one BLAS thread, and counted 11 eigenvalues below 1.5
+    vals, below = _probe_at_blas_threads(1)
+    assert np.sum(np.abs(np.array(vals) - 1.0022165) < 1e-7) == 4
+    oracle = dense_spectrum(SpectralSystem(hyp.circle_times_equator(3, 14)),
+                            count=20)
+    assert np.abs(np.array(vals) - oracle[:len(vals)]).max() < 1e-9
+    assert below == 12 == np.sum(oracle < 1.5) < len(oracle)
+    # JSON floats round-trip exactly: the two runs agree bit for bit
+    assert _probe_at_blas_threads(2) == [vals, below]

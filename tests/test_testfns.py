@@ -4,6 +4,7 @@ import pytest
 from indexbound import hodge, hypersurface as hyp, testfns
 from indexbound.ambient import SphereModel
 from indexbound.spectral import SpectralSystem
+from oracles import gradient_one_form
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,9 @@ def test_wedge_family_counts(torus48, torus_forms):
 def test_norm_identity(torus48, torus_forms):
     for mode in ("Prop32", "Prop31", "Prop31-star"):
         fam = testfns.test_functions(torus48, torus_forms[0], mode)
-        assert fam.norm_identity_residual() < 1e-12
+        # max over nodes of | sum_i u_i^2 - |omega|^2 |
+        total = np.einsum("ni,ni->n", fam.functions, fam.functions)
+        assert np.abs(total - fam.form_norm_sq).max() < 1e-12
 
 
 def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
@@ -38,8 +41,9 @@ def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
     rot = np.linalg.qr(a)[0]
     base = testfns.test_functions(torus48, w, "Prop32")
     rotd = testfns.test_functions(torus48, w, "Prop32", rotation=rot)
-    q = lambda fam: sum(torus_system.q_value(torus48.fem().to_dof(f))
-                        for f in fam.functions.T)
+    A = torus_system.stiffness - torus_system.potential
+    q = lambda fam: sum(u @ (A @ u) for u in
+                        map(torus48.fem().to_dof, fam.functions.T))
     assert abs(q(base) - q(rotd)) < 1e-10
 
 
@@ -55,7 +59,7 @@ def test_energy_identity_coordinates(torus48, torus_forms):
 
 
 def test_identity_rejects_gradient_probe(torus48):
-    probe = hodge.gradient_one_form(
+    probe = gradient_one_form(
         torus48, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])
     )
     with pytest.raises(testfns.TestFunctionError):
