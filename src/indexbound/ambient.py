@@ -96,6 +96,9 @@ class AmbientModel:
     has_complex_structure = False
     #: number of trailing axes of one point
     point_ndim = 1
+    #: for a quotient given by its double cover, the deck: a linear involution
+    #: of R^d applied to (..., d) positions and vectors; else None
+    involution = None
 
     def __init__(self, intrinsic_dim, embed_dim):
         if intrinsic_dim < 1:
@@ -202,11 +205,6 @@ class AmbientModel:
         ii = self.ii_frame_pairs(point)
         return np.einsum("...abd,...abd->...", ii, ii)
 
-    def random_tangent(self, point, rng, unit=True):
-        frame = self.tangent_frame(point)
-        v = np.einsum("...a,...ad->...d", rng.standard_normal(frame.shape[:-1]), frame)
-        return _unit(v) if unit else v
-
     # -- optional complex structure ------------------------------------------
     def complex_structure(self, point, X):
         raise AmbientError(f"model kind {self.kind!r} carries no complex structure")
@@ -264,10 +262,7 @@ class RealProjectiveModel(SphereModel):
     """RP^dim represented by its two-to-one sphere cover with the antipodal map."""
 
     kind = "real_projective"
-    antipodal = True
-
-    def involution(self, point):
-        return -point
+    involution = np.negative
 
 
 class _ProjectiveVeroneseBase(AmbientModel):

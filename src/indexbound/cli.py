@@ -49,7 +49,7 @@ _shape = operator.attrgetter("kind", "intrinsic_dim", "embed_dim")
 
 
 def _build_surface(section, ambient, resolution_scale):
-    """The configured surface and, in a quotient ambient, its DoubleCoverLift."""
+    """The configured surface: in a quotient ambient, its double cover."""
     kind = section.get("kind")
     if kind not in hyp_mod.SURFACE_KINDS:
         raise ConfigError(f"unknown hypersurface kind {kind!r}")
@@ -64,8 +64,7 @@ def _build_surface(section, ambient, resolution_scale):
             f"hypersurface {kind!r} is incompatible with ambient {ambient.kind!r} "
             f"of dimension {ambient.intrinsic_dim}"
         )
-    deck = entry.ambients[ambient.kind]
-    return surface, deck and hyp_mod.DoubleCoverLift(surface, deck)
+    return surface
 
 
 class Scenario:
@@ -87,9 +86,7 @@ class Scenario:
         if "ambient" not in parser or "hypersurface" not in parser:
             raise ConfigError("config needs [ambient] and [hypersurface] sections")
         self.ambient = _build_ambient(parser["ambient"])
-        self.surface, self.lift = _build_surface(
-            parser["hypersurface"], self.ambient, resolution_scale
-        )
+        self.surface = _build_surface(parser["hypersurface"], self.ambient, resolution_scale)
         tol = parser["tolerances"] if "tolerances" in parser else {}
         self.tolerances = {
             "identity": float(tol.get("identity", 1e-4)),
@@ -99,6 +96,9 @@ class Scenario:
         cert = parser["certificate"] if "certificate" in parser else {}
         self.eta = float(cert.get("eta", 0.0))
         self.how_many = int(cert.get("eigenvalues", 24))
+        if self.how_many < 1 or not np.isfinite(self.eta):
+            raise ConfigError("[certificate] needs eigenvalues >= 1 and a "
+                              f"finite eta, not {self.how_many} and {self.eta}")
 
 
 def _json_default(x):
@@ -123,7 +123,7 @@ def _spectrum_block(rep, eta):
         "invariance_defect": rep.invariance_defect,
         "factor_nnz": rep.factor_nnz,
         "ordering": rep.ordering,
-    }
+    } | ({"quotient": rep.quotient} if rep.quotient else {})
 
 
 #: why a task skips a surface without a stability potential, or without forms
@@ -134,7 +134,7 @@ _NO_FORMS = "no harmonic one-forms (b1 = 0)"
 class _Run:
     """What the tasks of one run share: the harmonic basis, set by the hodge
     stage, and the spectrum, solved by the first task that needs it (on the
-    quotient's pencil when the scenario has a DoubleCoverLift)."""
+    quotient's pencil in a quotient ambient)."""
 
     def __init__(self, scenario):
         self.scenario, self.surface = scenario, scenario.surface
@@ -142,9 +142,7 @@ class _Run:
 
     def spectrum_report(self):
         if self.spectrum is None:
-            lift = self.scenario.lift
-            parity = None if lift is None else lift.quotient_parity()
-            system = assemble_jacobi(self.surface, parity=parity, lift=lift)
+            system = assemble_jacobi(self.surface)
             self.spectrum = system.spectrum(how_many=self.scenario.how_many)
         return self.spectrum
 

@@ -294,69 +294,6 @@ class DiscreteHypersurface:
 
 
 # ---------------------------------------------------------------------------
-# double covers
-
-class DoubleCoverLift:
-    """Pairing of grid nodes under a free involution of the parameter grid.
-
-    Used to compute spectra of quotient hypersurfaces (projective ambients):
-    functions on the quotient correspond to even functions upstairs, and
-    `quotient_parity` says which parity its Jacobi fields have.  The spectral
-    layer needs the involution to be a whole-cell shift of the grid.
-    """
-
-    def __init__(self, surface, involution_fn, tol=1e-9):
-        self.surface = surface
-        grid = surface.grid
-        image = np.asarray(involution_fn(grid.node_params), dtype=float)
-        # wrap periodic coordinates back into the box
-        for j, ax in enumerate(grid.axes):
-            if ax.periodic:
-                image[:, j] = ax.lo + np.mod(image[:, j] - ax.lo, ax.length)
-        # match the images to the nodes on integer keys at resolution tol
-        scale = 1.0 / tol
-        keys = np.round(np.concatenate([grid.node_params, image]) * scale)
-        _, label = np.unique(keys.astype(np.int64), axis=0, return_inverse=True)
-        label = label.reshape(-1)
-        node_of = np.full(label.max() + 1, -1, dtype=np.int64)
-        node_of[label[: grid.n_nodes]] = np.arange(grid.n_nodes)
-        perm = node_of[label[grid.n_nodes :]]
-        if np.any(perm < 0):
-            raise ValueError("involution does not map grid nodes to grid nodes")
-        if np.any(perm[perm] != np.arange(grid.n_nodes)):
-            raise ValueError("map is not an involution on the grid")
-        if np.any(perm == np.arange(grid.n_nodes)):
-            raise ValueError("involution must be free")
-        self.node_permutation = perm
-
-    def classify(self, node_field, tol=1e-8):
-        """'even', 'odd' or 'mixed' for a per-node field (any trailing shape)."""
-        f = np.asarray(node_field)
-        g = f[self.node_permutation]
-        even, odd = 0.5 * (f + g), 0.5 * (f - g)
-        scale = max(float(np.abs(node_field).max()), 1.0)
-        if np.abs(odd).max() <= tol * scale:
-            return "even"
-        if np.abs(even).max() <= tol * scale:
-            return "odd"
-        return "mixed"
-
-    def quotient_parity(self):
-        """Parity of the Jacobi fields of the quotient hypersurface.
-
-        For a deck map with differential -Id, as the antipodal map x -> -x
-        of a sphere cover has, an odd unit normal descends: the quotient is
-        two-sided and its normal variations f N have even f.  An even normal
-        makes the quotient one-sided, and f odd.
-        """
-        normal = self.classify(self.surface.normals)
-        if normal == "mixed":
-            raise ValueError("the unit normal is neither even nor odd; "
-                             "the quotient has no normal line field")
-        return "even" if normal == "odd" else "odd"
-
-
-# ---------------------------------------------------------------------------
 # catalog
 
 def clifford_torus(nodes=96, ambient=None):
@@ -392,11 +329,6 @@ def clifford_torus(nodes=96, ambient=None):
         metric_fn=metric, potential_fn=lambda p: np.full(p.shape[:-1], 4.0),
         betti_one=2, kind="clifford_torus",
     )
-
-
-def _antipodal_torus(p):
-    """x -> -x on the Clifford torus, in its angles."""
-    return p + np.pi
 
 
 def _last_axis_normal(d):
@@ -579,16 +511,15 @@ class SurfaceKind:
     """One catalog kind; adding a kind is adding an entry to SURFACE_KINDS.
 
     `build(ambient, nodes, **params)` returns the surface in `ambient`.
-    `ambients` maps each ambient kind it lives in to None, or for a quotient
-    ambient to the deck involution of the parameter grid: the surface is then
-    the double cover.  `params` are its integer config parameters with their
-    defaults.  `harmonic_sharps(surface)` gives the metric duals of its
-    harmonic one-forms when dim >= 3.  `compares_index` says whether the
+    `ambients` are the ambient kinds it lives in; in one whose model has an
+    involution it is the double cover of its quotient.  `params` are its
+    integer config parameters with their defaults.  `harmonic_sharps(surface)`
+    gives the metric duals of its harmonic one-forms when dim >= 3.  `compares_index` says whether the
     bounds block compares the bound with the computed index.
     """
 
     build: Callable
-    ambients: dict
+    ambients: tuple
     params: dict = field(default_factory=dict)
     harmonic_sharps: Callable | None = None
     compares_index: bool = True
@@ -598,20 +529,20 @@ SURFACE_KINDS = {
     "clifford_torus": SurfaceKind(
         lambda ambient, nodes: clifford_torus(
             nodes, make_ambient(ambient.kind, dim=3)),
-        {"sphere": None, "real_projective": _antipodal_torus}),
+        ("sphere", "real_projective")),
     "equator": SurfaceKind(
         lambda ambient, nodes, n: equator_in_sphere(n, nodes),
-        {"sphere": None}, {"n": 2}),
+        ("sphere",), {"n": 2}),
     "generalized_clifford": SurfaceKind(
         lambda ambient, nodes, n: generalized_clifford(n, nodes),
-        {"sphere": None}, {"n": 3}, circle_factor_sharps),
+        ("sphere",), {"n": 3}, circle_factor_sharps),
     "circle_times_equator": SurfaceKind(
         lambda ambient, nodes, n: circle_times_equator(n, nodes),
-        {"circle_times_sphere": None}, {"n": 3}, circle_factor_sharps),
+        ("circle_times_sphere",), {"n": 3}, circle_factor_sharps),
     "geodesic_sphere_cp2": SurfaceKind(
         lambda ambient, nodes: geodesic_sphere_cp2(nodes),
-        {"complex_projective_veronese": None}, compares_index=False),
+        ("complex_projective_veronese",), compares_index=False),
     "ellipsoid_section": SurfaceKind(
         lambda ambient, nodes: ellipsoid_section(ambient.semi_axes, nodes),
-        {"ellipsoid": None}),
+        ("ellipsoid",)),
 }

@@ -12,8 +12,10 @@ Fourier vector per orbit of DOFs; an orbit drops out of a character that is
 nontrivial on its stabilizer (a fused pole).  Each block is solved densely,
 so every eigenvalue and every copy of a cluster is found.  The split is
 refused when a shift moves K - P or M by more than INVARIANCE_TOL of its
-largest entry.  A quotient by a deck involution that is a shift keeps the
-characters that are +1 (even functions) or -1 (odd functions) on it.
+largest entry.  In an ambient with an involution the surface double covers a
+quotient, whose deck is the cell shift that moves the nodes as the involution
+does; the quotient keeps the characters that are +1 on it (even functions)
+when the unit normal descends, else those that are -1 (odd).
 
 The negative eigenvalues of all characters are counted a second time from the
 inertia of the grid pencil's K - P (Sylvester's law), factored in a nested
@@ -40,6 +42,10 @@ class SpectralError(Exception):
 #: under a cell shift S at which the pencil is still split into blocks
 INVARIANCE_TOL = 1e-8
 
+#: largest distance, relative to the largest coordinate of the image, between
+#: an ambient involution's image of a node (or unit normal) and its deck shift's
+DECK_TOL = 1e-9
+
 #: complex entries of the block gather held at once
 _GATHER_ENTRIES = 1 << 21
 
@@ -58,6 +64,7 @@ class SpectrumReport:
     inertia_index: int  # negative pivots of the grid pencil's K - P
     factor_nnz: int  # nonzeros of the inertia factor, L.nnz + U.nnz
     ordering: str  # fill-reducing ordering of the inertia factor
+    quotient: dict | None = None  # the deck's shift and the functions kept
 
     @property
     def n_dofs(self):
@@ -93,21 +100,17 @@ def _cluster(eigenvalues):
 
 
 class SpectralSystem:
-    """Assembled index-form pencil for one hypersurface (optionally restricted
-    to the even or odd functions of a double cover, `parity`)."""
+    """Assembled index-form pencil for one hypersurface, or for its quotient
+    by the involution of its ambient."""
 
-    def __init__(self, surface, parity=None, lift=None):
+    def __init__(self, surface):
         fem = surface.fem()
         if fem.potential is None:
             raise SpectralError(
                 f"surface {surface.name!r} carries no potential; "
                 "the index form needs Ric(N,N) + |A|^2"
             )
-        if parity is not None and (parity not in ("even", "odd") or lift is None):
-            raise SpectralError(f"parity {parity!r} is not 'even' or 'odd', "
-                                "or has no DoubleCoverLift")
         self.surface, self.fem = surface, fem
-        self.parity, self.lift = parity, lift
         self.stiffness, self.potential = fem.stiffness, fem.potential
         self.mass = fem.mass
         # the inertia factor's symmetric permutation, or None for SuperLU's own
@@ -121,17 +124,23 @@ class SpectralSystem:
         lowest `how_many` through the end of the cluster the last falls in.
 
         Raises SpectralError when a cell shift moves the pencil by more than
-        INVARIANCE_TOL, when the deck of a parity is not a cell shift, or when
-        the inertia of K - P disagrees with the negative eigenvalues of all
-        characters.
+        INVARIANCE_TOL, when a quotient's deck is not a cell shift or moves
+        the unit normal off its line, or when the inertia of K - P disagrees
+        with the negative eigenvalues of all characters.
         """
+        shifts = _CellShifts(self.fem)
+        kept, quotient = np.ones(shifts.order, dtype=bool), None
+        if self.surface.ambient.involution is not None:
+            element, sign = shifts.deck(self.surface)
+            kept = shifts.deck_signs(element) == sign
+            quotient = {"shift_cells": element.tolist(),
+                        "functions": "even" if sign > 0 else "odd"}
         A = (self.stiffness - self.potential).tocsc()  # the factor's format
         M = self.mass
         # the factor first: the block temporaries then reuse its memory
         lu = _symmetric_lu(A, self.permutation)
         inertia, factor_nnz = _inertia(lu)
         del lu
-        shifts = _CellShifts(self.fem)
         defect = shifts.invariance_defect(A, M)
         if defect > INVARIANCE_TOL:
             raise SpectralError(
@@ -139,10 +148,6 @@ class SpectralSystem:
                 f"shift exceeds {INVARIANCE_TOL:g}; it does not split into "
                 "symmetry blocks"
             )
-        kept = np.ones(shifts.order, dtype=bool)
-        if self.parity is not None:
-            sign = shifts.deck_signs(self.lift.node_permutation)
-            kept = sign == (1 if self.parity == "even" else -1)
         vals, res, sizes, negative = _block_spectrum(A, M, shifts, kept)
         if inertia != negative:
             raise SpectralError(
@@ -164,6 +169,7 @@ class SpectralSystem:
             factor_nnz=factor_nnz,
             ordering=("mmd_at_plus_a" if self.permutation is None
                       else "nested_dissection"),
+            quotient=quotient,
         )
 
 
@@ -229,14 +235,34 @@ class _CellShifts:
         """Multi-indices of flat element or character numbers, (n_axes, n)."""
         return np.array(np.unravel_index(flat, self.cells))
 
-    def deck_signs(self, node_permutation):
-        """The value, +1 or -1, of every character on a deck involution,
-        which must be a cell shift of the grid."""
-        image = np.unravel_index(node_permutation[0], self.nodes.shape)
-        element = np.array(image)[list(self.axes)] // 2
-        if not np.array_equal(self.shift_nodes(element), node_permutation):
+    def deck(self, surface):
+        """The nonzero element whose shift moves the nodes of `surface` as the
+        involution of its ambient moves them, tried at the cells of the nodes
+        at node 0's image, and the sign, +1 or -1, by which it moves the unit
+        normals: the value on it of the characters a quotient keeps."""
+        turn, positions = surface.ambient.involution, surface.positions
+        image = turn(positions)
+
+        def close(a, b):
+            return np.abs(a - b).max(axis=-1) <= DECK_TOL * np.abs(b).max()
+
+        for node in np.flatnonzero(close(positions, image[0])):
+            index = np.unravel_index(node, self.nodes.shape)
+            element = np.array(index)[list(self.axes)] // 2
+            moved = self.shift_nodes(element)
+            if element.any() and close(positions[moved], image).all():
+                break
+        else:
             raise SpectralError("the deck involution is not a whole-cell "
                                 "shift along the periodic axes")
+        for sign in (1, -1):
+            if close(surface.normals[moved], sign * turn(surface.normals)).all():
+                return element, sign
+        raise SpectralError("the deck moves the unit normal to neither sign; "
+                            "the quotient has no normal line field")
+
+    def deck_signs(self, element):
+        """The value, +1 or -1, of every character on an order-two element."""
         turns = (element / self.cells) @ self.multi(np.arange(self.order))
         return np.rint(np.cos(2.0 * np.pi * turns)).astype(int)
 
@@ -415,5 +441,5 @@ def _inertia(lu):
     return int(np.sum(U.diagonal() < 0)), 2 * U.nnz
 
 
-def assemble_jacobi(surface, parity=None, lift=None):
-    return SpectralSystem(surface, parity=parity, lift=lift)
+def assemble_jacobi(surface):
+    return SpectralSystem(surface)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from indexbound import hypersurface as hyp
-from oracles import clifford_torus_projective
+from indexbound.ambient import make_ambient
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def equator2():
 
 @pytest.fixture(scope="session")
 def torus_projective():
-    return clifford_torus_projective(32)
+    return hyp.clifford_torus(32, make_ambient("real_projective", dim=3))
 
 
 @pytest.fixture(scope="session")

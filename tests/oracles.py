@@ -8,8 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from indexbound import hypersurface as hyp
-from indexbound.ambient import make_ambient
+from indexbound import hypersurface as hyp, spectral
 from indexbound.elements import Axis
 from indexbound.hodge import DiscreteOneForm
 
@@ -28,11 +27,12 @@ def rayleigh_quotient(system, u):
     return float(q / (u @ (system.mass @ u)))
 
 
-def parity_basis(fem, lift, parity):
+def parity_basis(fem, node_permutation, parity):
     """Orthonormal columns spanning the even or odd DOF vectors of a double
-    cover: e_i +- e_j per DOF pair {i, j}, and e_i per fixed DOF when even."""
+    cover whose deck permutes the nodes by `node_permutation`: e_i +- e_j per
+    DOF pair {i, j}, and e_i per fixed DOF when even."""
     perm = np.empty(fem.n_dofs, dtype=np.int64)
-    perm[fem.fuse] = fem.fuse[lift.node_permutation]
+    perm[fem.fuse] = fem.fuse[node_permutation]
     dof = np.arange(fem.n_dofs)
     first = np.flatnonzero(dof <= perm if parity == "even" else dof < perm)
     sign = 1.0 if parity == "even" else -1.0
@@ -56,20 +56,67 @@ def dense_spectrum(system, basis=None, count=None):
                              subset_by_index=subset)
 
 
-def clifford_torus_projective(nodes):
-    """The Clifford torus in RP^3 with the deck involution of its registry
-    entry."""
-    surface = hyp.clifford_torus(nodes, make_ambient("real_projective", dim=3))
-    deck = hyp.SURFACE_KINDS["clifford_torus"].ambients["real_projective"]
-    return surface, hyp.DoubleCoverLift(surface, deck)
+def with_involution(surface, involution):
+    """`surface` with `involution` as the deck of its ambient model."""
+    surface.ambient.involution = involution
+    return surface
 
 
-def descend(lift, node_field, tol=1e-8):
+def half_turn(surface, normal_sign):
+    """`surface` of S^n inside S^(n+1) with the half turn of its last angle
+    as the deck: a sign map of the embedding space that flips the two
+    coordinates of that angle and multiplies the normal coordinate, the
+    last, by `normal_sign`."""
+    signs = np.ones(surface.embed_dim)
+    signs[-3:] = -1.0, -1.0, normal_sign
+    return with_involution(surface, lambda x: x * signs)
+
+
+def deck(surface):
+    """The cell shifts of the surface's grid, and the deck element and sign
+    they find from the involution of its ambient."""
+    shifts = spectral._CellShifts(surface.fem())
+    return (shifts, *shifts.deck(surface))
+
+
+def deck_permutation(surface):
+    """The node permutation of the deck of the surface's ambient."""
+    shifts, element, _ = deck(surface)
+    return shifts.shift_nodes(element)
+
+
+def deck_sign_spectrum(system, sign):
+    """Every eigenvalue of the pencil of a SpectralSystem on the functions of
+    one sign, +1 (even) or -1 (odd), under its deck, whichever sign the unit
+    normal picks; their block sizes, and the negative eigenvalues of the
+    whole cover."""
+    shifts, element, _ = deck(system.surface)
+    vals, _, sizes, negative = spectral._block_spectrum(
+        system.stiffness - system.potential, system.mass, shifts,
+        shifts.deck_signs(element) == sign)
+    return vals, sizes, negative
+
+
+def classify(node_permutation, node_field, tol=1e-8):
+    """'even', 'odd' or 'mixed' for a per-node field (any trailing shape)
+    under a node permutation."""
+    f = np.asarray(node_field)
+    g = f[node_permutation]
+    even, odd = 0.5 * (f + g), 0.5 * (f - g)
+    scale = max(float(np.abs(f).max()), 1.0)
+    if np.abs(odd).max() <= tol * scale:
+        return "even"
+    if np.abs(even).max() <= tol * scale:
+        return "odd"
+    return "mixed"
+
+
+def descend(node_permutation, node_field, tol=1e-8):
     """Values of an even field on the quotient, one per node pair; ValueError
     for a field that is odd or mixed."""
-    if lift.classify(node_field, tol) != "even":
+    if classify(node_permutation, node_field, tol) != "even":
         raise ValueError("field is odd or mixed; it does not descend")
-    keep = np.arange(len(lift.node_permutation)) < lift.node_permutation
+    keep = np.arange(len(node_permutation)) < node_permutation
     return np.asarray(node_field)[keep]
 
 
@@ -85,10 +132,18 @@ def with_resolution(surface, scale):
         kind=surface.kind)
 
 
+def random_tangent(model, point, rng, unit=True):
+    """A random tangent vector of an ambient model at `point`, of unit length
+    when `unit`."""
+    frame = model.tangent_frame(point)
+    v = np.einsum("...a,...ad->...d", rng.standard_normal(frame.shape[:-1]), frame)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True) if unit else v
+
+
 def random_orthonormal_pair(model, point, rng):
     """Two orthonormal random tangent vectors of an ambient model at `point`."""
-    X = model.random_tangent(point, rng)
-    Y = model.random_tangent(point, rng, unit=False)
+    X = random_tangent(model, point, rng)
+    Y = random_tangent(model, point, rng, unit=False)
     Y = Y - np.einsum("...d,...d->...", Y, X)[..., None] * X
     return X, Y / np.linalg.norm(Y, axis=-1, keepdims=True)
 
@@ -96,8 +151,8 @@ def random_orthonormal_pair(model, point, rng):
 def nabla_j_residual(model, z, rng, h=1e-5):
     """Finite-difference residual of the parallelism of J along a random
     curve of a complex projective model."""
-    X = model.random_tangent(z, rng)
-    Y = model.random_tangent(z, rng)
+    X = random_tangent(model, z, rng)
+    Y = random_tangent(model, z, rng)
     return model.j_parallel_residual(z, X, Y, h)
 
 

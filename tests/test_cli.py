@@ -169,6 +169,20 @@ def test_bad_config_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("eigenvalues = 16", "eigenvalues = 0"),
+    ("eigenvalues = 16", "eigenvalues = -3"),
+    ("eta = 0.0", "eta = nan"),
+], ids=["no_eigenvalues", "negative_eigenvalues", "nan_eta"])
+def test_bad_certificate_keys_are_usage_errors(old, new, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.replace(old, new))
+    with pytest.raises(cli.ConfigError, match="eigenvalues >= 1 and a finite eta"):
+        cli.Scenario(cfg)
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "torus-small.json").exists()
+
+
 def test_bundled_configs_load():
     for name in ("clifford.cfg", "cp2-borderline.cfg"):
         path = cli.bundled_config(name)
@@ -185,6 +199,7 @@ def test_spectrum_solver_diagnostics(run_all):
     assert spec["invariance_defect"] < 1e-12
     assert spec["factor_nnz"] >= spec["dofs"]
     assert "count_below_error" not in spec
+    assert "quotient" not in spec  # S^3 is no quotient
 
 
 def test_uncovered_threshold_is_recorded(tmp_path):
@@ -383,12 +398,14 @@ def rp3_config(tmp_path_factory):
 def test_rp3_spectrum_is_the_quotient_pencil(rp3_config, tmp_path):
     # the S^3 cover has 1,024 DOFs and index 5; the two-sided quotient in RP^3
     # keeps the even functions: half the DOFs, and index 1 (the constant).
-    # The inertia is the cover's, the cross-check of all characters
+    # The inertia is the cover's, the cross-check of all characters.  The
+    # deck x -> -x is the shift by half the 16 cells of each axis
     code = cli.main(["spectrum", "--config", str(rp3_config), "--out", str(tmp_path)])
     assert code == 0
     spec = json.loads((tmp_path / "rp3.json").read_text())["spectrum"]
     assert spec["dofs"] == 512
     assert (spec["index"], spec["inertia_index"]) == (1, 5)
+    assert spec["quotient"] == {"shift_cells": [8, 8], "functions": "even"}
 
 
 def test_rp3_bounds_are_tight(rp3_config, tmp_path):

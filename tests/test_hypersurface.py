@@ -7,11 +7,15 @@ import pytest
 from indexbound import hypersurface as hyp
 from indexbound.ambient import make_ambient
 from indexbound.elements import Axis, FemSystem, TensorGrid
-from indexbound.spectral import SpectralSystem
+from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import (
-    clifford_torus_projective,
+    classify,
+    deck,
+    deck_permutation,
     descend,
+    half_turn,
     minimal_geodesic_sphere_radius,
+    with_involution,
     with_resolution,
 )
 
@@ -141,29 +145,30 @@ def test_mesh_dump_format(equator2):
 
 
 def test_double_cover_parity(torus_projective):
-    surface, lift = torus_projective
-    params = surface.grid.node_params
+    perm = deck_permutation(torus_projective)
+    params = torus_projective.grid.node_params
     even = np.sin(params[:, 0] + params[:, 1])
     odd = np.sin(params[:, 0])
-    assert lift.classify(even) == "even"
-    assert lift.classify(odd) == "odd"
-    assert lift.classify(even + odd) == "mixed"
+    assert classify(perm, even) == "even"
+    assert classify(perm, odd) == "odd"
+    assert classify(perm, even + odd) == "mixed"
 
 
 def test_double_cover_descend(torus_projective):
-    surface, lift = torus_projective
-    params = surface.grid.node_params
+    perm = deck_permutation(torus_projective)
+    params = torus_projective.grid.node_params
     even = np.cos(2.0 * params[:, 0])
-    down = descend(lift, even)
+    down = descend(perm, even)
     assert down.shape[0] * 2 == even.shape[0]
     with pytest.raises(ValueError):
-        descend(lift, np.sin(params[:, 0]))
+        descend(perm, np.sin(params[:, 0]))
 
 
 def test_free_involution_required():
-    surf = hyp.clifford_torus(16)
-    with pytest.raises(ValueError):
-        hyp.DoubleCoverLift(surf, lambda p: p)  # identity map has fixed points
+    # the identity fixes every node; only nonzero shifts are tried
+    surf = with_involution(hyp.clifford_torus(16), lambda x: x)
+    with pytest.raises(SpectralError, match="not a whole-cell shift"):
+        deck(surf)
 
 
 def test_fusion_labels_and_to_dof_match_node_loop(equator2):
@@ -187,35 +192,41 @@ def test_fusion_labels_and_to_dof_match_node_loop(equator2):
     assert np.array_equal(fem.to_dof(values), first)
 
 
-def _lift_permutation_ref(surface, involution_fn, tol=1e-9):
-    """Node pairing by a dict of rounded parameter keys, one node at a time."""
-    grid = surface.grid
-    image = np.asarray(involution_fn(grid.node_params), dtype=float)
-    for j, ax in enumerate(grid.axes):
-        if ax.periodic:
-            image[:, j] = ax.lo + np.mod(image[:, j] - ax.lo, ax.length)
+def _deck_permutation_ref(surface, tol=1e-9):
+    """Node pairing of the ambient involution's images of the node positions
+    by a dict of rounded position keys, one node at a time."""
+    image = surface.ambient.involution(surface.positions)
     scale = 1.0 / tol
-    key = {tuple(np.round(p * scale).astype(np.int64)): i
-           for i, p in enumerate(grid.node_params)}
-    return np.array([key[tuple(np.round(p * scale).astype(np.int64))]
-                     for p in image])
+    key = {tuple(np.round(x * scale).astype(np.int64)): i
+           for i, x in enumerate(surface.positions)}
+    return np.array([key[tuple(np.round(x * scale).astype(np.int64))]
+                     for x in image])
 
 
 @pytest.mark.parametrize("nodes", [16, 24])
 def test_double_cover_permutation_matches_node_loop(nodes):
-    surface, lift = clifford_torus_projective(nodes)
-    ref = _lift_permutation_ref(surface, lambda p: p + np.pi)
-    assert np.array_equal(lift.node_permutation, ref)
+    surface = hyp.clifford_torus(nodes, make_ambient("real_projective", dim=3))
+    ref = _deck_permutation_ref(surface)
+    assert np.array_equal(deck_permutation(surface), ref)
+
+
+def _turn_first_circle(angle):
+    """Rotation by `angle` of the first circle factor of the Clifford torus."""
+    c, s = np.cos(angle), np.sin(angle)
+    return lambda x: np.stack([c * x[..., 0] - s * x[..., 1],
+                               s * x[..., 0] + c * x[..., 1],
+                               x[..., 2], x[..., 3]], axis=-1)
 
 
 def test_double_cover_rejects_bad_maps():
-    surf = hyp.clifford_torus(16)
-    with pytest.raises(ValueError, match="grid nodes"):
-        hyp.DoubleCoverLift(surf, lambda p: p + 0.1)
-    with pytest.raises(ValueError, match="not an involution"):
-        hyp.DoubleCoverLift(surf, lambda p: p + 2.0 * np.pi / 16)
-    with pytest.raises(ValueError, match="free"):
-        hyp.DoubleCoverLift(surf, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
+    for involution in (
+        _turn_first_circle(0.1),  # off the grid nodes
+        _turn_first_circle(2.0 * np.pi / 16),  # one node, half a cell
+        lambda x: x * np.array([1.0, 1.0, 1.0, -1.0]),  # v -> -v fixes node 0
+    ):
+        surf = with_involution(hyp.clifford_torus(16), involution)
+        with pytest.raises(SpectralError, match="not a whole-cell shift"):
+            deck(surf)
 
 
 def test_ric_nn_matches_pointwise(geodesic_cp2):
@@ -270,35 +281,30 @@ def test_mesh_dump_and_connectivity_match_loops(make):
     assert surface.mesh_dump().encode() == _mesh_dump_ref(surface).encode()
 
 
-def _antipodal_sphere_lift(nodes=13):
-    surface = hyp.equator_in_sphere(2, nodes)
-    return surface, hyp.DoubleCoverLift(surface, lambda p: np.stack(
-        [np.pi - p[:, 0], p[:, 1] + np.pi], axis=1))
-
-
 def test_parity_projector_keeps_fixed_dofs_even():
     # a half turn about the polar axis fixes both fused pole DOFs: the even
     # characters of the half turn keep them, the odd ones drop them
-    surface = hyp.equator_in_sphere(2, 13)
-    lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
-        [p[:, 0], p[:, 1] + np.pi], axis=1))
-    fem = surface.fem()
-    even, odd = (SpectralSystem(surface, parity=p, lift=lift).spectrum()
-                 for p in ("even", "odd"))
-    assert even.n_dofs == odd.n_dofs + 2 == (fem.n_dofs + 2) // 2
-    assert even.block_sizes.sum() + odd.block_sizes.sum() == fem.n_dofs
+    even, odd = (SpectralSystem(half_turn(hyp.equator_in_sphere(2, 13), s))
+                 .spectrum() for s in (1.0, -1.0))
+    n_dofs = hyp.equator_in_sphere(2, 13).fem().n_dofs
+    assert (even.quotient["functions"], odd.quotient["functions"]) == ("even", "odd")
+    assert even.n_dofs == odd.n_dofs + 2 == (n_dofs + 2) // 2
+    assert even.block_sizes.sum() + odd.block_sizes.sum() == n_dofs
 
 
 def test_quotient_parity_from_the_normal(torus_projective):
-    # the Clifford torus is two-sided in RP^3 (odd normal, even Jacobi
-    # fields); the equator RP^2 is one-sided (even normal, odd fields)
-    assert torus_projective[1].quotient_parity() == "even"
-    assert _antipodal_sphere_lift()[1].quotient_parity() == "odd"
-    # a half turn of one circle factor moves the normal to neither sign
-    surface = hyp.clifford_torus(16)
-    lift = hyp.DoubleCoverLift(surface, lambda p: p + np.array([np.pi, 0.0]))
-    with pytest.raises(ValueError, match="neither even nor odd"):
-        lift.quotient_parity()
+    # x -> -x reverses the unit normal of the Clifford torus as it reverses
+    # every vector: the normal descends, the quotient in RP^3 is two-sided,
+    # and its Jacobi fields are the even functions
+    _, element, sign = deck(torus_projective)
+    assert (element.tolist(), sign) == ([8, 8], 1)
+    # a half turn that reverses the normal coordinate keeps the odd functions
+    assert deck(half_turn(hyp.equator_in_sphere(2, 13), -1.0))[2] == -1
+    # a half turn of one circle factor, diag(-1, -1, 1, 1), moves the normal
+    # as it moves every vector: the normal descends
+    surface = with_involution(hyp.clifford_torus(16), _turn_first_circle(np.pi))
+    _, element, sign = deck(surface)
+    assert (element.tolist(), sign) == ([4, 0], 1)
 
 
 @pytest.mark.parametrize("make", [

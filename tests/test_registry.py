@@ -7,11 +7,11 @@ so a new entry is covered without a test edit."""
 import numpy as np
 import pytest
 
-from indexbound import bounds, cli, hypersurface as hyp
+from indexbound import bounds, cli
 from indexbound.ambient import AMBIENT_KINDS, make_ambient
 from indexbound.hypersurface import SURFACE_KINDS
 from indexbound.spectral import SpectralError, SpectralSystem
-from oracles import dense_spectrum, parity_basis
+from oracles import deck_permutation, deck_sign_spectrum, dense_spectrum, parity_basis
 
 #: one ambient of each kind the runner parses; a probe surface built in it
 #: supplies the dimensions its own ambient needs
@@ -97,13 +97,13 @@ def test_every_task_runs_or_skips(kind, ambient_kind, tmp_path):
     path = _config(tmp_path, kind, ambient_kind,
                    _own_ambient_params(kind, ambient_kind))
     scenario = cli.Scenario(path)
-    quotient = SURFACE_KINDS[kind].ambients[ambient_kind] is not None
-    assert (scenario.lift is not None) == quotient
+    quotient = AMBIENT_KINDS[ambient_kind].model.involution is not None
     report, _ = cli.run_tasks(scenario, cli.TASK_NAMES["all"])
     assert "error" not in report, report["error"]
     for task in cli.TASK_NAMES["all"]:
         skipped = report[BLOCKS[task]].get("skipped")
         assert skipped is None or skipped in SKIPPED, task
+    assert ("quotient" in report["spectrum"]) == quotient
     if quotient:
         assert 2 * report["spectrum"]["dofs"] == scenario.surface.fem().n_dofs
 
@@ -137,15 +137,19 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
         with pytest.raises(SpectralError, match="no potential"):
             SpectralSystem(surface)
         return
-    deck = entry.ambients[ambient_kind]
-    lift = deck and hyp.DoubleCoverLift(surface, deck)
-    for parity in (None,) if lift is None else ("even", "odd"):
-        system = SpectralSystem(surface, parity=parity, lift=lift)
-        spec = system.spectrum()
-        basis = lift and parity_basis(fem, lift, parity)
+    system = SpectralSystem(surface)
+    spec = system.spectrum()
+    kept = spec.quotient and spec.quotient["functions"]
+    runs = [(kept, spec.all_eigenvalues, spec.block_sizes, spec.morse_index)]
+    if kept:  # the functions of the other sign, from the same blocks
+        other = {"even": "odd", "odd": "even"}[kept]
+        vals, sizes, _ = deck_sign_spectrum(system, 1 if other == "even" else -1)
+        runs.append((other, vals, sizes, np.sum(vals < 0)))
+    for parity, vals, sizes, index in runs:
+        basis = parity and parity_basis(fem, deck_permutation(surface), parity)
         oracle = dense_spectrum(system, basis)
         assert len(oracle) <= 600
-        assert spec.block_sizes.sum() == spec.n_dofs == len(oracle)
+        assert sizes.sum() == len(vals) == len(oracle)
         scale = np.abs(oracle).max()
-        assert np.abs(spec.all_eigenvalues - oracle).max() < 1e-9 * scale
-        assert spec.morse_index == np.sum(oracle < 0)
+        assert np.abs(vals - oracle).max() < 1e-9 * scale
+        assert index == np.sum(oracle < 0)

@@ -1,6 +1,7 @@
 """Static checks of the package source: every module-level import is used,
-no function imports a module of the package, and the package keeps one
-eigensolver path (dense solves of symmetry blocks, no ARPACK)."""
+no function imports a module of the package, the package keeps one
+eigensolver path (dense solves of symmetry blocks, no ARPACK), and no public
+package function is reached only from the tests."""
 
 import ast
 import re
@@ -11,6 +12,8 @@ import pytest
 import indexbound
 
 SOURCES = sorted(Path(indexbound.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def unused_imports(source):
@@ -81,3 +84,57 @@ def test_iterative_eigensolver_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_iterative_eigensolver(path):
     assert iterative_eigensolver_lines(path.read_text()) == []
+
+
+def entry_points(pyproject):
+    """Function names of the [project.scripts] entry points of the text of a
+    pyproject.toml."""
+    section = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r":(\w+)\"", section))
+
+
+def public_functions(source):
+    """Names of the public module-level functions and class methods of
+    `source`."""
+    members = [m for node in ast.parse(source).body
+               for m in (node.body if isinstance(node, ast.ClassDef) else [node])]
+    return {m.name for m in members
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not m.name.startswith("_")}
+
+
+def read_names(source):
+    """Every name `source` reads, bare or as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def reached_only_from_tests(package, tests, allowed):
+    """Public functions of the `package` sources, outside `allowed`, whose
+    names no package source reads and some of the `tests` sources do."""
+    defined = set().union(*map(public_functions, package))
+    in_package = set().union(*map(read_names, package))
+    in_tests = set().union(*map(read_names, tests))
+    return sorted((defined - in_package - allowed) & in_tests)
+
+
+def test_test_only_function_is_found():
+    package = [
+        "def used():\n    pass\ndef tested():\n    pass\n"
+        "def main():\n    used()\n",
+        "class A:\n    def probe(self):\n        pass\n"
+        "    def _private(self):\n        pass\n    def unread(self):\n        pass\n",
+    ]
+    tests = ["from pkg import A, main, tested\n"
+             "tested()\nA().probe()\nA()._private()\nmain()\n"]
+    assert reached_only_from_tests(package, tests, {"main"}) == ["probe", "tested"]
+    assert entry_points('[project.scripts]\nx = "pkg.cli:main"\n[tool]\ny = "a:b"\n') == {"main"}
+
+
+def test_no_function_reached_only_from_tests():
+    allowed = entry_points(PYPROJECT.read_text())
+    assert allowed == {"main"}
+    assert reached_only_from_tests(
+        [p.read_text() for p in SOURCES],
+        [p.read_text() for p in TESTS], allowed) == []

@@ -22,7 +22,15 @@ from indexbound.spectral import (
     _inertia,
     _symmetric_lu,
 )
-from oracles import dense_spectrum, parity_basis, rayleigh_quotient
+from oracles import (
+    deck_permutation,
+    deck_sign_spectrum,
+    dense_spectrum,
+    half_turn,
+    parity_basis,
+    rayleigh_quotient,
+    with_involution,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,12 +115,11 @@ def test_discrete_eigenvalues_bound_exact_from_above(torus48):
 
 
 def test_odd_parity_spectrum(torus_projective):
-    surface, lift = torus_projective
-    spec = SpectralSystem(surface, parity="odd", lift=lift).spectrum(how_many=8)
+    vals, _, _ = deck_sign_spectrum(SpectralSystem(torus_projective), -1)
     # the lowest odd modes are the four first-order Fourier modes
-    assert np.abs(spec.eigenvalues[:4] + 2.0).max() < 0.05
-    assert spec.morse_index == 4
-    assert spec.eigenvalues[4] > 1.0
+    assert np.abs(vals[:4] + 2.0).max() < 0.05
+    assert np.sum(vals < 0) == 4
+    assert vals[4] > 1.0
 
 
 def test_matches_dense_oracle():
@@ -129,10 +136,13 @@ def test_inertia_matches_index(torus_spectrum, equator2, torus_projective):
     assert torus_spectrum.inertia_index == torus_spectrum.morse_index == 5
     spec = SpectralSystem(equator2).spectrum(how_many=6)
     assert spec.inertia_index == spec.morse_index == 1
-    # a quotient's inertia is the cover's: the negative pivots of its K - P
-    surface, lift = torus_projective
-    spec = SpectralSystem(surface, parity="odd", lift=lift).spectrum(how_many=8)
-    assert (spec.inertia_index, spec.morse_index) == (5, 4)
+    # a quotient's inertia is the cover's: the negative pivots of its K - P,
+    # and the negative eigenvalues of all characters
+    system = SpectralSystem(torus_projective)
+    spec = system.spectrum(how_many=8)
+    assert (spec.inertia_index, spec.morse_index) == (5, 1)
+    odd, _, negative = deck_sign_spectrum(system, -1)
+    assert (negative, np.sum(odd < 0)) == (5, 4)
 
 
 def test_spectrum_is_deterministic(torus_system, torus_spectrum):
@@ -215,15 +225,16 @@ def test_surface_pencil_keeps_mmd(torus_system, torus_spectrum):
 def test_odd_parity_on_three_axes_matches_dense_oracle():
     # a half turn about the polar axes pairs DOFs across the grid and fixes
     # the fused poles, which the odd characters drop
-    surface = hyp.equator_in_sphere(3, 13)
-    lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
-        [p[:, 0], p[:, 1], p[:, 2] + np.pi], axis=1))
-    system = SpectralSystem(surface, parity="odd", lift=lift)
+    # (the deck reverses the normal coordinate, so the quotient is odd)
+    surface = half_turn(hyp.equator_in_sphere(3, 13), -1.0)
+    system = SpectralSystem(surface)
     spec = system.spectrum(how_many=12)
+    assert spec.quotient["functions"] == "odd"
     assert spec.ordering == "nested_dissection"
     assert np.array_equal(np.sort(system.permutation),
                           np.arange(system.fem.n_dofs))
-    oracle = dense_spectrum(system, parity_basis(surface.fem(), lift, "odd"))
+    oracle = dense_spectrum(
+        system, parity_basis(surface.fem(), deck_permutation(surface), "odd"))
     assert spec.n_dofs == len(oracle)
     assert np.abs(spec.all_eigenvalues - oracle).max() < 1e-9
     # the cover's index 1 is the even constant function
@@ -232,18 +243,23 @@ def test_odd_parity_on_three_axes_matches_dense_oracle():
 
 def test_non_translation_deck_is_refused():
     # the antipodal map of the equator reflects the polar angle
-    surface = hyp.equator_in_sphere(2, 13)
-    lift = hyp.DoubleCoverLift(surface, lambda p: np.stack(
-        [np.pi - p[:, 0], p[:, 1] + np.pi], axis=1))
+    surface = with_involution(hyp.equator_in_sphere(2, 13), lambda x: -x)
     with pytest.raises(SpectralError, match="not a whole-cell shift"):
-        SpectralSystem(surface, parity="odd", lift=lift).spectrum()
+        SpectralSystem(surface).spectrum()
     # with 17 cells per axis the half-period shift moves vertex nodes onto
     # cell midpoints
     surface = hyp.clifford_torus(34, make_ambient("real_projective", dim=3))
-    lift = hyp.DoubleCoverLift(surface, lambda p: p + np.pi)
     assert surface.grid.axes[0].n_cells == 17
     with pytest.raises(SpectralError, match="not a whole-cell shift"):
-        SpectralSystem(surface, parity="even", lift=lift).spectrum()
+        SpectralSystem(surface).spectrum()
+
+
+def test_deck_without_normal_line_field_is_refused():
+    # a half turn that sends the normal coordinate to 0 moves the unit
+    # normal to neither sign
+    surface = half_turn(hyp.equator_in_sphere(2, 13), 0.0)
+    with pytest.raises(SpectralError, match="no normal line field"):
+        SpectralSystem(surface).spectrum()
 
 
 def test_shift_that_splits_a_dof_is_refused():
@@ -285,21 +301,19 @@ def test_perturbed_potential_is_refused_by_the_invariance_defect():
 def test_parity_pencils_sum_to_the_cover(torus_projective):
     # the S^3 cover of the Clifford torus in RP^3 splits into its even and odd
     # functions: the DOFs, the Morse index and the low clusters add up
-    surface, lift = torus_projective
-    cover, even, odd = (
-        SpectralSystem(surface, parity=p, lift=lift).spectrum(how_many=16)
-        for p in (None, "even", "odd")
-    )
-    assert (cover.n_dofs, even.n_dofs, odd.n_dofs) == (1024, 512, 512)
-    assert (cover.morse_index, even.morse_index, odd.morse_index) == (5, 1, 4)
-    for spec in (cover, even, odd):
-        assert spec.inertia_index == cover.morse_index
+    cover = SpectralSystem(hyp.clifford_torus(32)).spectrum(how_many=16)
+    system = SpectralSystem(torus_projective)
+    even = system.spectrum(how_many=16)
+    odd, _, negative = deck_sign_spectrum(system, -1)
+    assert (cover.n_dofs, even.n_dofs, len(odd)) == (1024, 512, 512)
+    assert (cover.morse_index, even.morse_index, np.sum(odd < 0)) == (5, 1, 4)
+    assert cover.inertia_index == even.inertia_index == negative == 5
     # the whole spectra, every eigenvalue of the cover once
-    merged = np.sort(np.concatenate([even.all_eigenvalues, odd.all_eigenvalues]))
+    merged = np.sort(np.concatenate([even.all_eigenvalues, odd]))
     assert np.abs(merged - cover.all_eigenvalues).max() < 1e-9
     # the two-sided quotient keeps the even pencil: -4, then the four
     # Killing-field modes just above zero
-    assert lift.quotient_parity() == "even"
+    assert even.quotient == {"shift_cells": [8, 8], "functions": "even"}
     assert abs(even.eigenvalues[0] + 4.0) < 1e-9
     assert np.all((even.eigenvalues[1:5] > 0) & (even.eigenvalues[1:5] < 1e-3))
 
