@@ -24,8 +24,14 @@ class AmbientError(Exception):
     """Invalid model parameters or chart-domain violations."""
 
 
-#: residual keys backed by finite differences, allowed a looser tolerance
-_FD_CHECKS = frozenset({"gauss_fd_closure", "ii_scaling", "complex_parallel"})
+#: largest self-check residual that passes, the looser one allowed the
+#: residual keys backed by finite differences, and the steps of those
+#: finite-difference oracles, ii_quad_fd and j_parallel_residual
+IDENTITY_TOL = 1e-8
+FD_IDENTITY_TOL = 1e-4
+_FD_CHECKS = frozenset({"gauss_fd_closure", "complex_parallel"})
+_II_FD_STEP = 1e-4
+_J_FD_STEP = 1e-5
 
 
 @dataclass
@@ -35,15 +41,11 @@ class IdentityReport:
     kind: str
     sample_count: int
     residuals: dict = field(default_factory=dict)
-    tolerance: float = 1e-8
-    fd_tolerance: float = 1e-4
-
-    def _tol(self, key):
-        return self.fd_tolerance if key in _FD_CHECKS else self.tolerance
 
     @property
     def failures(self):
-        return {k: v for k, v in self.residuals.items() if v > self._tol(k)}
+        return {k: v for k, v in self.residuals.items()
+                if v > (FD_IDENTITY_TOL if k in _FD_CHECKS else IDENTITY_TOL)}
 
     @property
     def ok(self):
@@ -150,7 +152,7 @@ class AmbientModel:
         """Second fundamental form II(X, Y), by polarization of ii_quad."""
         return 0.25 * (self.ii_quad(point, X + Y) - self.ii_quad(point, X - Y))
 
-    def ii_quad_fd(self, point, X, h=1e-4):
+    def ii_quad_fd(self, point, X):
         """Finite-difference oracle: normal part of the acceleration of a curve
         with velocity X, second-order central differences with one Richardson
         extrapolation level."""
@@ -162,7 +164,7 @@ class AmbientModel:
                 + self.curve(point, X, -step)
             ) / step**2
 
-        a = (4.0 * accel(h) - accel(2.0 * h)) / 3.0
+        a = (4.0 * accel(_II_FD_STEP) - accel(2.0 * _II_FD_STEP)) / 3.0
         return a - self.project_tangent(point, a)
 
     def riemann_xyxy(self, point, X, Y):
@@ -191,19 +193,6 @@ class AmbientModel:
         where = np.diag(np.arange(k))  # position in `pairs` of each (a, b)
         where[a, b] = where[b, a] = np.arange(k, k + len(a))
         return np.take(pairs, where, axis=-2)
-
-    def scalar_curvature(self, point):
-        ii = self.ii_frame_pairs(point)
-        return (np.einsum("...aad,...bbd->...", ii, ii)
-                - np.einsum("...abd,...abd->...", ii, ii))
-
-    def mean_curvature_vector(self, point):
-        return np.einsum("...aad->...d", self.ii_frame_pairs(point))
-
-    def ii_total_norm_sq(self, point):
-        """|II|^2 summed over an orthonormal frame pair."""
-        ii = self.ii_frame_pairs(point)
-        return np.einsum("...abd,...abd->...", ii, ii)
 
     # -- optional complex structure ------------------------------------------
     def complex_structure(self, point, X):
@@ -384,7 +373,7 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         """1 + 3 g(X, JY)^2 for orthonormal X, Y."""
         return 1.0 + 3.0 * _dot(X, self.complex_structure(z, Y)) ** 2
 
-    def j_parallel_residual(self, z, X, Y, h=1e-5):
+    def j_parallel_residual(self, z, X, Y):
         """|nabla_X (J W) - J nabla_X W| at z, where W is the tangent part of
         the frozen ambient vector Y along the geodesic with velocity X."""
         v = self.horizontal_from_ambient(z, X)
@@ -400,6 +389,7 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
             w, zt = W(t)
             return self.complex_structure(zt, w)
 
+        h = _J_FD_STEP
         dW = (W(h)[0] - W(-h)[0]) / (2 * h)
         dJW = (JW(h) - JW(-h)) / (2 * h)
         nab_W = self.project_tangent(z, dW)
@@ -612,83 +602,13 @@ class EllipsoidModel(AmbientModel):
         return np.linalg.eigvalsh(W)
 
 
-class GenericEmbeddedHypersurfaceModel(AmbientModel):
-    """Graph hypersurface x -> (x, h(x)) in R^{n+2}, with finite-difference
-    second derivatives (step 1e-5, one Richardson level)."""
-
-    kind = "generic_embedded_hypersurface"
-
-    def __init__(self, height_fn, base_dim, fd_step=1e-5):
-        if base_dim < 2:
-            raise AmbientError("base dimension must be >= 2")
-        super().__init__(base_dim, base_dim + 1)
-        self.height_fn = height_fn
-        self.fd_step = float(fd_step)
-
-    def _height(self, x):
-        """height_fn over the leading axes of x, one base point at a time:
-        a user-supplied height function is not assumed to broadcast."""
-        flat = np.reshape(x, (-1, x.shape[-1]))
-        heights = [float(self.height_fn(xi)) for xi in flat]
-        return np.array(heights).reshape(x.shape[:-1])
-
-    def point(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([x, self._height(x)[..., None]], axis=-1)
-
-    def random_point(self, rng):
-        return self.point(rng.standard_normal(self.intrinsic_dim))
-
-    def position(self, point):
-        return point
-
-    def _gradient(self, x):
-        h = self.fd_step
-
-        def d(step):
-            return np.stack(
-                [(self._height(x + step * e) - self._height(x - step * e)) / (2 * step)
-                 for e in np.eye(x.shape[-1])],
-                axis=-1,
-            )
-
-        return (4.0 * d(h) - d(2.0 * h)) / 3.0
-
-    def outward_normal(self, point):
-        g = self._gradient(point[..., :-1])
-        return _unit(np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1))
-
-    def tangent_frame(self, point):
-        return _orthonormal_complement(self.outward_normal(point)[..., None, :])
-
-    def ii_quad(self, point, X):
-        x = point[..., :-1]
-        xi = X[..., :-1]
-        h = self.fd_step
-
-        def quad(step):
-            return (
-                self._height(x + step * xi)
-                - 2.0 * self._height(x)
-                + self._height(x - step * xi)
-            ) / step**2
-
-        hess = (4.0 * quad(h) - quad(2.0 * h)) / 3.0
-        nu = self.outward_normal(point)
-        return (hess * nu[..., -1])[..., None] * nu
-
-    def curve(self, point, X, t):
-        return self.point(point[..., :-1] + t * X[..., :-1])
-
-
 @dataclass(frozen=True)
 class AmbientKind:
     """One ambient kind; adding a kind is adding an entry to AMBIENT_KINDS.
 
     `model` is built by keyword from `params`, which maps each parameter to
-    the converter of its INI value, or to None when a config cannot give it.
-    `margins` names the bounds margins that apply.  `constant(model)` is the
-    paper's stated index-bound constant, or None where it states none.
+    the converter of its INI value.  `margins` names the bounds margins that
+    apply.  `constant(model)` is the paper's stated index-bound constant.
     """
 
     model: type
@@ -721,9 +641,6 @@ AMBIENT_KINDS = {
     "ellipsoid": AmbientKind(
         EllipsoidModel, {"semi_axes": lambda s: [float(x) for x in s.split()]},
         ("convex", "scalar3"), lambda a: Fraction(2, a.embed_dim * (a.embed_dim - 1))),
-    "generic_embedded_hypersurface": AmbientKind(
-        GenericEmbeddedHypersurfaceModel, {"height_fn": None, "base_dim": int},
-        ("scalar3",), lambda a: None),
 }
 
 

@@ -30,6 +30,15 @@ class BoundsError(Exception):
 # STRICT_TOL of zero, relative to its scale, is roundoff and never passes.
 STRICT_TOL = 1e-12
 
+#: margin sample sizes (the product profile's (theta, phi) grid and random
+#: draws, the ambient points of `convex` and `scalar3`), and the central-
+#: difference step of the borderline residuals per mesh spacing
+_Q_GRID_POINTS = 2001
+_Q_SAMPLES = 10000
+_CONVEX_SAMPLES = 400
+_SCALAR3_SAMPLES = 200
+_BORDERLINE_STEP = 1e-3
+
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -112,10 +121,7 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
 def theorem_constant(ambient):
     """The constant its AMBIENT_KINDS entry states for the ambient, as an exact
     Fraction, checked against the generic form 2/(d(d-1)) it must equal."""
-    entry = AMBIENT_KINDS.get(ambient.kind)
-    stated = entry and entry.constant(ambient)
-    if stated is None:
-        raise BoundsError(f"no theorem constant for ambient kind {ambient.kind!r}")
+    stated = AMBIENT_KINDS[ambient.kind].constant(ambient)
     d = ambient.embed_dim
     generic = Fraction(2, d * (d - 1))
     if stated != generic:
@@ -218,17 +224,17 @@ def margins_cross(ambient):
                         verdict)
 
 
-def margins_product_q(surface, form, grid_points=2001, samples=10000, seed=0):
+def margins_product_q(surface, form, seed=0):
     """Grid minimum of q(theta, phi), closed-form agreement, and pointwise
     negativity of the wedge integrand of `form` on a surface of S^1 x S^n."""
     if not isinstance(surface.ambient, CircleTimesSphereModel):
         raise BoundsError("the product margin needs a circle-times-sphere ambient")
-    t = np.linspace(0.0, np.pi, grid_points)
+    t = np.linspace(0.0, np.pi, _Q_GRID_POINTS)
     qv = q_closed_form(t[:, None], t[None, :])  # the (theta, phi) grid
     i_min = np.unravel_index(np.argmin(qv), qv.shape)
     rng = np.random.default_rng(seed)
-    ths = rng.uniform(0, np.pi, samples)
-    phs = rng.uniform(0, np.pi, samples)
+    ths = rng.uniform(0, np.pi, _Q_SAMPLES)
+    phs = rng.uniform(0, np.pi, _Q_SAMPLES)
     agree = float(
         np.abs(q_closed_form(ths, phs) - q_defining_expression(ths, phs)).max()
     )
@@ -250,7 +256,7 @@ def margins_product_q(surface, form, grid_points=2001, samples=10000, seed=0):
     )
 
 
-def margins_convex(ambient, samples=400, seed=0):
+def margins_convex(ambient, seed=0):
     """Pointwise pinching of a convex hypersurface of Euclidean space:
     ratio k_{n+1}/k_1 against sqrt((n+1)/2) (and sqrt(5/3) for n = 2), and
     the margin 4 k_{n+1}^2 - 2(n+1) k_1^2."""
@@ -259,7 +265,7 @@ def margins_convex(ambient, samples=400, seed=0):
     rng = np.random.default_rng(seed)
     n = ambient.intrinsic_dim - 1
     k = ambient.principal_curvatures(
-        np.array([ambient.random_point(rng) for _ in range(samples)])
+        np.array([ambient.random_point(rng) for _ in range(_CONVEX_SAMPLES)])
     )
     ratio_max = float((k[:, -1] / k[:, 0]).max())
     margin_max = float((4 * k[:, -1] ** 2 - 2 * (n + 1) * k[:, 0] ** 2).max())
@@ -275,18 +281,21 @@ def margins_convex(ambient, samples=400, seed=0):
                         "pass" if passes else "fail")
 
 
-def margins_scalar3(ambient, samples=200, seed=0):
+def margins_scalar3(ambient, seed=0):
     """Scalar-curvature condition 2 R - |H|^2 > 0 and the contraction identity
-    R = |H|^2 - |II|^2 on random samples of the ambient embedding."""
+    R = |H|^2 - |II|^2 on random samples of the ambient embedding, all three
+    contracted from one evaluation of II over pairs of the tangent frame."""
     rng = np.random.default_rng(seed)
-    p = np.array([ambient.random_point(rng) for _ in range(samples)])
-    R = ambient.scalar_curvature(p)
-    H = ambient.mean_curvature_vector(p)
+    p = np.array([ambient.random_point(rng) for _ in range(_SCALAR3_SAMPLES)])
+    ii = ambient.ii_frame_pairs(p)
+    ii_sq = np.einsum("...abd,...abd->...", ii, ii)
+    R = np.einsum("...aad,...bbd->...", ii, ii) - ii_sq
+    H = np.einsum("...aad->...d", ii)
     h_sq = np.einsum("sd,sd->s", H, H)
     margin = 2.0 * R - h_sq
     i = np.argmin(margin)
     min_margin, scale = margin[i], 2.0 * abs(R[i]) + h_sq[i]
-    max_contraction = np.abs(R - (h_sq - ambient.ii_total_norm_sq(p))).max()
+    max_contraction = np.abs(R - (h_sq - ii_sq)).max()
     values = {"min_2R_minus_H2": float(min_margin),
               "contraction_residual": float(max_contraction)}
     if max_contraction >= 1e-8:
@@ -323,7 +332,7 @@ def application_margins(name, surface, basis, seed=0):
 # ---------------------------------------------------------------------------
 # borderline complex-projective residuals
 
-def borderline_cp_report(surface, f_fn=None, step_factor=1e-3):
+def borderline_cp_report(surface, f_fn=None):
     """Residuals of the computable borderline lemmas on a minimal hypersurface
     of a complex projective ambient, for omega-sharp = f JN.
 
@@ -338,7 +347,7 @@ def borderline_cp_report(surface, f_fn=None, step_factor=1e-3):
 
     params = surface.node_params
     h_min = min(ax.h for ax in surface.axes)
-    step = step_factor * h_min
+    step = _BORDERLINE_STEP * h_min
 
     def z_of(p):
         return model.point_from_homogeneous(surface.model_point_fn(p))

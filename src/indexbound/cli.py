@@ -33,29 +33,42 @@ class ConfigError(Exception):
     pass
 
 
-def _build_ambient(section):
-    kind = section.get("kind")
+def _value(parser, section, key, conv, default=None):
+    """`conv` of the config value of `key` in `section`, or `default` where
+    the config has none (a ConfigError without a default); a value `conv`
+    refuses is a ConfigError naming the section and the key."""
+    raw = parser.get(section, key, fallback=None)
+    if raw is None and default is None:
+        raise ConfigError(f"[{section}] needs {key!r}")
+    if raw is None:
+        return default
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _build_ambient(parser):
+    kind = parser["ambient"].get("kind")
     if kind not in ambient_mod.AMBIENT_KINDS:
         raise ConfigError(f"unknown ambient kind {kind!r}")
-    params = {}
-    for name, conv in ambient_mod.AMBIENT_KINDS[kind].params.items():
-        if conv is None or name not in section:  # None: it has no INI form
-            raise ConfigError(f"ambient kind {kind!r} needs parameter {name!r}")
-        params[name] = conv(section[name])
+    params = {name: _value(parser, "ambient", name, conv)
+              for name, conv in ambient_mod.AMBIENT_KINDS[kind].params.items()}
     return ambient_mod.make_ambient(kind, **params)
 
 
 _shape = operator.attrgetter("kind", "intrinsic_dim", "embed_dim")
 
 
-def _build_surface(section, ambient, resolution_scale):
+def _build_surface(parser, ambient, resolution_scale):
     """The configured surface: in a quotient ambient, its double cover."""
-    kind = section.get("kind")
+    kind = parser["hypersurface"].get("kind")
     if kind not in hyp_mod.SURFACE_KINDS:
         raise ConfigError(f"unknown hypersurface kind {kind!r}")
     entry = hyp_mod.SURFACE_KINDS[kind]
-    nodes = max(4, int(round(section.getint("nodes", 24) * resolution_scale)))
-    params = {name: section.getint(name, default)
+    nodes = _value(parser, "hypersurface", "nodes", int, 24)
+    nodes = max(4, int(round(nodes * resolution_scale)))
+    params = {name: _value(parser, "hypersurface", name, int, default)
               for name, default in entry.params.items()}
     surface = (entry.build(ambient, nodes, **params)
                if ambient.kind in entry.ambients else None)
@@ -82,20 +95,17 @@ class Scenario:
             raise ConfigError("config lacks a [scenario] section")
         self.id = parser["scenario"].get("id", Path(config_path).stem)
         self.seed = (seed if seed is not None
-                     else parser["scenario"].getint("seed", 12345))
+                     else _value(parser, "scenario", "seed", int, 12345))
         if "ambient" not in parser or "hypersurface" not in parser:
             raise ConfigError("config needs [ambient] and [hypersurface] sections")
-        self.ambient = _build_ambient(parser["ambient"])
-        self.surface = _build_surface(parser["hypersurface"], self.ambient, resolution_scale)
-        tol = parser["tolerances"] if "tolerances" in parser else {}
+        self.ambient = _build_ambient(parser)
+        self.surface = _build_surface(parser, self.ambient, resolution_scale)
         self.tolerances = {
-            "identity": float(tol.get("identity", 1e-4)),
-            "pointwise": float(tol.get("pointwise", 1e-8)),
-            "borderline": float(tol.get("borderline", 1e-5)),
-        }
-        cert = parser["certificate"] if "certificate" in parser else {}
-        self.eta = float(cert.get("eta", 0.0))
-        self.how_many = int(cert.get("eigenvalues", 24))
+            key: _value(parser, "tolerances", key, float, default)
+            for key, default in dict(identity=1e-4, pointwise=1e-8,
+                                     borderline=1e-5).items()}
+        self.eta = _value(parser, "certificate", "eta", float, 0.0)
+        self.how_many = _value(parser, "certificate", "eigenvalues", int, 24)
         if self.how_many < 1 or not np.isfinite(self.eta):
             raise ConfigError("[certificate] needs eigenvalues >= 1 and a "
                               f"finite eta, not {self.how_many} and {self.eta}")

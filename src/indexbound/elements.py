@@ -26,6 +26,9 @@ _GW = np.array([5.0, 8.0, 5.0]) / 18.0
 #: cells whose element matrices are formed at once
 _CELL_CHUNK = 256
 
+#: grid nodes whose chart images agree to this rounding share one DOF
+_FUSE_TOL = 1e-8
+
 
 def shape1d(x):
     """Values of the three quadratic nodal shapes on [0, 1] at x, shape (..., 3)."""
@@ -43,7 +46,7 @@ def dshape1d(x):
 
 @dataclass(frozen=True)
 class Axis:
-    """One direction of the parameter box.
+    """One direction of the parameter box, from 0 to `length`.
 
     `nodes` is the requested resolution (nodes per direction); the actual node
     count is rounded to fit whole quadratic cells.
@@ -53,7 +56,6 @@ class Axis:
     length: float
     nodes: int
     periodic: bool = False
-    lo: float = 0.0
 
     @property
     def n_cells(self):
@@ -73,7 +75,7 @@ class Axis:
     def coords(self):
         n = self.n_nodes
         denom = n if self.periodic else n - 1
-        return self.lo + self.length * np.arange(n) / denom
+        return self.length * np.arange(n) / denom
 
     def cell_conn(self):
         """Per-cell node triples along this axis, shape (n_cells, 3)."""
@@ -114,7 +116,7 @@ class TensorGrid:
 
     def cell_origins(self):
         """Lower corner parameter values of each cell, shape (n_cells_total, ndim)."""
-        per_axis = [a.lo + a.h * np.arange(a.n_cells) for a in self.axes]
+        per_axis = [a.h * np.arange(a.n_cells) for a in self.axes]
         mesh = np.meshgrid(*per_axis, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -152,8 +154,7 @@ class FemSystem:
     node_weights : (n_dofs,) quadrature weights (consistent-mass row sums)
     """
 
-    def __init__(self, grid, metric_fn, potential_fn=None, positions=None,
-                 fuse_tol=1e-8):
+    def __init__(self, grid, metric_fn, positions, potential_fn=None):
         self.grid = grid
         self._potential_fn = potential_fn
         ndim = grid.ndim
@@ -172,7 +173,7 @@ class FemSystem:
             raise ValueError("metric is not positive definite at a quadrature point")
         self._scale = w[None, :] * np.sqrt(detg) * float(np.prod(hs))  # (C, G)
 
-        self.fuse = self._fusion_labels(grid, positions, fuse_tol)
+        self.fuse = self._fusion_labels(positions)
         self.n_dofs = int(self.fuse.max()) + 1
         _, self._first_node = np.unique(self.fuse, return_index=True)
         self._cell_dofs = self.fuse[grid.cell_connectivity()]  # (C, L)
@@ -222,10 +223,8 @@ class FemSystem:
         return self._assemble(self._scale * V)
 
     @staticmethod
-    def _fusion_labels(grid, positions, tol):
-        if positions is None:
-            return np.arange(grid.n_nodes)
-        keys = np.round(np.asarray(positions) / tol).astype(np.int64)
+    def _fusion_labels(positions):
+        keys = np.round(np.asarray(positions) / _FUSE_TOL).astype(np.int64)
         _, first, labels = np.unique(
             keys, axis=0, return_index=True, return_inverse=True
         )

@@ -5,8 +5,8 @@ triangulated grid, and the basis from its tree-cotree generators: one closed
 edge cochain per generator, made harmonic for the lowest-order edge-element
 (Whitney) Hodge Laplacian by one scalar Poisson solve.  In higher dimensions
 each catalog kind's registry entry gives its harmonic forms in closed form
-(circle-factor forms dt).  Also provides the surface Hodge star and the
-integrated Bochner identity residual used to reject non-harmonic probes.
+(circle-factor forms dt).  Also provides the integrated Bochner identity
+residual used to reject non-harmonic probes.
 """
 
 from __future__ import annotations
@@ -302,15 +302,6 @@ def _harmonic_forms_whitney(surface):
         DiscreteOneForm(surface, _edge_cochain_to_nodes(surface, mesh, h))
         for h in _harmonic_cochains(mesh).T
     ])
-
-
-def hodge_star_surface(surface, form):
-    """Surface Hodge star in the positively oriented node frame."""
-    if surface.dim != 2:
-        raise HodgeError("the surface star is defined only for n = 2")
-    c = form.components
-    starred = np.stack([-c[:, 1], c[:, 0]], axis=-1)
-    return DiscreteOneForm(surface, starred)
 
 
 # ---------------------------------------------------------------------------

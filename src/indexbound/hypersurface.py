@@ -19,6 +19,13 @@ import numpy as np
 from .ambient import make_ambient
 from .elements import Axis, FemSystem, TensorGrid
 
+#: Gram-Schmidt length below which a chart Jacobian row is degenerate, the
+#: chart central-difference step per shortest axis length, and the interior
+#: nodes drawn for the pointwise tangency and potential checks
+_FRAME_TOL = 1e-10
+_FD_STEP_FRAC = 1e-6
+_POINTWISE_SAMPLE = 200
+
 
 # ---------------------------------------------------------------------------
 # spherical charts
@@ -73,7 +80,7 @@ def chart_jacobian(fn, params, step):
     return np.stack(cols, axis=-2)
 
 
-def orthonormal_frames(jac, tol=1e-10):
+def orthonormal_frames(jac):
     """Row-wise Gram-Schmidt of chart Jacobians.
 
     Returns (frames, coeffs, ok) with frames = coeffs @ jac orthonormal;
@@ -93,8 +100,8 @@ def orthonormal_frames(jac, tol=1e-10):
             v -= proj[..., None] * frames[..., b, :]
             c -= proj[..., None] * coeffs[..., b, :]
         nv = np.linalg.norm(v, axis=-1)
-        ok &= nv > tol
-        nv_safe = np.where(nv > tol, nv, 1.0)
+        ok &= nv > _FRAME_TOL
+        nv_safe = np.where(nv > _FRAME_TOL, nv, 1.0)
         frames[..., a, :] = v / nv_safe[..., None]
         coeffs[..., a, :] = c / nv_safe[..., None]
     return frames, coeffs, ok
@@ -117,7 +124,7 @@ class DiscreteHypersurface:
 
     def __init__(self, name, ambient, axes, chart_fn, normal_fn,
                  metric_fn=None, potential_fn=None, model_point_fn=None,
-                 betti_one=0, fd_step_frac=1e-6, kind=None):
+                 betti_one=0, kind=None):
         self.name = name
         self.kind = kind  # key of its SURFACE_KINDS entry
         self.ambient = ambient
@@ -128,7 +135,7 @@ class DiscreteHypersurface:
         self.potential_fn = potential_fn  # closed-form potential, or None
         self.model_point_fn = model_point_fn or (lambda p: chart_fn(p))
         self.betti_one = int(betti_one)
-        self.fd_step = fd_step_frac * min(a.length for a in self.axes)
+        self.fd_step = _FD_STEP_FRAC * min(a.length for a in self.axes)
 
         self.grid = TensorGrid(self.axes)
         self.node_params = self.grid.node_params
@@ -157,8 +164,8 @@ class DiscreteHypersurface:
     def fem(self):
         if self._fem is None:
             self._fem = FemSystem(
-                self.grid, self.metric_fn, potential_fn=self.potential_fn,
-                positions=self.positions,
+                self.grid, self.metric_fn, self.positions,
+                potential_fn=self.potential_fn,
             )
         return self._fem
 
@@ -234,7 +241,7 @@ class DiscreteHypersurface:
         points = self.model_point_fn(self.node_params[node_indices])
         return self.ambient.ricci(points, self.normals[node_indices])
 
-    def pointwise_checks(self, sample=200, seed=0):
+    def pointwise_checks(self, seed=0):
         """Max residuals of the defining properties at interior nodes."""
         f = self.node_fields()
         ok = f["interior"]
@@ -250,7 +257,7 @@ class DiscreteHypersurface:
         # normal must be tangent to the ambient manifold
         rng = np.random.default_rng(seed)
         idx = np.flatnonzero(ok)
-        idx = rng.choice(idx, size=min(sample, len(idx)), replace=False)
+        idx = rng.choice(idx, size=min(_POINTWISE_SAMPLE, len(idx)), replace=False)
         tang = self.ambient.tangency_residual(
             self.model_point_fn(self.node_params[idx]), self.normals[idx]
         )

@@ -16,64 +16,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hodge import bochner_residual, hodge_star_surface
+from .hodge import bochner_residual
+
+#: largest integrated Bochner residual of a form taken as harmonic, and
+#: largest condition number of the mass Gram matrix of a harmonic basis
+_BOCHNER_TOL = 1e-6
+_COND_LIMIT = 1e8
 
 
 class TestFunctionError(Exception):
     pass
 
 
-@dataclass
-class TestFunctionSet:
-    """Node-sampled test functions u_i or u_ij with their norm identity."""
+def test_functions(surface, form, mode):
+    """The coordinate test functions of `form` on `surface`, (n_nodes, count).
 
-    mode: str
-    surface: object
-    functions: np.ndarray  # (n_nodes, count)
-    form_norm_sq: np.ndarray  # |omega|^2 at nodes
-
-    @property
-    def count(self):
-        return self.functions.shape[1]
-
-
-def test_functions(surface, form, mode, rotation=None):
-    """Build the coordinate test functions of `form` on `surface`.
-
-    mode 'Prop31' uses the d coordinates of omega-sharp, 'Prop31-star' those
-    of the starred form (surfaces only), 'Prop32' the d(d-1)/2 coordinates of
-    N wedge omega-sharp.  `rotation` optionally rotates the Euclidean axes
-    (the sums of squares are invariant under it).
+    mode 'Prop31' gives the d coordinates of omega-sharp, 'Prop32' the
+    d(d-1)/2 coordinates of N wedge omega-sharp.
     """
-    d = surface.embed_dim
-    if rotation is not None:
-        rotation = np.asarray(rotation)
-        if rotation.shape != (d, d):
-            raise TestFunctionError("rotation must be a d x d matrix")
-
-    if mode in ("Prop31", "Prop31-star"):
-        src = form
-        if mode == "Prop31-star":
-            if surface.dim != 2:
-                raise TestFunctionError("the starred mode needs a surface (n = 2)")
-            src = hodge_star_surface(surface, form)
-        sharp = src.sharp
-        if rotation is not None:
-            sharp = sharp @ rotation.T
-        funcs = sharp
-    elif mode == "Prop32":
-        sharp = form.sharp
-        N = surface.normals
-        if rotation is not None:
-            sharp = sharp @ rotation.T
-            N = N @ rotation.T
-        iu, ju = np.triu_indices(d, k=1)
-        funcs = N[:, iu] * sharp[:, ju] - N[:, ju] * sharp[:, iu]
-    else:
+    sharp = form.sharp
+    if mode == "Prop31":
+        return sharp
+    if mode != "Prop32":
         raise TestFunctionError(f"unknown mode {mode!r}")
-    return TestFunctionSet(
-        mode=mode, surface=surface, functions=funcs, form_norm_sq=form.norm_sq
-    )
+    N = surface.normals
+    iu, ju = np.triu_indices(surface.embed_dim, k=1)
+    return N[:, iu] * sharp[:, ju] - N[:, ju] * sharp[:, iu]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +73,7 @@ def _rhs_integrand(surface, form, mode):
     return np.einsum("na,nab,nb->n", c, integrand_matrices(surface, mode), c)
 
 
-def q_identity_report(surface, form, mode, bochner_tol=1e-6):
+def q_identity_report(surface, form, mode):
     """Both sides of the summed index-form identity and their mismatch.
 
     lhs sums Q over the test functions through the surface's assembled
@@ -118,12 +86,12 @@ def q_identity_report(surface, form, mode, bochner_tol=1e-6):
             "in three-dimensional ambients only (n = 2)"
         )
     res = bochner_residual(surface, form)
-    if res > bochner_tol:
+    if res > _BOCHNER_TOL:
         raise TestFunctionError(
             f"form is not harmonic: integrated Bochner residual {res:.3e}"
         )
     fem = surface.fem()
-    U = fem.to_dof(test_functions(surface, form, mode).functions)
+    U = fem.to_dof(test_functions(surface, form, mode))
     lhs = float(np.sum(U * ((fem.stiffness - fem.potential) @ U)))
     integrand = _rhs_integrand(surface, form, mode)
     rhs = fem.integrate(fem.to_dof(integrand))
@@ -165,7 +133,7 @@ class IntegrandForm:
         return float(vals[-1])
 
 
-def integrand_quadratic_form(surface, basis, mode="Prop32", cond_limit=1e8):
+def integrand_quadratic_form(surface, basis, mode="Prop32"):
     """The integrand Gram matrix on a basis of harmonic forms, integrated
     from c_a^T Q c_b at the nodes."""
     if not basis:
@@ -184,6 +152,6 @@ def integrand_quadratic_form(surface, basis, mode="Prop32", cond_limit=1e8):
     QC = np.einsum("nab,qnb->qna", integrand_matrices(surface, mode), C)
     G = gram(C, QC)
     M = gram(C, C)
-    if np.linalg.cond(M) > cond_limit:
+    if np.linalg.cond(M) > _COND_LIMIT:
         raise TestFunctionError("harmonic basis is ill-conditioned")
     return IntegrandForm(mode=mode, gram=0.5 * (G + G.T), mass=M)

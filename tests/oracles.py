@@ -123,7 +123,7 @@ def descend(node_permutation, node_field, tol=1e-8):
 def with_resolution(surface, scale):
     """A re-sampled copy of a catalog surface with node counts times `scale`."""
     axes = [Axis(a.name, a.length, max(4, int(round(a.nodes * scale))),
-                 periodic=a.periodic, lo=a.lo) for a in surface.axes]
+                 periodic=a.periodic) for a in surface.axes]
     return hyp.DiscreteHypersurface(
         surface.name, surface.ambient, axes, surface.chart_fn,
         surface.normal_fn, metric_fn=surface._metric_fn,
@@ -148,12 +148,23 @@ def random_orthonormal_pair(model, point, rng):
     return X, Y / np.linalg.norm(Y, axis=-1, keepdims=True)
 
 
-def nabla_j_residual(model, z, rng, h=1e-5):
+def nabla_j_residual(model, z, rng):
     """Finite-difference residual of the parallelism of J along a random
     curve of a complex projective model."""
     X = random_tangent(model, z, rng)
     Y = random_tangent(model, z, rng)
-    return model.j_parallel_residual(z, X, Y, h)
+    return model.j_parallel_residual(z, X, Y)
+
+
+def scalar_and_mean_curvature(model, point):
+    """The scalar curvature R and the mean curvature vector H of the embedding
+    of an ambient model at `point` (batched), contracted from its II over
+    pairs of the tangent frame: R = sum <II(e_a, e_a), II(e_b, e_b)> -
+    |II(e_a, e_b)|^2 and H = sum II(e_a, e_a)."""
+    ii = model.ii_frame_pairs(point)
+    R = (np.einsum("...aad,...bbd->...", ii, ii)
+         - np.einsum("...abd,...abd->...", ii, ii))
+    return R, np.einsum("...aad->...d", ii)
 
 
 def gradient_one_form(surface, f_fn):

@@ -214,7 +214,7 @@ def test_criterion_07_geodesic_sphere_borderline(capsys):
     r = minimal_geodesic_sphere_radius()
     r_err = abs(r - np.pi / 3.0)
     surf = hyp.geodesic_sphere_cp2(32)
-    minimality = surf.pointwise_checks(sample=200, seed=7)["minimality"]
+    minimality = surf.pointwise_checks(seed=7)["minimality"]
     rep = bounds.borderline_cp_report(surf)
     res_max = max(rep["div_jn_residual"], rep["decomposition_residual"],
                   rep["traced_gauss_residual"])
@@ -240,8 +240,7 @@ def test_criterion_08_product_profile(capsys):
     for n in (3, 4):
         surf = hyp.circle_times_equator(n, 14)
         reps.append(bounds.margins_product_q(
-            surf, hodge.harmonic_one_forms(surf)[0],
-            grid_points=2001, samples=10000))
+            surf, hodge.harmonic_one_forms(surf)[0]))
     v = reps[0].values
     q_err = abs(v["q_min"] - 7.0 / 8.0)
     neg = [val for rep in reps for key, val in rep.values.items()

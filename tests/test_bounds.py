@@ -124,7 +124,7 @@ def test_margins_cross():
 def test_q_profile_minimum(torus48, torus_forms):
     surf = hyp.circle_times_equator(3, 8)
     form = hodge.harmonic_one_forms(surf)[0]
-    rep = bounds.margins_product_q(surf, form, grid_points=501, samples=2000)
+    rep = bounds.margins_product_q(surf, form)
     assert abs(rep.values["q_min"] - 7.0 / 8.0) < 1e-4
     assert rep.values["closed_form_agreement"] < 1e-12
     # the minimiser satisfies cos^2(theta) = 1/4 at phi = pi/2
@@ -137,23 +137,20 @@ def test_q_profile_minimum(torus48, torus_forms):
 
 def test_margins_convex():
     round_s = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1]), samples=100
-    )
+        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1]))
     assert abs(round_s.values["ratio_max"] - 1.0) < 1e-10
     assert round_s.verdict == "pass"
     mild = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1.1]), samples=400
-    )
+        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1.1]))
     assert mild.verdict == "pass"
     assert mild.values["ratio_max"] < np.sqrt(1.5)
     elongated = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 2.0]), samples=400
-    )
+        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 2.0]))
     assert elongated.verdict == "fail"
 
 
 def test_margins_scalar3():
-    rep = bounds.margins_scalar3(make_ambient("sphere", dim=3), samples=50)
+    rep = bounds.margins_scalar3(make_ambient("sphere", dim=3))
     assert abs(rep.values["min_2R_minus_H2"] - 3.0) < 1e-10
     assert rep.values["contraction_residual"] < 1e-8
     assert rep.verdict == "pass"
@@ -224,7 +221,7 @@ def _scalar3_ref(ambient, samples, seed):
 ])
 def test_scalar3_matches_pointwise_loop(kind, params):
     ambient = make_ambient(kind, **params)
-    rep = bounds.margins_scalar3(ambient, samples=200, seed=12345)
+    rep = bounds.margins_scalar3(ambient, seed=12345)
     min_margin, contraction = _scalar3_ref(ambient, 200, 12345)
     assert abs(rep.values["min_2R_minus_H2"] - min_margin) < 1e-12
     assert abs(rep.values["contraction_residual"] - contraction) < 1e-12

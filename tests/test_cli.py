@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,31 @@ def test_bad_certificate_keys_are_usage_errors(old, new, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CONFIG.replace(old, new))
     with pytest.raises(cli.ConfigError, match="eigenvalues >= 1 and a finite eta"):
+        cli.Scenario(cfg)
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "torus-small.json").exists()
+
+
+#: a config value that is not a number, and the key its error names
+NOT_A_NUMBER = [
+    ("seed = 7", "seed = seven", "[scenario] seed"),
+    ("dim = 3", "dim = three", "[ambient] dim"),
+    ("kind = sphere\ndim = 3", "kind = ellipsoid\nsemi_axes = 1 1 x",
+     "[ambient] semi_axes"),
+    ("nodes = 32", "nodes = x", "[hypersurface] nodes"),
+    ("kind = clifford_torus", "kind = equator\nn = two", "[hypersurface] n"),
+    ("identity = 1e-3", "identity = small", "[tolerances] identity"),
+    ("eta = 0.0", "eta = abc", "[certificate] eta"),
+    ("eigenvalues = 16", "eigenvalues = 2.5", "[certificate] eigenvalues"),
+]
+
+
+@pytest.mark.parametrize("old, new, key", NOT_A_NUMBER,
+                         ids=[key[1:].replace("] ", "-") for *_, key in NOT_A_NUMBER])
+def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.replace(old, new))
+    with pytest.raises(cli.ConfigError, match=re.escape(key)):
         cli.Scenario(cfg)
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "torus-small.json").exists()

@@ -62,16 +62,6 @@ def test_bochner_rejects_gradient_probe(torus48):
     assert hodge.bochner_residual(torus48, probe) > 0.1
 
 
-def test_hodge_star_is_isometry(torus48, torus_forms):
-    w = torus_forms[0]
-    sw = hodge.hodge_star_surface(torus48, w)
-    assert abs(sw.l2_norm_sq() - w.l2_norm_sq()) < 1e-12
-    assert abs(sw.l2_inner(w)) < 1e-10
-    # applying the star twice negates a one-form on a surface
-    ssw = hodge.hodge_star_surface(torus48, sw)
-    assert np.abs(ssw.components + w.components).max() < 1e-12
-
-
 def test_catalog_forms_circle_factor():
     surf = hyp.circle_times_equator(3, 12)
     forms = hodge.harmonic_one_forms(surf)

@@ -70,7 +70,7 @@ def test_fem_integrates_exactly():
 def test_torus_volume_and_minimality(torus48):
     fem = torus48.fem()
     assert abs(fem.node_weights.sum() - 2 * np.pi**2) < 1e-10
-    checks = torus48.pointwise_checks(sample=100, seed=1)
+    checks = torus48.pointwise_checks(seed=1)
     assert checks["minimality"] < 1e-9
     assert checks["normal_unit"] < 1e-12
     assert checks["normal_ambient_tangency"] < 1e-9
@@ -94,7 +94,7 @@ def test_equator_potential(equator2):
 
 def test_generalized_clifford_geometry():
     surf = hyp.generalized_clifford(3, 12)
-    checks = surf.pointwise_checks(sample=60, seed=2)
+    checks = surf.pointwise_checks(seed=2)
     assert checks["minimality"] < 1e-8
     assert checks["potential_consistency"] < 1e-7
     assert abs(surf.fem().node_weights.sum() - 16 * np.pi**2 / (3 * np.sqrt(3))) < 1e-5
@@ -102,7 +102,7 @@ def test_generalized_clifford_geometry():
 
 def test_circle_times_equator_geometry():
     surf = hyp.circle_times_equator(3, 12)
-    checks = surf.pointwise_checks(sample=60, seed=2)
+    checks = surf.pointwise_checks(seed=2)
     assert checks["minimality"] < 1e-8
     assert checks["potential_consistency"] < 1e-7
 
@@ -125,7 +125,7 @@ def test_geodesic_sphere_radius():
 
 
 def test_geodesic_sphere_minimality(geodesic_cp2):
-    checks = geodesic_cp2.pointwise_checks(sample=100, seed=3)
+    checks = geodesic_cp2.pointwise_checks(seed=3)
     assert checks["minimality"] < 1e-5
     assert checks["normal_unit"] < 1e-10
     pot = geodesic_cp2.potential_fn(geodesic_cp2.grid.node_params)

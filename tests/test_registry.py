@@ -39,10 +39,6 @@ BLOCKS = {
     "margins": "margins", "borderline": "borderline", "bounds": "bounds",
 }
 
-#: the ambient kinds a config can give: every parameter has an INI converter
-CONFIGURABLE = {kind for kind, entry in AMBIENT_KINDS.items()
-                if None not in entry.params.values()}
-
 PAIRS = [(kind, amb) for kind, entry in SURFACE_KINDS.items()
          for amb in entry.ambients]
 
@@ -70,26 +66,16 @@ def _own_ambient_params(kind, ambient_kind):
 
 
 def test_examples_cover_every_ambient_kind():
-    assert set(EXAMPLE_AMBIENTS) == CONFIGURABLE
-    assert {amb for _, amb in PAIRS} <= CONFIGURABLE
+    assert set(EXAMPLE_AMBIENTS) == set(AMBIENT_KINDS)
+    assert {amb for _, amb in PAIRS} <= set(AMBIENT_KINDS)
 
 
 @pytest.mark.parametrize("kind", AMBIENT_KINDS)
-def test_ambient_kind_entry(kind, tmp_path):
+def test_ambient_kind_entry(kind):
     entry = AMBIENT_KINDS[kind]
     assert entry.model.kind == kind
-    if kind in CONFIGURABLE:
-        model = make_ambient(kind, **EXAMPLE_AMBIENTS[kind])
-        assert bounds.theorem_constant(model) == entry.constant(model)
-        return
-    # the generic graph: the paper states no constant, and its height
-    # function cannot come from a config
-    model = make_ambient(kind, height_fn=lambda x: x @ x, base_dim=2)
-    with pytest.raises(bounds.BoundsError, match="no theorem constant"):
-        bounds.theorem_constant(model)
-    path = _config(tmp_path, "clifford_torus", kind, {"base_dim": 2})
-    assert cli.main(["identities", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
+    model = make_ambient(kind, **EXAMPLE_AMBIENTS[kind])
+    assert bounds.theorem_constant(model) == entry.constant(model)
 
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)

@@ -1,7 +1,8 @@
 """Static checks of the package source: every module-level import is used,
 no function imports a module of the package, the package keeps one
-eigensolver path (dense solves of symmetry blocks, no ARPACK), and no public
-package function is reached only from the tests."""
+eigensolver path (dense solves of symmetry blocks, no ARPACK), no public
+package function is reached only from the tests, and every defaulted
+parameter of a public function is passed by some package call."""
 
 import ast
 import re
@@ -138,3 +139,116 @@ def test_no_function_reached_only_from_tests():
     assert reached_only_from_tests(
         [p.read_text() for p in SOURCES],
         [p.read_text() for p in TESTS], allowed) == []
+
+
+#: defaulted parameters that no package call passes, each with its reason
+UNPASSED_DEFAULTS = {
+    "main.argv": "the entry point: the console script calls main() without "
+                 "arguments, so that argparse reads sys.argv",
+    "borderline_cp_report.f_fn": "the non-constant weight with which "
+                                 "criterion 7 checks the residuals' decay",
+    "geodesic_sphere_cp2.radius": "the minimal-radius oracle that brentq "
+                                  "solves for",
+}
+
+
+def _is_dataclass(cls):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_false(value):
+    """Whether `value` is a dataclass `field(..., init=False)` call."""
+    return (isinstance(value, ast.Call)
+            and any(k.arg == "init" and getattr(k.value, "value", True) is False
+                    for k in value.keywords))
+
+
+def defaulted_parameters(source):
+    """(name, callee, position, keyword) of each defaulted parameter of the
+    public functions, methods, constructors and dataclass fields of
+    `source`.  `name` is owner.parameter; a call named `callee` passes it
+    with more than `position` positional arguments (None: keyword only) or
+    with the keyword."""
+    out = []
+
+    def of_function(fn, callee, owner, method):
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[1 if method else 0:]
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            out.append((f"{owner}.{a.arg}", callee, i, a.arg))
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                out.append((f"{owner}.{a.arg}", callee, None, a.arg))
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            of_function(node, node.name, node.name, False)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if _is_dataclass(node):
+            fields = [m for m in node.body if isinstance(m, ast.AnnAssign)
+                      and not _init_false(m.value)]
+            out += [(f"{node.name}.{m.target.id}", node.name, i, m.target.id)
+                    for i, m in enumerate(fields) if m.value is not None]
+        for m in node.body:
+            if not isinstance(m, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in m.decorator_list)
+            if m.name == "__init__":
+                of_function(m, node.name, node.name, True)
+            elif not m.name.startswith("_"):
+                of_function(m, m.name, f"{node.name}.{m.name}", not static)
+    return out
+
+
+def calls(source):
+    """(callee name, positional count, keywords) of each call in `source`;
+    a *args call counts as passing every position, a **kwargs call every
+    keyword (None in the keywords)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.append((callee, float("inf") if starred else len(node.args),
+                        {k.arg for k in node.keywords}))
+    return out
+
+
+def unpassed_defaults(package):
+    """Names (owner.parameter) of the defaulted parameters of the `package`
+    sources that no package call passes, by position or by keyword; calls
+    are matched to definitions by name."""
+    found = [c for src in package for c in calls(src)]
+    return sorted(
+        name
+        for src in package
+        for name, callee, position, keyword in defaulted_parameters(src)
+        if not any(c == callee and ((position is not None and n > position)
+                                    or keyword in kws or None in kws)
+                   for c, n, kws in found))
+
+
+def test_unpassed_default_is_found():
+    package = [
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def main(argv=None):\n    f(0, 1, e=5)\n",
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\nclass R:\n    x: int\n    y: int = 0\n"
+        "    z: int = field(init=False)\n    w: list = field(default_factory=list)\n"
+        "class A:\n    def __init__(self, p, q=None):\n        pass\n"
+        "    def m(self, k=1, j=2):\n        R(1, 2)\n        A(0).m(**{})\n"
+        "    @staticmethod\n    def s(u=0):\n        pass\n"
+        "    def _private(self, v=0):\n        A.s(1)\n",
+    ]
+    assert unpassed_defaults(package) == [
+        "A.q", "R.w", "f.c", "f.d", "main.argv"]
+
+
+def test_every_default_is_passed():
+    assert unpassed_defaults([p.read_text() for p in SOURCES]) == sorted(
+        UNPASSED_DEFAULTS)

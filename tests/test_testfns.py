@@ -4,7 +4,7 @@ import pytest
 from indexbound import hodge, hypersurface as hyp, testfns
 from indexbound.ambient import SphereModel
 from indexbound.spectral import SpectralSystem
-from oracles import gradient_one_form
+from oracles import gradient_one_form, scalar_and_mean_curvature
 
 
 @pytest.fixture(scope="module")
@@ -20,19 +20,18 @@ def torus_system(torus48):
 def test_wedge_family_counts(torus48, torus_forms):
     w = torus_forms[0]
     fam32 = testfns.test_functions(torus48, w, "Prop32")
-    assert fam32.count == 4 * 3 // 2  # antisymmetric pairs in R^4
+    assert fam32.shape == (torus48.grid.n_nodes, 4 * 3 // 2)  # pairs in R^4
     fam31 = testfns.test_functions(torus48, w, "Prop31")
-    assert fam31.count == 4
-    star = testfns.test_functions(torus48, w, "Prop31-star")
-    assert star.count == 4
+    assert fam31.shape == (torus48.grid.n_nodes, 4)
 
 
 def test_norm_identity(torus48, torus_forms):
-    for mode in ("Prop32", "Prop31", "Prop31-star"):
-        fam = testfns.test_functions(torus48, torus_forms[0], mode)
+    form = torus_forms[0]
+    for mode in ("Prop32", "Prop31"):
+        fam = testfns.test_functions(torus48, form, mode)
         # max over nodes of | sum_i u_i^2 - |omega|^2 |
-        total = np.einsum("ni,ni->n", fam.functions, fam.functions)
-        assert np.abs(total - fam.form_norm_sq).max() < 1e-12
+        total = np.einsum("ni,ni->n", fam, fam)
+        assert np.abs(total - form.norm_sq).max() < 1e-12
 
 
 def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
@@ -40,10 +39,12 @@ def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
     a = rng.standard_normal((4, 4))
     rot = np.linalg.qr(a)[0]
     base = testfns.test_functions(torus48, w, "Prop32")
-    rotd = testfns.test_functions(torus48, w, "Prop32", rotation=rot)
+    # the wedge functions of the rotated sharp and normal
+    sharp, N = w.sharp @ rot.T, torus48.normals @ rot.T
+    iu, ju = np.triu_indices(4, k=1)
+    rotd = N[:, iu] * sharp[:, ju] - N[:, ju] * sharp[:, iu]
     A = torus_system.stiffness - torus_system.potential
-    q = lambda fam: sum(u @ (A @ u) for u in
-                        map(torus48.fem().to_dof, fam.functions.T))
+    q = lambda fam: sum(u @ (A @ u) for u in map(torus48.fem().to_dof, fam.T))
     assert abs(q(base) - q(rotd)) < 1e-10
 
 
@@ -69,8 +70,6 @@ def test_identity_rejects_gradient_probe(torus48):
 def test_coordinate_mode_needs_dimension_two():
     surf = hyp.generalized_clifford(3, 12)
     forms = hodge.harmonic_one_forms(surf)
-    with pytest.raises(testfns.TestFunctionError):
-        testfns.test_functions(surf, forms[0], "Prop31-star")
     with pytest.raises(testfns.TestFunctionError):
         testfns.q_identity_report(surf, forms[0], "Prop31")
 
@@ -184,7 +183,8 @@ def test_curvature_on_cp2_geodesic_sphere():
     model = surf.ambient
     assert np.abs(cv.ric_nn - model.einstein_constant).max() < 1e-12
     assert model.einstein_constant == 6.0
-    scal = model.scalar_curvature(surf.model_point_fn(surf.node_params))
+    scal, _ = scalar_and_mean_curvature(
+        model, surf.model_point_fn(surf.node_params))
     assert np.abs(cv.scal - scal).max() < 1e-12
 
 
