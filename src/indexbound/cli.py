@@ -84,7 +84,8 @@ class Scenario:
     """Parsed scenario: ambient + hypersurface + tasks + tolerances."""
 
     def __init__(self, config_path, resolution_scale=1.0, seed=None):
-        parser = configparser.ConfigParser()
+        # no interpolation: a "%" in a value reaches its converter
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(config_path)
         except configparser.Error as exc:
@@ -330,6 +331,15 @@ def _summary_row(report, ok):
     }
 
 
+def _positive_scale(text):
+    """A --resolution-scale value: a finite positive number."""
+    scale = float(text)
+    if not (np.isfinite(scale) and scale > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, not {text!r}")
+    return scale
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="indexbound",
@@ -342,7 +352,7 @@ def main(argv=None):
                         "bundled clifford.cfg")
     parser.add_argument("--out", default="reports",
                         help="output directory for JSON/CSV reports")
-    parser.add_argument("--resolution-scale", type=float, default=1.0)
+    parser.add_argument("--resolution-scale", type=_positive_scale, default=1.0)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 

@@ -120,11 +120,18 @@ class AmbientCurvature(NamedTuple):
 
 
 class DiscreteHypersurface:
-    """A closed minimal hypersurface sampled on a structured parameter grid."""
+    """A closed minimal hypersurface sampled on a structured parameter grid.
+
+    `harmonic_axes` are the periodic chart axes whose angle differentials
+    d(theta_k) span its harmonic one-forms, so b1 is their count.  Each
+    d(theta_k) is closed; it is co-closed, hence harmonic, when the metric
+    does not depend on theta_k and has no cross terms between theta_k and
+    the other axes, as in a Riemannian product with the circle of axis k.
+    """
 
     def __init__(self, name, ambient, axes, chart_fn, normal_fn,
                  metric_fn=None, potential_fn=None, model_point_fn=None,
-                 betti_one=0, kind=None):
+                 harmonic_axes=(), kind=None):
         self.name = name
         self.kind = kind  # key of its SURFACE_KINDS entry
         self.ambient = ambient
@@ -134,7 +141,7 @@ class DiscreteHypersurface:
         self._metric_fn = metric_fn
         self.potential_fn = potential_fn  # closed-form potential, or None
         self.model_point_fn = model_point_fn or (lambda p: chart_fn(p))
-        self.betti_one = int(betti_one)
+        self.harmonic_axes = tuple(harmonic_axes)
         self.fd_step = _FD_STEP_FRAC * min(a.length for a in self.axes)
 
         self.grid = TensorGrid(self.axes)
@@ -146,6 +153,10 @@ class DiscreteHypersurface:
         self._curvature = None
 
     # -- dimensions -----------------------------------------------------------
+    @property
+    def betti_one(self):
+        return len(self.harmonic_axes)
+
     @property
     def dim(self):
         return len(self.axes)
@@ -334,7 +345,7 @@ def clifford_torus(nodes=96, ambient=None):
     return DiscreteHypersurface(
         "clifford_torus", model, axes, chart, normal,
         metric_fn=metric, potential_fn=lambda p: np.full(p.shape[:-1], 4.0),
-        betti_one=2, kind="clifford_torus",
+        harmonic_axes=(0, 1), kind="clifford_torus",
     )
 
 
@@ -361,7 +372,7 @@ def equator_in_sphere(n, nodes=32):
         _last_axis_normal(n + 2),
         metric_fn=spherical_metric,
         potential_fn=lambda p: np.full(p.shape[:-1], float(n)),
-        betti_one=0, kind="equator",
+        kind="equator",
     )
 
 
@@ -395,7 +406,7 @@ def generalized_clifford(n, nodes=24):
         f"generalized_clifford_s1xs{n - 1}", model, axes, chart, normal,
         metric_fn=metric,
         potential_fn=lambda p: np.full(p.shape[:-1], 2.0 * n),
-        betti_one=1, kind="generalized_clifford",
+        harmonic_axes=(0,), kind="generalized_clifford",
     )
 
 
@@ -425,7 +436,7 @@ def circle_times_equator(n, nodes=24):
         _last_axis_normal(n + 3),
         metric_fn=metric,
         potential_fn=lambda p: np.full(p.shape[:-1], n - 1.0),
-        betti_one=1, kind="circle_times_equator",
+        harmonic_axes=(0,), kind="circle_times_equator",
     )
 
 
@@ -478,7 +489,7 @@ def geodesic_sphere_cp2(nodes=24, radius=None):
         "geodesic_sphere_cp2", model, axes, chart, normal,
         potential_fn=potential,
         model_point_fn=lambda p: z_and_zdot(p)[0],
-        betti_one=0, kind="geodesic_sphere_cp2",
+        kind="geodesic_sphere_cp2",
     )
 
 
@@ -498,20 +509,12 @@ def ellipsoid_section(semi_axes, nodes=24):
     return DiscreteHypersurface(
         "ellipsoid_section", model, spherical_axes(k, nodes), chart,
         _last_axis_normal(len(semi_axes)),
-        betti_one=0, kind="ellipsoid_section",
+        kind="ellipsoid_section",
     )
 
 
 # ---------------------------------------------------------------------------
 # registry: what the scenario runner needs to know about each catalog kind
-
-def circle_factor_sharps(surface):
-    """Metric dual of the circle-factor form d(alpha) at the nodes: the circle
-    direction scaled by one over the squared circle speed."""
-    dalpha_vec = surface.node_fields()["jacobian"][:, 0, :]
-    r_sq = np.einsum("nd,nd->n", dalpha_vec, dalpha_vec)
-    return [dalpha_vec / r_sq[:, None]]
-
 
 @dataclass(frozen=True)
 class SurfaceKind:
@@ -520,15 +523,15 @@ class SurfaceKind:
     `build(ambient, nodes, **params)` returns the surface in `ambient`.
     `ambients` are the ambient kinds it lives in; in one whose model has an
     involution it is the double cover of its quotient.  `params` are its
-    integer config parameters with their defaults.  `harmonic_sharps(surface)`
-    gives the metric duals of its harmonic one-forms when dim >= 3.  `compares_index` says whether the
-    bounds block compares the bound with the computed index.
+    integer config parameters with their defaults.  `compares_index` says
+    whether the bounds block compares the bound with the computed index.  Its
+    harmonic one-forms are no part of the entry: the surface that `build`
+    returns names the chart axes that carry them (`harmonic_axes`).
     """
 
     build: Callable
     ambients: tuple
     params: dict = field(default_factory=dict)
-    harmonic_sharps: Callable | None = None
     compares_index: bool = True
 
 
@@ -542,10 +545,10 @@ SURFACE_KINDS = {
         ("sphere",), {"n": 2}),
     "generalized_clifford": SurfaceKind(
         lambda ambient, nodes, n: generalized_clifford(n, nodes),
-        ("sphere",), {"n": 3}, circle_factor_sharps),
+        ("sphere",), {"n": 3}),
     "circle_times_equator": SurfaceKind(
         lambda ambient, nodes, n: circle_times_equator(n, nodes),
-        ("circle_times_sphere",), {"n": 3}, circle_factor_sharps),
+        ("circle_times_sphere",), {"n": 3}),
     "geodesic_sphere_cp2": SurfaceKind(
         lambda ambient, nodes: geodesic_sphere_cp2(nodes),
         ("complex_projective_veronese",), compares_index=False),

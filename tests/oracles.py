@@ -128,8 +128,8 @@ def with_resolution(surface, scale):
         surface.name, surface.ambient, axes, surface.chart_fn,
         surface.normal_fn, metric_fn=surface._metric_fn,
         potential_fn=surface.potential_fn,
-        model_point_fn=surface.model_point_fn, betti_one=surface.betti_one,
-        kind=surface.kind)
+        model_point_fn=surface.model_point_fn,
+        harmonic_axes=surface.harmonic_axes, kind=surface.kind)
 
 
 def random_tangent(model, point, rng, unit=True):

@@ -122,6 +122,17 @@ def test_resolution_scale(config_path, tmp_path):
     assert report["resolution"] == [24, 24]
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_resolution_scale_not_finite_positive_is_usage_error(scale, config_path,
+                                                             tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(config_path), "--out",
+                  str(tmp_path), "--resolution-scale", scale])
+    assert exc.value.code == 2
+    assert "finite positive" in capsys.readouterr().err
+    assert not (tmp_path / "torus-small.json").exists()
+
+
 def test_single_subcommands(config_path, tmp_path):
     for task in ("identities", "verify-identity", "margins", "bounds"):
         code = cli.main(
@@ -194,12 +205,14 @@ NOT_A_NUMBER = [
     ("kind = clifford_torus", "kind = equator\nn = two", "[hypersurface] n"),
     ("identity = 1e-3", "identity = small", "[tolerances] identity"),
     ("eta = 0.0", "eta = abc", "[certificate] eta"),
+    ("eta = 0.0", "eta = 5%", "[certificate] eta"),  # not an interpolation
     ("eigenvalues = 16", "eigenvalues = 2.5", "[certificate] eigenvalues"),
 ]
 
 
 @pytest.mark.parametrize("old, new, key", NOT_A_NUMBER,
-                         ids=[key[1:].replace("] ", "-") for *_, key in NOT_A_NUMBER])
+                         ids=[key[1:].replace("] ", "-") + "-percent" * ("%" in new)
+                              for _, new, key in NOT_A_NUMBER])
 def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CONFIG.replace(old, new))

@@ -1,13 +1,14 @@
 """Every SURFACE_KINDS entry, in every ambient kind it declares, runs each
 task of `all` through the scenario runner; an undeclared pairing is a config
-error.  Every AMBIENT_KINDS entry names its own model and states a constant
+error.  Every SURFACE_KINDS entry gives b1 orthonormal harmonic one-forms.
+Every AMBIENT_KINDS entry names its own model and states a constant
 that passes the closure check.  Parametrized over the registries themselves,
 so a new entry is covered without a test edit."""
 
 import numpy as np
 import pytest
 
-from indexbound import bounds, cli
+from indexbound import bounds, cli, hodge
 from indexbound.ambient import AMBIENT_KINDS, make_ambient
 from indexbound.hypersurface import SURFACE_KINDS
 from indexbound.spectral import SpectralError, SpectralSystem
@@ -139,3 +140,21 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
         scale = np.abs(oracle).max()
         assert np.abs(vals - oracle).max() < 1e-9 * scale
         assert index == np.sum(oracle < 0)
+
+
+@pytest.mark.parametrize("kind", SURFACE_KINDS)
+def test_harmonic_forms_of_every_kind(kind):
+    # b1 orthonormal forms, each harmonic by its Bochner residual; on a
+    # surface, b1 is also the Euler characteristic's 2 - chi
+    entry = SURFACE_KINDS[kind]
+    ambient_kind = entry.ambients[0]
+    ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
+    surface = entry.build(ambient, 12, **entry.params)
+    forms = hodge.harmonic_one_forms(surface)
+    assert len(forms) == surface.betti_one
+    gram = np.array([[a.l2_inner(b) for b in forms] for a in forms])
+    assert np.abs(gram - np.eye(len(forms))).max(initial=0.0) < 1e-10
+    for w in forms:
+        assert hodge.bochner_residual(surface, w) < 1e-8
+    if surface.dim == 2:
+        assert hodge._euler_betti_one(surface) == surface.betti_one
