@@ -563,8 +563,8 @@ class EllipsoidModel(AmbientModel):
         semi_axes = np.asarray(semi_axes, dtype=float)
         if semi_axes.ndim != 1 or len(semi_axes) < 3:
             raise AmbientError("need at least three semi-axes")
-        if np.any(semi_axes <= 0):
-            raise AmbientError("semi-axes must be positive")
+        if not np.all(np.isfinite(semi_axes) & (semi_axes > 0)):
+            raise AmbientError("semi-axes must be finite and positive")
         super().__init__(len(semi_axes) - 1, len(semi_axes))
         self.semi_axes = semi_axes
         self._g = 1.0 / semi_axes**2

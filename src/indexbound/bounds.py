@@ -6,7 +6,6 @@ margins, and the borderline complex-projective residual checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -43,41 +42,6 @@ _BORDERLINE_STEP = 1e-3
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass
-class CertificateReport:
-    mode: str  # 'Prop41' | 'Prop43'
-    eta: float
-    q: int
-    d: int
-    required_count: int
-    required_real: float
-    actual_count: int
-    hypothesis_margin: float
-    normalized_margin: float
-    verdict: str = field(init=False)
-
-    def __post_init__(self):
-        passed = (self.normalized_margin < -STRICT_TOL
-                  and self.actual_count >= self.required_count)
-        self.verdict = "pass" if passed else "fail"
-
-    def as_dict(self):
-        return {
-            "mode": self.mode,
-            "eta": self.eta,
-            "q": self.q,
-            "d": self.d,
-            "required": self.required_count,
-            "required_real": self.required_real,
-            "actual": self.actual_count,
-            "counts_ok": self.actual_count >= self.required_count,
-            "margin": self.hypothesis_margin,
-            "normalized_margin": self.normalized_margin,
-            "tol": STRICT_TOL,
-            "verdict": self.verdict,
-        }
-
-
 def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
     """Certificate that at least a fixed fraction of dim(V) eigenvalues of the
     Jacobi operator lie strictly below eta, counted in `spectrum`, the
@@ -86,6 +50,7 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
     The hypothesis is that the integrand Gram form minus eta (Prop41) or
     2 eta (Prop43) times the L2 mass is negative definite; the conclusion
     compares count_below(eta) with the ceiling of the paper fraction.
+    Returns the certificate's report block.
     """
     q = len(basis)
     d = surface.embed_dim
@@ -107,12 +72,14 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
         raise BoundsError(f"unknown certificate mode {mode!r}")
     required = math.ceil(required_real)
     actual = spectrum.count_below(eta)
-    return CertificateReport(
-        mode=mode, eta=float(eta), q=q, d=d,
-        required_count=required, required_real=required_real,
-        actual_count=actual, hypothesis_margin=margin,
-        normalized_margin=normalized,
-    )
+    passed = normalized < -STRICT_TOL and actual >= required
+    return {
+        "mode": mode, "eta": float(eta), "q": q, "d": d,
+        "required": required, "required_real": required_real,
+        "actual": actual, "counts_ok": actual >= required,
+        "margin": margin, "normalized_margin": normalized,
+        "tol": STRICT_TOL, "verdict": "pass" if passed else "fail",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +129,6 @@ def index_bound_report(surface, spectrum):
 # ---------------------------------------------------------------------------
 # application margins
 
-@dataclass
-class MarginReport:
-    application: str
-    values: dict
-    thresholds: dict
-    verdict: str
-
-
 def q_closed_form(theta, phi):
     """q = 1 + sin^2(phi) cos^2(theta) (2 cos^2(theta) - 1)."""
     c2 = np.cos(theta) ** 2
@@ -200,7 +159,8 @@ def margins_sphere(surface, form):
         "mean_deviation": float(dev.mean()),
     }
     verdict = "pass" if values["max_deviation"] < 1e-8 else "fail"
-    return MarginReport("sphere", values, {"max_deviation": 1e-8}, verdict)
+    return {"values": values, "thresholds": {"max_deviation": 1e-8},
+            "verdict": verdict}
 
 
 def margins_cross(ambient):
@@ -220,8 +180,8 @@ def margins_cross(ambient):
         verdict = "pass"
     else:
         verdict = "fail"
-    return MarginReport("cross", values, {"margin": 0.0, "tol": STRICT_TOL},
-                        verdict)
+    return {"values": values, "thresholds": {"margin": 0.0, "tol": STRICT_TOL},
+            "verdict": verdict}
 
 
 def margins_product_q(surface, form, seed=0):
@@ -249,11 +209,12 @@ def margins_product_q(surface, form, seed=0):
     }
     ok_verdict = (abs(values["q_min"] - 0.875) < 1e-6 and agree < 1e-12
                   and integrand_max < 0)
-    return MarginReport(
-        "product_q", values,
-        {"q_min": 0.875, "closed_form_agreement": 1e-12, "integrand_max": 0.0},
-        "pass" if ok_verdict else "fail",
-    )
+    return {
+        "values": values,
+        "thresholds": {"q_min": 0.875, "closed_form_agreement": 1e-12,
+                       "integrand_max": 0.0},
+        "verdict": "pass" if ok_verdict else "fail",
+    }
 
 
 def margins_convex(ambient, seed=0):
@@ -277,8 +238,8 @@ def margins_convex(ambient, seed=0):
     passes = ratio_max < thresholds["ratio"]
     if n == 2:
         passes = passes or ratio_max < thresholds["ratio_refined"]
-    return MarginReport("convex", values, thresholds,
-                        "pass" if passes else "fail")
+    return {"values": values, "thresholds": thresholds,
+            "verdict": "pass" if passes else "fail"}
 
 
 def margins_scalar3(ambient, seed=0):
@@ -304,10 +265,9 @@ def margins_scalar3(ambient, seed=0):
         verdict = "borderline: 2R - |H|^2 vanishes to roundoff"
     else:
         verdict = "pass" if min_margin > 0 else "fail"
-    return MarginReport(
-        "scalar3", values,
-        {"margin": 0.0, "tol": STRICT_TOL, "contraction": 1e-8}, verdict,
-    )
+    return {"values": values,
+            "thresholds": {"margin": 0.0, "tol": STRICT_TOL, "contraction": 1e-8},
+            "verdict": verdict}
 
 
 def application_margins(name, surface, basis, seed=0):

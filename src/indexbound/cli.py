@@ -12,7 +12,6 @@ import argparse
 import configparser
 import csv
 import json
-import operator
 import sys
 import traceback
 from fractions import Fraction
@@ -44,8 +43,18 @@ def _value(parser, section, key, conv, default=None):
         return default
     try:
         return conv(raw)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _int_at_least(low):
+    """The converter of an integer >= `low`, for a config value or a flag."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+    return integer
 
 
 def _build_ambient(parser):
@@ -57,27 +66,23 @@ def _build_ambient(parser):
     return ambient_mod.make_ambient(kind, **params)
 
 
-_shape = operator.attrgetter("kind", "intrinsic_dim", "embed_dim")
-
-
 def _build_surface(parser, ambient, resolution_scale):
-    """The configured surface: in a quotient ambient, its double cover."""
+    """The configured surface's kind entry and the surface, built in
+    `ambient` (in a quotient ambient, the double cover of the surface)."""
     kind = parser["hypersurface"].get("kind")
     if kind not in hyp_mod.SURFACE_KINDS:
         raise ConfigError(f"unknown hypersurface kind {kind!r}")
     entry = hyp_mod.SURFACE_KINDS[kind]
-    nodes = _value(parser, "hypersurface", "nodes", int, 24)
+    nodes = _value(parser, "hypersurface", "nodes", _int_at_least(4), 24)
     nodes = max(4, int(round(nodes * resolution_scale)))
-    params = {name: _value(parser, "hypersurface", name, int, default)
-              for name, default in entry.params.items()}
-    surface = (entry.build(ambient, nodes, **params)
-               if ambient.kind in entry.ambients else None)
-    if surface is None or _shape(surface.ambient) != _shape(ambient):
-        raise ConfigError(
-            f"hypersurface {kind!r} is incompatible with ambient {ambient.kind!r} "
-            f"of dimension {ambient.intrinsic_dim}"
-        )
-    return surface
+    incompatible = (f"hypersurface {kind!r} is incompatible with ambient "
+                    f"{ambient.kind!r} of dimension {ambient.intrinsic_dim}")
+    if ambient.kind not in entry.ambients:
+        raise ConfigError(incompatible)
+    try:
+        return entry, entry.build(ambient, nodes)
+    except ambient_mod.AmbientError as exc:
+        raise ConfigError(f"{incompatible}: {exc}") from None
 
 
 class Scenario:
@@ -95,12 +100,13 @@ class Scenario:
         if "scenario" not in parser:
             raise ConfigError("config lacks a [scenario] section")
         self.id = parser["scenario"].get("id", Path(config_path).stem)
-        self.seed = (seed if seed is not None
-                     else _value(parser, "scenario", "seed", int, 12345))
+        self.seed = seed if seed is not None else _value(
+            parser, "scenario", "seed", _int_at_least(0), 12345)
         if "ambient" not in parser or "hypersurface" not in parser:
             raise ConfigError("config needs [ambient] and [hypersurface] sections")
         self.ambient = _build_ambient(parser)
-        self.surface = _build_surface(parser, self.ambient, resolution_scale)
+        self.surface_kind, self.surface = _build_surface(
+            parser, self.ambient, resolution_scale)
         self.tolerances = {
             key: _value(parser, "tolerances", key, float, default)
             for key, default in dict(identity=1e-4, pointwise=1e-8,
@@ -209,14 +215,11 @@ def _certify(run, report):
     modes = [("certificate", "Prop41")]
     if run.surface.dim == 2:
         modes.append(("certificate_starred", "Prop43"))
-    ok = True
     for key, mode in modes:
-        cert = bounds_mod.concentration_certificate(
+        report[key] = bounds_mod.concentration_certificate(
             run.surface, run.basis, run.scenario.eta, mode, spectrum=spectrum
         )
-        report[key] = cert.as_dict()
-        ok &= cert.verdict == "pass"
-    return ok
+    return all(report[key]["verdict"] == "pass" for key, _ in modes)
 
 
 def _margins(run, report):
@@ -226,8 +229,7 @@ def _margins(run, report):
         m = bounds_mod.application_margins(name, run.surface, run.basis,
                                            seed=sc.seed)
         if m is not None:
-            margins[name] = {"values": m.values, "thresholds": m.thresholds,
-                             "verdict": m.verdict}
+            margins[name] = m
     report["margins"] = margins
     return all(v["verdict"].startswith(("pass", "borderline"))
                for v in margins.values())
@@ -244,7 +246,7 @@ def _borderline(run, report):
 
 def _bounds(run, report):
     surf = run.surface
-    if not hyp_mod.SURFACE_KINDS[surf.kind].compares_index:
+    if not run.scenario.surface_kind.compares_index:
         report["bounds"] = {
             "constant": bounds_mod.theorem_constant(run.scenario.ambient)}
         return True
@@ -353,7 +355,7 @@ def main(argv=None):
     parser.add_argument("--out", default="reports",
                         help="output directory for JSON/CSV reports")
     parser.add_argument("--resolution-scale", type=_positive_scale, default=1.0)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_int_at_least(0), default=None)
     args = parser.parse_args(argv)
 
     config = args.config or str(bundled_config("clifford.cfg"))

@@ -11,12 +11,12 @@ catalog entry expressible in closed form.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ambient import make_ambient
+from .ambient import AmbientError
 from .elements import Axis, FemSystem, TensorGrid
 
 #: Gram-Schmidt length below which a chart Jacobian row is degenerate, the
@@ -131,9 +131,8 @@ class DiscreteHypersurface:
 
     def __init__(self, name, ambient, axes, chart_fn, normal_fn,
                  metric_fn=None, potential_fn=None, model_point_fn=None,
-                 harmonic_axes=(), kind=None):
+                 harmonic_axes=()):
         self.name = name
-        self.kind = kind  # key of its SURFACE_KINDS entry
         self.ambient = ambient
         self.axes = list(axes)
         self.chart_fn = chart_fn
@@ -314,10 +313,11 @@ class DiscreteHypersurface:
 # ---------------------------------------------------------------------------
 # catalog
 
-def clifford_torus(nodes=96, ambient=None):
-    """The square torus S^1(1/sqrt2) x S^1(1/sqrt2) inside S^3 (or its image
-    in RP^3 when handed a projective ambient)."""
-    model = ambient or make_ambient("sphere", dim=3)
+def clifford_torus(ambient, nodes):
+    """The square torus S^1(1/sqrt2) x S^1(1/sqrt2) inside the 3-sphere
+    `ambient`, or its image in RP^3 when `ambient` is projective."""
+    if ambient.intrinsic_dim != 3:
+        raise AmbientError("the Clifford torus needs an ambient of dimension 3")
     r = 1.0 / np.sqrt(2.0)
 
     def chart(p):
@@ -343,9 +343,9 @@ def clifford_torus(nodes=96, ambient=None):
         Axis("v", 2 * np.pi, nodes, periodic=True),
     ]
     return DiscreteHypersurface(
-        "clifford_torus", model, axes, chart, normal,
+        "clifford_torus", ambient, axes, chart, normal,
         metric_fn=metric, potential_fn=lambda p: np.full(p.shape[:-1], 4.0),
-        harmonic_axes=(0, 1), kind="clifford_torus",
+        harmonic_axes=(0, 1),
     )
 
 
@@ -358,9 +358,10 @@ def _last_axis_normal(d):
     return normal
 
 
-def equator_in_sphere(n, nodes=32):
-    """Totally geodesic S^n inside S^{n+1}; potential is the constant n."""
-    model = make_ambient("sphere", dim=n + 1)
+def equator_in_sphere(ambient, nodes):
+    """Totally geodesic S^n inside the sphere S^{n+1} `ambient`; potential is
+    the constant n."""
+    n = ambient.intrinsic_dim - 1
 
     def chart(p):
         x = spherical_chart(p)
@@ -368,17 +369,19 @@ def equator_in_sphere(n, nodes=32):
         return np.concatenate([x, pad], axis=-1)
 
     return DiscreteHypersurface(
-        f"equator_s{n}", model, spherical_axes(n, nodes), chart,
-        _last_axis_normal(n + 2),
+        f"equator_s{n}", ambient, spherical_axes(n, nodes), chart,
+        _last_axis_normal(ambient.embed_dim),
         metric_fn=spherical_metric,
         potential_fn=lambda p: np.full(p.shape[:-1], float(n)),
-        kind="equator",
     )
 
 
-def generalized_clifford(n, nodes=24):
-    """S^1(r) x S^{n-1}(s) in S^{n+1} with r = 1/sqrt(n); potential 2n."""
-    model = make_ambient("sphere", dim=n + 1)
+def generalized_clifford(ambient, nodes):
+    """S^1(r) x S^{n-1}(s) in the sphere S^{n+1} `ambient`, n >= 2, with
+    r = 1/sqrt(n); potential 2n."""
+    n = ambient.intrinsic_dim - 1
+    if n < 2:
+        raise AmbientError("S^1 x S^(n-1) needs a sphere of dimension >= 3")
     r = 1.0 / np.sqrt(n)
     s = np.sqrt((n - 1.0) / n)
 
@@ -403,17 +406,17 @@ def generalized_clifford(n, nodes=24):
     axes = [Axis("alpha", 2 * np.pi, nodes, periodic=True)]
     axes += spherical_axes(n - 1, nodes)
     return DiscreteHypersurface(
-        f"generalized_clifford_s1xs{n - 1}", model, axes, chart, normal,
+        f"generalized_clifford_s1xs{n - 1}", ambient, axes, chart, normal,
         metric_fn=metric,
         potential_fn=lambda p: np.full(p.shape[:-1], 2.0 * n),
-        harmonic_axes=(0,), kind="generalized_clifford",
+        harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
     )
 
 
-def circle_times_equator(n, nodes=24):
-    """S^1 x S^{n-1} sitting in the product ambient S^1 x S^n; the normal
+def circle_times_equator(ambient, nodes):
+    """S^1 x S^{n-1} sitting in the product `ambient` S^1 x S^n; the normal
     points along the sphere factor, so the potential is n - 1."""
-    model = make_ambient("circle_times_sphere", n=n)
+    n = ambient.n
 
     def chart(p):
         t = p[..., 0]
@@ -432,22 +435,24 @@ def circle_times_equator(n, nodes=24):
     axes = [Axis("t", 2 * np.pi, nodes, periodic=True)]
     axes += spherical_axes(n - 1, nodes)
     return DiscreteHypersurface(
-        f"circle_times_equator_s{n - 1}", model, axes, chart,
-        _last_axis_normal(n + 3),
+        f"circle_times_equator_s{n - 1}", ambient, axes, chart,
+        _last_axis_normal(ambient.embed_dim),
         metric_fn=metric,
         potential_fn=lambda p: np.full(p.shape[:-1], n - 1.0),
-        harmonic_axes=(0,), kind="circle_times_equator",
+        harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
     )
 
 
-def geodesic_sphere_cp2(nodes=24, radius=None):
-    """Geodesic sphere of the minimal radius about a point of CP^2.
+def geodesic_sphere_cp2(ambient, nodes, radius=None):
+    """Geodesic sphere of the minimal radius about a point of the CP^2
+    `ambient` (or of `radius`, a probe for the minimal one).
 
     The chart runs over the unit 3-sphere of horizontal directions in angular
     coordinates (xi1, xi2, eta); the normal is the velocity of the radial
     geodesic, computed in closed form through the Veronese embedding.
     """
-    model = make_ambient("complex_projective_veronese", m=2)
+    if ambient.m != 2:
+        raise AmbientError("the geodesic sphere of CP^2 needs m = 2")
     r = np.pi / 3.0 if radius is None else float(radius)
     cr, sr = np.cos(r), np.sin(r)
 
@@ -469,11 +474,11 @@ def geodesic_sphere_cp2(nodes=24, radius=None):
 
     def chart(p):
         z, _ = z_and_zdot(p)
-        return model.position(z)
+        return ambient.position(z)
 
     def normal(p):
         z, zdot = z_and_zdot(p)
-        return model.flatten(model.outer(z, zdot))
+        return ambient.flatten(ambient.outer(z, zdot))
 
     def potential(p):
         # Einstein constant 6 plus |A|^2 = 4 cot(2r)^2 + 2 cot(r)^2
@@ -486,19 +491,16 @@ def geodesic_sphere_cp2(nodes=24, radius=None):
         Axis("eta", np.pi / 2, max(4, nodes // 2)),
     ]
     return DiscreteHypersurface(
-        "geodesic_sphere_cp2", model, axes, chart, normal,
+        "geodesic_sphere_cp2", ambient, axes, chart, normal,
         potential_fn=potential,
         model_point_fn=lambda p: z_and_zdot(p)[0],
-        kind="geodesic_sphere_cp2",
     )
 
 
-def ellipsoid_section(semi_axes, nodes=24):
-    """Hyperplane section {x_last = 0} of an ellipsoid: a totally geodesic
-    minimal hypersurface with constant unit normal along the last axis."""
-    semi_axes = np.asarray(semi_axes, dtype=float)
-    model = make_ambient("ellipsoid", semi_axes=semi_axes)
-    k = len(semi_axes) - 2  # dimension of the section
+def ellipsoid_section(ambient, nodes):
+    """Hyperplane section {x_last = 0} of the ellipsoid `ambient`: totally
+    geodesic, with constant unit normal along the last axis."""
+    semi_axes = ambient.semi_axes
 
     def chart(p):
         u = spherical_chart(p)
@@ -507,9 +509,9 @@ def ellipsoid_section(semi_axes, nodes=24):
         return np.concatenate([x, pad], axis=-1)
 
     return DiscreteHypersurface(
-        "ellipsoid_section", model, spherical_axes(k, nodes), chart,
-        _last_axis_normal(len(semi_axes)),
-        kind="ellipsoid_section",
+        "ellipsoid_section", ambient,
+        spherical_axes(ambient.intrinsic_dim - 1, nodes), chart,
+        _last_axis_normal(ambient.embed_dim),
     )
 
 
@@ -520,39 +522,29 @@ def ellipsoid_section(semi_axes, nodes=24):
 class SurfaceKind:
     """One catalog kind; adding a kind is adding an entry to SURFACE_KINDS.
 
-    `build(ambient, nodes, **params)` returns the surface in `ambient`.
-    `ambients` are the ambient kinds it lives in; in one whose model has an
-    involution it is the double cover of its quotient.  `params` are its
-    integer config parameters with their defaults.  `compares_index` says
-    whether the bounds block compares the bound with the computed index.  Its
-    harmonic one-forms are no part of the entry: the surface that `build`
-    returns names the chart axes that carry them (`harmonic_axes`).
+    `build(ambient, nodes)` returns the surface in the model `ambient`, with
+    its dimensions read from that model; it raises AmbientError for a
+    dimension it cannot build.  `ambients` are the ambient kinds it lives
+    in; in one whose model has an involution it is the double cover of its
+    quotient.  `compares_index` says whether the bounds block compares the
+    bound with the computed index.  Its harmonic one-forms are no part of
+    the entry: the surface that `build` returns names the chart axes that
+    carry them (`harmonic_axes`).
     """
 
     build: Callable
     ambients: tuple
-    params: dict = field(default_factory=dict)
     compares_index: bool = True
 
 
 SURFACE_KINDS = {
-    "clifford_torus": SurfaceKind(
-        lambda ambient, nodes: clifford_torus(
-            nodes, make_ambient(ambient.kind, dim=3)),
-        ("sphere", "real_projective")),
-    "equator": SurfaceKind(
-        lambda ambient, nodes, n: equator_in_sphere(n, nodes),
-        ("sphere",), {"n": 2}),
-    "generalized_clifford": SurfaceKind(
-        lambda ambient, nodes, n: generalized_clifford(n, nodes),
-        ("sphere",), {"n": 3}),
-    "circle_times_equator": SurfaceKind(
-        lambda ambient, nodes, n: circle_times_equator(n, nodes),
-        ("circle_times_sphere",), {"n": 3}),
+    "clifford_torus": SurfaceKind(clifford_torus, ("sphere", "real_projective")),
+    "equator": SurfaceKind(equator_in_sphere, ("sphere",)),
+    "generalized_clifford": SurfaceKind(generalized_clifford, ("sphere",)),
+    "circle_times_equator": SurfaceKind(circle_times_equator,
+                                        ("circle_times_sphere",)),
     "geodesic_sphere_cp2": SurfaceKind(
-        lambda ambient, nodes: geodesic_sphere_cp2(nodes),
-        ("complex_projective_veronese",), compares_index=False),
-    "ellipsoid_section": SurfaceKind(
-        lambda ambient, nodes: ellipsoid_section(ambient.semi_axes, nodes),
-        ("ellipsoid",)),
+        geodesic_sphere_cp2, ("complex_projective_veronese",),
+        compares_index=False),
+    "ellipsoid_section": SurfaceKind(ellipsoid_section, ("ellipsoid",)),
 }

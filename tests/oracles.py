@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from indexbound import hypersurface as hyp, spectral
+from indexbound.ambient import ComplexProjectiveVeroneseModel
 from indexbound.elements import Axis
 from indexbound.hodge import DiscreteOneForm
 
@@ -129,7 +130,7 @@ def with_resolution(surface, scale):
         surface.normal_fn, metric_fn=surface._metric_fn,
         potential_fn=surface.potential_fn,
         model_point_fn=surface.model_point_fn,
-        harmonic_axes=surface.harmonic_axes, kind=surface.kind)
+        harmonic_axes=surface.harmonic_axes)
 
 
 def random_tangent(model, point, rng, unit=True):
@@ -179,7 +180,8 @@ def minimal_geodesic_sphere_radius(lo=0.3, hi=1.3):
     """Radius at which the geodesic sphere about a point of CP^2 is minimal,
     found by root-bracketing on its numerically computed mean curvature."""
     def mean_curv(r):
-        surf = hyp.geodesic_sphere_cp2(nodes=8, radius=r)
+        surf = hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 8,
+                                       radius=r)
         f = surf.node_fields()
         return float(f["mean_curvature"][f["interior"]].mean())
 

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from indexbound import bounds, cli, hodge, hypersurface as hyp, testfns
-from indexbound.ambient import make_ambient
+from indexbound.ambient import (
+    CircleTimesSphereModel,
+    ComplexProjectiveVeroneseModel,
+    SphereModel,
+    make_ambient,
+)
 from indexbound.spectral import SpectralSystem
 from oracles import (
     CAYLEY_PLANE,
@@ -110,9 +115,9 @@ def test_criterion_03_spectrum_oracle(torus96, capsys):
     eq_errs = []
     eq_idx = []
     for n, nodes in ((2, 33), (3, 17)):
-        s = SpectralSystem(hyp.equator_in_sphere(n, nodes)).spectrum(
-            how_many=6
-        )
+        s = SpectralSystem(
+            hyp.equator_in_sphere(SphereModel(n + 1), nodes)
+        ).spectrum(how_many=6)
         eq_errs.append(abs(s.eigenvalues[0] + n) / n)
         eq_idx.append(s.morse_index)
     dt = time.perf_counter() - t0
@@ -148,13 +153,13 @@ def test_criterion_05_concentration_certificates(torus96, t96_forms,
     t0 = time.perf_counter()
     c41 = bounds.concentration_certificate(
         torus96, t96_forms, 0.0, mode="Prop41", spectrum=t96_spectrum
-    ).as_dict()
+    )
     c43 = bounds.concentration_certificate(
         torus96, t96_forms, 0.0, mode="Prop43", spectrum=t96_spectrum
-    ).as_dict()
+    )
     strict = bounds.concentration_certificate(
         torus96, t96_forms, -2.0 + 1e-6, mode="Prop41", spectrum=t96_spectrum
-    ).as_dict()
+    )
     dt = time.perf_counter() - t0
     ok = (
         c41["verdict"] == "pass" and c41["margin"] < 0
@@ -213,7 +218,7 @@ def test_criterion_07_geodesic_sphere_borderline(capsys):
     t0 = time.perf_counter()
     r = minimal_geodesic_sphere_radius()
     r_err = abs(r - np.pi / 3.0)
-    surf = hyp.geodesic_sphere_cp2(32)
+    surf = hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 32)
     minimality = surf.pointwise_checks(seed=7)["minimality"]
     rep = bounds.borderline_cp_report(surf)
     res_max = max(rep["div_jn_residual"], rep["decomposition_residual"],
@@ -221,8 +226,11 @@ def test_criterion_07_geodesic_sphere_borderline(capsys):
     # decay under refinement, probed with a non-constant weight so the
     # finite-difference truncation is visible above roundoff
     f = lambda p: 1.0 + 0.3 * np.sin(p[..., 0]) * np.cos(p[..., 2])
-    coarse = bounds.borderline_cp_report(hyp.geodesic_sphere_cp2(16), f_fn=f)
-    fine = bounds.borderline_cp_report(hyp.geodesic_sphere_cp2(32), f_fn=f)
+    coarse, fine = (
+        bounds.borderline_cp_report(
+            hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), nodes),
+            f_fn=f)
+        for nodes in (16, 32))
     decays = fine["decomposition_residual"] < coarse["decomposition_residual"]
     dt = time.perf_counter() - t0
     ok = (r_err < 1e-10 and minimality < 1e-6 and res_max < 1e-5
@@ -238,12 +246,12 @@ def test_criterion_07_geodesic_sphere_borderline(capsys):
 def test_criterion_08_product_profile(capsys):
     reps = []
     for n in (3, 4):
-        surf = hyp.circle_times_equator(n, 14)
+        surf = hyp.circle_times_equator(CircleTimesSphereModel(n), 14)
         reps.append(bounds.margins_product_q(
             surf, hodge.harmonic_one_forms(surf)[0]))
-    v = reps[0].values
+    v = reps[0]["values"]
     q_err = abs(v["q_min"] - 7.0 / 8.0)
-    neg = [val for rep in reps for key, val in rep.values.items()
+    neg = [val for rep in reps for key, val in rep["values"].items()
            if key.startswith("integrand_max")]
     ok = (
         q_err < 1e-6 and v["closed_form_agreement"] < 1e-12
@@ -262,17 +270,17 @@ def test_criterion_09_pinching_checkers(capsys):
     scenario = cli.Scenario(cli.bundled_config("ellipsoid-elongated.cfg"))
     elong_rep = bounds.margins_convex(scenario.ambient)
     scalar = bounds.margins_scalar3(make_ambient("sphere", dim=3))
-    margin = scalar.values["min_2R_minus_H2"]
-    contraction = scalar.values["contraction_residual"]
+    margin = scalar["values"]["min_2R_minus_H2"]
+    contraction = scalar["values"]["contraction_residual"]
     ok = (
-        round_rep.verdict == "pass"
-        and elong_rep.verdict == "fail"
+        round_rep["verdict"] == "pass"
+        and elong_rep["verdict"] == "fail"
         and abs(margin - 3.0) < 1e-10 and margin > 0
         and contraction < 1e-8
     )
     _report(9, "curvature pinching checkers", ok,
-            f"round sphere {round_rep.verdict}, bundled elongated ellipsoid "
-            f"{elong_rep.verdict}, scalar margin {margin:.6f} == 3 > 0, "
+            f"round sphere {round_rep['verdict']}, bundled elongated ellipsoid "
+            f"{elong_rep['verdict']}, scalar margin {margin:.6f} == 3 > 0, "
             f"contraction residual {contraction:.1e} < 1e-8", capsys)
 
 
@@ -303,7 +311,8 @@ def test_criterion_10_constant_table(capsys):
     # the Cayley plane: margin -48, and 1/351 = 2/(d(d-1)) at embedding
     # dimension 27
     cayley = bounds.margins_cross(CAYLEY_PLANE)
-    checks.append(cayley.values["margin"] == -48.0 and cayley.verdict == "pass")
+    checks.append(cayley["values"]["margin"] == -48.0
+                  and cayley["verdict"] == "pass")
     checks.append(Fraction(1, 351) == Fraction(2, 27 * 26))
     ok = all(checks)
     _report(10, "exact rational constant table", ok,

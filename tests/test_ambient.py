@@ -48,8 +48,9 @@ def test_make_ambient_validation():
         make_ambient("nonexistent")
     with pytest.raises(AmbientError):
         make_ambient("sphere", dim=1)
-    with pytest.raises(AmbientError):
-        make_ambient("ellipsoid", semi_axes=[1.0, -1.0, 1.0])
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(AmbientError):
+            make_ambient("ellipsoid", semi_axes=[1.0, bad, 1.0, 2.0])
     with pytest.raises(AmbientError):
         make_ambient("sphere")  # missing parameter
 

@@ -1,10 +1,15 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from indexbound import bounds, hodge, hypersurface as hyp
-from indexbound.ambient import make_ambient
+from indexbound.ambient import (
+    CircleTimesSphereModel,
+    ComplexProjectiveVeroneseModel,
+    make_ambient,
+)
 from indexbound.spectral import SpectralSystem
 from oracles import CAYLEY_PLANE
 
@@ -20,10 +25,9 @@ def torus_spectrum(torus48):
 
 
 def test_certificate_at_zero(torus48, torus_forms, torus_spectrum):
-    rep = bounds.concentration_certificate(
+    d = bounds.concentration_certificate(
         torus48, torus_forms, 0.0, mode="Prop41", spectrum=torus_spectrum
     )
-    d = rep.as_dict()
     assert d["required"] == 1
     assert d["actual"] == 5
     assert d["margin"] < 0.0
@@ -31,11 +35,10 @@ def test_certificate_at_zero(torus48, torus_forms, torus_spectrum):
 
 
 def test_certificate_near_cluster(torus48, torus_forms, torus_spectrum):
-    rep = bounds.concentration_certificate(
+    d = bounds.concentration_certificate(
         torus48, torus_forms, -2.0 + 1e-3, mode="Prop41",
         spectrum=torus_spectrum,
     )
-    d = rep.as_dict()
     assert d["actual"] == 5
     assert d["margin"] < 0.0
     assert d["verdict"] == "pass"
@@ -44,20 +47,18 @@ def test_certificate_near_cluster(torus48, torus_forms, torus_spectrum):
 def test_certificate_equality_never_passes(torus48, torus_forms,
                                            torus_spectrum):
     # at the exact cluster value the hypothesis margin is zero up to roundoff
-    rep = bounds.concentration_certificate(
+    d = bounds.concentration_certificate(
         torus48, torus_forms, -2.0, mode="Prop41", spectrum=torus_spectrum
     )
-    d = rep.as_dict()
     assert abs(d["margin"]) < 1e-10
     assert d["counts_ok"]
     assert d["verdict"] == "fail"  # strict inequality required
 
 
 def test_starred_certificate(torus48, torus_forms, torus_spectrum):
-    rep = bounds.concentration_certificate(
+    d = bounds.concentration_certificate(
         torus48, torus_forms, 0.0, mode="Prop43", spectrum=torus_spectrum
     )
-    d = rep.as_dict()
     assert d["required"] == 1
     assert abs(d["required_real"] - 2.0 / 8.0) < 1e-12
     assert d["actual"] == 5
@@ -105,32 +106,32 @@ def test_index_bound_table(torus48, torus_spectrum):
 
 def test_margins_sphere(torus48, torus_forms):
     rep = bounds.margins_sphere(torus48, torus_forms[0])
-    assert rep.verdict == "pass"
-    assert rep.values["max_deviation"] < 1e-8
+    assert rep["verdict"] == "pass"
+    assert rep["values"]["max_deviation"] < 1e-8
 
 
 def test_margins_cross():
     cp2 = bounds.margins_cross(make_ambient("complex_projective_veronese", m=2))
-    assert cp2.values["margin"] == 0.0
-    assert cp2.verdict.startswith("borderline")
+    assert cp2["values"]["margin"] == 0.0
+    assert cp2["verdict"].startswith("borderline")
     hp2 = bounds.margins_cross(make_ambient("quaternionic_projective_veronese", p=2))
-    assert hp2.values["margin"] < 0.0
-    assert hp2.verdict == "pass"
+    assert hp2["values"]["margin"] < 0.0
+    assert hp2["verdict"] == "pass"
     cayley = bounds.margins_cross(CAYLEY_PLANE)
-    assert abs(cayley.values["margin"] + 48.0) < 1e-12
-    assert cayley.verdict == "pass"
+    assert abs(cayley["values"]["margin"] + 48.0) < 1e-12
+    assert cayley["verdict"] == "pass"
 
 
 def test_q_profile_minimum(torus48, torus_forms):
-    surf = hyp.circle_times_equator(3, 8)
+    surf = hyp.circle_times_equator(CircleTimesSphereModel(3), 8)
     form = hodge.harmonic_one_forms(surf)[0]
     rep = bounds.margins_product_q(surf, form)
-    assert abs(rep.values["q_min"] - 7.0 / 8.0) < 1e-4
-    assert rep.values["closed_form_agreement"] < 1e-12
+    assert abs(rep["values"]["q_min"] - 7.0 / 8.0) < 1e-4
+    assert rep["values"]["closed_form_agreement"] < 1e-12
     # the minimiser satisfies cos^2(theta) = 1/4 at phi = pi/2
-    assert abs(np.cos(rep.values["argmin_theta"]) ** 2 - 0.25) < 1e-2
-    assert abs(rep.values["argmin_phi"] - np.pi / 2) < 1e-2
-    assert rep.values["integrand_max_circle_times_equator_s2"] < 0.0
+    assert abs(np.cos(rep["values"]["argmin_theta"]) ** 2 - 0.25) < 1e-2
+    assert abs(rep["values"]["argmin_phi"] - np.pi / 2) < 1e-2
+    assert rep["values"]["integrand_max_circle_times_equator_s2"] < 0.0
     with pytest.raises(bounds.BoundsError):
         bounds.margins_product_q(torus48, torus_forms[0])
 
@@ -138,27 +139,27 @@ def test_q_profile_minimum(torus48, torus_forms):
 def test_margins_convex():
     round_s = bounds.margins_convex(
         make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1]))
-    assert abs(round_s.values["ratio_max"] - 1.0) < 1e-10
-    assert round_s.verdict == "pass"
+    assert abs(round_s["values"]["ratio_max"] - 1.0) < 1e-10
+    assert round_s["verdict"] == "pass"
     mild = bounds.margins_convex(
         make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1.1]))
-    assert mild.verdict == "pass"
-    assert mild.values["ratio_max"] < np.sqrt(1.5)
+    assert mild["verdict"] == "pass"
+    assert mild["values"]["ratio_max"] < np.sqrt(1.5)
     elongated = bounds.margins_convex(
         make_ambient("ellipsoid", semi_axes=[1, 1, 1, 2.0]))
-    assert elongated.verdict == "fail"
+    assert elongated["verdict"] == "fail"
 
 
 def test_margins_scalar3():
     rep = bounds.margins_scalar3(make_ambient("sphere", dim=3))
-    assert abs(rep.values["min_2R_minus_H2"] - 3.0) < 1e-10
-    assert rep.values["contraction_residual"] < 1e-8
-    assert rep.verdict == "pass"
+    assert abs(rep["values"]["min_2R_minus_H2"] - 3.0) < 1e-10
+    assert rep["values"]["contraction_residual"] < 1e-8
+    assert rep["verdict"] == "pass"
 
 
 def test_application_dispatch(torus48, torus_forms):
     rep = bounds.application_margins("scalar3", torus48, torus_forms)
-    assert rep.application == "scalar3"
+    assert "min_2R_minus_H2" in rep["values"]
     # the form margins have nothing to be taken on when b1 = 0
     assert bounds.application_margins("sphere", torus48, []) is None
     assert bounds.application_margins("product_q", torus48, []) is None
@@ -175,8 +176,11 @@ def test_borderline_residuals(geodesic_cp2):
 
 def test_borderline_decay_under_refinement():
     f = lambda p: 1.0 + 0.3 * np.sin(p[..., 0]) * np.cos(p[..., 2])
-    coarse = bounds.borderline_cp_report(hyp.geodesic_sphere_cp2(12), f_fn=f)
-    fine = bounds.borderline_cp_report(hyp.geodesic_sphere_cp2(24), f_fn=f)
+    coarse, fine = (
+        bounds.borderline_cp_report(
+            hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), nodes),
+            f_fn=f)
+        for nodes in (12, 24))
     assert fine["decomposition_residual"] < coarse["decomposition_residual"]
     assert fine["step"] < coarse["step"]
 
@@ -186,16 +190,22 @@ def test_borderline_requires_complex_ambient(torus48):
         bounds.borderline_cp_report(torus48)
 
 
-def test_certificate_roundoff_margin_fails():
-    common = dict(mode="Prop41", eta=-2.0, q=2, d=4, required_count=1,
-                  required_real=1 / 3, actual_count=5)
-    tiny = bounds.CertificateReport(hypothesis_margin=-1e-16,
-                                    normalized_margin=-1e-16, **common)
-    assert tiny.verdict == "fail"
-    assert tiny.as_dict()["tol"] == bounds.STRICT_TOL
-    clear = bounds.CertificateReport(hypothesis_margin=-1e-3,
-                                     normalized_margin=-1e-3, **common)
-    assert clear.verdict == "pass"
+def test_certificate_roundoff_margin_fails(monkeypatch):
+    # a hypothesis margin of -1e-16 of the mass scale is roundoff and fails;
+    # one of -1e-3 passes, with the same counts
+    surface = SimpleNamespace(dim=2, embed_dim=4)
+    spectrum = SimpleNamespace(count_below=lambda eta: 5)
+    for margin, verdict in ((-1e-16, "fail"), (-1e-3, "pass")):
+        form = SimpleNamespace(mass=3.0 * np.eye(2),
+                               hypothesis_margin=lambda eta: 3.0 * margin)
+        monkeypatch.setattr(bounds, "integrand_quadratic_form",
+                            lambda *args: form)
+        rep = bounds.concentration_certificate(surface, [None, None], -2.0,
+                                               spectrum=spectrum)
+        assert (rep["required"], rep["actual"]) == (1, 5)
+        assert rep["normalized_margin"] == margin
+        assert rep["tol"] == bounds.STRICT_TOL
+        assert rep["verdict"] == verdict
 
 
 def _scalar3_ref(ambient, samples, seed):
@@ -223,10 +233,10 @@ def test_scalar3_matches_pointwise_loop(kind, params):
     ambient = make_ambient(kind, **params)
     rep = bounds.margins_scalar3(ambient, seed=12345)
     min_margin, contraction = _scalar3_ref(ambient, 200, 12345)
-    assert abs(rep.values["min_2R_minus_H2"] - min_margin) < 1e-12
-    assert abs(rep.values["contraction_residual"] - contraction) < 1e-12
+    assert abs(rep["values"]["min_2R_minus_H2"] - min_margin) < 1e-12
+    assert abs(rep["values"]["contraction_residual"] - contraction) < 1e-12
     if kind == "complex_projective_veronese":
-        assert rep.verdict.startswith("borderline")
+        assert rep["verdict"].startswith("borderline")
 
 
 def test_traced_gauss_matches_pointwise_loop(geodesic_cp2):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from indexbound import cli, hypersurface as hyp
-from indexbound.ambient import IdentityReport
+from indexbound.ambient import CircleTimesSphereModel, IdentityReport
 from indexbound.hodge import HodgeError, harmonic_one_forms
 from indexbound.spectral import SpectralError
 from indexbound.testfns import _rhs_integrand
@@ -202,7 +202,6 @@ NOT_A_NUMBER = [
     ("kind = sphere\ndim = 3", "kind = ellipsoid\nsemi_axes = 1 1 x",
      "[ambient] semi_axes"),
     ("nodes = 32", "nodes = x", "[hypersurface] nodes"),
-    ("kind = clifford_torus", "kind = equator\nn = two", "[hypersurface] n"),
     ("identity = 1e-3", "identity = small", "[tolerances] identity"),
     ("eta = 0.0", "eta = abc", "[certificate] eta"),
     ("eta = 0.0", "eta = 5%", "[certificate] eta"),  # not an interpolation
@@ -219,6 +218,26 @@ def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
     with pytest.raises(cli.ConfigError, match=re.escape(key)):
         cli.Scenario(cfg)
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "torus-small.json").exists()
+
+
+@pytest.mark.parametrize("old, new, flags, message", [
+    ("seed = 7", "seed = -1", [], "[scenario] seed: must be >= 0"),
+    ("nodes = 32", "nodes = 0", [], "[hypersurface] nodes: must be >= 4"),
+    ("nodes = 32", "nodes = -3", [], "[hypersurface] nodes: must be >= 4"),
+    ("", "", ["--seed", "-1"], "argument --seed: must be >= 0"),
+], ids=["seed", "zero-nodes", "negative-nodes", "seed-flag"])
+def test_value_out_of_range_is_usage_error(old, new, flags, message, tmp_path,
+                                           capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.replace(old, new))
+    try:
+        code = cli.main(["spectrum", "--config", str(cfg), "--out",
+                         str(tmp_path), *flags])
+    except SystemExit as exc:  # argparse refuses a flag by exiting
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "torus-small.json").exists()
 
 
@@ -267,13 +286,13 @@ def test_product_margin_judged_on_the_configured_surface(tmp_path):
     cfg.write_text(CONFIG.replace("kind = sphere\ndim = 3",
                                   "kind = circle_times_sphere\nn = 4")
                    .replace("kind = clifford_torus\nnodes = 32",
-                            "kind = circle_times_equator\nn = 4\nnodes = 8"))
+                            "kind = circle_times_equator\nnodes = 8"))
     assert cli.main(["margins", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     values = json.loads((tmp_path / "torus-small.json").read_text())[
         "margins"]["product_q"]["values"]
     integrand_keys = {k for k in values if k.startswith("integrand_max")}
     assert integrand_keys == {"integrand_max_circle_times_equator_s3"}
-    surf = hyp.circle_times_equator(4, 8)
+    surf = hyp.circle_times_equator(CircleTimesSphereModel(4), 8)
     integrand = _rhs_integrand(surf, harmonic_one_forms(surf)[0], "Prop32")
     expected = integrand[surf.node_fields()["interior"]].max()
     assert abs(values["integrand_max_circle_times_equator_s3"] - expected) < 1e-12
@@ -351,7 +370,7 @@ def test_spectrum_index_beyond_the_window(tmp_path):
     # every computed eigenvalue is negative: the index is the inertia count
     cfg = tmp_path / "gc.cfg"
     cfg.write_text(CONFIG.replace("kind = clifford_torus\nnodes = 32",
-                                  "kind = generalized_clifford\nn = 3\nnodes = 8")
+                                  "kind = generalized_clifford\nnodes = 8")
                    .replace("dim = 3", "dim = 4")
                    .replace("eigenvalues = 16", "eigenvalues = 6"))
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from indexbound import hodge, hypersurface as hyp
+from indexbound.ambient import CircleTimesSphereModel, EllipsoidModel, SphereModel
 from oracles import gradient_one_form
 
 
@@ -48,7 +49,7 @@ def test_bochner_rejects_gradient_probe(torus48):
 
 
 def test_catalog_forms_circle_factor():
-    surf = hyp.circle_times_equator(3, 12)
+    surf = hyp.circle_times_equator(CircleTimesSphereModel(3), 12)
     forms = hodge.harmonic_one_forms(surf)
     assert len(forms) == 1
     w = forms[0]
@@ -73,14 +74,14 @@ def test_combine_and_scaled(torus_forms):
 
 def test_kernel_mismatch_raises():
     # a torus that declares one harmonic axis fails the Euler check
-    surf = hyp.clifford_torus(24)
+    surf = hyp.clifford_torus(SphereModel(3), 24)
     surf.harmonic_axes = (0,)
     with pytest.raises(hodge.HodgeError, match="Euler"):
         hodge.harmonic_one_forms(surf)
 
 
 def test_euler_characteristic_betti_one(torus48, equator2):
-    ellipsoid = hyp.ellipsoid_section([1.0, 1.2, 1.5, 2.0], 12)
+    ellipsoid = hyp.ellipsoid_section(EllipsoidModel([1.0, 1.2, 1.5, 2.0]), 12)
     for surf, b1 in ((torus48, 2), (equator2, 0), (ellipsoid, 0)):
         assert hodge._euler_betti_one(surf) == b1
     # the sphere charts fuse each pole row into one vertex

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from indexbound import hypersurface as hyp
-from indexbound.ambient import make_ambient
+from indexbound.ambient import (
+    CircleTimesSphereModel,
+    ComplexProjectiveVeroneseModel,
+    EllipsoidModel,
+    RealProjectiveModel,
+    SphereModel,
+)
 from indexbound.elements import Axis, FemSystem, TensorGrid
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import (
@@ -93,7 +99,7 @@ def test_equator_potential(equator2):
 
 
 def test_generalized_clifford_geometry():
-    surf = hyp.generalized_clifford(3, 12)
+    surf = hyp.generalized_clifford(SphereModel(4), 12)
     checks = surf.pointwise_checks(seed=2)
     assert checks["minimality"] < 1e-8
     assert checks["potential_consistency"] < 1e-7
@@ -101,14 +107,14 @@ def test_generalized_clifford_geometry():
 
 
 def test_circle_times_equator_geometry():
-    surf = hyp.circle_times_equator(3, 12)
+    surf = hyp.circle_times_equator(CircleTimesSphereModel(3), 12)
     checks = surf.pointwise_checks(seed=2)
     assert checks["minimality"] < 1e-8
     assert checks["potential_consistency"] < 1e-7
 
 
 def test_ellipsoid_section_totally_geodesic():
-    surf = hyp.ellipsoid_section([1.0, 1.0, 1.0, 1.4], 12)
+    surf = hyp.ellipsoid_section(EllipsoidModel([1.0, 1.0, 1.0, 1.4]), 12)
     fields = surf.node_fields()
     assert fields["a_norm_sq"][fields["interior"]].max() < 1e-8
 
@@ -166,7 +172,7 @@ def test_double_cover_descend(torus_projective):
 
 def test_free_involution_required():
     # the identity fixes every node; only nonzero shifts are tried
-    surf = with_involution(hyp.clifford_torus(16), lambda x: x)
+    surf = with_involution(hyp.clifford_torus(SphereModel(3), 16), lambda x: x)
     with pytest.raises(SpectralError, match="not a whole-cell shift"):
         deck(surf)
 
@@ -205,7 +211,7 @@ def _deck_permutation_ref(surface, tol=1e-9):
 
 @pytest.mark.parametrize("nodes", [16, 24])
 def test_double_cover_permutation_matches_node_loop(nodes):
-    surface = hyp.clifford_torus(nodes, make_ambient("real_projective", dim=3))
+    surface = hyp.clifford_torus(RealProjectiveModel(3), nodes)
     ref = _deck_permutation_ref(surface)
     assert np.array_equal(deck_permutation(surface), ref)
 
@@ -224,7 +230,7 @@ def test_double_cover_rejects_bad_maps():
         _turn_first_circle(2.0 * np.pi / 16),  # one node, half a cell
         lambda x: x * np.array([1.0, 1.0, 1.0, -1.0]),  # v -> -v fixes node 0
     ):
-        surf = with_involution(hyp.clifford_torus(16), involution)
+        surf = with_involution(hyp.clifford_torus(SphereModel(3), 16), involution)
         with pytest.raises(SpectralError, match="not a whole-cell shift"):
             deck(surf)
 
@@ -269,8 +275,8 @@ def _mesh_dump_ref(surface):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: hyp.clifford_torus(16),
-    lambda: hyp.geodesic_sphere_cp2(12),
+    lambda: hyp.clifford_torus(SphereModel(3), 16),
+    lambda: hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 12),
 ], ids=["clifford_torus16", "geodesic_sphere_cp2_12"])
 def test_mesh_dump_and_connectivity_match_loops(make):
     surface = make()
@@ -284,9 +290,10 @@ def test_mesh_dump_and_connectivity_match_loops(make):
 def test_parity_projector_keeps_fixed_dofs_even():
     # a half turn about the polar axis fixes both fused pole DOFs: the even
     # characters of the half turn keep them, the odd ones drop them
-    even, odd = (SpectralSystem(half_turn(hyp.equator_in_sphere(2, 13), s))
-                 .spectrum() for s in (1.0, -1.0))
-    n_dofs = hyp.equator_in_sphere(2, 13).fem().n_dofs
+    even, odd = (
+        SpectralSystem(half_turn(hyp.equator_in_sphere(SphereModel(3), 13), s))
+        .spectrum() for s in (1.0, -1.0))
+    n_dofs = hyp.equator_in_sphere(SphereModel(3), 13).fem().n_dofs
     assert (even.quotient["functions"], odd.quotient["functions"]) == ("even", "odd")
     assert even.n_dofs == odd.n_dofs + 2 == (n_dofs + 2) // 2
     assert even.block_sizes.sum() + odd.block_sizes.sum() == n_dofs
@@ -299,19 +306,20 @@ def test_quotient_parity_from_the_normal(torus_projective):
     _, element, sign = deck(torus_projective)
     assert (element.tolist(), sign) == ([8, 8], 1)
     # a half turn that reverses the normal coordinate keeps the odd functions
-    assert deck(half_turn(hyp.equator_in_sphere(2, 13), -1.0))[2] == -1
+    assert deck(half_turn(hyp.equator_in_sphere(SphereModel(3), 13), -1.0))[2] == -1
     # a half turn of one circle factor, diag(-1, -1, 1, 1), moves the normal
     # as it moves every vector: the normal descends
-    surface = with_involution(hyp.clifford_torus(16), _turn_first_circle(np.pi))
+    surface = with_involution(hyp.clifford_torus(SphereModel(3), 16),
+                              _turn_first_circle(np.pi))
     _, element, sign = deck(surface)
     assert (element.tolist(), sign) == ([4, 0], 1)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: hyp.clifford_torus(32),
-    lambda: hyp.geodesic_sphere_cp2(12),
-    lambda: hyp.equator_in_sphere(2, 13),
-    lambda: hyp.circle_times_equator(3, 8),
+    lambda: hyp.clifford_torus(SphereModel(3), 32),
+    lambda: hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 12),
+    lambda: hyp.equator_in_sphere(SphereModel(3), 13),
+    lambda: hyp.circle_times_equator(CircleTimesSphereModel(3), 8),
 ])
 def test_node_weights_are_mass_row_sums(make):
     # the weights are gathered without the mass matrix, so they match its row

@@ -1,6 +1,8 @@
-"""Every SURFACE_KINDS entry, in every ambient kind it declares, runs each
-task of `all` through the scenario runner; an undeclared pairing is a config
-error.  Every SURFACE_KINDS entry gives b1 orthonormal harmonic one-forms.
+"""Every SURFACE_KINDS entry, in every ambient kind it declares, is built in
+the configured ambient model itself and runs each task of `all` through the
+scenario runner; an undeclared pairing, or an ambient dimension the kind
+cannot be built in, is a config error.  Every SURFACE_KINDS entry gives b1
+orthonormal harmonic one-forms.
 Every AMBIENT_KINDS entry names its own model and states a constant
 that passes the closure check.  Parametrized over the registries themselves,
 so a new entry is covered without a test edit."""
@@ -14,8 +16,8 @@ from indexbound.hypersurface import SURFACE_KINDS
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import deck_permutation, deck_sign_spectrum, dense_spectrum, parity_basis
 
-#: one ambient of each kind the runner parses; a probe surface built in it
-#: supplies the dimensions its own ambient needs
+#: one ambient of each kind the runner parses; a surface kind built in it
+#: takes its dimension from it (n = 2 in the sphere, n = 3 in S^1 x S^3)
 EXAMPLE_AMBIENTS = {
     "sphere": {"dim": 3},
     "real_projective": {"dim": 3},
@@ -24,6 +26,15 @@ EXAMPLE_AMBIENTS = {
     "circle_times_sphere": {"n": 3},
     "sphere_times_sphere": {"p": 2, "q": 2},
     "ellipsoid": {"semi_axes": [1.0, 1.2, 1.5, 2.0]},
+}
+
+#: ambients at n = 2 and n = 3 for the kinds whose dimension the ambient sets
+TWO_DIMENSIONS = {
+    "equator": [{"dim": 3}, {"dim": 4}],
+    "generalized_clifford": [{"dim": 3}, {"dim": 4}],
+    "circle_times_equator": [{"n": 2}, {"n": 3}],
+    "ellipsoid_section": [{"semi_axes": [1.0, 1.2, 1.5, 2.0]},
+                          {"semi_axes": [1.0, 1.2, 1.5, 1.7, 2.0]}],
 }
 
 #: the documented reasons a task of `all` may skip
@@ -57,15 +68,6 @@ def _config(tmp_path, kind, ambient_kind, params, nodes=8):
     return path
 
 
-def _own_ambient_params(kind, ambient_kind):
-    """Config parameters of the ambient that `kind` builds from the example."""
-    entry = SURFACE_KINDS[kind]
-    example = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
-    model = entry.build(example, 4, **entry.params).ambient
-    return {name: model.intrinsic_dim if name == "dim" else getattr(model, name)
-            for name in AMBIENT_KINDS[ambient_kind].params}
-
-
 def test_examples_cover_every_ambient_kind():
     assert set(EXAMPLE_AMBIENTS) == set(AMBIENT_KINDS)
     assert {amb for _, amb in PAIRS} <= set(AMBIENT_KINDS)
@@ -81,8 +83,7 @@ def test_ambient_kind_entry(kind):
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)
 def test_every_task_runs_or_skips(kind, ambient_kind, tmp_path):
-    path = _config(tmp_path, kind, ambient_kind,
-                   _own_ambient_params(kind, ambient_kind))
+    path = _config(tmp_path, kind, ambient_kind, EXAMPLE_AMBIENTS[ambient_kind])
     scenario = cli.Scenario(path)
     quotient = AMBIENT_KINDS[ambient_kind].model.involution is not None
     report, _ = cli.run_tasks(scenario, cli.TASK_NAMES["all"])
@@ -106,19 +107,40 @@ def test_undeclared_pairing_is_config_error(kind, tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-def test_ambient_of_another_dimension_is_config_error(tmp_path):
-    path = _config(tmp_path, "clifford_torus", "sphere", {"dim": 4})
-    assert cli.main(["identities", "--config", str(path),
-                     "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("kind, ambient_kind", PAIRS)
+def test_surface_is_built_in_the_given_ambient(kind, ambient_kind):
+    ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
+    assert SURFACE_KINDS[kind].build(ambient, 8).ambient is ambient
+
+
+@pytest.mark.parametrize("kind", ["equator", "generalized_clifford"])
+def test_sphere_dimension_sets_the_surface_dimension(kind, tmp_path):
+    for params in TWO_DIMENSIONS[kind]:
+        path = _config(tmp_path, kind, "sphere", params)
+        assert cli.Scenario(path).surface.dim == params["dim"] - 1
+        assert cli.main(["identities", "--config", str(path),
+                         "--out", str(tmp_path)]) == 0
+
+
+def test_ambient_of_another_dimension_is_config_error(tmp_path, capsys):
+    # the Clifford torus lives in S^3, the geodesic sphere in CP^2, and
+    # S^1 x S^(n-1) needs n >= 2
+    for kind, ambient_kind, params in (
+            ("clifford_torus", "sphere", {"dim": 4}),
+            ("geodesic_sphere_cp2", "complex_projective_veronese", {"m": 3}),
+            ("generalized_clifford", "sphere", {"dim": 2})):
+        path = _config(tmp_path, kind, ambient_kind, params)
+        assert cli.main(["identities", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+        assert "incompatible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)
 def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
     # the whole block spectrum of each pencil, and of both parities of a
     # quotient, against one dense solve of the same pencil
-    entry = SURFACE_KINDS[kind]
     ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
-    surface = entry.build(ambient, 8, **entry.params)
+    surface = SURFACE_KINDS[kind].build(ambient, 8)
     fem = surface.fem()
     if fem.potential is None:
         with pytest.raises(SpectralError, match="no potential"):
@@ -144,17 +166,18 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
 
 @pytest.mark.parametrize("kind", SURFACE_KINDS)
 def test_harmonic_forms_of_every_kind(kind):
-    # b1 orthonormal forms, each harmonic by its Bochner residual; on a
-    # surface, b1 is also the Euler characteristic's 2 - chi
+    # b1 orthonormal forms, each harmonic by its Bochner residual, at n = 2
+    # and n = 3 where the ambient sets n; on a surface, b1 is also the Euler
+    # characteristic's 2 - chi
     entry = SURFACE_KINDS[kind]
     ambient_kind = entry.ambients[0]
-    ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
-    surface = entry.build(ambient, 12, **entry.params)
-    forms = hodge.harmonic_one_forms(surface)
-    assert len(forms) == surface.betti_one
-    gram = np.array([[a.l2_inner(b) for b in forms] for a in forms])
-    assert np.abs(gram - np.eye(len(forms))).max(initial=0.0) < 1e-10
-    for w in forms:
-        assert hodge.bochner_residual(surface, w) < 1e-8
-    if surface.dim == 2:
-        assert hodge._euler_betti_one(surface) == surface.betti_one
+    for params in TWO_DIMENSIONS.get(kind, [EXAMPLE_AMBIENTS[ambient_kind]]):
+        surface = entry.build(make_ambient(ambient_kind, **params), 12)
+        forms = hodge.harmonic_one_forms(surface)
+        assert len(forms) == surface.betti_one
+        gram = np.array([[a.l2_inner(b) for b in forms] for a in forms])
+        assert np.abs(gram - np.eye(len(forms))).max(initial=0.0) < 1e-10
+        for w in forms:
+            assert hodge.bochner_residual(surface, w) < 1e-8
+        if surface.dim == 2:
+            assert hodge._euler_betti_one(surface) == surface.betti_one

@@ -14,7 +14,11 @@ import scipy.sparse.linalg as spla
 
 import indexbound
 from indexbound import hypersurface as hyp, spectral
-from indexbound.ambient import make_ambient
+from indexbound.ambient import (
+    CircleTimesSphereModel,
+    RealProjectiveModel,
+    SphereModel,
+)
 from indexbound.spectral import (
     INVARIANCE_TOL,
     SpectralError,
@@ -107,8 +111,9 @@ def test_variational_upper_bound(torus48, torus_system, torus_spectrum):
 
 def test_discrete_eigenvalues_bound_exact_from_above(torus48):
     # conforming discretization: coarser grids give larger eigenvalues
-    coarse = SpectralSystem(hyp.clifford_torus(24)).spectrum(how_many=6)
-    fine = SpectralSystem(hyp.clifford_torus(48)).spectrum(how_many=6)
+    coarse, fine = (
+        SpectralSystem(hyp.clifford_torus(SphereModel(3), nodes)).spectrum(how_many=6)
+        for nodes in (24, 48))
     # the lowest mode is exact on both grids; compare the next cluster,
     # where the variational bound is strict and approaches -2 from above
     assert coarse.eigenvalues[1] >= fine.eigenvalues[1] >= -2.0
@@ -124,7 +129,7 @@ def test_odd_parity_spectrum(torus_projective):
 
 def test_matches_dense_oracle():
     # the generalized symmetric eigenproblem solved densely on a small grid
-    system = SpectralSystem(hyp.clifford_torus(32))
+    system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 32))
     spec = system.spectrum(how_many=16)
     A = (system.stiffness - system.potential).toarray()
     oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
@@ -152,7 +157,7 @@ def test_spectrum_is_deterministic(torus_system, torus_spectrum):
 
 def test_blocks_gathered_in_chunks_match(monkeypatch):
     # a gather budget of one block solves each character on its own
-    system = SpectralSystem(hyp.circle_times_equator(3, 8))
+    system = SpectralSystem(hyp.circle_times_equator(CircleTimesSphereModel(3), 8))
     whole = system.spectrum()
     monkeypatch.setattr(spectral, "_GATHER_ENTRIES", 1)
     chunked = system.spectrum()
@@ -189,7 +194,7 @@ def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
     # every reported eigenvalue, through the end of the last cluster: on the
     # torus 24 ends in the 4-fold cluster near 12, after all 8 copies near
     # 6.0042; on CP^2 the inertia factor is in nested-dissection order
-    torus = SpectralSystem(hyp.clifford_torus(32))
+    torus = SpectralSystem(hyp.clifford_torus(SphereModel(3), 32))
     spec = torus.spectrum(how_many=24)
     assert spec.ordering == "mmd_at_plus_a"
     assert len(spec.eigenvalues) == 25
@@ -226,7 +231,7 @@ def test_odd_parity_on_three_axes_matches_dense_oracle():
     # a half turn about the polar axes pairs DOFs across the grid and fixes
     # the fused poles, which the odd characters drop
     # (the deck reverses the normal coordinate, so the quotient is odd)
-    surface = half_turn(hyp.equator_in_sphere(3, 13), -1.0)
+    surface = half_turn(hyp.equator_in_sphere(SphereModel(4), 13), -1.0)
     system = SpectralSystem(surface)
     spec = system.spectrum(how_many=12)
     assert spec.quotient["functions"] == "odd"
@@ -243,12 +248,13 @@ def test_odd_parity_on_three_axes_matches_dense_oracle():
 
 def test_non_translation_deck_is_refused():
     # the antipodal map of the equator reflects the polar angle
-    surface = with_involution(hyp.equator_in_sphere(2, 13), lambda x: -x)
+    surface = with_involution(hyp.equator_in_sphere(SphereModel(3), 13),
+                              lambda x: -x)
     with pytest.raises(SpectralError, match="not a whole-cell shift"):
         SpectralSystem(surface).spectrum()
     # with 17 cells per axis the half-period shift moves vertex nodes onto
     # cell midpoints
-    surface = hyp.clifford_torus(34, make_ambient("real_projective", dim=3))
+    surface = hyp.clifford_torus(RealProjectiveModel(3), 34)
     assert surface.grid.axes[0].n_cells == 17
     with pytest.raises(SpectralError, match="not a whole-cell shift"):
         SpectralSystem(surface).spectrum()
@@ -257,14 +263,14 @@ def test_non_translation_deck_is_refused():
 def test_deck_without_normal_line_field_is_refused():
     # a half turn that sends the normal coordinate to 0 moves the unit
     # normal to neither sign
-    surface = half_turn(hyp.equator_in_sphere(2, 13), 0.0)
+    surface = half_turn(hyp.equator_in_sphere(SphereModel(3), 13), 0.0)
     with pytest.raises(SpectralError, match="no normal line field"):
         SpectralSystem(surface).spectrum()
 
 
 def test_shift_that_splits_a_dof_is_refused():
     # fuse two nodes whose one-cell shifts land on two different DOFs
-    fem = hyp.clifford_torus(16).fem()
+    fem = hyp.clifford_torus(SphereModel(3), 16).fem()
     fuse = fem.fuse.copy()
     fuse[1] = fuse[0]
     broken = SimpleNamespace(grid=fem.grid, fuse=fuse, n_dofs=fem.n_dofs,
@@ -283,7 +289,7 @@ def _torus_shift_defect(X, nodes):
 
 def test_perturbed_potential_is_refused_by_the_invariance_defect():
     # one DOF with a large potential breaks the symmetry the blocks need
-    system = SpectralSystem(hyp.clifford_torus(16))
+    system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
     n = system.fem.n_dofs
     A = (system.stiffness - system.potential).toarray()
     assert _torus_shift_defect(A, 16) < 1e-15
@@ -301,7 +307,8 @@ def test_perturbed_potential_is_refused_by_the_invariance_defect():
 def test_parity_pencils_sum_to_the_cover(torus_projective):
     # the S^3 cover of the Clifford torus in RP^3 splits into its even and odd
     # functions: the DOFs, the Morse index and the low clusters add up
-    cover = SpectralSystem(hyp.clifford_torus(32)).spectrum(how_many=16)
+    cover = SpectralSystem(
+        hyp.clifford_torus(SphereModel(3), 32)).spectrum(how_many=16)
     system = SpectralSystem(torus_projective)
     even = system.spectrum(how_many=16)
     odd, _, negative = deck_sign_spectrum(system, -1)
@@ -318,12 +325,15 @@ def test_parity_pencils_sum_to_the_cover(torus_projective):
     assert np.all((even.eigenvalues[1:5] > 0) & (even.eigenvalues[1:5] < 1e-3))
 
 
-#: the spectrum of circle_times_equator(3, 14) in a fresh interpreter
+#: the spectrum of circle_times_equator in S^1 x S^3 at 14 nodes, in a
+#: fresh interpreter
 _PROBE = """
 import json
 from indexbound import hypersurface as hyp
+from indexbound.ambient import CircleTimesSphereModel
 from indexbound.spectral import SpectralSystem
-rep = SpectralSystem(hyp.circle_times_equator(3, 14)).spectrum(how_many=12)
+surface = hyp.circle_times_equator(CircleTimesSphereModel(3), 14)
+rep = SpectralSystem(surface).spectrum(how_many=12)
 print(json.dumps([rep.eigenvalues.tolist(), rep.count_below(1.5)]))
 """
 
@@ -344,8 +354,8 @@ def test_spectrum_is_complete_at_one_and_two_blas_threads():
     # 1.0022165 at one BLAS thread, and counted 11 eigenvalues below 1.5
     vals, below = _probe_at_blas_threads(1)
     assert np.sum(np.abs(np.array(vals) - 1.0022165) < 1e-7) == 4
-    oracle = dense_spectrum(SpectralSystem(hyp.circle_times_equator(3, 14)),
-                            count=20)
+    surface = hyp.circle_times_equator(CircleTimesSphereModel(3), 14)
+    oracle = dense_spectrum(SpectralSystem(surface), count=20)
     assert np.abs(np.array(vals) - oracle[:len(vals)]).max() < 1e-9
     assert below == 12 == np.sum(oracle < 1.5) < len(oracle)
     # JSON floats round-trip exactly: the two runs agree bit for bit

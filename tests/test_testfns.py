@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from indexbound import hodge, hypersurface as hyp, testfns
-from indexbound.ambient import SphereModel
+from indexbound.ambient import (
+    CircleTimesSphereModel,
+    ComplexProjectiveVeroneseModel,
+    SphereModel,
+)
 from indexbound.spectral import SpectralSystem
 from oracles import gradient_one_form, scalar_and_mean_curvature
 
@@ -68,7 +72,7 @@ def test_identity_rejects_gradient_probe(torus48):
 
 
 def test_coordinate_mode_needs_dimension_two():
-    surf = hyp.generalized_clifford(3, 12)
+    surf = hyp.generalized_clifford(SphereModel(4), 12)
     forms = hodge.harmonic_one_forms(surf)
     with pytest.raises(testfns.TestFunctionError):
         testfns.q_identity_report(surf, forms[0], "Prop31")
@@ -90,7 +94,7 @@ def test_hypothesis_margin(torus48, torus_forms):
 
 
 def test_higher_dimension_identity():
-    surf = hyp.generalized_clifford(3, 20)
+    surf = hyp.generalized_clifford(SphereModel(4), 20)
     forms = hodge.harmonic_one_forms(surf)
     rep = testfns.q_identity_report(surf, forms[0], "Prop32")
     assert rep["relative_residual"] < 5e-3
@@ -157,9 +161,9 @@ def _closed_form_ricci_m(surface, U):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: hyp.clifford_torus(24),
-    lambda: hyp.circle_times_equator(3, 10),
-    lambda: hyp.generalized_clifford(3, 12),
+    lambda: hyp.clifford_torus(SphereModel(3), 24),
+    lambda: hyp.circle_times_equator(CircleTimesSphereModel(3), 10),
+    lambda: hyp.generalized_clifford(SphereModel(4), 12),
 ])
 def test_generic_integrand_matches_closed_forms(make):
     """The one curvature evaluation against the closed forms, at every node
@@ -178,7 +182,7 @@ def test_generic_integrand_matches_closed_forms(make):
 
 
 def test_curvature_on_cp2_geodesic_sphere():
-    surf = hyp.geodesic_sphere_cp2(12)
+    surf = hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 12)
     cv = surf.ambient_curvature()
     model = surf.ambient
     assert np.abs(cv.ric_nn - model.einstein_constant).max() < 1e-12
