@@ -133,13 +133,14 @@ def _spectrum_block(rep, eta):
         "index": rep.morse_index,
         "inertia_index": rep.inertia_index,
         "count_below": {"0.0": rep.morse_index, f"{eta}": rep.count_below(eta)},
+        "inertia_count_below": {"0.0": rep.inertia_counts[0.0],
+                                f"{eta}": rep.inertia_counts[eta]},
         "max_residual": float(rep.residuals.max()),
         "cluster_ids": rep.cluster_ids.tolist(),
         "dofs": rep.n_dofs,
         "blocks": len(rep.block_sizes),
         "invariance_defect": rep.invariance_defect,
-        "factor_nnz": rep.factor_nnz,
-        "ordering": rep.ordering,
+        "parseval_residual": rep.parseval_residual,
     } | ({"quotient": rep.quotient} if rep.quotient else {})
 
 
@@ -160,7 +161,8 @@ class _Run:
     def spectrum_report(self):
         if self.spectrum is None:
             system = assemble_jacobi(self.surface)
-            self.spectrum = system.spectrum(how_many=self.scenario.how_many)
+            self.spectrum = system.spectrum(how_many=self.scenario.how_many,
+                                            eta=self.scenario.eta)
         return self.spectrum
 
 

@@ -359,9 +359,11 @@ def _last_axis_normal(d):
 
 
 def equator_in_sphere(ambient, nodes):
-    """Totally geodesic S^n inside the sphere S^{n+1} `ambient`; potential is
-    the constant n."""
+    """Totally geodesic S^n inside the sphere S^{n+1} `ambient`, n >= 2;
+    potential is the constant n."""
     n = ambient.intrinsic_dim - 1
+    if n < 2:
+        raise AmbientError("the equator needs a sphere of dimension >= 3")
 
     def chart(p):
         x = spherical_chart(p)

@@ -17,11 +17,14 @@ quotient, whose deck is the cell shift that moves the nodes as the involution
 does; the quotient keeps the characters that are +1 on it (even functions)
 when the unit normal descends, else those that are -1 (odd).
 
-The negative eigenvalues of all characters are counted a second time from the
-inertia of the grid pencil's K - P (Sylvester's law), factored in a nested
-dissection of the tensor grid on three or more axes (George 1973, "Nested
-dissection of a regular finite element mesh"), else in SuperLU's minimum
-degree order.
+Every count the report states is taken a second time, block by block: at
+eta = 0 and at the run's eta, the eigenvalues of a block's pencil below eta
+must number the negative eigenvalues of its B(K - P) - eta B(M), which a
+routine without the Cholesky reduction finds (Sylvester's law of inertia for
+a definite pencil).  Summed over every character, the count at 0 is the
+cover's index.  The split itself is checked by Parseval: over all
+characters, the traces and the squared Frobenius norms of the blocks of
+K - P and of M sum to those of the whole matrices.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class SpectralError(Exception):
@@ -45,6 +47,11 @@ INVARIANCE_TOL = 1e-8
 #: largest distance, relative to the largest coordinate of the image, between
 #: an ambient involution's image of a node (or unit normal) and its deck shift's
 DECK_TOL = 1e-9
+
+#: largest relative residual of the Parseval identities of the split,
+#: sum_k tr B_k = tr X and sum_k |B_k|_F^2 = |X|_F^2 over every character k,
+#: of X = K - P and X = M; the trace residual is relative to sum |X_ii|
+PARSEVAL_TOL = 1e-10
 
 #: complex entries of the block gather held at once
 _GATHER_ENTRIES = 1 << 21
@@ -61,9 +68,9 @@ class SpectrumReport:
     all_eigenvalues: np.ndarray  # every eigenvalue, smallest first
     block_sizes: np.ndarray  # DOFs of each symmetry block
     invariance_defect: float  # of the pencil under the cell shifts
-    inertia_index: int  # negative pivots of the grid pencil's K - P
-    factor_nnz: int  # nonzeros of the inertia factor, L.nnz + U.nnz
-    ordering: str  # fill-reducing ordering of the inertia factor
+    inertia_index: int  # negative eigenvalues of K - P over every character
+    inertia_counts: dict  # eta -> kept characters' negative B(K - P - eta M)
+    parseval_residual: float  # largest residual of the split's identities
     quotient: dict | None = None  # the deck's shift and the functions kept
 
     @property
@@ -113,20 +120,17 @@ class SpectralSystem:
         self.surface, self.fem = surface, fem
         self.stiffness, self.potential = fem.stiffness, fem.potential
         self.mass = fem.mass
-        # the inertia factor's symmetric permutation, or None for SuperLU's own
-        self.permutation = None
-        if fem.grid.ndim >= 3:
-            pattern = abs(self.stiffness) + abs(self.potential) + abs(self.mass)
-            self.permutation = _nested_dissection(fem, pattern)
 
-    def spectrum(self, how_many=24):
+    def spectrum(self, how_many=24, eta=0.0):
         """Every eigenvalue of (K - P) phi = lambda M phi, reported from the
-        lowest `how_many` through the end of the cluster the last falls in.
+        lowest `how_many` through the end of the cluster the last falls in;
+        the counts below 0 and below `eta` are checked block by block.
 
         Raises SpectralError when a cell shift moves the pencil by more than
         INVARIANCE_TOL, when a quotient's deck is not a cell shift or moves
-        the unit normal off its line, or when the inertia of K - P disagrees
-        with the negative eigenvalues of all characters.
+        the unit normal off its line, when a block's count below 0 or `eta`
+        disagrees with its inertia, or when the blocks miss a Parseval
+        identity by more than PARSEVAL_TOL.
         """
         shifts = _CellShifts(self.fem)
         kept, quotient = np.ones(shifts.order, dtype=bool), None
@@ -135,12 +139,10 @@ class SpectralSystem:
             kept = shifts.deck_signs(element) == sign
             quotient = {"shift_cells": element.tolist(),
                         "functions": "even" if sign > 0 else "odd"}
-        A = (self.stiffness - self.potential).tocsc()  # the factor's format
+        # CSC fixes the order in which the gather sums the entries of an
+        # orbit pair, and so the last bits of every block
+        A = (self.stiffness - self.potential).tocsc()
         M = self.mass
-        # the factor first: the block temporaries then reuse its memory
-        lu = _symmetric_lu(A, self.permutation)
-        inertia, factor_nnz = _inertia(lu)
-        del lu
         defect = shifts.invariance_defect(A, M)
         if defect > INVARIANCE_TOL:
             raise SpectralError(
@@ -148,12 +150,8 @@ class SpectralSystem:
                 f"shift exceeds {INVARIANCE_TOL:g}; it does not split into "
                 "symmetry blocks"
             )
-        vals, res, sizes, negative = _block_spectrum(A, M, shifts, kept)
-        if inertia != negative:
-            raise SpectralError(
-                f"inertia of K - P gives {inertia} negative eigenvalues, "
-                f"the symmetry blocks {negative}"
-            )
+        vals, res, sizes, below, parseval = _block_spectrum(
+            A, M, shifts, kept, sorted({0.0, float(eta)}))
         ids = _cluster(vals)
         k = min(how_many, len(vals))
         end = int(np.searchsorted(ids, ids[k - 1], side="right")) if k else 0
@@ -165,10 +163,9 @@ class SpectralSystem:
             all_eigenvalues=vals,
             block_sizes=sizes,
             invariance_defect=defect,
-            inertia_index=inertia,
-            factor_nnz=factor_nnz,
-            ordering=("mmd_at_plus_a" if self.permutation is None
-                      else "nested_dissection"),
+            inertia_index=below[0.0][1],
+            inertia_counts={e: n for e, (n, _) in below.items()},
+            parseval_residual=parseval,
             quotient=quotient,
         )
 
@@ -302,9 +299,12 @@ class _CellShifts:
         return 0.5 * (B + B.conj().swapaxes(1, 2))
 
 
-def _block_spectrum(A, M, shifts, kept):
-    """Eigenvalues of the `kept` characters, smallest first, their residuals,
-    the sizes of their blocks, and the negative eigenvalues of all characters.
+def _block_spectrum(A, M, shifts, kept, etas):
+    """Eigenvalues of the `kept` characters, smallest first, their residuals
+    and the sizes of their blocks; for each of `etas`, the eigenvalues below
+    it of the kept characters and of all characters, [kept, all], each block's
+    count checked against the inertia of its B(A) - eta B(M); and the largest
+    Parseval residual of the split, checked against PARSEVAL_TOL.
     Of each conjugate pair k, -k, whose blocks are conjugate, one block is
     solved and counted twice; blocks that keep the same orbits form a stack.
     """
@@ -316,7 +316,8 @@ def _block_spectrum(A, M, shifts, kept):
     gathered = shifts.gather(A), shifts.gather(M)
     step = max(1, _GATHER_ENTRIES // len(shifts.reps) ** 2)
     vals, res, sizes = [], [], []
-    negative = 0
+    below = np.zeros((2, len(etas)), dtype=int)
+    sums = np.zeros((2, 2))  # traces and squared norms of the blocks of A, M
     for start in range(0, len(solved), step):
         chars = solved[start:start + step]
         BA, BM = (shifts.blocks(g, chars) for g in gathered)
@@ -325,17 +326,59 @@ def _block_spectrum(A, M, shifts, kept):
         for member, pattern in enumerate(patterns):
             idx = np.flatnonzero(which.ravel() == member)
             block = np.ix_(idx, np.flatnonzero(pattern), np.flatnonzero(pattern))
-            lam, r = _eigh_stack(BA[block], BM[block])
-            c = copies[start + idx]
-            negative += int((c * (lam < 0).sum(axis=1)).sum())
-            take = np.repeat(np.flatnonzero(kept[chars[idx]]),
-                             c[kept[chars[idx]]])
+            SA, SM = BA[block], BM[block]
+            try:
+                lam, r = _eigh_stack(SA, SM)
+            except np.linalg.LinAlgError as exc:
+                raise SpectralError(f"a mass block of the symmetry split is "
+                                    f"not positive definite: {exc}") from exc
+            c, keep = copies[start + idx], kept[chars[idx]]
+            counts = _checked_counts(lam, SA, SM, etas, shifts.multi(chars[idx]))
+            below += [c[keep] @ counts[keep], c @ counts]
+            for i, S in enumerate((SA, SM)):
+                sums[i] += (c @ np.trace(S, axis1=1, axis2=2).real,
+                            c @ (np.abs(S) ** 2).sum(axis=(1, 2)))
+            take = np.repeat(np.flatnonzero(keep), c[keep])
             vals.append(lam[take].ravel())
             res.append(r[take].ravel())
             sizes.append(np.full(len(take), lam.shape[1]))
+    parseval = max(_parseval_residual(X, *s) for X, s in zip((A, M), sums))
+    if parseval > PARSEVAL_TOL:
+        raise SpectralError(
+            f"Parseval residual {parseval:.3g} of the symmetry blocks exceeds "
+            f"{PARSEVAL_TOL:g}; the split lost or changed part of the pencil")
     vals, res = np.concatenate(vals), np.concatenate(res)
     order = np.argsort(vals, kind="stable")
-    return vals[order], res[order], np.concatenate(sizes), negative
+    below = {eta: below[:, j].tolist() for j, eta in enumerate(etas)}
+    return vals[order], res[order], np.concatenate(sizes), below, parseval
+
+
+def _checked_counts(lam, A, M, etas, chars):
+    """Eigenvalues `lam` of a stack of pencils (A, M) below each of `etas`,
+    (n_blocks, len(etas)), each equal to the number of negative eigenvalues
+    of A - eta M by Sylvester's law, else a SpectralError naming the
+    character, from the multi-indices `chars`, and eta."""
+    counts = (lam[:, :, None] < np.asarray(etas)).sum(axis=1)
+    for j, eta in enumerate(etas):
+        inertia = (np.linalg.eigvalsh(A - eta * M) < 0).sum(axis=1)
+        bad = np.flatnonzero(inertia != counts[:, j])
+        if len(bad):
+            b = bad[0]
+            raise SpectralError(
+                f"character {tuple(chars[:, b].tolist())} has {counts[b, j]} "
+                f"eigenvalues below {eta:g} but B(K - P) - {eta:g} B(M) has "
+                f"{inertia[b]} negative ones")
+    return counts
+
+
+def _parseval_residual(X, trace, square):
+    """Largest relative residual of sum_k tr B_k = tr X, relative to
+    sum |X_ii|, and of sum_k |B_k|_F^2 = |X|_F^2, given the two sums over the
+    blocks B_k of X."""
+    d = X.diagonal()
+    whole = float(X.multiply(X).sum())
+    return max(abs(trace - d.sum()) / np.abs(d).sum(),
+               abs(square - whole) / whole)
 
 
 def _eigh_stack(A, M):
@@ -349,96 +392,6 @@ def _eigh_stack(A, M):
     MX = M @ X
     res = np.linalg.norm(A @ X - MX * lam[:, None, :], axis=1)
     return lam, res / np.linalg.norm(MX, axis=1)
-
-
-#: parts of at most this many DOFs are not dissected further
-_ND_LEAF = 64
-
-
-def _nested_dissection(fem, pattern):
-    """Nested-dissection order of the DOFs of a pencil on `fem.grid`.
-
-    A DOF sits at the grid multi-index of its first node.  A part is split
-    across its longest extent at an even grid index, a Q2 cell-boundary plane,
-    so the cut is one node layer thick; a periodic axis not yet opened is cut
-    at 0 and at its middle.  The separator is the cut plus every DOF of one
-    side still adjacent to the other side in the symmetric `pattern` (fused
-    pole DOFs, or any coordinates that do not follow the graph).  The order is
-    [side A, side B, separator], recursively; separators and small parts keep
-    grid order.
-    """
-    grid = fem.grid
-    coords = np.stack(np.unravel_index(fem._first_node, grid.shape), axis=1)
-    period = np.array([a.n_nodes for a in grid.axes])
-    pattern = pattern.tocsr()
-    local = np.full(len(coords), -1)  # index within the current part, or -1
-    order = []
-
-    def dissect(part, closed):
-        c = coords[part]
-        lo, hi = c.min(axis=0), c.max(axis=0)
-        ax = int(np.argmax(np.where(closed, period, hi - lo + 1)))
-        x = c[:, ax]
-        if closed[ax]:
-            mid = 2 * (period[ax] // 4)
-            in_a, in_b = (x > 0) & (x < mid), x > mid
-            closed = closed.copy()
-            closed[ax] = False
-        else:
-            mid = (lo[ax] + hi[ax]) // 2
-            mid += mid % 2 if mid + 1 < hi[ax] else -(mid % 2)
-            in_a, in_b = x < mid, x > mid
-        a = part[in_a]
-        rows = pattern[a]
-        local[part] = np.arange(len(part))
-        nbr = local[rows.indices]
-        cross = np.append(in_b, False)[nbr]
-        a_touch = np.unique(np.repeat(np.flatnonzero(in_a),
-                                      np.diff(rows.indptr))[cross])
-        b_touch = np.unique(nbr[cross])
-        local[part] = -1
-        if len(a_touch) <= len(b_touch):
-            in_a[a_touch] = False
-        else:
-            in_b[b_touch] = False
-        if not (in_a.any() and in_b.any()):
-            order.append(part)
-            return
-        for side in (part[in_a], part[in_b]):
-            if len(side) <= _ND_LEAF:
-                order.append(side)
-            else:
-                dissect(side, closed)
-        order.append(part[~(in_a | in_b)])
-
-    dissect(np.arange(len(coords)), np.array([a.periodic for a in grid.axes]))
-    return np.concatenate(order)
-
-
-def _symmetric_lu(A, q=None):
-    """Sparse LU of a symmetric matrix with diagonal pivots only, so that
-    P A P^T = L D L^T and diag(U) = D carries the inertia of A.
-
-    With a permutation q the factor is of A[q][:, q] in that order; without
-    one SuperLU orders A by minimum degree on A^T + A."""
-    if q is None:
-        spec = "MMD_AT_PLUS_A"
-    else:
-        A, spec = A[q][:, q], "NATURAL"
-    try:
-        return spla.splu(A, permc_spec=spec, diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU: factor is exactly singular
-        raise SpectralError(f"singular factor: {exc}") from exc
-
-
-def _inertia(lu):
-    """Negative eigenvalues of the factored symmetric matrix, and L.nnz + U.nnz
-    from the one copy lu.U makes: with diagonal pivots L has U^T's pattern."""
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SpectralError("off-diagonal pivot; inertia undefined")
-    U = lu.U
-    return int(np.sum(U.diagonal() < 0)), 2 * U.nnz
 
 
 def assemble_jacobi(surface):

@@ -92,10 +92,17 @@ def deck_sign_spectrum(system, sign):
     normal picks; their block sizes, and the negative eigenvalues of the
     whole cover."""
     shifts, element, _ = deck(system.surface)
-    vals, _, sizes, negative = spectral._block_spectrum(
+    vals, _, sizes, below, _ = spectral._block_spectrum(
         system.stiffness - system.potential, system.mass, shifts,
-        shifts.deck_signs(element) == sign)
-    return vals, sizes, negative
+        shifts.deck_signs(element) == sign, [0.0])
+    return vals, sizes, below[0.0][1]
+
+
+def global_inertia(system):
+    """The negative eigenvalues of the whole K - P of a SpectralSystem, from
+    one dense solve of the unsplit matrix: the cover's Morse index."""
+    A = (system.stiffness - system.potential).toarray()
+    return int(np.sum(np.linalg.eigvalsh(A) < 0))
 
 
 def classify(node_permutation, node_field, tol=1e-8):

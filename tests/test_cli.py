@@ -255,7 +255,9 @@ def test_spectrum_solver_diagnostics(run_all):
     assert spec["dofs"] == 32 * 32
     assert spec["blocks"] == 16 * 16  # one per character of the cell shifts
     assert spec["invariance_defect"] < 1e-12
-    assert spec["factor_nnz"] >= spec["dofs"]
+    # the count below eta = 0 taken again from the inertia of every block
+    assert spec["inertia_count_below"] == spec["count_below"] == {"0.0": 5}
+    assert spec["parseval_residual"] < 1e-14
     assert "count_below_error" not in spec
     assert "quotient" not in spec  # S^3 is no quotient
 
@@ -268,6 +270,7 @@ def test_uncovered_threshold_is_recorded(tmp_path):
     spec = json.loads((tmp_path / "torus-small.json").read_text())["spectrum"]
     # the whole spectrum lies below the threshold
     assert spec["count_below"]["1000000.0"] == spec["dofs"] == 32 * 32
+    assert spec["inertia_count_below"] == spec["count_below"]
     assert "count_below_error" not in spec
 
 
@@ -430,19 +433,6 @@ def test_pointwise_tolerance_gates_identities(tmp_path):
     assert 0.0 < worst < 1e-8
     cfg.write_text(CONFIG + f"pointwise = {worst / 2}\n")
     assert cli.main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-
-
-@pytest.mark.parametrize("name, ordering", [
-    ("cp2-borderline.cfg", "nested_dissection"),
-    ("clifford.cfg", "mmd_at_plus_a"),
-])
-def test_spectrum_reports_ordering(name, ordering, tmp_path):
-    config = str(cli.bundled_config(name))
-    code = cli.main(["spectrum", "--config", config, "--out", str(tmp_path),
-                     "--resolution-scale", "0.5"])
-    assert code == 0
-    report = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())
-    assert report["spectrum"]["ordering"] == ordering
 
 
 @pytest.fixture(scope="module")

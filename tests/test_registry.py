@@ -124,11 +124,13 @@ def test_sphere_dimension_sets_the_surface_dimension(kind, tmp_path):
 
 def test_ambient_of_another_dimension_is_config_error(tmp_path, capsys):
     # the Clifford torus lives in S^3, the geodesic sphere in CP^2, and
-    # S^1 x S^(n-1) needs n >= 2
+    # S^1 x S^(n-1) needs n >= 2; the equator of S^2, a circle, is refused
+    # rather than built with no harmonic axis (b1 = 0 where b1 = 1)
     for kind, ambient_kind, params in (
             ("clifford_torus", "sphere", {"dim": 4}),
             ("geodesic_sphere_cp2", "complex_projective_veronese", {"m": 3}),
-            ("generalized_clifford", "sphere", {"dim": 2})):
+            ("generalized_clifford", "sphere", {"dim": 2}),
+            ("equator", "sphere", {"dim": 2})):
         path = _config(tmp_path, kind, ambient_kind, params)
         assert cli.main(["identities", "--config", str(path),
                          "--out", str(tmp_path)]) == 2

@@ -1,8 +1,9 @@
 """Static checks of the package source: every module-level import is used,
 no function imports a module of the package, the package keeps one
-eigensolver path (dense solves of symmetry blocks, no ARPACK), no public
-package function is reached only from the tests, and every defaulted
-parameter of a public function is passed by some package call."""
+eigensolver path (dense solves of symmetry blocks: no ARPACK, no SuperLU
+factor, nothing of scipy.sparse.linalg), no public package function is
+reached only from the tests, and every defaulted parameter of a public
+function is passed by some package call."""
 
 import ast
 import re
@@ -69,22 +70,26 @@ def test_no_function_level_package_imports(path):
     assert function_package_imports(path.read_text()) == []
 
 
-def iterative_eigensolver_lines(source):
-    """Line numbers of `source` that name scipy's ARPACK wrapper eigsh or
-    ARPACK itself."""
+def sparse_solver_lines(source):
+    """Line numbers of `source` that name scipy's ARPACK wrapper eigsh,
+    ARPACK, the SuperLU factor splu, or scipy.sparse.linalg."""
     return [i for i, line in enumerate(source.splitlines(), 1)
-            if re.search(r"eigsh|arpack", line, re.IGNORECASE)]
+            if re.search(r"eigsh|arpack|splu|superlu|scipy\.sparse\.linalg",
+                         line, re.IGNORECASE)]
 
 
 def test_iterative_eigensolver_is_found():
     source = "import numpy as np\nfrom scipy.sparse.linalg import eigsh\n"
-    assert iterative_eigensolver_lines(source) == [2]
-    assert iterative_eigensolver_lines("except spla.ArpackNoConvergence:\n") == [1]
+    assert sparse_solver_lines(source) == [2]
+    assert sparse_solver_lines("except spla.ArpackNoConvergence:\n") == [1]
+    source = ("import scipy.sparse as sp\nimport scipy.sparse.linalg as spla\n"
+              "lu = spla.splu(A)\n# SuperLU's minimum degree order\n")
+    assert sparse_solver_lines(source) == [2, 3, 4]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_iterative_eigensolver(path):
-    assert iterative_eigensolver_lines(path.read_text()) == []
+    assert sparse_solver_lines(path.read_text()) == []
 
 
 def entry_points(pyproject):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import indexbound
 from indexbound import hypersurface as hyp, spectral
@@ -23,13 +22,12 @@ from indexbound.spectral import (
     INVARIANCE_TOL,
     SpectralError,
     SpectralSystem,
-    _inertia,
-    _symmetric_lu,
 )
 from oracles import (
     deck_permutation,
     deck_sign_spectrum,
     dense_spectrum,
+    global_inertia,
     half_turn,
     parity_basis,
     rayleigh_quotient,
@@ -137,17 +135,29 @@ def test_matches_dense_oracle():
     assert np.abs(spec.eigenvalues - oracle[:len(spec.eigenvalues)]).max() < 1e-9
 
 
-def test_inertia_matches_index(torus_spectrum, equator2, torus_projective):
+def test_inertia_matches_index(torus_spectrum, equator2, torus_projective,
+                               cp2_system, cp2_spectrum):
+    # the negative eigenvalues of K - P over every character, against one
+    # dense solve of the whole unsplit K - P
     assert torus_spectrum.inertia_index == torus_spectrum.morse_index == 5
-    spec = SpectralSystem(equator2).spectrum(how_many=6)
-    assert spec.inertia_index == spec.morse_index == 1
-    # a quotient's inertia is the cover's: the negative pivots of its K - P,
-    # and the negative eigenvalues of all characters
+    torus = SpectralSystem(hyp.clifford_torus(SphereModel(3), 32))
+    spec = torus.spectrum(how_many=6)
+    assert spec.inertia_index == spec.morse_index == global_inertia(torus) == 5
+    system = SpectralSystem(equator2)
+    spec = system.spectrum(how_many=6)
+    assert spec.inertia_index == spec.morse_index == global_inertia(system) == 1
+    # a quotient's inertia is the cover's: the negative eigenvalues of all
+    # characters, and of the cover's K - P
     system = SpectralSystem(torus_projective)
     spec = system.spectrum(how_many=8)
     assert (spec.inertia_index, spec.morse_index) == (5, 1)
+    assert global_inertia(system) == 5
     odd, _, negative = deck_sign_spectrum(system, -1)
     assert (negative, np.sum(odd < 0)) == (5, 4)
+    # the CP^2 sphere, whose poles are fused, small enough to solve densely
+    assert cp2_system.fem.n_dofs <= 2000
+    assert cp2_spectrum.inertia_index == cp2_spectrum.morse_index == 1
+    assert global_inertia(cp2_system) == 1
 
 
 def test_spectrum_is_deterministic(torus_system, torus_spectrum):
@@ -163,16 +173,6 @@ def test_blocks_gathered_in_chunks_match(monkeypatch):
     chunked = system.spectrum()
     assert np.array_equal(np.sort(chunked.block_sizes), np.sort(whole.block_sizes))
     assert np.abs(chunked.all_eigenvalues - whole.all_eigenvalues).max() < 1e-12
-
-
-def test_inertia_needs_diagonal_pivots():
-    with pytest.raises(SpectralError, match="off-diagonal pivot"):
-        _inertia(_symmetric_lu(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]])))
-    with pytest.raises(SpectralError, match="singular"):
-        _symmetric_lu(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0]]))
-    indefinite = sp.csc_matrix([[2.0, 0.0, 1.0], [0.0, -3.0, 0.0], [1.0, 0.0, 1.0]])
-    lu = _symmetric_lu(indefinite)
-    assert _inertia(lu) == (1, lu.L.nnz + lu.U.nnz)
 
 
 @pytest.fixture(scope="module")
@@ -193,38 +193,15 @@ def _dense_window(system, k):
 def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
     # every reported eigenvalue, through the end of the last cluster: on the
     # torus 24 ends in the 4-fold cluster near 12, after all 8 copies near
-    # 6.0042; on CP^2 the inertia factor is in nested-dissection order
+    # 6.0042
     torus = SpectralSystem(hyp.clifford_torus(SphereModel(3), 32))
     spec = torus.spectrum(how_many=24)
-    assert spec.ordering == "mmd_at_plus_a"
     assert len(spec.eigenvalues) == 25
     assert np.abs(spec.eigenvalues - _dense_window(torus, 25)).max() < 1e-9
     assert np.sum(np.abs(spec.eigenvalues - 6.0042) < 1e-3) == 8
-    assert cp2_spectrum.ordering == "nested_dissection"
     assert len(cp2_spectrum.eigenvalues) >= 24
     oracle = _dense_window(cp2_system, len(cp2_spectrum.eigenvalues))
     assert np.abs(cp2_spectrum.eigenvalues - oracle).max() < 1e-9
-
-
-def _mmd_fill(system, shift):
-    A = (system.stiffness - system.potential - shift * system.mass).tocsc()
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    return lu.L.nnz + lu.U.nnz
-
-
-def test_nested_dissection_permutation(cp2_system, cp2_spectrum):
-    q = cp2_system.permutation
-    assert np.array_equal(np.sort(q), np.arange(cp2_system.fem.n_dofs))
-    # the tensor-grid ordering fills less than minimum degree on a 3-D grid
-    assert cp2_spectrum.factor_nnz < _mmd_fill(cp2_system, 0.0)
-    assert cp2_spectrum.inertia_index == cp2_spectrum.morse_index == 1
-
-
-def test_surface_pencil_keeps_mmd(torus_system, torus_spectrum):
-    assert torus_system.permutation is None
-    assert torus_spectrum.ordering == "mmd_at_plus_a"
-    assert torus_spectrum.factor_nnz == _mmd_fill(torus_system, 0.0)
 
 
 def test_odd_parity_on_three_axes_matches_dense_oracle():
@@ -235,15 +212,71 @@ def test_odd_parity_on_three_axes_matches_dense_oracle():
     system = SpectralSystem(surface)
     spec = system.spectrum(how_many=12)
     assert spec.quotient["functions"] == "odd"
-    assert spec.ordering == "nested_dissection"
-    assert np.array_equal(np.sort(system.permutation),
-                          np.arange(system.fem.n_dofs))
     oracle = dense_spectrum(
         system, parity_basis(surface.fem(), deck_permutation(surface), "odd"))
     assert spec.n_dofs == len(oracle)
     assert np.abs(spec.all_eigenvalues - oracle).max() < 1e-9
     # the cover's index 1 is the even constant function
     assert (spec.inertia_index, spec.morse_index) == (1, 0)
+
+
+def test_counts_below_eta_are_checked_per_character(cp2_system):
+    # every block counts its eigenvalues below 0 and below eta twice, and the
+    # kept characters' sums are the counts the report states
+    for eta, count in ((2.0, 5), (6.0, 8)):
+        spec = cp2_system.spectrum(eta=eta)
+        assert spec.inertia_counts == {0.0: 1, eta: count}
+        assert spec.count_below(eta) == count
+
+
+def test_count_disagreeing_with_inertia_is_refused(monkeypatch):
+    # lowered by 1, the four Killing-field modes just above 0 of the torus
+    # fall below 0 while the inertia of their blocks does not move
+    system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
+    eigh_stack = spectral._eigh_stack
+
+    def lowered(A, M):
+        lam, res = eigh_stack(A, M)
+        return lam - 1.0, res
+
+    monkeypatch.setattr(spectral, "_eigh_stack", lowered)
+    with pytest.raises(SpectralError, match=r"character \(\d+, \d+\) has "
+                       r"\d+ eigenvalues below 0 "):
+        system.spectrum()
+
+
+def _drop_orbit(shifts, F, rel):
+    """The gathered sums without any entry of the smallest orbit (a fused
+    pole on CP^2): its Fourier vector left out of every block."""
+    n = len(shifts.reps)
+    o = int(np.argmin(shifts.size))
+    rows = np.arange(n * n)
+    keep = (rows // n != o) & (rows % n != o)
+    return sp.diags(keep.astype(float)) @ F, rel
+
+
+def _scale_element(shifts, F, rel):
+    """The gathered sums with those of the last relative element scaled."""
+    scale = np.ones(len(rel))
+    scale[-1] = 1.001
+    return F @ sp.diags(scale), rel
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_orbit, "not positive definite"),
+    (_scale_element, "Parseval residual"),
+])
+@pytest.mark.parametrize("surface", ["torus", "cp2"])
+def test_corrupted_gather_is_refused(surface, corrupt, message, monkeypatch,
+                                     cp2_system):
+    system = cp2_system if surface == "cp2" else SpectralSystem(
+        hyp.clifford_torus(SphereModel(3), 16))
+    assert system.spectrum().parseval_residual < 1e-14
+    gather = spectral._CellShifts.gather
+    monkeypatch.setattr(spectral._CellShifts, "gather",
+                        lambda self, X: corrupt(self, *gather(self, X)))
+    with pytest.raises(SpectralError, match=message):
+        system.spectrum()
 
 
 def test_non_translation_deck_is_refused():
