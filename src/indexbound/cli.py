@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import hashlib
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import ambient as ambient_mod
 from . import bounds as bounds_mod
 from . import hodge as hodge_mod
@@ -30,6 +33,11 @@ from .spectral import assemble_jacobi
 
 class ConfigError(Exception):
     pass
+
+
+#: environment variables that set the BLAS thread count, on which a run's
+#: CPU time depends and its results do not
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _value(parser, section, key, conv, default=None):
@@ -99,6 +107,8 @@ class Scenario:
             raise ConfigError(f"config file not found: {config_path}")
         if "scenario" not in parser:
             raise ConfigError("config lacks a [scenario] section")
+        self.config_sha256 = hashlib.sha256(
+            Path(config_path).read_bytes()).hexdigest()
         self.id = parser["scenario"].get("id", Path(config_path).stem)
         self.seed = seed if seed is not None else _value(
             parser, "scenario", "seed", _int_at_least(0), 12345)
@@ -288,6 +298,13 @@ def run_tasks(scenario, tasks, artifacts=None):
         "hypersurface": surf.name,
         "resolution": [ax.n_nodes for ax in surf.axes],
         "seed": scenario.seed,
+        "provenance": {
+            "indexbound": __version__,
+            "numpy": np.__version__,
+            "config_sha256": scenario.config_sha256,
+            "seed": scenario.seed,
+            "blas_threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+        },
     }
     tasks = set(tasks)
     if tasks & {"verify-identity", "certify", "margins"}:  # they need the forms

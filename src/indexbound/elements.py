@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 # 3-point Gauss rule on [0, 1]
 _GP = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
@@ -139,6 +138,38 @@ def _reference_tensors(ndim):
     return gauss_local, kron([_GW] * ndim), kron([sv] * ndim), np.stack(grads, -1)
 
 
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A square matrix of order `n` as its entries `data` at (`rows`, `cols`),
+    one per position, in increasing order of rows * n + cols."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    n: int
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def same_pattern(self, other):
+        """Whether `other` has its entries at the same positions."""
+        return (np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols))
+
+    def __sub__(self, other):
+        if not self.same_pattern(other):
+            raise ValueError("the two matrices have different patterns")
+        return Triplets(self.rows, self.cols, self.data - other.data, self.n)
+
+    def __matmul__(self, x):
+        """The product with a vector, or with each column of a 2-D array."""
+        x = np.asarray(x)
+        if x.ndim == 2:
+            return np.stack([self @ column for column in x.T], axis=1)
+        return np.bincount(self.rows, self.data * x[self.cols], self.n)
+
+
 class FemSystem:
     """Galerkin matrices for -div(grad) + V on a curved chart.
 
@@ -148,8 +179,8 @@ class FemSystem:
 
     Attributes
     ----------
-    stiffness, mass, potential : scipy.sparse.csr_matrix, at fused-DOF level
-        (`potential` is None without a potential function)
+    stiffness, mass, potential : Triplets at fused-DOF level, all on one
+        pattern (`potential` is None without a potential function)
     fuse : (n_nodes,) int array mapping grid nodes to DOFs
     node_weights : (n_dofs,) quadrature weights (consistent-mass row sums)
     """
@@ -182,6 +213,15 @@ class FemSystem:
         rows = np.einsum("cg,gi->ci", self._scale, self._vals).ravel()
         self.node_weights = np.bincount(self._cell_dofs.ravel(), rows, self.n_dofs)
 
+    @cached_property
+    def _pattern(self):
+        """The rows and columns of the positions that the cells touch, and
+        the position of each cell entry, (C, L, L) in C order, among them."""
+        conn, n = self._cell_dofs, self.n_dofs
+        keys, inverse = np.unique(conn[:, :, None] * n + conn[:, None, :],
+                                  return_inverse=True)
+        return keys // n, keys % n, inverse.ravel()
+
     def _assemble(self, scale, ginv=None):
         """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
         sum_g scale ginv(grad phi_i, grad phi_j) when `ginv` is given."""
@@ -198,14 +238,13 @@ class FemSystem:
                      ) @ self._grads.transpose(0, 2, 1)
                 E[c:c + _CELL_CHUNK] = (self._grads.transpose(1, 0, 2)
                                         .reshape(L, -1) @ T.reshape(len(s), -1, L))
-        conn = self._cell_dofs
-        rows = np.repeat(conn[:, :, None], conn.shape[1], axis=2).ravel()
-        cols = np.repeat(conn[:, None, :], conn.shape[1], axis=1).ravel()
-        n = self.n_dofs
-        A = sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        # tocsr sums the duplicates in place, in arrays sized for all of
-        # them (1.6 times nnz on CP^2); the copy keeps only nnz
-        return A.copy()
+        return self._summed(E)
+
+    def _summed(self, E):
+        """The matrix whose entries sum the cell entries E, in cell order."""
+        rows, cols, inverse = self._pattern
+        return Triplets(rows, cols, np.bincount(inverse, E.ravel(), len(rows)),
+                        self.n_dofs)
 
     @cached_property
     def mass(self):
@@ -225,13 +264,16 @@ class FemSystem:
     @staticmethod
     def _fusion_labels(positions):
         keys = np.round(np.asarray(positions) / _FUSE_TOL).astype(np.int64)
-        _, first, labels = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
+        # equal keys are adjacent in a stable sort, in node order
+        order = np.lexsort(keys.T)
+        starts = np.ones(len(keys), dtype=bool)
+        starts[1:] = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+        labels = np.empty(len(keys), dtype=np.int64)
+        labels[order] = np.cumsum(starts) - 1
         # relabel so that DOF order follows first appearance in node order
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
-        return rank[labels.ravel()]
+        rank = np.empty(int(starts.sum()), dtype=np.int64)
+        rank[np.argsort(order[starts])] = np.arange(len(rank))
+        return rank[labels]
 
     # -- helpers --------------------------------------------------------------
     def to_dof(self, node_values):

@@ -33,7 +33,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class SpectralError(Exception):
@@ -126,11 +125,12 @@ class SpectralSystem:
         lowest `how_many` through the end of the cluster the last falls in;
         the counts below 0 and below `eta` are checked block by block.
 
-        Raises SpectralError when a cell shift moves the pencil by more than
-        INVARIANCE_TOL, when a quotient's deck is not a cell shift or moves
-        the unit normal off its line, when a block's count below 0 or `eta`
-        disagrees with its inertia, or when the blocks miss a Parseval
-        identity by more than PARSEVAL_TOL.
+        Raises SpectralError when K - P and M lie on different patterns,
+        when a cell shift moves the pencil by more than INVARIANCE_TOL, when
+        a quotient's deck is not a cell shift or moves the unit normal off
+        its line, when a block's count below 0 or `eta` disagrees with its
+        inertia, or when the blocks miss a Parseval identity by more than
+        PARSEVAL_TOL.
         """
         shifts = _CellShifts(self.fem)
         kept, quotient = np.ones(shifts.order, dtype=bool), None
@@ -139,9 +139,7 @@ class SpectralSystem:
             kept = shifts.deck_signs(element) == sign
             quotient = {"shift_cells": element.tolist(),
                         "functions": "even" if sign > 0 else "odd"}
-        # CSC fixes the order in which the gather sums the entries of an
-        # orbit pair, and so the last bits of every block
-        A = (self.stiffness - self.potential).tocsc()
+        A = self.stiffness - self.potential
         M = self.mass
         defect = shifts.invariance_defect(A, M)
         if defect > INVARIANCE_TOL:
@@ -264,29 +262,52 @@ class _CellShifts:
         return np.rint(np.cos(2.0 * np.pi * turns)).astype(int)
 
     def invariance_defect(self, *matrices):
-        """max |S X S^T - X| / max |X| over the generators S and `matrices`."""
+        """max |S X S^T - X| / max |X| over the generators S and `matrices`,
+        triplets on one pattern in increasing order of row * n + col; an
+        entry whose image under S, or whose preimage, lies off the pattern
+        counts in full."""
+        X = _one_pattern(matrices)
+        keys = X.rows * X.n + X.cols
         worst = 0.0
-        for X in map(sp.coo_matrix, matrices):
-            for perm in self.generators:
-                moved = sp.csr_matrix((X.data, (perm[X.row], perm[X.col])),
-                                      shape=X.shape)
-                worst = max(worst, abs(moved - X).max() / abs(X.data).max())
+        for perm in self.generators:
+            moved = perm[X.rows] * X.n + perm[X.cols]
+            at = np.minimum(np.searchsorted(keys, moved), X.nnz - 1)
+            found = keys[at] == moved
+            at = at[found]
+            missed = np.ones(X.nnz, dtype=bool)
+            missed[at] = False
+            for Y in matrices:
+                diff = np.concatenate([Y.data[found] - Y.data[at],
+                                       Y.data[~found], Y.data[missed]])
+                worst = max(worst, np.abs(diff).max() / np.abs(Y.data).max())
         return float(worst)
 
-    def gather(self, X):
-        """X summed onto (orbit o, orbit p, element[d'] - element[d]) over
-        d in o and d' in p and scaled by 1 / sqrt(|o| |p|): a sparse
-        (n_orbits**2, len(rel)) matrix, and the relative elements `rel`."""
-        X = X.tocoo()
+    def gather(self, *matrices):
+        """Each of `matrices`, triplets on one pattern, summed onto (orbit o,
+        orbit p, element[d'] - element[d]) over d in o and d' in p and scaled
+        by 1 / sqrt(|o| |p|): a dense (n_orbits**2, len(rel)) array, with the
+        relative elements `rel` that occur."""
+        X = _one_pattern(matrices)
         n = len(self.reps)
-        o, p = self.orbit[X.row], self.orbit[X.col]
-        rel = np.ravel_multi_index(np.mod(
-            self.multi(self.element[X.col]) - self.multi(self.element[X.row]),
-            np.array(self.cells)[:, None]), self.cells)
-        F = sp.csr_matrix((X.data / np.sqrt(self.size[o] * self.size[p]),
-                           (o * n + p, rel)), shape=(n * n, self.order))
-        rel, cols = np.unique(F.indices, return_inverse=True)
-        return sp.csr_matrix((F.data, cols, F.indptr), shape=(n * n, len(rel))), rel
+        # in place, so that no more than a few per-entry arrays live at once
+        o, p = self.orbit[X.rows], self.orbit[X.cols]
+        root = np.sqrt(self.size[o] * self.size[p])
+        at = o * n
+        at += p
+        del o, p
+        rel = np.zeros(X.nnz, dtype=np.int64)  # in C order, axis by axis
+        for e, m in zip(self.multi(self.element), self.cells):
+            d = e[X.cols]
+            d -= e[X.rows]
+            d[d < 0] += m
+            rel *= m
+            rel += d
+        occurs = np.bincount(rel, minlength=self.order) > 0
+        at *= occurs.sum()
+        at += (np.cumsum(occurs) - 1)[rel]
+        rel = np.flatnonzero(occurs)
+        return [(np.bincount(at, Y.data / root, n * n * len(rel))
+                 .reshape(n * n, len(rel)), rel) for Y in matrices]
 
     def blocks(self, gathered, chars):
         """The Hermitian blocks u_o^H X u_p of the characters `chars` on the
@@ -297,6 +318,15 @@ class _CellShifts:
         n = len(self.reps)
         B = (F @ np.exp(-2j * np.pi * turns)).T.reshape(len(chars), n, n)
         return 0.5 * (B + B.conj().swapaxes(1, 2))
+
+
+def _one_pattern(matrices):
+    """The first of `matrices`, triplets that must share its pattern."""
+    X = matrices[0]
+    if not all(X.same_pattern(Y) for Y in matrices[1:]):
+        raise SpectralError("the matrices of the pencil lie on different "
+                            "patterns")
+    return X
 
 
 def _block_spectrum(A, M, shifts, kept, etas):
@@ -313,7 +343,7 @@ def _block_spectrum(A, M, shifts, kept, etas):
                np.array(shifts.cells)[:, None]), shifts.cells)
     solved = np.flatnonzero(np.arange(shifts.order) <= conjugate)
     copies = np.where(conjugate[solved] == solved, 1, 2)
-    gathered = shifts.gather(A), shifts.gather(M)
+    gathered = shifts.gather(A, M)
     step = max(1, _GATHER_ENTRIES // len(shifts.reps) ** 2)
     vals, res, sizes = [], [], []
     below = np.zeros((2, len(etas)), dtype=int)
@@ -375,8 +405,8 @@ def _parseval_residual(X, trace, square):
     """Largest relative residual of sum_k tr B_k = tr X, relative to
     sum |X_ii|, and of sum_k |B_k|_F^2 = |X|_F^2, given the two sums over the
     blocks B_k of X."""
-    d = X.diagonal()
-    whole = float(X.multiply(X).sum())
+    d = X.data[X.rows == X.cols]
+    whole = float(X.data @ X.data)
     return max(abs(trace - d.sum()) / np.abs(d).sum(),
                abs(square - whole) / whole)
 

@@ -20,6 +20,35 @@ CAYLEY_PLANE = SimpleNamespace(kind="cayley_plane", intrinsic_dim=16,
                                einstein_constant=36)
 
 
+def dense(X):
+    """The dense array of a matrix held as triplets."""
+    A = np.zeros((X.n, X.n))
+    A[X.rows, X.cols] = X.data
+    return A
+
+
+def summed_by_scipy(fem, E):
+    """The fused-DOF matrix of the cell entries E of a FemSystem, (C, L, L)
+    in the order of its cell DOFs, summed by scipy's COO to CSR conversion."""
+    conn = fem._cell_dofs
+    L = conn.shape[1]
+    rows = np.repeat(conn[:, :, None], L, axis=2).ravel()
+    cols = np.repeat(conn[:, None, :], L, axis=1).ravel()
+    return sp.coo_matrix((E.ravel(), (rows, cols)),
+                         shape=(fem.n_dofs, fem.n_dofs)).tocsr()
+
+
+def fusion_labels_by_unique(positions, tol):
+    """DOF labels of nodes whose positions agree when rounded to `tol`,
+    numbered by first appearance, from np.unique over the rows."""
+    keys = np.round(np.asarray(positions) / tol).astype(np.int64)
+    _, first, labels = np.unique(keys, axis=0, return_index=True,
+                                 return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[labels.ravel()]
+
+
 def rayleigh_quotient(system, u):
     """Index form over squared L2 norm of a DOF vector, from the matrices of a
     SpectralSystem: u^T (K - P) u / u^T M u."""
@@ -48,13 +77,13 @@ def parity_basis(fem, node_permutation, parity):
 def dense_spectrum(system, basis=None, count=None):
     """The eigenvalues of the pencil of a SpectralSystem by one dense solve,
     on the columns of `basis` when given: all, or the lowest `count`."""
-    A = system.stiffness - system.potential
-    M = system.mass
+    A = dense(system.stiffness - system.potential)
+    M = dense(system.mass)
     if basis is not None:
-        A, M = basis.T @ A @ basis, basis.T @ M @ basis
+        B = basis.toarray()
+        A, M = B.T @ A @ B, B.T @ M @ B
     subset = None if count is None else [0, count - 1]
-    return scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True,
-                             subset_by_index=subset)
+    return scipy.linalg.eigh(A, M, eigvals_only=True, subset_by_index=subset)
 
 
 def with_involution(surface, involution):
@@ -101,7 +130,7 @@ def deck_sign_spectrum(system, sign):
 def global_inertia(system):
     """The negative eigenvalues of the whole K - P of a SpectralSystem, from
     one dense solve of the unsplit matrix: the cover's Morse index."""
-    A = (system.stiffness - system.potential).toarray()
+    A = dense(system.stiffness - system.potential)
     return int(np.sum(np.linalg.eigvalsh(A) < 0))
 
 

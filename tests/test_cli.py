@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import indexbound
 from indexbound import cli, hypersurface as hyp
 from indexbound.ambient import CircleTimesSphereModel, IdentityReport
 from indexbound.hodge import HodgeError, harmonic_one_forms
@@ -73,6 +75,20 @@ def test_json_report_fields(run_all):
     for key in ("eta", "q", "d", "required", "actual", "margin", "verdict"):
         assert key in cert, key
     assert cert["verdict"] == "pass"
+
+
+def test_report_provenance(run_all, config_path):
+    # what the numbers depend on, and no time: reruns stay byte-identical
+    _, out = run_all
+    report = json.loads((out / "torus-small.json").read_text())
+    assert report["provenance"] == {
+        "indexbound": indexbound.__version__,
+        "numpy": np.__version__,
+        "config_sha256": hashlib.sha256(config_path.read_bytes()).hexdigest(),
+        "seed": 7,
+        "blas_threads": {v: os.environ.get(v) for v in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
 
 def test_summary_csv(run_all):
@@ -141,17 +157,19 @@ def test_single_subcommands(config_path, tmp_path):
         assert code == 0, task
 
 
-def test_cli_run_leaves_scipy_optimize_unimported(tmp_path):
-    # a fresh interpreter, as each command-line run is: importing
-    # scipy.optimize costs every run about 0.3 s that no CLI path uses
-    argv = ["spectrum", "--config", str(cli.bundled_config("clifford.cfg")),
+def test_cli_all_leaves_scipy_unimported(tmp_path):
+    # a fresh interpreter, as each command-line run is: the package runs on
+    # numpy alone; importing scipy.sparse cost every run 0.2 s or more.
+    # At a quarter of the resolution the identity residual exceeds its
+    # tolerance, so `all` exits 1 with every block written.
+    argv = ["all", "--config", str(cli.bundled_config("clifford.cfg")),
             "--out", str(tmp_path), "--resolution-scale", "0.25"]
     script = (
         "import json, sys\n"
         "from indexbound import cli\n"
         f"code = cli.main({argv!r})\n"
         "print(json.dumps([code, sorted(m for m in sys.modules "
-        "if m.startswith('scipy.optimize'))]))\n"
+        "if m.startswith('scipy'))]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -160,7 +178,11 @@ def test_cli_run_leaves_scipy_optimize_unimported(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    assert code == 1
+    report = json.loads((tmp_path / "clifford.json").read_text())
+    assert "error" not in report
+    assert report["identity"]["Prop32"]["relative_residual"] > 1e-4
+    assert {"spectrum", "identity", "certificate", "bounds"} <= set(report)
     assert loaded == []
 
 
@@ -316,8 +338,8 @@ def bundled_all(request, tmp_path_factory):
 @pytest.mark.parametrize("bundled_all", ["clifford.cfg", "cp2-borderline.cfg"],
                          indirect=True)
 def test_all_reruns_byte_identical(bundled_all, tmp_path):
-    # clifford.cfg runs the minimum-degree factor path, cp2-borderline.cfg
-    # the nested-dissection one
+    # clifford.cfg assembles a grid without fused nodes, cp2-borderline.cfg
+    # one whose poles are fused
     sid, code, first = bundled_all
     assert code == 0
     assert _run_half(f"{sid}.cfg", tmp_path) == 0

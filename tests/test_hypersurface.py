@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 
@@ -12,15 +13,18 @@ from indexbound.ambient import (
     RealProjectiveModel,
     SphereModel,
 )
-from indexbound.elements import Axis, FemSystem, TensorGrid
+from indexbound.elements import _FUSE_TOL, Axis, FemSystem, TensorGrid
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import (
     classify,
     deck,
     deck_permutation,
+    dense,
     descend,
+    fusion_labels_by_unique,
     half_turn,
     minimal_geodesic_sphere_radius,
+    summed_by_scipy,
     with_involution,
     with_resolution,
 )
@@ -50,8 +54,8 @@ def test_fem_flat_torus_spectrum():
     )
     from scipy.linalg import eigh
 
-    K = fem.stiffness.toarray()
-    M = fem.mass.toarray()
+    K = dense(fem.stiffness)
+    M = dense(fem.mass)
     vals = eigh(K, M, eigvals_only=True)[:6]
     # flat-torus Laplacian: 0, then 1 with multiplicity four
     assert abs(vals[0]) < 1e-10
@@ -326,5 +330,59 @@ def test_node_weights_are_mass_row_sums(make):
     # sums to roundoff, not bitwise
     fem = make().fem()
     assert "mass" not in vars(fem)  # not assembled for the weights
-    rows = np.asarray(fem.mass.sum(axis=1)).ravel()
+    rows = dense(fem.mass).sum(axis=1)
     assert np.abs(fem.node_weights - rows).max() <= 1e-15 * np.abs(rows).max()
+
+
+#: surfaces with fused poles (CP^2 sphere, equator) and without (torus)
+_FEM_SURFACES = [
+    lambda: hyp.clifford_torus(SphereModel(3), 16),
+    lambda: hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 12),
+    lambda: hyp.equator_in_sphere(SphereModel(3), 13),
+]
+
+
+@pytest.mark.parametrize("make", _FEM_SURFACES)
+def test_assembled_matrices_match_scipy_sums(make, monkeypatch):
+    # each matrix sums the same cell entries as scipy's COO to CSR
+    # conversion, on one pattern shared by the three
+    fem = make().fem()
+    summed, sum_cells = [], FemSystem._summed
+
+    def recorded(self, E):
+        summed.append((E, sum_cells(self, E)))
+        return summed[-1][1]
+
+    monkeypatch.setattr(FemSystem, "_summed", recorded)
+    assert [fem.mass, fem.stiffness, fem.potential] == [X for _, X in summed]
+    for E, X in summed:
+        oracle = summed_by_scipy(fem, E)
+        assert np.array_equal(X.rows, summed[0][1].rows)
+        assert np.array_equal(X.cols, oracle.indices)
+        assert np.array_equal(np.bincount(X.rows, minlength=fem.n_dofs),
+                              np.diff(oracle.indptr))
+        scale = np.abs(oracle.data).max()
+        assert np.abs(X.data - oracle.data).max() <= 1e-14 * scale
+
+
+def test_product_with_a_matrix_is_the_dense_product():
+    fem = hyp.clifford_torus(SphereModel(3), 16).fem()
+    A = fem.stiffness - fem.potential
+    U = np.random.default_rng(3).standard_normal((fem.n_dofs, 3))
+    oracle = dense(A) @ U
+    assert (A @ U).shape == oracle.shape
+    assert np.abs(A @ U - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    assert np.array_equal((A @ U)[:, 1], A @ U[:, 1])
+    with pytest.raises(ValueError, match="different patterns"):
+        A - dataclasses.replace(A, cols=A.cols[::-1])
+
+
+@pytest.mark.parametrize("make", _FEM_SURFACES[1:])
+def test_fusion_labels_match_unique_rows(make):
+    # the fused poles share a DOF, numbered by first appearance as the
+    # labels of np.unique over the rounded positions number it
+    surface = make()
+    fem = surface.fem()
+    assert fem.n_dofs < surface.grid.n_nodes
+    oracle = fusion_labels_by_unique(surface.positions, _FUSE_TOL)
+    assert np.array_equal(fem.fuse, oracle)

@@ -1,9 +1,9 @@
 """Static checks of the package source: every module-level import is used,
-no function imports a module of the package, the package keeps one
-eigensolver path (dense solves of symmetry blocks: no ARPACK, no SuperLU
-factor, nothing of scipy.sparse.linalg), no public package function is
-reached only from the tests, and every defaulted parameter of a public
-function is passed by some package call."""
+no function imports a module of the package, the package imports nothing of
+scipy and keeps one eigensolver path (dense solves of symmetry blocks: no
+ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
+function is reached only from the tests, and every defaulted parameter of a
+public function is passed by some package call."""
 
 import ast
 import re
@@ -68,6 +68,32 @@ def test_function_package_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_function_level_package_imports(path):
     assert function_package_imports(path.read_text()) == []
+
+
+def scipy_imports(source):
+    """Line numbers of the imports of `source`, at any depth, of scipy or of
+    a module of it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(
+            a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "scipy")
+
+
+def test_scipy_import_is_found():
+    source = (
+        "import numpy as np\nimport scipy\nimport os, scipy.sparse as sp\n"
+        "from scipy.linalg import eigh\nfrom .scipy import x\n"
+        "import scipyx\ndef f():\n    from scipy import optimize\n"
+    )
+    assert scipy_imports(source) == [2, 3, 4, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path.read_text()) == []
 
 
 def sparse_solver_lines(source):

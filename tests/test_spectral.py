@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import indexbound
 from indexbound import hypersurface as hyp, spectral
@@ -18,6 +18,7 @@ from indexbound.ambient import (
     RealProjectiveModel,
     SphereModel,
 )
+from indexbound.elements import Triplets
 from indexbound.spectral import (
     INVARIANCE_TOL,
     SpectralError,
@@ -26,6 +27,7 @@ from indexbound.spectral import (
 from oracles import (
     deck_permutation,
     deck_sign_spectrum,
+    dense,
     dense_spectrum,
     global_inertia,
     half_turn,
@@ -129,8 +131,8 @@ def test_matches_dense_oracle():
     # the generalized symmetric eigenproblem solved densely on a small grid
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 32))
     spec = system.spectrum(how_many=16)
-    A = (system.stiffness - system.potential).toarray()
-    oracle = scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)
+    A = dense(system.stiffness - system.potential)
+    oracle = scipy.linalg.eigh(A, dense(system.mass), eigvals_only=True)
     assert len(spec.eigenvalues) >= 16
     assert np.abs(spec.eigenvalues - oracle[:len(spec.eigenvalues)]).max() < 1e-9
 
@@ -186,8 +188,8 @@ def cp2_spectrum(cp2_system):
 
 
 def _dense_window(system, k):
-    A = (system.stiffness - system.potential).toarray()
-    return scipy.linalg.eigh(A, system.mass.toarray(), eigvals_only=True)[:k]
+    A = dense(system.stiffness - system.potential)
+    return scipy.linalg.eigh(A, dense(system.mass), eigvals_only=True)[:k]
 
 
 def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
@@ -252,14 +254,14 @@ def _drop_orbit(shifts, F, rel):
     o = int(np.argmin(shifts.size))
     rows = np.arange(n * n)
     keep = (rows // n != o) & (rows % n != o)
-    return sp.diags(keep.astype(float)) @ F, rel
+    return F * keep[:, None], rel
 
 
 def _scale_element(shifts, F, rel):
     """The gathered sums with those of the last relative element scaled."""
     scale = np.ones(len(rel))
     scale[-1] = 1.001
-    return F @ sp.diags(scale), rel
+    return F * scale, rel
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -274,7 +276,8 @@ def test_corrupted_gather_is_refused(surface, corrupt, message, monkeypatch,
     assert system.spectrum().parseval_residual < 1e-14
     gather = spectral._CellShifts.gather
     monkeypatch.setattr(spectral._CellShifts, "gather",
-                        lambda self, X: corrupt(self, *gather(self, X)))
+                        lambda self, *X: [corrupt(self, *g)
+                                          for g in gather(self, *X)])
     with pytest.raises(SpectralError, match=message):
         system.spectrum()
 
@@ -323,18 +326,44 @@ def _torus_shift_defect(X, nodes):
 def test_perturbed_potential_is_refused_by_the_invariance_defect():
     # one DOF with a large potential breaks the symmetry the blocks need
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
-    n = system.fem.n_dofs
-    A = (system.stiffness - system.potential).toarray()
+    P = system.potential
+    A = dense(system.stiffness - P)
     assert _torus_shift_defect(A, 16) < 1e-15
-    system.potential = system.potential + sp.csr_matrix(
-        ([1e3], ([0], [0])), shape=(n, n))
+    system.potential = dataclasses.replace(
+        P, data=P.data + 1e3 * ((P.rows == 0) & (P.cols == 0)))
     with pytest.raises(SpectralError, match="invariance defect") as err:
         system.spectrum(how_many=8)
     defect = float(re.search(r"invariance defect (\S+)", str(err.value))[1])
-    A = (system.stiffness - system.potential).toarray()
+    A = dense(system.stiffness - system.potential)
     assert defect > INVARIANCE_TOL
     # the message rounds to 3 digits
     assert abs(defect - _torus_shift_defect(A, 16)) < 5e-3 * defect
+
+
+def _with_entry(X, i, j, value):
+    """The triplets X with one more entry, `value` at (i, j) off its pattern."""
+    keys = X.rows * X.n + X.cols
+    at = np.searchsorted(keys, i * X.n + j)
+    assert keys[at] != i * X.n + j
+    return Triplets(np.insert(X.rows, at, i), np.insert(X.cols, at, j),
+                    np.insert(X.data, at, value), X.n)
+
+
+def test_entry_whose_shift_leaves_the_pattern_counts_in_full():
+    # an entry coupling the torus nodes (0, 0) and (8, 8): no cell shift maps
+    # it onto the pattern, nor any entry of the pattern onto it
+    system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
+    value = 0.25 * np.abs((system.stiffness - system.potential).data).max()
+    system.stiffness = _with_entry(system.stiffness, 0, 8 * 16 + 8, value)
+    system.potential = _with_entry(system.potential, 0, 8 * 16 + 8, 0.0)
+    with pytest.raises(SpectralError, match="different patterns"):
+        system.spectrum(how_many=8)
+    system.mass = _with_entry(system.mass, 0, 8 * 16 + 8, 0.0)
+    A = system.stiffness - system.potential
+    shifts = spectral._CellShifts(system.fem)
+    assert shifts.invariance_defect(A) == 0.25 == _torus_shift_defect(dense(A), 16)
+    with pytest.raises(SpectralError, match="invariance defect 0.25 "):
+        system.spectrum(how_many=8)
 
 
 def test_parity_pencils_sum_to_the_cover(torus_projective):
