@@ -259,9 +259,10 @@ class _ProjectiveVeroneseBase(AmbientModel):
 
     Points are unit vectors z (modulo phase / unit-quaternion action); ambient
     coordinates flatten Hermitian matrices isometrically for the metric
-    <A, B> = Re tr(AB) / 2.  Subclasses define `chart` (z -> z z*), `outer`
-    (z, w -> z w* + w z*), `matvec`, `norm_sq`, `horizontal_project`, and
-    `flatten` / `unflatten` between Hermitian matrices and the ambient space.
+    <A, B> = Re tr(AB) / 2.  Subclasses define `position` (z -> z z*) and
+    `tangent_from_horizontal` (z, v -> z v* + v z*), both flattened,
+    `matvec`, `norm_sq`, `horizontal_project`, and `unflatten` from the
+    ambient space back to Hermitian matrices.
     """
 
     def _per_point(self, a):
@@ -271,12 +272,6 @@ class _ProjectiveVeroneseBase(AmbientModel):
     def point_from_homogeneous(self, z):
         return z / self._per_point(np.sqrt(self.norm_sq(z)))
 
-    def position(self, z):
-        return self.flatten(self.chart(z))
-
-    def tangent_from_horizontal(self, z, v):
-        return self.flatten(self.outer(z, v))
-
     def horizontal_from_ambient(self, z, X):
         """Recover the horizontal lift v from an ambient tangent vector X."""
         v = self.matvec(self.unflatten(X), z)
@@ -284,7 +279,7 @@ class _ProjectiveVeroneseBase(AmbientModel):
 
     def ii_quad(self, z, X):
         v = self.horizontal_from_ambient(z, X)
-        return 2.0 * (self.flatten(self.chart(v))
+        return 2.0 * (self.position(v)
                       - self.norm_sq(v)[..., None] * self.position(z))
 
     def curve(self, z, X, t):
@@ -310,15 +305,24 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         self.m = int(m)
         super().__init__(2 * m, (m + 1) ** 2)
         self.einstein_constant = float(2 * m + 2)
-        iu = np.triu_indices(m + 1, k=1)
-        self._iu = iu
+        self._iu = np.triu_indices(m + 1, k=1)
 
-    # flattening: diagonal / sqrt(2), then Re and Im of the upper triangle
-    def flatten(self, A):
-        A = np.asarray(A)
-        diag = np.real(np.diagonal(A, axis1=-2, axis2=-1)) / np.sqrt(2.0)
-        off = A[..., self._iu[0], self._iu[1]]
-        return np.concatenate([diag, np.real(off), np.imag(off)], axis=-1)
+    # flattening: diagonal / sqrt(2), then Re and Im of the upper triangle;
+    # position and tangent_from_horizontal write those entries of z z* and
+    # z v* + v z* straight from z and v, without the (..., m+1, m+1) matrix
+    def position(self, z):
+        i, j = self._iu
+        off = z[..., i] * np.conj(z[..., j])
+        return np.concatenate([np.real(z * np.conj(z)) / np.sqrt(2.0),
+                               off.real, off.imag], axis=-1)
+
+    def tangent_from_horizontal(self, z, v):
+        i, j = self._iu
+        off = z[..., i] * np.conj(v[..., j]) + v[..., i] * np.conj(z[..., j])
+        # Re(z_i v_i* + v_i z_i*) is 2 Re(z_i v_i*) exactly; halved by sqrt 2
+        # after the doubling, as the matrix form rounds it
+        return np.concatenate([2.0 * np.real(z * np.conj(v)) / np.sqrt(2.0),
+                               off.real, off.imag], axis=-1)
 
     def unflatten(self, a):
         n1 = self.m + 1
@@ -331,17 +335,8 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         A[..., self._iu[1], self._iu[0]] = np.conj(off)
         return A
 
-    def chart(self, z):
-        return z[..., :, None] * np.conj(z)[..., None, :]
-
     def matvec(self, A, z):
         return np.einsum("...ij,...j->...i", A, z)
-
-    def outer(self, z, w):
-        return (
-            z[..., :, None] * np.conj(w)[..., None, :]
-            + w[..., :, None] * np.conj(z)[..., None, :]
-        )
 
     def norm_sq(self, z):
         return np.real(np.einsum("...i,...i->...", np.conj(z), z))
@@ -433,16 +428,16 @@ class QuaternionicProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         A[..., self._iu[1], self._iu[0], :] = qconj(off)
         return A
 
-    def chart(self, z):
-        return qmul(z[..., :, None, :], qconj(z)[..., None, :, :])
+    def position(self, z):
+        return self.flatten(qmul(z[..., :, None, :], qconj(z)[..., None, :, :]))
+
+    def tangent_from_horizontal(self, z, v):
+        return self.flatten(
+            qmul(z[..., :, None, :], qconj(v)[..., None, :, :])
+            + qmul(v[..., :, None, :], qconj(z)[..., None, :, :]))
 
     def matvec(self, A, z):
         return qmul(A, z[..., None, :, :]).sum(axis=-2)
-
-    def outer(self, z, w):
-        return qmul(z[..., :, None, :], qconj(w)[..., None, :, :]) + qmul(
-            w[..., :, None, :], qconj(z)[..., None, :, :]
-        )
 
     def norm_sq(self, z):
         return np.sum(z * z, axis=(-2, -1))

@@ -297,13 +297,12 @@ def borderline_cp_report(surface, f_fn=None):
     of a complex projective ambient, for omega-sharp = f JN.
 
     Derivatives use central differences with a step tied to the mesh spacing,
-    so the residuals decay under refinement.
+    so the residuals decay under refinement.  Without `f_fn`, f = 1 and the
+    derivative of omega-sharp is that of JN, taken once for both (i) and (ii).
     """
     model = surface.ambient
     if not isinstance(model, ComplexProjectiveVeroneseModel):
         raise BoundsError("the borderline report needs a complex projective ambient")
-    if f_fn is None:
-        f_fn = lambda p: np.ones(p.shape[:-1])
 
     params = surface.node_params
     h_min = min(ax.h for ax in surface.axes)
@@ -317,9 +316,6 @@ def borderline_cp_report(surface, f_fn=None):
         normal = surface.normal_fn(p)
         v = model.horizontal_from_ambient(z, normal)
         return model.tangent_from_horizontal(z, 1j * v)
-
-    def omega_sharp_field(p):
-        return f_fn(p)[..., None] * jn_field(p)
 
     jac = chart_jacobian(surface.chart_fn, params, step)
     frames, coeffs, ok = orthonormal_frames(jac)
@@ -338,11 +334,16 @@ def borderline_cp_report(surface, f_fn=None):
     div_residual = float(np.abs(div_jn[ok]).max())
 
     # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2 |grad_X JN|^2
-    f_vals = f_fn(params)
-    df = chart_jacobian(lambda p: f_fn(p)[..., None], params, step)[..., 0]
-    xf = np.einsum("nab,nb->na", coeffs, df)
-    d_omega = tangential(frame_derivative(omega_sharp_field))
     d_jn_t = tangential(d_jn)
+    if f_fn is None:  # f = 1: omega-sharp is JN
+        f_vals, d_omega = np.ones(len(params)), d_jn_t
+        xf = np.zeros(coeffs.shape[:-1])
+    else:
+        f_vals = f_fn(params)
+        df = chart_jacobian(lambda p: f_fn(p)[..., None], params, step)[..., 0]
+        xf = np.einsum("nab,nb->na", coeffs, df)
+        d_omega = tangential(frame_derivative(
+            lambda p: f_fn(p)[..., None] * jn_field(p)))
     lhs = np.einsum("nad,nad->na", d_omega, d_omega)
     rhs = xf**2 + (f_vals**2)[:, None] * np.einsum(
         "nad,nad->na", d_jn_t, d_jn_t

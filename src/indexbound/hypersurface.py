@@ -449,38 +449,47 @@ def geodesic_sphere_cp2(ambient, nodes, radius=None):
     """Geodesic sphere of the minimal radius about a point of the CP^2
     `ambient` (or of `radius`, a probe for the minimal one).
 
-    The chart runs over the unit 3-sphere of horizontal directions in angular
-    coordinates (xi1, xi2, eta); the normal is the velocity of the radial
-    geodesic, computed in closed form through the Veronese embedding.
+    The chart runs over the unit 3-sphere of horizontal directions
+    u = (e^{i xi1} cos eta, e^{i xi2} sin eta) in angular coordinates
+    (xi1, xi2, eta), and z = (cos r, sin r u) is the point at distance r.
+    The normal is the velocity of the radial geodesic, in closed form through
+    the Veronese embedding.  The metric is the closed-form Berger metric of a
+    geodesic sphere (Cecil & Ryan, Geometry of Hypersurfaces, 2015, 6.1):
+    sin^2 r (g_S3 - sin^2 r alpha (x) alpha), with the round metric g_S3 of
+    the u sphere and its Hopf form alpha = Im <u, du> = cos^2 eta dxi1 +
+    sin^2 eta dxi2: the Hopf circle has length 2 pi sin r cos r, its
+    orthogonal complement is scaled by sin r.
     """
     if ambient.m != 2:
         raise AmbientError("the geodesic sphere of CP^2 needs m = 2")
     r = np.pi / 3.0 if radius is None else float(radius)
     cr, sr = np.cos(r), np.sin(r)
 
-    def homogeneous(p):
+    def horizontal(p):
         xi1, xi2, eta = p[..., 0], p[..., 1], p[..., 2]
-        w1 = np.exp(1j * xi1) * np.cos(eta)
-        w2 = np.exp(1j * xi2) * np.sin(eta)
-        return np.stack([np.ones_like(w1), w1, w2], axis=-1)
+        return np.stack([np.exp(1j * xi1) * np.cos(eta),
+                         np.exp(1j * xi2) * np.sin(eta)], axis=-1)
 
-    def z_and_zdot(p):
-        h = homogeneous(p)
-        z = h.copy()
-        z[..., 0] *= cr
-        z[..., 1:] *= sr
-        zdot = h.copy()
-        zdot[..., 0] *= -sr
-        zdot[..., 1:] *= cr
-        return z, zdot
+    def along(u, c, s):  # (c, s u)
+        return np.concatenate([np.full(u.shape[:-1] + (1,), c), s * u], axis=-1)
+
+    def point(p):
+        return along(horizontal(p), cr, sr)
 
     def chart(p):
-        z, _ = z_and_zdot(p)
-        return ambient.position(z)
+        return ambient.position(point(p))
 
     def normal(p):
-        z, zdot = z_and_zdot(p)
-        return ambient.flatten(ambient.outer(z, zdot))
+        u = horizontal(p)
+        return ambient.tangent_from_horizontal(along(u, cr, sr),
+                                               along(u, -sr, cr))
+
+    def metric(p):
+        eta = p[..., 2]
+        alpha = np.stack([np.cos(eta) ** 2, np.sin(eta) ** 2,
+                          np.zeros_like(eta)], axis=-1)
+        round_s3 = (alpha + [0.0, 0.0, 1.0])[..., None] * np.eye(3)
+        return sr**2 * (round_s3 - sr**2 * alpha[..., :, None] * alpha[..., None, :])
 
     def potential(p):
         # Einstein constant 6 plus |A|^2 = 4 cot(2r)^2 + 2 cot(r)^2
@@ -494,8 +503,7 @@ def geodesic_sphere_cp2(ambient, nodes, radius=None):
     ]
     return DiscreteHypersurface(
         "geodesic_sphere_cp2", ambient, axes, chart, normal,
-        potential_fn=potential,
-        model_point_fn=lambda p: z_and_zdot(p)[0],
+        metric_fn=metric, potential_fn=potential, model_point_fn=point,
     )
 
 

@@ -415,13 +415,18 @@ def _eigh_stack(A, M):
     """Eigenvalues and relative residuals |A x - lambda M x| / |M x| of a stack
     of Hermitian pencils with M positive definite, by Cholesky reduction to
     L^-1 A L^-H with M = L L^H."""
+    # each stack is dropped once used: on CP^2 the first call sets the peak
+    # RSS of a run
     L = np.linalg.cholesky(M)
-    C = np.linalg.solve(L, np.linalg.solve(L, A).conj().swapaxes(1, 2))
-    lam, Y = np.linalg.eigh(C)
+    lam, Y = np.linalg.eigh(
+        np.linalg.solve(L, np.linalg.solve(L, A).conj().swapaxes(1, 2)))
     X = np.linalg.solve(L.conj().swapaxes(1, 2), Y)
+    del L, Y
     MX = M @ X
-    res = np.linalg.norm(A @ X - MX * lam[:, None, :], axis=1)
-    return lam, res / np.linalg.norm(MX, axis=1)
+    R = A @ X
+    del X
+    R -= MX * lam[:, None, :]
+    return lam, np.linalg.norm(R, axis=1) / np.linalg.norm(MX, axis=1)
 
 
 def assemble_jacobi(surface):

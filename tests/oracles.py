@@ -49,6 +49,27 @@ def fusion_labels_by_unique(positions, tol):
     return rank[labels.ravel()]
 
 
+def veronese_chart(z):
+    """The Hermitian matrix z z* of points z of C^(m+1), (..., m+1, m+1)."""
+    return z[..., :, None] * np.conj(z)[..., None, :]
+
+
+def veronese_outer(z, w):
+    """The Hermitian matrix z w* + w z*, (..., m+1, m+1)."""
+    return (z[..., :, None] * np.conj(w)[..., None, :]
+            + w[..., :, None] * np.conj(z)[..., None, :])
+
+
+def veronese_flatten(A):
+    """The ambient vector of Hermitian matrices A of the complex projective
+    Veronese model: the diagonal over sqrt(2), then the real and imaginary
+    parts of the upper triangle."""
+    iu = np.triu_indices(A.shape[-1], k=1)
+    off = A[..., iu[0], iu[1]]
+    return np.concatenate([np.real(np.diagonal(A, axis1=-2, axis2=-1))
+                           / np.sqrt(2.0), off.real, off.imag], axis=-1)
+
+
 def rayleigh_quotient(system, u):
     """Index form over squared L2 norm of a DOF vector, from the matrices of a
     SpectralSystem: u^T (K - P) u / u^T M u."""

@@ -13,6 +13,9 @@ from oracles import (
     random_orthonormal_pair,
     random_tangent,
     scalar_and_mean_curvature,
+    veronese_chart,
+    veronese_flatten,
+    veronese_outer,
 )
 
 ALL_KINDS = [
@@ -73,9 +76,29 @@ def test_veronese_metric_and_variety(rng):
     assert np.abs(A @ A - A).max() < 1e-12
     assert abs(np.trace(A).real - 1.0) < 1e-12
     # flattening realizes <A,B> = Re tr(AB) / 2
-    B = model.unflatten(model.position(model.random_point(rng)))
-    lhs = model.flatten(A) @ model.flatten(B)
+    w = model.random_point(rng)
+    B = model.unflatten(model.position(w))
+    lhs = model.position(z) @ model.position(w)
     assert abs(lhs - 0.5 * np.real(np.trace(A @ B))) < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fused_veronese_kernels_match_matrix_forms(m, rng):
+    # position and tangent_from_horizontal, written from z and v, against the
+    # flattened matrices z z* and z v* + v z*, also broadcast as in
+    # tangent_frame: one point against a stack of horizontal vectors
+    model = make_ambient("complex_projective_veronese", m=m)
+    z, v, lifts = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                   for s in ((500, m + 1), (500, m + 1), (500, 2 * m, m + 1)))
+    for got, want in (
+            (model.position(z), veronese_flatten(veronese_chart(z))),
+            (model.tangent_from_horizontal(z, v),
+             veronese_flatten(veronese_outer(z, v))),
+            (model.tangent_from_horizontal(z[:, None, :], lifts),
+             veronese_flatten(veronese_outer(z[:, None, :], lifts)))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.abs(model.unflatten(model.position(z)) - veronese_chart(z)).max() < 1e-14
 
 
 def test_veronese_ii_identities(rng):

@@ -239,6 +239,18 @@ def test_scalar3_matches_pointwise_loop(kind, params):
         assert rep["verdict"].startswith("borderline")
 
 
+def test_default_weight_reports_as_the_unit_weight(geodesic_cp2):
+    # without f the derivative of JN stands for that of omega-sharp; the
+    # central differences of 1 * JN give the same report, bit for bit
+    rep = bounds.borderline_cp_report(geodesic_cp2)
+    ones = bounds.borderline_cp_report(
+        geodesic_cp2, f_fn=lambda p: np.ones(p.shape[:-1]))
+    assert list(rep) == list(ones)
+    for key in rep:
+        assert rep[key] == ones[key], key
+    assert rep["decomposition_residual"] == 0.0
+
+
 def test_traced_gauss_matches_pointwise_loop(geodesic_cp2):
     model = geodesic_cp2.ambient
     rep = bounds.borderline_cp_report(geodesic_cp2)

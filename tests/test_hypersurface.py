@@ -142,6 +142,23 @@ def test_geodesic_sphere_minimality(geodesic_cp2):
     assert np.abs(pot - 8.0).max() < 1e-10
 
 
+@pytest.mark.parametrize("radius", [np.pi / 3, 1.0])
+def test_geodesic_sphere_metric_is_the_chart_gram(radius):
+    # the closed-form Berger metric against the Gram matrix of the chart's
+    # central differences at the quadrature points, at the minimal radius and
+    # at a probe; the FEM system reads the metric without the chart
+    surf = hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 16,
+                                   radius=radius)
+    chart, calls = surf.chart_fn, []
+    surf.chart_fn = lambda p: calls.append(p) or chart(p)
+    fem = surf.fem()
+    assert calls == []
+    jac = hyp.chart_jacobian(chart, fem._qp, surf.fd_step)
+    gram = np.einsum("...ad,...bd->...ab", jac, jac)
+    assert np.abs(surf.metric_fn(fem._qp) - gram).max() < 1e-9
+    assert surf.pointwise_checks(seed=3)["metric_consistency"] < 1e-9
+
+
 def test_mesh_dump_format(equator2):
     text = equator2.mesh_dump()
     lines = text.strip().splitlines()

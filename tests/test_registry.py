@@ -166,6 +166,21 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
         assert index == np.sum(oracle < 0)
 
 
+@pytest.mark.parametrize("kind, ambient_kind", PAIRS)
+def test_surface_with_potential_declares_its_metric(kind, ambient_kind,
+                                                    tmp_path):
+    # a potential in closed form comes with the metric in closed form, and
+    # the identities task checks it against the chart
+    path = _config(tmp_path, kind, ambient_kind, EXAMPLE_AMBIENTS[ambient_kind])
+    scenario = cli.Scenario(path)
+    surface = scenario.surface
+    if surface.potential_fn is None:
+        return
+    assert surface._metric_fn is not None
+    checks = surface.pointwise_checks(seed=scenario.seed)
+    assert checks["metric_consistency"] < scenario.tolerances["pointwise"]
+
+
 @pytest.mark.parametrize("kind", SURFACE_KINDS)
 def test_harmonic_forms_of_every_kind(kind):
     # b1 orthonormal forms, each harmonic by its Bochner residual, at n = 2

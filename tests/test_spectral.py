@@ -206,6 +206,12 @@ def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
     assert np.abs(cp2_spectrum.eigenvalues - oracle).max() < 1e-9
 
 
+def test_cp2_pencil_is_invariant_to_roundoff(cp2_spectrum):
+    # with the closed-form metric only roundoff breaks the symmetry of the
+    # cell shifts; a metric from the chart's central differences leaves 5e-11
+    assert cp2_spectrum.invariance_defect <= 1e-14
+
+
 def test_odd_parity_on_three_axes_matches_dense_oracle():
     # a half turn about the polar axes pairs DOFs across the grid and fixes
     # the fused poles, which the odd characters drop
