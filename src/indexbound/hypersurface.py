@@ -25,6 +25,8 @@ from .elements import Axis, FemSystem, TensorGrid
 _FRAME_TOL = 1e-10
 _FD_STEP_FRAC = 1e-6
 _POINTWISE_SAMPLE = 200
+#: rows of the mesh dump formatted at once, whose Python numbers all live
+_DUMP_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +298,20 @@ class DiscreteHypersurface:
         buf.write(f"# nodes {self.grid.n_nodes} dofs {fem.n_dofs} "
                   f"dim {k} embed {d}\n")
         buf.write("# node: index dof param_1..param_k x_1..x_d weight\n")
-        rows = np.column_stack(
-            [self.node_params, self.positions, fem.node_weights[fem.fuse]]
-        ).tolist()
+        values = np.column_stack(
+            [self.node_params, self.positions, fem.node_weights[fem.fuse]])
         line = "node %d %d" + " %.12g" * (k + d + 1) + "\n"
-        buf.writelines(
-            line % (i, f, *r) for i, (f, r) in enumerate(zip(fem.fuse.tolist(), rows))
-        )
+        for at in range(0, len(values), _DUMP_ROWS):
+            part = slice(at, at + _DUMP_ROWS)
+            buf.write("".join(line % (i, f, *r) for i, f, r in zip(
+                range(at, part.stop), fem.fuse[part].tolist(),
+                values[part].tolist())))
         buf.write("# cell: index node_indices\n")
         conn = self.grid.cell_connectivity()
         line = "cell %d" + " %d" * conn.shape[1] + "\n"
-        buf.writelines(line % (c, *r) for c, r in enumerate(conn.tolist()))
+        for at in range(0, len(conn), _DUMP_ROWS):
+            buf.write("".join(line % (c, *r) for c, r in enumerate(
+                conn[at:at + _DUMP_ROWS].tolist(), at)))
         return buf.getvalue()
 
 

@@ -9,8 +9,12 @@ the DOFs and, on every catalog surface, commutes with K - P and M, so the
 pencil splits into one Hermitian block per character of the group of shifts
 (Bossavit 1986, "Symmetry, groups, and boundary value problems"), on one
 Fourier vector per orbit of DOFs; an orbit drops out of a character that is
-nontrivial on its stabilizer (a fused pole).  Each block is solved densely,
-so every eigenvalue and every copy of a cluster is found.  The split is
+nontrivial on its stabilizer (a fused pole).  Each block is solved densely
+for its eigenvalues only, so every eigenvalue and every copy of a cluster is
+found; the blocks are formed at most _GATHER_ENTRIES complex entries at a
+time.  Eigenvectors are taken only in the blocks of the characters that own
+the reported low end of the spectrum, formed again, and each reported
+residual is that of the reported eigenvalue itself.  The split is
 refused when a shift moves K - P or M by more than INVARIANCE_TOL of its
 largest entry.  In an ambient with an involution the surface double covers a
 quotient, whose deck is the cell shift that moves the nodes as the involution
@@ -52,8 +56,8 @@ DECK_TOL = 1e-9
 #: of X = K - P and X = M; the trace residual is relative to sum |X_ii|
 PARSEVAL_TOL = 1e-10
 
-#: complex entries of the block gather held at once
-_GATHER_ENTRIES = 1 << 21
+#: complex entries of the blocks formed at once
+_GATHER_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -148,15 +152,17 @@ class SpectralSystem:
                 f"shift exceeds {INVARIANCE_TOL:g}; it does not split into "
                 "symmetry blocks"
             )
-        vals, res, sizes, below, parseval = _block_spectrum(
-            A, M, shifts, kept, sorted({0.0, float(eta)}))
+        gathered = shifts.gather(A, M)
+        vals, owners, sizes, below, parseval = _block_spectrum(
+            shifts, gathered, A, M, kept, sorted({0.0, float(eta)}))
         ids = _cluster(vals)
         k = min(how_many, len(vals))
         end = int(np.searchsorted(ids, ids[k - 1], side="right")) if k else 0
         return SpectrumReport(
             surface=self.surface.name,
             eigenvalues=vals[:end],
-            residuals=res[:end],
+            residuals=_window_residuals(shifts, gathered, vals[:end],
+                                        owners[:end]),
             cluster_ids=ids[:end],
             all_eigenvalues=vals,
             block_sizes=sizes,
@@ -267,19 +273,27 @@ class _CellShifts:
         entry whose image under S, or whose preimage, lies off the pattern
         counts in full."""
         X = _one_pattern(matrices)
-        keys = X.rows * X.n + X.cols
+        keys = X.rows * X.n
+        keys += X.cols
         worst = 0.0
+        # in place, so that no more than a few per-entry arrays live at once
         for perm in self.generators:
-            moved = perm[X.rows] * X.n + perm[X.cols]
-            at = np.minimum(np.searchsorted(keys, moved), X.nnz - 1)
-            found = keys[at] == moved
-            at = at[found]
+            moved = perm[X.rows]
+            moved *= X.n
+            moved += perm[X.cols]
+            at = np.searchsorted(keys, moved)
+            np.minimum(at, X.nnz - 1, out=at)
+            off = keys[at] != moved
+            del moved
             missed = np.ones(X.nnz, dtype=bool)
-            missed[at] = False
+            missed[at[~off]] = False
             for Y in matrices:
-                diff = np.concatenate([Y.data[found] - Y.data[at],
-                                       Y.data[~found], Y.data[missed]])
-                worst = max(worst, np.abs(diff).max() / np.abs(Y.data).max())
+                d = Y.data[at]
+                d -= Y.data
+                d[off] = Y.data[off]
+                np.abs(d, out=d)
+                worst = max(worst, max(d.max(), _abs_max(Y.data[missed]))
+                            / _abs_max(Y.data))
         return float(worst)
 
     def gather(self, *matrices):
@@ -317,7 +331,14 @@ class _CellShifts:
         turns = (self.multi(rel).T / self.cells) @ self.multi(chars)
         n = len(self.reps)
         B = (F @ np.exp(-2j * np.pi * turns)).T.reshape(len(chars), n, n)
-        return 0.5 * (B + B.conj().swapaxes(1, 2))
+        B += B.conj().swapaxes(1, 2)
+        B *= 0.5
+        return B
+
+
+def _abs_max(x):
+    """max |x|, 0 for an empty x, without an array of |x|."""
+    return max(x.max(initial=0.0), -x.min(initial=0.0))
 
 
 def _one_pattern(matrices):
@@ -329,58 +350,86 @@ def _one_pattern(matrices):
     return X
 
 
-def _block_spectrum(A, M, shifts, kept, etas):
-    """Eigenvalues of the `kept` characters, smallest first, their residuals
-    and the sizes of their blocks; for each of `etas`, the eigenvalues below
-    it of the kept characters and of all characters, [kept, all], each block's
-    count checked against the inertia of its B(A) - eta B(M); and the largest
-    Parseval residual of the split, checked against PARSEVAL_TOL.
+def _stacks(shifts, gathered, chars):
+    """The blocks of the gathered B(A), B(M) of the characters `chars`, formed
+    at most _GATHER_ENTRIES complex entries at a time, in stacks of the
+    characters that keep the same orbits: (their positions in `chars`, the
+    stack of B(A), the stack of B(M)) for each stack."""
+    step = max(1, _GATHER_ENTRIES // len(shifts.reps) ** 2)
+    for start in range(0, len(chars), step):
+        batch = chars[start:start + step]
+        BA, BM = (shifts.blocks(g, batch) for g in gathered)
+        patterns, which = np.unique(shifts.fixes[batch], axis=0,
+                                    return_inverse=True)
+        for member, pattern in enumerate(patterns):
+            idx = np.flatnonzero(which.ravel() == member)
+            keep = np.flatnonzero(pattern)
+            block = np.ix_(idx, keep, keep)
+            yield start + idx, BA[block], BM[block]
+
+
+def _block_spectrum(shifts, gathered, A, M, kept, etas):
+    """Eigenvalues of the `kept` characters from the gathered A, M, smallest
+    first, the solved character and the position in its block's spectrum of
+    each, (n, 2), and the sizes of their blocks; for each of `etas`, the
+    eigenvalues below it of the kept characters and of all characters,
+    [kept, all], each block's count checked against the inertia of its
+    B(A) - eta B(M); and the largest Parseval residual of the split, checked
+    against PARSEVAL_TOL.
     Of each conjugate pair k, -k, whose blocks are conjugate, one block is
-    solved and counted twice; blocks that keep the same orbits form a stack.
+    solved and counted twice.
     """
     conjugate = np.ravel_multi_index(
         np.mod(-shifts.multi(np.arange(shifts.order)),
                np.array(shifts.cells)[:, None]), shifts.cells)
     solved = np.flatnonzero(np.arange(shifts.order) <= conjugate)
     copies = np.where(conjugate[solved] == solved, 1, 2)
-    gathered = shifts.gather(A, M)
-    step = max(1, _GATHER_ENTRIES // len(shifts.reps) ** 2)
-    vals, res, sizes = [], [], []
+    vals, owners, sizes = [], [], []
     below = np.zeros((2, len(etas)), dtype=int)
     sums = np.zeros((2, 2))  # traces and squared norms of the blocks of A, M
-    for start in range(0, len(solved), step):
-        chars = solved[start:start + step]
-        BA, BM = (shifts.blocks(g, chars) for g in gathered)
-        patterns, which = np.unique(shifts.fixes[chars], axis=0,
-                                    return_inverse=True)
-        for member, pattern in enumerate(patterns):
-            idx = np.flatnonzero(which.ravel() == member)
-            block = np.ix_(idx, np.flatnonzero(pattern), np.flatnonzero(pattern))
-            SA, SM = BA[block], BM[block]
-            try:
-                lam, r = _eigh_stack(SA, SM)
-            except np.linalg.LinAlgError as exc:
-                raise SpectralError(f"a mass block of the symmetry split is "
-                                    f"not positive definite: {exc}") from exc
-            c, keep = copies[start + idx], kept[chars[idx]]
-            counts = _checked_counts(lam, SA, SM, etas, shifts.multi(chars[idx]))
-            below += [c[keep] @ counts[keep], c @ counts]
-            for i, S in enumerate((SA, SM)):
-                sums[i] += (c @ np.trace(S, axis1=1, axis2=2).real,
-                            c @ (np.abs(S) ** 2).sum(axis=(1, 2)))
-            take = np.repeat(np.flatnonzero(keep), c[keep])
-            vals.append(lam[take].ravel())
-            res.append(r[take].ravel())
-            sizes.append(np.full(len(take), lam.shape[1]))
+    for idx, SA, SM in _stacks(shifts, gathered, solved):
+        lam = _stack_values(SA, SM)
+        chars, c, keep = solved[idx], copies[idx], kept[solved[idx]]
+        counts = _checked_counts(lam, SA, SM, etas, shifts.multi(chars))
+        below += [c[keep] @ counts[keep], c @ counts]
+        for i, S in enumerate((SA, SM)):
+            sums[i] += (c @ np.trace(S, axis1=1, axis2=2).real,
+                        c @ (np.abs(S) ** 2).sum(axis=(1, 2)))
+        take = np.repeat(np.flatnonzero(keep), c[keep])
+        n = lam.shape[1]
+        vals.append(lam[take].ravel())
+        owners.append(np.column_stack([np.repeat(chars[take], n),
+                                       np.tile(np.arange(n), len(take))]))
+        sizes.append(np.full(len(take), n))
     parseval = max(_parseval_residual(X, *s) for X, s in zip((A, M), sums))
     if parseval > PARSEVAL_TOL:
         raise SpectralError(
             f"Parseval residual {parseval:.3g} of the symmetry blocks exceeds "
             f"{PARSEVAL_TOL:g}; the split lost or changed part of the pencil")
-    vals, res = np.concatenate(vals), np.concatenate(res)
+    vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")
     below = {eta: below[:, j].tolist() for j, eta in enumerate(etas)}
-    return vals[order], res[order], np.concatenate(sizes), below, parseval
+    return (vals[order], np.concatenate(owners)[order], np.concatenate(sizes),
+            below, parseval)
+
+
+def _window_residuals(shifts, gathered, vals, owners):
+    """Relative residuals |B(A) x - lambda B(M) x| / |B(M) x| of eigenvalues
+    `vals` of the gathered pencil, x the eigenvector at the position in the
+    spectrum of the block of the character that `owners` gives with it; only
+    the blocks of those characters are formed again."""
+    chars, inverse = np.unique(owners[:, 0], return_inverse=True)
+    res = np.empty(len(vals))
+    for idx, SA, SM in _stacks(shifts, gathered, chars):
+        C, L = _reduced(SA, SM)
+        X = np.linalg.solve(L.conj().swapaxes(1, 2), np.linalg.eigh(C)[1])
+        for s, i in enumerate(idx):
+            at = inverse == i
+            x = X[s][:, owners[at, 1]]
+            MX = SM[s] @ x
+            R = SA[s] @ x - MX * vals[at]
+            res[at] = np.linalg.norm(R, axis=0) / np.linalg.norm(MX, axis=0)
+    return res
 
 
 def _checked_counts(lam, A, M, etas, chars):
@@ -406,27 +455,26 @@ def _parseval_residual(X, trace, square):
     sum |X_ii|, and of sum_k |B_k|_F^2 = |X|_F^2, given the two sums over the
     blocks B_k of X."""
     d = X.data[X.rows == X.cols]
-    whole = float(X.data @ X.data)
+    # numpy's pairwise sum, not a BLAS dot, whose sum depends on the threads
+    whole = float(np.sum(X.data * X.data))
     return max(abs(trace - d.sum()) / np.abs(d).sum(),
                abs(square - whole) / whole)
 
 
-def _eigh_stack(A, M):
-    """Eigenvalues and relative residuals |A x - lambda M x| / |M x| of a stack
-    of Hermitian pencils with M positive definite, by Cholesky reduction to
-    L^-1 A L^-H with M = L L^H."""
-    # each stack is dropped once used: on CP^2 the first call sets the peak
-    # RSS of a run
-    L = np.linalg.cholesky(M)
-    lam, Y = np.linalg.eigh(
-        np.linalg.solve(L, np.linalg.solve(L, A).conj().swapaxes(1, 2)))
-    X = np.linalg.solve(L.conj().swapaxes(1, 2), Y)
-    del L, Y
-    MX = M @ X
-    R = A @ X
-    del X
-    R -= MX * lam[:, None, :]
-    return lam, np.linalg.norm(R, axis=1) / np.linalg.norm(MX, axis=1)
+def _reduced(A, M):
+    """L^-1 A L^-H and L, with M = L L^H, of a stack of Hermitian pencils."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"a mass block of the symmetry split is not "
+                            f"positive definite: {exc}") from exc
+    return np.linalg.solve(L, np.linalg.solve(L, A).conj().swapaxes(1, 2)), L
+
+
+def _stack_values(A, M):
+    """Eigenvalues, smallest first, of a stack of Hermitian pencils with M
+    positive definite."""
+    return np.linalg.eigvalsh(_reduced(A, M)[0])
 
 
 def assemble_jacobi(surface):

@@ -142,8 +142,9 @@ def deck_sign_spectrum(system, sign):
     normal picks; their block sizes, and the negative eigenvalues of the
     whole cover."""
     shifts, element, _ = deck(system.surface)
+    A = system.stiffness - system.potential
     vals, _, sizes, below, _ = spectral._block_spectrum(
-        system.stiffness - system.potential, system.mass, shifts,
+        shifts, shifts.gather(A, system.mass), A, system.mass,
         shifts.deck_signs(element) == sign, [0.0])
     return vals, sizes, below[0.0][1]
 

@@ -186,6 +186,37 @@ def test_cli_all_leaves_scipy_unimported(tmp_path):
     assert loaded == []
 
 
+def _spectrum_at_blas_threads(threads, out):
+    """`spectrum` on clifford.cfg at half resolution in a fresh interpreter
+    with every BLAS thread variable at `threads`: the JSON report, and the
+    bytes of the spectrum CSV and the mesh dump."""
+    argv = [sys.executable, "-m", "indexbound.cli", "spectrum", "--config",
+            str(cli.bundled_config("clifford.cfg")), "--out", str(out),
+            "--resolution-scale", "0.5"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update({var: str(threads) for var in cli._THREAD_VARS})
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return (json.loads((out / "clifford.json").read_text()),
+            (out / "clifford-spectrum.csv").read_bytes(),
+            (out / "clifford-mesh.txt").read_bytes())
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # no reduction of the package takes a BLAS path whose sum depends on the
+    # thread count; a threaded dot once moved parseval_residual
+    one, *files_one = _spectrum_at_blas_threads(1, tmp_path / "one")
+    two, *files_two = _spectrum_at_blas_threads(2, tmp_path / "two")
+    for report, threads in ((one, "1"), (two, "2")):
+        assert report["provenance"].pop("blas_threads") == dict.fromkeys(
+            cli._THREAD_VARS, threads)
+    assert one == two
+    assert files_one == files_two
+
+
 def test_missing_config_is_usage_error(tmp_path):
     code = cli.main(
         ["all", "--config", str(tmp_path / "missing.cfg"),

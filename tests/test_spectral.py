@@ -241,16 +241,89 @@ def test_count_disagreeing_with_inertia_is_refused(monkeypatch):
     # lowered by 1, the four Killing-field modes just above 0 of the torus
     # fall below 0 while the inertia of their blocks does not move
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
-    eigh_stack = spectral._eigh_stack
-
-    def lowered(A, M):
-        lam, res = eigh_stack(A, M)
-        return lam - 1.0, res
-
-    monkeypatch.setattr(spectral, "_eigh_stack", lowered)
+    stack_values = spectral._stack_values
+    monkeypatch.setattr(spectral, "_stack_values",
+                        lambda A, M: stack_values(A, M) - 1.0)
     with pytest.raises(SpectralError, match=r"character \(\d+, \d+\) has "
                        r"\d+ eigenvalues below 0 "):
         system.spectrum()
+
+
+def _lowest_per_character(system):
+    """The lowest eigenvalue of the block of each character that is solved,
+    the first of each conjugate pair k, -k in C order."""
+    shifts = spectral._CellShifts(system.fem)
+    gathered = shifts.gather(system.stiffness - system.potential, system.mass)
+    chars = np.arange(shifts.order)
+    conjugate = np.ravel_multi_index(
+        np.mod(-shifts.multi(chars), np.array(shifts.cells)[:, None]),
+        shifts.cells)
+    lowest = []
+    for k in chars[chars <= conjugate]:
+        keep = np.ix_(shifts.fixes[k], shifts.fixes[k])
+        BA, BM = (shifts.blocks(g, [k])[0][keep] for g in gathered)
+        lowest.append(scipy.linalg.eigh(BA, BM, eigvals_only=True)[0])
+    return np.array(lowest)
+
+
+def test_eigenvectors_only_of_the_window_characters(cp2_system, cp2_spectrum,
+                                                    monkeypatch):
+    # every block is solved for eigenvalues only; eigh sees one reduced
+    # block per character that owns a reported eigenvalue, and no other
+    lowest = _lowest_per_character(cp2_system)
+    owners = np.sort(lowest[lowest <= cp2_spectrum.eigenvalues[-1] + 1e-9])
+    received = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        received.extend(np.linalg.eigvalsh(a)[..., 0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    spec = cp2_system.spectrum(how_many=24)
+    assert np.array_equal(spec.eigenvalues, cp2_spectrum.eigenvalues)
+    assert len(received) == len(owners) < len(lowest) // 2
+    assert np.abs(np.sort(received) - owners).max() < 1e-9
+
+
+def test_residuals_are_those_of_the_reported_eigenvalues(cp2_system,
+                                                         cp2_spectrum,
+                                                         monkeypatch):
+    # eigenvalues moved by one part in 10^6 inside the eigenvalue-only solve
+    # cross neither 0 nor eta, so every count still agrees, but the residual
+    # of each reported value against its eigenvector shows the move
+    assert cp2_spectrum.residuals.max() < 1e-10
+    stack_values = spectral._stack_values
+    monkeypatch.setattr(spectral, "_stack_values",
+                        lambda A, M: stack_values(A, M) * (1.0 + 1e-6))
+    spec = cp2_system.spectrum(how_many=24)
+    assert spec.morse_index == spec.inertia_index == 1
+    moved = np.abs(spec.eigenvalues) > 0.1
+    assert moved.sum() > 20
+    assert spec.residuals[moved].min() > 1e-8
+
+
+@pytest.mark.parametrize("budget", [None, 24 * 24 * 5])
+def test_blocks_stay_within_the_gather_budget(cp2_system, cp2_spectrum, budget,
+                                              monkeypatch):
+    # the default budget, and one of five blocks of 24 orbits, which splits
+    # the 34 solved characters of the CP^2 grid into seven batches
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_GATHER_ENTRIES", budget)
+    held = []
+    blocks = spectral._CellShifts.blocks
+
+    def recording(self, gathered, chars):
+        B = blocks(self, gathered, chars)
+        held.append(B.size)
+        return B
+
+    monkeypatch.setattr(spectral._CellShifts, "blocks", recording)
+    spec = cp2_system.spectrum(how_many=24)
+    assert max(held) <= spectral._GATHER_ENTRIES
+    assert len(held) >= (16 if budget else 4)
+    assert np.abs(spec.all_eigenvalues - cp2_spectrum.all_eigenvalues).max() < 1e-12
+    assert spec.inertia_counts == cp2_spectrum.inertia_counts
 
 
 def _drop_orbit(shifts, F, rel):
