@@ -138,6 +138,35 @@ def _reference_tensors(ndim):
     return gauss_local, kron([_GW] * ndim), kron([sv] * ndim), np.stack(grads, -1)
 
 
+def _inverse_and_det(g):
+    """Inverses and determinants of a stack of k x k metrics, (..., k, k),
+    by Gauss-Jordan elimination without pivoting: k elementwise passes over
+    the stack, one per pivot, whose sums do not depend on the BLAS thread
+    count.  The pivots are the ratios of the leading principal
+    minors, so they are all positive exactly when a symmetric metric is
+    positive definite (Sylvester's criterion); a ValueError is raised at any
+    other pivot."""
+    k = g.shape[-1]
+    n = g.size // (k * k)
+    # rows[i, j] is entry (i, j) of [g | I] of every matrix, contiguous
+    rows = np.empty((k, 2 * k, n))
+    rows[:, :k] = g.reshape(n, k, k).transpose(1, 2, 0)
+    rows[:, k:] = np.eye(k)[:, :, None]
+    det = np.ones(n)
+    for j in range(k):
+        pivot = rows[j, j].copy()
+        if not np.all(pivot > 0):
+            raise ValueError("metric is not positive definite at a "
+                             "quadrature point")
+        det *= pivot
+        rows[j] /= pivot
+        for i in range(k):
+            if i != j:
+                rows[i] -= rows[i, j] * rows[j]
+    inverse = rows[:, k:].transpose(2, 0, 1).reshape(g.shape)
+    return inverse, det.reshape(g.shape[:-2])
+
+
 @dataclass(frozen=True, eq=False)
 class Triplets:
     """A square matrix of order `n` as its entries `data` at (`rows`, `cols`),
@@ -175,7 +204,11 @@ class FemSystem:
 
     `mass`, `stiffness` and `potential` are assembled on first use, from the
     metric evaluated once at construction: only the index-form pencil reads
-    them.  The quadrature weights need no matrix.
+    them.  The quadrature weights need no matrix.  The metric's determinant
+    (at construction) and inverse (while `stiffness` is assembled, one chunk
+    of cells at a time, never kept) come from a Gauss-Jordan elimination
+    without pivoting; a metric with a pivot that is not positive, one that
+    is not positive definite by Sylvester's criterion, raises ValueError.
 
     Attributes
     ----------
@@ -199,9 +232,7 @@ class FemSystem:
         C, G = qp.shape[:2]
         self._qp = qp.reshape(-1, ndim)
         self._g = np.asarray(metric_fn(self._qp)).reshape(C, G, ndim, ndim)
-        detg = np.linalg.det(self._g)
-        if np.any(detg <= 0):
-            raise ValueError("metric is not positive definite at a quadrature point")
+        detg = _inverse_and_det(self._g)[1]
         self._scale = w[None, :] * np.sqrt(detg) * float(np.prod(hs))  # (C, G)
 
         self.fuse = self._fusion_labels(positions)
@@ -222,20 +253,22 @@ class FemSystem:
                                   return_inverse=True)
         return keys // n, keys % n, inverse.ravel()
 
-    def _assemble(self, scale, ginv=None):
+    def _assemble(self, scale, metric=None):
         """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
-        sum_g scale ginv(grad phi_i, grad phi_j) when `ginv` is given."""
+        sum_g scale metric^-1(grad phi_i, grad phi_j) when `metric` is
+        given."""
         # one small product per cell runs on one BLAS thread, so the sums do
         # not depend on the thread count; chunks keep the temporaries small
         L = self._vals.shape[1]
         E = np.empty((len(scale), L, L))
         for c in range(0, len(scale), _CELL_CHUNK):
             s = scale[c:c + _CELL_CHUNK]
-            if ginv is None:  # V^T diag(scale) V
+            if metric is None:  # V^T diag(scale) V
                 E[c:c + _CELL_CHUNK] = (self._vals.T * s[:, None, :]) @ self._vals
             else:  # sum_g grads[g] (scale ginv)[g] grads[g]^T
-                T = (s[:, :, None, None] * ginv[c:c + _CELL_CHUNK]
-                     ) @ self._grads.transpose(0, 2, 1)
+                ginv = _inverse_and_det(metric[c:c + _CELL_CHUNK])[0]
+                T = ((s[:, :, None, None] * ginv)
+                     @ self._grads.transpose(0, 2, 1))
                 E[c:c + _CELL_CHUNK] = (self._grads.transpose(1, 0, 2)
                                         .reshape(L, -1) @ T.reshape(len(s), -1, L))
         return self._summed(E)
@@ -252,7 +285,7 @@ class FemSystem:
 
     @cached_property
     def stiffness(self):
-        return self._assemble(self._scale, np.linalg.inv(self._g))
+        return self._assemble(self._scale, self._g)
 
     @cached_property
     def potential(self):

@@ -98,13 +98,19 @@ def _triangulate(surface):
     return tris[keep]
 
 
+def _count_edges(tris, n_v):
+    """Distinct edges of triangles over `n_v` vertices, counted as the
+    changes in their sorted keys."""
+    ends = tris[:, _LOCAL_EDGES]
+    keys = np.sort((ends.min(axis=-1) * n_v + ends.max(axis=-1)).ravel())
+    return int(np.count_nonzero(np.diff(keys))) + (len(keys) > 0)
+
+
 def _euler_betti_one(surface):
     """b1 = 2 - (V - E + F) of the closed orientable triangulated surface."""
     tris = _triangulate(surface)
     n_v = surface.fem().n_dofs
-    ends = tris[:, _LOCAL_EDGES]
-    n_e = len(np.unique(ends.min(axis=-1) * n_v + ends.max(axis=-1)))
-    return 2 - (n_v - n_e + len(tris))
+    return 2 - (n_v - _count_edges(tris, n_v) + len(tris))
 
 
 def harmonic_one_forms(surface):

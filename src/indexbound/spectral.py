@@ -16,7 +16,10 @@ time.  Eigenvectors are taken only in the blocks of the characters that own
 the reported low end of the spectrum, formed again, and each reported
 residual is that of the reported eigenvalue itself.  The split is
 refused when a shift moves K - P or M by more than INVARIANCE_TOL of its
-largest entry.  In an ambient with an involution the surface double covers a
+largest entry.  That defect is read off the cell grid: a shift takes each
+cell to its neighbour along the axis, so it maps the entries of a cell onto
+those of the image cell, and a pencil off the cells' pattern is refused.
+In an ambient with an involution the surface double covers a
 quotient, whose deck is the cell shift that moves the nodes as the involution
 does; the quotient keeps the characters that are +1 on it (even functions)
 when the unit normal descends, else those that are -1 (odd).
@@ -129,12 +132,12 @@ class SpectralSystem:
         lowest `how_many` through the end of the cluster the last falls in;
         the counts below 0 and below `eta` are checked block by block.
 
-        Raises SpectralError when K - P and M lie on different patterns,
-        when a cell shift moves the pencil by more than INVARIANCE_TOL, when
-        a quotient's deck is not a cell shift or moves the unit normal off
-        its line, when a block's count below 0 or `eta` disagrees with its
-        inertia, or when the blocks miss a Parseval identity by more than
-        PARSEVAL_TOL.
+        Raises SpectralError when K - P and M lie on different patterns or
+        off the pattern of the grid's cells, when a cell shift moves the
+        pencil by more than INVARIANCE_TOL, when a quotient's deck is not a
+        cell shift or moves the unit normal off its line, when a block's
+        count below 0 or `eta` disagrees with its inertia, or when the blocks
+        miss a Parseval identity by more than PARSEVAL_TOL.
         """
         shifts = _CellShifts(self.fem)
         kept, quotient = np.ones(shifts.order, dtype=bool), None
@@ -178,9 +181,11 @@ class _CellShifts:
     """The group of whole-cell shifts along the periodic axes of a FEM grid
     acting on its DOFs, a product of cyclic groups of `cells` elements; its
     elements and characters are numbered in C order.  `generators` permute
-    the DOFs by one cell.  DOF d lies in `orbit[d]`, and `element[d]` takes
-    the orbit's representative to d.  `fixes[k, o]` says whether character k
-    is trivial on orbit o's stabilizer: whether o has a Fourier vector of k.
+    the DOFs by one cell, and `cell_images[i]` is the cell to which the i-th
+    generator takes each cell.  DOF d lies in `orbit[d]`, and `element[d]`
+    takes the orbit's representative to d.  `fixes[k, o]` says whether
+    character k is trivial on orbit o's stabilizer: whether o has a Fourier
+    vector of k.
     """
 
     def __init__(self, fem):
@@ -191,8 +196,11 @@ class _CellShifts:
         self.cells = tuple(grid.axes[d].n_cells for d in self.axes)
         self.order = int(np.prod(self.cells))
         self.nodes = np.arange(grid.n_nodes).reshape(grid.shape)
-        self.generators = []
-        for step in np.eye(len(self.axes), dtype=int):
+        self.fem = fem
+        cells = [a.n_cells for a in grid.axes]
+        cells = np.arange(np.prod(cells)).reshape(cells)
+        self.generators, self.cell_images = [], []
+        for axis, step in zip(self.axes, np.eye(len(self.axes), dtype=int)):
             image = fem.fuse[self.shift_nodes(step)]
             perm = np.empty(fem.n_dofs, dtype=np.int64)
             perm[fem.fuse] = image
@@ -200,11 +208,19 @@ class _CellShifts:
                 raise SpectralError("a cell shift maps two nodes of one DOF "
                                     "to two DOFs")
             self.generators.append(perm)
+            # the shift moves each cell one step along its axis
+            moved = np.roll(cells, -1, axis).ravel()
+            conn = fem._cell_dofs
+            if not np.array_equal(conn[moved], perm[conn]):
+                raise SpectralError("a cell shift does not map the DOFs of "
+                                    "each cell onto those of a cell")
+            self.cell_images.append(moved)
         # a DOF's first node with its periodic coordinates reduced mod 2 is a
         # node of its orbit's representative
         first = np.array(np.unravel_index(fem._first_node, grid.shape))
         first[list(self.axes)] %= 2
-        self.reps = np.unique(fem.fuse[np.ravel_multi_index(first, grid.shape)])
+        self.reps = np.flatnonzero(np.bincount(
+            fem.fuse[np.ravel_multi_index(first, grid.shape)]))
         images = self.reps  # of each representative under each element
         for perm, m in zip(self.generators, self.cells):
             layers = [images]
@@ -269,31 +285,24 @@ class _CellShifts:
 
     def invariance_defect(self, *matrices):
         """max |S X S^T - X| / max |X| over the generators S and `matrices`,
-        triplets on one pattern in increasing order of row * n + col; an
-        entry whose image under S, or whose preimage, lies off the pattern
-        counts in full."""
+        triplets on the pattern of the cells of the FEM grid.  S maps the
+        entries of a cell onto those of its image cell, so the image of every
+        entry is read off the cell grid; a pencil off that pattern, whose
+        extra entries the cells cannot map, is refused."""
         X = _one_pattern(matrices)
-        keys = X.rows * X.n
-        keys += X.cols
+        rows, cols, positions = self.fem._pattern
+        if not (np.array_equal(X.rows, rows) and np.array_equal(X.cols, cols)):
+            raise SpectralError("the pencil does not lie on the cell pattern "
+                                "of its grid; the cell shifts cannot map it")
+        positions = positions.reshape(len(self.cell_images[0]), -1)
+        at = np.empty(X.nnz, dtype=np.int64)  # the position of each image
         worst = 0.0
-        # in place, so that no more than a few per-entry arrays live at once
-        for perm in self.generators:
-            moved = perm[X.rows]
-            moved *= X.n
-            moved += perm[X.cols]
-            at = np.searchsorted(keys, moved)
-            np.minimum(at, X.nnz - 1, out=at)
-            off = keys[at] != moved
-            del moved
-            missed = np.ones(X.nnz, dtype=bool)
-            missed[at[~off]] = False
+        for image in self.cell_images:
+            at[positions] = positions[image]
             for Y in matrices:
                 d = Y.data[at]
                 d -= Y.data
-                d[off] = Y.data[off]
-                np.abs(d, out=d)
-                worst = max(worst, max(d.max(), _abs_max(Y.data[missed]))
-                            / _abs_max(Y.data))
+                worst = max(worst, _abs_max(d) / _abs_max(Y.data))
         return float(worst)
 
     def gather(self, *matrices):

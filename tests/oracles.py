@@ -149,6 +149,31 @@ def deck_sign_spectrum(system, sign):
     return vals, sizes, below[0.0][1]
 
 
+def searched_invariance_defect(shifts, *matrices):
+    """max |S X S^T - X| / max |X| over the generators S of the cell shifts
+    `shifts` and `matrices`, triplets on one pattern in increasing order of
+    row * n + col, from a search of each image among the keys row * n + col;
+    an entry whose image under S, or whose preimage, lies off the pattern
+    counts in full."""
+    X = matrices[0]
+    keys = X.rows * X.n + X.cols
+    worst = 0.0
+    for perm in shifts.generators:
+        moved = perm[X.rows] * X.n + perm[X.cols]
+        at = np.minimum(np.searchsorted(keys, moved), X.nnz - 1)
+        off = keys[at] != moved
+        missed = np.ones(X.nnz, dtype=bool)
+        missed[at[~off]] = False
+        for Y in matrices:
+            d = Y.data[at] - Y.data
+            d[off] = Y.data[off]
+            whole = np.abs(Y.data).max()
+            worst = max(worst, max(np.abs(d).max(),
+                                   np.abs(Y.data[missed]).max(initial=0.0))
+                        / whole)
+    return float(worst)
+
+
 def global_inertia(system):
     """The negative eigenvalues of the whole K - P of a SpectralSystem, from
     one dense solve of the unsplit matrix: the cover's Morse index."""

@@ -157,19 +157,16 @@ def test_single_subcommands(config_path, tmp_path):
         assert code == 0, task
 
 
-def test_cli_all_leaves_scipy_unimported(tmp_path):
-    # a fresh interpreter, as each command-line run is: the package runs on
-    # numpy alone; importing scipy.sparse cost every run 0.2 s or more.
-    # At a quarter of the resolution the identity residual exceeds its
-    # tolerance, so `all` exits 1 with every block written.
-    argv = ["all", "--config", str(cli.bundled_config("clifford.cfg")),
-            "--out", str(tmp_path), "--resolution-scale", "0.25"]
+def _modules_after_fresh_run(argv):
+    """`cli.main(argv)` in a fresh interpreter, as each command-line run is:
+    its exit code, and the modules of scipy and numpy.ma it left imported."""
     script = (
         "import json, sys\n"
         "from indexbound import cli\n"
         f"code = cli.main({argv!r})\n"
         "print(json.dumps([code, sorted(m for m in sys.modules "
-        "if m.startswith('scipy'))]))\n"
+        "if m.startswith('scipy') or m.startswith('numpy.ma.') "
+        "or m == 'numpy.ma')]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -177,12 +174,35 @@ def test_cli_all_leaves_scipy_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_all_leaves_scipy_unimported(tmp_path):
+    # the package runs on numpy alone: importing scipy.sparse cost every run
+    # 0.2 s or more, and numpy.ma, which np.unique without extra arguments
+    # imports, 17 ms.
+    # At a quarter of the resolution the identity residual exceeds its
+    # tolerance, so `all` exits 1 with every block written.
+    code, loaded = _modules_after_fresh_run(
+        ["all", "--config", str(cli.bundled_config("clifford.cfg")),
+         "--out", str(tmp_path), "--resolution-scale", "0.25"])
     assert code == 1
     report = json.loads((tmp_path / "clifford.json").read_text())
     assert "error" not in report
     assert report["identity"]["Prop32"]["relative_residual"] > 1e-4
     assert {"spectrum", "identity", "certificate", "bounds"} <= set(report)
+    assert loaded == []
+
+
+def test_cli_cp2_spectrum_leaves_numpy_ma_unimported(tmp_path):
+    # the cell shifts of a three-axis grid pick their orbit representatives
+    # without np.unique
+    code, loaded = _modules_after_fresh_run(
+        ["spectrum", "--config", str(cli.bundled_config("cp2-borderline.cfg")),
+         "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    assert code == 0
+    report = json.loads((tmp_path / "cp2-borderline.json").read_text())
+    assert report["spectrum"]["index"] == 1
     assert loaded == []
 
 

@@ -87,3 +87,18 @@ def test_euler_characteristic_betti_one(torus48, equator2):
     # the sphere charts fuse each pole row into one vertex
     for surf in (equator2, ellipsoid):
         assert surf.fem().n_dofs == surf.grid.n_nodes - 2 * (surf.grid.shape[1] - 1)
+
+
+
+def test_edge_count_matches_unique(torus96, equator2):
+    # the sphere chart fuses each pole row into one vertex, whose edges the
+    # triangles of that row share
+    counts = []
+    for surf in (torus96, equator2):
+        tris, n_v = hodge._triangulate(surf), surf.fem().n_dofs
+        ends = tris[:, hodge._LOCAL_EDGES]
+        keys = ends.min(axis=-1) * n_v + ends.max(axis=-1)
+        counts.append(hodge._count_edges(tris, n_v))
+        assert counts[-1] == len(np.unique(keys))
+    # the bundled torus, 96 x 96 nodes: E = 3 V
+    assert counts[0] == 27648 == 3 * torus96.fem().n_dofs

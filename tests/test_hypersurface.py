@@ -13,7 +13,13 @@ from indexbound.ambient import (
     RealProjectiveModel,
     SphereModel,
 )
-from indexbound.elements import _FUSE_TOL, Axis, FemSystem, TensorGrid
+from indexbound.elements import (
+    _FUSE_TOL,
+    Axis,
+    FemSystem,
+    TensorGrid,
+    _inverse_and_det,
+)
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import (
     classify,
@@ -75,6 +81,29 @@ def test_fem_integrates_exactly():
     f = fem.to_dof(np.cos(grid.node_params[:, 0]))
     assert abs(fem.integrate(f)) < 1e-12
     assert abs(fem.integrate(f * f) - np.pi) < 1e-6
+
+
+def test_indefinite_metric_with_positive_determinant_is_refused():
+    # diag(-1, -1, 1) has determinant 1 but two negative eigenvalues: its
+    # first pivot is negative
+    axes = [Axis(name, 2 * np.pi, 4, periodic=True) for name in "uvw"]
+    grid = TensorGrid(axes)
+    with pytest.raises(ValueError, match="not positive definite"):
+        FemSystem(grid, metric_fn=lambda p: np.tile(
+            np.diag([-1.0, -1.0, 1.0]), (p.shape[0], 1, 1)),
+            positions=grid.node_params)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_metric_elimination_matches_lapack(k, rng):
+    X = rng.standard_normal((500, 4, k, k))
+    g = X @ X.swapaxes(-1, -2) + 0.1 * np.eye(k)
+    inverse, det = _inverse_and_det(g)
+    expected = np.linalg.inv(g)
+    scale = np.abs(expected).max(axis=(-1, -2))
+    error = np.abs(inverse - expected).max(axis=(-1, -2)) / scale
+    assert error.max() < 1e-13
+    assert (np.abs(det / np.linalg.det(g) - 1.0)).max() < 1e-13
 
 
 def test_torus_volume_and_minimality(torus48):

@@ -15,6 +15,7 @@ import indexbound
 from indexbound import hypersurface as hyp, spectral
 from indexbound.ambient import (
     CircleTimesSphereModel,
+    ComplexProjectiveVeroneseModel,
     RealProjectiveModel,
     SphereModel,
 )
@@ -33,6 +34,7 @@ from oracles import (
     half_turn,
     parity_basis,
     rayleigh_quotient,
+    searched_invariance_defect,
     with_involution,
 )
 
@@ -394,6 +396,18 @@ def test_shift_that_splits_a_dof_is_refused():
         spectral._CellShifts(broken)
 
 
+def test_shift_off_the_cells_is_refused():
+    # two cells whose DOFs trade places: the shift of a cell's DOFs is no
+    # longer the DOFs of its image cell
+    fem = hyp.clifford_torus(SphereModel(3), 16).fem()
+    conn = fem._cell_dofs.copy()
+    conn[[0, 5]] = conn[[5, 0]]
+    broken = SimpleNamespace(grid=fem.grid, fuse=fem.fuse, n_dofs=fem.n_dofs,
+                             _first_node=fem._first_node, _cell_dofs=conn)
+    with pytest.raises(SpectralError, match="onto those of a cell"):
+        spectral._CellShifts(broken)
+
+
 def _torus_shift_defect(X, nodes):
     """max |S X S^T - X| / max |X| over the one-cell shifts S of the torus
     grid, whose DOFs are its nodes in C order, on a dense X."""
@@ -413,10 +427,13 @@ def test_perturbed_potential_is_refused_by_the_invariance_defect():
     with pytest.raises(SpectralError, match="invariance defect") as err:
         system.spectrum(how_many=8)
     defect = float(re.search(r"invariance defect (\S+)", str(err.value))[1])
-    A = dense(system.stiffness - system.potential)
+    A = system.stiffness - system.potential
     assert defect > INVARIANCE_TOL
     # the message rounds to 3 digits
-    assert abs(defect - _torus_shift_defect(A, 16)) < 5e-3 * defect
+    assert abs(defect - _torus_shift_defect(dense(A), 16)) < 5e-3 * defect
+    shifts = spectral._CellShifts(system.fem)
+    assert (shifts.invariance_defect(A, system.mass)
+            == searched_invariance_defect(shifts, A, system.mass))
 
 
 def _with_entry(X, i, j, value):
@@ -428,9 +445,9 @@ def _with_entry(X, i, j, value):
                     np.insert(X.data, at, value), X.n)
 
 
-def test_entry_whose_shift_leaves_the_pattern_counts_in_full():
-    # an entry coupling the torus nodes (0, 0) and (8, 8): no cell shift maps
-    # it onto the pattern, nor any entry of the pattern onto it
+def test_entry_off_the_cell_pattern_is_refused():
+    # an entry coupling the torus nodes (0, 0) and (8, 8), which share no
+    # cell: the cell images map no entry onto it, so the pencil is refused
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
     value = 0.25 * np.abs((system.stiffness - system.potential).data).max()
     system.stiffness = _with_entry(system.stiffness, 0, 8 * 16 + 8, value)
@@ -438,11 +455,26 @@ def test_entry_whose_shift_leaves_the_pattern_counts_in_full():
     with pytest.raises(SpectralError, match="different patterns"):
         system.spectrum(how_many=8)
     system.mass = _with_entry(system.mass, 0, 8 * 16 + 8, 0.0)
-    A = system.stiffness - system.potential
-    shifts = spectral._CellShifts(system.fem)
-    assert shifts.invariance_defect(A) == 0.25 == _torus_shift_defect(dense(A), 16)
-    with pytest.raises(SpectralError, match="invariance defect 0.25 "):
+    with pytest.raises(SpectralError, match="cell pattern"):
         system.spectrum(how_many=8)
+
+
+@pytest.mark.parametrize("surface", [
+    pytest.param(lambda: hyp.clifford_torus(SphereModel(3), 16), id="torus16"),
+    pytest.param(lambda: hyp.geodesic_sphere_cp2(
+        ComplexProjectiveVeroneseModel(2), 8), id="cp2"),
+    pytest.param(lambda: hyp.clifford_torus(RealProjectiveModel(3), 32),
+                 id="rp3-cover"),
+])
+def test_cell_images_give_the_searched_defect(surface):
+    # the images read off the cell grid give the defect of a search for each
+    # shifted entry among the pattern's keys, bit for bit
+    system = SpectralSystem(surface())
+    shifts = spectral._CellShifts(system.fem)
+    A = system.stiffness - system.potential
+    defect = shifts.invariance_defect(A, system.mass)
+    assert defect == searched_invariance_defect(shifts, A, system.mass)
+    assert defect <= 1e-14
 
 
 def test_parity_pencils_sum_to_the_cover(torus_projective):
