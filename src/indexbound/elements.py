@@ -3,10 +3,13 @@ parameter grids.
 
 The grid lives on a box in parameter space; axes may be periodic, and nodes
 whose chart images coincide (poles of spherical charts, seams) are fused into
-single degrees of freedom.  Mass matrices are consistent, and stiffness /
-potential matrices are assembled with 3-point Gauss quadrature per direction,
-so the discrete eigenvalues of the Galerkin pencil sit above their continuous
-counterparts.
+single degrees of freedom.  Mass, stiffness and potential are integrated with
+3-point Gauss quadrature per direction (consistent mass), so the discrete
+eigenvalues of the Galerkin pencil sit above their continuous counterparts.
+No matrix is summed: each is held as its cell matrices, (C, L, L) for C
+cells of L local DOFs, with the fused DOFs of each cell, and its consumers
+sum the cell entries onto what they need (the symmetry blocks of the Jacobi
+pencil, a quadratic form).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -168,54 +170,35 @@ def _inverse_and_det(g):
 
 
 @dataclass(frozen=True, eq=False)
-class Triplets:
-    """A square matrix of order `n` as its entries `data` at (`rows`, `cols`),
-    one per position, in increasing order of rows * n + cols."""
+class CellMatrices:
+    """A fused-DOF matrix held as its cell matrices, unsummed: `data[c]`,
+    (L, L), sits at the DOFs `dofs[c]` of cell c, and an entry of the matrix
+    is the sum of the cell entries at its position."""
 
-    rows: np.ndarray
-    cols: np.ndarray
+    dofs: np.ndarray
     data: np.ndarray
-    n: int
 
     @property
-    def nnz(self):
-        return len(self.data)
+    def nnz(self):  # the cell entries, summed or not
+        return self.data.size
 
-    def same_pattern(self, other):
-        """Whether `other` has its entries at the same positions."""
-        return (np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols))
-
-    def __sub__(self, other):
-        if not self.same_pattern(other):
-            raise ValueError("the two matrices have different patterns")
-        return Triplets(self.rows, self.cols, self.data - other.data, self.n)
-
-    def __matmul__(self, x):
-        """The product with a vector, or with each column of a 2-D array."""
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return np.stack([self @ column for column in x.T], axis=1)
-        return np.bincount(self.rows, self.data * x[self.cols], self.n)
+    def quadratic_form(self, U):
+        """sum_j U[:, j]^T X U[:, j] over the columns of U, (n_dofs, q),
+        summed cell by cell."""
+        Uc = np.asarray(U)[self.dofs]  # one small product per cell, one thread
+        return float(np.einsum("ciq,ciq->", Uc, self.data @ Uc))
 
 
 class FemSystem:
     """Galerkin matrices for -div(grad) + V on a curved chart.
 
-    `mass`, `stiffness` and `potential` are assembled on first use, from the
-    metric evaluated once at construction: only the index-form pencil reads
-    them.  The quadrature weights need no matrix.  The metric's determinant
-    (at construction) and inverse (while `stiffness` is assembled, one chunk
-    of cells at a time, never kept) come from a Gauss-Jordan elimination
-    without pivoting; a metric with a pivot that is not positive, one that
-    is not positive definite by Sylvester's criterion, raises ValueError.
-
-    Attributes
-    ----------
-    stiffness, mass, potential : Triplets at fused-DOF level, all on one
-        pattern (`potential` is None without a potential function)
-    fuse : (n_nodes,) int array mapping grid nodes to DOFs
-    node_weights : (n_dofs,) quadrature weights (consistent-mass row sums)
+    `mass`, `stiffness` and `index_form` are cell matrices, formed at each
+    read from the metric evaluated once at construction; none is kept, and
+    the quadrature weights `node_weights` (the mass matrix's row sums) need
+    none.  The metric's determinant and inverse come from a Gauss-Jordan
+    elimination without pivoting; a metric with a pivot that is not
+    positive, one that is not positive definite by Sylvester's criterion,
+    raises ValueError.  `fuse` maps grid nodes to DOFs.
     """
 
     def __init__(self, grid, metric_fn, positions, potential_fn=None):
@@ -244,55 +227,41 @@ class FemSystem:
         rows = np.einsum("cg,gi->ci", self._scale, self._vals).ravel()
         self.node_weights = np.bincount(self._cell_dofs.ravel(), rows, self.n_dofs)
 
-    @cached_property
-    def _pattern(self):
-        """The rows and columns of the positions that the cells touch, and
-        the position of each cell entry, (C, L, L) in C order, among them."""
-        conn, n = self._cell_dofs, self.n_dofs
-        keys, inverse = np.unique(conn[:, :, None] * n + conn[:, None, :],
-                                  return_inverse=True)
-        return keys // n, keys % n, inverse.ravel()
-
-    def _assemble(self, scale, metric=None):
-        """Fused-DOF matrix with cell entries sum_g scale phi_i phi_j, or
-        sum_g scale metric^-1(grad phi_i, grad phi_j) when `metric` is
-        given."""
+    def _cells(self, weight=None, metric_weight=None):
+        """Cell matrices with entries sum_g weight phi_i phi_j plus
+        sum_g metric_weight metric^-1(grad phi_i, grad phi_j), either term
+        left out when its weight, (C, G), is None."""
         # one small product per cell runs on one BLAS thread, so the sums do
         # not depend on the thread count; chunks keep the temporaries small
         L = self._vals.shape[1]
-        E = np.empty((len(scale), L, L))
-        for c in range(0, len(scale), _CELL_CHUNK):
-            s = scale[c:c + _CELL_CHUNK]
-            if metric is None:  # V^T diag(scale) V
-                E[c:c + _CELL_CHUNK] = (self._vals.T * s[:, None, :]) @ self._vals
-            else:  # sum_g grads[g] (scale ginv)[g] grads[g]^T
-                ginv = _inverse_and_det(metric[c:c + _CELL_CHUNK])[0]
+        E = np.zeros((len(self._scale), L, L))
+        for c in range(0, len(E), _CELL_CHUNK):
+            at = slice(c, c + _CELL_CHUNK)
+            if weight is not None:  # V^T diag(weight) V
+                E[at] += (self._vals.T * weight[at][:, None, :]) @ self._vals
+            if metric_weight is not None:  # sum_g grads (s ginv) grads^T
+                s, ginv = metric_weight[at], _inverse_and_det(self._g[at])[0]
                 T = ((s[:, :, None, None] * ginv)
                      @ self._grads.transpose(0, 2, 1))
-                E[c:c + _CELL_CHUNK] = (self._grads.transpose(1, 0, 2)
-                                        .reshape(L, -1) @ T.reshape(len(s), -1, L))
-        return self._summed(E)
+                E[at] += (self._grads.transpose(1, 0, 2)
+                          .reshape(L, -1) @ T.reshape(len(s), -1, L))
+        return CellMatrices(self._cell_dofs, E)
 
-    def _summed(self, E):
-        """The matrix whose entries sum the cell entries E, in cell order."""
-        rows, cols, inverse = self._pattern
-        return Triplets(rows, cols, np.bincount(inverse, E.ravel(), len(rows)),
-                        self.n_dofs)
-
-    @cached_property
+    @property
     def mass(self):
-        return self._assemble(self._scale)
+        return self._cells(self._scale)
 
-    @cached_property
+    @property
     def stiffness(self):
-        return self._assemble(self._scale, self._g)
+        return self._cells(metric_weight=self._scale)
 
-    @cached_property
-    def potential(self):
-        if self._potential_fn is None:
-            return None
-        V = np.asarray(self._potential_fn(self._qp)).reshape(self._scale.shape)
-        return self._assemble(self._scale * V)
+    @property
+    def index_form(self):
+        """The cells of K - P, stiffness cells minus potential cells (P = 0
+        without a potential function)."""
+        V = 0.0 if self._potential_fn is None else np.reshape(
+            self._potential_fn(self._qp), self._scale.shape)
+        return self._cells(-self._scale * V, self._scale)
 
     @staticmethod
     def _fusion_labels(positions):

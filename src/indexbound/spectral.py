@@ -1,25 +1,25 @@
 """Index form and Jacobi spectrum of a discrete hypersurface.
 
-The Galerkin matrices of the surface give the symmetric pencil
+The cell matrices of the surface give the symmetric pencil
 (K - P) phi = lambda M phi whose negative eigenvalues count unstable
 deformation directions (the Morse index).
 
-A shift by one Q2 cell (two nodes) along a periodic axis of the grid permutes
-the DOFs and, on every catalog surface, commutes with K - P and M, so the
-pencil splits into one Hermitian block per character of the group of shifts
-(Bossavit 1986, "Symmetry, groups, and boundary value problems"), on one
-Fourier vector per orbit of DOFs; an orbit drops out of a character that is
-nontrivial on its stabilizer (a fused pole).  Each block is solved densely
-for its eigenvalues only, so every eigenvalue and every copy of a cluster is
-found; the blocks are formed at most _GATHER_ENTRIES complex entries at a
-time.  Eigenvectors are taken only in the blocks of the characters that own
-the reported low end of the spectrum, formed again, and each reported
-residual is that of the reported eigenvalue itself.  The split is
-refused when a shift moves K - P or M by more than INVARIANCE_TOL of its
-largest entry.  That defect is read off the cell grid: a shift takes each
-cell to its neighbour along the axis, so it maps the entries of a cell onto
-those of the image cell, and a pencil off the cells' pattern is refused.
-In an ambient with an involution the surface double covers a
+A shift by one Q2 cell (two nodes) along a periodic axis of the grid maps
+the DOFs of each cell onto those of the next and, on every catalog surface,
+commutes with K - P and M, so the pencil splits into one Hermitian block per
+character of the group of shifts (Bossavit 1986, "Symmetry, groups, and
+boundary value problems"), on one Fourier vector per orbit of DOFs; an orbit
+drops out of a character that is nontrivial on its stabilizer (a fused
+pole).  No global matrix is formed: the cell entries are summed, a chunk of
+cells at a time, onto (orbit, orbit, relative element) arrays, and the cells
+are freed before the blocks are formed, at most _GATHER_ENTRIES complex
+entries at a time, and solved for their eigenvalues only.  Eigenvectors are
+taken only in the blocks of the characters that own the reported low end of
+the spectrum, for the residuals of the reported eigenvalues themselves.  The
+split is refused when a shift moves a cell matrix of K - P or M by more than
+INVARIANCE_TOL of its largest entry (the cell defect); an entry of the
+summed pencil sums cell entries, so it moves by at most the sum of their
+moves.  In an ambient with an involution the surface double covers a
 quotient, whose deck is the cell shift that moves the nodes as the involution
 does; the quotient keeps the characters that are +1 on it (even functions)
 when the unit normal descends, else those that are -1 (odd).
@@ -29,14 +29,19 @@ eta = 0 and at the run's eta, the eigenvalues of a block's pencil below eta
 must number the negative eigenvalues of its B(K - P) - eta B(M), which a
 routine without the Cholesky reduction finds (Sylvester's law of inertia for
 a definite pencil).  Summed over every character, the count at 0 is the
-cover's index.  The split itself is checked by Parseval: over all
-characters, the traces and the squared Frobenius norms of the blocks of
-K - P and of M sum to those of the whole matrices.
+cover's index.  The split is checked by Parseval for X = K - P and X = M,
+against sums over the cells: the traces of the blocks B_k sum to tr X, and
+for two fixed random vectors x and y the forms x_k^H B_k y_k of their Fourier
+coefficients sum to x^T X y, a probe of the gather and the Fourier step end
+to end (Freivalds 1977, "Probabilistic machines can use less running time").
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +51,9 @@ class SpectralError(Exception):
     pass
 
 
-#: largest invariance defect max|S X S^T - X| / max|X| of X = K - P and X = M
-#: under a cell shift S at which the pencil is still split into blocks
+#: largest cell defect max|X_s(c) - X_c| / max|X_c| of the cell matrices X_c
+#: of K - P and of M under a cell shift s at which the pencil is still split
+#: into blocks
 INVARIANCE_TOL = 1e-8
 
 #: largest distance, relative to the largest coordinate of the image, between
@@ -55,8 +61,9 @@ INVARIANCE_TOL = 1e-8
 DECK_TOL = 1e-9
 
 #: largest relative residual of the Parseval identities of the split,
-#: sum_k tr B_k = tr X and sum_k |B_k|_F^2 = |X|_F^2 over every character k,
-#: of X = K - P and X = M; the trace residual is relative to sum |X_ii|
+#: sum_k tr B_k = tr X and sum_k x_k^H B_k y_k = x^T X y over every character
+#: k, of X = K - P and X = M; the trace residual is relative to sum |X_ii|,
+#: the probe's to sum_c |x_c|^T |X_c| |y_c| over the cells c
 PARSEVAL_TOL = 1e-10
 
 #: complex entries of the blocks formed at once
@@ -73,7 +80,7 @@ class SpectrumReport:
     cluster_ids: np.ndarray
     all_eigenvalues: np.ndarray  # every eigenvalue, smallest first
     block_sizes: np.ndarray  # DOFs of each symmetry block
-    invariance_defect: float  # of the pencil under the cell shifts
+    invariance_defect: float  # of the cell matrices under the cell shifts
     inertia_index: int  # negative eigenvalues of K - P over every character
     inertia_counts: dict  # eta -> kept characters' negative B(K - P - eta M)
     parseval_residual: float  # largest residual of the split's identities
@@ -113,31 +120,26 @@ def _cluster(eigenvalues):
 
 
 class SpectralSystem:
-    """Assembled index-form pencil for one hypersurface, or for its quotient
-    by the involution of its ambient."""
+    """Index-form pencil for one hypersurface, or for its quotient by the
+    involution of its ambient."""
 
     def __init__(self, surface):
-        fem = surface.fem()
-        if fem.potential is None:
-            raise SpectralError(
-                f"surface {surface.name!r} carries no potential; "
-                "the index form needs Ric(N,N) + |A|^2"
-            )
-        self.surface, self.fem = surface, fem
-        self.stiffness, self.potential = fem.stiffness, fem.potential
-        self.mass = fem.mass
+        if surface.potential_fn is None:
+            raise SpectralError(f"surface {surface.name!r} carries no "
+                                "potential; the index form needs Ric(N,N) "
+                                "+ |A|^2")
+        self.surface, self.fem = surface, surface.fem()
 
     def spectrum(self, how_many=24, eta=0.0):
         """Every eigenvalue of (K - P) phi = lambda M phi, reported from the
         lowest `how_many` through the end of the cluster the last falls in;
         the counts below 0 and below `eta` are checked block by block.
 
-        Raises SpectralError when K - P and M lie on different patterns or
-        off the pattern of the grid's cells, when a cell shift moves the
-        pencil by more than INVARIANCE_TOL, when a quotient's deck is not a
-        cell shift or moves the unit normal off its line, when a block's
-        count below 0 or `eta` disagrees with its inertia, or when the blocks
-        miss a Parseval identity by more than PARSEVAL_TOL.
+        Raises SpectralError when a cell shift moves a cell matrix by more
+        than INVARIANCE_TOL, when a quotient's deck is not a cell shift or
+        moves the unit normal off its line, when a block's count below 0 or
+        `eta` disagrees with its inertia, or when the blocks miss a Parseval
+        identity by more than PARSEVAL_TOL.
         """
         shifts = _CellShifts(self.fem)
         kept, quotient = np.ones(shifts.order, dtype=bool), None
@@ -146,18 +148,9 @@ class SpectralSystem:
             kept = shifts.deck_signs(element) == sign
             quotient = {"shift_cells": element.tolist(),
                         "functions": "even" if sign > 0 else "odd"}
-        A = self.stiffness - self.potential
-        M = self.mass
-        defect = shifts.invariance_defect(A, M)
-        if defect > INVARIANCE_TOL:
-            raise SpectralError(
-                f"invariance defect {defect:.3g} of the pencil under a cell "
-                f"shift exceeds {INVARIANCE_TOL:g}; it does not split into "
-                "symmetry blocks"
-            )
-        gathered = shifts.gather(A, M)
+        gathered, defect, cell_side = _gathered(shifts)
         vals, owners, sizes, below, parseval = _block_spectrum(
-            shifts, gathered, A, M, kept, sorted({0.0, float(eta)}))
+            shifts, gathered, cell_side, kept, sorted({0.0, float(eta)}))
         ids = _cluster(vals)
         k = min(how_many, len(vals))
         end = int(np.searchsorted(ids, ids[k - 1], side="right")) if k else 0
@@ -175,6 +168,27 @@ class SpectralSystem:
             parseval_residual=parseval,
             quotient=quotient,
         )
+
+
+def _gathered(shifts):
+    """The gathered cell matrices of K - P and of M, their cell defect,
+    checked against INVARIANCE_TOL, and the cell side of the Parseval
+    identities: the `_cell_sums` of each, with the Fourier coefficients of
+    the probe's x and y.  The cell matrices are freed on return."""
+    A, M = shifts.fem.index_form, shifts.fem.mass
+    defect = shifts.invariance_defect(A, M)
+    if defect > INVARIANCE_TOL:
+        raise SpectralError(
+            f"invariance defect {defect:.3g} of the pencil under a cell "
+            f"shift exceeds {INVARIANCE_TOL:g}; it does not split into "
+            "symmetry blocks")
+    # the probe's vectors, uniform on [-1/2, 1/2), of a fixed seed as every
+    # report is fixed; stdlib random is loaded anyway, numpy.random is not
+    bits = random.Random(1601).randbytes(16 * len(shifts.orbit))
+    x, y = (np.frombuffer(bits, "<u8") >> 11).reshape(2, -1) * 2.0**-53 - 0.5
+    whole = np.array([_cell_sums(X, x, y, shifts.chunks) for X in (A, M)])
+    return (shifts.gather(A, M), defect,
+            (whole, shifts.fourier(x), shifts.fourier(y)))
 
 
 class _CellShifts:
@@ -215,6 +229,11 @@ class _CellShifts:
                 raise SpectralError("a cell shift does not map the DOFs of "
                                     "each cell onto those of a cell")
             self.cell_images.append(moved)
+        # sums over the cells run over sqrt(order) chunks of cells, then over
+        # the chunks: with the periodic axes first, a sum over the translates
+        # of a cell adds about 2 sqrt(order) terms in a row, not order
+        step = -(-cells.size // math.isqrt(self.order))
+        self.chunks = [slice(c, c + step) for c in range(0, cells.size, step)]
         # a DOF's first node with its periodic coordinates reduced mod 2 is a
         # node of its orbit's representative
         first = np.array(np.unravel_index(fem._first_node, grid.shape))
@@ -284,53 +303,66 @@ class _CellShifts:
         return np.rint(np.cos(2.0 * np.pi * turns)).astype(int)
 
     def invariance_defect(self, *matrices):
-        """max |S X S^T - X| / max |X| over the generators S and `matrices`,
-        triplets on the pattern of the cells of the FEM grid.  S maps the
-        entries of a cell onto those of its image cell, so the image of every
-        entry is read off the cell grid; a pencil off that pattern, whose
-        extra entries the cells cannot map, is refused."""
-        X = _one_pattern(matrices)
-        rows, cols, positions = self.fem._pattern
-        if not (np.array_equal(X.rows, rows) and np.array_equal(X.cols, cols)):
-            raise SpectralError("the pencil does not lie on the cell pattern "
-                                "of its grid; the cell shifts cannot map it")
-        positions = positions.reshape(len(self.cell_images[0]), -1)
-        at = np.empty(X.nnz, dtype=np.int64)  # the position of each image
+        """max |X[image[c]] - X[c]| / max |X| over the generators' cell
+        images and the cell matrices X of `matrices`."""
         worst = 0.0
-        for image in self.cell_images:
-            at[positions] = positions[image]
-            for Y in matrices:
-                d = Y.data[at]
-                d -= Y.data
-                worst = max(worst, _abs_max(d) / _abs_max(Y.data))
+        for X in matrices:
+            whole = max(X.data.max(), -X.data.min())
+            for image, at in itertools.product(self.cell_images, self.chunks):
+                d = np.abs(X.data[image[at]] - X.data[at]).max()
+                worst = max(worst, d / whole)
         return float(worst)
 
     def gather(self, *matrices):
-        """Each of `matrices`, triplets on one pattern, summed onto (orbit o,
-        orbit p, element[d'] - element[d]) over d in o and d' in p and scaled
-        by 1 / sqrt(|o| |p|): a dense (n_orbits**2, len(rel)) array, with the
-        relative elements `rel` that occur."""
-        X = _one_pattern(matrices)
-        n = len(self.reps)
-        # in place, so that no more than a few per-entry arrays live at once
-        o, p = self.orbit[X.rows], self.orbit[X.cols]
-        root = np.sqrt(self.size[o] * self.size[p])
-        at = o * n
-        at += p
-        del o, p
-        rel = np.zeros(X.nnz, dtype=np.int64)  # in C order, axis by axis
-        for e, m in zip(self.multi(self.element), self.cells):
-            d = e[X.cols]
-            d -= e[X.rows]
-            d[d < 0] += m
-            rel *= m
-            rel += d
-        occurs = np.bincount(rel, minlength=self.order) > 0
-        at *= occurs.sum()
-        at += (np.cumsum(occurs) - 1)[rel]
+        """Each of `matrices`, cell matrices, summed onto (orbit o, orbit p,
+        element[d'] - element[d]) over the cell entries at each (d, d'),
+        d in o and d' in p, and scaled by 1 / sqrt(|o| |p|): a dense
+        (n_orbits**2, len(rel)) array, with the relative elements `rel` that
+        occur, which a first pass over the chunks of cells finds."""
+        conn, n = matrices[0].dofs, len(self.reps)
+        # element[d'] - element[d] + cells - 1, digits in [0, 2 cells - 2],
+        # is code[d'] - code[d] + offset in that mixed radix, and `wrap`
+        # takes it to the relative element, in C order
+        cells = np.array(self.cells)[:, None]
+        radix = 2 * cells[:, 0] - 1
+        code = np.ravel_multi_index(self.multi(self.element), radix)
+        offset = np.ravel_multi_index(cells[:, 0] - 1, radix)
+        digits = np.unravel_index(np.arange(radix.prod()), radix)
+        wrap = np.ravel_multi_index((digits - cells + 1) % cells, self.cells)
+
+        def unwrapped(dofs):
+            c = code[dofs]
+            return c[:, None, :] - c[:, :, None] + offset
+
+        seen = np.zeros(radix.prod(), dtype=bool)
+        for at in self.chunks:
+            seen[unwrapped(conn[at])] = True
+        occurs = np.zeros(self.order, dtype=bool)
+        occurs[wrap[seen]] = True
         rel = np.flatnonzero(occurs)
-        return [(np.bincount(at, Y.data / root, n * n * len(rel))
-                 .reshape(n * n, len(rel)), rel) for Y in matrices]
+        column = (np.cumsum(occurs) - 1)[wrap]
+        F = np.zeros((len(matrices), n * n * len(rel)))
+        for at in self.chunks:
+            o = self.orbit[conn[at]]
+            index = ((o[:, :, None] * n + o[:, None, :]) * len(rel)
+                     + column[unwrapped(conn[at])])
+            root = np.sqrt(self.size[o])
+            root = root[:, :, None] * root[:, None, :]
+            for f, X in zip(F, matrices):
+                f += np.bincount(index.ravel(), (X.data[at] / root).ravel(),
+                                 len(f))
+        return [(f.reshape(n * n, len(rel)), rel) for f in F]
+
+    def fourier(self, x):
+        """The coefficients u_o^H x of a DOF vector x on the Fourier vectors
+        u_o of every character (see `blocks`), (order, n_orbits), and 0 where
+        a character has no Fourier vector on an orbit."""
+        n = len(self.reps)
+        sums = np.bincount(self.orbit * self.order + self.element, x,
+                           n * self.order).reshape((n,) + self.cells)
+        # chi(g) = exp(2 pi i g.k / cells), the conjugate of the FFT's kernel
+        coef = np.fft.fftn(sums, axes=range(1, len(self.cells) + 1)).conj()
+        return coef.reshape(n, self.order).T / np.sqrt(self.size) * self.fixes
 
     def blocks(self, gathered, chars):
         """The Hermitian blocks u_o^H X u_p of the characters `chars` on the
@@ -345,25 +377,28 @@ class _CellShifts:
         return B
 
 
-def _abs_max(x):
-    """max |x|, 0 for an empty x, without an array of |x|."""
-    return max(x.max(initial=0.0), -x.min(initial=0.0))
-
-
-def _one_pattern(matrices):
-    """The first of `matrices`, triplets that must share its pattern."""
-    X = matrices[0]
-    if not all(X.same_pattern(Y) for Y in matrices[1:]):
-        raise SpectralError("the matrices of the pencil lie on different "
-                            "patterns")
-    return X
+def _cell_sums(X, x, y, chunks):
+    """[tr X, sum |X_ii|, x^T X y, sum_c |x_c|^T |X_c| |y_c|] of the matrix
+    summed from the cell matrices X, from the cells: a cell entry lies on
+    the diagonal when its two DOFs agree."""
+    conn, E = X.dofs, X.data
+    same = conn[:, :, None] == conn[:, None, :]
+    diagonal = np.bincount(np.broadcast_to(conn[:, :, None], E.shape)[same],
+                           E[same], len(x))
+    probe = scale = 0.0
+    for at in chunks:
+        xc, Ec, yc = x[conn[at]], E[at], y[conn[at]]
+        probe += np.einsum("ci,cij,cj->", xc, Ec, yc)
+        scale += np.einsum("ci,cij,cj->", np.abs(xc), np.abs(Ec), np.abs(yc))
+    return diagonal.sum(), np.abs(diagonal).sum(), probe, scale
 
 
 def _stacks(shifts, gathered, chars):
     """The blocks of the gathered B(A), B(M) of the characters `chars`, formed
     at most _GATHER_ENTRIES complex entries at a time, in stacks of the
     characters that keep the same orbits: (their positions in `chars`, the
-    stack of B(A), the stack of B(M)) for each stack."""
+    orbits they keep, the stack of B(A), the stack of B(M)) for each
+    stack."""
     step = max(1, _GATHER_ENTRIES // len(shifts.reps) ** 2)
     for start in range(0, len(chars), step):
         batch = chars[start:start + step]
@@ -374,43 +409,47 @@ def _stacks(shifts, gathered, chars):
             idx = np.flatnonzero(which.ravel() == member)
             keep = np.flatnonzero(pattern)
             block = np.ix_(idx, keep, keep)
-            yield start + idx, BA[block], BM[block]
+            yield start + idx, keep, BA[block], BM[block]
 
 
-def _block_spectrum(shifts, gathered, A, M, kept, etas):
+def _block_spectrum(shifts, gathered, cell_side, kept, etas):
     """Eigenvalues of the `kept` characters from the gathered A, M, smallest
     first, the solved character and the position in its block's spectrum of
     each, (n, 2), and the sizes of their blocks; for each of `etas`, the
     eigenvalues below it of the kept characters and of all characters,
     [kept, all], each block's count checked against the inertia of its
-    B(A) - eta B(M); and the largest Parseval residual of the split, checked
-    against PARSEVAL_TOL.
-    Of each conjugate pair k, -k, whose blocks are conjugate, one block is
-    solved and counted twice.
+    B(A) - eta B(M); and the largest Parseval residual of the split against
+    the `cell_side` of `_gathered`, checked against PARSEVAL_TOL.  Of each
+    conjugate pair k, -k, whose blocks are conjugate, one block is solved
+    and counted twice.
     """
     conjugate = np.ravel_multi_index(
         np.mod(-shifts.multi(np.arange(shifts.order)),
                np.array(shifts.cells)[:, None]), shifts.cells)
     solved = np.flatnonzero(np.arange(shifts.order) <= conjugate)
     copies = np.where(conjugate[solved] == solved, 1, 2)
+    whole, xh, yh = cell_side
     vals, owners, sizes = [], [], []
     below = np.zeros((2, len(etas)), dtype=int)
-    sums = np.zeros((2, 2))  # traces and squared norms of the blocks of A, M
-    for idx, SA, SM in _stacks(shifts, gathered, solved):
+    sums = np.zeros((2, 2))  # traces and probes of the blocks of A, M
+    for idx, orbits, SA, SM in _stacks(shifts, gathered, solved):
         lam = _stack_values(SA, SM)
         chars, c, keep = solved[idx], copies[idx], kept[solved[idx]]
         counts = _checked_counts(lam, SA, SM, etas, shifts.multi(chars))
         below += [c[keep] @ counts[keep], c @ counts]
+        xk, yk = xh[np.ix_(chars, orbits)], yh[np.ix_(chars, orbits)]
         for i, S in enumerate((SA, SM)):
-            sums[i] += (c @ np.trace(S, axis1=1, axis2=2).real,
-                        c @ (np.abs(S) ** 2).sum(axis=(1, 2)))
+            probe = np.einsum("so,sop,sp->s", xk.conj(), S, yk).real
+            sums[i] += (c @ np.trace(S, axis1=1, axis2=2).real, c @ probe)
         take = np.repeat(np.flatnonzero(keep), c[keep])
         n = lam.shape[1]
         vals.append(lam[take].ravel())
         owners.append(np.column_stack([np.repeat(chars[take], n),
                                        np.tile(np.arange(n), len(take))]))
         sizes.append(np.full(len(take), n))
-    parseval = max(_parseval_residual(X, *s) for X, s in zip((A, M), sums))
+    trace, diagonal, probe, scale = whole.T
+    parseval = float(max((np.abs(sums[:, 0] - trace) / diagonal).max(),
+                         (np.abs(sums[:, 1] - probe) / scale).max()))
     if parseval > PARSEVAL_TOL:
         raise SpectralError(
             f"Parseval residual {parseval:.3g} of the symmetry blocks exceeds "
@@ -429,7 +468,7 @@ def _window_residuals(shifts, gathered, vals, owners):
     the blocks of those characters are formed again."""
     chars, inverse = np.unique(owners[:, 0], return_inverse=True)
     res = np.empty(len(vals))
-    for idx, SA, SM in _stacks(shifts, gathered, chars):
+    for idx, _, SA, SM in _stacks(shifts, gathered, chars):
         C, L = _reduced(SA, SM)
         X = np.linalg.solve(L.conj().swapaxes(1, 2), np.linalg.eigh(C)[1])
         for s, i in enumerate(idx):
@@ -457,17 +496,6 @@ def _checked_counts(lam, A, M, etas, chars):
                 f"eigenvalues below {eta:g} but B(K - P) - {eta:g} B(M) has "
                 f"{inertia[b]} negative ones")
     return counts
-
-
-def _parseval_residual(X, trace, square):
-    """Largest relative residual of sum_k tr B_k = tr X, relative to
-    sum |X_ii|, and of sum_k |B_k|_F^2 = |X|_F^2, given the two sums over the
-    blocks B_k of X."""
-    d = X.data[X.rows == X.cols]
-    # numpy's pairwise sum, not a BLAS dot, whose sum depends on the threads
-    whole = float(np.sum(X.data * X.data))
-    return max(abs(trace - d.sum()) / np.abs(d).sum(),
-               abs(square - whole) / whole)
 
 
 def _reduced(A, M):

@@ -76,8 +76,9 @@ def _rhs_integrand(surface, form, mode):
 def q_identity_report(surface, form, mode):
     """Both sides of the summed index-form identity and their mismatch.
 
-    lhs sums Q over the test functions through the surface's assembled
-    K - P; rhs integrates the ambient curvature integrand by quadrature.
+    lhs sums Q over the test functions, cell by cell, through the cell
+    matrices of the surface's K - P; rhs integrates the ambient curvature
+    integrand by quadrature.
     Non-harmonic forms are rejected through the Bochner residual.
     """
     if mode == "Prop31" and surface.dim != 2:
@@ -92,7 +93,7 @@ def q_identity_report(surface, form, mode):
         )
     fem = surface.fem()
     U = fem.to_dof(test_functions(surface, form, mode))
-    lhs = float(np.sum(U * ((fem.stiffness - fem.potential) @ U)))
+    lhs = fem.index_form.quadratic_form(U)
     integrand = _rhs_integrand(surface, form, mode)
     rhs = fem.integrate(fem.to_dof(integrand))
     norm_sq = fem.integrate(fem.to_dof(form.norm_sq))

@@ -21,21 +21,29 @@ CAYLEY_PLANE = SimpleNamespace(kind="cayley_plane", intrinsic_dim=16,
 
 
 def dense(X):
-    """The dense array of a matrix held as triplets."""
-    A = np.zeros((X.n, X.n))
-    A[X.rows, X.cols] = X.data
-    return A
+    """The dense array of the fused-DOF matrix summed from the cell matrices
+    X, by scipy's COO to CSR conversion."""
+    rows, cols = np.broadcast_arrays(X.dofs[:, :, None], X.dofs[:, None, :])
+    return sp.coo_matrix((X.data.ravel(), (rows.ravel(), cols.ravel()))
+                         ).tocsr().toarray()
 
 
-def summed_by_scipy(fem, E):
-    """The fused-DOF matrix of the cell entries E of a FemSystem, (C, L, L)
-    in the order of its cell DOFs, summed by scipy's COO to CSR conversion."""
-    conn = fem._cell_dofs
-    L = conn.shape[1]
-    rows = np.repeat(conn[:, :, None], L, axis=2).ravel()
-    cols = np.repeat(conn[:, None, :], L, axis=1).ravel()
-    return sp.coo_matrix((E.ravel(), (rows, cols)),
-                         shape=(fem.n_dofs, fem.n_dofs)).tocsr()
+def pencil(system):
+    """The dense K - P and M of a SpectralSystem, summed from its cells."""
+    return dense(system.fem.index_form), dense(system.fem.mass)
+
+
+def cells_by_einsum(fem):
+    """The cell matrices of K - P and of M of a FemSystem, each from one
+    einsum over the quadrature points of its weights, metric inverse (by
+    LAPACK), shape gradients and values, and potential."""
+    ginv = np.linalg.inv(fem._g)
+    K = np.einsum("cg,gia,cgab,gjb->cij", fem._scale, fem._grads, ginv,
+                  fem._grads)
+    V = fem._potential_fn(fem._qp).reshape(fem._scale.shape)
+    P, M = (np.einsum("cg,gi,gj->cij", w, fem._vals, fem._vals)
+            for w in (fem._scale * V, fem._scale))
+    return K - P, M
 
 
 def fusion_labels_by_unique(positions, tol):
@@ -71,11 +79,10 @@ def veronese_flatten(A):
 
 
 def rayleigh_quotient(system, u):
-    """Index form over squared L2 norm of a DOF vector, from the matrices of a
-    SpectralSystem: u^T (K - P) u / u^T M u."""
-    u = np.asarray(u)
-    q = u @ (system.stiffness @ u) - u @ (system.potential @ u)
-    return float(q / (u @ (system.mass @ u)))
+    """Index form over squared L2 norm of a DOF vector, from the cell
+    matrices of a SpectralSystem: u^T (K - P) u / u^T M u."""
+    u, fem = np.asarray(u)[:, None], system.fem
+    return fem.index_form.quadratic_form(u) / fem.mass.quadratic_form(u)
 
 
 def parity_basis(fem, node_permutation, parity):
@@ -98,13 +105,51 @@ def parity_basis(fem, node_permutation, parity):
 def dense_spectrum(system, basis=None, count=None):
     """The eigenvalues of the pencil of a SpectralSystem by one dense solve,
     on the columns of `basis` when given: all, or the lowest `count`."""
-    A = dense(system.stiffness - system.potential)
-    M = dense(system.mass)
+    A, M = pencil(system)
     if basis is not None:
         B = basis.toarray()
         A, M = B.T @ A @ B, B.T @ M @ B
     subset = None if count is None else [0, count - 1]
     return scipy.linalg.eigh(A, M, eigvals_only=True, subset_by_index=subset)
+
+
+def periodic_q2_bloch(cells, length):
+    """The two eigenvalues, smallest first, of the 1-D periodic Q2 pencil
+    K v = mu M v on `cells` cells of a circle of `length`, per Bloch wave
+    number k = 0 .. cells - 1: (cells, 2).  The element matrices are the
+    closed forms h/30 [[4, 2, -1], [2, 16, 2], [-1, 2, 4]] and
+    1/(3h) [[7, -8, 1], [-8, 16, -8], [1, -8, 7]], not a quadrature; the
+    third node of a cell is the first of the next, so a Bloch mode with
+    phase z = exp(2 pi i k / cells) per cell reads (v, m, z v) on a cell."""
+    h = length / cells
+    M = h / 30.0 * np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0],
+                             [-1.0, 2.0, 4.0]])
+    K = 1.0 / (3.0 * h) * np.array([[7.0, -8.0, 1.0], [-8.0, 16.0, -8.0],
+                                    [1.0, -8.0, 7.0]])
+    P = np.zeros((cells, 3, 2), dtype=complex)
+    P[:, 0, 0] = P[:, 1, 1] = 1.0
+    P[:, 2, 0] = np.exp(2j * np.pi * np.arange(cells) / cells)
+    KB, MB = (P.conj().swapaxes(1, 2) @ X @ P for X in (K, M))
+    L = np.linalg.cholesky(MB)
+    return np.linalg.eigvalsh(
+        np.linalg.solve(L, np.linalg.solve(L, KB).conj().swapaxes(1, 2)))
+
+
+def clifford_torus_spectrum(nodes, even=False):
+    """Every eigenvalue, smallest first, of the Jacobi pencil of the Clifford
+    torus of S^3 at `nodes` nodes per axis, or of its functions that the
+    half-period shift of both axes keeps (the quotient in RP^3), in closed
+    form.  The metric (du^2 + dv^2) / 2 and the potential 4 are constant,
+    so the pencil is a Kronecker sum with eigenvalues 2 (mu_a + mu_b) - 4
+    over the 1-D Bloch eigenvalues mu; the shift multiplies the Bloch mode of
+    wave numbers (k1, k2) by (-1)^(k1 + k2)."""
+    cells = nodes // 2
+    mu = periodic_q2_bloch(cells, 2.0 * np.pi)
+    lam = 2.0 * (mu[:, None, :, None] + mu[None, :, None, :]) - 4.0
+    if even:
+        k = np.arange(cells)
+        lam = lam[(k[:, None] + k[None, :]) % 2 == 0]
+    return np.sort(lam.ravel())
 
 
 def with_involution(surface, involution):
@@ -142,43 +187,32 @@ def deck_sign_spectrum(system, sign):
     normal picks; their block sizes, and the negative eigenvalues of the
     whole cover."""
     shifts, element, _ = deck(system.surface)
-    A = system.stiffness - system.potential
+    gathered, _, cell_side = spectral._gathered(shifts)
     vals, _, sizes, below, _ = spectral._block_spectrum(
-        shifts, shifts.gather(A, system.mass), A, system.mass,
-        shifts.deck_signs(element) == sign, [0.0])
+        shifts, gathered, cell_side, shifts.deck_signs(element) == sign, [0.0])
     return vals, sizes, below[0.0][1]
 
 
 def searched_invariance_defect(shifts, *matrices):
-    """max |S X S^T - X| / max |X| over the generators S of the cell shifts
-    `shifts` and `matrices`, triplets on one pattern in increasing order of
-    row * n + col, from a search of each image among the keys row * n + col;
-    an entry whose image under S, or whose preimage, lies off the pattern
-    counts in full."""
-    X = matrices[0]
-    keys = X.rows * X.n + X.cols
+    """max |X_s(c) - X_c| / max |X| over the generators of the cell shifts
+    `shifts` and the cell matrices X of `matrices`, where s(c) is the cell
+    whose DOFs are the generator's images of the DOFs of cell c, found by a
+    search among the DOF tuples of all cells."""
+    conn = matrices[0].dofs
+    at = {tuple(dofs): c for c, dofs in enumerate(conn.tolist())}
     worst = 0.0
     for perm in shifts.generators:
-        moved = perm[X.rows] * X.n + perm[X.cols]
-        at = np.minimum(np.searchsorted(keys, moved), X.nnz - 1)
-        off = keys[at] != moved
-        missed = np.ones(X.nnz, dtype=bool)
-        missed[at[~off]] = False
-        for Y in matrices:
-            d = Y.data[at] - Y.data
-            d[off] = Y.data[off]
-            whole = np.abs(Y.data).max()
-            worst = max(worst, max(np.abs(d).max(),
-                                   np.abs(Y.data[missed]).max(initial=0.0))
-                        / whole)
+        image = [at[tuple(dofs)] for dofs in perm[conn].tolist()]
+        for X in matrices:
+            worst = max(worst, np.abs(X.data[image] - X.data).max()
+                        / np.abs(X.data).max())
     return float(worst)
 
 
 def global_inertia(system):
     """The negative eigenvalues of the whole K - P of a SpectralSystem, from
     one dense solve of the unsplit matrix: the cover's Morse index."""
-    A = dense(system.stiffness - system.potential)
-    return int(np.sum(np.linalg.eigvalsh(A) < 0))
+    return int(np.sum(np.linalg.eigvalsh(pencil(system)[0]) < 0))
 
 
 def classify(node_permutation, node_field, tol=1e-8):

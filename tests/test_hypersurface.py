@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 
@@ -22,6 +21,7 @@ from indexbound.elements import (
 )
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import (
+    cells_by_einsum,
     classify,
     deck,
     deck_permutation,
@@ -30,7 +30,6 @@ from oracles import (
     fusion_labels_by_unique,
     half_turn,
     minimal_geodesic_sphere_radius,
-    summed_by_scipy,
     with_involution,
     with_resolution,
 )
@@ -60,7 +59,7 @@ def test_fem_flat_torus_spectrum():
     )
     from scipy.linalg import eigh
 
-    K = dense(fem.stiffness)
+    K = dense(fem.index_form)
     M = dense(fem.mass)
     vals = eigh(K, M, eigvals_only=True)[:6]
     # flat-torus Laplacian: 0, then 1 with multiplicity four
@@ -371,12 +370,17 @@ def test_quotient_parity_from_the_normal(torus_projective):
     lambda: hyp.equator_in_sphere(SphereModel(3), 13),
     lambda: hyp.circle_times_equator(CircleTimesSphereModel(3), 8),
 ])
-def test_node_weights_are_mass_row_sums(make):
+def test_node_weights_are_mass_row_sums(make, monkeypatch):
     # the weights are gathered without the mass matrix, so they match its row
     # sums to roundoff, not bitwise
+    formed = []
+    cells = FemSystem._cells
+    monkeypatch.setattr(FemSystem, "_cells", lambda self, *args: formed.append(
+        args) or cells(self, *args))
     fem = make().fem()
-    assert "mass" not in vars(fem)  # not assembled for the weights
+    assert formed == []  # no cell matrix is formed for the weights
     rows = dense(fem.mass).sum(axis=1)
+    assert len(formed) == 1
     assert np.abs(fem.node_weights - rows).max() <= 1e-15 * np.abs(rows).max()
 
 
@@ -389,38 +393,25 @@ _FEM_SURFACES = [
 
 
 @pytest.mark.parametrize("make", _FEM_SURFACES)
-def test_assembled_matrices_match_scipy_sums(make, monkeypatch):
-    # each matrix sums the same cell entries as scipy's COO to CSR
-    # conversion, on one pattern shared by the three
+def test_cell_matrices_match_an_einsum_quadrature(make):
+    # the chunked cell products give the cells of K - P and of M that one
+    # einsum over the quadrature points gives, on the cells' fused DOFs
     fem = make().fem()
-    summed, sum_cells = [], FemSystem._summed
-
-    def recorded(self, E):
-        summed.append((E, sum_cells(self, E)))
-        return summed[-1][1]
-
-    monkeypatch.setattr(FemSystem, "_summed", recorded)
-    assert [fem.mass, fem.stiffness, fem.potential] == [X for _, X in summed]
-    for E, X in summed:
-        oracle = summed_by_scipy(fem, E)
-        assert np.array_equal(X.rows, summed[0][1].rows)
-        assert np.array_equal(X.cols, oracle.indices)
-        assert np.array_equal(np.bincount(X.rows, minlength=fem.n_dofs),
-                              np.diff(oracle.indptr))
-        scale = np.abs(oracle.data).max()
-        assert np.abs(X.data - oracle.data).max() <= 1e-14 * scale
+    A, M = fem.index_form, fem.mass
+    for X, oracle in zip((A, M), cells_by_einsum(fem)):
+        assert np.array_equal(X.dofs, fem.fuse[fem.grid.cell_connectivity()])
+        assert X.data.shape == oracle.shape
+        assert np.abs(X.data - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
-def test_product_with_a_matrix_is_the_dense_product():
+def test_cellwise_form_is_the_dense_form():
     fem = hyp.clifford_torus(SphereModel(3), 16).fem()
-    A = fem.stiffness - fem.potential
+    A = fem.index_form
     U = np.random.default_rng(3).standard_normal((fem.n_dofs, 3))
-    oracle = dense(A) @ U
-    assert (A @ U).shape == oracle.shape
-    assert np.abs(A @ U - oracle).max() <= 1e-14 * np.abs(oracle).max()
-    assert np.array_equal((A @ U)[:, 1], A @ U[:, 1])
-    with pytest.raises(ValueError, match="different patterns"):
-        A - dataclasses.replace(A, cols=A.cols[::-1])
+    X = dense(A)
+    oracle = np.trace(U.T @ X @ U)
+    scale = np.trace(np.abs(U).T @ np.abs(X) @ np.abs(U))
+    assert abs(A.quadratic_form(U) - oracle) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("make", _FEM_SURFACES[1:])

@@ -144,7 +144,7 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
     ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
     surface = SURFACE_KINDS[kind].build(ambient, 8)
     fem = surface.fem()
-    if fem.potential is None:
+    if surface.potential_fn is None:
         with pytest.raises(SpectralError, match="no potential"):
             SpectralSystem(surface)
         return

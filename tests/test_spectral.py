@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -19,13 +18,14 @@ from indexbound.ambient import (
     RealProjectiveModel,
     SphereModel,
 )
-from indexbound.elements import Triplets
+from indexbound.elements import FemSystem
 from indexbound.spectral import (
     INVARIANCE_TOL,
     SpectralError,
     SpectralSystem,
 )
 from oracles import (
+    clifford_torus_spectrum,
     deck_permutation,
     deck_sign_spectrum,
     dense,
@@ -33,6 +33,7 @@ from oracles import (
     global_inertia,
     half_turn,
     parity_basis,
+    pencil,
     rayleigh_quotient,
     searched_invariance_defect,
     with_involution,
@@ -88,7 +89,7 @@ def test_csv_format(torus_spectrum):
     assert len(lines) == len(torus_spectrum.eigenvalues) + 1
     row = lines[1].split(",")
     assert int(row[0]) == 0
-    assert abs(float(row[1]) - torus_spectrum.eigenvalues[0]) < 1e-12
+    assert row[1] == f"{torus_spectrum.eigenvalues[0]:.12g}"
 
 
 def test_rayleigh_quotient_matches_spectrum(torus_system, torus_spectrum):
@@ -133,8 +134,7 @@ def test_matches_dense_oracle():
     # the generalized symmetric eigenproblem solved densely on a small grid
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 32))
     spec = system.spectrum(how_many=16)
-    A = dense(system.stiffness - system.potential)
-    oracle = scipy.linalg.eigh(A, dense(system.mass), eigvals_only=True)
+    oracle = scipy.linalg.eigh(*pencil(system), eigvals_only=True)
     assert len(spec.eigenvalues) >= 16
     assert np.abs(spec.eigenvalues - oracle[:len(spec.eigenvalues)]).max() < 1e-9
 
@@ -190,8 +190,7 @@ def cp2_spectrum(cp2_system):
 
 
 def _dense_window(system, k):
-    A = dense(system.stiffness - system.potential)
-    return scipy.linalg.eigh(A, dense(system.mass), eigvals_only=True)[:k]
+    return scipy.linalg.eigh(*pencil(system), eigvals_only=True)[:k]
 
 
 def test_full_window_matches_dense_oracle(cp2_system, cp2_spectrum):
@@ -255,7 +254,7 @@ def _lowest_per_character(system):
     """The lowest eigenvalue of the block of each character that is solved,
     the first of each conjugate pair k, -k in C order."""
     shifts = spectral._CellShifts(system.fem)
-    gathered = shifts.gather(system.stiffness - system.potential, system.mass)
+    gathered = shifts.gather(system.fem.index_form, system.fem.mass)
     chars = np.arange(shifts.order)
     conjugate = np.ravel_multi_index(
         np.mod(-shifts.multi(chars), np.array(shifts.cells)[:, None]),
@@ -417,46 +416,49 @@ def _torus_shift_defect(X, nodes):
 
 
 def test_perturbed_potential_is_refused_by_the_invariance_defect():
-    # one DOF with a large potential breaks the symmetry the blocks need
-    system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
-    P = system.potential
-    A = dense(system.stiffness - P)
-    assert _torus_shift_defect(A, 16) < 1e-15
-    system.potential = dataclasses.replace(
-        P, data=P.data + 1e3 * ((P.rows == 0) & (P.cols == 0)))
+    # a large potential on part of one cell breaks the symmetry the blocks
+    # need
+    surface = hyp.clifford_torus(SphereModel(3), 16)
+    assert _torus_shift_defect(pencil(SpectralSystem(surface))[0], 16) < 1e-15
+    surface = hyp.clifford_torus(SphereModel(3), 16)
+    surface.potential_fn = lambda p: 4.0 + 1e3 * (np.abs(p).max(axis=-1) < 0.3)
+    system = SpectralSystem(surface)
     with pytest.raises(SpectralError, match="invariance defect") as err:
         system.spectrum(how_many=8)
     defect = float(re.search(r"invariance defect (\S+)", str(err.value))[1])
-    A = system.stiffness - system.potential
+    shifts = spectral._CellShifts(system.fem)
+    A, M = system.fem.index_form, system.fem.mass
+    cells = shifts.invariance_defect(A, M)
     assert defect > INVARIANCE_TOL
     # the message rounds to 3 digits
-    assert abs(defect - _torus_shift_defect(dense(A), 16)) < 5e-3 * defect
-    shifts = spectral._CellShifts(system.fem)
-    assert (shifts.invariance_defect(A, system.mass)
-            == searched_invariance_defect(shifts, A, system.mass))
+    assert abs(defect - cells) < 5e-3 * defect
+    assert cells == searched_invariance_defect(shifts, A, M)
+    # an entry of the summed K - P sums the entries of at most four cells,
+    # so a shift moves it by at most four times the cell defect
+    X = dense(A)
+    moved = _torus_shift_defect(X, 16) * np.abs(X).max()
+    assert INVARIANCE_TOL < moved <= 4 * cells * np.abs(A.data).max()
 
 
-def _with_entry(X, i, j, value):
-    """The triplets X with one more entry, `value` at (i, j) off its pattern."""
-    keys = X.rows * X.n + X.cols
-    at = np.searchsorted(keys, i * X.n + j)
-    assert keys[at] != i * X.n + j
-    return Triplets(np.insert(X.rows, at, i), np.insert(X.cols, at, j),
-                    np.insert(X.data, at, value), X.n)
-
-
-def test_entry_off_the_cell_pattern_is_refused():
-    # an entry coupling the torus nodes (0, 0) and (8, 8), which share no
-    # cell: the cell images map no entry onto it, so the pencil is refused
+@pytest.mark.parametrize("scale, refused", [(1e-6, True), (1e-9, False)])
+def test_perturbed_cell_is_refused(scale, refused, monkeypatch):
+    # one entry of one mass cell moved by `scale` of the largest: the cell
+    # defect sees the move, and refuses the pencil above INVARIANCE_TOL
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
-    value = 0.25 * np.abs((system.stiffness - system.potential).data).max()
-    system.stiffness = _with_entry(system.stiffness, 0, 8 * 16 + 8, value)
-    system.potential = _with_entry(system.potential, 0, 8 * 16 + 8, 0.0)
-    with pytest.raises(SpectralError, match="different patterns"):
-        system.spectrum(how_many=8)
-    system.mass = _with_entry(system.mass, 0, 8 * 16 + 8, 0.0)
-    with pytest.raises(SpectralError, match="cell pattern"):
-        system.spectrum(how_many=8)
+    mass = FemSystem.mass.fget
+
+    def perturbed(fem):
+        X = mass(fem)
+        X.data[5, 0, 0] += scale * np.abs(X.data).max()
+        return X
+
+    monkeypatch.setattr(FemSystem, "mass", property(perturbed))
+    if refused:
+        with pytest.raises(SpectralError, match="invariance defect 1e-06 "):
+            system.spectrum(how_many=8)
+    else:
+        defect = system.spectrum(how_many=8).invariance_defect
+        assert abs(defect - scale) < 1e-3 * scale
 
 
 @pytest.mark.parametrize("surface", [
@@ -468,13 +470,13 @@ def test_entry_off_the_cell_pattern_is_refused():
 ])
 def test_cell_images_give_the_searched_defect(surface):
     # the images read off the cell grid give the defect of a search for each
-    # shifted entry among the pattern's keys, bit for bit
+    # shifted cell among the cells' DOFs, bit for bit; the cells of one
+    # orbit of the shifts are equal bit for bit
     system = SpectralSystem(surface())
     shifts = spectral._CellShifts(system.fem)
-    A = system.stiffness - system.potential
-    defect = shifts.invariance_defect(A, system.mass)
-    assert defect == searched_invariance_defect(shifts, A, system.mass)
-    assert defect <= 1e-14
+    A, M = system.fem.index_form, system.fem.mass
+    defect = shifts.invariance_defect(A, M)
+    assert defect == searched_invariance_defect(shifts, A, M) == 0.0
 
 
 def test_parity_pencils_sum_to_the_cover(torus_projective):
@@ -496,6 +498,52 @@ def test_parity_pencils_sum_to_the_cover(torus_projective):
     assert even.quotient == {"shift_cells": [8, 8], "functions": "even"}
     assert abs(even.eigenvalues[0] + 4.0) < 1e-9
     assert np.all((even.eigenvalues[1:5] > 0) & (even.eigenvalues[1:5] < 1e-3))
+
+
+def test_clifford_spectrum_matches_the_closed_form(torus96):
+    # the bundled Clifford run (96 nodes, 9,216 DOFs) and its quotient in
+    # RP^3, every eigenvalue against the Kronecker sum of the 1-D Bloch
+    # pencil; roundoff leaves 7.2e-12 relative to max(1, |lambda|)
+    quotient = hyp.clifford_torus(RealProjectiveModel(3), 96)
+    for surface, even, index in ((torus96, False, 5), (quotient, True, 1)):
+        spec = SpectralSystem(surface).spectrum(how_many=16)
+        oracle = clifford_torus_spectrum(96, even)
+        assert spec.n_dofs == len(oracle) == 9216 // (1 + even)
+        error = np.abs(spec.all_eigenvalues - oracle)
+        assert (error / np.maximum(1.0, np.abs(oracle))).max() < 1e-10
+        for eta, count in ((0.0, index), (1.0, index + 4)):
+            assert spec.count_below(eta) == np.sum(oracle < eta) == count
+        window = oracle[:len(spec.eigenvalues)]
+        assert np.array_equal(spectral._cluster(window), spec.cluster_ids)
+
+
+def _held_arrays(*owners):
+    """The arrays among the attributes of `owners`, and among those of the
+    tuples and objects they hold."""
+    values = [v for owner in owners for v in vars(owner).values()]
+    values += [x for v in values for x in (
+        v if isinstance(v, (tuple, list)) else getattr(v, "__dict__", {})
+        .values())]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+def test_spectrum_keeps_no_cell_stack(monkeypatch):
+    # after spectrum() neither the system nor its FEM system holds an array
+    # of C L^2 entries, one per cell entry, and the stage sorts none
+    surface = hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 8)
+    C, L = surface.fem().index_form.dofs.shape
+    sorted_sizes = []
+    for name in ("unique", "argsort"):
+        def counting(a, *args, _sort=getattr(np, name), **kwargs):
+            sorted_sizes.append(np.size(a))
+            return _sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    system = SpectralSystem(surface)
+    assert system.spectrum().morse_index == 1
+    assert 0 < max(sorted_sizes) < C * L * L
+    held = _held_arrays(system, system.fem)
+    assert len(held) > 5 and max(v.size for v in held) < C * L * L
 
 
 #: the spectrum of circle_times_equator in S^1 x S^3 at 14 nodes, in a

@@ -47,8 +47,8 @@ def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
     sharp, N = w.sharp @ rot.T, torus48.normals @ rot.T
     iu, ju = np.triu_indices(4, k=1)
     rotd = N[:, iu] * sharp[:, ju] - N[:, ju] * sharp[:, iu]
-    A = torus_system.stiffness - torus_system.potential
-    q = lambda fam: sum(u @ (A @ u) for u in map(torus48.fem().to_dof, fam.T))
+    A = torus_system.fem.index_form
+    q = lambda fam: A.quadratic_form(torus48.fem().to_dof(fam))
     assert abs(q(base) - q(rotd)) < 1e-10
 
 
