@@ -5,10 +5,11 @@ evaluate the second fundamental form of the embedding, and recover curvature
 through the Gauss equation.  All evaluations are pure functions of
 (model, point, vectors); models are immutable after construction.
 
-Every geometry method takes leading batch axes: points of shape (..., *P)
-(P is (m+1,) for most models, (p+1, 4) for quaternionic points) and ambient
-vectors of shape (..., d) broadcast against each other, and scalar results
-have shape (...).  A single point is the case without batch axes.
+Every geometry method takes leading batch axes: points of shape (..., k)
+(k = m + 1 complex coordinates on CP^m, the d ambient coordinates on the
+other models) and ambient vectors of shape (..., d) broadcast against each
+other, and scalar results have shape (...).  A single point is the case
+without batch axes.
 """
 
 from __future__ import annotations
@@ -61,43 +62,12 @@ def _unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-# ---------------------------------------------------------------------------
-# quaternion helpers (quaternions are (..., 4) float arrays, w + xi + yj + zk)
-
-def qmul(a, b):
-    """Hamilton product on (..., 4) arrays."""
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
-
-
-def qconj(a):
-    out = np.array(a, copy=True)
-    out[..., 1:] *= -1.0
-    return out
-
-
-def qdot(z, w):
-    """Quaternionic inner product sum_i conj(z_i) w_i over the second-to-last axis."""
-    return qmul(qconj(z), w).sum(axis=-2)
-
-
 class AmbientModel:
     """Base class; subclasses fill in the embedding geometry."""
 
     kind = "abstract"
     einstein_constant = None
     has_complex_structure = False
-    #: number of trailing axes of one point
-    point_ndim = 1
     #: for a quotient given by its double cover, the deck: a linear involution
     #: of R^d applied to (..., d) positions and vectors; else None
     involution = None
@@ -132,12 +102,6 @@ class AmbientModel:
         raise NotImplementedError
 
     # -- shared operations ----------------------------------------------------
-    def _expand(self, point, count=1):
-        """`point` with `count` length-one axes in front of its own axes, so
-        that it broadcasts against vectors indexed by frame directions."""
-        at = np.ndim(point) - self.point_ndim
-        return np.expand_dims(point, tuple(range(at, at + count)))
-
     def project_tangent(self, point, v):
         frame = self.tangent_frame(point)
         coords = np.einsum("...ad,...d->...a", frame, v)
@@ -177,7 +141,7 @@ class AmbientModel:
         if np.any(np.linalg.norm(X, axis=-1) == 0.0):
             raise AmbientError("cannot complete a frame around the zero vector")
         frame = self.tangent_frame(point)
-        rm = self.riemann_xyxy(self._expand(point), X[..., None, :], frame)
+        rm = self.riemann_xyxy(point[..., None, :], X[..., None, :], frame)
         return rm.sum(axis=-1)
 
     def ii_frame_pairs(self, point, frame=None):
@@ -186,17 +150,13 @@ class AmbientModel:
         frame = self.tangent_frame(point) if frame is None else frame
         k = frame.shape[-2]
         a, b = np.triu_indices(k, 1)
-        diag = self.ii_quad(self._expand(point), frame)
-        sums = self.ii_quad(self._expand(point), frame[..., a, :] + frame[..., b, :])
+        diag = self.ii_quad(point[..., None, :], frame)
+        sums = self.ii_quad(point[..., None, :], frame[..., a, :] + frame[..., b, :])
         pairs = np.concatenate(
             [diag, 0.5 * (sums - diag[..., a, :] - diag[..., b, :])], axis=-2)
         where = np.diag(np.arange(k))  # position in `pairs` of each (a, b)
         where[a, b] = where[b, a] = np.arange(k, k + len(a))
         return np.take(pairs, where, axis=-2)
-
-    # -- optional complex structure ------------------------------------------
-    def complex_structure(self, point, X):
-        raise AmbientError(f"model kind {self.kind!r} carries no complex structure")
 
 
 def _orthonormal_complement(vectors):
@@ -254,46 +214,15 @@ class RealProjectiveModel(SphereModel):
     involution = np.negative
 
 
-class _ProjectiveVeroneseBase(AmbientModel):
-    """Shared machinery for the Hermitian-matrix embeddings [z] -> z z*.
+class ComplexProjectiveVeroneseModel(AmbientModel):
+    """CP^m embedded in the (m+1)^2-dimensional space of Hermitian matrices
+    by [z] -> z z*.
 
-    Points are unit vectors z (modulo phase / unit-quaternion action); ambient
-    coordinates flatten Hermitian matrices isometrically for the metric
-    <A, B> = Re tr(AB) / 2.  Subclasses define `position` (z -> z z*) and
-    `tangent_from_horizontal` (z, v -> z v* + v z*), both flattened,
-    `matvec`, `norm_sq`, `horizontal_project`, and `unflatten` from the
-    ambient space back to Hermitian matrices.
-    """
-
-    def _per_point(self, a):
-        """A (...) array shaped to broadcast against (..., *P) points."""
-        return np.reshape(a, np.shape(a) + (1,) * self.point_ndim)
-
-    def point_from_homogeneous(self, z):
-        return z / self._per_point(np.sqrt(self.norm_sq(z)))
-
-    def horizontal_from_ambient(self, z, X):
-        """Recover the horizontal lift v from an ambient tangent vector X."""
-        v = self.matvec(self.unflatten(X), z)
-        return self.horizontal_project(z, v)
-
-    def ii_quad(self, z, X):
-        v = self.horizontal_from_ambient(z, X)
-        return 2.0 * (self.position(v)
-                      - self.norm_sq(v)[..., None] * self.position(z))
-
-    def curve(self, z, X, t):
-        v = self.horizontal_from_ambient(z, X)
-        s = self._per_point(np.sqrt(self.norm_sq(v)))
-        zt = np.cos(s * t) * z + np.sin(s * t) * v / np.where(s == 0.0, 1.0, s)
-        return self.position(zt)
-
-
-class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
-    """CP^m embedded in the (m+1)^2-dimensional space of Hermitian matrices.
-
-    Sectional curvatures lie in [1, 4]; the metric is Einstein with constant
-    2m + 2, and the complex structure acts on horizontal lifts by i.
+    Points are unit vectors z of C^{m+1} (modulo phase); ambient coordinates
+    flatten Hermitian matrices isometrically for the metric
+    <A, B> = Re tr(AB) / 2.  Sectional curvatures lie in [1, 4]; the metric
+    is Einstein with constant 2m + 2, and the complex structure acts on
+    horizontal lifts by i.
     """
 
     kind = "complex_projective_veronese"
@@ -335,17 +264,18 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         A[..., self._iu[1], self._iu[0]] = np.conj(off)
         return A
 
-    def matvec(self, A, z):
-        return np.einsum("...ij,...j->...i", A, z)
-
     def norm_sq(self, z):
         return np.real(np.einsum("...i,...i->...", np.conj(z), z))
 
-    def horizontal_project(self, z, v):
-        return v - z * np.einsum("...i,...i->...", np.conj(z), v)[..., None]
-
     def point_from_homogeneous(self, z):
-        return super().point_from_homogeneous(np.asarray(z, dtype=complex))
+        z = np.asarray(z, dtype=complex)
+        return z / np.sqrt(self.norm_sq(z))[..., None]
+
+    def horizontal_from_ambient(self, z, X):
+        """Recover the horizontal lift v from an ambient tangent vector X: the
+        Hermitian matrix of X applied to z, less its part along z."""
+        v = np.einsum("...ij,...j->...i", self.unflatten(X), z)
+        return v - z * np.einsum("...i,...i->...", np.conj(z), v)[..., None]
 
     def random_point(self, rng):
         z = rng.standard_normal(self.m + 1) + 1j * rng.standard_normal(self.m + 1)
@@ -359,6 +289,17 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
             w.shape[:-2] + (2 * self.m, self.m + 1)
         )
         return self.tangent_from_horizontal(z[..., None, :], lifts)
+
+    def ii_quad(self, z, X):
+        v = self.horizontal_from_ambient(z, X)
+        return 2.0 * (self.position(v)
+                      - self.norm_sq(v)[..., None] * self.position(z))
+
+    def curve(self, z, X, t):
+        v = self.horizontal_from_ambient(z, X)
+        s = np.sqrt(self.norm_sq(v))[..., None]
+        zt = np.cos(s * t) * z + np.sin(s * t) * v / np.where(s == 0.0, 1.0, s)
+        return self.position(zt)
 
     def complex_structure(self, z, X):
         v = self.horizontal_from_ambient(z, X)
@@ -392,96 +333,17 @@ class ComplexProjectiveVeroneseModel(_ProjectiveVeroneseBase):
         return np.linalg.norm(nab_JW - self.complex_structure(z, nab_W), axis=-1)
 
 
-class QuaternionicProjectiveVeroneseModel(_ProjectiveVeroneseBase):
-    """HP^p embedded in the (2p+1)(p+1)-dimensional space of quaternionic
-    Hermitian matrices; Einstein with constant 4p + 8."""
+class CircleTimesSphereModel(AmbientModel):
+    """S^1 x S^n embedded blockwise in R^2 x R^{n+1}; the flat circle factor
+    makes Ric only non-negative."""
 
-    kind = "quaternionic_projective_veronese"
-    point_ndim = 2
+    kind = "circle_times_sphere"
 
-    def __init__(self, p):
-        if p < 1:
-            raise AmbientError("quaternionic projective dimension must be >= 1")
-        self.p = int(p)
-        super().__init__(4 * p, (2 * p + 1) * (p + 1))
-        self.einstein_constant = float(4 * p + 8)
-        self._iu = np.triu_indices(p + 1, k=1)
-
-    def flatten(self, A):
-        # A has shape (..., p+1, p+1, 4)
-        n1 = self.p + 1
-        idx = np.arange(n1)
-        diag = A[..., idx, idx, 0] / np.sqrt(2.0)
-        off = A[..., self._iu[0], self._iu[1], :]
-        return np.concatenate(
-            [diag, off.reshape(off.shape[:-2] + (-1,))], axis=-1
-        )
-
-    def unflatten(self, a):
-        n1 = self.p + 1
-        k = len(self._iu[0])
-        A = np.zeros(a.shape[:-1] + (n1, n1, 4))
-        idx = np.arange(n1)
-        A[..., idx, idx, 0] = a[..., :n1] * np.sqrt(2.0)
-        off = a[..., n1:].reshape(a.shape[:-1] + (k, 4))
-        A[..., self._iu[0], self._iu[1], :] = off
-        A[..., self._iu[1], self._iu[0], :] = qconj(off)
-        return A
-
-    def position(self, z):
-        return self.flatten(qmul(z[..., :, None, :], qconj(z)[..., None, :, :]))
-
-    def tangent_from_horizontal(self, z, v):
-        return self.flatten(
-            qmul(z[..., :, None, :], qconj(v)[..., None, :, :])
-            + qmul(v[..., :, None, :], qconj(z)[..., None, :, :]))
-
-    def matvec(self, A, z):
-        return qmul(A, z[..., None, :, :]).sum(axis=-2)
-
-    def norm_sq(self, z):
-        return np.sum(z * z, axis=(-2, -1))
-
-    def horizontal_project(self, z, v):
-        q = qdot(z, v)
-        return v - qmul(z, q[..., None, :])
-
-    def point_from_homogeneous(self, z):
-        return super().point_from_homogeneous(np.asarray(z, dtype=float))
-
-    def random_point(self, rng):
-        return self.point_from_homogeneous(rng.standard_normal((self.p + 1, 4)))
-
-    def tangent_frame(self, z):
-        # horizontal lifts: the real orthogonal complement of the four
-        # vertical directions z * {1, i, j, k}
-        n1 = self.p + 1
-        vert = qmul(z[..., None, :, :], np.eye(4)[:, None, :])
-        horiz = _orthonormal_complement(vert.reshape(vert.shape[:-2] + (4 * n1,)))
-        return self.tangent_from_horizontal(
-            z[..., None, :, :], horiz.reshape(horiz.shape[:-1] + (n1, 4))
-        )
-
-    def quaternionic_structures(self, z, X):
-        """[IX, JX, KX] via right multiplication on the horizontal lift."""
-        v = self.horizontal_from_ambient(z, X)
-        return [self.tangent_from_horizontal(z, qmul(v, e)) for e in np.eye(4)[1:]]
-
-    def sectional_formula(self, z, X, Y):
-        """1 + 3 sum_a g(X, A_a Y)^2 over the local quaternionic structures."""
-        return 1.0 + 3.0 * sum(
-            _dot(X, W) ** 2 for W in self.quaternionic_structures(z, Y)
-        )
-
-
-class _ProductSphereModel(AmbientModel):
-    """Product of two round factors embedded blockwise in R^{d1} x R^{d2}."""
-
-    def __init__(self, dim1, dim2):
-        self.dim1 = int(dim1)  # sphere dimension of first factor
-        self.dim2 = int(dim2)
-        self.split = dim1 + 1
-        super().__init__(dim1 + dim2, dim1 + dim2 + 2)
+    def __init__(self, n):
+        if n < 2:
+            raise AmbientError("sphere factor dimension must be >= 2")
+        super().__init__(n + 1, n + 3)
+        self.n = int(n)
 
     def point(self, x):
         c, s = self.factors(np.asarray(x, dtype=float))
@@ -493,14 +355,18 @@ class _ProductSphereModel(AmbientModel):
     def position(self, point):
         return point
 
-    def factors(self, v):
-        return v[..., : self.split], v[..., self.split :]
+    @staticmethod
+    def factors(v):
+        """The circle and sphere blocks of a (..., n + 3) array."""
+        return v[..., :2], v[..., 2:]
 
     def tangent_frame(self, point):
         c, s = self.factors(point)
         frame = np.zeros(point.shape[:-1] + (self.intrinsic_dim, self.embed_dim))
-        frame[..., : self.dim1, : self.split] = _orthonormal_complement(c[..., None, :])
-        frame[..., self.dim1 :, self.split :] = _orthonormal_complement(s[..., None, :])
+        # the circle's unit tangent (-x1, x0), then the sphere factor's frame
+        frame[..., 0, 0] = -c[..., 1]
+        frame[..., 0, 1] = c[..., 0]
+        frame[..., 1:, 2:] = _orthonormal_complement(s[..., None, :])
         return frame
 
     def ii_quad(self, point, X):
@@ -518,34 +384,10 @@ class _ProductSphereModel(AmbientModel):
         )
 
     def riemann_product_formula(self, point, X, Y):
-        """|pi2 X|^2 |pi2 Y|^2 - <pi2 X, pi2 Y>^2 (+ first factor when dim1 >= 2)."""
-        (X1, X2), (Y1, Y2) = self.factors(X), self.factors(Y)
-        val = _dot(X2, X2) * _dot(Y2, Y2) - _dot(X2, Y2) ** 2
-        if self.dim1 >= 2:
-            val = val + _dot(X1, X1) * _dot(Y1, Y1) - _dot(X1, Y1) ** 2
-        return val
-
-
-class CircleTimesSphereModel(_ProductSphereModel):
-    """S^1 x S^n in R^{n+3}; the flat circle factor makes Ric only non-negative."""
-
-    kind = "circle_times_sphere"
-
-    def __init__(self, n):
-        if n < 2:
-            raise AmbientError("sphere factor dimension must be >= 2")
-        super().__init__(1, n)
-        self.n = int(n)
-
-
-class SphereTimesSphereModel(_ProductSphereModel):
-    kind = "sphere_times_sphere"
-
-    def __init__(self, p, q):
-        if p < 2 or q < 2:
-            raise AmbientError("both factor dimensions must be >= 2")
-        super().__init__(p, q)
-        self.p, self.q = int(p), int(q)
+        """|pi2 X|^2 |pi2 Y|^2 - <pi2 X, pi2 Y>^2: the sphere factor's
+        curvature alone, the circle being flat."""
+        X2, Y2 = self.factors(X)[1], self.factors(Y)[1]
+        return _dot(X2, X2) * _dot(Y2, Y2) - _dot(X2, Y2) ** 2
 
 
 class EllipsoidModel(AmbientModel):
@@ -623,15 +465,9 @@ AMBIENT_KINDS = {
     "complex_projective_veronese": AmbientKind(
         ComplexProjectiveVeroneseModel, {"m": int}, ("cross", "scalar3"),
         lambda a: Fraction(2, a.m * (a.m + 2) * (a.m + 1) ** 2)),
-    "quaternionic_projective_veronese": AmbientKind(
-        QuaternionicProjectiveVeroneseModel, {"p": int}, ("cross", "scalar3"),
-        lambda a: Fraction(2, (2 * a.p + 3) * (2 * a.p + 1) * (a.p + 1) * a.p)),
     "circle_times_sphere": AmbientKind(
         CircleTimesSphereModel, {"n": int}, ("product_q", "scalar3"),
         lambda a: Fraction(2, (a.n + 3) * (a.n + 2))),
-    "sphere_times_sphere": AmbientKind(
-        SphereTimesSphereModel, {"p": int, "q": int}, ("scalar3",),
-        lambda a: Fraction(2, (a.p + a.q + 2) * (a.p + a.q + 1))),
     # pinched convex hypersurfaces of R^d: the generic constant itself
     "ellipsoid": AmbientKind(
         EllipsoidModel, {"semi_axes": lambda s: [float(x) for x in s.split()]},
@@ -698,19 +534,16 @@ def verify_model_identities(model, sample_count, seed=0):
         bump("umbilicity", np.linalg.norm(iixy, axis=-1) - np.abs(_dot(X, Y)))
         bump("sectional_one", rm - 1.0)
 
-    if isinstance(model, _ProjectiveVeroneseBase):
-        if isinstance(model, ComplexProjectiveVeroneseModel):
-            A = model.unflatten(model.position(p))
-            bump("variety_projector", A @ A - A)
-            bump("variety_trace", np.trace(A, axis1=-2, axis2=-1).real - 1.0)
+    if isinstance(model, ComplexProjectiveVeroneseModel):
+        A = model.unflatten(model.position(p))
+        bump("variety_projector", A @ A - A)
+        bump("variety_trace", np.trace(A, axis1=-2, axis2=-1).real - 1.0)
         bump("veronese_ii_quad", _dot(iixx, iixx) - 4.0)
         bump("veronese_polarized", _dot(iixx, iiyy) + 2.0 * _dot(iixy, iixy) - 4.0)
         bump("veronese_mixed", _dot(iixy, iixy) - (4.0 - rm) / 3.0)
         bump("sectional_range_low", np.maximum(0.0, 1.0 - rm))
         bump("sectional_range_high", np.maximum(0.0, rm - 4.0))
         bump("sectional_formula", rm - model.sectional_formula(p, X, Y))
-
-    if model.has_complex_structure:
         JX = model.complex_structure(p, X)
         bump("complex_isometry",
              np.linalg.norm(JX, axis=-1) - np.linalg.norm(X, axis=-1))
@@ -719,7 +552,7 @@ def verify_model_identities(model, sample_count, seed=0):
         bump("complex_parallel",
              model.j_parallel_residual(p, _unit(V[:, 2]), _unit(V[:, 3])))
 
-    if isinstance(model, _ProductSphereModel):
+    if isinstance(model, CircleTimesSphereModel):
         bump("product_curvature", rm - model.riemann_product_formula(p, X, Y))
 
     if isinstance(model, EllipsoidModel):

@@ -211,10 +211,7 @@ def _verify_identity(run, report):
     c = np.random.default_rng(sc.seed).standard_normal(len(run.basis))
     form = hodge_mod.combine(run.basis, c)
     modes = ("Prop32", "Prop31") if run.surface.dim == 2 else ("Prop32",)
-    report["identity"] = {
-        mode: testfns_mod.q_identity_report(run.surface, form, mode)
-        for mode in modes
-    }
+    report["identity"] = testfns_mod.q_identity_report(run.surface, form, modes)
     return all(rep["relative_residual"] < sc.tolerances["identity"]
                for rep in report["identity"].values())
 

@@ -73,15 +73,16 @@ def _rhs_integrand(surface, form, mode):
     return np.einsum("na,nab,nb->n", c, integrand_matrices(surface, mode), c)
 
 
-def q_identity_report(surface, form, mode):
-    """Both sides of the summed index-form identity and their mismatch.
+def q_identity_report(surface, form, modes):
+    """Both sides of the summed index-form identity and their mismatch, one
+    report for each mode of `modes`, keyed by mode.
 
     lhs sums Q over the test functions, cell by cell, through the cell
-    matrices of the surface's K - P; rhs integrates the ambient curvature
-    integrand by quadrature.
+    matrices of the surface's K - P, formed once for all modes; rhs
+    integrates the ambient curvature integrand by quadrature.
     Non-harmonic forms are rejected through the Bochner residual.
     """
-    if mode == "Prop31" and surface.dim != 2:
+    if "Prop31" in modes and surface.dim != 2:
         raise TestFunctionError(
             "the coordinate identity for omega-sharp holds for surfaces "
             "in three-dimensional ambients only (n = 2)"
@@ -92,19 +93,21 @@ def q_identity_report(surface, form, mode):
             f"form is not harmonic: integrated Bochner residual {res:.3e}"
         )
     fem = surface.fem()
-    U = fem.to_dof(test_functions(surface, form, mode))
-    lhs = fem.index_form.quadratic_form(U)
-    integrand = _rhs_integrand(surface, form, mode)
-    rhs = fem.integrate(fem.to_dof(integrand))
+    cells = fem.index_form
     norm_sq = fem.integrate(fem.to_dof(form.norm_sq))
-    return {
-        "mode": mode,
-        "lhs": lhs,
-        "rhs": rhs,
-        "norm_sq_integral": norm_sq,
-        "relative_residual": abs(lhs - rhs) / norm_sq,
-        "bochner_residual": res,
-    }
+    reports = {}
+    for mode in modes:
+        lhs = cells.quadratic_form(fem.to_dof(test_functions(surface, form, mode)))
+        rhs = fem.integrate(fem.to_dof(_rhs_integrand(surface, form, mode)))
+        reports[mode] = {
+            "mode": mode,
+            "lhs": lhs,
+            "rhs": rhs,
+            "norm_sq_integral": norm_sq,
+            "relative_residual": abs(lhs - rhs) / norm_sq,
+            "bochner_residual": res,
+        }
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ from indexbound.hodge import DiscreteOneForm
 CAYLEY_PLANE = SimpleNamespace(kind="cayley_plane", intrinsic_dim=16,
                                einstein_constant=36)
 
+#: the quaternionic projective plane HP^2 for the rank-one margin: dimension
+#: 8, Einstein constant 4p + 8 = 16; the package has no model of it
+QUATERNIONIC_PLANE = SimpleNamespace(kind="quaternionic_projective_plane",
+                                     intrinsic_dim=8, einstein_constant=16)
+
 
 def dense(X):
     """The dense array of the fused-DOF matrix summed from the cell matrices

@@ -22,9 +22,9 @@ ALL_KINDS = [
     ("sphere", {"dim": 3}),
     ("real_projective", {"dim": 3}),
     ("complex_projective_veronese", {"m": 2}),
-    ("quaternionic_projective_veronese", {"p": 1}),
+    ("complex_projective_veronese", {"m": 3}),
     ("circle_times_sphere", {"n": 2}),
-    ("sphere_times_sphere", {"p": 2, "q": 3}),
+    ("circle_times_sphere", {"n": 3}),
     ("ellipsoid", {"semi_axes": [1.0, 1.0, 1.0, 1.2]}),
 ]
 
@@ -40,9 +40,7 @@ def test_embed_dims():
     assert make_ambient("sphere", dim=3).embed_dim == 4
     assert make_ambient("real_projective", dim=4).embed_dim == 5
     assert make_ambient("complex_projective_veronese", m=2).embed_dim == 9
-    assert make_ambient("quaternionic_projective_veronese", p=2).embed_dim == 15
     assert make_ambient("circle_times_sphere", n=3).embed_dim == 6
-    assert make_ambient("sphere_times_sphere", p=2, q=3).embed_dim == 7
     assert make_ambient("ellipsoid", semi_axes=[1, 1, 1, 2]).embed_dim == 4
 
 
@@ -126,14 +124,6 @@ def test_complex_structure(rng):
     assert nabla_j_residual(model, z, rng) < 1e-4
 
 
-def test_quaternionic_einstein(rng):
-    model = make_ambient("quaternionic_projective_veronese", p=2)
-    z = model.random_point(rng)
-    X = random_tangent(model, z, rng)
-    # n + 9 with n + 1 = 4p = 8
-    assert abs(model.ricci(z, X) - 16.0) < 1e-8
-
-
 def test_product_flat_directions(rng):
     model = make_ambient("circle_times_sphere", n=2)
     p = model.random_point(rng)
@@ -175,12 +165,20 @@ def test_tangency_check(rng):
 
 
 def test_riemann_scaling_symmetry(rng):
-    model = make_ambient("sphere_times_sphere", p=2, q=2)
+    # S^1 x S^2: the curvature is the sphere factor's alone
+    n = 2
+    model = make_ambient("circle_times_sphere", n=n)
     p = model.random_point(rng)
     X, Y = random_orthonormal_pair(model, p, rng)
     r = model.riemann_xyxy(p, X, Y)
     assert abs(model.riemann_xyxy(p, 1.7 * X, Y) - 1.7**2 * r) < 1e-10
     assert abs(model.riemann_xyxy(p, Y, X) - r) < 1e-10
+    X2 = model.factors(X)[1]
+    assert abs(model.ricci(p, X) - (n - 1) * X2 @ X2) < 1e-10
+    scal, H = scalar_and_mean_curvature(model, p)
+    assert abs(scal - n * (n - 1)) < 1e-10
+    c, s = model.factors(p)
+    assert np.abs(H + np.concatenate([c, n * s])).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +253,17 @@ def test_batched_sphere_closed_forms(rng):
 
 @pytest.mark.parametrize("kind,params", [
     ("circle_times_sphere", {"n": 3}),
-    ("sphere_times_sphere", {"p": 2, "q": 3}),
 ])
 def test_batched_product_closed_forms(kind, params, rng):
     model = make_ambient(kind, **params)
+    n = model.n
     p, X, Y = _batch(model, rng)
     rm = model.riemann_xyxy(p, X, Y)
     assert np.abs(rm - model.riemann_product_formula(p, X, Y)).max() < 1e-12
-    d1, d2 = model.dim1, model.intrinsic_dim - model.dim1
-    X1, X2 = model.factors(X)
-    ric = (d1 - 1) * np.sum(X1 * X1, axis=-1) + (d2 - 1) * np.sum(X2 * X2, axis=-1)
+    X2 = model.factors(X)[1]
+    ric = (n - 1) * np.sum(X2 * X2, axis=-1)
     assert np.abs(model.ricci(p, X) - ric).max() < 1e-12
-    scal = d1 * (d1 - 1) + d2 * (d2 - 1)
+    scal = n * (n - 1)
     assert np.abs(scalar_and_mean_curvature(model, p)[0] - scal).max() < 1e-12
 
 
@@ -292,18 +289,16 @@ def _verify_ref(model, sample_count, seed):
         if isinstance(model, SphereModel):
             bump("umbilicity", np.linalg.norm(iixy) - abs(float(X @ Y)))
             bump("sectional_one", rm - 1.0)
-        if model.kind.endswith("veronese"):
-            if model.has_complex_structure:
-                A = model.unflatten(model.position(p))
-                bump("variety_projector", np.abs(A @ A - A).max())
-                bump("variety_trace", np.trace(A).real - 1.0)
+        if model.has_complex_structure:
+            A = model.unflatten(model.position(p))
+            bump("variety_projector", np.abs(A @ A - A).max())
+            bump("variety_trace", np.trace(A).real - 1.0)
             bump("veronese_ii_quad", iixx @ iixx - 4.0)
             bump("veronese_polarized", iixx @ iiyy + 2.0 * iixy @ iixy - 4.0)
             bump("veronese_mixed", iixy @ iixy - (4.0 - rm) / 3.0)
             bump("sectional_range_low", max(0.0, 1.0 - rm))
             bump("sectional_range_high", max(0.0, rm - 4.0))
             bump("sectional_formula", rm - model.sectional_formula(p, X, Y))
-        if model.has_complex_structure:
             JX = model.complex_structure(p, X)
             bump("complex_isometry", np.linalg.norm(JX) - np.linalg.norm(X))
             bump("complex_square", np.linalg.norm(model.complex_structure(p, JX) + X))

@@ -11,7 +11,7 @@ from indexbound.ambient import (
     make_ambient,
 )
 from indexbound.spectral import SpectralSystem
-from oracles import CAYLEY_PLANE
+from oracles import CAYLEY_PLANE, QUATERNIONIC_PLANE
 
 
 @pytest.fixture(scope="module")
@@ -73,25 +73,23 @@ def test_constant_table():
         make_ambient("complex_projective_veronese", m=2)
     ) == Fraction(1, 36)
     assert bounds.theorem_constant(
-        make_ambient("quaternionic_projective_veronese", p=2)
-    ) == Fraction(1, 105)
-    assert bounds.theorem_constant(
         make_ambient("circle_times_sphere", n=3)
     ) == Fraction(1, 15)
-    assert bounds.theorem_constant(
-        make_ambient("sphere_times_sphere", p=2, q=3)
-    ) == Fraction(1, 21)
+    # HP^2 and S^2 x S^3 have no ambient model: their constants close at
+    # embedding dimensions (2p+1)(p+1) = 15 and p+q+2 = 7
+    assert Fraction(1, 105) == Fraction(2, 15 * 14)
+    assert Fraction(1, 21) == Fraction(2, 7 * 6)
 
 
 def test_constant_closure_families():
     for m in range(1, 7):
         bounds.theorem_constant(make_ambient("complex_projective_veronese", m=m))
+    # HP^p has no ambient model: its constant closes at embedding dimension
+    # (2p+1)(p+1), as the Cayley plane's 1/351 does at 27
     for p in range(1, 5):
-        bounds.theorem_constant(
-            make_ambient("quaternionic_projective_veronese", p=p)
-        )
-    # the Cayley plane has no ambient model: its constant 1/351 closes at
-    # embedding dimension 27
+        d = (2 * p + 1) * (p + 1)
+        assert (Fraction(2, (2 * p + 3) * (2 * p + 1) * (p + 1) * p)
+                == Fraction(2, d * (d - 1)))
     d = 27
     assert Fraction(1, 351) == Fraction(2, d * (d - 1))
 
@@ -114,8 +112,8 @@ def test_margins_cross():
     cp2 = bounds.margins_cross(make_ambient("complex_projective_veronese", m=2))
     assert cp2["values"]["margin"] == 0.0
     assert cp2["verdict"].startswith("borderline")
-    hp2 = bounds.margins_cross(make_ambient("quaternionic_projective_veronese", p=2))
-    assert hp2["values"]["margin"] < 0.0
+    hp2 = bounds.margins_cross(QUATERNIONIC_PLANE)
+    assert abs(hp2["values"]["margin"] + 16.0) < 1e-12
     assert hp2["verdict"] == "pass"
     cayley = bounds.margins_cross(CAYLEY_PLANE)
     assert abs(cayley["values"]["margin"] + 48.0) < 1e-12
@@ -227,7 +225,7 @@ def _scalar3_ref(ambient, samples, seed):
 @pytest.mark.parametrize("kind,params", [
     ("complex_projective_veronese", {"m": 2}),
     ("sphere", {"dim": 3}),
-    ("sphere_times_sphere", {"p": 2, "q": 2}),
+    ("circle_times_sphere", {"n": 3}),
 ])
 def test_scalar3_matches_pointwise_loop(kind, params):
     ambient = make_ambient(kind, **params)

@@ -3,9 +3,10 @@ the configured ambient model itself and runs each task of `all` through the
 scenario runner; an undeclared pairing, or an ambient dimension the kind
 cannot be built in, is a config error.  Every SURFACE_KINDS entry gives b1
 orthonormal harmonic one-forms.
-Every AMBIENT_KINDS entry names its own model and states a constant
-that passes the closure check.  Parametrized over the registries themselves,
-so a new entry is covered without a test edit."""
+Every AMBIENT_KINDS entry names its own model, states a constant that
+passes the closure check, and is listed by some SURFACE_KINDS entry.
+Parametrized over the registries themselves, so a new entry is covered
+without a test edit."""
 
 import numpy as np
 import pytest
@@ -22,9 +23,7 @@ EXAMPLE_AMBIENTS = {
     "sphere": {"dim": 3},
     "real_projective": {"dim": 3},
     "complex_projective_veronese": {"m": 2},
-    "quaternionic_projective_veronese": {"p": 1},
     "circle_times_sphere": {"n": 3},
-    "sphere_times_sphere": {"p": 2, "q": 2},
     "ellipsoid": {"semi_axes": [1.0, 1.2, 1.5, 2.0]},
 }
 
@@ -71,6 +70,11 @@ def _config(tmp_path, kind, ambient_kind, params, nodes=8):
 def test_examples_cover_every_ambient_kind():
     assert set(EXAMPLE_AMBIENTS) == set(AMBIENT_KINDS)
     assert {amb for _, amb in PAIRS} <= set(AMBIENT_KINDS)
+
+
+def test_every_ambient_kind_carries_a_surface_kind():
+    # an ambient kind no surface kind lists is refused by every config
+    assert set(AMBIENT_KINDS) <= {amb for _, amb in PAIRS}
 
 
 @pytest.mark.parametrize("kind", AMBIENT_KINDS)
