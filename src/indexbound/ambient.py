@@ -67,7 +67,6 @@ class AmbientModel:
 
     kind = "abstract"
     einstein_constant = None
-    has_complex_structure = False
     #: for a quotient given by its double cover, the deck: a linear involution
     #: of R^d applied to (..., d) positions and vectors; else None
     involution = None
@@ -226,7 +225,6 @@ class ComplexProjectiveVeroneseModel(AmbientModel):
     """
 
     kind = "complex_projective_veronese"
-    has_complex_structure = True
 
     def __init__(self, m):
         if m < 1:
@@ -500,7 +498,7 @@ def verify_model_identities(model, sample_count, seed=0):
     if sample_count < 1:
         raise AmbientError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    n_tangents = 4 if model.has_complex_structure else 2
+    n_tangents = 4 if isinstance(model, ComplexProjectiveVeroneseModel) else 2
     points, coeffs = [], []
     for _ in range(sample_count):
         points.append(model.random_point(rng))

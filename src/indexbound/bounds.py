@@ -48,28 +48,24 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
     SpectrumReport of the run's pencil (the quotient's, for a quotient).
 
     The hypothesis is that the integrand Gram form minus eta (Prop41) or
-    2 eta (Prop43) times the L2 mass is negative definite; the conclusion
-    compares count_below(eta) with the ceiling of the paper fraction.
-    Returns the certificate's report block.
+    2 eta (Prop43, the paper's factor kept verbatim) times the L2 mass is
+    negative definite; the conclusion compares count_below(eta) with the
+    ceiling of the paper fraction.  Returns the certificate's report block.
     """
     q = len(basis)
     d = surface.embed_dim
-    integrand_mode = "Prop32" if mode == "Prop41" else "Prop43"
-    form = integrand_quadratic_form(surface, basis, integrand_mode)
-    margin = form.hypothesis_margin(eta)
-    # normalized margin: per unit of L2 mass, with the Prop43 factor divided out
-    scale = np.linalg.eigvalsh(form.mass)[-1]
-    factor = 2.0 if mode == "Prop43" else 1.0
-    normalized = margin / (factor * scale)
-
     if mode == "Prop41":
+        integrand_mode, factor = "Prop32", 1.0
         required_real = 2.0 * q / (d * (d - 1))
     elif mode == "Prop43":
-        if surface.dim != 2:
-            raise BoundsError("the starred certificate needs a surface (n = 2)")
+        integrand_mode, factor = "Prop43", 2.0
         required_real = q / (2.0 * d)
     else:
         raise BoundsError(f"unknown certificate mode {mode!r}")
+    gram, mass = integrand_quadratic_form(surface, basis, integrand_mode)
+    margin = float(np.linalg.eigvalsh(gram - factor * eta * mass)[-1])
+    # normalized margin: per unit of L2 mass, with the Prop43 factor divided out
+    normalized = margin / (factor * np.linalg.eigvalsh(mass)[-1])
     required = math.ceil(required_real)
     actual = spectrum.count_below(eta)
     passed = normalized < -STRICT_TOL and actual >= required
@@ -152,7 +148,7 @@ def margins_sphere(surface, form):
     ok = fields["interior"]
     integrand = _rhs_integrand(surface, form, "Prop32")
     n = surface.dim
-    target = -(2.0 * n - 2.0) * form.norm_sq
+    target = -(2.0 * n - 2.0) * np.einsum("na,na->n", form, form)
     dev = np.abs(integrand - target)[ok]
     values = {
         "max_deviation": float(dev.max()),

@@ -245,7 +245,8 @@ def _margins(run, report):
 
 
 def _borderline(run, report):
-    if not run.scenario.ambient.has_complex_structure:
+    if not isinstance(run.scenario.ambient,
+                      ambient_mod.ComplexProjectiveVeroneseModel):
         report["borderline"] = {"skipped": "ambient is not complex projective"}
         return True
     report["borderline"] = rep = bounds_mod.borderline_cp_report(run.surface)

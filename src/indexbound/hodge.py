@@ -11,8 +11,6 @@ non-harmonic probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -20,60 +18,34 @@ class HodgeError(Exception):
     pass
 
 
-@dataclass
-class DiscreteOneForm:
-    """A one-form sampled at grid nodes through its frame components."""
+def sharp(surface, form):
+    """Ambient vectors (n_nodes, d) of the metric dual of the one-form of
+    frame components `form`, (n_nodes, n)."""
+    return np.einsum("na,nad->nd", form, surface.node_fields()["frames"])
 
-    surface: object
-    components: np.ndarray  # (n_nodes, n) values omega(e_k)
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.components)):
-            raise HodgeError("one-form has non-finite components")
-
-    @property
-    def sharp(self):
-        """Ambient vectors of the metric dual, (n_nodes, d)."""
-        frames = self.surface.node_fields()["frames"]
-        return np.einsum("na,nad->nd", self.components, frames)
-
-    @property
-    def norm_sq(self):
-        return np.einsum("na,na->n", self.components, self.components)
-
-    def l2_inner(self, other):
-        fem = self.surface.fem()
-        vals = np.einsum("na,na->n", self.components, other.components)
-        return fem.integrate(fem.to_dof(vals))
-
-    def l2_norm_sq(self):
-        return self.l2_inner(self)
-
-    def scaled(self, c):
-        return DiscreteOneForm(self.surface, c * self.components)
+def l2_inner(surface, a, b):
+    """L2 inner product of two one-forms given by their frame components."""
+    fem = surface.fem()
+    return fem.integrate(fem.to_dof(np.einsum("na,na->n", a, b)))
 
 
 def combine(basis, coefficients):
-    """Linear combination of one-forms over a shared surface."""
+    """Linear combination of one-forms given by their frame components."""
     if len(basis) != len(coefficients):
         raise HodgeError("coefficient count does not match basis size")
-    comp = sum(c * w.components for c, w in zip(coefficients, basis))
-    return DiscreteOneForm(basis[0].surface, comp)
+    return sum(c * w for c, w in zip(coefficients, basis))
 
 
-def _orthonormalize(basis):
+def _orthonormalize(surface, basis):
     out = []
-    for w in basis:
-        comp = w.components.copy()
+    for comp in basis:
         for u in out:
-            comp = comp - u.l2_inner(
-                DiscreteOneForm(w.surface, comp)
-            ) * u.components
-        cand = DiscreteOneForm(w.surface, comp)
-        nrm = np.sqrt(cand.l2_norm_sq())
+            comp = comp - l2_inner(surface, u, comp) * u
+        nrm = np.sqrt(l2_inner(surface, comp, comp))
         if nrm < 1e-10:
             raise HodgeError("harmonic basis is numerically dependent")
-        out.append(cand.scaled(1.0 / nrm))
+        out.append((1.0 / nrm) * comp)
     return out
 
 
@@ -126,10 +98,11 @@ def harmonic_one_forms(surface):
                 f"Euler characteristic gives b1 = {b1}, but the surface "
                 f"declares the first Betti number {surface.betti_one}"
             )
-    return _orthonormalize([
-        DiscreteOneForm(surface, surface.node_fields()["coeffs"][..., k])
-        for k in surface.harmonic_axes
-    ])
+    basis = [surface.node_fields()["coeffs"][..., k]
+             for k in surface.harmonic_axes]
+    if not np.all(np.isfinite(basis)):
+        raise HodgeError("one-form has non-finite components")
+    return _orthonormalize(surface, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +142,16 @@ def bochner_residual(surface, form):
     ok = fields["interior"]
     C = fields["coeffs"]
 
-    sharp = form.sharp
-    dsharp = _grid_gradient(surface, sharp)  # (n, axes, d)
+    dsharp = _grid_gradient(surface, sharp(surface, form))  # (n, axes, d)
     along_frame = np.einsum("nab,nbd->nad", C, dsharp)
     proj = np.einsum("nad,nbd->nab", along_frame, frames)
     grad_sq = np.einsum("nab,nab->n", proj, proj)
 
-    ric_term = _ricci_m(surface, form.components)
+    ric_term = _ricci_m(surface, form)
     grad_sq = np.where(ok, grad_sq, 0.0)
     ric_term = np.where(ok, ric_term, 0.0)
 
     num = fem.integrate(fem.to_dof(grad_sq)) + fem.integrate(fem.to_dof(ric_term))
-    den = fem.integrate(fem.to_dof(np.where(ok, form.norm_sq, 0.0)))
+    norm_sq = np.einsum("na,na->n", form, form)
+    den = fem.integrate(fem.to_dof(np.where(ok, norm_sq, 0.0)))
     return abs(num) / den

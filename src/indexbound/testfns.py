@@ -12,11 +12,9 @@ fundamental form (`DiscreteHypersurface.ambient_curvature`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .hodge import bochner_residual
+from .hodge import bochner_residual, sharp
 
 #: largest integrated Bochner residual of a form taken as harmonic, and
 #: largest condition number of the mass Gram matrix of a harmonic basis
@@ -34,14 +32,14 @@ def test_functions(surface, form, mode):
     mode 'Prop31' gives the d coordinates of omega-sharp, 'Prop32' the
     d(d-1)/2 coordinates of N wedge omega-sharp.
     """
-    sharp = form.sharp
+    w = sharp(surface, form)
     if mode == "Prop31":
-        return sharp
+        return w
     if mode != "Prop32":
         raise TestFunctionError(f"unknown mode {mode!r}")
     N = surface.normals
     iu, ju = np.triu_indices(surface.embed_dim, k=1)
-    return N[:, iu] * sharp[:, ju] - N[:, ju] * sharp[:, iu]
+    return N[:, iu] * w[:, ju] - N[:, ju] * w[:, iu]
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +67,8 @@ def integrand_matrices(surface, mode):
 
 
 def _rhs_integrand(surface, form, mode):
-    c = form.components
-    return np.einsum("na,nab,nb->n", c, integrand_matrices(surface, mode), c)
+    return np.einsum("na,nab,nb->n", form, integrand_matrices(surface, mode),
+                     form)
 
 
 def q_identity_report(surface, form, modes):
@@ -94,7 +92,7 @@ def q_identity_report(surface, form, modes):
         )
     fem = surface.fem()
     cells = fem.index_form
-    norm_sq = fem.integrate(fem.to_dof(form.norm_sq))
+    norm_sq = fem.integrate(fem.to_dof(np.einsum("na,na->n", form, form)))
     reports = {}
     for mode in modes:
         lhs = cells.quadratic_form(fem.to_dof(test_functions(surface, form, mode)))
@@ -113,38 +111,16 @@ def q_identity_report(surface, form, modes):
 # ---------------------------------------------------------------------------
 # integrand quadratic form over a basis of harmonic forms
 
-@dataclass
-class IntegrandForm:
-    """Gram matrix of the certificate integrand over a harmonic basis.
-
-    c^T gram c integrates the curvature integrand for omega = sum c_a omega_a;
-    c^T mass c integrates |omega|^2.
-    """
-
-    mode: str
-    gram: np.ndarray
-    mass: np.ndarray
-
-    @property
-    def q(self):
-        return self.gram.shape[0]
-
-    def hypothesis_margin(self, eta):
-        """Largest eigenvalue of gram - eta * mass (Prop41) or
-        gram - 2 eta * mass (Prop43, preserving the verbatim factor)."""
-        factor = 2.0 if self.mode == "Prop43" else 1.0
-        vals = np.linalg.eigvalsh(self.gram - factor * eta * self.mass)
-        return float(vals[-1])
-
-
 def integrand_quadratic_form(surface, basis, mode="Prop32"):
-    """The integrand Gram matrix on a basis of harmonic forms, integrated
-    from c_a^T Q c_b at the nodes."""
+    """The integrand Gram matrix on a basis of harmonic forms and their L2
+    mass matrix, as (gram, mass): c^T gram c integrates the curvature
+    integrand of `mode` for omega = sum c_a omega_a, c^T mass c integrates
+    |omega|^2.  Both are integrated from pairs c_a^T Q c_b at the nodes."""
     if not basis:
         raise TestFunctionError("empty basis of harmonic forms")
     if mode == "Prop43" and surface.dim != 2:
         raise TestFunctionError("the starred certificate needs a surface (n = 2)")
-    C = np.stack([w.components for w in basis])  # (q, n_nodes, n)
+    C = np.stack(basis)  # (q, n_nodes, n)
     if np.any(np.abs(C).max(axis=(1, 2)) == 0.0):
         raise TestFunctionError("zero form not allowed in a basis")
     fem = surface.fem()
@@ -158,4 +134,4 @@ def integrand_quadratic_form(surface, basis, mode="Prop32"):
     M = gram(C, C)
     if np.linalg.cond(M) > _COND_LIMIT:
         raise TestFunctionError("harmonic basis is ill-conditioned")
-    return IntegrandForm(mode=mode, gram=0.5 * (G + G.T), mass=M)
+    return 0.5 * (G + G.T), M

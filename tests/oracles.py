@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 from indexbound import hypersurface as hyp, spectral
 from indexbound.ambient import ComplexProjectiveVeroneseModel
 from indexbound.elements import Axis
-from indexbound.hodge import DiscreteOneForm
 
 
 #: the Cayley plane OP^2 for the rank-one margin: dimension 16, Einstein
@@ -294,8 +293,7 @@ def gradient_one_form(surface, f_fn):
     """df for a scalar function of the grid parameters (a non-harmonic probe)."""
     df = hyp.chart_jacobian(lambda p: f_fn(p)[..., None], surface.node_params,
                             surface.fd_step)
-    comp = np.einsum("nai,ni->na", surface.node_fields()["coeffs"], df[..., 0])
-    return DiscreteOneForm(surface, comp)
+    return np.einsum("nai,ni->na", surface.node_fields()["coeffs"], df[..., 0])
 
 
 def minimal_geodesic_sphere_radius(lo=0.3, hi=1.3):

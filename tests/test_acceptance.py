@@ -55,7 +55,7 @@ def _angle_one_form(surface):
     frame components (sqrt(2), 0), squared norm 2."""
     comps = np.zeros((surface.grid.n_nodes, 2))
     comps[:, 0] = np.sqrt(2.0)
-    return hodge.DiscreteOneForm(surface, comps)
+    return comps
 
 
 def test_criterion_01_wedge_energy_identity(torus96, t96_forms, capsys):
@@ -289,16 +289,18 @@ def test_criterion_10_constant_table(capsys):
             make_ambient("complex_projective_veronese", m=m)
         )
         checks.append(c == Fraction(2, m * (m + 2) * (m + 1) ** 2))
-    # HP^p and S^p x S^q have no ambient model: their constants close at
-    # embedding dimensions (2p+1)(p+1) and p+q+2
-    for p in range(1, 6):
+    # HP^p and S^p x S^q have no ambient model: 2/(d(d-1)) at their
+    # embedding dimensions (2p+1)(p+1) and p+q+2 against the constants
+    # written out
+    for p, stated in ((1, Fraction(1, 15)), (2, Fraction(1, 105)),
+                      (3, Fraction(1, 378)), (4, Fraction(1, 990)),
+                      (5, Fraction(1, 2145))):
         d = (2 * p + 1) * (p + 1)
-        checks.append(Fraction(2, (2 * p + 3) * (2 * p + 1) * (p + 1) * p)
-                      == Fraction(2, d * (d - 1)))
-    for p, q in ((2, 2), (2, 3), (3, 4)):
+        checks.append(Fraction(2, d * (d - 1)) == stated)
+    for p, q, stated in ((2, 2, Fraction(1, 15)), (2, 3, Fraction(1, 21)),
+                         (3, 4, Fraction(1, 36))):
         d = p + q + 2
-        checks.append(Fraction(2, (p + q + 2) * (p + q + 1))
-                      == Fraction(2, d * (d - 1)))
+        checks.append(Fraction(2, d * (d - 1)) == stated)
     # the Cayley plane: margin -48, and 1/351 = 2/(d(d-1)) at embedding
     # dimension 27
     cayley = bounds.margins_cross(CAYLEY_PLANE)
@@ -319,11 +321,11 @@ def test_criterion_11_harmonic_form_solver(torus96, t96_forms, equator2,
     vol = torus96.fem().node_weights.sum()
     dist = 0.0
     for k in range(2):
-        comps = np.zeros((torus96.grid.n_nodes, 2))
-        comps[:, k] = np.sqrt(2.0 / vol)  # unit L2 norm
-        w = hodge.DiscreteOneForm(torus96, comps)
-        coeffs = np.array([w.l2_inner(b) for b in t96_forms])
-        dist = max(dist, np.sqrt(abs(w.l2_norm_sq() - coeffs @ coeffs)))
+        w = np.zeros((torus96.grid.n_nodes, 2))
+        w[:, k] = np.sqrt(2.0 / vol)  # unit L2 norm
+        coeffs = np.array([hodge.l2_inner(torus96, w, b) for b in t96_forms])
+        dist = max(dist, np.sqrt(abs(hodge.l2_inner(torus96, w, w)
+                                     - coeffs @ coeffs)))
     ok = kernel_torus == 2 and kernel_sphere == 0 and dist < 1e-4
     _report(11, "harmonic one-form solver", ok,
             f"kernel dims torus {kernel_torus} == 2, sphere {kernel_sphere} "

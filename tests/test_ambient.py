@@ -4,6 +4,7 @@ import pytest
 from indexbound.ambient import (
     _FD_CHECKS,
     AmbientError,
+    ComplexProjectiveVeroneseModel,
     SphereModel,
     make_ambient,
     verify_model_identities,
@@ -289,7 +290,7 @@ def _verify_ref(model, sample_count, seed):
         if isinstance(model, SphereModel):
             bump("umbilicity", np.linalg.norm(iixy) - abs(float(X @ Y)))
             bump("sectional_one", rm - 1.0)
-        if model.has_complex_structure:
+        if isinstance(model, ComplexProjectiveVeroneseModel):
             A = model.unflatten(model.position(p))
             bump("variety_projector", np.abs(A @ A - A).max())
             bump("variety_trace", np.trace(A).real - 1.0)

@@ -8,6 +8,7 @@ from indexbound import bounds, hodge, hypersurface as hyp
 from indexbound.ambient import (
     CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
+    SphereModel,
     make_ambient,
 )
 from indexbound.spectral import SpectralSystem
@@ -65,6 +66,17 @@ def test_starred_certificate(torus48, torus_forms, torus_spectrum):
     assert d["margin"] < 0.0
     assert abs(d["normalized_margin"] - d["margin"] / 2.0) < 1e-12
     assert d["verdict"] == "pass"
+
+
+def test_unknown_certificate_mode_is_refused_first():
+    # the mode is checked before any integrand is formed: on a 3-D surface,
+    # where the starred integrand does not exist, an unknown mode is named
+    surf = hyp.generalized_clifford(SphereModel(4), 8)
+    spectrum = SimpleNamespace(count_below=lambda eta: 0)
+    with pytest.raises(bounds.BoundsError, match="unknown certificate mode"):
+        bounds.concentration_certificate(
+            surf, hodge.harmonic_one_forms(surf), 0.0, mode="Prop99",
+            spectrum=spectrum)
 
 
 def test_constant_table():
@@ -194,11 +206,11 @@ def test_certificate_roundoff_margin_fails(monkeypatch):
     surface = SimpleNamespace(dim=2, embed_dim=4)
     spectrum = SimpleNamespace(count_below=lambda eta: 5)
     for margin, verdict in ((-1e-16, "fail"), (-1e-3, "pass")):
-        form = SimpleNamespace(mass=3.0 * np.eye(2),
-                               hypothesis_margin=lambda eta: 3.0 * margin)
+        # at eta = 0 the hypothesis margin is the top eigenvalue of gram
+        pair = (3.0 * margin * np.eye(2), 3.0 * np.eye(2))
         monkeypatch.setattr(bounds, "integrand_quadratic_form",
-                            lambda *args: form)
-        rep = bounds.concentration_certificate(surface, [None, None], -2.0,
+                            lambda *args: pair)
+        rep = bounds.concentration_certificate(surface, [None, None], 0.0,
                                                spectrum=spectrum)
         assert (rep["required"], rep["actual"]) == (1, 5)
         assert rep["normalized_margin"] == margin

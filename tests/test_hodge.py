@@ -17,7 +17,8 @@ def test_torus_kernel_dimension(torus_forms):
 
 def test_torus_basis_orthonormal(torus48, torus_forms):
     gram = np.array(
-        [[a.l2_inner(b) for b in torus_forms] for a in torus_forms]
+        [[hodge.l2_inner(torus48, a, b) for b in torus_forms]
+         for a in torus_forms]
     )
     assert np.abs(gram - np.eye(2)).max() < 1e-10
 
@@ -29,7 +30,7 @@ def test_torus_basis_spans_coordinate_forms(torus48, torus_forms):
     for k, w in enumerate(torus_forms):
         exact = np.zeros((torus48.grid.n_nodes, 2))
         exact[:, k] = 1.0 / np.sqrt(area)
-        assert np.abs(w.components - exact).max() < 1e-10
+        assert np.abs(w - exact).max() < 1e-10
 
 
 def test_sphere_kernel_trivial(equator2):
@@ -53,7 +54,7 @@ def test_catalog_forms_circle_factor():
     forms = hodge.harmonic_one_forms(surf)
     assert len(forms) == 1
     w = forms[0]
-    assert abs(w.l2_norm_sq() - 1.0) < 1e-10
+    assert abs(hodge.l2_inner(surf, w, w) - 1.0) < 1e-10
     assert hodge.bochner_residual(surf, w) < 1e-8
 
 
@@ -61,15 +62,14 @@ def test_sharp_duality(torus48, torus_forms):
     w = torus_forms[0]
     # pairing the form with its own sharp reproduces the squared norm
     frames = torus48.node_fields()["frames"]
-    back = np.einsum("nad,nd->na", frames, w.sharp)
-    assert np.abs(back - w.components).max() < 1e-10
+    back = np.einsum("nad,nd->na", frames, hodge.sharp(torus48, w))
+    assert np.abs(back - w).max() < 1e-10
 
 
-def test_combine_and_scaled(torus_forms):
+def test_combine(torus48, torus_forms):
     a, b = torus_forms
     c = hodge.combine([a, b], [0.6, -0.8])
-    assert abs(c.l2_norm_sq() - 1.0) < 1e-10
-    assert np.abs(a.scaled(2.0).components - 2.0 * a.components).max() == 0.0
+    assert abs(hodge.l2_inner(torus48, c, c) - 1.0) < 1e-10
 
 
 def test_kernel_mismatch_raises():

@@ -2,8 +2,9 @@
 no function imports a module of the package, the package imports nothing of
 scipy and keeps one eigensolver path (dense solves of symmetry blocks: no
 ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
-function is reached only from the tests, and every defaulted parameter of a
-public function is passed by some package call."""
+function is reached only from the tests (the benchmark counts as a caller),
+and every defaulted parameter of a public function is passed by some package
+call."""
 
 import ast
 import re
@@ -15,6 +16,8 @@ import indexbound
 
 SOURCES = sorted(Path(indexbound.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+#: the benchmark's sources, which call the package and count as its callers
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -126,29 +129,38 @@ def entry_points(pyproject):
 
 
 def public_functions(source):
-    """Names of the public module-level functions and class methods of
-    `source`."""
-    members = [m for node in ast.parse(source).body
-               for m in (node.body if isinstance(node, ast.ClassDef) else [node])]
-    return {m.name for m in members
-            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not m.name.startswith("_")}
+    """Names of the public module-level functions of `source`, and names of
+    the public methods and properties of its classes."""
+    tree = ast.parse(source).body
+    public = lambda nodes: {
+        m.name for m in nodes
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not m.name.startswith("_")}
+    return (public(tree),
+            public(m for node in tree if isinstance(node, ast.ClassDef)
+                   for m in node.body))
 
 
 def read_names(source):
-    """Every name `source` reads, bare or as an attribute."""
+    """The bare names `source` reads, and the attribute names it reads."""
     nodes = list(ast.walk(ast.parse(source)))
-    return ({n.id for n in nodes if isinstance(n, ast.Name)}
-            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+    return ({n.id for n in nodes if isinstance(n, ast.Name)},
+            {n.attr for n in nodes if isinstance(n, ast.Attribute)
+             and isinstance(n.ctx, ast.Load)})
 
 
-def reached_only_from_tests(package, tests, allowed):
-    """Public functions of the `package` sources, outside `allowed`, whose
-    names no package source reads and some of the `tests` sources do."""
-    defined = set().union(*map(public_functions, package))
-    in_package = set().union(*map(read_names, package))
-    in_tests = set().union(*map(read_names, tests))
-    return sorted((defined - in_package - allowed) & in_tests)
+def reached_only_from_tests(package, tests, allowed, callers=()):
+    """Public functions of the `package` sources, outside `allowed`, that no
+    package or `callers` source reaches and some of the `tests` sources
+    read.  A function is reached by a read of its name, bare or as an
+    attribute; a class member only by an attribute read."""
+    functions, members = (set().union(*parts)
+                          for parts in zip(*map(public_functions, package)))
+    bare, attrs = (set().union(*parts) for parts in
+                   zip(*map(read_names, [*package, *callers])))
+    unreached = (functions - bare - attrs) | (members - attrs)
+    in_tests = set().union(*(b | a for b, a in map(read_names, tests)))
+    return sorted((unreached - allowed) & in_tests)
 
 
 def test_test_only_function_is_found():
@@ -156,11 +168,19 @@ def test_test_only_function_is_found():
         "def used():\n    pass\ndef tested():\n    pass\n"
         "def main():\n    used()\n",
         "class A:\n    def probe(self):\n        pass\n"
-        "    def _private(self):\n        pass\n    def unread(self):\n        pass\n",
+        "    def _private(self):\n        pass\n    def unread(self):\n        pass\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def timed(self):\n        pass\n"
+        "size = len([])\nprint(size)\n",
     ]
     tests = ["from pkg import A, main, tested\n"
-             "tested()\nA().probe()\nA()._private()\nmain()\n"]
-    assert reached_only_from_tests(package, tests, {"main"}) == ["probe", "tested"]
+             "tested()\nA().probe()\nA()._private()\nmain()\n"
+             "size = 2\nA().timed()\n"]
+    # `size` is read in the package as a bare name only, never as A().size;
+    # `timed` is reached from the caller
+    callers = ["from pkg import A\nA().timed()\n"]
+    assert reached_only_from_tests(package, tests, {"main"}, callers) == [
+        "probe", "size", "tested"]
     assert entry_points('[project.scripts]\nx = "pkg.cli:main"\n[tool]\ny = "a:b"\n') == {"main"}
 
 
@@ -169,7 +189,8 @@ def test_no_function_reached_only_from_tests():
     assert allowed == {"main"}
     assert reached_only_from_tests(
         [p.read_text() for p in SOURCES],
-        [p.read_text() for p in TESTS], allowed) == []
+        [p.read_text() for p in TESTS], allowed,
+        [p.read_text() for p in PERFBENCH]) == []
 
 
 #: defaulted parameters that no package call passes, each with its reason
