@@ -77,13 +77,16 @@ class AmbientModel:
         self.intrinsic_dim = int(intrinsic_dim)
         self.embed_dim = int(embed_dim)
 
-    # -- required per subclass ------------------------------------------------
+    # -- points, for a subclass with a `point` map onto the model -------------
     def random_point(self, rng):
-        raise NotImplementedError
+        """A random point, from the subclass's `point` of a normal draw."""
+        return self.point(rng.standard_normal(self.embed_dim))
 
     def position(self, point):
-        raise NotImplementedError
+        """The ambient R^d position of a point: the point itself."""
+        return point
 
+    # -- required per subclass ------------------------------------------------
     def tangent_frame(self, point):
         """Orthonormal basis of the tangent space, shape (..., intrinsic_dim, d)."""
         raise NotImplementedError
@@ -189,12 +192,6 @@ class SphereModel(AmbientModel):
 
     def point(self, x):
         return _unit(np.asarray(x, dtype=float))
-
-    def random_point(self, rng):
-        return self.point(rng.standard_normal(self.embed_dim))
-
-    def position(self, point):
-        return point
 
     def tangent_frame(self, point):
         return _orthonormal_complement(point[..., None, :])
@@ -347,12 +344,6 @@ class CircleTimesSphereModel(AmbientModel):
         c, s = self.factors(np.asarray(x, dtype=float))
         return np.concatenate([_unit(c), _unit(s)], axis=-1)
 
-    def random_point(self, rng):
-        return self.point(rng.standard_normal(self.embed_dim))
-
-    def position(self, point):
-        return point
-
     @staticmethod
     def factors(v):
         """The circle and sphere blocks of a (..., n + 3) array."""
@@ -407,12 +398,6 @@ class EllipsoidModel(AmbientModel):
     def point(self, x):
         x = np.asarray(x, dtype=float)
         return x / np.sqrt(np.sum(x**2 * self._g, axis=-1, keepdims=True))
-
-    def random_point(self, rng):
-        return self.point(rng.standard_normal(self.embed_dim))
-
-    def position(self, point):
-        return point
 
     def outward_normal(self, point):
         return _unit(self._g * point)

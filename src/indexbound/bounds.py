@@ -308,10 +308,7 @@ def borderline_cp_report(surface, f_fn=None):
         return model.point_from_homogeneous(surface.model_point_fn(p))
 
     def jn_field(p):
-        z = z_of(p)
-        normal = surface.normal_fn(p)
-        v = model.horizontal_from_ambient(z, normal)
-        return model.tangent_from_horizontal(z, 1j * v)
+        return model.complex_structure(z_of(p), surface.normal_fn(p))
 
     jac = chart_jacobian(surface.chart_fn, params, step)
     frames, coeffs, ok = orthonormal_frames(jac)

@@ -190,7 +190,7 @@ def _identities(run, report):
 
 
 def _spectrum(run, report):
-    if run.surface.potential_fn is None:
+    if run.surface.potential is None:
         report["spectrum"] = {"skipped": _NO_POTENTIAL}
     else:
         report["spectrum"] = _spectrum_block(run.spectrum_report(),
@@ -260,7 +260,7 @@ def _bounds(run, report):
         report["bounds"] = {
             "constant": bounds_mod.theorem_constant(run.scenario.ambient)}
         return True
-    if surf.potential_fn is None:
+    if surf.potential is None:
         report["bounds"] = {"skipped": _NO_POTENTIAL}
         return True
     report["bounds"] = table = bounds_mod.index_bound_report(

@@ -190,7 +190,8 @@ class CellMatrices:
 
 
 class FemSystem:
-    """Galerkin matrices for -div(grad) + V on a curved chart.
+    """Galerkin matrices for -div(grad) - V, V the constant `potential`, on
+    a curved chart.
 
     `mass`, `stiffness` and `index_form` are cell matrices, formed at each
     read from the metric evaluated once at construction; none is kept, and
@@ -201,9 +202,9 @@ class FemSystem:
     raises ValueError.  `fuse` maps grid nodes to DOFs.
     """
 
-    def __init__(self, grid, metric_fn, positions, potential_fn=None):
+    def __init__(self, grid, metric_fn, positions, potential=0.0):
         self.grid = grid
-        self._potential_fn = potential_fn
+        self.potential = potential
         ndim = grid.ndim
         hs = np.array([a.h for a in grid.axes])
         gauss_local, w, self._vals, grads = _reference_tensors(ndim)
@@ -213,8 +214,8 @@ class FemSystem:
         origins = grid.cell_origins()
         qp = origins[:, None, :] + gauss_local[None, :, :] * hs[None, None, :]
         C, G = qp.shape[:2]
-        self._qp = qp.reshape(-1, ndim)
-        self._g = np.asarray(metric_fn(self._qp)).reshape(C, G, ndim, ndim)
+        self._g = np.asarray(metric_fn(qp.reshape(-1, ndim))).reshape(
+            C, G, ndim, ndim)
         detg = _inverse_and_det(self._g)[1]
         self._scale = w[None, :] * np.sqrt(detg) * float(np.prod(hs))  # (C, G)
 
@@ -257,11 +258,9 @@ class FemSystem:
 
     @property
     def index_form(self):
-        """The cells of K - P, stiffness cells minus potential cells (P = 0
-        without a potential function)."""
-        V = 0.0 if self._potential_fn is None else np.reshape(
-            self._potential_fn(self._qp), self._scale.shape)
-        return self._cells(-self._scale * V, self._scale)
+        """The cells of K - P, stiffness cells minus the mass cells times
+        the constant `potential`."""
+        return self._cells(-self._scale * self.potential, self._scale)
 
     @staticmethod
     def _fusion_labels(positions):

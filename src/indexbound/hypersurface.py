@@ -2,7 +2,8 @@
 
 A hypersurface is described by a chart from a structured parameter grid into
 the ambient embedding space, together with a unit normal field (tangent to the
-ambient manifold) and the stability potential Ric(N, N) + |A|^2.  Geometry at
+ambient manifold) and the stability potential Ric(N, N) + |A|^2, a number:
+every catalog surface is homogeneous, so it is constant.  Geometry at
 the nodes — orthonormal tangent frames, the shape operator, curvature traces —
 is recovered by small-step central differences of the chart, which keeps every
 catalog entry expressible in closed form.
@@ -132,7 +133,7 @@ class DiscreteHypersurface:
     """
 
     def __init__(self, name, ambient, axes, chart_fn, normal_fn,
-                 metric_fn=None, potential_fn=None, model_point_fn=None,
+                 metric_fn=None, potential=None, model_point_fn=None,
                  harmonic_axes=()):
         self.name = name
         self.ambient = ambient
@@ -140,7 +141,7 @@ class DiscreteHypersurface:
         self.chart_fn = chart_fn
         self.normal_fn = normal_fn
         self._metric_fn = metric_fn
-        self.potential_fn = potential_fn  # closed-form potential, or None
+        self.potential = potential  # the constant potential, or None
         self.model_point_fn = model_point_fn or (lambda p: chart_fn(p))
         self.harmonic_axes = tuple(harmonic_axes)
         self.fd_step = _FD_STEP_FRAC * min(a.length for a in self.axes)
@@ -175,10 +176,8 @@ class DiscreteHypersurface:
 
     def fem(self):
         if self._fem is None:
-            self._fem = FemSystem(
-                self.grid, self.metric_fn, self.positions,
-                potential_fn=self.potential_fn,
-            )
+            self._fem = FemSystem(self.grid, self.metric_fn, self.positions,
+                                  potential=self.potential or 0.0)
         return self._fem
 
     def node_fields(self):
@@ -282,10 +281,10 @@ class DiscreteHypersurface:
                 "...ad,...bd->...ab", f["jacobian"][ok], f["jacobian"][ok]
             )
             res["metric_consistency"] = float(np.abs(g_an - g_fd).max())
-        if self.potential_fn is not None:
-            pot = np.atleast_1d(self.potential_fn(self.node_params[idx]))
+        if self.potential is not None:
             generic = self.ric_nn(idx) + f["a_norm_sq"][idx]
-            res["potential_consistency"] = float(np.abs(pot - generic).max())
+            res["potential_consistency"] = float(
+                np.abs(self.potential - generic).max())
         return res
 
     # -- plain-text mesh dump -------------------------------------------------
@@ -320,38 +319,13 @@ class DiscreteHypersurface:
 
 def clifford_torus(ambient, nodes):
     """The square torus S^1(1/sqrt2) x S^1(1/sqrt2) inside the 3-sphere
-    `ambient`, or its image in RP^3 when `ambient` is projective."""
+    `ambient`, or its image in RP^3 when `ambient` is projective: the n = 2
+    generalized Clifford torus."""
     if ambient.intrinsic_dim != 3:
         raise AmbientError("the Clifford torus needs an ambient of dimension 3")
-    r = 1.0 / np.sqrt(2.0)
-
-    def chart(p):
-        u, v = p[..., 0], p[..., 1]
-        return np.stack(
-            [np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=-1
-        ) * r
-
-    def normal(p):
-        u, v = p[..., 0], p[..., 1]
-        return np.stack(
-            [np.cos(u), np.sin(u), -np.cos(v), -np.sin(v)], axis=-1
-        ) * r
-
-    def metric(p):
-        g = np.zeros(p.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 0.5
-        g[..., 1, 1] = 0.5
-        return g
-
-    axes = [
-        Axis("u", 2 * np.pi, nodes, periodic=True),
-        Axis("v", 2 * np.pi, nodes, periodic=True),
-    ]
-    return DiscreteHypersurface(
-        "clifford_torus", ambient, axes, chart, normal,
-        metric_fn=metric, potential_fn=lambda p: np.full(p.shape[:-1], 4.0),
-        harmonic_axes=(0, 1),
-    )
+    surface = generalized_clifford(ambient, nodes)
+    surface.name = "clifford_torus"
+    return surface
 
 
 def _last_axis_normal(d):
@@ -363,34 +337,39 @@ def _last_axis_normal(d):
     return normal
 
 
+def _hyperplane_section(name, ambient, nodes, scale, **kwargs):
+    """The section {x_last = 0} of `ambient`: the angular chart of S^n times
+    `scale` per axis, padded with a zero last coordinate, and the constant
+    unit normal along the last axis.  `kwargs` go to DiscreteHypersurface."""
+    def chart(p):
+        x = spherical_chart(p) * scale
+        pad = np.zeros(x.shape[:-1] + (1,))
+        return np.concatenate([x, pad], axis=-1)
+
+    return DiscreteHypersurface(
+        name, ambient, spherical_axes(ambient.intrinsic_dim - 1, nodes), chart,
+        _last_axis_normal(ambient.embed_dim), **kwargs,
+    )
+
+
 def equator_in_sphere(ambient, nodes):
     """Totally geodesic S^n inside the sphere S^{n+1} `ambient`, n >= 2;
     potential is the constant n."""
     n = ambient.intrinsic_dim - 1
     if n < 2:
         raise AmbientError("the equator needs a sphere of dimension >= 3")
-
-    def chart(p):
-        x = spherical_chart(p)
-        pad = np.zeros(x.shape[:-1] + (1,))
-        return np.concatenate([x, pad], axis=-1)
-
-    return DiscreteHypersurface(
-        f"equator_s{n}", ambient, spherical_axes(n, nodes), chart,
-        _last_axis_normal(ambient.embed_dim),
-        metric_fn=spherical_metric,
-        potential_fn=lambda p: np.full(p.shape[:-1], float(n)),
-    )
+    return _hyperplane_section(f"equator_s{n}", ambient, nodes, 1.0,
+                               metric_fn=spherical_metric, potential=float(n))
 
 
 def generalized_clifford(ambient, nodes):
     """S^1(r) x S^{n-1}(s) in the sphere S^{n+1} `ambient`, n >= 2, with
-    r = 1/sqrt(n); potential 2n."""
+    r = 1/sqrt(n) and s = sqrt(n - 1)/sqrt(n); potential 2n."""
     n = ambient.intrinsic_dim - 1
     if n < 2:
         raise AmbientError("S^1 x S^(n-1) needs a sphere of dimension >= 3")
     r = 1.0 / np.sqrt(n)
-    s = np.sqrt((n - 1.0) / n)
+    s = np.sqrt(n - 1.0) / np.sqrt(n)
 
     def chart(p):
         alpha = p[..., 0]
@@ -406,16 +385,15 @@ def generalized_clifford(ambient, nodes):
 
     def metric(p):
         g = np.zeros(p.shape[:-1] + (n, n))
-        g[..., 0, 0] = r**2
-        g[..., 1:, 1:] = s**2 * spherical_metric(p[..., 1:])
+        g[..., 0, 0] = 1.0 / n
+        g[..., 1:, 1:] = (n - 1.0) / n * spherical_metric(p[..., 1:])
         return g
 
     axes = [Axis("alpha", 2 * np.pi, nodes, periodic=True)]
     axes += spherical_axes(n - 1, nodes)
     return DiscreteHypersurface(
         f"generalized_clifford_s1xs{n - 1}", ambient, axes, chart, normal,
-        metric_fn=metric,
-        potential_fn=lambda p: np.full(p.shape[:-1], 2.0 * n),
+        metric_fn=metric, potential=2.0 * n,
         harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
     )
 
@@ -444,8 +422,7 @@ def circle_times_equator(ambient, nodes):
     return DiscreteHypersurface(
         f"circle_times_equator_s{n - 1}", ambient, axes, chart,
         _last_axis_normal(ambient.embed_dim),
-        metric_fn=metric,
-        potential_fn=lambda p: np.full(p.shape[:-1], n - 1.0),
+        metric_fn=metric, potential=n - 1.0,
         harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
     )
 
@@ -496,11 +473,6 @@ def geodesic_sphere_cp2(ambient, nodes, radius=None):
         round_s3 = (alpha + [0.0, 0.0, 1.0])[..., None] * np.eye(3)
         return sr**2 * (round_s3 - sr**2 * alpha[..., :, None] * alpha[..., None, :])
 
-    def potential(p):
-        # Einstein constant 6 plus |A|^2 = 4 cot(2r)^2 + 2 cot(r)^2
-        val = 6.0 + 4.0 / np.tan(2 * r) ** 2 + 2.0 / np.tan(r) ** 2
-        return np.full(p.shape[:-1], val)
-
     axes = [
         Axis("xi1", 2 * np.pi, nodes, periodic=True),
         Axis("xi2", 2 * np.pi, nodes, periodic=True),
@@ -508,26 +480,17 @@ def geodesic_sphere_cp2(ambient, nodes, radius=None):
     ]
     return DiscreteHypersurface(
         "geodesic_sphere_cp2", ambient, axes, chart, normal,
-        metric_fn=metric, potential_fn=potential, model_point_fn=point,
+        metric_fn=metric, model_point_fn=point,
+        # Einstein constant 6 plus |A|^2 = 4 cot(2r)^2 + 2 cot(r)^2
+        potential=float(6.0 + 4.0 / np.tan(2 * r) ** 2 + 2.0 / np.tan(r) ** 2),
     )
 
 
 def ellipsoid_section(ambient, nodes):
     """Hyperplane section {x_last = 0} of the ellipsoid `ambient`: totally
     geodesic, with constant unit normal along the last axis."""
-    semi_axes = ambient.semi_axes
-
-    def chart(p):
-        u = spherical_chart(p)
-        x = u * semi_axes[:-1]
-        pad = np.zeros(x.shape[:-1] + (1,))
-        return np.concatenate([x, pad], axis=-1)
-
-    return DiscreteHypersurface(
-        "ellipsoid_section", ambient,
-        spherical_axes(ambient.intrinsic_dim - 1, nodes), chart,
-        _last_axis_normal(ambient.embed_dim),
-    )
+    return _hyperplane_section("ellipsoid_section", ambient, nodes,
+                               ambient.semi_axes[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ class SpectralSystem:
     involution of its ambient."""
 
     def __init__(self, surface):
-        if surface.potential_fn is None:
+        if surface.potential is None:
             raise SpectralError(f"surface {surface.name!r} carries no "
                                 "potential; the index form needs Ric(N,N) "
                                 "+ |A|^2")

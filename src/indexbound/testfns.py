@@ -55,6 +55,8 @@ def integrand_matrices(surface, mode):
     curvature is the surface's one cached evaluation."""
     if mode not in ("Prop32", "Prop31", "Prop43"):
         raise TestFunctionError(f"unknown integrand mode {mode!r}")
+    if mode == "Prop43" and surface.dim != 2:
+        raise TestFunctionError("the starred certificate needs a surface (n = 2)")
     cv = surface.ambient_curvature()
     eye = np.eye(surface.dim)
     if mode == "Prop32":
@@ -118,8 +120,6 @@ def integrand_quadratic_form(surface, basis, mode="Prop32"):
     |omega|^2.  Both are integrated from pairs c_a^T Q c_b at the nodes."""
     if not basis:
         raise TestFunctionError("empty basis of harmonic forms")
-    if mode == "Prop43" and surface.dim != 2:
-        raise TestFunctionError("the starred certificate needs a surface (n = 2)")
     C = np.stack(basis)  # (q, n_nodes, n)
     if np.any(np.abs(C).max(axis=(1, 2)) == 0.0):
         raise TestFunctionError("zero form not allowed in a basis")

@@ -44,9 +44,8 @@ def cells_by_einsum(fem):
     ginv = np.linalg.inv(fem._g)
     K = np.einsum("cg,gia,cgab,gjb->cij", fem._scale, fem._grads, ginv,
                   fem._grads)
-    V = fem._potential_fn(fem._qp).reshape(fem._scale.shape)
     P, M = (np.einsum("cg,gi,gj->cij", w, fem._vals, fem._vals)
-            for w in (fem._scale * V, fem._scale))
+            for w in (fem._scale * fem.potential, fem._scale))
     return K - P, M
 
 
@@ -249,7 +248,7 @@ def with_resolution(surface, scale):
     return hyp.DiscreteHypersurface(
         surface.name, surface.ambient, axes, surface.chart_fn,
         surface.normal_fn, metric_fn=surface._metric_fn,
-        potential_fn=surface.potential_fn,
+        potential=surface.potential,
         model_point_fn=surface.model_point_fn,
         harmonic_axes=surface.harmonic_axes)
 

@@ -6,6 +6,7 @@ import pytest
 
 from indexbound import hypersurface as hyp
 from indexbound.ambient import (
+    AmbientError,
     CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
     EllipsoidModel,
@@ -54,7 +55,6 @@ def test_fem_flat_torus_spectrum():
     fem = FemSystem(
         grid,
         metric_fn=lambda p: np.tile(np.eye(2), (p.shape[0], 1, 1)),
-        potential_fn=None,
         positions=grid.node_params,
     )
     from scipy.linalg import eigh
@@ -74,7 +74,6 @@ def test_fem_integrates_exactly():
     fem = FemSystem(
         grid,
         metric_fn=lambda p: np.ones((p.shape[0], 1, 1)),
-        potential_fn=None,
         positions=grid.node_params,
     )
     f = fem.to_dof(np.cos(grid.node_params[:, 0]))
@@ -125,8 +124,7 @@ def test_torus_second_fundamental_form(torus48):
 
 def test_equator_potential(equator2):
     fields = equator2.node_fields()
-    pot = equator2.potential_fn(equator2.grid.node_params)
-    assert np.abs(pot - 2.0).max() < 1e-12
+    assert equator2.potential == 2.0
     assert fields["a_norm_sq"][fields["interior"]].max() < 1e-8
 
 
@@ -136,6 +134,26 @@ def test_generalized_clifford_geometry():
     assert checks["minimality"] < 1e-8
     assert checks["potential_consistency"] < 1e-7
     assert abs(surf.fem().node_weights.sum() - 16 * np.pi**2 / (3 * np.sqrt(3))) < 1e-5
+
+
+@pytest.mark.parametrize("model", [SphereModel, RealProjectiveModel])
+def test_clifford_torus_is_the_square_generalized_torus(model):
+    # the n = 2 generalized Clifford torus, bit for bit the closed form
+    surf = hyp.clifford_torus(model(3), 16)
+    assert surf.name == "clifford_torus"
+    assert surf.harmonic_axes == (0, 1)
+    assert all(a.periodic and a.length == 2 * np.pi for a in surf.axes)
+    u, v = surf.node_params.T
+    r = 1.0 / np.sqrt(2.0)
+    for field, sign in ((surf.positions, 1.0), (surf.normals, -1.0)):
+        expected = np.stack([np.cos(u), np.sin(u),
+                             sign * np.cos(v), sign * np.sin(v)], -1) * r
+        assert np.array_equal(field, expected)
+    assert np.array_equal(surf.metric_fn(surf.node_params),
+                          np.broadcast_to(0.5 * np.eye(2), (len(u), 2, 2)))
+    assert surf.potential == 4.0
+    with pytest.raises(AmbientError, match="dimension 3"):
+        hyp.clifford_torus(model(4), 16)
 
 
 def test_circle_times_equator_geometry():
@@ -166,8 +184,7 @@ def test_geodesic_sphere_minimality(geodesic_cp2):
     checks = geodesic_cp2.pointwise_checks(seed=3)
     assert checks["minimality"] < 1e-5
     assert checks["normal_unit"] < 1e-10
-    pot = geodesic_cp2.potential_fn(geodesic_cp2.grid.node_params)
-    assert np.abs(pot - 8.0).max() < 1e-10
+    assert abs(geodesic_cp2.potential - 8.0) < 1e-10
 
 
 @pytest.mark.parametrize("radius", [np.pi / 3, 1.0])
@@ -179,11 +196,14 @@ def test_geodesic_sphere_metric_is_the_chart_gram(radius):
                                    radius=radius)
     chart, calls = surf.chart_fn, []
     surf.chart_fn = lambda p: calls.append(p) or chart(p)
-    fem = surf.fem()
+    metric, points = surf.metric_fn, []
+    surf.metric_fn = lambda p: points.append(p) or metric(p)
+    surf.fem()
     assert calls == []
-    jac = hyp.chart_jacobian(chart, fem._qp, surf.fd_step)
+    [qp] = points
+    jac = hyp.chart_jacobian(chart, qp, surf.fd_step)
     gram = np.einsum("...ad,...bd->...ab", jac, jac)
-    assert np.abs(surf.metric_fn(fem._qp) - gram).max() < 1e-9
+    assert np.abs(metric(qp) - gram).max() < 1e-9
     assert surf.pointwise_checks(seed=3)["metric_consistency"] < 1e-9
 
 

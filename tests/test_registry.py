@@ -148,7 +148,7 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
     ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
     surface = SURFACE_KINDS[kind].build(ambient, 8)
     fem = surface.fem()
-    if surface.potential_fn is None:
+    if surface.potential is None:
         with pytest.raises(SpectralError, match="no potential"):
             SpectralSystem(surface)
         return
@@ -171,6 +171,16 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
 
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)
+def test_potential_is_a_number(kind, ambient_kind):
+    # the stability potential of a homogeneous surface is one constant
+    surface = SURFACE_KINDS[kind].build(
+        make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind]), 8)
+    potential = surface.potential
+    assert potential is None or (type(potential) is float
+                                 and np.isfinite(potential))
+
+
+@pytest.mark.parametrize("kind, ambient_kind", PAIRS)
 def test_surface_with_potential_declares_its_metric(kind, ambient_kind,
                                                     tmp_path):
     # a potential in closed form comes with the metric in closed form, and
@@ -178,7 +188,7 @@ def test_surface_with_potential_declares_its_metric(kind, ambient_kind,
     path = _config(tmp_path, kind, ambient_kind, EXAMPLE_AMBIENTS[ambient_kind])
     scenario = cli.Scenario(path)
     surface = scenario.surface
-    if surface.potential_fn is None:
+    if surface.potential is None:
         return
     assert surface._metric_fn is not None
     checks = surface.pointwise_checks(seed=scenario.seed)

@@ -415,13 +415,16 @@ def _torus_shift_defect(X, nodes):
     return max(np.abs(m - T).max() for m in moved) / np.abs(X).max()
 
 
-def test_perturbed_potential_is_refused_by_the_invariance_defect():
-    # a large potential on part of one cell breaks the symmetry the blocks
-    # need
+def test_perturbed_metric_is_refused_by_the_invariance_defect():
+    # a metric stretched along the first axis on part of one cell breaks the
+    # symmetry the blocks need
     surface = hyp.clifford_torus(SphereModel(3), 16)
     assert _torus_shift_defect(pencil(SpectralSystem(surface))[0], 16) < 1e-15
     surface = hyp.clifford_torus(SphereModel(3), 16)
-    surface.potential_fn = lambda p: 4.0 + 1e3 * (np.abs(p).max(axis=-1) < 0.3)
+    metric = surface.metric_fn
+    stretch = np.diag([1e3, 0.0])
+    surface.metric_fn = lambda p: metric(p) + stretch * (
+        np.abs(p).max(axis=-1) < 0.3)[:, None, None]
     system = SpectralSystem(surface)
     with pytest.raises(SpectralError, match="invariance defect") as err:
         system.spectrum(how_many=8)

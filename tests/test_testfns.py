@@ -87,6 +87,13 @@ def test_coordinate_mode_needs_dimension_two():
         testfns.q_identity_report(surf, forms[0], ("Prop32", "Prop31"))
 
 
+def test_starred_integrand_needs_dimension_two():
+    # refused by the integrand itself, so every caller reads the reason
+    surf = hyp.generalized_clifford(SphereModel(4), 8)
+    with pytest.raises(testfns.TestFunctionError, match="n = 2"):
+        testfns.integrand_matrices(surf, "Prop43")
+
+
 def test_quadratic_form_torus(torus48, torus_forms):
     gram, mass = testfns.integrand_quadratic_form(torus48, torus_forms, "Prop32")
     assert np.abs(gram - np.diag([-2.0, -2.0])).max() < 1e-5
