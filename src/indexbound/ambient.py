@@ -86,6 +86,12 @@ class AmbientModel:
         """The ambient R^d position of a point: the point itself."""
         return point
 
+    def curve(self, point, X, t):
+        """The subclass's `point` of point + tX: a curve on the manifold with
+        initial velocity X, for the finite-difference oracle for II, which
+        needs no particular one."""
+        return self.point(point + t * X)
+
     # -- required per subclass ------------------------------------------------
     def tangent_frame(self, point):
         """Orthonormal basis of the tangent space, shape (..., intrinsic_dim, d)."""
@@ -93,14 +99,6 @@ class AmbientModel:
 
     def ii_quad(self, point, X):
         """II(X, X) as an ambient R^d vector."""
-        raise NotImplementedError
-
-    def curve(self, point, X, t):
-        """A point of the manifold reached from `point` with initial velocity X.
-
-        Used by the finite-difference oracle for II; the particular curve does
-        not matter as long as it stays on the manifold.
-        """
         raise NotImplementedError
 
     # -- shared operations ----------------------------------------------------
@@ -172,13 +170,6 @@ def _orthonormal_complement(vectors):
     return np.swapaxes(q[..., :, r:], -1, -2)
 
 
-def _great_circle(base, vel, t):
-    """Point at time t of the unit-sphere great circle through `base` with
-    velocity `vel`; stays at `base` where vel = 0."""
-    s = np.linalg.norm(vel, axis=-1, keepdims=True)
-    return np.cos(s * t) * base + np.sin(s * t) * vel / np.where(s == 0.0, 1.0, s)
-
-
 class SphereModel(AmbientModel):
     """Round unit sphere S^dim in R^{dim+1}; totally umbilic, |II(X,Y)| = |<X,Y>|."""
 
@@ -198,9 +189,6 @@ class SphereModel(AmbientModel):
 
     def ii_quad(self, point, X):
         return -_dot(X, X)[..., None] * point
-
-    def curve(self, point, X, t):
-        return _great_circle(point, X, t)
 
 
 class RealProjectiveModel(SphereModel):
@@ -365,13 +353,6 @@ class CircleTimesSphereModel(AmbientModel):
             [-_dot(X1, X1)[..., None] * c, -_dot(X2, X2)[..., None] * s], axis=-1
         )
 
-    def curve(self, point, X, t):
-        return np.concatenate(
-            [_great_circle(base, vel, t)
-             for base, vel in zip(self.factors(point), self.factors(X))],
-            axis=-1,
-        )
-
     def riemann_product_formula(self, point, X, Y):
         """|pi2 X|^2 |pi2 Y|^2 - <pi2 X, pi2 Y>^2: the sphere factor's
         curvature alone, the circle being flat."""
@@ -409,9 +390,6 @@ class EllipsoidModel(AmbientModel):
         nu = self.outward_normal(point)
         accel = -_dot(X * self._g, X)[..., None] * point
         return _dot(accel, nu)[..., None] * nu
-
-    def curve(self, point, X, t):
-        return self.point(point + t * X)
 
     def principal_curvatures(self, point):
         """Eigenvalues of the shape operator w.r.t. the outward normal

@@ -10,13 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ambient import (
-    AMBIENT_KINDS,
-    CircleTimesSphereModel,
-    ComplexProjectiveVeroneseModel,
-    EllipsoidModel,
-    SphereModel,
-)
+from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel
 from .hypersurface import chart_jacobian, orthonormal_frames
 from .testfns import _rhs_integrand, integrand_quadratic_form
 
@@ -142,8 +136,6 @@ def q_defining_expression(theta, phi):
 def margins_sphere(surface, form):
     """Deviation of the wedge-coordinate integrand from its constant sphere
     value -(2n-2)|omega|^2."""
-    if not isinstance(surface.ambient, SphereModel):
-        raise BoundsError("the sphere margin needs a sphere ambient")
     fields = surface.node_fields()
     ok = fields["interior"]
     integrand = _rhs_integrand(surface, form, "Prop32")
@@ -183,8 +175,6 @@ def margins_cross(ambient):
 def margins_product_q(surface, form, seed=0):
     """Grid minimum of q(theta, phi), closed-form agreement, and pointwise
     negativity of the wedge integrand of `form` on a surface of S^1 x S^n."""
-    if not isinstance(surface.ambient, CircleTimesSphereModel):
-        raise BoundsError("the product margin needs a circle-times-sphere ambient")
     t = np.linspace(0.0, np.pi, _Q_GRID_POINTS)
     qv = q_closed_form(t[:, None], t[None, :])  # the (theta, phi) grid
     i_min = np.unravel_index(np.argmin(qv), qv.shape)
@@ -217,8 +207,6 @@ def margins_convex(ambient, seed=0):
     """Pointwise pinching of a convex hypersurface of Euclidean space:
     ratio k_{n+1}/k_1 against sqrt((n+1)/2) (and sqrt(5/3) for n = 2), and
     the margin 4 k_{n+1}^2 - 2(n+1) k_1^2."""
-    if not isinstance(ambient, EllipsoidModel):
-        raise BoundsError("the convex margin needs an ellipsoid ambient")
     rng = np.random.default_rng(seed)
     n = ambient.intrinsic_dim - 1
     k = ambient.principal_curvatures(
@@ -239,12 +227,15 @@ def margins_convex(ambient, seed=0):
 
 
 def margins_scalar3(ambient, seed=0):
-    """Scalar-curvature condition 2 R - |H|^2 > 0 and the contraction identity
-    R = |H|^2 - |II|^2 on random samples of the ambient embedding, all three
-    contracted from one evaluation of II over pairs of the tangent frame."""
+    """Scalar-curvature condition 2 R - |H|^2 > 0 on random samples of the
+    ambient embedding, R, H and |II|^2 contracted from one evaluation of II
+    over pairs of the tangent frame F; the contraction identity
+    R = |H|^2 - |II|^2 is checked against R as the sum of Ric(F_a, F_a),
+    whose sectional terms come from the polarized II, not that evaluation."""
     rng = np.random.default_rng(seed)
     p = np.array([ambient.random_point(rng) for _ in range(_SCALAR3_SAMPLES)])
-    ii = ambient.ii_frame_pairs(p)
+    F = ambient.tangent_frame(p)
+    ii = ambient.ii_frame_pairs(p, F)
     ii_sq = np.einsum("...abd,...abd->...", ii, ii)
     R = np.einsum("...aad,...bbd->...", ii, ii) - ii_sq
     H = np.einsum("...aad->...d", ii)
@@ -252,7 +243,8 @@ def margins_scalar3(ambient, seed=0):
     margin = 2.0 * R - h_sq
     i = np.argmin(margin)
     min_margin, scale = margin[i], 2.0 * abs(R[i]) + h_sq[i]
-    max_contraction = np.abs(R - (h_sq - ii_sq)).max()
+    ric = ambient.ricci(p[:, None, :], F).sum(axis=-1)
+    max_contraction = np.abs(ric - (h_sq - ii_sq)).max()
     values = {"min_2R_minus_H2": float(min_margin),
               "contraction_residual": float(max_contraction)}
     if max_contraction >= 1e-8:
@@ -267,9 +259,13 @@ def margins_scalar3(ambient, seed=0):
 
 
 def application_margins(name, surface, basis, seed=0):
-    """The margin `name` of a run: `sphere` and `product_q` are taken on the
-    first form of the harmonic `basis` (None when it is empty, b1 = 0), the
-    others on the surface's ambient."""
+    """The margin `name` of a run, one that the AMBIENT_KINDS entry of the
+    surface's ambient lists: `sphere` and `product_q` are taken on the first
+    form of the harmonic `basis` (None when it is empty, b1 = 0), the others
+    on the surface's ambient."""
+    kind = surface.ambient.kind
+    if name not in AMBIENT_KINDS[kind].margins:
+        raise BoundsError(f"the {name!r} margin does not apply to a {kind!r} ambient")
     if name in ("sphere", "product_q") and not basis:
         return None
     if name == "sphere":
@@ -280,9 +276,7 @@ def application_margins(name, surface, basis, seed=0):
         return margins_cross(surface.ambient)
     if name == "convex":
         return margins_convex(surface.ambient, seed=seed)
-    if name == "scalar3":
-        return margins_scalar3(surface.ambient, seed=seed)
-    raise BoundsError(f"unknown application {name!r}")
+    return margins_scalar3(surface.ambient, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,32 @@ def equator_in_sphere(ambient, nodes):
                                metric_fn=spherical_metric, potential=float(n))
 
 
+def _circle_times_sphere(name, ambient, nodes, n, r, s, g, normal, potential):
+    """S^1(r) x S^{n-1}(s): the circle of radius r times the angular chart of
+    S^{n-1} scaled by s, padded with zeros to the ambient's embedding
+    dimension, with the metric diag(g[0], g[1] g_round) and the unit
+    `normal` (a function of the chart parameters)."""
+    def chart(p):
+        circ = np.stack([np.cos(p[..., 0]), np.sin(p[..., 0])], axis=-1) * r
+        w = spherical_chart(p[..., 1:])
+        pad = np.zeros(w.shape[:-1] + (ambient.embed_dim - 2 - n,))
+        return np.concatenate([circ, s * w, pad], axis=-1)
+
+    def metric(p):
+        out = np.zeros(p.shape[:-1] + (n, n))
+        out[..., 0, 0] = g[0]
+        out[..., 1:, 1:] = g[1] * spherical_metric(p[..., 1:])
+        return out
+
+    axes = [Axis("alpha", 2 * np.pi, nodes, periodic=True)]
+    axes += spherical_axes(n - 1, nodes)
+    return DiscreteHypersurface(
+        name, ambient, axes, chart, normal, metric_fn=metric,
+        potential=potential,
+        harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
+    )
+
+
 def generalized_clifford(ambient, nodes):
     """S^1(r) x S^{n-1}(s) in the sphere S^{n+1} `ambient`, n >= 2, with
     r = 1/sqrt(n) and s = sqrt(n - 1)/sqrt(n); potential 2n."""
@@ -371,60 +397,22 @@ def generalized_clifford(ambient, nodes):
     r = 1.0 / np.sqrt(n)
     s = np.sqrt(n - 1.0) / np.sqrt(n)
 
-    def chart(p):
-        alpha = p[..., 0]
-        w = spherical_chart(p[..., 1:])
-        circ = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1) * r
-        return np.concatenate([circ, s * w], axis=-1)
-
     def normal(p):
-        alpha = p[..., 0]
-        w = spherical_chart(p[..., 1:])
-        circ = np.stack([np.cos(alpha), np.sin(alpha)], axis=-1) * s
-        return np.concatenate([circ, -r * w], axis=-1)
+        circ = np.stack([np.cos(p[..., 0]), np.sin(p[..., 0])], axis=-1) * s
+        return np.concatenate([circ, -r * spherical_chart(p[..., 1:])], axis=-1)
 
-    def metric(p):
-        g = np.zeros(p.shape[:-1] + (n, n))
-        g[..., 0, 0] = 1.0 / n
-        g[..., 1:, 1:] = (n - 1.0) / n * spherical_metric(p[..., 1:])
-        return g
-
-    axes = [Axis("alpha", 2 * np.pi, nodes, periodic=True)]
-    axes += spherical_axes(n - 1, nodes)
-    return DiscreteHypersurface(
-        f"generalized_clifford_s1xs{n - 1}", ambient, axes, chart, normal,
-        metric_fn=metric, potential=2.0 * n,
-        harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
-    )
+    return _circle_times_sphere(
+        f"generalized_clifford_s1xs{n - 1}", ambient, nodes, n, r, s,
+        (1.0 / n, (n - 1.0) / n), normal, 2.0 * n)
 
 
 def circle_times_equator(ambient, nodes):
     """S^1 x S^{n-1} sitting in the product `ambient` S^1 x S^n; the normal
     points along the sphere factor, so the potential is n - 1."""
     n = ambient.n
-
-    def chart(p):
-        t = p[..., 0]
-        w = spherical_chart(p[..., 1:])
-        pad = np.zeros(w.shape[:-1] + (1,))
-        return np.concatenate(
-            [np.stack([np.cos(t), np.sin(t)], axis=-1), w, pad], axis=-1
-        )
-
-    def metric(p):
-        g = np.zeros(p.shape[:-1] + (n, n))
-        g[..., 0, 0] = 1.0
-        g[..., 1:, 1:] = spherical_metric(p[..., 1:])
-        return g
-
-    axes = [Axis("t", 2 * np.pi, nodes, periodic=True)]
-    axes += spherical_axes(n - 1, nodes)
-    return DiscreteHypersurface(
-        f"circle_times_equator_s{n - 1}", ambient, axes, chart,
-        _last_axis_normal(ambient.embed_dim),
-        metric_fn=metric, potential=n - 1.0,
-        harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
-    )
+    return _circle_times_sphere(
+        f"circle_times_equator_s{n - 1}", ambient, nodes, n, 1.0, 1.0,
+        (1.0, 1.0), _last_axis_normal(ambient.embed_dim), n - 1.0)
 
 
 def geodesic_sphere_cp2(ambient, nodes, radius=None):

@@ -143,7 +143,7 @@ def test_q_profile_minimum(torus48, torus_forms):
     assert abs(rep["values"]["argmin_phi"] - np.pi / 2) < 1e-2
     assert rep["values"]["integrand_max_circle_times_equator_s2"] < 0.0
     with pytest.raises(bounds.BoundsError):
-        bounds.margins_product_q(torus48, torus_forms[0])
+        bounds.application_margins("product_q", torus48, torus_forms)
 
 
 def test_margins_convex():
@@ -167,14 +167,41 @@ def test_margins_scalar3():
     assert rep["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("kind,params", [
+    ("sphere", {"dim": 3}),
+    ("complex_projective_veronese", {"m": 2}),
+])
+def test_scalar3_contraction_catches_a_wrong_pair_table(monkeypatch, kind,
+                                                        params):
+    # R from the Ricci sums does not read ii_frame_pairs, so a pair table
+    # whose diagonal is off by 1e-6 breaks the contraction identity
+    ambient = make_ambient(kind, **params)
+    pairs = type(ambient).ii_frame_pairs
+
+    def scaled(self, point, frame=None):
+        T = pairs(self, point, frame)
+        k = np.arange(T.shape[-2])
+        T[..., k, k, :] *= 1.0 + 1e-6
+        return T
+
+    monkeypatch.setattr(type(ambient), "ii_frame_pairs", scaled)
+    rep = bounds.margins_scalar3(ambient)
+    assert rep["values"]["contraction_residual"] > 1e-8
+    assert rep["verdict"] == "fail"
+
+
 def test_application_dispatch(torus48, torus_forms):
     rep = bounds.application_margins("scalar3", torus48, torus_forms)
     assert "min_2R_minus_H2" in rep["values"]
     # the form margins have nothing to be taken on when b1 = 0
     assert bounds.application_margins("sphere", torus48, []) is None
-    assert bounds.application_margins("product_q", torus48, []) is None
+    product = hyp.circle_times_equator(CircleTimesSphereModel(3), 8)
+    assert bounds.application_margins("product_q", product, []) is None
     with pytest.raises(bounds.BoundsError):
         bounds.application_margins("nonexistent", torus48, [])
+    # a margin that another ambient kind lists, not the sphere
+    with pytest.raises(bounds.BoundsError, match="'convex'.*'sphere'"):
+        bounds.application_margins("convex", torus48, torus_forms)
 
 
 def test_borderline_residuals(geodesic_cp2):

@@ -163,6 +163,47 @@ def test_circle_times_equator_geometry():
     assert checks["potential_consistency"] < 1e-7
 
 
+def _circle_product_pins(surf, r, s, g):
+    """Positions (r cos t, r sin t, s w, 0...) of S^1(r) x S^{n-1}(s) and the
+    metric diag(g[0], g[1] g_round), bit for bit; returns the nodes' circle
+    points and sphere points w for the normal's pin."""
+    t, angles = surf.node_params[:, 0], surf.node_params[:, 1:]
+    circ = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    w = hyp.spherical_chart(angles)
+    pad = np.zeros((len(t), surf.embed_dim - 2 - w.shape[1]))
+    assert np.array_equal(surf.positions,
+                          np.concatenate([circ * r, s * w, pad], axis=-1))
+    metric = np.zeros((len(t), surf.dim, surf.dim))
+    metric[:, 0, 0] = g[0]
+    metric[:, 1:, 1:] = g[1] * hyp.spherical_metric(angles)
+    assert np.array_equal(surf.metric_fn(surf.node_params), metric)
+    return circ, w
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_circle_times_equator_is_pinned(n):
+    # S^1 x S^{n-1} in S^1 x S^n: unit radii, the last axis as normal
+    surf = hyp.circle_times_equator(CircleTimesSphereModel(n), 10)
+    _circle_product_pins(surf, 1.0, 1.0, (1.0, 1.0))
+    e_last = np.zeros(n + 3)
+    e_last[-1] = 1.0
+    assert np.array_equal(surf.normals,
+                          np.broadcast_to(e_last, surf.normals.shape))
+    assert surf.potential == n - 1
+    assert surf.harmonic_axes == ((0, 1) if n == 2 else (0,))
+
+
+def test_generalized_clifford_is_pinned():
+    # S^1(1/sqrt3) x S^2(sqrt2/sqrt3) in S^4, metric diag(1/3, 2/3 g_round)
+    surf = hyp.generalized_clifford(SphereModel(4), 10)
+    r, s = 1.0 / np.sqrt(3.0), np.sqrt(2.0) / np.sqrt(3.0)
+    circ, w = _circle_product_pins(surf, r, s, (1.0 / 3.0, 2.0 / 3.0))
+    assert np.array_equal(surf.normals,
+                          np.concatenate([circ * s, -r * w], axis=-1))
+    assert surf.potential == 6.0
+    assert surf.harmonic_axes == (0,)
+
+
 def test_ellipsoid_section_totally_geodesic():
     surf = hyp.ellipsoid_section(EllipsoidModel([1.0, 1.0, 1.0, 1.4]), 12)
     fields = surf.node_fields()

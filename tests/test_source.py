@@ -3,22 +3,26 @@ no function imports a module of the package, the package imports nothing of
 scipy and keeps one eigensolver path (dense solves of symmetry blocks: no
 ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
 function is reached only from the tests (the benchmark counts as a caller),
-and every defaulted parameter of a public function is passed by some package
-call."""
+every defaulted parameter of a public function is passed by some package
+call, and every package name that the benchmark's traced child wraps
+exists."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import indexbound
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(indexbound.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 #: the benchmark's sources, which call the package and count as its callers
-PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def unused_imports(source):
@@ -304,3 +308,13 @@ def test_unpassed_default_is_found():
 def test_every_default_is_passed():
     assert unpassed_defaults([p.read_text() for p in SOURCES]) == sorted(
         UNPASSED_DEFAULTS)
+
+
+def test_benchmark_trace_wraps_existing_names():
+    # `children.instrument` replaces package attributes by name; one that a
+    # rename removed fails here rather than in a `--trace 1` benchmark run
+    code = ('import sys; sys.path[:0] = ["perfbench", "src"]; '
+            "import children, spans; children.instrument(spans.Tracer())")
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
