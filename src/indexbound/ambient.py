@@ -15,8 +15,6 @@ without batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -406,33 +404,25 @@ class AmbientKind:
 
     `model` is built by keyword from `params`, which maps each parameter to
     the converter of its INI value.  `margins` names the bounds margins that
-    apply.  `constant(model)` is the paper's stated index-bound constant.
+    apply.
     """
 
     model: type
     params: dict
     margins: tuple
-    constant: Callable
 
 
 AMBIENT_KINDS = {
-    # S^{n+1} and RP^{n+1}, dim = n + 1: 2/((n+2)(n+1))
-    "sphere": AmbientKind(
-        SphereModel, {"dim": int}, ("sphere", "scalar3"),
-        lambda a: Fraction(2, (a.intrinsic_dim + 1) * a.intrinsic_dim)),
+    "sphere": AmbientKind(SphereModel, {"dim": int}, ("sphere", "scalar3")),
     "real_projective": AmbientKind(
-        RealProjectiveModel, {"dim": int}, ("sphere", "scalar3"),
-        lambda a: Fraction(2, (a.intrinsic_dim + 1) * a.intrinsic_dim)),
+        RealProjectiveModel, {"dim": int}, ("sphere", "scalar3")),
     "complex_projective_veronese": AmbientKind(
-        ComplexProjectiveVeroneseModel, {"m": int}, ("cross", "scalar3"),
-        lambda a: Fraction(2, a.m * (a.m + 2) * (a.m + 1) ** 2)),
+        ComplexProjectiveVeroneseModel, {"m": int}, ("cross", "scalar3")),
     "circle_times_sphere": AmbientKind(
-        CircleTimesSphereModel, {"n": int}, ("product_q", "scalar3"),
-        lambda a: Fraction(2, (a.n + 3) * (a.n + 2))),
-    # pinched convex hypersurfaces of R^d: the generic constant itself
+        CircleTimesSphereModel, {"n": int}, ("product_q", "scalar3")),
     "ellipsoid": AmbientKind(
         EllipsoidModel, {"semi_axes": lambda s: [float(x) for x in s.split()]},
-        ("convex", "scalar3"), lambda a: Fraction(2, a.embed_dim * (a.embed_dim - 1))),
+        ("convex", "scalar3")),
 }
 
 

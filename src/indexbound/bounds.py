@@ -1,6 +1,6 @@
 """Index lower bounds: concentration-of-spectrum certificates, the theorem
-constant table with exact rational arithmetic, per-application pointwise
-margins, and the borderline complex-projective residual checks.
+constant as an exact rational, per-application pointwise margins, and the
+borderline complex-projective residual checks.
 """
 
 from __future__ import annotations
@@ -24,13 +24,23 @@ class BoundsError(Exception):
 STRICT_TOL = 1e-12
 
 #: margin sample sizes (the product profile's (theta, phi) grid and random
-#: draws, the ambient points of `convex` and `scalar3`), and the central-
-#: difference step of the borderline residuals per mesh spacing
+#: draws, the ambient points of `convex` and `scalar3`), the tolerance of the
+#: profile's grid minimum, and the central-difference step of the borderline
+#: residuals per mesh spacing
 _Q_GRID_POINTS = 2001
 _Q_SAMPLES = 10000
+_Q_MIN_TOL = 1e-6
 _CONVEX_SAMPLES = 400
 _SCALAR3_SAMPLES = 200
 _BORDERLINE_STEP = 1e-3
+
+
+def _strict(margin, scale, borderline):
+    """Verdict of the strict inequality margin < 0: "pass" below
+    -STRICT_TOL * scale, `borderline` within STRICT_TOL * scale of zero,
+    "fail" above it."""
+    tol = STRICT_TOL * scale
+    return "pass" if margin < -tol else borderline if margin <= tol else "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +72,7 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
     normalized = margin / (factor * np.linalg.eigvalsh(mass)[-1])
     required = math.ceil(required_real)
     actual = spectrum.count_below(eta)
-    passed = normalized < -STRICT_TOL and actual >= required
+    passed = _strict(normalized, 1.0, "fail") == "pass" and actual >= required
     return {
         "mode": mode, "eta": float(eta), "q": q, "d": d,
         "required": required, "required_real": required_real,
@@ -73,20 +83,13 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
 
 
 # ---------------------------------------------------------------------------
-# theorem constants (exact rationals)
+# theorem constant (an exact rational)
 
 def theorem_constant(ambient):
-    """The constant its AMBIENT_KINDS entry states for the ambient, as an exact
-    Fraction, checked against the generic form 2/(d(d-1)) it must equal."""
-    stated = AMBIENT_KINDS[ambient.kind].constant(ambient)
+    """The paper's constant 2/(d(d-1)) for an ambient embedded in R^d, as an
+    exact Fraction; every application it states reduces to this value."""
     d = ambient.embed_dim
-    generic = Fraction(2, d * (d - 1))
-    if stated != generic:
-        raise BoundsError(
-            f"constant table inconsistency for {ambient.kind!r}: "
-            f"{stated} != 2/(d(d-1)) = {generic}"
-        )
-    return stated
+    return Fraction(2, d * (d - 1))
 
 
 def index_bound_report(surface, spectrum):
@@ -96,13 +99,10 @@ def index_bound_report(surface, spectrum):
     C = theorem_constant(ambient)
     b1 = surface.betti_one
     bound = math.ceil(C * b1)
-    sphere_case = ambient.kind == "sphere"  # not its quotient RP^n
-    totally_geodesic = (
-        surface.node_fields()["a_norm_sq"].max() < 1e-8
-    )
-    if sphere_case and not totally_geodesic:
-        n = surface.dim
-        bound += n + 2
+    # in a sphere (not its quotient RP^n) |A|^2 = P - Ric(N, N) = P - K, so a
+    # surface is totally geodesic exactly when its declared potential is K
+    if ambient.kind == "sphere" and surface.potential != ambient.einstein_constant:
+        bound += surface.dim + 2
     index = spectrum.morse_index
     return {
         "surface": surface.name,
@@ -162,19 +162,16 @@ def margins_cross(ambient):
     scale = (8.0 / 3.0) * (n + 3 + abs(K))
     values = {"einstein_constant": float(K), "margin": margin,
               "kind": ambient.kind}
-    if abs(margin) <= STRICT_TOL * scale:
-        verdict = "borderline: strict by the projective-space residual checks"
-    elif margin < 0.0:
-        verdict = "pass"
-    else:
-        verdict = "fail"
     return {"values": values, "thresholds": {"margin": 0.0, "tol": STRICT_TOL},
-            "verdict": verdict}
+            "verdict": _strict(margin, scale, "borderline: strict by the "
+                               "projective-space residual checks")}
 
 
 def margins_product_q(surface, form, seed=0):
     """Grid minimum of q(theta, phi), closed-form agreement, and pointwise
-    negativity of the wedge integrand of `form` on a surface of S^1 x S^n."""
+    negativity of the wedge integrand of `form` on a surface of S^1 x S^n,
+    on the scale of its curvature terms, which stays off zero at n = 2, where
+    the integrand is zero to roundoff."""
     t = np.linspace(0.0, np.pi, _Q_GRID_POINTS)
     qv = q_closed_form(t[:, None], t[None, :])  # the (theta, phi) grid
     i_min = np.unravel_index(np.argmin(qv), qv.shape)
@@ -184,8 +181,12 @@ def margins_product_q(surface, form, seed=0):
     agree = float(
         np.abs(q_closed_form(ths, phs) - q_defining_expression(ths, phs)).max()
     )
-    integrand = _rhs_integrand(surface, form, "Prop32")
-    integrand_max = float(integrand[surface.node_fields()["interior"]].max())
+    interior = surface.node_fields()["interior"]
+    integrand_max = float(_rhs_integrand(surface, form, "Prop32")[interior].max())
+    cv = surface.ambient_curvature()
+    sizes = (np.abs(cv.ii_ew).sum(axis=(1, 2)) + np.abs(cv.rm_ew).sum(axis=(1, 2))
+             + np.abs(cv.ii_en) + np.abs(cv.ric_nn))
+    scale = float((np.einsum("na,na->n", form, form) * sizes)[interior].max())
     values = {
         "q_min": float(qv[i_min]),
         "argmin_theta": float(t[i_min[0]]),
@@ -193,20 +194,23 @@ def margins_product_q(surface, form, seed=0):
         "closed_form_agreement": agree,
         f"integrand_max_{surface.name}": integrand_max,
     }
-    ok_verdict = (abs(values["q_min"] - 0.875) < 1e-6 and agree < 1e-12
-                  and integrand_max < 0)
+    ok = abs(values["q_min"] - 0.875) < _Q_MIN_TOL and agree < 1e-12
+    verdict = _strict(integrand_max, scale, "borderline: the wedge integrand "
+                      "vanishes to roundoff") if ok else "fail"
     return {
         "values": values,
-        "thresholds": {"q_min": 0.875, "closed_form_agreement": 1e-12,
-                       "integrand_max": 0.0},
-        "verdict": "pass" if ok_verdict else "fail",
+        "thresholds": {"q_min": 0.875, "q_min_tol": _Q_MIN_TOL,
+                       "closed_form_agreement": 1e-12, "integrand_max": 0.0,
+                       "integrand_scale": scale, "tol": STRICT_TOL},
+        "verdict": verdict,
     }
 
 
 def margins_convex(ambient, seed=0):
     """Pointwise pinching of a convex hypersurface of Euclidean space:
-    ratio k_{n+1}/k_1 against sqrt((n+1)/2) (and sqrt(5/3) for n = 2), and
-    the margin 4 k_{n+1}^2 - 2(n+1) k_1^2."""
+    ratio k_{n+1}/k_1 below sqrt((n+1)/2), or below sqrt(5/3) for n = 2
+    (which every ratio below sqrt(3/2) also is), and the margin
+    4 k_{n+1}^2 - 2(n+1) k_1^2."""
     rng = np.random.default_rng(seed)
     n = ambient.intrinsic_dim - 1
     k = ambient.principal_curvatures(
@@ -217,13 +221,12 @@ def margins_convex(ambient, seed=0):
     thresholds = {"ratio": math.sqrt((n + 1) / 2.0)}
     if n == 2:
         thresholds["ratio_refined"] = math.sqrt(5.0 / 3.0)
+    limit = thresholds.get("ratio_refined", thresholds["ratio"])
+    thresholds["tol"] = STRICT_TOL
     values = {"ratio_max": ratio_max, "margin_max": margin_max,
               "semi_axes": list(map(float, ambient.semi_axes))}
-    passes = ratio_max < thresholds["ratio"]
-    if n == 2:
-        passes = passes or ratio_max < thresholds["ratio_refined"]
     return {"values": values, "thresholds": thresholds,
-            "verdict": "pass" if passes else "fail"}
+            "verdict": _strict(ratio_max - limit, limit, "fail")}
 
 
 def margins_scalar3(ambient, seed=0):
@@ -247,12 +250,9 @@ def margins_scalar3(ambient, seed=0):
     max_contraction = np.abs(ric - (h_sq - ii_sq)).max()
     values = {"min_2R_minus_H2": float(min_margin),
               "contraction_residual": float(max_contraction)}
-    if max_contraction >= 1e-8:
-        verdict = "fail"
-    elif abs(min_margin) <= STRICT_TOL * scale:
-        verdict = "borderline: 2R - |H|^2 vanishes to roundoff"
-    else:
-        verdict = "pass" if min_margin > 0 else "fail"
+    # 2R - |H|^2 > 0 is the strict inequality -min_margin < 0
+    verdict = "fail" if max_contraction >= 1e-8 else _strict(
+        -min_margin, scale, "borderline: 2R - |H|^2 vanishes to roundoff")
     return {"values": values,
             "thresholds": {"margin": 0.0, "tol": STRICT_TOL, "contraction": 1e-8},
             "verdict": verdict}
@@ -282,13 +282,19 @@ def application_margins(name, surface, basis, seed=0):
 # ---------------------------------------------------------------------------
 # borderline complex-projective residuals
 
-def borderline_cp_report(surface, f_fn=None):
+def _weight(p):
+    """The weight f of omega-sharp = f JN: non-constant, so that the two
+    sides of the norm decomposition are differenced apart."""
+    return 1.0 + 0.3 * np.sin(p[..., 0]) * np.cos(p[..., 2])
+
+
+def borderline_cp_report(surface):
     """Residuals of the computable borderline lemmas on a minimal hypersurface
-    of a complex projective ambient, for omega-sharp = f JN.
+    of a complex projective ambient, for omega-sharp = f JN with f `_weight`.
 
     Derivatives use central differences with a step tied to the mesh spacing,
-    so the residuals decay under refinement.  Without `f_fn`, f = 1 and the
-    derivative of omega-sharp is that of JN, taken once for both (i) and (ii).
+    so the residuals decay under refinement.  JN, f JN and f are differenced
+    as one stacked field.
     """
     model = surface.ambient
     if not isinstance(model, ComplexProjectiveVeroneseModel):
@@ -304,37 +310,28 @@ def borderline_cp_report(surface, f_fn=None):
     def jn_field(p):
         return model.complex_structure(z_of(p), surface.normal_fn(p))
 
+    def stacked(p):  # [JN, f JN, f]
+        jn, f = jn_field(p), _weight(p)[..., None]
+        return np.concatenate([jn, f * jn, f], axis=-1)
+
     jac = chart_jacobian(surface.chart_fn, params, step)
     frames, coeffs, ok = orthonormal_frames(jac)
-
-    def frame_derivative(field_fn):
-        d = chart_jacobian(field_fn, params, step)
-        return np.einsum("nab,nbd->nad", coeffs, d)
-
-    def tangential(v):  # project (n, a, d) onto the surface tangent space
-        comp = np.einsum("nad,nbd->nab", v, frames)
-        return np.einsum("nab,nbd->nad", comp, frames)
+    # frame derivatives X of the stacked field, sliced into d(JN), d(f JN), X f
+    d = coeffs @ chart_jacobian(stacked, params, step)
+    D = model.embed_dim
+    d_jn, d_fjn, xf = d[..., :D], d[..., D:2 * D], d[..., 2 * D]
 
     # (i) divergence of JN
-    d_jn = frame_derivative(jn_field)
     div_jn = np.einsum("nad,nad->n", d_jn, frames)
     div_residual = float(np.abs(div_jn[ok]).max())
 
-    # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2 |grad_X JN|^2
-    d_jn_t = tangential(d_jn)
-    if f_fn is None:  # f = 1: omega-sharp is JN
-        f_vals, d_omega = np.ones(len(params)), d_jn_t
-        xf = np.zeros(coeffs.shape[:-1])
-    else:
-        f_vals = f_fn(params)
-        df = chart_jacobian(lambda p: f_fn(p)[..., None], params, step)[..., 0]
-        xf = np.einsum("nab,nb->na", coeffs, df)
-        d_omega = tangential(frame_derivative(
-            lambda p: f_fn(p)[..., None] * jn_field(p)))
-    lhs = np.einsum("nad,nad->na", d_omega, d_omega)
-    rhs = xf**2 + (f_vals**2)[:, None] * np.einsum(
-        "nad,nad->na", d_jn_t, d_jn_t
-    )
+    # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2 |grad_X JN|^2,
+    # of the derivatives' tangential parts, by their orthonormal-frame components
+    frames_t = np.swapaxes(frames, -1, -2)
+    jn_t, omega_t = d_jn @ frames_t, d_fjn @ frames_t
+    lhs = np.einsum("nab,nab->na", omega_t, omega_t)
+    rhs = xf**2 + _weight(params)[:, None] ** 2 * np.einsum(
+        "nab,nab->na", jn_t, jn_t)
     decomposition_residual = float(np.abs(lhs - rhs)[ok].max())
 
     # (iii) traced Gauss with U = JN: Ric(U,U) - Rm(U,N,U,N) must equal 2m-2

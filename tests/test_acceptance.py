@@ -214,13 +214,11 @@ def test_criterion_07_geodesic_sphere_borderline(capsys):
     rep = bounds.borderline_cp_report(surf)
     res_max = max(rep["div_jn_residual"], rep["decomposition_residual"],
                   rep["traced_gauss_residual"])
-    # decay under refinement, probed with a non-constant weight so the
-    # finite-difference truncation is visible above roundoff
-    f = lambda p: 1.0 + 0.3 * np.sin(p[..., 0]) * np.cos(p[..., 2])
+    # decay under refinement: the report's non-constant weight makes the
+    # finite-difference truncation visible above roundoff
     coarse, fine = (
         bounds.borderline_cp_report(
-            hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), nodes),
-            f_fn=f)
+            hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), nodes))
         for nodes in (16, 32))
     decays = fine["decomposition_residual"] < coarse["decomposition_residual"]
     dt = time.perf_counter() - t0

@@ -3,10 +3,12 @@ the configured ambient model itself and runs each task of `all` through the
 scenario runner; an undeclared pairing, or an ambient dimension the kind
 cannot be built in, is a config error.  Every SURFACE_KINDS entry gives b1
 orthonormal harmonic one-forms.
-Every AMBIENT_KINDS entry names its own model, states a constant that
-passes the closure check, and is listed by some SURFACE_KINDS entry.
+Every AMBIENT_KINDS entry names its own model, gets the paper's constant for
+its kind from `theorem_constant`, and is listed by some SURFACE_KINDS entry.
 Parametrized over the registries themselves, so a new entry is covered
 without a test edit."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,12 +79,24 @@ def test_every_ambient_kind_carries_a_surface_kind():
     assert set(AMBIENT_KINDS) <= {amb for _, amb in PAIRS}
 
 
+#: the paper's constant for each ambient kind, in its own parameters
+PAPER_CONSTANTS = {
+    "sphere": lambda a: Fraction(2, (a.intrinsic_dim + 1) * a.intrinsic_dim),
+    "real_projective": lambda a: Fraction(
+        2, (a.intrinsic_dim + 1) * a.intrinsic_dim),
+    "complex_projective_veronese": lambda a: Fraction(
+        2, a.m * (a.m + 2) * (a.m + 1) ** 2),
+    "circle_times_sphere": lambda a: Fraction(2, (a.n + 3) * (a.n + 2)),
+    "ellipsoid": lambda a: Fraction(2, a.embed_dim * (a.embed_dim - 1)),
+}
+
+
 @pytest.mark.parametrize("kind", AMBIENT_KINDS)
 def test_ambient_kind_entry(kind):
     entry = AMBIENT_KINDS[kind]
     assert entry.model.kind == kind
     model = make_ambient(kind, **EXAMPLE_AMBIENTS[kind])
-    assert bounds.theorem_constant(model) == entry.constant(model)
+    assert bounds.theorem_constant(model) == PAPER_CONSTANTS[kind](model)
 
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)

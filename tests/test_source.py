@@ -4,8 +4,8 @@ scipy and keeps one eigensolver path (dense solves of symmetry blocks: no
 ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
 function is reached only from the tests (the benchmark counts as a caller),
 every defaulted parameter of a public function is passed by some package
-call, and every package name that the benchmark's traced child wraps
-exists."""
+call, every strict inequality of `bounds` goes through its one rule, and
+every package name that the benchmark's traced child wraps exists."""
 
 import ast
 import re
@@ -201,8 +201,6 @@ def test_no_function_reached_only_from_tests():
 UNPASSED_DEFAULTS = {
     "main.argv": "the entry point: the console script calls main() without "
                  "arguments, so that argparse reads sys.argv",
-    "borderline_cp_report.f_fn": "the non-constant weight with which "
-                                 "criterion 7 checks the residuals' decay",
     "geodesic_sphere_cp2.radius": "the minimal-radius oracle that brentq "
                                   "solves for",
 }
@@ -308,6 +306,42 @@ def test_unpassed_default_is_found():
 def test_every_default_is_passed():
     assert unpassed_defaults([p.read_text() for p in SOURCES]) == sorted(
         UNPASSED_DEFAULTS)
+
+
+def zero_comparisons(source, rule="_strict"):
+    """Line numbers of the comparisons of `source`, outside the function
+    `rule`, with a literal zero operand (0, 0.0, -0 or -0.0)."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == rule
+              for node in ast.walk(fn)}
+
+    def zero(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return (isinstance(node, ast.Constant)
+                and type(node.value) in (int, float) and node.value == 0)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in inside
+                  and any(map(zero, [node.left, *node.comparators])))
+
+
+def test_zero_comparison_is_found():
+    source = (
+        "def _strict(m, s):\n    return m < -0.0 or m > 0\n"
+        "def f(x, y):\n    ok = x < 0.0 and 0 <= y\n"
+        "    if abs(x) < 1e-8 or y == -0:\n        return x is False\n"
+        "    return [y > 0.5, x != 0]\n"
+    )
+    assert zero_comparisons(source) == [4, 4, 5, 7]
+
+
+def test_bounds_strict_inequalities_use_the_rule():
+    # every sign test of a margin in `bounds` is judged by `_strict`, against
+    # a reported tolerance, never by the sign of a bare comparison with zero
+    source = (Path(indexbound.__file__).parent / "bounds.py").read_text()
+    assert zero_comparisons(source) == []
 
 
 def test_benchmark_trace_wraps_existing_names():
