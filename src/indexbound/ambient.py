@@ -23,9 +23,9 @@ class AmbientError(Exception):
     """Invalid model parameters or chart-domain violations."""
 
 
-#: largest self-check residual that passes, the looser one allowed the
-#: residual keys backed by finite differences, and the steps of those
-#: finite-difference oracles, ii_quad_fd and j_parallel_residual
+#: largest residual that passes (model self-checks, the hypersurface checks
+#: of `identities`), the looser one of the self-check keys backed by finite
+#: differences, and the steps of those oracles, ii_quad_fd and j_parallel_residual
 IDENTITY_TOL = 1e-8
 FD_IDENTITY_TOL = 1e-4
 _FD_CHECKS = frozenset({"gauss_fd_closure", "complex_parallel"})

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel
-from .hypersurface import chart_jacobian, orthonormal_frames
+from .hypersurface import chart_jacobian
 from .testfns import _rhs_integrand, integrand_quadratic_form
 
 
@@ -22,6 +22,8 @@ class BoundsError(Exception):
 # Relative tolerance of the paper's strict inequalities: a margin within
 # STRICT_TOL of zero, relative to its scale, is roundoff and never passes.
 STRICT_TOL = 1e-12
+#: largest borderline residual that passes, reported as the block's tolerance
+BORDERLINE_TOL = 1e-5
 
 #: margin sample sizes (the product profile's (theta, phi) grid and random
 #: draws, the ambient points of `convex` and `scalar3`), the tolerance of the
@@ -294,7 +296,7 @@ def borderline_cp_report(surface):
 
     Derivatives use central differences with a step tied to the mesh spacing,
     so the residuals decay under refinement.  JN, f JN and f are differenced
-    as one stacked field.
+    as one stacked field along the surface's own frames.
     """
     model = surface.ambient
     if not isinstance(model, ComplexProjectiveVeroneseModel):
@@ -305,7 +307,7 @@ def borderline_cp_report(surface):
     step = _BORDERLINE_STEP * h_min
 
     def z_of(p):
-        return model.point_from_homogeneous(surface.model_point_fn(p))
+        return model.point_from_homogeneous(surface.point_fn(p))
 
     def jn_field(p):
         return model.complex_structure(z_of(p), surface.normal_fn(p))
@@ -314,8 +316,8 @@ def borderline_cp_report(surface):
         jn, f = jn_field(p), _weight(p)[..., None]
         return np.concatenate([jn, f * jn, f], axis=-1)
 
-    jac = chart_jacobian(surface.chart_fn, params, step)
-    frames, coeffs, ok = orthonormal_frames(jac)
+    fields = surface.node_fields()
+    frames, coeffs, ok = fields["frames"], fields["coeffs"], fields["interior"]
     # frame derivatives X of the stacked field, sliced into d(JN), d(f JN), X f
     d = coeffs @ chart_jacobian(stacked, params, step)
     D = model.embed_dim
@@ -349,4 +351,5 @@ def borderline_cp_report(surface):
         "decomposition_residual": decomposition_residual,
         "traced_gauss_residual": float(gauss_res),
         "step": step,
+        "tolerance": BORDERLINE_TOL,
     }

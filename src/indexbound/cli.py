@@ -1,9 +1,10 @@
 """Scenario runner: builds a configured hypersurface, runs the requested
 checks, and writes JSON reports plus a CSV summary.
 
-Configs are flat INI files (see the bundled files under `configs/`).  Exit
-status is nonzero when any verdict fails, a residual exceeds its tolerance,
-or a solver reports an error.
+Configs are flat INI files (see the bundled files under `configs/`); a bad
+value, or a key that no scenario reads, is a usage error (exit 2).  Exit
+status is 1 when any verdict fails, a residual exceeds its tolerance, or a
+solver reports an error.
 """
 
 from __future__ import annotations
@@ -41,14 +42,16 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _value(parser, section, key, conv, default=None):
-    """`conv` of the config value of `key` in `section`, or `default` where
-    the config has none (a ConfigError without a default); a value `conv`
-    refuses is a ConfigError naming the section and the key."""
+    """`conv` of the config value of `key` in `section`, removed from
+    `parser` once read, or `default` where the config has none (a
+    ConfigError without a default); a value `conv` refuses is a ConfigError
+    naming the section and the key."""
     raw = parser.get(section, key, fallback=None)
     if raw is None and default is None:
         raise ConfigError(f"[{section}] needs {key!r}")
     if raw is None:
         return default
+    parser.remove_option(section, key)
     try:
         return conv(raw)
     except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -66,7 +69,7 @@ def _int_at_least(low):
 
 
 def _build_ambient(parser):
-    kind = parser["ambient"].get("kind")
+    kind = _value(parser, "ambient", "kind", str)
     if kind not in ambient_mod.AMBIENT_KINDS:
         raise ConfigError(f"unknown ambient kind {kind!r}")
     params = {name: _value(parser, "ambient", name, conv)
@@ -75,9 +78,9 @@ def _build_ambient(parser):
 
 
 def _build_surface(parser, ambient, resolution_scale):
-    """The configured surface's kind entry and the surface, built in
-    `ambient` (in a quotient ambient, the double cover of the surface)."""
-    kind = parser["hypersurface"].get("kind")
+    """The configured surface, built in `ambient` (in a quotient ambient, the
+    double cover of the surface)."""
+    kind = _value(parser, "hypersurface", "kind", str)
     if kind not in hyp_mod.SURFACE_KINDS:
         raise ConfigError(f"unknown hypersurface kind {kind!r}")
     entry = hyp_mod.SURFACE_KINDS[kind]
@@ -88,17 +91,18 @@ def _build_surface(parser, ambient, resolution_scale):
     if ambient.kind not in entry.ambients:
         raise ConfigError(incompatible)
     try:
-        return entry, entry.build(ambient, nodes)
+        return entry.build(ambient, nodes)
     except ambient_mod.AmbientError as exc:
         raise ConfigError(f"{incompatible}: {exc}") from None
 
 
 class Scenario:
-    """Parsed scenario: ambient + hypersurface + tasks + tolerances."""
+    """Parsed scenario; a config key that it does not read is a ConfigError."""
 
     def __init__(self, config_path, resolution_scale=1.0, seed=None):
-        # no interpolation: a "%" in a value reaches its converter
-        parser = configparser.ConfigParser(interpolation=None)
+        # no interpolation: a "%" in a value reaches its converter; no
+        # default section (no header is empty): [DEFAULT] keys are unread keys
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             read = parser.read(config_path)
         except configparser.Error as exc:
@@ -109,23 +113,22 @@ class Scenario:
             raise ConfigError("config lacks a [scenario] section")
         self.config_sha256 = hashlib.sha256(
             Path(config_path).read_bytes()).hexdigest()
-        self.id = parser["scenario"].get("id", Path(config_path).stem)
-        self.seed = seed if seed is not None else _value(
-            parser, "scenario", "seed", _int_at_least(0), 12345)
-        if "ambient" not in parser or "hypersurface" not in parser:
-            raise ConfigError("config needs [ambient] and [hypersurface] sections")
+        self.id = _value(parser, "scenario", "id", str, Path(config_path).stem)
+        # read even under a --seed override, so a bad seed is still refused
+        config_seed = _value(parser, "scenario", "seed", _int_at_least(0), 12345)
+        self.seed = config_seed if seed is None else seed
         self.ambient = _build_ambient(parser)
-        self.surface_kind, self.surface = _build_surface(
-            parser, self.ambient, resolution_scale)
-        self.tolerances = {
-            key: _value(parser, "tolerances", key, float, default)
-            for key, default in dict(identity=1e-4, pointwise=1e-8,
-                                     borderline=1e-5).items()}
+        self.surface = _build_surface(parser, self.ambient, resolution_scale)
+        self.identity_tol = _value(parser, "tolerances", "identity", float, 1e-4)
         self.eta = _value(parser, "certificate", "eta", float, 0.0)
         self.how_many = _value(parser, "certificate", "eigenvalues", int, 24)
         if self.how_many < 1 or not np.isfinite(self.eta):
             raise ConfigError("[certificate] needs eigenvalues >= 1 and a "
                               f"finite eta, not {self.how_many} and {self.eta}")
+        unread = [f"[{s}] {key}" for s in parser.sections()
+                  for key in parser.options(s)]
+        if unread:
+            raise ConfigError("no scenario reads " + ", ".join(unread))
 
 
 def _json_default(x):
@@ -180,7 +183,7 @@ def _identities(run, report):
     sc = run.scenario
     amb_rep = ambient_mod.verify_model_identities(sc.ambient, 200, seed=sc.seed)
     checks = run.surface.pointwise_checks(seed=sc.seed)
-    tol = sc.tolerances["pointwise"]
+    tol = ambient_mod.IDENTITY_TOL
     report["residuals"] = {
         "ambient": amb_rep.residuals,
         "hypersurface": checks,
@@ -212,7 +215,7 @@ def _verify_identity(run, report):
     form = hodge_mod.combine(run.basis, c)
     modes = ("Prop32", "Prop31") if run.surface.dim == 2 else ("Prop32",)
     report["identity"] = testfns_mod.q_identity_report(run.surface, form, modes)
-    return all(rep["relative_residual"] < sc.tolerances["identity"]
+    return all(rep["relative_residual"] < sc.identity_tol
                for rep in report["identity"].values())
 
 
@@ -251,20 +254,15 @@ def _borderline(run, report):
         return True
     report["borderline"] = rep = bounds_mod.borderline_cp_report(run.surface)
     return max(rep["div_jn_residual"], rep["decomposition_residual"],
-               rep["traced_gauss_residual"]) < run.scenario.tolerances["borderline"]
+               rep["traced_gauss_residual"]) < rep["tolerance"]
 
 
 def _bounds(run, report):
-    surf = run.surface
-    if not run.scenario.surface_kind.compares_index:
-        report["bounds"] = {
-            "constant": bounds_mod.theorem_constant(run.scenario.ambient)}
-        return True
-    if surf.potential is None:
+    if run.surface.potential is None:
         report["bounds"] = {"skipped": _NO_POTENTIAL}
         return True
     report["bounds"] = table = bounds_mod.index_bound_report(
-        surf, spectrum=run.spectrum_report())
+        run.surface, spectrum=run.spectrum_report())
     return bool(table["consistent"])
 
 

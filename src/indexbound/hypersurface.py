@@ -1,12 +1,12 @@
 """Discrete closed minimal hypersurfaces inside the ambient models.
 
-A hypersurface is described by a chart from a structured parameter grid into
-the ambient embedding space, together with a unit normal field (tangent to the
-ambient manifold) and the stability potential Ric(N, N) + |A|^2, a number:
-every catalog surface is homogeneous, so it is constant.  Geometry at
-the nodes — orthonormal tangent frames, the shape operator, curvature traces —
-is recovered by small-step central differences of the chart, which keeps every
-catalog entry expressible in closed form.
+A hypersurface is a map from a structured parameter grid onto points of the
+ambient model, whose `position` in R^d is its chart, with a unit normal field
+(tangent to the ambient manifold) and the stability potential Ric(N, N) +
+|A|^2, a number: every catalog surface is homogeneous, so it is constant.
+Geometry at the nodes — orthonormal tangent frames, the shape operator,
+curvature traces — is recovered by small-step central differences of the
+chart, which keeps every catalog entry expressible in closed form.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ class AmbientCurvature(NamedTuple):
 class DiscreteHypersurface:
     """A closed minimal hypersurface sampled on a structured parameter grid.
 
+    `point_fn` maps (..., k) chart parameters to points of the ambient model
+    (unit vectors of C^{m+1} on CP^m, the R^d position on the other models).
     `harmonic_axes` are the periodic chart axes whose angle differentials
     d(theta_k) span its harmonic one-forms, so b1 is their count.  Each
     d(theta_k) is closed; it is co-closed, hence harmonic, when the metric
@@ -132,23 +134,21 @@ class DiscreteHypersurface:
     the other axes, as in a Riemannian product with the circle of axis k.
     """
 
-    def __init__(self, name, ambient, axes, chart_fn, normal_fn,
-                 metric_fn=None, potential=None, model_point_fn=None,
-                 harmonic_axes=()):
+    def __init__(self, name, ambient, axes, point_fn, normal_fn,
+                 metric_fn=None, potential=None, harmonic_axes=()):
         self.name = name
         self.ambient = ambient
         self.axes = list(axes)
-        self.chart_fn = chart_fn
+        self.point_fn = point_fn
         self.normal_fn = normal_fn
         self._metric_fn = metric_fn
         self.potential = potential  # the constant potential, or None
-        self.model_point_fn = model_point_fn or (lambda p: chart_fn(p))
         self.harmonic_axes = tuple(harmonic_axes)
         self.fd_step = _FD_STEP_FRAC * min(a.length for a in self.axes)
 
         self.grid = TensorGrid(self.axes)
         self.node_params = self.grid.node_params
-        self.positions = chart_fn(self.node_params)
+        self.positions = self.chart_fn(self.node_params)
         self.normals = normal_fn(self.node_params)
         self._fem = None
         self._fields = None
@@ -168,6 +168,10 @@ class DiscreteHypersurface:
         return self.ambient.embed_dim
 
     # -- chart-derived fields -------------------------------------------------
+    def chart_fn(self, params):
+        """The R^d positions of the points at chart parameters `params`."""
+        return self.ambient.position(self.point_fn(params))
+
     def metric_fn(self, params):
         if self._metric_fn is not None:
             return self._metric_fn(params)
@@ -220,7 +224,7 @@ class DiscreteHypersurface:
         if self._curvature is not None:
             return self._curvature
         model = self.ambient
-        pt = self.model_point_fn(self.node_params)
+        pt = self.point_fn(self.node_params)
         F = model.tangent_frame(pt)  # (n_nodes, m, d)
         n_nodes, m = F.shape[:2]
         Ft = F.swapaxes(1, 2)
@@ -249,7 +253,7 @@ class DiscreteHypersurface:
 
     def ric_nn(self, node_indices):
         """Ambient Ricci in the normal direction at selected nodes."""
-        points = self.model_point_fn(self.node_params[node_indices])
+        points = self.point_fn(self.node_params[node_indices])
         return self.ambient.ricci(points, self.normals[node_indices])
 
     def pointwise_checks(self, seed=0):
@@ -270,7 +274,7 @@ class DiscreteHypersurface:
         idx = np.flatnonzero(ok)
         idx = rng.choice(idx, size=min(_POINTWISE_SAMPLE, len(idx)), replace=False)
         tang = self.ambient.tangency_residual(
-            self.model_point_fn(self.node_params[idx]), self.normals[idx]
+            self.point_fn(self.node_params[idx]), self.normals[idx]
         )
         res["normal_ambient_tangency"] = float(tang.max())
         res["shape_asymmetry"] = float(f["shape_asymmetry"][ok].max())
@@ -341,13 +345,13 @@ def _hyperplane_section(name, ambient, nodes, scale, **kwargs):
     """The section {x_last = 0} of `ambient`: the angular chart of S^n times
     `scale` per axis, padded with a zero last coordinate, and the constant
     unit normal along the last axis.  `kwargs` go to DiscreteHypersurface."""
-    def chart(p):
+    def point(p):
         x = spherical_chart(p) * scale
         pad = np.zeros(x.shape[:-1] + (1,))
         return np.concatenate([x, pad], axis=-1)
 
     return DiscreteHypersurface(
-        name, ambient, spherical_axes(ambient.intrinsic_dim - 1, nodes), chart,
+        name, ambient, spherical_axes(ambient.intrinsic_dim - 1, nodes), point,
         _last_axis_normal(ambient.embed_dim), **kwargs,
     )
 
@@ -367,7 +371,7 @@ def _circle_times_sphere(name, ambient, nodes, n, r, s, g, normal, potential):
     S^{n-1} scaled by s, padded with zeros to the ambient's embedding
     dimension, with the metric diag(g[0], g[1] g_round) and the unit
     `normal` (a function of the chart parameters)."""
-    def chart(p):
+    def point(p):
         circ = np.stack([np.cos(p[..., 0]), np.sin(p[..., 0])], axis=-1) * r
         w = spherical_chart(p[..., 1:])
         pad = np.zeros(w.shape[:-1] + (ambient.embed_dim - 2 - n,))
@@ -382,7 +386,7 @@ def _circle_times_sphere(name, ambient, nodes, n, r, s, g, normal, potential):
     axes = [Axis("alpha", 2 * np.pi, nodes, periodic=True)]
     axes += spherical_axes(n - 1, nodes)
     return DiscreteHypersurface(
-        name, ambient, axes, chart, normal, metric_fn=metric,
+        name, ambient, axes, point, normal, metric_fn=metric,
         potential=potential,
         harmonic_axes=(0, 1) if n == 2 else (0,),  # n = 2: phi is a circle too
     )
@@ -446,9 +450,6 @@ def geodesic_sphere_cp2(ambient, nodes, radius=None):
     def point(p):
         return along(horizontal(p), cr, sr)
 
-    def chart(p):
-        return ambient.position(point(p))
-
     def normal(p):
         u = horizontal(p)
         return ambient.tangent_from_horizontal(along(u, cr, sr),
@@ -467,8 +468,7 @@ def geodesic_sphere_cp2(ambient, nodes, radius=None):
         Axis("eta", np.pi / 2, max(4, nodes // 2)),
     ]
     return DiscreteHypersurface(
-        "geodesic_sphere_cp2", ambient, axes, chart, normal,
-        metric_fn=metric, model_point_fn=point,
+        "geodesic_sphere_cp2", ambient, axes, point, normal, metric_fn=metric,
         # Einstein constant 6 plus |A|^2 = 4 cot(2r)^2 + 2 cot(r)^2
         potential=float(6.0 + 4.0 / np.tan(2 * r) ** 2 + 2.0 / np.tan(r) ** 2),
     )
@@ -492,15 +492,13 @@ class SurfaceKind:
     its dimensions read from that model; it raises AmbientError for a
     dimension it cannot build.  `ambients` are the ambient kinds it lives
     in; in one whose model has an involution it is the double cover of its
-    quotient.  `compares_index` says whether the bounds block compares the
-    bound with the computed index.  Its harmonic one-forms are no part of
-    the entry: the surface that `build` returns names the chart axes that
-    carry them (`harmonic_axes`).
+    quotient.  Its harmonic one-forms are no part of the entry: the surface
+    that `build` returns names the chart axes that carry them
+    (`harmonic_axes`).
     """
 
     build: Callable
     ambients: tuple
-    compares_index: bool = True
 
 
 SURFACE_KINDS = {
@@ -509,8 +507,7 @@ SURFACE_KINDS = {
     "generalized_clifford": SurfaceKind(generalized_clifford, ("sphere",)),
     "circle_times_equator": SurfaceKind(circle_times_equator,
                                         ("circle_times_sphere",)),
-    "geodesic_sphere_cp2": SurfaceKind(
-        geodesic_sphere_cp2, ("complex_projective_veronese",),
-        compares_index=False),
+    "geodesic_sphere_cp2": SurfaceKind(geodesic_sphere_cp2,
+                                       ("complex_projective_veronese",)),
     "ellipsoid_section": SurfaceKind(ellipsoid_section, ("ellipsoid",)),
 }

@@ -246,11 +246,9 @@ def with_resolution(surface, scale):
     axes = [Axis(a.name, a.length, max(4, int(round(a.nodes * scale))),
                  periodic=a.periodic) for a in surface.axes]
     return hyp.DiscreteHypersurface(
-        surface.name, surface.ambient, axes, surface.chart_fn,
+        surface.name, surface.ambient, axes, surface.point_fn,
         surface.normal_fn, metric_fn=surface._metric_fn,
-        potential=surface.potential,
-        model_point_fn=surface.model_point_fn,
-        harmonic_axes=surface.harmonic_axes)
+        potential=surface.potential, harmonic_axes=surface.harmonic_axes)
 
 
 def random_tangent(model, point, rng, unit=True):

@@ -346,7 +346,7 @@ def test_traced_gauss_matches_pointwise_loop(geodesic_cp2):
                      replace=False)
     worst = 0.0
     for i in idx:
-        z = model.point_from_homogeneous(geodesic_cp2.model_point_fn(params[i]))
+        z = model.point_from_homogeneous(geodesic_cp2.point_fn(params[i]))
         N = geodesic_cp2.normals[i]
         jn = model.tangent_from_horizontal(
             z, 1j * model.horizontal_from_ambient(z, N))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import indexbound
 from indexbound import cli, hypersurface as hyp
-from indexbound.ambient import CircleTimesSphereModel, IdentityReport
+from indexbound.ambient import CircleTimesSphereModel, IDENTITY_TOL, IdentityReport
 from indexbound.hodge import HodgeError, harmonic_one_forms
 from indexbound.spectral import SpectralError
 from indexbound.testfns import _rhs_integrand
@@ -299,7 +300,23 @@ def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
     ("nodes = 32", "nodes = 0", [], "[hypersurface] nodes: must be >= 4"),
     ("nodes = 32", "nodes = -3", [], "[hypersurface] nodes: must be >= 4"),
     ("", "", ["--seed", "-1"], "argument --seed: must be >= 0"),
-], ids=["seed", "zero-nodes", "negative-nodes", "seed-flag"])
+    # the config's seed is read and checked under --seed too
+    ("seed = 7", "seed = seven", ["--seed", "5151"], "[scenario] seed"),
+    # a key that no scenario reads fails instead of running on defaults:
+    # "node = 40" once ran at the default 24 nodes and exited 0; the
+    # pointwise and borderline tolerances are retired keys
+    ("nodes = 32", "node = 40", [], "no scenario reads [hypersurface] node"),
+    ("identity = 1e-3", "identity = 1e-3\npointwise = 1e-9", [],
+     "no scenario reads [tolerances] pointwise"),
+    ("identity = 1e-3", "identity = 1e-3\nborderline = 1e-5", [],
+     "no scenario reads [tolerances] borderline"),
+    ("identity = 1e-3", "identity = 1e-3\n[extra]\nnote = 1", [],
+     "no scenario reads [extra] note"),
+    ("[scenario]", "[DEFAULT]\nnodes = 8\n[scenario]", [],
+     "no scenario reads [DEFAULT] nodes"),
+], ids=["seed", "zero-nodes", "negative-nodes", "seed-flag", "seed-under-flag",
+        "unread-node", "unread-pointwise", "unread-borderline", "unread-extra",
+        "unread-default"])
 def test_value_out_of_range_is_usage_error(old, new, flags, message, tmp_path,
                                            capsys):
     cfg = tmp_path / "bad.cfg"
@@ -312,6 +329,42 @@ def test_value_out_of_range_is_usage_error(old, new, flags, message, tmp_path,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "torus-small.json").exists()
+
+
+@pytest.mark.parametrize("name", ["clifford.cfg", "cp2-borderline.cfg"])
+def test_bundled_config_runs_under_seed_flag(name, tmp_path):
+    # the config's own seed is read, and refused when bad, under --seed too
+    assert cli.main(["identities", "--config", str(cli.bundled_config(name)),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5",
+                     "--seed", "5151"]) == 0
+    report = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())
+    assert report["seed"] == report["provenance"]["seed"] == 5151
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("clifford.cfg", "clifford_torus"),
+    ("cp2-borderline.cfg", "geodesic_sphere_cp2"),
+])
+@pytest.mark.parametrize("shift", [0.0, 1e-6])
+def test_identities_check_the_declared_potential(name, kind, shift, tmp_path,
+                                                 monkeypatch):
+    # the bounds table trusts the declared potential; `identities` compares
+    # it with the finite-difference |A|^2 + Ric(N, N) and fails when moved
+    entry = hyp.SURFACE_KINDS[kind]
+
+    def moved(ambient, nodes):
+        surface = entry.build(ambient, nodes)
+        surface.potential += shift
+        return surface
+
+    monkeypatch.setitem(hyp.SURFACE_KINDS, kind,
+                        dataclasses.replace(entry, build=moved))
+    code = cli.main(["identities", "--config", str(cli.bundled_config(name)),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    checks = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())[
+        "residuals"]["hypersurface"]
+    assert code == (1 if shift else 0)
+    assert (checks["potential_consistency"] > IDENTITY_TOL) == bool(shift)
 
 
 def test_bundled_configs_load():
@@ -471,9 +524,14 @@ def test_cp2_borderline_passes_every_block(bundled_all):
     assert set(margins) == {"cross", "scalar3"}
     assert all(m["verdict"].startswith("borderline") for m in margins.values())
     border = report["borderline"]
+    assert border["tolerance"] == 1e-5
     assert max(border["div_jn_residual"], border["decomposition_residual"],
-               border["traced_gauss_residual"]) < 1e-5
-    assert report["bounds"] == {"constant": "1/36"}
+               border["traced_gauss_residual"]) < border["tolerance"]
+    # b1 = 0: the bound is 0, below the index 1 of the constant function
+    assert report["bounds"] == {
+        "surface": "geodesic_sphere_cp2", "ambient": "complex_projective_veronese",
+        "constant": "1/36", "betti_one": 0, "bound": 0, "index": 1,
+        "consistent": True, "tight": False}
 
 
 def test_ellipsoid_fails_on_convex_pinching(tmp_path):
@@ -496,16 +554,16 @@ def test_ellipsoid_fails_on_convex_pinching(tmp_path):
     assert IdentityReport("ellipsoid", 200, residuals["ambient"]).ok
 
 
-def test_pointwise_tolerance_gates_identities(tmp_path):
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text(CONFIG)
-    assert cli.main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+def test_pointwise_tolerance_gates_identities(config_path, tmp_path,
+                                             monkeypatch):
+    argv = ["identities", "--config", str(config_path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
     report = json.loads((tmp_path / "torus-small.json").read_text())
-    assert report["residuals"]["pointwise_tolerance"] == 1e-8
+    assert report["residuals"]["pointwise_tolerance"] == IDENTITY_TOL == 1e-8
     worst = max(report["residuals"]["hypersurface"].values())
     assert 0.0 < worst < 1e-8
-    cfg.write_text(CONFIG + f"pointwise = {worst / 2}\n")
-    assert cli.main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    monkeypatch.setattr(cli.ambient_mod, "IDENTITY_TOL", worst / 2)
+    assert cli.main(argv) == 1
 
 
 @pytest.fixture(scope="module")

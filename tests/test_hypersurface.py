@@ -348,7 +348,7 @@ def test_double_cover_rejects_bad_maps():
 def test_ric_nn_matches_pointwise(geodesic_cp2):
     idx = np.arange(0, geodesic_cp2.grid.n_nodes, 37)
     model = geodesic_cp2.ambient
-    ref = [model.ricci(geodesic_cp2.model_point_fn(geodesic_cp2.node_params[i]),
+    ref = [model.ricci(geodesic_cp2.point_fn(geodesic_cp2.node_params[i]),
                        geodesic_cp2.normals[i]) for i in idx]
     assert np.abs(geodesic_cp2.ric_nn(idx) - ref).max() < 1e-12
     assert np.abs(geodesic_cp2.ric_nn(idx) - 6.0).max() < 1e-10

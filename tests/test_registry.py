@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from indexbound import bounds, cli, hodge
-from indexbound.ambient import AMBIENT_KINDS, make_ambient
+from indexbound.ambient import AMBIENT_KINDS, IDENTITY_TOL, make_ambient
 from indexbound.hypersurface import SURFACE_KINDS
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import deck_permutation, deck_sign_spectrum, dense_spectrum, parity_basis
@@ -206,7 +206,7 @@ def test_surface_with_potential_declares_its_metric(kind, ambient_kind,
         return
     assert surface._metric_fn is not None
     checks = surface.pointwise_checks(seed=scenario.seed)
-    assert checks["metric_consistency"] < scenario.tolerances["pointwise"]
+    assert checks["metric_consistency"] < IDENTITY_TOL
 
 
 @pytest.mark.parametrize("kind", SURFACE_KINDS)

@@ -4,8 +4,9 @@ scipy and keeps one eigensolver path (dense solves of symmetry blocks: no
 ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
 function is reached only from the tests (the benchmark counts as a caller),
 every defaulted parameter of a public function is passed by some package
-call, every strict inequality of `bounds` goes through its one rule, and
-every package name that the benchmark's traced child wraps exists."""
+call, every strict inequality of `bounds` goes through its one rule,
+every package name that the benchmark's traced child wraps exists, and the
+scenario runner reads the config only through its one reader."""
 
 import ast
 import re
@@ -352,3 +353,44 @@ def test_benchmark_trace_wraps_existing_names():
     run = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def config_reads(source, reader="_value"):
+    """Line numbers of the reads of a config value in `source` outside the
+    function `reader`: a `get` method (get, getint, getfloat, getboolean) of
+    a name `parser` or of a section of it, or a section `parser[...]`."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == reader
+              for node in ast.walk(fn)}
+
+    def parser(node):
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "parser"
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if id(node) not in inside and (
+                       isinstance(node, ast.Subscript) and parser(node)
+                       or isinstance(node, ast.Attribute)
+                       and node.attr.startswith("get") and parser(node.value))})
+
+
+def test_config_read_is_found():
+    source = (
+        "def _value(parser, section, key):\n"
+        "    return parser.get(section, key)\n"
+        "def build(parser):\n    kind = parser['ambient'].get('kind')\n"
+        "    n = parser.getint('hypersurface', 'nodes')\n"
+        "    if 'scenario' not in parser:\n        return parser.sections()\n"
+        "    section = parser['scenario']\n"
+        "    return args.parser.get('x'), parser.options('x'), _value(parser, 'a', 'b')\n"
+    )
+    assert config_reads(source) == [4, 5, 8]
+
+
+def test_cli_reads_the_config_only_through_value():
+    # `_value` removes each key it reads, and the scenario refuses the keys
+    # left over, so a read that bypasses it would refuse a key it uses
+    source = (Path(indexbound.__file__).parent / "cli.py").read_text()
+    assert config_reads(source) == []

@@ -200,7 +200,7 @@ def test_curvature_on_cp2_geodesic_sphere():
     assert np.abs(cv.ric_nn - model.einstein_constant).max() < 1e-12
     assert model.einstein_constant == 6.0
     scal, _ = scalar_and_mean_curvature(
-        model, surf.model_point_fn(surf.node_params))
+        model, surf.point_fn(surf.node_params))
     assert np.abs(cv.scal - scal).max() < 1e-12
 
 
