@@ -27,14 +27,15 @@ BORDERLINE_TOL = 1e-5
 
 #: margin sample sizes (the product profile's (theta, phi) grid and random
 #: draws, the ambient points of `convex` and `scalar3`), the tolerance of the
-#: profile's grid minimum, and the central-difference step of the borderline
-#: residuals per mesh spacing
+#: profile's grid minimum, the central-difference step of the borderline
+#: residuals per mesh spacing, and the nodes differenced at once
 _Q_GRID_POINTS = 2001
 _Q_SAMPLES = 10000
 _Q_MIN_TOL = 1e-6
 _CONVEX_SAMPLES = 400
 _SCALAR3_SAMPLES = 200
 _BORDERLINE_STEP = 1e-3
+_BORDERLINE_NODES = 2048
 
 
 def _strict(margin, scale, borderline):
@@ -296,7 +297,8 @@ def borderline_cp_report(surface):
 
     Derivatives use central differences with a step tied to the mesh spacing,
     so the residuals decay under refinement.  JN, f JN and f are differenced
-    as one stacked field along the surface's own frames.
+    as one stacked field along the surface's own frames, a chunk of nodes
+    at a time.
     """
     model = surface.ambient
     if not isinstance(model, ComplexProjectiveVeroneseModel):
@@ -318,23 +320,32 @@ def borderline_cp_report(surface):
 
     fields = surface.node_fields()
     frames, coeffs, ok = fields["frames"], fields["coeffs"], fields["interior"]
-    # frame derivatives X of the stacked field, sliced into d(JN), d(f JN), X f
-    d = coeffs @ chart_jacobian(stacked, params, step)
     D = model.embed_dim
-    d_jn, d_fjn, xf = d[..., :D], d[..., D:2 * D], d[..., 2 * D]
+    div_residual = decomposition_residual = 0.0
+    for at in range(0, len(params), _BORDERLINE_NODES):
+        part = slice(at, at + _BORDERLINE_NODES)
+        p, F, inside = params[part], frames[part], ok[part]
+        # frame derivatives X of the stacked field, sliced into d(JN),
+        # d(f JN), X f
+        d = coeffs[part] @ chart_jacobian(stacked, p, step)
+        d_jn, d_fjn, xf = d[..., :D], d[..., D:2 * D], d[..., 2 * D]
 
-    # (i) divergence of JN
-    div_jn = np.einsum("nad,nad->n", d_jn, frames)
-    div_residual = float(np.abs(div_jn[ok]).max())
+        # (i) divergence of JN
+        div_jn = np.einsum("nad,nad->n", d_jn, F)
+        div_residual = max(div_residual,
+                           float(np.abs(div_jn[inside]).max(initial=0.0)))
 
-    # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2 |grad_X JN|^2,
-    # of the derivatives' tangential parts, by their orthonormal-frame components
-    frames_t = np.swapaxes(frames, -1, -2)
-    jn_t, omega_t = d_jn @ frames_t, d_fjn @ frames_t
-    lhs = np.einsum("nab,nab->na", omega_t, omega_t)
-    rhs = xf**2 + _weight(params)[:, None] ** 2 * np.einsum(
-        "nab,nab->na", jn_t, jn_t)
-    decomposition_residual = float(np.abs(lhs - rhs)[ok].max())
+        # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2
+        # |grad_X JN|^2, of the derivatives' tangential parts, by their
+        # orthonormal-frame components
+        F_t = np.swapaxes(F, -1, -2)
+        jn_t, omega_t = d_jn @ F_t, d_fjn @ F_t
+        lhs = np.einsum("nab,nab->na", omega_t, omega_t)
+        rhs = xf**2 + _weight(p)[:, None] ** 2 * np.einsum(
+            "nab,nab->na", jn_t, jn_t)
+        decomposition_residual = max(
+            decomposition_residual,
+            float(np.abs(lhs - rhs)[inside].max(initial=0.0)))
 
     # (iii) traced Gauss with U = JN: Ric(U,U) - Rm(U,N,U,N) must equal 2m-2
     rng = np.random.default_rng(0)

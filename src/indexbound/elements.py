@@ -9,7 +9,7 @@ eigenvalues of the Galerkin pencil sit above their continuous counterparts.
 No matrix is summed: each is held as its cell matrices, (C, L, L) for C
 cells of L local DOFs, with the fused DOFs of each cell, and its consumers
 sum the cell entries onto what they need (the symmetry blocks of the Jacobi
-pencil, a quadratic form).
+pencil, a slice of cells at a time; a quadratic form).
 """
 
 from __future__ import annotations
@@ -173,7 +173,9 @@ def _inverse_and_det(g):
 class CellMatrices:
     """A fused-DOF matrix held as its cell matrices, unsummed: `data[c]`,
     (L, L), sits at the DOFs `dofs[c]` of cell c, and an entry of the matrix
-    is the sum of the cell entries at its position."""
+    is the sum of the cell entries at its position.  The cells may be a
+    slice of the grid's, whose consumer sums them onto what it needs and
+    frees them before the next slice is formed."""
 
     dofs: np.ndarray
     data: np.ndarray
@@ -193,13 +195,15 @@ class FemSystem:
     """Galerkin matrices for -div(grad) - V, V the constant `potential`, on
     a curved chart.
 
-    `mass`, `stiffness` and `index_form` are cell matrices, formed at each
-    read from the metric evaluated once at construction; none is kept, and
-    the quadrature weights `node_weights` (the mass matrix's row sums) need
-    none.  The metric's determinant and inverse come from a Gauss-Jordan
-    elimination without pivoting; a metric with a pivot that is not
-    positive, one that is not positive definite by Sylvester's criterion,
-    raises ValueError.  `fuse` maps grid nodes to DOFs.
+    `stiffness` and `index_form` are the cell matrices of every cell, and
+    `cells(at)` those of K - P and of M on a slice of cells, formed at each
+    call from the metric evaluated once at construction, a chunk of cells at
+    a time; none is kept, and the quadrature weights `node_weights` (the
+    mass matrix's row sums) need none.  The metric's determinant and inverse
+    come from a Gauss-Jordan elimination without pivoting; a metric with a
+    pivot that is not positive, one that is not positive definite by
+    Sylvester's criterion, raises ValueError.  `fuse` maps grid nodes to
+    DOFs.
     """
 
     def __init__(self, grid, metric_fn, positions, potential=0.0):
@@ -210,13 +214,18 @@ class FemSystem:
         gauss_local, w, self._vals, grads = _reference_tensors(ndim)
         # physical gradients: reference gradient scaled by 1/h per axis
         self._grads = grads / hs[None, None, :]
-        # quadrature points in parameter space, (C, G, ndim)
+        # the metric at the quadrature points in parameter space, a chunk of
+        # cells at a time
         origins = grid.cell_origins()
-        qp = origins[:, None, :] + gauss_local[None, :, :] * hs[None, None, :]
-        C, G = qp.shape[:2]
-        self._g = np.asarray(metric_fn(qp.reshape(-1, ndim))).reshape(
-            C, G, ndim, ndim)
-        detg = _inverse_and_det(self._g)[1]
+        C, G = len(origins), len(w)
+        self._g = np.empty((C, G, ndim, ndim))
+        detg = np.empty((C, G))
+        for c in range(0, C, _CELL_CHUNK):
+            at = slice(c, c + _CELL_CHUNK)
+            qp = origins[at, None, :] + gauss_local * hs
+            self._g[at] = np.reshape(metric_fn(qp.reshape(-1, ndim)),
+                                     (-1, G, ndim, ndim))
+            detg[at] = _inverse_and_det(self._g[at])[1]
         self._scale = w[None, :] * np.sqrt(detg) * float(np.prod(hs))  # (C, G)
 
         self.fuse = self._fusion_labels(positions)
@@ -228,39 +237,43 @@ class FemSystem:
         rows = np.einsum("cg,gi->ci", self._scale, self._vals).ravel()
         self.node_weights = np.bincount(self._cell_dofs.ravel(), rows, self.n_dofs)
 
-    def _cells(self, weight=None, metric_weight=None):
-        """Cell matrices with entries sum_g weight phi_i phi_j plus
-        sum_g metric_weight metric^-1(grad phi_i, grad phi_j), either term
-        left out when its weight, (C, G), is None."""
+    def _cells(self, at, weight=None, metric_weight=None):
+        """Cell matrices of the cells `at`, a slice, with entries
+        sum_g weight phi_i phi_j plus sum_g metric_weight metric^-1(grad
+        phi_i, grad phi_j), either term left out when its weight, that of
+        each cell `at` at each quadrature point, is None."""
         # one small product per cell runs on one BLAS thread, so the sums do
         # not depend on the thread count; chunks keep the temporaries small
-        L = self._vals.shape[1]
-        E = np.zeros((len(self._scale), L, L))
+        L, g = self._vals.shape[1], self._g[at]  # a view
+        E = np.zeros((len(g), L, L))
         for c in range(0, len(E), _CELL_CHUNK):
-            at = slice(c, c + _CELL_CHUNK)
+            part = slice(c, c + _CELL_CHUNK)
             if weight is not None:  # V^T diag(weight) V
-                E[at] += (self._vals.T * weight[at][:, None, :]) @ self._vals
+                E[part] += ((self._vals.T * weight[part][:, None, :])
+                            @ self._vals)
             if metric_weight is not None:  # sum_g grads (s ginv) grads^T
-                s, ginv = metric_weight[at], _inverse_and_det(self._g[at])[0]
+                s, ginv = metric_weight[part], _inverse_and_det(g[part])[0]
                 T = ((s[:, :, None, None] * ginv)
                      @ self._grads.transpose(0, 2, 1))
-                E[at] += (self._grads.transpose(1, 0, 2)
-                          .reshape(L, -1) @ T.reshape(len(s), -1, L))
-        return CellMatrices(self._cell_dofs, E)
+                E[part] += (self._grads.transpose(1, 0, 2)
+                            .reshape(L, -1) @ T.reshape(len(s), -1, L))
+        return CellMatrices(self._cell_dofs[at], E)
 
-    @property
-    def mass(self):
-        return self._cells(self._scale)
+    def cells(self, at):
+        """The cells `at`, a slice, of K - P and of M: stiffness cells minus
+        the mass cells times the constant `potential`, and the mass cells."""
+        s = self._scale[at]
+        return self._cells(at, -s * self.potential, s), self._cells(at, s)
 
     @property
     def stiffness(self):
-        return self._cells(metric_weight=self._scale)
+        return self._cells(slice(None), metric_weight=self._scale)
 
     @property
     def index_form(self):
-        """The cells of K - P, stiffness cells minus the mass cells times
-        the constant `potential`."""
-        return self._cells(-self._scale * self.potential, self._scale)
+        """The cells of K - P over the whole grid."""
+        s = self._scale
+        return self._cells(slice(None), -s * self.potential, s)
 
     @staticmethod
     def _fusion_labels(positions):

@@ -301,14 +301,23 @@ class DiscreteHypersurface:
         buf.write(f"# nodes {self.grid.n_nodes} dofs {fem.n_dofs} "
                   f"dim {k} embed {d}\n")
         buf.write("# node: index dof param_1..param_k x_1..x_d weight\n")
-        values = np.column_stack(
-            [self.node_params, self.positions, fem.node_weights[fem.fuse]])
-        line = "node %d %d" + " %.12g" * (k + d + 1) + "\n"
-        for at in range(0, len(values), _DUMP_ROWS):
+        # each column's distinct values, told apart by their bits so that
+        # -0.0 prints as -0, are formatted once
+        texts, picks = [], []
+        for column in (*self.node_params.T, *self.positions.T,
+                       fem.node_weights[fem.fuse]):
+            bits, pick = np.unique(np.ascontiguousarray(column).view(np.int64),
+                                   return_inverse=True)
+            texts.append(np.array(
+                ["%.12g" % v for v in bits.view(np.float64).tolist()],
+                dtype=object))
+            picks.append(pick)
+        line = "node %d %d" + " %s" * (k + d + 1) + "\n"
+        for at in range(0, self.grid.n_nodes, _DUMP_ROWS):
             part = slice(at, at + _DUMP_ROWS)
-            buf.write("".join(line % (i, f, *r) for i, f, r in zip(
+            buf.write("".join(line % (i, f, *r) for i, f, *r in zip(
                 range(at, part.stop), fem.fuse[part].tolist(),
-                values[part].tolist())))
+                *(t[p[part]].tolist() for t, p in zip(texts, picks)))))
         buf.write("# cell: index node_indices\n")
         conn = self.grid.cell_connectivity()
         line = "cell %d" + " %d" * conn.shape[1] + "\n"

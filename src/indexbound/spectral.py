@@ -10,19 +10,22 @@ commutes with K - P and M, so the pencil splits into one Hermitian block per
 character of the group of shifts (Bossavit 1986, "Symmetry, groups, and
 boundary value problems"), on one Fourier vector per orbit of DOFs; an orbit
 drops out of a character that is nontrivial on its stabilizer (a fused
-pole).  No global matrix is formed: the cell entries are summed, a chunk of
-cells at a time, onto (orbit, orbit, relative element) arrays, and the cells
-are freed before the blocks are formed, at most _GATHER_ENTRIES complex
-entries at a time, and solved for their eigenvalues only.  Eigenvectors are
-taken only in the blocks of the characters that own the reported low end of
-the spectrum, for the residuals of the reported eigenvalues themselves.  The
-split is refused when a shift moves a cell matrix of K - P or M by more than
-INVARIANCE_TOL of its largest entry (the cell defect); an entry of the
-summed pencil sums cell entries, so it moves by at most the sum of their
-moves.  In an ambient with an involution the surface double covers a
-quotient, whose deck is the cell shift that moves the nodes as the involution
-does; the quotient keeps the characters that are +1 on it (even functions)
-when the unit normal descends, else those that are -1 (odd).
+pole).  No global matrix is formed, nor the cell matrices of the whole grid:
+they are formed a chunk of cells (a run of whole slabs) at a time, and in
+one pass over each chunk its cell defect, its Parseval sums and its sums
+onto (orbit, orbit, relative element) arrays are taken before it is freed.
+The blocks are formed from those real sums by two real products, at most
+_GATHER_ENTRIES = 2^16 complex entries at a time, and solved for their
+eigenvalues only.  Eigenvectors are taken only in the blocks of the
+characters that own the reported low end of the spectrum, for the residuals
+of the reported eigenvalues themselves.  The split is refused when a shift
+moves a cell matrix of K - P or M by more than INVARIANCE_TOL of its largest
+entry (the cell defect); an entry of the summed pencil sums cell entries, so
+it moves by at most the sum of their moves.  In an ambient with an
+involution the surface double covers a quotient, whose deck is the cell
+shift that moves the nodes as the involution does; the quotient keeps the
+characters that are +1 on it (even functions) when the unit normal
+descends, else those that are -1 (odd).
 
 Every count the report states is taken a second time, block by block: at
 eta = 0 and at the run's eta, the eigenvalues of a block's pencil below eta
@@ -39,7 +42,6 @@ to end (Freivalds 1977, "Probabilistic machines can use less running time").
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -67,7 +69,7 @@ DECK_TOL = 1e-9
 PARSEVAL_TOL = 1e-10
 
 #: complex entries of the blocks formed at once
-_GATHER_ENTRIES = 1 << 18
+_GATHER_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -173,22 +175,69 @@ class SpectralSystem:
 def _gathered(shifts):
     """The gathered cell matrices of K - P and of M, their cell defect,
     checked against INVARIANCE_TOL, and the cell side of the Parseval
-    identities: the `_cell_sums` of each, with the Fourier coefficients of
-    the probe's x and y.  The cell matrices are freed on return."""
-    A, M = shifts.fem.index_form, shifts.fem.mass
-    defect = shifts.invariance_defect(A, M)
+    identities: [tr X, sum |X_ii|, x^T X y, sum_c |x_c|^T |X_c| |y_c|] of
+    each, with the Fourier coefficients of the probe's x and y.
+
+    The cells are formed one chunk at a time (`_CellShifts.chunks`), and in
+    one pass each chunk is compared with its images under every generator,
+    which lie in it and in the next chunk (the first, after the last),
+    summed into the Parseval sums and gathered.  A chunk is formed for the
+    pass over the chunk before it and freed after its own pass; only the
+    first is kept to the end, for the wrap."""
+    fem, chunks = shifts.fem, shifts.chunks
+    x, y = _probe(fem.n_dofs)
+    F = np.zeros((2, len(shifts.reps) ** 2 * len(shifts.rel)))
+    diagonal = np.zeros((2, fem.n_dofs))
+    moved, largest, probe = np.zeros(2), np.zeros(2), np.zeros((2, 2))
+    first = here = fem.cells(chunks[0])
+    for i, at in enumerate(chunks):
+        after = fem.cells(chunks[i + 1]) if i + 1 < len(chunks) else first
+        # each generator's image of each cell `at`, in `here` + `after`; an
+        # image wraps to the first chunk only from the last
+        images = [np.where(image[at] < at.start, image[at] + at.stop,
+                           image[at]) - at.start
+                  for image in shifts.cell_images]
+        for j, (X, Y) in enumerate(zip(here, after)):
+            both = np.concatenate([X.data, Y.data])
+            moved[j] = max(moved[j], *(np.abs(both[image] - X.data).max()
+                                       for image in images))
+            largest[j] = max(largest[j], X.data.max(), -X.data.min())
+            probe[j] += _cell_sums(X, x, y, diagonal[j])
+        shifts.gather(F, *here)
+        here = after
+    defect = float(max(moved / largest))
     if defect > INVARIANCE_TOL:
         raise SpectralError(
             f"invariance defect {defect:.3g} of the pencil under a cell "
             f"shift exceeds {INVARIANCE_TOL:g}; it does not split into "
             "symmetry blocks")
-    # the probe's vectors, uniform on [-1/2, 1/2), of a fixed seed as every
-    # report is fixed; stdlib random is loaded anyway, numpy.random is not
-    bits = random.Random(1601).randbytes(16 * len(shifts.orbit))
-    x, y = (np.frombuffer(bits, "<u8") >> 11).reshape(2, -1) * 2.0**-53 - 0.5
-    whole = np.array([_cell_sums(X, x, y, shifts.chunks) for X in (A, M)])
-    return (shifts.gather(A, M), defect,
-            (whole, shifts.fourier(x), shifts.fourier(y)))
+    whole = np.column_stack(
+        [diagonal.sum(axis=1), np.abs(diagonal).sum(axis=1), probe])
+    n = len(shifts.reps)
+    return ([(f.reshape(n * n, len(shifts.rel)), shifts.rel) for f in F],
+            defect, (whole, shifts.fourier(x), shifts.fourier(y)))
+
+
+def _cell_sums(X, x, y, diagonal):
+    """[x^T X y, sum_c |x_c|^T |X_c| |y_c|] over the cells of the cell
+    matrices X, whose diagonal entries are added to the DOF vector
+    `diagonal` in cell order: a cell entry lies on the diagonal when its two
+    DOFs agree."""
+    conn, E = X.dofs, X.data
+    same = conn[:, :, None] == conn[:, None, :]
+    np.add.at(diagonal, np.broadcast_to(conn[:, :, None], E.shape)[same],
+              E[same])
+    xc, yc = x[conn], y[conn]
+    return (np.einsum("ci,cij,cj->", xc, E, yc),
+            np.einsum("ci,cij,cj->", np.abs(xc), np.abs(E), np.abs(yc)))
+
+
+def _probe(n):
+    """The probe's two vectors of n entries, uniform on [-1/2, 1/2), of a
+    fixed seed as every report is fixed; stdlib random is loaded anyway,
+    numpy.random is not."""
+    bits = random.Random(1601).randbytes(16 * n)
+    return (np.frombuffer(bits, "<u8") >> 11).reshape(2, -1) * 2.0**-53 - 0.5
 
 
 class _CellShifts:
@@ -199,7 +248,9 @@ class _CellShifts:
     generator takes each cell.  DOF d lies in `orbit[d]`, and `element[d]`
     takes the orbit's representative to d.  `fixes[k, o]` says whether
     character k is trivial on orbit o's stabilizer: whether o has a Fourier
-    vector of k.
+    vector of k.  `chunks` are runs of whole slabs of cells along grid axis
+    0, and `rel` the relative elements element[d'] - element[d] of the DOF
+    pairs (d, d') of the cells, in C order.
     """
 
     def __init__(self, fem):
@@ -229,11 +280,15 @@ class _CellShifts:
                 raise SpectralError("a cell shift does not map the DOFs of "
                                     "each cell onto those of a cell")
             self.cell_images.append(moved)
-        # sums over the cells run over sqrt(order) chunks of cells, then over
-        # the chunks: with the periodic axes first, a sum over the translates
-        # of a cell adds about 2 sqrt(order) terms in a row, not order
-        step = -(-cells.size // math.isqrt(self.order))
-        self.chunks = [slice(c, c + step) for c in range(0, cells.size, step)]
+        # sums over the cells run over about sqrt(order) chunks of cells,
+        # then over the chunks: with the periodic axes first, a sum over the
+        # translates of a cell adds about 2 sqrt(order) terms in a row, not
+        # order.  A chunk is a run of whole slabs along grid axis 0, so each
+        # generator takes it into itself and the next chunk
+        slab = cells.size // len(cells)
+        step = slab * max(1, -(-cells.size // math.isqrt(self.order)) // slab)
+        self.chunks = [slice(c, min(c + step, cells.size))
+                       for c in range(0, cells.size, step)]
         # a DOF's first node with its periodic coordinates reduced mod 2 is a
         # node of its orbit's representative
         first = np.array(np.unravel_index(fem._first_node, grid.shape))
@@ -261,6 +316,23 @@ class _CellShifts:
                            axes=range(len(self.cells))).real
         self.fixes = sums.reshape(self.order, n) > 0.5 * fixed.sum(axis=0)
         self.size = self.order // fixed.sum(axis=0)  # of each orbit
+        # element[d'] - element[d] + cells - 1, digits in [0, 2 cells - 2],
+        # is code[d'] - code[d] + offset in that mixed radix, and `wrap`
+        # takes it to the relative element, in C order; `rel` holds those
+        # that occur, which a first pass over the cells' DOFs finds
+        cells = np.array(self.cells)[:, None]
+        radix = 2 * cells[:, 0] - 1
+        self._code = np.ravel_multi_index(self.multi(self.element), radix)
+        self._offset = np.ravel_multi_index(cells[:, 0] - 1, radix)
+        digits = np.unravel_index(np.arange(radix.prod()), radix)
+        wrap = np.ravel_multi_index((digits - cells + 1) % cells, self.cells)
+        seen = np.zeros(radix.prod(), dtype=bool)
+        for at in self.chunks:
+            seen[self._unwrapped(fem._cell_dofs[at])] = True
+        occurs = np.zeros(self.order, dtype=bool)
+        occurs[wrap[seen]] = True
+        self.rel = np.flatnonzero(occurs)
+        self._column = (np.cumsum(occurs) - 1)[wrap]
 
     def shift_nodes(self, element):
         """Grid node indices of the images of all nodes under `element`."""
@@ -302,56 +374,26 @@ class _CellShifts:
         turns = (element / self.cells) @ self.multi(np.arange(self.order))
         return np.rint(np.cos(2.0 * np.pi * turns)).astype(int)
 
-    def invariance_defect(self, *matrices):
-        """max |X[image[c]] - X[c]| / max |X| over the generators' cell
-        images and the cell matrices X of `matrices`."""
-        worst = 0.0
-        for X in matrices:
-            whole = max(X.data.max(), -X.data.min())
-            for image, at in itertools.product(self.cell_images, self.chunks):
-                d = np.abs(X.data[image[at]] - X.data[at]).max()
-                worst = max(worst, d / whole)
-        return float(worst)
+    def _unwrapped(self, dofs):
+        """element[d'] - element[d] + cells - 1 of the DOF pairs (d, d') of
+        cells of DOFs `dofs`, in the mixed radix of `_code`."""
+        c = self._code[dofs]
+        return c[:, None, :] - c[:, :, None] + self._offset
 
-    def gather(self, *matrices):
-        """Each of `matrices`, cell matrices, summed onto (orbit o, orbit p,
-        element[d'] - element[d]) over the cell entries at each (d, d'),
-        d in o and d' in p, and scaled by 1 / sqrt(|o| |p|): a dense
-        (n_orbits**2, len(rel)) array, with the relative elements `rel` that
-        occur, which a first pass over the chunks of cells finds."""
-        conn, n = matrices[0].dofs, len(self.reps)
-        # element[d'] - element[d] + cells - 1, digits in [0, 2 cells - 2],
-        # is code[d'] - code[d] + offset in that mixed radix, and `wrap`
-        # takes it to the relative element, in C order
-        cells = np.array(self.cells)[:, None]
-        radix = 2 * cells[:, 0] - 1
-        code = np.ravel_multi_index(self.multi(self.element), radix)
-        offset = np.ravel_multi_index(cells[:, 0] - 1, radix)
-        digits = np.unravel_index(np.arange(radix.prod()), radix)
-        wrap = np.ravel_multi_index((digits - cells + 1) % cells, self.cells)
-
-        def unwrapped(dofs):
-            c = code[dofs]
-            return c[:, None, :] - c[:, :, None] + offset
-
-        seen = np.zeros(radix.prod(), dtype=bool)
-        for at in self.chunks:
-            seen[unwrapped(conn[at])] = True
-        occurs = np.zeros(self.order, dtype=bool)
-        occurs[wrap[seen]] = True
-        rel = np.flatnonzero(occurs)
-        column = (np.cumsum(occurs) - 1)[wrap]
-        F = np.zeros((len(matrices), n * n * len(rel)))
-        for at in self.chunks:
-            o = self.orbit[conn[at]]
-            index = ((o[:, :, None] * n + o[:, None, :]) * len(rel)
-                     + column[unwrapped(conn[at])])
-            root = np.sqrt(self.size[o])
-            root = root[:, :, None] * root[:, None, :]
-            for f, X in zip(F, matrices):
-                f += np.bincount(index.ravel(), (X.data[at] / root).ravel(),
-                                 len(f))
-        return [(f.reshape(n * n, len(rel)), rel) for f in F]
+    def gather(self, F, *matrices):
+        """Add each of `matrices`, cell matrices of the same cells, to its
+        row of F, summed onto (orbit o, orbit p, element[d'] - element[d])
+        over the cell entries at each (d, d'), d in o and d' in p, and scaled
+        by 1 / sqrt(|o| |p|): (n_orbits**2 * len(rel)) entries, in C
+        order."""
+        n, dofs = len(self.reps), matrices[0].dofs
+        o = self.orbit[dofs]
+        index = ((o[:, :, None] * n + o[:, None, :]) * len(self.rel)
+                 + self._column[self._unwrapped(dofs)])
+        root = np.sqrt(self.size[o])
+        root = root[:, :, None] * root[:, None, :]
+        for f, X in zip(F, matrices):
+            f += np.bincount(index.ravel(), (X.data / root).ravel(), len(f))
 
     def fourier(self, x):
         """The coefficients u_o^H x of a DOF vector x on the Fourier vectors
@@ -370,27 +412,16 @@ class _CellShifts:
         / sqrt(|o|) of all orbits, (len(chars), n_orbits, n_orbits)."""
         F, rel = gathered
         turns = (self.multi(rel).T / self.cells) @ self.multi(chars)
-        n = len(self.reps)
-        B = (F @ np.exp(-2j * np.pi * turns)).T.reshape(len(chars), n, n)
-        B += B.conj().swapaxes(1, 2)
+        n, E = len(self.reps), np.exp(-2j * np.pi * turns)
+        # the real and imaginary parts, each by one real product, of the
+        # Hermitian part of (F E)^T
+        B = np.empty((len(chars), n, n), dtype=complex)
+        for part, W, add in ((B.real, E.real, np.add),
+                             (B.imag, E.imag, np.subtract)):
+            P = (W.T @ F.T).reshape(B.shape)
+            add(P, P.swapaxes(1, 2), out=part)
         B *= 0.5
         return B
-
-
-def _cell_sums(X, x, y, chunks):
-    """[tr X, sum |X_ii|, x^T X y, sum_c |x_c|^T |X_c| |y_c|] of the matrix
-    summed from the cell matrices X, from the cells: a cell entry lies on
-    the diagonal when its two DOFs agree."""
-    conn, E = X.dofs, X.data
-    same = conn[:, :, None] == conn[:, None, :]
-    diagonal = np.bincount(np.broadcast_to(conn[:, :, None], E.shape)[same],
-                           E[same], len(x))
-    probe = scale = 0.0
-    for at in chunks:
-        xc, Ec, yc = x[conn[at]], E[at], y[conn[at]]
-        probe += np.einsum("ci,cij,cj->", xc, Ec, yc)
-        scale += np.einsum("ci,cij,cj->", np.abs(xc), np.abs(Ec), np.abs(yc))
-    return diagonal.sum(), np.abs(diagonal).sum(), probe, scale
 
 
 def _stacks(shifts, gathered, chars):
@@ -408,7 +439,10 @@ def _stacks(shifts, gathered, chars):
         for member, pattern in enumerate(patterns):
             idx = np.flatnonzero(which.ravel() == member)
             keep = np.flatnonzero(pattern)
-            block = np.ix_(idx, keep, keep)
+            if not pattern.all():
+                block = np.ix_(idx, keep, keep)
+            else:  # every orbit: the stack itself when it is the batch
+                block = idx if len(patterns) > 1 else slice(None)
             yield start + idx, keep, BA[block], BM[block]
 
 

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from indexbound import hypersurface as hyp, spectral
 from indexbound.ambient import ComplexProjectiveVeroneseModel
-from indexbound.elements import Axis
+from indexbound.elements import Axis, CellMatrices
 
 
 #: the Cayley plane OP^2 for the rank-one margin: dimension 16, Einstein
@@ -34,7 +34,7 @@ def dense(X):
 
 def pencil(system):
     """The dense K - P and M of a SpectralSystem, summed from its cells."""
-    return dense(system.fem.index_form), dense(system.fem.mass)
+    return tuple(map(dense, system.fem.cells(slice(None))))
 
 
 def cells_by_einsum(fem):
@@ -84,8 +84,9 @@ def veronese_flatten(A):
 def rayleigh_quotient(system, u):
     """Index form over squared L2 norm of a DOF vector, from the cell
     matrices of a SpectralSystem: u^T (K - P) u / u^T M u."""
-    u, fem = np.asarray(u)[:, None], system.fem
-    return fem.index_form.quadratic_form(u) / fem.mass.quadratic_form(u)
+    A, M = system.fem.cells(slice(None))
+    u = np.asarray(u)[:, None]
+    return A.quadratic_form(u) / M.quadratic_form(u)
 
 
 def parity_basis(fem, node_permutation, parity):
@@ -194,6 +195,53 @@ def deck_sign_spectrum(system, sign):
     vals, _, sizes, below, _ = spectral._block_spectrum(
         shifts, gathered, cell_side, shifts.deck_signs(element) == sign, [0.0])
     return vals, sizes, below[0.0][1]
+
+
+def whole_cell_gathered(shifts):
+    """What `spectral._gathered` returns, from the cells of K - P and of M
+    formed over the whole grid at once, the defect not checked: the cell
+    defect max |X[image] - X| / max |X| over the generators' cell images,
+    the sums gathered from the chunks of the whole arrays, and the cell side
+    of the Parseval identities with one bincount of the diagonal entries."""
+    cells = shifts.fem.cells(slice(None))
+    defect = max(np.abs(X.data[image] - X.data).max() / np.abs(X.data).max()
+                 for X in cells for image in shifts.cell_images)
+    n = len(shifts.reps)
+    F = np.zeros((2, n * n * len(shifts.rel)))
+    for at in shifts.chunks:
+        shifts.gather(F, *(CellMatrices(X.dofs[at], X.data[at])
+                           for X in cells))
+    x, y = spectral._probe(shifts.fem.n_dofs)
+    whole = []
+    for X in cells:
+        conn, E = X.dofs, X.data
+        same = conn[:, :, None] == conn[:, None, :]
+        diagonal = np.bincount(
+            np.broadcast_to(conn[:, :, None], E.shape)[same], E[same], len(x))
+        probe = scale = 0.0
+        for at in shifts.chunks:
+            xc, Ec, yc = x[conn[at]], E[at], y[conn[at]]
+            probe += np.einsum("ci,cij,cj->", xc, Ec, yc)
+            scale += np.einsum("ci,cij,cj->", np.abs(xc), np.abs(Ec),
+                               np.abs(yc))
+        whole.append([diagonal.sum(), np.abs(diagonal).sum(), probe, scale])
+    return ([(f.reshape(n * n, -1), shifts.rel) for f in F], float(defect),
+            (np.array(whole), shifts.fourier(x), shifts.fourier(y)))
+
+
+def whole_cell_spectrum(system, eta):
+    """Every eigenvalue of a SpectralSystem's pencil, its counts below 0 and
+    `eta`, and its cell defect, from `whole_cell_gathered`; a quotient keeps
+    the characters its deck's sign picks, as `spectrum()` does."""
+    shifts = spectral._CellShifts(system.fem)
+    kept = np.ones(shifts.order, dtype=bool)
+    if system.surface.ambient.involution is not None:
+        element, sign = shifts.deck(system.surface)
+        kept = shifts.deck_signs(element) == sign
+    gathered, defect, cell_side = whole_cell_gathered(shifts)
+    vals, _, _, below, _ = spectral._block_spectrum(
+        shifts, gathered, cell_side, kept, sorted({0.0, float(eta)}))
+    return vals, {e: n for e, (n, _) in below.items()}, defect
 
 
 def searched_invariance_defect(shifts, *matrices):

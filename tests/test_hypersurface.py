@@ -59,8 +59,7 @@ def test_fem_flat_torus_spectrum():
     )
     from scipy.linalg import eigh
 
-    K = dense(fem.index_form)
-    M = dense(fem.mass)
+    K, M = map(dense, fem.cells(slice(None)))
     vals = eigh(K, M, eigvals_only=True)[:6]
     # flat-torus Laplacian: 0, then 1 with multiplicity four
     assert abs(vals[0]) < 1e-10
@@ -394,7 +393,12 @@ def test_mesh_dump_and_connectivity_match_loops(make):
     ref = _cell_connectivity_ref(surface.grid)
     assert conn.dtype == ref.dtype
     assert np.array_equal(conn, ref)
-    assert surface.mesh_dump().encode() == _mesh_dump_ref(surface).encode()
+    # -0.0 equals 0.0 but prints as -0: one coordinate column holds both
+    surface.positions[1:3, 0] = -0.0, 0.0
+    dump = surface.mesh_dump()
+    assert dump.encode() == _mesh_dump_ref(surface).encode()
+    x1 = 3 + surface.dim  # the column after "node", index, DOF, params
+    assert [line.split()[x1] for line in dump.splitlines()[4:6]] == ["-0", "0"]
 
 
 def test_parity_projector_keeps_fixed_dofs_even():
@@ -440,8 +444,8 @@ def test_node_weights_are_mass_row_sums(make, monkeypatch):
         args) or cells(self, *args))
     fem = make().fem()
     assert formed == []  # no cell matrix is formed for the weights
-    rows = dense(fem.mass).sum(axis=1)
-    assert len(formed) == 1
+    rows = dense(fem.cells(slice(None))[1]).sum(axis=1)
+    assert len(formed) == 2  # the cells of K - P and of M
     assert np.abs(fem.node_weights - rows).max() <= 1e-15 * np.abs(rows).max()
 
 
@@ -456,13 +460,19 @@ _FEM_SURFACES = [
 @pytest.mark.parametrize("make", _FEM_SURFACES)
 def test_cell_matrices_match_an_einsum_quadrature(make):
     # the chunked cell products give the cells of K - P and of M that one
-    # einsum over the quadrature points gives, on the cells' fused DOFs
+    # einsum over the quadrature points gives, on the cells' fused DOFs; the
+    # cells of a slice are those of the whole grid bit for bit
     fem = make().fem()
-    A, M = fem.index_form, fem.mass
+    A, M = fem.cells(slice(None))
+    assert np.array_equal(fem.index_form.data, A.data)
     for X, oracle in zip((A, M), cells_by_einsum(fem)):
         assert np.array_equal(X.dofs, fem.fuse[fem.grid.cell_connectivity()])
         assert X.data.shape == oracle.shape
         assert np.abs(X.data - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    for at in (slice(5, 40), slice(len(A.data) - 3, len(A.data))):
+        for X, part in zip((A, M), fem.cells(at)):
+            assert np.array_equal(part.dofs, X.dofs[at])
+            assert np.array_equal(part.data, X.data[at])
 
 
 def test_cellwise_form_is_the_dense_form():

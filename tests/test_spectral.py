@@ -36,6 +36,8 @@ from oracles import (
     pencil,
     rayleigh_quotient,
     searched_invariance_defect,
+    whole_cell_gathered,
+    whole_cell_spectrum,
     with_involution,
 )
 
@@ -254,7 +256,7 @@ def _lowest_per_character(system):
     """The lowest eigenvalue of the block of each character that is solved,
     the first of each conjugate pair k, -k in C order."""
     shifts = spectral._CellShifts(system.fem)
-    gathered = shifts.gather(system.fem.index_form, system.fem.mass)
+    gathered = spectral._gathered(shifts)[0]
     chars = np.arange(shifts.order)
     conjugate = np.ravel_multi_index(
         np.mod(-shifts.multi(chars), np.array(shifts.cells)[:, None]),
@@ -354,10 +356,13 @@ def test_corrupted_gather_is_refused(surface, corrupt, message, monkeypatch,
     system = cp2_system if surface == "cp2" else SpectralSystem(
         hyp.clifford_torus(SphereModel(3), 16))
     assert system.spectrum().parseval_residual < 1e-14
-    gather = spectral._CellShifts.gather
-    monkeypatch.setattr(spectral._CellShifts, "gather",
-                        lambda self, *X: [corrupt(self, *g)
-                                          for g in gather(self, *X)])
+    gathered = spectral._gathered
+
+    def corrupted(shifts):
+        sums, *rest = gathered(shifts)
+        return [corrupt(shifts, *g) for g in sums], *rest
+
+    monkeypatch.setattr(spectral, "_gathered", corrupted)
     with pytest.raises(SpectralError, match=message):
         system.spectrum()
 
@@ -430,8 +435,8 @@ def test_perturbed_metric_is_refused_by_the_invariance_defect():
         system.spectrum(how_many=8)
     defect = float(re.search(r"invariance defect (\S+)", str(err.value))[1])
     shifts = spectral._CellShifts(system.fem)
-    A, M = system.fem.index_form, system.fem.mass
-    cells = shifts.invariance_defect(A, M)
+    A, M = system.fem.cells(slice(None))
+    cells = whole_cell_gathered(shifts)[1]
     assert defect > INVARIANCE_TOL
     # the message rounds to 3 digits
     assert abs(defect - cells) < 5e-3 * defect
@@ -448,14 +453,16 @@ def test_perturbed_cell_is_refused(scale, refused, monkeypatch):
     # one entry of one mass cell moved by `scale` of the largest: the cell
     # defect sees the move, and refuses the pencil above INVARIANCE_TOL
     system = SpectralSystem(hyp.clifford_torus(SphereModel(3), 16))
-    mass = FemSystem.mass.fget
+    largest = np.abs(system.fem.cells(slice(None))[1].data).max()
+    cells = FemSystem.cells
 
-    def perturbed(fem):
-        X = mass(fem)
-        X.data[5, 0, 0] += scale * np.abs(X.data).max()
-        return X
+    def perturbed(fem, at):
+        A, M = cells(fem, at)
+        if at.start <= 5 < at.stop:
+            M.data[5 - at.start, 0, 0] += scale * largest
+        return A, M
 
-    monkeypatch.setattr(FemSystem, "mass", property(perturbed))
+    monkeypatch.setattr(FemSystem, "cells", perturbed)
     if refused:
         with pytest.raises(SpectralError, match="invariance defect 1e-06 "):
             system.spectrum(how_many=8)
@@ -477,9 +484,9 @@ def test_cell_images_give_the_searched_defect(surface):
     # orbit of the shifts are equal bit for bit
     system = SpectralSystem(surface())
     shifts = spectral._CellShifts(system.fem)
-    A, M = system.fem.index_form, system.fem.mass
-    defect = shifts.invariance_defect(A, M)
-    assert defect == searched_invariance_defect(shifts, A, M) == 0.0
+    defect = system.spectrum(how_many=8).invariance_defect
+    cells = system.fem.cells(slice(None))
+    assert defect == searched_invariance_defect(shifts, *cells) == 0.0
 
 
 def test_parity_pencils_sum_to_the_cover(torus_projective):
@@ -547,6 +554,35 @@ def test_spectrum_keeps_no_cell_stack(monkeypatch):
     assert 0 < max(sorted_sizes) < C * L * L
     held = _held_arrays(system, system.fem)
     assert len(held) > 5 and max(v.size for v in held) < C * L * L
+
+
+@pytest.mark.parametrize("surface", ["geodesic_cp2", "torus48",
+                                     "torus_projective"])
+def test_spectrum_forms_one_chunk_of_cells_at_a_time(surface, request,
+                                                     monkeypatch):
+    # every cell array that spectrum() forms covers at most one chunk, and
+    # each chunk is formed once for K - P and once for M; the spectrum, its
+    # counts and its cell defect are those of the cells formed at once
+    system = SpectralSystem(request.getfixturevalue(surface))
+    shifts = spectral._CellShifts(system.fem)
+    chunk = max(at.stop - at.start for at in shifts.chunks)
+    assert 1 < len(shifts.chunks) and chunk * len(shifts.chunks) == len(
+        system.fem._cell_dofs)
+    formed = []
+    cells = FemSystem._cells
+
+    def recording(fem, *args, **kwargs):
+        X = cells(fem, *args, **kwargs)
+        formed.append(len(X.data))
+        return X
+
+    monkeypatch.setattr(FemSystem, "_cells", recording)
+    spec = system.spectrum(how_many=8, eta=1.0)
+    assert len(formed) == 2 * len(shifts.chunks) and max(formed) <= chunk
+    vals, counts, defect = whole_cell_spectrum(system, 1.0)
+    assert np.array_equal(spec.all_eigenvalues, vals)
+    assert spec.inertia_counts == counts
+    assert spec.invariance_defect == defect
 
 
 #: the spectrum of circle_times_equator in S^1 x S^3 at 14 nodes, in a
