@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel
-from .hypersurface import chart_jacobian
+from .hypersurface import _NODE_CHUNK, chart_jacobian
 from .testfns import _rhs_integrand, integrand_quadratic_form
 
 
@@ -27,15 +27,15 @@ BORDERLINE_TOL = 1e-5
 
 #: margin sample sizes (the product profile's (theta, phi) grid and random
 #: draws, the ambient points of `convex` and `scalar3`), the tolerance of the
-#: profile's grid minimum, the central-difference step of the borderline
-#: residuals per mesh spacing, and the nodes differenced at once
+#: profile's grid minimum, and the central-difference step of the borderline
+#: residuals per mesh spacing (differenced `hypersurface._NODE_CHUNK` nodes at
+#: once)
 _Q_GRID_POINTS = 2001
 _Q_SAMPLES = 10000
 _Q_MIN_TOL = 1e-6
 _CONVEX_SAMPLES = 400
 _SCALAR3_SAMPLES = 200
 _BORDERLINE_STEP = 1e-3
-_BORDERLINE_NODES = 2048
 
 
 def _strict(margin, scale, borderline):
@@ -322,8 +322,8 @@ def borderline_cp_report(surface):
     frames, coeffs, ok = fields["frames"], fields["coeffs"], fields["interior"]
     D = model.embed_dim
     div_residual = decomposition_residual = 0.0
-    for at in range(0, len(params), _BORDERLINE_NODES):
-        part = slice(at, at + _BORDERLINE_NODES)
+    for at in range(0, len(params), _NODE_CHUNK):
+        part = slice(at, at + _NODE_CHUNK)
         p, F, inside = params[part], frames[part], ok[part]
         # frame derivatives X of the stacked field, sliced into d(JN),
         # d(f JN), X f

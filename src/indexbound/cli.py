@@ -410,9 +410,8 @@ def main(argv=None):
             artifacts["spectrum"].to_csv()
         )
     if "error" not in report:  # the mesh dump assembles what may have failed
-        (out_dir / f"{scenario.id}-mesh.txt").write_text(
-            scenario.surface.mesh_dump()
-        )
+        with open(out_dir / f"{scenario.id}-mesh.txt", "w") as fh:
+            scenario.surface.mesh_dump(fh)
 
     print(f"{scenario.id}: {'pass' if ok else 'fail'} -> {json_path}")
     return 0 if ok else 1

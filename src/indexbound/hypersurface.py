@@ -11,7 +11,6 @@ chart, which keeps every catalog entry expressible in closed form.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -26,8 +25,11 @@ from .elements import Axis, FemSystem, TensorGrid
 _FRAME_TOL = 1e-10
 _FD_STEP_FRAC = 1e-6
 _POINTWISE_SAMPLE = 200
-#: rows of the mesh dump formatted at once, whose Python numbers all live
+#: rows of the mesh dump formatted at once, whose Python numbers all live,
+#: and the nodes whose chart geometry and ambient curvature are evaluated at
+#: once (the borderline residuals difference as many)
 _DUMP_ROWS = 1024
+_NODE_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,18 @@ def orthonormal_frames(jac):
     return frames, coeffs, ok
 
 
+def _by_chunks(evaluate, arrays):
+    """Fill `arrays`, each over all nodes along its first axis, with what
+    `evaluate(part)` returns for one slice `part` of `_NODE_CHUNK` nodes at a
+    time.  `evaluate` treats each node on its own, so no sum crosses a
+    chunk, and its temporaries are freed before the next chunk's."""
+    arrays = list(arrays)
+    for at in range(0, len(arrays[0]), _NODE_CHUNK):
+        part = slice(at, at + _NODE_CHUNK)
+        for out, value in zip(arrays, evaluate(part)):
+            out[part] = value
+
+
 class AmbientCurvature(NamedTuple):
     """Ambient curvature at the nodes, through the Gauss equation.  For a
     vector w with surface frame components c, c^T ii_ew c is
@@ -185,29 +199,20 @@ class DiscreteHypersurface:
         return self._fem
 
     def node_fields(self):
-        """Frames, shape operator, and potential ingredients at grid nodes.
+        """Frames, shape operator, and potential ingredients at grid nodes,
+        and the Gram matrix of the chart's central differences ('metric').
 
         Chart-degenerate nodes (poles, seams) are flagged in 'interior' and
-        carry zeros in the derived tensors.
+        carry zeros in the derived tensors.  Evaluated once, by `_by_chunks`.
         """
         if self._fields is not None:
             return self._fields
-        jac = chart_jacobian(self.chart_fn, self.node_params, self.fd_step)
-        frames, coeffs, ok = orthonormal_frames(jac)
-        njac = chart_jacobian(self.normal_fn, self.node_params, self.fd_step)
-        dn = np.einsum("...ab,...bd->...ad", coeffs, njac)
-        A = -np.einsum("...ad,...bd->...ab", dn, frames)
-        a_sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-        fields = {
-            "jacobian": jac,
-            "frames": frames,
-            "coeffs": coeffs,
-            "interior": ok,
-            "shape_operator": np.where(ok[..., None, None], a_sym, 0.0),
-            "shape_asymmetry": np.where(
-                ok, np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-1, -2)), 0.0
-            ),
-        }
+        n, k, d = self.grid.n_nodes, self.dim, self.embed_dim
+        fields = {"metric": np.empty((n, k, k)), "frames": np.empty((n, k, d)),
+                  "coeffs": np.empty((n, k, k)), "interior": np.empty(n, bool),
+                  "shape_operator": np.empty((n, k, k)),
+                  "shape_asymmetry": np.empty(n)}
+        _by_chunks(self._chart_geometry, fields.values())
         fields["a_norm_sq"] = np.einsum(
             "...ab,...ab->...", fields["shape_operator"], fields["shape_operator"]
         )
@@ -217,21 +222,45 @@ class DiscreteHypersurface:
         self._fields = fields
         return fields
 
+    def _chart_geometry(self, part):
+        """The first six `node_fields` arrays at the nodes `part`."""
+        p = self.node_params[part]
+        jac = chart_jacobian(self.chart_fn, p, self.fd_step)
+        frames, coeffs, ok = orthonormal_frames(jac)
+        njac = chart_jacobian(self.normal_fn, p, self.fd_step)
+        dn = np.einsum("...ab,...bd->...ad", coeffs, njac)
+        A = -np.einsum("...ad,...bd->...ab", dn, frames)
+        a_sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+        a_asym = np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-1, -2))
+        return (np.einsum("...ad,...bd->...ab", jac, jac), frames, coeffs, ok,
+                np.where(ok[..., None, None], a_sym, 0.0),
+                np.where(ok, a_asym, 0.0))
+
     def ambient_curvature(self):
         """The ambient II over pairs of the ambient's tangent frame F at every
-        node, evaluated once and contracted into an AmbientCurvature.  A sum
-        over the surface frame e_k is the sum over F less its N term."""
+        node, contracted into an AmbientCurvature.  A sum over the surface
+        frame e_k is the sum over F less its N term.  Evaluated once, by
+        `_by_chunks`."""
         if self._curvature is not None:
             return self._curvature
+        n, k = self.grid.n_nodes, self.dim
+        cv = AmbientCurvature(np.empty((n, k, k)), np.empty((n, k, k)),
+                              np.empty(n), np.empty(n), np.empty(n))
+        _by_chunks(self._curvature_at, cv)
+        self._curvature = cv  # cached only once every chunk is filled
+        return cv
+
+    def _curvature_at(self, part):
+        """The AmbientCurvature fields at the nodes `part`."""
         model = self.ambient
-        pt = self.point_fn(self.node_params)
+        pt = self.point_fn(self.node_params[part])
         F = model.tangent_frame(pt)  # (n_nodes, m, d)
         n_nodes, m = F.shape[:2]
         Ft = F.swapaxes(1, 2)
         T = model.ii_frame_pairs(pt, F)  # II(F_i, F_j), (n_nodes, m, m, d)
         rows = T.reshape(n_nodes, m, -1)  # row i: II(F_i, F_j) over j
-        E = self.node_fields()["frames"] @ Ft  # e_a in the frame F
-        nu = self.normals[:, None, :] @ Ft  # N in the frame F, (n_nodes, 1, m)
+        E = self.node_fields()["frames"][part] @ Ft  # e_a in the frame F
+        nu = self.normals[part, None, :] @ Ft  # N in F, (n_nodes, 1, m)
         TN = (nu @ rows).reshape(n_nodes, m, -1)  # II(N, F_j)
         tnn = (nu @ TN)[:, 0]  # II(N, N)
         H = np.einsum("niid->nd", T)  # mean curvature vector
@@ -242,14 +271,10 @@ class DiscreteHypersurface:
               ).reshape(n_nodes, m, m)
         s_nn = np.trace(R, axis1=1, axis2=2)  # sum_i |II(F_i, N)|^2
         Et = E.swapaxes(1, 2)
-        self._curvature = AmbientCurvature(
-            ii_ew=E @ (S - R) @ Et,
-            rm_ew=E @ (HT - S + R) @ Et,
-            ii_en=s_nn - np.einsum("nd,nd->n", tnn, tnn),
-            ric_nn=np.einsum("nd,nd->n", H, tnn) - s_nn,
-            scal=np.einsum("nd,nd->n", H, H) - np.trace(S, axis1=1, axis2=2),
-        )
-        return self._curvature
+        return (E @ (S - R) @ Et, E @ (HT - S + R) @ Et,
+                s_nn - np.einsum("nd,nd->n", tnn, tnn),
+                np.einsum("nd,nd->n", H, tnn) - s_nn,
+                np.einsum("nd,nd->n", H, H) - np.trace(S, axis1=1, axis2=2))
 
     def ric_nn(self, node_indices):
         """Ambient Ricci in the normal direction at selected nodes."""
@@ -257,7 +282,9 @@ class DiscreteHypersurface:
         return self.ambient.ricci(points, self.normals[node_indices])
 
     def pointwise_checks(self, seed=0):
-        """Max residuals of the defining properties at interior nodes."""
+        """Max residuals of the defining properties at interior nodes, from
+        the cached `node_fields()`; `metric_consistency` compares its
+        'metric' with the closed-form one."""
         f = self.node_fields()
         ok = f["interior"]
         res = {}
@@ -281,10 +308,8 @@ class DiscreteHypersurface:
         res["minimality"] = float(np.abs(f["mean_curvature"][ok]).max())
         if self._metric_fn is not None:
             g_an = self._metric_fn(self.node_params[ok])
-            g_fd = np.einsum(
-                "...ad,...bd->...ab", f["jacobian"][ok], f["jacobian"][ok]
-            )
-            res["metric_consistency"] = float(np.abs(g_an - g_fd).max())
+            res["metric_consistency"] = float(
+                np.abs(g_an - f["metric"][ok]).max())
         if self.potential is not None:
             generic = self.ric_nn(idx) + f["a_norm_sq"][idx]
             res["potential_consistency"] = float(
@@ -292,15 +317,15 @@ class DiscreteHypersurface:
         return res
 
     # -- plain-text mesh dump -------------------------------------------------
-    def mesh_dump(self):
-        """Node / cell / weight table as plain text."""
+    def mesh_dump(self, out):
+        """Write the node / cell / weight table as plain text to the text
+        stream `out`, `_DUMP_ROWS` rows per write: no whole dump is held."""
         fem = self.fem()
-        buf = io.StringIO()
         k, d = self.dim, self.embed_dim
-        buf.write(f"# surface {self.name}\n")
-        buf.write(f"# nodes {self.grid.n_nodes} dofs {fem.n_dofs} "
+        out.write(f"# surface {self.name}\n")
+        out.write(f"# nodes {self.grid.n_nodes} dofs {fem.n_dofs} "
                   f"dim {k} embed {d}\n")
-        buf.write("# node: index dof param_1..param_k x_1..x_d weight\n")
+        out.write("# node: index dof param_1..param_k x_1..x_d weight\n")
         # each column's distinct values, told apart by their bits so that
         # -0.0 prints as -0, are formatted once
         texts, picks = [], []
@@ -315,16 +340,15 @@ class DiscreteHypersurface:
         line = "node %d %d" + " %s" * (k + d + 1) + "\n"
         for at in range(0, self.grid.n_nodes, _DUMP_ROWS):
             part = slice(at, at + _DUMP_ROWS)
-            buf.write("".join(line % (i, f, *r) for i, f, *r in zip(
+            out.write("".join(line % (i, f, *r) for i, f, *r in zip(
                 range(at, part.stop), fem.fuse[part].tolist(),
                 *(t[p[part]].tolist() for t, p in zip(texts, picks)))))
-        buf.write("# cell: index node_indices\n")
+        out.write("# cell: index node_indices\n")
         conn = self.grid.cell_connectivity()
         line = "cell %d" + " %d" * conn.shape[1] + "\n"
         for at in range(0, len(conn), _DUMP_ROWS):
-            buf.write("".join(line % (c, *r) for c, r in enumerate(
+            out.write("".join(line % (c, *r) for c, r in enumerate(
                 conn[at:at + _DUMP_ROWS].tolist(), at)))
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -351,3 +351,58 @@ def minimal_geodesic_sphere_radius(lo=0.3, hi=1.3):
         return float(f["mean_curvature"][f["interior"]].mean())
 
     return brentq(mean_curv, lo, hi, xtol=1e-10)
+
+
+def node_fields(surface):
+    """The chunked `DiscreteHypersurface.node_fields` arrays, each from one
+    pass over every node at once."""
+    jac = hyp.chart_jacobian(surface.chart_fn, surface.node_params,
+                             surface.fd_step)
+    frames, coeffs, ok = hyp.orthonormal_frames(jac)
+    njac = hyp.chart_jacobian(surface.normal_fn, surface.node_params,
+                              surface.fd_step)
+    dn = np.einsum("...ab,...bd->...ad", coeffs, njac)
+    A = -np.einsum("...ad,...bd->...ab", dn, frames)
+    shape = np.where(ok[..., None, None], 0.5 * (A + np.swapaxes(A, -1, -2)),
+                     0.0)
+    return {
+        "metric": np.einsum("...ad,...bd->...ab", jac, jac),
+        "frames": frames,
+        "coeffs": coeffs,
+        "interior": ok,
+        "shape_operator": shape,
+        "shape_asymmetry": np.where(
+            ok, np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-1, -2)), 0.0),
+        "a_norm_sq": np.einsum("...ab,...ab->...", shape, shape),
+        "mean_curvature": np.einsum("...aa->...", shape),
+    }
+
+
+def ambient_curvature(surface):
+    """The chunked `DiscreteHypersurface.ambient_curvature`, from one pass
+    over every node at once, with the frames of `node_fields` above."""
+    model = surface.ambient
+    pt = surface.point_fn(surface.node_params)
+    F = model.tangent_frame(pt)
+    n_nodes, m = F.shape[:2]
+    Ft = F.swapaxes(1, 2)
+    T = model.ii_frame_pairs(pt, F)
+    rows = T.reshape(n_nodes, m, -1)
+    E = node_fields(surface)["frames"] @ Ft
+    nu = surface.normals[:, None, :] @ Ft
+    TN = (nu @ rows).reshape(n_nodes, m, -1)
+    tnn = (nu @ TN)[:, 0]
+    H = np.einsum("niid->nd", T)
+    S = rows @ rows.swapaxes(1, 2)
+    R = TN @ TN.swapaxes(1, 2)
+    HT = (T.reshape(n_nodes, m * m, -1) @ (H - tnn)[:, :, None]
+          ).reshape(n_nodes, m, m)
+    s_nn = np.trace(R, axis1=1, axis2=2)
+    Et = E.swapaxes(1, 2)
+    return hyp.AmbientCurvature(
+        ii_ew=E @ (S - R) @ Et,
+        rm_ew=E @ (HT - S + R) @ Et,
+        ii_en=s_nn - np.einsum("nd,nd->n", tnn, tnn),
+        ric_nn=np.einsum("nd,nd->n", H, tnn) - s_nn,
+        scal=np.einsum("nd,nd->n", H, H) - np.trace(S, axis1=1, axis2=2),
+    )

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from indexbound.elements import (
     _inverse_and_det,
 )
 from indexbound.spectral import SpectralError, SpectralSystem
+import oracles
 from oracles import (
     cells_by_einsum,
     classify,
@@ -248,7 +250,9 @@ def test_geodesic_sphere_metric_is_the_chart_gram(radius):
 
 
 def test_mesh_dump_format(equator2):
-    text = equator2.mesh_dump()
+    buf = io.StringIO()
+    equator2.mesh_dump(buf)
+    text = buf.getvalue()
     lines = text.strip().splitlines()
     node_lines = [l for l in lines if l.startswith("node ")]
     cell_lines = [l for l in lines if l.startswith("cell ")]
@@ -387,7 +391,7 @@ def _mesh_dump_ref(surface):
     lambda: hyp.clifford_torus(SphereModel(3), 16),
     lambda: hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 12),
 ], ids=["clifford_torus16", "geodesic_sphere_cp2_12"])
-def test_mesh_dump_and_connectivity_match_loops(make):
+def test_mesh_dump_and_connectivity_match_loops(make, tmp_path):
     surface = make()
     conn = surface.grid.cell_connectivity()
     ref = _cell_connectivity_ref(surface.grid)
@@ -395,10 +399,86 @@ def test_mesh_dump_and_connectivity_match_loops(make):
     assert np.array_equal(conn, ref)
     # -0.0 equals 0.0 but prints as -0: one coordinate column holds both
     surface.positions[1:3, 0] = -0.0, 0.0
-    dump = surface.mesh_dump()
-    assert dump.encode() == _mesh_dump_ref(surface).encode()
+    path = tmp_path / "mesh.txt"
+    with open(path, "w") as fh:  # streamed, as the command line writes it
+        surface.mesh_dump(fh)
+    assert path.read_bytes() == _mesh_dump_ref(surface).encode()
     x1 = 3 + surface.dim  # the column after "node", index, DOF, params
-    assert [line.split()[x1] for line in dump.splitlines()[4:6]] == ["-0", "0"]
+    lines = path.read_text().splitlines()
+    assert [line.split()[x1] for line in lines[4:6]] == ["-0", "0"]
+
+
+def test_mesh_dump_writes_at_most_dump_rows_at_once(torus48):
+    rows = []
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            rows.append(text.count("\n"))
+            return super().write(text)
+
+    torus48.mesh_dump(Stream())
+    n_cells = len(torus48.grid.cell_connectivity())
+    assert torus48.grid.n_nodes > 2 * hyp._DUMP_ROWS
+    assert max(rows) == hyp._DUMP_ROWS
+    assert sum(rows) == 4 + torus48.grid.n_nodes + n_cells  # and 4 headers
+
+
+@pytest.mark.parametrize("fixture", ["torus48", "torus96", "torus_projective"])
+def test_chunked_geometry_is_the_whole_array_pass(fixture, request):
+    """Five, two and one chunks of nodes: bit for bit the single pass."""
+    surface = request.getfixturevalue(fixture)
+    fields, whole = surface.node_fields(), oracles.node_fields(surface)
+    assert fields.keys() == whole.keys()
+    for key, value in whole.items():
+        assert fields[key].dtype == value.dtype
+        assert (fields[key] == value).all(), key
+    cv = surface.ambient_curvature()
+    for name, value in zip(cv._fields, oracles.ambient_curvature(surface)):
+        assert (getattr(cv, name) == value).all(), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: request.getfixturevalue("geodesic_cp2"),
+    lambda request: hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2),
+                                            20),
+], ids=["geodesic_cp2", "geodesic_sphere_cp2_20"])
+def test_chunked_cp2_geometry_matches_the_whole_array_pass(make, request):
+    """One chunk and two chunks of nodes of the CP^2 geodesic sphere, whose
+    chart's complex products may round with the array length."""
+    surface = make(request)
+    fields, whole = surface.node_fields(), oracles.node_fields(surface)
+    assert fields.keys() == whole.keys()
+    assert (fields["interior"] == whole["interior"]).all()
+    pairs = [(fields[key], whole[key]) for key in whole if key != "interior"]
+    pairs += zip(surface.ambient_curvature(), oracles.ambient_curvature(surface))
+    for got, want in pairs:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_curvature_is_evaluated_a_chunk_of_nodes_at_a_time():
+    surface = hyp.clifford_torus(SphereModel(3), 48)  # 2304 nodes
+    pairs, sizes = surface.ambient.ii_frame_pairs, []
+    surface.ambient.ii_frame_pairs = (
+        lambda pt, F: sizes.append(len(pt)) or pairs(pt, F))
+    surface.ambient_curvature()
+    assert len(sizes) > 1
+    assert max(sizes) <= hyp._NODE_CHUNK
+    assert sum(sizes) == surface.grid.n_nodes
+
+
+def test_ambient_curvature_heap_peak():
+    """The traced heap of the curvature evaluation on the bundled 96-node
+    Clifford torus (9,216 nodes) stays under 3 MiB; evaluated at every node
+    at once it peaked at 9.3 MiB."""
+    surface = hyp.clifford_torus(SphereModel(3), 96)
+    surface.node_fields()
+    tracemalloc.start()
+    try:
+        surface.ambient_curvature()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_parity_projector_keeps_fixed_dofs_even():
