@@ -25,12 +25,14 @@ class AmbientError(Exception):
 
 #: largest residual that passes (model self-checks, the hypersurface checks
 #: of `identities`), the looser one of the self-check keys backed by finite
-#: differences, and the steps of those oracles, ii_quad_fd and j_parallel_residual
+#: differences, the steps of those oracles, ii_quad_fd and
+#: j_parallel_residual, and the random draws of the self-checks
 IDENTITY_TOL = 1e-8
 FD_IDENTITY_TOL = 1e-4
 _FD_CHECKS = frozenset({"gauss_fd_closure", "complex_parallel"})
 _II_FD_STEP = 1e-4
 _J_FD_STEP = 1e-5
+_VERIFY_SAMPLES = 200
 
 
 @dataclass
@@ -404,7 +406,7 @@ class AmbientKind:
 
     `model` is built by keyword from `params`, which maps each parameter to
     the converter of its INI value.  `margins` names the bounds margins that
-    apply.
+    `bounds.application_margins` runs.
     """
 
     model: type
@@ -426,34 +428,20 @@ AMBIENT_KINDS = {
 }
 
 
-def make_ambient(kind, **parameters):
-    """Construct an ambient model by kind name; see AMBIENT_KINDS for parameters."""
-    try:
-        entry = AMBIENT_KINDS[kind]
-    except KeyError:
-        raise AmbientError(f"unknown ambient kind {kind!r}") from None
-    try:
-        kwargs = {name: parameters[name] for name in entry.params}
-    except KeyError as exc:
-        raise AmbientError(f"missing parameter {exc} for kind {kind!r}") from None
-    return entry.model(**kwargs)
-
-
-def verify_model_identities(model, sample_count, seed=0):
+def verify_model_identities(model, seed=0):
     """Random-sample self-checks of a model; returns an IdentityReport whose
-    residuals are maxima over (point, orthonormal pair) draws.
+    residuals are maxima over `_VERIFY_SAMPLES` (point, orthonormal pair)
+    draws.
 
     The samples are drawn one at a time (the point, the coefficients of X and
     Y in the tangent frame, and for a complex structure those of the two
     tangents of the parallelism check); every check then runs once on the
     whole batch.
     """
-    if sample_count < 1:
-        raise AmbientError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
     n_tangents = 4 if isinstance(model, ComplexProjectiveVeroneseModel) else 2
     points, coeffs = [], []
-    for _ in range(sample_count):
+    for _ in range(_VERIFY_SAMPLES):
         points.append(model.random_point(rng))
         coeffs.append([rng.standard_normal(model.intrinsic_dim)
                        for _ in range(n_tangents)])
@@ -514,4 +502,4 @@ def verify_model_identities(model, sample_count, seed=0):
             k = model.principal_curvatures(p)
             bump("round_umbilic", k.max(axis=-1) - k.min(axis=-1))
 
-    return IdentityReport(kind=model.kind, sample_count=sample_count, residuals=res)
+    return IdentityReport(model.kind, _VERIFY_SAMPLES, res)

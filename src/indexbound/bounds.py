@@ -261,25 +261,21 @@ def margins_scalar3(ambient, seed=0):
             "verdict": verdict}
 
 
-def application_margins(name, surface, basis, seed=0):
-    """The margin `name` of a run, one that the AMBIENT_KINDS entry of the
-    surface's ambient lists: `sphere` and `product_q` are taken on the first
-    form of the harmonic `basis` (None when it is empty, b1 = 0), the others
-    on the surface's ambient."""
-    kind = surface.ambient.kind
-    if name not in AMBIENT_KINDS[kind].margins:
-        raise BoundsError(f"the {name!r} margin does not apply to a {kind!r} ambient")
-    if name in ("sphere", "product_q") and not basis:
-        return None
-    if name == "sphere":
-        return margins_sphere(surface, basis[0])
-    if name == "product_q":
-        return margins_product_q(surface, basis[0], seed=seed)
-    if name == "cross":
-        return margins_cross(surface.ambient)
-    if name == "convex":
-        return margins_convex(surface.ambient, seed=seed)
-    return margins_scalar3(surface.ambient, seed=seed)
+def application_margins(surface, basis, seed=0):
+    """Every margin that the AMBIENT_KINDS entry of the surface's ambient
+    lists, keyed by name: `sphere` and `product_q` are taken on the first
+    form of the harmonic `basis` and left out when it is empty (b1 = 0), the
+    others on the surface's ambient."""
+    ambient = surface.ambient
+    margins = {
+        "sphere": lambda: margins_sphere(surface, basis[0]),
+        "product_q": lambda: margins_product_q(surface, basis[0], seed=seed),
+        "cross": lambda: margins_cross(ambient),
+        "convex": lambda: margins_convex(ambient, seed=seed),
+        "scalar3": lambda: margins_scalar3(ambient, seed=seed),
+    }
+    return {name: margins[name]() for name in AMBIENT_KINDS[ambient.kind].margins
+            if basis or name not in ("sphere", "product_q")}
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +294,12 @@ def borderline_cp_report(surface):
     Derivatives use central differences with a step tied to the mesh spacing,
     so the residuals decay under refinement.  JN, f JN and f are differenced
     as one stacked field along the surface's own frames, a chunk of nodes
-    at a time.
+    at a time.  None off a complex projective ambient, where the lemmas do
+    not apply.
     """
     model = surface.ambient
     if not isinstance(model, ComplexProjectiveVeroneseModel):
-        raise BoundsError("the borderline report needs a complex projective ambient")
+        return None
 
     params = surface.node_params
     h_min = min(ax.h for ax in surface.axes)

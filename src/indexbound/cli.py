@@ -68,13 +68,23 @@ def _int_at_least(low):
     return integer
 
 
+def _finite_positive(text):
+    """A finite positive number: a --resolution-scale or a [tolerances]
+    identity value."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, not {text!r}")
+    return value
+
+
 def _build_ambient(parser):
     kind = _value(parser, "ambient", "kind", str)
     if kind not in ambient_mod.AMBIENT_KINDS:
         raise ConfigError(f"unknown ambient kind {kind!r}")
-    params = {name: _value(parser, "ambient", name, conv)
-              for name, conv in ambient_mod.AMBIENT_KINDS[kind].params.items()}
-    return ambient_mod.make_ambient(kind, **params)
+    entry = ambient_mod.AMBIENT_KINDS[kind]
+    return entry.model(**{name: _value(parser, "ambient", name, conv)
+                          for name, conv in entry.params.items()})
 
 
 def _build_surface(parser, ambient, resolution_scale):
@@ -119,7 +129,8 @@ class Scenario:
         self.seed = config_seed if seed is None else seed
         self.ambient = _build_ambient(parser)
         self.surface = _build_surface(parser, self.ambient, resolution_scale)
-        self.identity_tol = _value(parser, "tolerances", "identity", float, 1e-4)
+        self.identity_tol = _value(parser, "tolerances", "identity",
+                                   _finite_positive, 1e-4)
         self.eta = _value(parser, "certificate", "eta", float, 0.0)
         self.how_many = _value(parser, "certificate", "eigenvalues", int, 24)
         if self.how_many < 1 or not np.isfinite(self.eta):
@@ -181,7 +192,7 @@ class _Run:
 
 def _identities(run, report):
     sc = run.scenario
-    amb_rep = ambient_mod.verify_model_identities(sc.ambient, 200, seed=sc.seed)
+    amb_rep = ambient_mod.verify_model_identities(sc.ambient, seed=sc.seed)
     checks = run.surface.pointwise_checks(seed=sc.seed)
     tol = ambient_mod.IDENTITY_TOL
     report["residuals"] = {
@@ -213,8 +224,7 @@ def _verify_identity(run, report):
     sc = run.scenario
     c = np.random.default_rng(sc.seed).standard_normal(len(run.basis))
     form = hodge_mod.combine(run.basis, c)
-    modes = ("Prop32", "Prop31") if run.surface.dim == 2 else ("Prop32",)
-    report["identity"] = testfns_mod.q_identity_report(run.surface, form, modes)
+    report["identity"] = testfns_mod.q_identity_report(run.surface, form)
     return all(rep["relative_residual"] < sc.identity_tol
                for rep in report["identity"].values())
 
@@ -235,24 +245,18 @@ def _certify(run, report):
 
 
 def _margins(run, report):
-    sc = run.scenario
-    margins = {}
-    for name in ambient_mod.AMBIENT_KINDS[sc.ambient.kind].margins:
-        m = bounds_mod.application_margins(name, run.surface, run.basis,
-                                           seed=sc.seed)
-        if m is not None:
-            margins[name] = m
-    report["margins"] = margins
+    report["margins"] = margins = bounds_mod.application_margins(
+        run.surface, run.basis, seed=run.scenario.seed)
     return all(v["verdict"].startswith(("pass", "borderline"))
                for v in margins.values())
 
 
 def _borderline(run, report):
-    if not isinstance(run.scenario.ambient,
-                      ambient_mod.ComplexProjectiveVeroneseModel):
+    rep = bounds_mod.borderline_cp_report(run.surface)
+    if rep is None:
         report["borderline"] = {"skipped": "ambient is not complex projective"}
         return True
-    report["borderline"] = rep = bounds_mod.borderline_cp_report(run.surface)
+    report["borderline"] = rep
     return max(rep["div_jn_residual"], rep["decomposition_residual"],
                rep["traced_gauss_residual"]) < rep["tolerance"]
 
@@ -348,15 +352,6 @@ def _summary_row(report, ok):
     }
 
 
-def _positive_scale(text):
-    """A --resolution-scale value: a finite positive number."""
-    scale = float(text)
-    if not (np.isfinite(scale) and scale > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number, not {text!r}")
-    return scale
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="indexbound",
@@ -369,7 +364,7 @@ def main(argv=None):
                         "bundled clifford.cfg")
     parser.add_argument("--out", default="reports",
                         help="output directory for JSON/CSV reports")
-    parser.add_argument("--resolution-scale", type=_positive_scale, default=1.0)
+    parser.add_argument("--resolution-scale", type=_finite_positive, default=1.0)
     parser.add_argument("--seed", type=_int_at_least(0), default=None)
     args = parser.parse_args(argv)
 

@@ -197,13 +197,13 @@ class FemSystem:
 
     `stiffness` and `index_form` are the cell matrices of every cell, and
     `cells(at)` those of K - P and of M on a slice of cells, formed at each
-    call from the metric evaluated once at construction, a chunk of cells at
-    a time; none is kept, and the quadrature weights `node_weights` (the
-    mass matrix's row sums) need none.  The metric's determinant and inverse
-    come from a Gauss-Jordan elimination without pivoting; a metric with a
-    pivot that is not positive, one that is not positive definite by
-    Sylvester's criterion, raises ValueError.  `fuse` maps grid nodes to
-    DOFs.
+    call; none is kept, and the quadrature weights `node_weights` (the mass
+    matrix's row sums) need none.  The metric is evaluated at the quadrature
+    points once, at construction, a chunk of cells at a time; its
+    determinant and inverse come from a Gauss-Jordan elimination without
+    pivoting, and a metric with a pivot that is not positive, one that is
+    not positive definite by Sylvester's criterion, raises ValueError.
+    `fuse` maps grid nodes to DOFs.
     """
 
     def __init__(self, grid, metric_fn, positions, potential=0.0):
@@ -214,19 +214,20 @@ class FemSystem:
         gauss_local, w, self._vals, grads = _reference_tensors(ndim)
         # physical gradients: reference gradient scaled by 1/h per axis
         self._grads = grads / hs[None, None, :]
-        # the metric at the quadrature points in parameter space, a chunk of
-        # cells at a time
+        # the metric's inverse and determinant at the quadrature points in
+        # parameter space, a chunk of cells at a time; the stiffness term
+        # scale * metric^-1 is kept, (C, G, ndim, ndim)
         origins = grid.cell_origins()
         C, G = len(origins), len(w)
-        self._g = np.empty((C, G, ndim, ndim))
+        self._metric = np.empty((C, G, ndim, ndim))
         detg = np.empty((C, G))
         for c in range(0, C, _CELL_CHUNK):
             at = slice(c, c + _CELL_CHUNK)
             qp = origins[at, None, :] + gauss_local * hs
-            self._g[at] = np.reshape(metric_fn(qp.reshape(-1, ndim)),
-                                     (-1, G, ndim, ndim))
-            detg[at] = _inverse_and_det(self._g[at])[1]
+            self._metric[at], detg[at] = _inverse_and_det(np.reshape(
+                metric_fn(qp.reshape(-1, ndim)), (-1, G, ndim, ndim)))
         self._scale = w[None, :] * np.sqrt(detg) * float(np.prod(hs))  # (C, G)
+        self._metric *= self._scale[:, :, None, None]
 
         self.fuse = self._fusion_labels(positions)
         self.n_dofs = int(self.fuse.max()) + 1
@@ -237,43 +238,41 @@ class FemSystem:
         rows = np.einsum("cg,gi->ci", self._scale, self._vals).ravel()
         self.node_weights = np.bincount(self._cell_dofs.ravel(), rows, self.n_dofs)
 
-    def _cells(self, at, weight=None, metric_weight=None):
+    def _cells(self, at, weight, stiffness):
         """Cell matrices of the cells `at`, a slice, with entries
-        sum_g weight phi_i phi_j plus sum_g metric_weight metric^-1(grad
-        phi_i, grad phi_j), either term left out when its weight, that of
-        each cell `at` at each quadrature point, is None."""
+        sum_g weight phi_i phi_j, left out when `weight`, that of each cell
+        `at` at each quadrature point, is None, plus, when `stiffness`,
+        sum_g scale metric^-1(grad phi_i, grad phi_j)."""
         # one small product per cell runs on one BLAS thread, so the sums do
         # not depend on the thread count; chunks keep the temporaries small
-        L, g = self._vals.shape[1], self._g[at]  # a view
-        E = np.zeros((len(g), L, L))
+        L, metric = self._vals.shape[1], self._metric[at]  # a view
+        E = np.zeros((len(metric), L, L))
         for c in range(0, len(E), _CELL_CHUNK):
             part = slice(c, c + _CELL_CHUNK)
             if weight is not None:  # V^T diag(weight) V
                 E[part] += ((self._vals.T * weight[part][:, None, :])
                             @ self._vals)
-            if metric_weight is not None:  # sum_g grads (s ginv) grads^T
-                s, ginv = metric_weight[part], _inverse_and_det(g[part])[0]
-                T = ((s[:, :, None, None] * ginv)
-                     @ self._grads.transpose(0, 2, 1))
+            if stiffness:  # sum_g grads (scale ginv) grads^T
+                T = metric[part] @ self._grads.transpose(0, 2, 1)
                 E[part] += (self._grads.transpose(1, 0, 2)
-                            .reshape(L, -1) @ T.reshape(len(s), -1, L))
+                            .reshape(L, -1) @ T.reshape(len(T), -1, L))
         return CellMatrices(self._cell_dofs[at], E)
 
     def cells(self, at):
         """The cells `at`, a slice, of K - P and of M: stiffness cells minus
         the mass cells times the constant `potential`, and the mass cells."""
         s = self._scale[at]
-        return self._cells(at, -s * self.potential, s), self._cells(at, s)
+        return (self._cells(at, -s * self.potential, True),
+                self._cells(at, s, False))
 
     @property
     def stiffness(self):
-        return self._cells(slice(None), metric_weight=self._scale)
+        return self._cells(slice(None), None, True)
 
     @property
     def index_form(self):
         """The cells of K - P over the whole grid."""
-        s = self._scale
-        return self._cells(slice(None), -s * self.potential, s)
+        return self._cells(slice(None), -self._scale * self.potential, True)
 
     @staticmethod
     def _fusion_labels(positions):

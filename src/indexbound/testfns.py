@@ -73,20 +73,17 @@ def _rhs_integrand(surface, form, mode):
                      form)
 
 
-def q_identity_report(surface, form, modes):
+def q_identity_report(surface, form):
     """Both sides of the summed index-form identity and their mismatch, one
-    report for each mode of `modes`, keyed by mode.
+    report for each mode that holds, keyed by mode: the wedge mode Prop32,
+    and on a surface (n = 2) the coordinate mode Prop31 of omega-sharp.
 
     lhs sums Q over the test functions, cell by cell, through the cell
     matrices of the surface's K - P, formed once for all modes; rhs
     integrates the ambient curvature integrand by quadrature.
     Non-harmonic forms are rejected through the Bochner residual.
     """
-    if "Prop31" in modes and surface.dim != 2:
-        raise TestFunctionError(
-            "the coordinate identity for omega-sharp holds for surfaces "
-            "in three-dimensional ambients only (n = 2)"
-        )
+    modes = ("Prop32", "Prop31") if surface.dim == 2 else ("Prop32",)
     res = bochner_residual(surface, form)
     if res > _BOCHNER_TOL:
         raise TestFunctionError(

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from indexbound import hypersurface as hyp, spectral
 from indexbound.ambient import ComplexProjectiveVeroneseModel
-from indexbound.elements import Axis, CellMatrices
+from indexbound.elements import Axis, CellMatrices, _reference_tensors
 
 
 #: the Cayley plane OP^2 for the rank-one margin: dimension 16, Einstein
@@ -37,15 +37,22 @@ def pencil(system):
     return tuple(map(dense, system.fem.cells(slice(None))))
 
 
-def cells_by_einsum(fem):
-    """The cell matrices of K - P and of M of a FemSystem, each from one
-    einsum over the quadrature points of its weights, metric inverse (by
-    LAPACK), shape gradients and values, and potential."""
-    ginv = np.linalg.inv(fem._g)
-    K = np.einsum("cg,gia,cgab,gjb->cij", fem._scale, fem._grads, ginv,
-                  fem._grads)
-    P, M = (np.einsum("cg,gi,gj->cij", w, fem._vals, fem._vals)
-            for w in (fem._scale * fem.potential, fem._scale))
+def cells_by_einsum(surface):
+    """The cell matrices of K - P and of M of the FemSystem of `surface`,
+    each from one einsum over the quadrature points of the metric, evaluated
+    there anew, its inverse and determinant (by LAPACK), the shape gradients
+    and values, and the potential."""
+    fem, axes = surface.fem(), surface.grid.axes
+    hs = np.array([a.h for a in axes])
+    gauss_local, w, vals, grads = _reference_tensors(len(axes))
+    qp = surface.grid.cell_origins()[:, None, :] + gauss_local * hs
+    g = surface.metric_fn(qp.reshape(-1, len(axes))).reshape(
+        qp.shape + (len(axes),))
+    scale = w * np.sqrt(np.linalg.det(g)) * np.prod(hs)
+    grads = grads / hs
+    K = np.einsum("cg,gia,cgab,gjb->cij", scale, grads, np.linalg.inv(g), grads)
+    P, M = (np.einsum("cg,gi,gj->cij", s, vals, vals)
+            for s in (scale * fem.potential, scale))
     return K - P, M
 
 

@@ -16,8 +16,8 @@ from indexbound import bounds, cli, hodge, hypersurface as hyp, testfns
 from indexbound.ambient import (
     CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
+    EllipsoidModel,
     SphereModel,
-    make_ambient,
 )
 from indexbound.spectral import SpectralSystem
 from oracles import (
@@ -67,7 +67,7 @@ def test_criterion_01_wedge_energy_identity(torus96, t96_forms, capsys):
     worst = 0.0
     ratio_err = 0.0
     for w in forms:
-        rep = testfns.q_identity_report(torus96, w, ("Prop32",))["Prop32"]
+        rep = testfns.q_identity_report(torus96, w)["Prop32"]
         worst = max(worst, rep["relative_residual"])
         ratio_err = max(
             ratio_err, abs(rep["rhs"] / rep["norm_sq_integral"] + 2.0)
@@ -89,7 +89,7 @@ def test_criterion_02_coordinate_energy_identity(torus96, t96_forms, capsys):
     worst = 0.0
     ratio_err = 0.0
     for w in forms:
-        rep = testfns.q_identity_report(torus96, w, ("Prop31",))["Prop31"]
+        rep = testfns.q_identity_report(torus96, w)["Prop31"]
         worst = max(worst, rep["relative_residual"])
         # integrand sum_k |II(e_k, w)|^2 - (R/2)|w|^2 with R = 6 gives -2|w|^2
         ratio_err = max(
@@ -179,7 +179,7 @@ def test_criterion_06_projective_embedding_identities(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for m in (2, 3):
-        model = make_ambient("complex_projective_veronese", m=m)
+        model = ComplexProjectiveVeroneseModel(m=m)
         rng = np.random.default_rng(600 + m)
         einstein = 2.0 * m + 2.0  # n + 3 with hypersurface dim n = 2m - 1
         for _ in range(1000):
@@ -254,11 +254,11 @@ def test_criterion_08_product_profile(capsys):
 
 def test_criterion_09_pinching_checkers(capsys):
     round_rep = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1.0, 1.0, 1.0, 1.0])
+        EllipsoidModel(semi_axes=[1.0, 1.0, 1.0, 1.0])
     )
     scenario = cli.Scenario(cli.bundled_config("ellipsoid-elongated.cfg"))
     elong_rep = bounds.margins_convex(scenario.ambient)
-    scalar = bounds.margins_scalar3(make_ambient("sphere", dim=3))
+    scalar = bounds.margins_scalar3(SphereModel(dim=3))
     margin = scalar["values"]["min_2R_minus_H2"]
     contraction = scalar["values"]["contraction_residual"]
     ok = (
@@ -277,14 +277,14 @@ def test_criterion_10_constant_table(capsys):
     checks = []
     for dim in range(2, 8):
         n = dim - 1
-        c = bounds.theorem_constant(make_ambient("sphere", dim=dim))
+        c = bounds.theorem_constant(SphereModel(dim=dim))
         checks.append(c == Fraction(2, (n + 2) * (n + 1)))
     for n in range(2, 7):
-        c = bounds.theorem_constant(make_ambient("circle_times_sphere", n=n))
+        c = bounds.theorem_constant(CircleTimesSphereModel(n=n))
         checks.append(c == Fraction(2, (n + 3) * (n + 2)))
     for m in range(1, 7):
         c = bounds.theorem_constant(
-            make_ambient("complex_projective_veronese", m=m)
+            ComplexProjectiveVeroneseModel(m=m)
         )
         checks.append(c == Fraction(2, m * (m + 2) * (m + 1) ** 2))
     # HP^p and S^p x S^q have no ambient model: 2/(d(d-1)) at their

@@ -3,10 +3,13 @@ import pytest
 
 from indexbound.ambient import (
     _FD_CHECKS,
+    AMBIENT_KINDS,
     AmbientError,
+    CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
+    EllipsoidModel,
+    RealProjectiveModel,
     SphereModel,
-    make_ambient,
     verify_model_identities,
 )
 from oracles import (
@@ -32,33 +35,31 @@ ALL_KINDS = [
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_identity_report_passes(kind, params):
-    model = make_ambient(kind, **params)
-    report = verify_model_identities(model, 25, seed=3)
+    model = AMBIENT_KINDS[kind].model(**params)
+    report = verify_model_identities(model, seed=3)
     assert report.ok, report.failures
 
 
 def test_embed_dims():
-    assert make_ambient("sphere", dim=3).embed_dim == 4
-    assert make_ambient("real_projective", dim=4).embed_dim == 5
-    assert make_ambient("complex_projective_veronese", m=2).embed_dim == 9
-    assert make_ambient("circle_times_sphere", n=3).embed_dim == 6
-    assert make_ambient("ellipsoid", semi_axes=[1, 1, 1, 2]).embed_dim == 4
+    assert SphereModel(dim=3).embed_dim == 4
+    assert RealProjectiveModel(dim=4).embed_dim == 5
+    assert ComplexProjectiveVeroneseModel(m=2).embed_dim == 9
+    assert CircleTimesSphereModel(n=3).embed_dim == 6
+    assert EllipsoidModel(semi_axes=[1, 1, 1, 2]).embed_dim == 4
 
 
-def test_make_ambient_validation():
+def test_model_parameter_validation():
+    # each model refuses its own bad parameters; an unknown kind or a
+    # missing parameter is the config's error (test_cli)
     with pytest.raises(AmbientError):
-        make_ambient("nonexistent")
-    with pytest.raises(AmbientError):
-        make_ambient("sphere", dim=1)
+        SphereModel(dim=1)
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(AmbientError):
-            make_ambient("ellipsoid", semi_axes=[1.0, bad, 1.0, 2.0])
-    with pytest.raises(AmbientError):
-        make_ambient("sphere")  # missing parameter
+            EllipsoidModel(semi_axes=[1.0, bad, 1.0, 2.0])
 
 
 def test_sphere_umbilicity_and_einstein(rng):
-    model = make_ambient("sphere", dim=4)
+    model = SphereModel(dim=4)
     p = model.random_point(rng)
     X, Y = random_orthonormal_pair(model, p, rng)
     assert abs(np.linalg.norm(model.ii(p, X, Y)) - abs(X @ Y)) < 1e-12
@@ -68,7 +69,7 @@ def test_sphere_umbilicity_and_einstein(rng):
 
 
 def test_veronese_metric_and_variety(rng):
-    model = make_ambient("complex_projective_veronese", m=2)
+    model = ComplexProjectiveVeroneseModel(m=2)
     z = model.random_point(rng)
     A = model.unflatten(model.position(z))
     # projector onto the line: A^2 = A, tr A = 1
@@ -86,7 +87,7 @@ def test_fused_veronese_kernels_match_matrix_forms(m, rng):
     # position and tangent_from_horizontal, written from z and v, against the
     # flattened matrices z z* and z v* + v z*, also broadcast as in
     # tangent_frame: one point against a stack of horizontal vectors
-    model = make_ambient("complex_projective_veronese", m=m)
+    model = ComplexProjectiveVeroneseModel(m=m)
     z, v, lifts = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
                    for s in ((500, m + 1), (500, m + 1), (500, 2 * m, m + 1)))
     for got, want in (
@@ -101,7 +102,7 @@ def test_fused_veronese_kernels_match_matrix_forms(m, rng):
 
 
 def test_veronese_ii_identities(rng):
-    model = make_ambient("complex_projective_veronese", m=3)
+    model = ComplexProjectiveVeroneseModel(m=3)
     z = model.random_point(rng)
     X, Y = random_orthonormal_pair(model, z, rng)
     iixx = model.ii_quad(z, X)
@@ -116,7 +117,7 @@ def test_veronese_ii_identities(rng):
 
 
 def test_complex_structure(rng):
-    model = make_ambient("complex_projective_veronese", m=2)
+    model = ComplexProjectiveVeroneseModel(m=2)
     z = model.random_point(rng)
     X = random_tangent(model, z, rng)
     JX = model.complex_structure(z, X)
@@ -126,7 +127,7 @@ def test_complex_structure(rng):
 
 
 def test_product_flat_directions(rng):
-    model = make_ambient("circle_times_sphere", n=2)
+    model = CircleTimesSphereModel(n=2)
     p = model.random_point(rng)
     frame = model.tangent_frame(p)
     circle_dir = frame[0]
@@ -136,7 +137,7 @@ def test_product_flat_directions(rng):
 
 
 def test_ellipsoid_principal_curvatures(rng):
-    model = make_ambient("ellipsoid", semi_axes=[1.0, 1.0, 1.0, 2.0])
+    model = EllipsoidModel(semi_axes=[1.0, 1.0, 1.0, 2.0])
     # at the end of the long axis the curvatures are a4 / a_i^2 = 2
     p = model.point([0.0, 0.0, 0.0, 2.0])
     k = model.principal_curvatures(p)
@@ -149,7 +150,7 @@ def test_ellipsoid_principal_curvatures(rng):
 
 def test_fd_oracle_closure(rng):
     for kind, params in ALL_KINDS:
-        model = make_ambient(kind, **params)
+        model = AMBIENT_KINDS[kind].model(**params)
         p = model.random_point(rng)
         X = random_tangent(model, p, rng)
         assert (
@@ -158,7 +159,7 @@ def test_fd_oracle_closure(rng):
 
 
 def test_tangency_check(rng):
-    model = make_ambient("sphere", dim=3)
+    model = SphereModel(dim=3)
     p = model.random_point(rng)
     # the position itself is normal, a random tangent vector tangent
     assert abs(model.tangency_residual(p, p) - 1.0) < 1e-12
@@ -168,7 +169,7 @@ def test_tangency_check(rng):
 def test_riemann_scaling_symmetry(rng):
     # S^1 x S^2: the curvature is the sphere factor's alone
     n = 2
-    model = make_ambient("circle_times_sphere", n=n)
+    model = CircleTimesSphereModel(n=n)
     p = model.random_point(rng)
     X, Y = random_orthonormal_pair(model, p, rng)
     r = model.riemann_xyxy(p, X, Y)
@@ -209,7 +210,7 @@ def _batch(model, rng, shape=(3, 5)):
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_batched_frame_orthonormal_and_tangent(kind, params, rng):
-    model = make_ambient(kind, **params)
+    model = AMBIENT_KINDS[kind].model(**params)
     p, _, _ = _batch(model, rng)
     frame = model.tangent_frame(p)
     k = model.intrinsic_dim
@@ -231,7 +232,7 @@ def test_batched_frame_orthonormal_and_tangent(kind, params, rng):
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_batched_curvature_matches_pointwise(kind, params, rng):
-    model = make_ambient(kind, **params)
+    model = AMBIENT_KINDS[kind].model(**params)
     p, X, Y = _batch(model, rng)
     ric, rm = model.ricci(p, X), model.riemann_xyxy(p, X, Y)
     scal, _ = scalar_and_mean_curvature(model, p)
@@ -243,7 +244,7 @@ def test_batched_curvature_matches_pointwise(kind, params, rng):
 
 
 def test_batched_sphere_closed_forms(rng):
-    model = make_ambient("sphere", dim=4)
+    model = SphereModel(dim=4)
     p, X, Y = _batch(model, rng)
     assert np.abs(model.riemann_xyxy(p, X, Y) - 1.0).max() < 1e-12
     assert np.abs(model.ricci(p, X) - 3.0).max() < 1e-12
@@ -256,7 +257,7 @@ def test_batched_sphere_closed_forms(rng):
     ("circle_times_sphere", {"n": 3}),
 ])
 def test_batched_product_closed_forms(kind, params, rng):
-    model = make_ambient(kind, **params)
+    model = AMBIENT_KINDS[kind].model(**params)
     n = model.n
     p, X, Y = _batch(model, rng)
     rm = model.riemann_xyxy(p, X, Y)
@@ -320,8 +321,8 @@ def _verify_ref(model, sample_count, seed):
     ("ellipsoid", {"semi_axes": [1.0, 1.0, 1.0, 1.0]}),
 ])
 def test_verify_matches_pointwise_loop(kind, params):
-    model = make_ambient(kind, **params)
-    batched = verify_model_identities(model, 200, seed=12345)
+    model = AMBIENT_KINDS[kind].model(**params)
+    batched = verify_model_identities(model, seed=12345)
     reference = _verify_ref(model, 200, 12345)
     assert set(batched.residuals) == set(reference)
     for key, value in reference.items():

@@ -6,10 +6,11 @@ import pytest
 
 from indexbound import bounds, hodge, hypersurface as hyp
 from indexbound.ambient import (
+    AMBIENT_KINDS,
     CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
+    EllipsoidModel,
     SphereModel,
-    make_ambient,
 )
 from indexbound.spectral import SpectralSystem
 from oracles import CAYLEY_PLANE, QUATERNIONIC_PLANE
@@ -80,12 +81,12 @@ def test_unknown_certificate_mode_is_refused_first():
 
 
 def test_constant_table():
-    assert bounds.theorem_constant(make_ambient("sphere", dim=3)) == Fraction(1, 6)
+    assert bounds.theorem_constant(SphereModel(dim=3)) == Fraction(1, 6)
     assert bounds.theorem_constant(
-        make_ambient("complex_projective_veronese", m=2)
+        ComplexProjectiveVeroneseModel(m=2)
     ) == Fraction(1, 36)
     assert bounds.theorem_constant(
-        make_ambient("circle_times_sphere", n=3)
+        CircleTimesSphereModel(n=3)
     ) == Fraction(1, 15)
     # HP^2 and S^2 x S^3 have no ambient model: their constants close at
     # embedding dimensions (2p+1)(p+1) = 15 and p+q+2 = 7
@@ -95,7 +96,7 @@ def test_constant_table():
 
 def test_constant_closure_families():
     for m in range(1, 7):
-        bounds.theorem_constant(make_ambient("complex_projective_veronese", m=m))
+        bounds.theorem_constant(ComplexProjectiveVeroneseModel(m=m))
     # HP^p has no ambient model: its constant closes at embedding dimension
     # (2p+1)(p+1), as the Cayley plane's 1/351 does at 27
     for p in range(1, 5):
@@ -150,7 +151,7 @@ def test_margins_sphere(torus48, torus_forms):
 
 
 def test_margins_cross():
-    cp2 = bounds.margins_cross(make_ambient("complex_projective_veronese", m=2))
+    cp2 = bounds.margins_cross(ComplexProjectiveVeroneseModel(m=2))
     assert cp2["values"]["margin"] == 0.0
     assert cp2["verdict"].startswith("borderline")
     hp2 = bounds.margins_cross(QUATERNIONIC_PLANE)
@@ -174,8 +175,8 @@ def test_q_profile_minimum(torus48, torus_forms):
     assert rep["verdict"] == "pass"
     assert rep["thresholds"]["q_min_tol"] == 1e-6
     assert rep["thresholds"]["tol"] == bounds.STRICT_TOL
-    with pytest.raises(bounds.BoundsError):
-        bounds.application_margins("product_q", torus48, torus_forms)
+    # the product margin is run on S^1 x S^n only
+    assert "product_q" not in bounds.application_margins(torus48, torus_forms)
 
 
 @pytest.mark.parametrize("nodes", [12, 16, 24])
@@ -198,20 +199,20 @@ def test_product_margin_at_n2_is_borderline(monkeypatch, nodes, sign):
 
 def test_margins_convex():
     round_s = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1]))
+        EllipsoidModel(semi_axes=[1, 1, 1, 1]))
     assert abs(round_s["values"]["ratio_max"] - 1.0) < 1e-10
     assert round_s["verdict"] == "pass"
     mild = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 1.1]))
+        EllipsoidModel(semi_axes=[1, 1, 1, 1.1]))
     assert mild["verdict"] == "pass"
     assert mild["values"]["ratio_max"] < np.sqrt(1.5)
     elongated = bounds.margins_convex(
-        make_ambient("ellipsoid", semi_axes=[1, 1, 1, 2.0]))
+        EllipsoidModel(semi_axes=[1, 1, 1, 2.0]))
     assert elongated["verdict"] == "fail"
 
 
 def test_margins_scalar3():
-    rep = bounds.margins_scalar3(make_ambient("sphere", dim=3))
+    rep = bounds.margins_scalar3(SphereModel(dim=3))
     assert abs(rep["values"]["min_2R_minus_H2"] - 3.0) < 1e-10
     assert rep["values"]["contraction_residual"] < 1e-8
     assert rep["verdict"] == "pass"
@@ -225,7 +226,7 @@ def test_scalar3_contraction_catches_a_wrong_pair_table(monkeypatch, kind,
                                                         params):
     # R from the Ricci sums does not read ii_frame_pairs, so a pair table
     # whose diagonal is off by 1e-6 breaks the contraction identity
-    ambient = make_ambient(kind, **params)
+    ambient = AMBIENT_KINDS[kind].model(**params)
     pairs = type(ambient).ii_frame_pairs
 
     def scaled(self, point, frame=None):
@@ -241,17 +242,15 @@ def test_scalar3_contraction_catches_a_wrong_pair_table(monkeypatch, kind,
 
 
 def test_application_dispatch(torus48, torus_forms):
-    rep = bounds.application_margins("scalar3", torus48, torus_forms)
-    assert "min_2R_minus_H2" in rep["values"]
+    # the margins the sphere's entry lists, each its own function's report
+    margins = bounds.application_margins(torus48, torus_forms, seed=5)
+    assert list(margins) == ["sphere", "scalar3"]
+    assert margins["sphere"] == bounds.margins_sphere(torus48, torus_forms[0])
+    assert margins["scalar3"] == bounds.margins_scalar3(torus48.ambient, seed=5)
     # the form margins have nothing to be taken on when b1 = 0
-    assert bounds.application_margins("sphere", torus48, []) is None
+    assert list(bounds.application_margins(torus48, [])) == ["scalar3"]
     product = hyp.circle_times_equator(CircleTimesSphereModel(3), 8)
-    assert bounds.application_margins("product_q", product, []) is None
-    with pytest.raises(bounds.BoundsError):
-        bounds.application_margins("nonexistent", torus48, [])
-    # a margin that another ambient kind lists, not the sphere
-    with pytest.raises(bounds.BoundsError, match="'convex'.*'sphere'"):
-        bounds.application_margins("convex", torus48, torus_forms)
+    assert list(bounds.application_margins(product, [])) == ["scalar3"]
 
 
 def test_borderline_residuals(geodesic_cp2):
@@ -283,8 +282,8 @@ def test_borderline_decay_under_refinement():
 
 
 def test_borderline_requires_complex_ambient(torus48):
-    with pytest.raises(bounds.BoundsError):
-        bounds.borderline_cp_report(torus48)
+    # the lemmas hold in a complex projective ambient only: no report
+    assert bounds.borderline_cp_report(torus48) is None
 
 
 def test_certificate_roundoff_margin_fails(monkeypatch):
@@ -327,7 +326,7 @@ def _scalar3_ref(ambient, samples, seed):
     ("circle_times_sphere", {"n": 3}),
 ])
 def test_scalar3_matches_pointwise_loop(kind, params):
-    ambient = make_ambient(kind, **params)
+    ambient = AMBIENT_KINDS[kind].model(**params)
     rep = bounds.margins_scalar3(ambient, seed=12345)
     min_margin, contraction = _scalar3_ref(ambient, 200, 12345)
     assert abs(rep["values"]["min_2R_minus_H2"] - min_margin) < 1e-12

@@ -299,6 +299,15 @@ def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
     ("seed = 7", "seed = -1", [], "[scenario] seed: must be >= 0"),
     ("nodes = 32", "nodes = 0", [], "[hypersurface] nodes: must be >= 4"),
     ("nodes = 32", "nodes = -3", [], "[hypersurface] nodes: must be >= 4"),
+    # an ambient parameter missing, or one its model refuses
+    ("dim = 3\n", "", [], "[ambient] needs 'dim'"),
+    ("dim = 3", "dim = 1", [], "sphere dimension must be >= 2"),
+    # an infinite tolerance once passed every identity residual, and a
+    # negative one failed the run at exit 1
+    ("identity = 1e-3", "identity = inf", [],
+     "[tolerances] identity: must be a finite positive number"),
+    ("identity = 1e-3", "identity = -1", [],
+     "[tolerances] identity: must be a finite positive number"),
     ("", "", ["--seed", "-1"], "argument --seed: must be >= 0"),
     # the config's seed is read and checked under --seed too
     ("seed = 7", "seed = seven", ["--seed", "5151"], "[scenario] seed"),
@@ -314,7 +323,9 @@ def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
      "no scenario reads [extra] note"),
     ("[scenario]", "[DEFAULT]\nnodes = 8\n[scenario]", [],
      "no scenario reads [DEFAULT] nodes"),
-], ids=["seed", "zero-nodes", "negative-nodes", "seed-flag", "seed-under-flag",
+], ids=["seed", "zero-nodes", "negative-nodes", "missing-dim", "sphere-dim-1",
+        "infinite-identity",
+        "negative-identity", "seed-flag", "seed-under-flag",
         "unread-node", "unread-pointwise", "unread-borderline", "unread-extra",
         "unread-default"])
 def test_value_out_of_range_is_usage_error(old, new, flags, message, tmp_path,

@@ -542,10 +542,11 @@ def test_cell_matrices_match_an_einsum_quadrature(make):
     # the chunked cell products give the cells of K - P and of M that one
     # einsum over the quadrature points gives, on the cells' fused DOFs; the
     # cells of a slice are those of the whole grid bit for bit
-    fem = make().fem()
+    surface = make()
+    fem = surface.fem()
     A, M = fem.cells(slice(None))
     assert np.array_equal(fem.index_form.data, A.data)
-    for X, oracle in zip((A, M), cells_by_einsum(fem)):
+    for X, oracle in zip((A, M), cells_by_einsum(surface)):
         assert np.array_equal(X.dofs, fem.fuse[fem.grid.cell_connectivity()])
         assert X.data.shape == oracle.shape
         assert np.abs(X.data - oracle).max() <= 1e-14 * np.abs(oracle).max()

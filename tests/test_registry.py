@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from indexbound import bounds, cli, hodge
-from indexbound.ambient import AMBIENT_KINDS, IDENTITY_TOL, make_ambient
+from indexbound.ambient import AMBIENT_KINDS, IDENTITY_TOL
 from indexbound.hypersurface import SURFACE_KINDS
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import deck_permutation, deck_sign_spectrum, dense_spectrum, parity_basis
@@ -95,7 +95,7 @@ PAPER_CONSTANTS = {
 def test_ambient_kind_entry(kind):
     entry = AMBIENT_KINDS[kind]
     assert entry.model.kind == kind
-    model = make_ambient(kind, **EXAMPLE_AMBIENTS[kind])
+    model = entry.model(**EXAMPLE_AMBIENTS[kind])
     assert bounds.theorem_constant(model) == PAPER_CONSTANTS[kind](model)
 
 
@@ -112,6 +112,14 @@ def test_every_task_runs_or_skips(kind, ambient_kind, tmp_path):
     assert ("quotient" in report["spectrum"]) == quotient
     if quotient:
         assert 2 * report["spectrum"]["dofs"] == scenario.surface.fem().n_dofs
+    # bounds runs every margin the ambient's entry lists, but the form
+    # margins where b1 = 0, and the borderline lemmas in CP^m alone
+    expected = set(AMBIENT_KINDS[ambient_kind].margins)
+    if scenario.surface.betti_one == 0:
+        expected -= {"sphere", "product_q"}
+    assert set(report["margins"]) == expected
+    assert ("skipped" in report["borderline"]) == (
+        ambient_kind != "complex_projective_veronese")
 
 
 @pytest.mark.parametrize("kind", SURFACE_KINDS)
@@ -127,7 +135,7 @@ def test_undeclared_pairing_is_config_error(kind, tmp_path):
 
 @pytest.mark.parametrize("kind, ambient_kind", PAIRS)
 def test_surface_is_built_in_the_given_ambient(kind, ambient_kind):
-    ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
+    ambient = AMBIENT_KINDS[ambient_kind].model(**EXAMPLE_AMBIENTS[ambient_kind])
     assert SURFACE_KINDS[kind].build(ambient, 8).ambient is ambient
 
 
@@ -159,7 +167,7 @@ def test_ambient_of_another_dimension_is_config_error(tmp_path, capsys):
 def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
     # the whole block spectrum of each pencil, and of both parities of a
     # quotient, against one dense solve of the same pencil
-    ambient = make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind])
+    ambient = AMBIENT_KINDS[ambient_kind].model(**EXAMPLE_AMBIENTS[ambient_kind])
     surface = SURFACE_KINDS[kind].build(ambient, 8)
     fem = surface.fem()
     if surface.potential is None:
@@ -188,7 +196,7 @@ def test_block_spectrum_matches_dense_oracle(kind, ambient_kind):
 def test_potential_is_a_number(kind, ambient_kind):
     # the stability potential of a homogeneous surface is one constant
     surface = SURFACE_KINDS[kind].build(
-        make_ambient(ambient_kind, **EXAMPLE_AMBIENTS[ambient_kind]), 8)
+        AMBIENT_KINDS[ambient_kind].model(**EXAMPLE_AMBIENTS[ambient_kind]), 8)
     potential = surface.potential
     assert potential is None or (type(potential) is float
                                  and np.isfinite(potential))
@@ -217,7 +225,7 @@ def test_harmonic_forms_of_every_kind(kind):
     entry = SURFACE_KINDS[kind]
     ambient_kind = entry.ambients[0]
     for params in TWO_DIMENSIONS.get(kind, [EXAMPLE_AMBIENTS[ambient_kind]]):
-        surface = entry.build(make_ambient(ambient_kind, **params), 12)
+        surface = entry.build(AMBIENT_KINDS[ambient_kind].model(**params), 12)
         forms = hodge.harmonic_one_forms(surface)
         assert len(forms) == surface.betti_one
         gram = np.array([[hodge.l2_inner(surface, a, b) for b in forms]

@@ -5,8 +5,9 @@ ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
 function is reached only from the tests (the benchmark counts as a caller),
 every defaulted parameter of a public function is passed by some package
 call, every strict inequality of `bounds` goes through its one rule,
-every package name that the benchmark's traced child wraps exists, and the
-scenario runner reads the config only through its one reader."""
+every package name that the benchmark's traced child wraps exists, the
+scenario runner reads the config only through its one reader, and it leaves
+the margins and the ambient model checks to the modules that own them."""
 
 import ast
 import re
@@ -66,7 +67,7 @@ def test_no_unused_module_imports(path):
 
 def test_function_package_import_is_found():
     source = (
-        "from .ambient import make_ambient\n"
+        "from .ambient import AMBIENT_KINDS\n"
         "def f():\n    from scipy.optimize import brentq\n"
         "def g():\n    def h():\n        from .hodge import combine\n"
     )
@@ -394,3 +395,38 @@ def test_cli_reads_the_config_only_through_value():
     # left over, so a read that bypasses it would refuse a key it uses
     source = (Path(indexbound.__file__).parent / "cli.py").read_text()
     assert config_reads(source) == []
+
+
+def registry_decisions(source):
+    """Line numbers of `source` that read a `.margins` attribute or pass a
+    class of `ambient_mod` to `isinstance`."""
+    def model_class(node):
+        return any(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                   and n.value.id == "ambient_mod" for n in ast.walk(node))
+
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "margins"
+                   or isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "isinstance" and len(node.args) == 2
+                   and model_class(node.args[1])})
+
+
+def test_registry_decision_is_found():
+    source = (
+        "def f(run, amb):\n"
+        "    names = ambient_mod.AMBIENT_KINDS[run.kind].margins\n"
+        "    if isinstance(run.ambient, ambient_mod.SphereModel):\n"
+        "        return isinstance(run, (int, ambient_mod.EllipsoidModel))\n"
+        "    report['margins'] = margins = {}\n"
+        "    return isinstance(run, dict), margins.values(), amb.margins_x\n"
+    )
+    assert registry_decisions(source) == [2, 3, 4]
+
+
+def test_cli_leaves_margins_and_model_checks_to_their_owners():
+    # `bounds` runs the margins an ambient's entry lists and decides where
+    # the borderline report applies; a second copy of either rule in the
+    # runner would have to be kept in step with the first
+    source = (Path(indexbound.__file__).parent / "cli.py").read_text()
+    assert registry_decisions(source) == []
