@@ -12,7 +12,7 @@ import numpy as np
 
 from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel
 from .hypersurface import _NODE_CHUNK, chart_jacobian
-from .testfns import _rhs_integrand, integrand_quadratic_form
+from .testfns import _rhs_integrand, integrand_holds, integrand_quadratic_form
 
 
 class BoundsError(Exception):
@@ -83,6 +83,17 @@ def concentration_certificate(surface, basis, eta, mode="Prop41", *, spectrum):
         "margin": margin, "normalized_margin": normalized,
         "tol": STRICT_TOL, "verdict": "pass" if passed else "fail",
     }
+
+
+def certificates(surface, basis, eta, *, spectrum):
+    """The certificate blocks that apply to `surface`, by report key: Prop41,
+    and Prop43 where its integrand holds (n = 2)."""
+    modes = {"certificate": "Prop41"}
+    if integrand_holds(surface, "Prop43"):
+        modes["certificate_starred"] = "Prop43"
+    return {key: concentration_certificate(surface, basis, eta, mode,
+                                           spectrum=spectrum)
+            for key, mode in modes.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -233,15 +233,10 @@ def _certify(run, report):
     if not run.basis:
         report["certificate"] = {"skipped": _NO_FORMS}
         return True
-    spectrum = run.spectrum_report()
-    modes = [("certificate", "Prop41")]
-    if run.surface.dim == 2:
-        modes.append(("certificate_starred", "Prop43"))
-    for key, mode in modes:
-        report[key] = bounds_mod.concentration_certificate(
-            run.surface, run.basis, run.scenario.eta, mode, spectrum=spectrum
-        )
-    return all(report[key]["verdict"] == "pass" for key, _ in modes)
+    blocks = bounds_mod.certificates(run.surface, run.basis, run.scenario.eta,
+                                     spectrum=run.spectrum_report())
+    report.update(blocks)
+    return all(block["verdict"] == "pass" for block in blocks.values())
 
 
 def _margins(run, report):

@@ -14,18 +14,19 @@ pole).  No global matrix is formed, nor the cell matrices of the whole grid:
 they are formed a chunk of cells (a run of whole slabs) at a time, and in
 one pass over each chunk its cell defect, its Parseval sums and its sums
 onto (orbit, orbit, relative element) arrays are taken before it is freed.
-The blocks are formed from those real sums by two real products, at most
-_GATHER_ENTRIES = 2^16 complex entries at a time, and solved for their
-eigenvalues only.  Eigenvectors are taken only in the blocks of the
-characters that own the reported low end of the spectrum, for the residuals
-of the reported eigenvalues themselves.  The split is refused when a shift
-moves a cell matrix of K - P or M by more than INVARIANCE_TOL of its largest
-entry (the cell defect); an entry of the summed pencil sums cell entries, so
-it moves by at most the sum of their moves.  In an ambient with an
-involution the surface double covers a quotient, whose deck is the cell
-shift that moves the nodes as the involution does; the quotient keeps the
-characters that are +1 on it (even functions) when the unit normal
-descends, else those that are -1 (odd).
+The blocks are formed from those real sums, at most _GATHER_ENTRIES = 2^16
+complex entries at a time, by one real product per orbit row of at most
+_GATHER_ENTRIES * len(rel) / n_orbits multiply-adds (97k on CP^2), and solved
+for their eigenvalues only.  Eigenvectors, by inverse iteration, are taken only
+in the blocks of the characters that own the reported low end of the spectrum,
+for the residuals of the reported eigenvalues.  The split is refused when a
+shift moves a cell matrix of K - P or M by more than INVARIANCE_TOL of its
+largest entry (the cell defect); an entry of the summed pencil sums cell
+entries, so it moves by at most the sum of their moves.  In an ambient with an
+involution the surface double covers a quotient, whose deck is the cell shift
+that moves the nodes as the involution does; the quotient keeps the characters
+that are +1 on it (even functions) when the unit normal descends, else those
+that are -1 (odd).
 
 Every count the report states is taken a second time, block by block: at
 eta = 0 and at the run's eta, the eigenvalues of a block's pencil below eta
@@ -70,6 +71,10 @@ PARSEVAL_TOL = 1e-10
 
 #: complex entries of the blocks formed at once
 _GATHER_ENTRIES = 1 << 16
+#: inverse iteration's shift below a reported eigenvalue, per max(1, |lambda|):
+#: above its roundoff, so that no pivot is zero, and so far below its gaps to
+#: the other eigenvalues of its block that two solves reach roundoff
+_INVERSE_SHIFT = 1e-10
 
 
 @dataclass
@@ -413,12 +418,12 @@ class _CellShifts:
         F, rel = gathered
         turns = (self.multi(rel).T / self.cells) @ self.multi(chars)
         n, E = len(self.reps), np.exp(-2j * np.pi * turns)
-        # the real and imaginary parts, each by one real product, of the
-        # Hermitian part of (F E)^T
+        # the real and imaginary parts of the Hermitian part of (F E)^T, each
+        # by one small real product (chars, rel) @ (rel, n) per orbit row
         B = np.empty((len(chars), n, n), dtype=complex)
         for part, W, add in ((B.real, E.real, np.add),
                              (B.imag, E.imag, np.subtract)):
-            P = (W.T @ F.T).reshape(B.shape)
+            P = (W.T @ F.reshape(n, n, -1).swapaxes(1, 2)).swapaxes(0, 1)
             add(P, P.swapaxes(1, 2), out=part)
         B *= 0.5
         return B
@@ -448,14 +453,13 @@ def _stacks(shifts, gathered, chars):
 
 def _block_spectrum(shifts, gathered, cell_side, kept, etas):
     """Eigenvalues of the `kept` characters from the gathered A, M, smallest
-    first, the solved character and the position in its block's spectrum of
-    each, (n, 2), and the sizes of their blocks; for each of `etas`, the
-    eigenvalues below it of the kept characters and of all characters,
-    [kept, all], each block's count checked against the inertia of its
-    B(A) - eta B(M); and the largest Parseval residual of the split against
-    the `cell_side` of `_gathered`, checked against PARSEVAL_TOL.  Of each
-    conjugate pair k, -k, whose blocks are conjugate, one block is solved
-    and counted twice.
+    first, the solved character of each, and the sizes of their blocks; for
+    each of `etas`, the eigenvalues below it of the kept characters and of
+    all characters, [kept, all], each block's count checked against the
+    inertia of its B(A) - eta B(M); and the largest Parseval residual of the
+    split against the `cell_side` of `_gathered`, checked against
+    PARSEVAL_TOL.  Of each conjugate pair k, -k, whose blocks are conjugate,
+    one block is solved and counted twice.
     """
     conjugate = np.ravel_multi_index(
         np.mod(-shifts.multi(np.arange(shifts.order)),
@@ -476,11 +480,9 @@ def _block_spectrum(shifts, gathered, cell_side, kept, etas):
             probe = np.einsum("so,sop,sp->s", xk.conj(), S, yk).real
             sums[i] += (c @ np.trace(S, axis1=1, axis2=2).real, c @ probe)
         take = np.repeat(np.flatnonzero(keep), c[keep])
-        n = lam.shape[1]
         vals.append(lam[take].ravel())
-        owners.append(np.column_stack([np.repeat(chars[take], n),
-                                       np.tile(np.arange(n), len(take))]))
-        sizes.append(np.full(len(take), n))
+        owners.append(np.repeat(chars[take], lam.shape[1]))
+        sizes.append(np.full(len(take), lam.shape[1]))
     trace, diagonal, probe, scale = whole.T
     parseval = float(max((np.abs(sums[:, 0] - trace) / diagonal).max(),
                          (np.abs(sums[:, 1] - probe) / scale).max()))
@@ -497,20 +499,22 @@ def _block_spectrum(shifts, gathered, cell_side, kept, etas):
 
 def _window_residuals(shifts, gathered, vals, owners):
     """Relative residuals |B(A) x - lambda B(M) x| / |B(M) x| of eigenvalues
-    `vals` of the gathered pencil, x the eigenvector at the position in the
-    spectrum of the block of the character that `owners` gives with it; only
-    the blocks of those characters are formed again."""
-    chars, inverse = np.unique(owners[:, 0], return_inverse=True)
+    `vals` of the gathered pencil: x = L^-H y, y by two inverse iteration
+    solves from a fixed start (Parlett 1998, ch. 4) on C = L^-1 B(A) L^-H of
+    the character `owners` gives with lambda, whose blocks alone are formed."""
+    chars, inverse = np.unique(owners, return_inverse=True)
     res = np.empty(len(vals))
     for idx, _, SA, SM in _stacks(shifts, gathered, chars):
         C, L = _reduced(SA, SM)
-        X = np.linalg.solve(L.conj().swapaxes(1, 2), np.linalg.eigh(C)[1])
-        for s, i in enumerate(idx):
-            at = inverse == i
-            x = X[s][:, owners[at, 1]]
-            MX = SM[s] @ x
-            R = SA[s] @ x - MX * vals[at]
-            res[at] = np.linalg.norm(R, axis=0) / np.linalg.norm(MX, axis=0)
+        at = np.flatnonzero(np.isin(inverse, idx))
+        s, lam = np.searchsorted(idx, inverse[at]), vals[at, None, None]
+        sigma = lam - _INVERSE_SHIFT * np.maximum(1.0, np.abs(lam))
+        shifted, start = C[s] - sigma * np.eye(len(C[0])), _probe(len(C[0]))[0]
+        y = np.linalg.solve(shifted, np.linalg.solve(shifted, start[:, None]))
+        x = np.linalg.solve(L[s].conj().swapaxes(1, 2), y)
+        MX = SM[s] @ x
+        res[at] = (np.linalg.norm(SA[s] @ x - lam * MX, axis=(1, 2))
+                   / np.linalg.norm(MX, axis=(1, 2)))
     return res
 
 

@@ -49,14 +49,19 @@ def test_functions(surface, form, mode):
 _STAR = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def integrand_holds(surface, mode):
+    """Whether the integrand `mode` holds: Prop31 and Prop43 need n = 2."""
+    return mode == "Prop32" or surface.dim == 2
+
+
 def integrand_matrices(surface, mode):
     """Per-node (n, n) matrices Q whose quadratic form c^T Q c, for the frame
     components c of omega, is the curvature integrand of `mode`; the ambient
     curvature is the surface's one cached evaluation."""
     if mode not in ("Prop32", "Prop31", "Prop43"):
         raise TestFunctionError(f"unknown integrand mode {mode!r}")
-    if mode == "Prop43" and surface.dim != 2:
-        raise TestFunctionError("the starred certificate needs a surface (n = 2)")
+    if not integrand_holds(surface, mode):
+        raise TestFunctionError(f"the {mode} integrand needs a surface (n = 2)")
     cv = surface.ambient_curvature()
     eye = np.eye(surface.dim)
     if mode == "Prop32":
@@ -83,7 +88,7 @@ def q_identity_report(surface, form):
     integrates the ambient curvature integrand by quadrature.
     Non-harmonic forms are rejected through the Bochner residual.
     """
-    modes = ("Prop32", "Prop31") if surface.dim == 2 else ("Prop32",)
+    modes = [m for m in ("Prop32", "Prop31") if integrand_holds(surface, m)]
     res = bochner_residual(surface, form)
     if res > _BOCHNER_TOL:
         raise TestFunctionError(

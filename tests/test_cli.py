@@ -207,13 +207,13 @@ def test_cli_cp2_spectrum_leaves_numpy_ma_unimported(tmp_path):
     assert loaded == []
 
 
-def _spectrum_at_blas_threads(threads, out):
-    """`spectrum` on clifford.cfg at half resolution in a fresh interpreter
-    with every BLAS thread variable at `threads`: the JSON report, and the
-    bytes of the spectrum CSV and the mesh dump."""
+def _spectrum_at_blas_threads(threads, out, name="clifford", scale="0.5"):
+    """`spectrum` on the bundled config `name` at `scale` of its resolution
+    in a fresh interpreter with every BLAS thread variable at `threads`: the
+    JSON report, and the bytes of the spectrum CSV and the mesh dump."""
     argv = [sys.executable, "-m", "indexbound.cli", "spectrum", "--config",
-            str(cli.bundled_config("clifford.cfg")), "--out", str(out),
-            "--resolution-scale", "0.5"]
+            str(cli.bundled_config(f"{name}.cfg")), "--out", str(out),
+            "--resolution-scale", scale]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -221,21 +221,31 @@ def _spectrum_at_blas_threads(threads, out):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return (json.loads((out / "clifford.json").read_text()),
-            (out / "clifford-spectrum.csv").read_bytes(),
-            (out / "clifford-mesh.txt").read_bytes())
+    return (json.loads((out / f"{name}.json").read_text()),
+            (out / f"{name}-spectrum.csv").read_bytes(),
+            (out / f"{name}-mesh.txt").read_bytes())
 
 
-def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # no reduction of the package takes a BLAS path whose sum depends on the
-    # thread count; a threaded dot once moved parseval_residual
-    one, *files_one = _spectrum_at_blas_threads(1, tmp_path / "one")
-    two, *files_two = _spectrum_at_blas_threads(2, tmp_path / "two")
+def _assert_same_at_one_and_two_threads(tmp_path, *config):
+    one, *files_one = _spectrum_at_blas_threads(1, tmp_path / "one", *config)
+    two, *files_two = _spectrum_at_blas_threads(2, tmp_path / "two", *config)
     for report, threads in ((one, "1"), (two, "2")):
         assert report["provenance"].pop("blas_threads") == dict.fromkeys(
             cli._THREAD_VARS, threads)
     assert one == two
     assert files_one == files_two
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # no reduction of the package takes a BLAS path whose sum depends on the
+    # thread count; a threaded dot once moved parseval_residual
+    _assert_same_at_one_and_two_threads(tmp_path)
+
+
+def test_cp2_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the CP^2 blocks are the largest: their products, one per orbit row,
+    # and the window's eigenvectors by inverse iteration
+    _assert_same_at_one_and_two_threads(tmp_path, "cp2-borderline", "1")
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -376,6 +386,45 @@ def test_identities_check_the_declared_potential(name, kind, shift, tmp_path,
         "residuals"]["hypersurface"]
     assert code == (1 if shift else 0)
     assert (checks["potential_consistency"] > IDENTITY_TOL) == bool(shift)
+
+
+def _scaled_metric(surface):
+    metric = surface._metric_fn
+    surface._metric_fn = lambda p: metric(p) * (1.0 + 1e-6)
+
+
+def _turned_normal(surface):
+    # toward the first tangent frame vector by about 1e-6 rad, still unit
+    turned = surface.normals + 1e-6 * surface.node_fields()["frames"][:, 0]
+    surface.normals = turned / np.linalg.norm(turned, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("check, name, kind, wrong", [
+    ("metric_consistency", "cp2-borderline.cfg", "geodesic_sphere_cp2",
+     _scaled_metric),
+    ("normal_vs_frame", "clifford.cfg", "clifford_torus", _turned_normal),
+], ids=["metric_consistency", "normal_vs_frame"])
+def test_wrong_declared_geometry_fails_its_pointwise_check(
+        check, name, kind, wrong, tmp_path, monkeypatch):
+    # the pencil reads the declared metric and the index form the declared
+    # normal; a wrong one fails its own check against IDENTITY_TOL, and no
+    # other, and through it the identities stage
+    entry = hyp.SURFACE_KINDS[kind]
+
+    def wrongly(ambient, nodes):
+        surface = entry.build(ambient, nodes)
+        wrong(surface)
+        return surface
+
+    monkeypatch.setitem(hyp.SURFACE_KINDS, kind,
+                        dataclasses.replace(entry, build=wrongly))
+    code = cli.main(["identities", "--config", str(cli.bundled_config(name)),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    checks = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())[
+        "residuals"]["hypersurface"]
+    assert code == 1
+    assert checks.pop(check) > IDENTITY_TOL
+    assert max(checks.values()) < IDENTITY_TOL
 
 
 def test_bundled_configs_load():

@@ -398,14 +398,15 @@ def test_cli_reads_the_config_only_through_value():
 
 
 def registry_decisions(source):
-    """Line numbers of `source` that read a `.margins` attribute or pass a
-    class of `ambient_mod` to `isinstance`."""
+    """Line numbers of `source` that read a `.margins` or `.dim` attribute
+    or pass a class of `ambient_mod` to `isinstance`."""
     def model_class(node):
         return any(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                    and n.value.id == "ambient_mod" for n in ast.walk(node))
 
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if isinstance(node, ast.Attribute) and node.attr == "margins"
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in ("margins", "dim")
                    or isinstance(node, ast.Call)
                    and isinstance(node.func, ast.Name)
                    and node.func.id == "isinstance" and len(node.args) == 2
@@ -420,13 +421,16 @@ def test_registry_decision_is_found():
         "        return isinstance(run, (int, ambient_mod.EllipsoidModel))\n"
         "    report['margins'] = margins = {}\n"
         "    return isinstance(run, dict), margins.values(), amb.margins_x\n"
+        "    if run.surface.dim == 2 and amb.intrinsic_dim:\n"
+        "        return dim, amb.embed_dim\n"
     )
-    assert registry_decisions(source) == [2, 3, 4]
+    assert registry_decisions(source) == [2, 3, 4, 7]
 
 
 def test_cli_leaves_margins_and_model_checks_to_their_owners():
     # `bounds` runs the margins an ambient's entry lists and decides where
-    # the borderline report applies; a second copy of either rule in the
+    # the borderline report and the starred certificate apply (the latter by
+    # `testfns`' n = 2 rule); a second copy of any of these rules in the
     # runner would have to be kept in step with the first
     source = (Path(indexbound.__file__).parent / "cli.py").read_text()
     assert registry_decisions(source) == []
