@@ -12,14 +12,19 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+
+# CPython's builtin SHA-256, as random.py takes its SHA-512: hashlib would
+# map OpenSSL's libcrypto (3.5 MB) into a run that needs none of it
+try:
+    from _sha2 import sha256
+except ImportError:  # Python 3.10 and 3.11
+    from _sha256 import sha256
 
 import numpy as np
 
@@ -121,8 +126,7 @@ class Scenario:
             raise ConfigError(f"config file not found: {config_path}")
         if "scenario" not in parser:
             raise ConfigError("config lacks a [scenario] section")
-        self.config_sha256 = hashlib.sha256(
-            Path(config_path).read_bytes()).hexdigest()
+        self.config_sha256 = sha256(Path(config_path).read_bytes()).hexdigest()
         self.id = _value(parser, "scenario", "id", str, Path(config_path).stem)
         # read even under a --seed override, so a bad seed is still refused
         config_seed = _value(parser, "scenario", "seed", _int_at_least(0), 12345)
@@ -312,6 +316,7 @@ def run_tasks(scenario, tasks, artifacts=None):
         try:
             ok &= bool(task(run, report))
         except Exception as exc:  # solver, assembly or geometry failure
+            import traceback  # only here: a run that succeeds never loads it
             traceback.print_exc()
             report["error"] = {"stage": stage, "type": type(exc).__name__,
                                "message": str(exc)}

@@ -14,9 +14,9 @@ pole).  No global matrix is formed, nor the cell matrices of the whole grid:
 they are formed a chunk of cells (a run of whole slabs) at a time, and in
 one pass over each chunk its cell defect, its Parseval sums and its sums
 onto (orbit, orbit, relative element) arrays are taken before it is freed.
-The blocks are formed from those real sums, at most _GATHER_ENTRIES = 2^16
+The blocks are formed from those real sums, at most _GATHER_ENTRIES = 2^14
 complex entries at a time, by one real product per orbit row of at most
-_GATHER_ENTRIES * len(rel) / n_orbits multiply-adds (97k on CP^2), and solved
+_GATHER_ENTRIES * len(rel) / n_orbits multiply-adds (24k on CP^2), and solved
 for their eigenvalues only.  Eigenvectors, by inverse iteration, are taken only
 in the blocks of the characters that own the reported low end of the spectrum,
 for the residuals of the reported eigenvalues.  The split is refused when a
@@ -70,7 +70,7 @@ DECK_TOL = 1e-9
 PARSEVAL_TOL = 1e-10
 
 #: complex entries of the blocks formed at once
-_GATHER_ENTRIES = 1 << 16
+_GATHER_ENTRIES = 1 << 14
 #: inverse iteration's shift below a reported eigenvalue, per max(1, |lambda|):
 #: above its roundoff, so that no pivot is zero, and so far below its gaps to
 #: the other eigenvalues of its block that two solves reach roundoff

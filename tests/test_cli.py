@@ -14,7 +14,7 @@ import indexbound
 from indexbound import cli, hypersurface as hyp
 from indexbound.ambient import CircleTimesSphereModel, IDENTITY_TOL, IdentityReport
 from indexbound.hodge import HodgeError, harmonic_one_forms
-from indexbound.spectral import SpectralError
+from indexbound.spectral import SpectralError, SpectrumReport
 from indexbound.testfns import _rhs_integrand
 
 
@@ -160,14 +160,12 @@ def test_single_subcommands(config_path, tmp_path):
 
 def _modules_after_fresh_run(argv):
     """`cli.main(argv)` in a fresh interpreter, as each command-line run is:
-    its exit code, and the modules of scipy and numpy.ma it left imported."""
+    its exit code, and the names of the modules it left imported."""
     script = (
         "import json, sys\n"
         "from indexbound import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules "
-        "if m.startswith('scipy') or m.startswith('numpy.ma.') "
-        "or m == 'numpy.ma')]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -176,6 +174,11 @@ def _modules_after_fresh_run(argv):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy_or_numpy_ma(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"
+            or m == "numpy.ma" or m.startswith("numpy.ma.")]
 
 
 def test_cli_all_leaves_scipy_unimported(tmp_path):
@@ -192,7 +195,7 @@ def test_cli_all_leaves_scipy_unimported(tmp_path):
     assert "error" not in report
     assert report["identity"]["Prop32"]["relative_residual"] > 1e-4
     assert {"spectrum", "identity", "certificate", "bounds"} <= set(report)
-    assert loaded == []
+    assert _scipy_or_numpy_ma(loaded) == []
 
 
 def test_cli_cp2_spectrum_leaves_numpy_ma_unimported(tmp_path):
@@ -204,7 +207,22 @@ def test_cli_cp2_spectrum_leaves_numpy_ma_unimported(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "cp2-borderline.json").read_text())
     assert report["spectrum"]["index"] == 1
-    assert loaded == []
+    assert _scipy_or_numpy_ma(loaded) == []
+
+
+def test_cli_spectrum_maps_no_openssl_and_no_traceback(tmp_path):
+    # the config hash is CPython's builtin SHA-256: hashlib's _hashlib maps
+    # OpenSSL's libcrypto (3.5 MB) into the run; traceback, with tokenize,
+    # linecache and textwrap, is loaded only when a stage fails
+    config = cli.bundled_config("clifford.cfg")
+    code, loaded = _modules_after_fresh_run(
+        ["spectrum", "--config", str(config), "--out", str(tmp_path),
+         "--resolution-scale", "0.5"])
+    assert code == 0
+    report = json.loads((tmp_path / "clifford.json").read_text())
+    assert report["provenance"]["config_sha256"] == hashlib.sha256(
+        config.read_bytes()).hexdigest()
+    assert {"_hashlib", "traceback"}.isdisjoint(loaded)
 
 
 def _spectrum_at_blas_threads(threads, out, name="clifford", scale="0.5"):
@@ -388,43 +406,82 @@ def test_identities_check_the_declared_potential(name, kind, shift, tmp_path,
     assert (checks["potential_consistency"] > IDENTITY_TOL) == bool(shift)
 
 
-def _scaled_metric(surface):
+def _scaled_metric(ambient, nodes):
+    surface = hyp.geodesic_sphere_cp2(ambient, nodes)
     metric = surface._metric_fn
     surface._metric_fn = lambda p: metric(p) * (1.0 + 1e-6)
+    return surface
 
 
-def _turned_normal(surface):
+def _turned_normal(ambient, nodes):
     # toward the first tangent frame vector by about 1e-6 rad, still unit
+    surface = hyp.clifford_torus(ambient, nodes)
     turned = surface.normals + 1e-6 * surface.node_fields()["frames"][:, 0]
     surface.normals = turned / np.linalg.norm(turned, axis=-1, keepdims=True)
+    return surface
 
 
-@pytest.mark.parametrize("check, name, kind, wrong", [
+def _scaled_normal(ambient, nodes):
+    surface = hyp.clifford_torus(ambient, nodes)
+    surface.normals *= 1.0 + 1e-6
+    return surface
+
+
+def _parallel_torus(ambient, nodes):
+    # S^1(r) x S^1(s) with r^2 = 1/2 + 1e-6, a torus of the sphere whose mean
+    # curvature (r^2 - s^2) / (r s) is about 4e-6, declared as the minimal
+    # one; its |A|^2 + Ric(N, N) is the declared 4 within 2e-11
+    r, s = np.sqrt(0.5 + 1e-6), np.sqrt(0.5 - 1e-6)
+
+    def normal(p):
+        circ = np.stack([np.cos(p[..., 0]), np.sin(p[..., 0])], axis=-1)
+        return np.concatenate([s * circ, -r * hyp.spherical_chart(p[..., 1:])],
+                              axis=-1)
+
+    return hyp._circle_times_sphere("clifford_torus", ambient, nodes, 2, r, s,
+                                    (r * r, s * s), normal, 4.0)
+
+
+@pytest.mark.parametrize("check, name, kind, wrong, also", [
     ("metric_consistency", "cp2-borderline.cfg", "geodesic_sphere_cp2",
-     _scaled_metric),
-    ("normal_vs_frame", "clifford.cfg", "clifford_torus", _turned_normal),
-], ids=["metric_consistency", "normal_vs_frame"])
+     _scaled_metric, ()),
+    ("normal_vs_frame", "clifford.cfg", "clifford_torus", _turned_normal, ()),
+    # Ric(N, N) = 2 |N|^2 in S^3 moves with the scaled normal too
+    ("normal_unit", "clifford.cfg", "clifford_torus", _scaled_normal,
+     ("potential_consistency",)),
+    ("minimality", "clifford.cfg", "clifford_torus", _parallel_torus, ()),
+], ids=["metric_consistency", "normal_vs_frame", "normal_unit", "minimality"])
 def test_wrong_declared_geometry_fails_its_pointwise_check(
-        check, name, kind, wrong, tmp_path, monkeypatch):
+        check, name, kind, wrong, also, tmp_path, monkeypatch):
     # the pencil reads the declared metric and the index form the declared
-    # normal; a wrong one fails its own check against IDENTITY_TOL, and no
-    # other, and through it the identities stage
-    entry = hyp.SURFACE_KINDS[kind]
-
-    def wrongly(ambient, nodes):
-        surface = entry.build(ambient, nodes)
-        wrong(surface)
-        return surface
-
-    monkeypatch.setitem(hyp.SURFACE_KINDS, kind,
-                        dataclasses.replace(entry, build=wrongly))
+    # normal and potential; a wrong one fails its own check against
+    # IDENTITY_TOL, and no other than `also`, and through it the identities
+    # stage
+    monkeypatch.setitem(hyp.SURFACE_KINDS, kind, dataclasses.replace(
+        hyp.SURFACE_KINDS[kind], build=wrong))
     code = cli.main(["identities", "--config", str(cli.bundled_config(name)),
                      "--out", str(tmp_path), "--resolution-scale", "0.5"])
     checks = json.loads((tmp_path / name.replace(".cfg", ".json")).read_text())[
         "residuals"]["hypersurface"]
     assert code == 1
-    assert checks.pop(check) > IDENTITY_TOL
+    for moved in (check, *also):
+        assert checks.pop(moved) > IDENTITY_TOL
     assert max(checks.values()) < IDENTITY_TOL
+
+
+def test_index_below_the_bound_fails_bounds(tmp_path, monkeypatch):
+    # the Clifford torus is tight (index 5 = bound 5): a spectrum that
+    # reports one unstable direction fewer is below the bound, and `bounds`
+    # exits 1 on it
+    index = SpectrumReport.morse_index
+    monkeypatch.setattr(SpectrumReport, "morse_index",
+                        property(lambda rep: index.fget(rep) - 1))
+    code = cli.main(["bounds", "--config", str(cli.bundled_config("clifford.cfg")),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    bounds = json.loads((tmp_path / "clifford.json").read_text())["bounds"]
+    assert (bounds["index"], bounds["bound"]) == (4, 5)
+    assert bounds["consistent"] is False
+    assert code == 1
 
 
 def test_bundled_configs_load():
