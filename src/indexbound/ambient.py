@@ -14,6 +14,7 @@ without batch axes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,30 @@ class IdentityReport:
         return not self.failures
 
 
+class Draws:
+    """Seeded random draws from stdlib `random`, by the numpy Generator
+    methods that the package calls: `uniform` from the top 53 bits of each
+    8 bytes of `randbytes`, `standard_normal` by Box-Muller (Box & Muller
+    1958) on two uniforms, and `choice`, always without replacement."""
+
+    def __init__(self, seed):
+        self._random = random.Random(seed)
+
+    def uniform(self, low, high, size):
+        bits = self._random.randbytes(8 * int(np.prod(size)))
+        return low + (high - low) * (
+            (np.frombuffer(bits, "<u8") >> 11).reshape(size) * 2.0**-53)
+
+    def standard_normal(self, size):
+        u, v = self.uniform(0.0, 1.0, (2, int(np.prod(size))))
+        radius = np.sqrt(-2.0 * np.log1p(-u))
+        return (radius * np.cos(2.0 * np.pi * v)).reshape(size)
+
+    def choice(self, a, size):
+        """`size` distinct members of the array `a`, in the order drawn."""
+        return a[self._random.sample(range(len(a)), size)]
+
+
 def _dot(a, b):
     """Inner product over the last axis, broadcasting the leading ones."""
     return np.einsum("...d,...d->...", a, b)
@@ -78,9 +103,11 @@ class AmbientModel:
         self.embed_dim = int(embed_dim)
 
     # -- points, for a subclass with a `point` map onto the model -------------
-    def random_point(self, rng):
-        """A random point, from the subclass's `point` of a normal draw."""
-        return self.point(rng.standard_normal(self.embed_dim))
+    def random_point(self, rng, count=()):
+        """Random points, an array of shape `count` of them, from the
+        subclass's `point` of normal draws of `rng` (a Draws or a numpy
+        Generator)."""
+        return self.point(rng.standard_normal((*count, self.embed_dim)))
 
     def position(self, point):
         """The ambient R^d position of a point: the point itself."""
@@ -260,8 +287,9 @@ class ComplexProjectiveVeroneseModel(AmbientModel):
         v = np.einsum("...ij,...j->...i", self.unflatten(X), z)
         return v - z * np.einsum("...i,...i->...", np.conj(z), v)[..., None]
 
-    def random_point(self, rng):
-        z = rng.standard_normal(self.m + 1) + 1j * rng.standard_normal(self.m + 1)
+    def random_point(self, rng, count=()):
+        size = (*count, self.m + 1)
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return self.point_from_homogeneous(z)
 
     def tangent_frame(self, z):
@@ -433,21 +461,18 @@ def verify_model_identities(model, seed=0):
     residuals are maxima over `_VERIFY_SAMPLES` (point, orthonormal pair)
     draws.
 
-    The samples are drawn one at a time (the point, the coefficients of X and
-    Y in the tangent frame, and for a complex structure those of the two
-    tangents of the parallelism check); every check then runs once on the
-    whole batch.
+    The samples are drawn as two batches, the points and then the
+    coefficients of X and Y in the tangent frame (and for a complex
+    structure those of the two tangents of the parallelism check); every
+    check then runs once on the whole batch.
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     n_tangents = 4 if isinstance(model, ComplexProjectiveVeroneseModel) else 2
-    points, coeffs = [], []
-    for _ in range(_VERIFY_SAMPLES):
-        points.append(model.random_point(rng))
-        coeffs.append([rng.standard_normal(model.intrinsic_dim)
-                       for _ in range(n_tangents)])
-    p = np.array(points)
+    p = model.random_point(rng, (_VERIFY_SAMPLES,))
+    coeffs = rng.standard_normal(
+        (_VERIFY_SAMPLES, n_tangents, model.intrinsic_dim))
     frame = model.tangent_frame(p)
-    V = np.einsum("sta,sad->std", np.array(coeffs), frame)
+    V = np.einsum("sta,sad->std", coeffs, frame)
     X = _unit(V[:, 0])
     Y = _unit(V[:, 1] - _dot(V[:, 1], X)[:, None] * X)
     res = {}

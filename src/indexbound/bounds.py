@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel
+from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel, Draws
 from .hypersurface import _NODE_CHUNK, chart_jacobian
 from .testfns import _rhs_integrand, integrand_holds, integrand_quadratic_form
 
@@ -189,9 +189,7 @@ def margins_product_q(surface, form, seed=0):
     t = np.linspace(0.0, np.pi, _Q_GRID_POINTS)
     qv = q_closed_form(t[:, None], t[None, :])  # the (theta, phi) grid
     i_min = np.unravel_index(np.argmin(qv), qv.shape)
-    rng = np.random.default_rng(seed)
-    ths = rng.uniform(0, np.pi, _Q_SAMPLES)
-    phs = rng.uniform(0, np.pi, _Q_SAMPLES)
+    ths, phs = Draws(seed).uniform(0, np.pi, (2, _Q_SAMPLES))
     agree = float(
         np.abs(q_closed_form(ths, phs) - q_defining_expression(ths, phs)).max()
     )
@@ -225,11 +223,9 @@ def margins_convex(ambient, seed=0):
     ratio k_{n+1}/k_1 below sqrt((n+1)/2), or below sqrt(5/3) for n = 2
     (which every ratio below sqrt(3/2) also is), and the margin
     4 k_{n+1}^2 - 2(n+1) k_1^2."""
-    rng = np.random.default_rng(seed)
     n = ambient.intrinsic_dim - 1
     k = ambient.principal_curvatures(
-        np.array([ambient.random_point(rng) for _ in range(_CONVEX_SAMPLES)])
-    )
+        ambient.random_point(Draws(seed), (_CONVEX_SAMPLES,)))
     ratio_max = float((k[:, -1] / k[:, 0]).max())
     margin_max = float((4 * k[:, -1] ** 2 - 2 * (n + 1) * k[:, 0] ** 2).max())
     thresholds = {"ratio": math.sqrt((n + 1) / 2.0)}
@@ -249,8 +245,7 @@ def margins_scalar3(ambient, seed=0):
     over pairs of the tangent frame F; the contraction identity
     R = |H|^2 - |II|^2 is checked against R as the sum of Ric(F_a, F_a),
     whose sectional terms come from the polarized II, not that evaluation."""
-    rng = np.random.default_rng(seed)
-    p = np.array([ambient.random_point(rng) for _ in range(_SCALAR3_SAMPLES)])
+    p = ambient.random_point(Draws(seed), (_SCALAR3_SAMPLES,))
     F = ambient.tangent_frame(p)
     ii = ambient.ii_frame_pairs(p, F)
     ii_sq = np.einsum("...abd,...abd->...", ii, ii)
@@ -356,9 +351,7 @@ def borderline_cp_report(surface):
             float(np.abs(lhs - rhs)[inside].max(initial=0.0)))
 
     # (iii) traced Gauss with U = JN: Ric(U,U) - Rm(U,N,U,N) must equal 2m-2
-    rng = np.random.default_rng(0)
-    idx = rng.choice(np.flatnonzero(ok), size=min(200, int(ok.sum())),
-                     replace=False)
+    idx = Draws(0).choice(np.flatnonzero(ok), min(200, int(ok.sum())))
     z, jn = z_of(params[idx]), jn_field(params[idx])
     ric = model.ricci(z, jn)
     rm = model.riemann_xyxy(z, jn, surface.normals[idx])

@@ -226,7 +226,7 @@ def _verify_identity(run, report):
         report["identity"] = {"skipped": _NO_FORMS}
         return True
     sc = run.scenario
-    c = np.random.default_rng(sc.seed).standard_normal(len(run.basis))
+    c = ambient_mod.Draws(sc.seed).standard_normal(len(run.basis))
     form = hodge_mod.combine(run.basis, c)
     report["identity"] = testfns_mod.q_identity_report(run.surface, form)
     return all(rep["relative_residual"] < sc.identity_tol

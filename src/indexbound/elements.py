@@ -8,8 +8,9 @@ single degrees of freedom.  Mass, stiffness and potential are integrated with
 eigenvalues of the Galerkin pencil sit above their continuous counterparts.
 No matrix is summed: each is held as its cell matrices, (C, L, L) for C
 cells of L local DOFs, with the fused DOFs of each cell, and its consumers
-sum the cell entries onto what they need (the symmetry blocks of the Jacobi
-pencil, a slice of cells at a time; a quadratic form).
+sum the cell entries onto what they need, a slice of cells at a time (the
+symmetry blocks of the Jacobi pencil; the quadratic forms of the index-form
+identity).
 """
 
 from __future__ import annotations
@@ -195,10 +196,11 @@ class FemSystem:
     """Galerkin matrices for -div(grad) - V, V the constant `potential`, on
     a curved chart.
 
-    `stiffness` and `index_form` are the cell matrices of every cell, and
-    `cells(at)` those of K - P and of M on a slice of cells, formed at each
-    call; none is kept, and the quadrature weights `node_weights` (the mass
-    matrix's row sums) need none.  The metric is evaluated at the quadrature
+    `stiffness` is the cell matrices of every cell, `cells(at)` those of
+    K - P and of M on a slice of cells, formed at each call, and
+    `index_form_sums` forms those of K - P a chunk at a time; none is kept,
+    and the quadrature weights `node_weights` (the mass matrix's row sums)
+    need none.  The metric is evaluated at the quadrature
     points once, at construction, a chunk of cells at a time; its
     determinant and inverse come from a Gauss-Jordan elimination without
     pivoting, and a metric with a pivot that is not positive, one that is
@@ -269,10 +271,16 @@ class FemSystem:
     def stiffness(self):
         return self._cells(slice(None), None, True)
 
-    @property
-    def index_form(self):
-        """The cells of K - P over the whole grid."""
-        return self._cells(slice(None), -self._scale * self.potential, True)
+    def index_form_sums(self, columns):
+        """sum_j U[:, j]^T (K - P) U[:, j] for each U, (n_dofs, q), of
+        `columns`, as a list: the cells of K - P are formed `_CELL_CHUNK`
+        at a time, once for every U, and freed before the next chunk."""
+        sums = np.zeros(len(columns))
+        for c in range(0, len(self._scale), _CELL_CHUNK):
+            at = slice(c, c + _CELL_CHUNK)
+            chunk = self._cells(at, -self._scale[at] * self.potential, True)
+            sums += [chunk.quadratic_form(U) for U in columns]
+        return sums.tolist()
 
     @staticmethod
     def _fusion_labels(positions):

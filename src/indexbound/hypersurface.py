@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ambient import AmbientError
+from .ambient import AmbientError, Draws
 from .elements import Axis, FemSystem, TensorGrid
 
 #: Gram-Schmidt length below which a chart Jacobian row is degenerate, the
@@ -297,9 +297,8 @@ class DiscreteHypersurface:
             ).max()
         )
         # normal must be tangent to the ambient manifold
-        rng = np.random.default_rng(seed)
         idx = np.flatnonzero(ok)
-        idx = rng.choice(idx, size=min(_POINTWISE_SAMPLE, len(idx)), replace=False)
+        idx = Draws(seed).choice(idx, min(_POINTWISE_SAMPLE, len(idx)))
         tang = self.ambient.tangency_residual(
             self.point_fn(self.node_params[idx]), self.normals[idx]
         )

@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import io
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ambient import Draws
 
 
 class SpectralError(Exception):
@@ -239,10 +240,8 @@ def _cell_sums(X, x, y, diagonal):
 
 def _probe(n):
     """The probe's two vectors of n entries, uniform on [-1/2, 1/2), of a
-    fixed seed as every report is fixed; stdlib random is loaded anyway,
-    numpy.random is not."""
-    bits = random.Random(1601).randbytes(16 * n)
-    return (np.frombuffer(bits, "<u8") >> 11).reshape(2, -1) * 2.0**-53 - 0.5
+    fixed seed as every report is fixed."""
+    return Draws(1601).uniform(-0.5, 0.5, (2, n))
 
 
 class _CellShifts:

@@ -84,8 +84,8 @@ def q_identity_report(surface, form):
     and on a surface (n = 2) the coordinate mode Prop31 of omega-sharp.
 
     lhs sums Q over the test functions, cell by cell, through the cell
-    matrices of the surface's K - P, formed once for all modes; rhs
-    integrates the ambient curvature integrand by quadrature.
+    matrices of the surface's K - P, each chunk of cells formed once for all
+    modes; rhs integrates the ambient curvature integrand by quadrature.
     Non-harmonic forms are rejected through the Bochner residual.
     """
     modes = [m for m in ("Prop32", "Prop31") if integrand_holds(surface, m)]
@@ -95,11 +95,11 @@ def q_identity_report(surface, form):
             f"form is not harmonic: integrated Bochner residual {res:.3e}"
         )
     fem = surface.fem()
-    cells = fem.index_form
     norm_sq = fem.integrate(fem.to_dof(np.einsum("na,na->n", form, form)))
+    lhs_sums = fem.index_form_sums(
+        [fem.to_dof(test_functions(surface, form, mode)) for mode in modes])
     reports = {}
-    for mode in modes:
-        lhs = cells.quadratic_form(fem.to_dof(test_functions(surface, form, mode)))
+    for mode, lhs in zip(modes, lhs_sums):
         rhs = fem.integrate(fem.to_dof(_rhs_integrand(surface, form, mode)))
         reports[mode] = {
             "mode": mode,

@@ -88,6 +88,12 @@ def veronese_flatten(A):
                            / np.sqrt(2.0), off.real, off.imag], axis=-1)
 
 
+def whole_grid_index_form_sum(fem, U):
+    """sum_j U[:, j]^T (K - P) U[:, j] over the columns of U, (n_dofs, q),
+    from the cell matrices of K - P of the whole grid formed at once."""
+    return fem.cells(slice(None))[0].quadratic_form(U)
+
+
 def rayleigh_quotient(system, u):
     """Index form over squared L2 norm of a DOF vector, from the cell
     matrices of a SpectralSystem: u^T (K - P) u / u^T M u."""

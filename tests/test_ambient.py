@@ -1,12 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
+from indexbound import spectral
 from indexbound.ambient import (
     _FD_CHECKS,
     AMBIENT_KINDS,
     AmbientError,
     CircleTimesSphereModel,
     ComplexProjectiveVeroneseModel,
+    Draws,
     EllipsoidModel,
     RealProjectiveModel,
     SphereModel,
@@ -31,6 +35,62 @@ ALL_KINDS = [
     ("circle_times_sphere", {"n": 3}),
     ("ellipsoid", {"semi_axes": [1.0, 1.0, 1.0, 1.2]}),
 ]
+
+
+def test_draws_repeat_for_a_seed():
+    a, b, c = Draws(5), Draws(5), Draws(6)
+    draws = [(d.uniform(-1.0, 2.0, (3, 4)), d.standard_normal(7),
+              d.choice(np.arange(50), 9)) for d in (a, b, c)]
+    for x, y, z in zip(*draws):
+        assert np.array_equal(x, y)
+        assert not np.array_equal(x, z)
+
+
+def test_draws_uniform_stays_in_its_interval():
+    u = Draws(11).uniform(0.0, np.pi, (2, 50000))
+    assert u.shape == (2, 50000)
+    assert u.min() >= 0.0 and u.max() < np.pi
+    assert abs(u.mean() - 0.5 * np.pi) < 0.01
+
+
+def test_draws_standard_normal_moments():
+    # 1e5 Box-Muller normals: the standard errors of the mean and of the
+    # standard deviation are 3.2e-3 and 2.2e-3
+    z = Draws(12).standard_normal((100, 1000))
+    assert z.shape == (100, 1000) and np.all(np.isfinite(z))
+    assert abs(z.mean()) < 0.02 and abs(z.std() - 1.0) < 0.02
+
+
+def test_draws_choice_is_without_replacement():
+    members = np.arange(100, 300)
+    picked = Draws(13).choice(members, 200)
+    assert len(set(picked.tolist())) == 200
+    assert set(picked.tolist()) == set(members.tolist())
+    assert len(set(Draws(14).choice(members, 37).tolist())) == 37
+
+
+def test_probe_is_unchanged():
+    # the probe's uniforms are bit for bit those drawn from randbytes
+    # directly, so every reported parseval_residual stays as it was
+    n = 1001
+    bits = random.Random(1601).randbytes(16 * n)
+    direct = (np.frombuffer(bits, "<u8") >> 11).reshape(2, -1) * 2.0**-53 - 0.5
+    probe = spectral._probe(n)
+    assert probe.shape == (2, n) and np.array_equal(probe, direct)
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_random_point_batch_is_on_the_model(kind, params):
+    # a batch of `count` points, each on the model: the self-checks of
+    # verify_model_identities and the margins draw their points at once.
+    # Off CP^m the curve at t = 0 is the model's `point` of p, a projection
+    # that leaves a point of the model where it is; on CP^m it is the
+    # position of p itself, so only the shape is checked there
+    model = AMBIENT_KINDS[kind].model(**params)
+    p = model.random_point(Draws(4), (5, 3))
+    x = model.position(p)
+    assert x.shape == (5, 3, model.embed_dim)
+    assert np.abs(model.curve(p, np.zeros_like(x), 0.0) - x).max() < 1e-15
 
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)

@@ -12,7 +12,12 @@ import pytest
 
 import indexbound
 from indexbound import cli, hypersurface as hyp
-from indexbound.ambient import CircleTimesSphereModel, IDENTITY_TOL, IdentityReport
+from indexbound.ambient import (
+    IDENTITY_TOL,
+    CircleTimesSphereModel,
+    ComplexProjectiveVeroneseModel,
+    IdentityReport,
+)
 from indexbound.hodge import HodgeError, harmonic_one_forms
 from indexbound.spectral import SpectralError, SpectrumReport
 from indexbound.testfns import _rhs_integrand
@@ -225,6 +230,16 @@ def test_cli_spectrum_maps_no_openssl_and_no_traceback(tmp_path):
     assert {"_hashlib", "traceback"}.isdisjoint(loaded)
 
 
+def test_cli_all_draws_without_numpy_random(tmp_path):
+    # every random sample is a seeded stdlib draw: numpy.random imports
+    # secrets, and through hmac _hashlib, which maps OpenSSL's libcrypto
+    code, loaded = _modules_after_fresh_run(
+        ["all", "--config", str(cli.bundled_config("clifford.cfg")),
+         "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    assert code == 0
+    assert {"numpy.random", "secrets", "_hashlib"}.isdisjoint(loaded)
+
+
 def _spectrum_at_blas_threads(threads, out, name="clifford", scale="0.5"):
     """`spectrum` on the bundled config `name` at `scale` of its resolution
     in a fresh interpreter with every BLAS thread variable at `threads`: the
@@ -427,6 +442,14 @@ def _scaled_normal(ambient, nodes):
     return surface
 
 
+def _leaning_normal(ambient, nodes):
+    # a component of 1e-6 along the position, normal to S^3, still unit
+    surface = hyp.clifford_torus(ambient, nodes)
+    leaning = surface.normals + 1e-6 * surface.positions
+    surface.normals = leaning / np.linalg.norm(leaning, axis=-1, keepdims=True)
+    return surface
+
+
 def _parallel_torus(ambient, nodes):
     # S^1(r) x S^1(s) with r^2 = 1/2 + 1e-6, a torus of the sphere whose mean
     # curvature (r^2 - s^2) / (r s) is about 4e-6, declared as the minimal
@@ -450,7 +473,10 @@ def _parallel_torus(ambient, nodes):
     ("normal_unit", "clifford.cfg", "clifford_torus", _scaled_normal,
      ("potential_consistency",)),
     ("minimality", "clifford.cfg", "clifford_torus", _parallel_torus, ()),
-], ids=["metric_consistency", "normal_vs_frame", "normal_unit", "minimality"])
+    ("normal_ambient_tangency", "clifford.cfg", "clifford_torus",
+     _leaning_normal, ()),
+], ids=["metric_consistency", "normal_vs_frame", "normal_unit", "minimality",
+        "normal_ambient_tangency"])
 def test_wrong_declared_geometry_fails_its_pointwise_check(
         check, name, kind, wrong, also, tmp_path, monkeypatch):
     # the pencil reads the declared metric and the index form the declared
@@ -467,6 +493,24 @@ def test_wrong_declared_geometry_fails_its_pointwise_check(
     for moved in (check, *also):
         assert checks.pop(moved) > IDENTITY_TOL
     assert max(checks.values()) < IDENTITY_TOL
+
+
+def test_scaled_ricci_fails_the_traced_gauss_residual(tmp_path, monkeypatch):
+    # Ric(JN, JN) - Rm(JN, N, JN, N) = 2m - 2 on a minimal hypersurface of
+    # CP^m; a Ricci tensor 1 + 1e-4 too large moves Ric(JN, JN) = 6 of CP^2
+    # by 6e-4, and the other two borderline residuals not at all
+    ricci = ComplexProjectiveVeroneseModel.ricci
+    monkeypatch.setattr(ComplexProjectiveVeroneseModel, "ricci",
+                        lambda *args: ricci(*args) * (1.0 + 1e-4))
+    code = cli.main(["borderline", "--config",
+                     str(cli.bundled_config("cp2-borderline.cfg")),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    rep = json.loads((tmp_path / "cp2-borderline.json").read_text())[
+        "borderline"]
+    assert code == 1
+    assert rep["traced_gauss_residual"] > rep["tolerance"]
+    assert max(rep["div_jn_residual"],
+               rep["decomposition_residual"]) < rep["tolerance"]
 
 
 def test_index_below_the_bound_fails_bounds(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from indexbound import hypersurface as hyp
+from indexbound import elements, hypersurface as hyp
 from indexbound.ambient import (
     AmbientError,
     CircleTimesSphereModel,
@@ -545,7 +545,6 @@ def test_cell_matrices_match_an_einsum_quadrature(make):
     surface = make()
     fem = surface.fem()
     A, M = fem.cells(slice(None))
-    assert np.array_equal(fem.index_form.data, A.data)
     for X, oracle in zip((A, M), cells_by_einsum(surface)):
         assert np.array_equal(X.dofs, fem.fuse[fem.grid.cell_connectivity()])
         assert X.data.shape == oracle.shape
@@ -556,14 +555,18 @@ def test_cell_matrices_match_an_einsum_quadrature(make):
             assert np.array_equal(part.data, X.data[at])
 
 
-def test_cellwise_form_is_the_dense_form():
+def test_cellwise_form_is_the_dense_form(monkeypatch):
+    # the whole grid's cells at once, and chunks of 7 of its 64 cells
+    monkeypatch.setattr(elements, "_CELL_CHUNK", 7)
     fem = hyp.clifford_torus(SphereModel(3), 16).fem()
-    A = fem.index_form
+    A = fem.cells(slice(None))[0]
     U = np.random.default_rng(3).standard_normal((fem.n_dofs, 3))
     X = dense(A)
     oracle = np.trace(U.T @ X @ U)
     scale = np.trace(np.abs(U).T @ np.abs(X) @ np.abs(U))
     assert abs(A.quadratic_form(U) - oracle) <= 1e-15 * scale
+    [chunked] = fem.index_form_sums([U])
+    assert abs(chunked - oracle) <= 1e-15 * scale
 
 
 @pytest.mark.parametrize("make", _FEM_SURFACES[1:])

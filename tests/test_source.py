@@ -1,7 +1,8 @@
 """Static checks of the package source: every module-level import is used,
 no function imports a module of the package, the package imports nothing of
-scipy and keeps one eigensolver path (dense solves of symmetry blocks: no
-ARPACK, no SuperLU factor, nothing of scipy.sparse.linalg), no public package
+scipy and nothing of numpy.random, and keeps one eigensolver path (dense
+solves of symmetry blocks: no ARPACK, no SuperLU factor, nothing of
+scipy.sparse.linalg), no public package
 function is reached only from the tests (the benchmark counts as a caller),
 every defaulted parameter of a public function is passed by some package
 call, every strict inequality of `bounds` goes through its one rule,
@@ -103,6 +104,27 @@ def test_scipy_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_scipy_import(path):
     assert scipy_imports(path.read_text()) == []
+
+
+def numpy_random_lines(source):
+    """Line numbers of `source` that name numpy's random module, as
+    np.random or numpy.random."""
+    return [i for i, line in enumerate(source.splitlines(), 1)
+            if re.search(r"\b(np|numpy)\.random\b", line)]
+
+
+def test_numpy_random_is_found():
+    source = ("import numpy as np\nimport random\n"
+              "rng = np.random.default_rng(0)\nfrom numpy.random import PCG64\n"
+              "x = random.Random(1)\n# numpy.random maps libcrypto\n")
+    assert numpy_random_lines(source) == [3, 4, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    # numpy.random imports secrets, and through it OpenSSL's libcrypto; the
+    # package draws its samples from stdlib random (`ambient.Draws`)
+    assert numpy_random_lines(path.read_text()) == []
 
 
 def sparse_solver_lines(source):

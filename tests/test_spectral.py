@@ -544,7 +544,7 @@ def test_spectrum_keeps_no_cell_stack(monkeypatch):
     # after spectrum() neither the system nor its FEM system holds an array
     # of C L^2 entries, one per cell entry, and the stage sorts none
     surface = hyp.geodesic_sphere_cp2(ComplexProjectiveVeroneseModel(2), 8)
-    C, L = surface.fem().index_form.dofs.shape
+    C, L = surface.fem().cells(slice(None))[0].dofs.shape
     sorted_sizes = []
     for name in ("unique", "argsort"):
         def counting(a, *args, _sort=getattr(np, name), **kwargs):
