@@ -24,9 +24,9 @@ class AmbientError(Exception):
     """Invalid model parameters or chart-domain violations."""
 
 
-#: largest residual that passes (model self-checks, the hypersurface checks
-#: of `identities`), the looser one of the self-check keys backed by finite
-#: differences, the steps of those oracles, ii_quad_fd and
+#: bound that a residual passes below (model self-checks, the hypersurface
+#: checks of `identities`), the looser one of the self-check keys backed by
+#: finite differences, the steps of those oracles, ii_quad_fd and
 #: j_parallel_residual, and the random draws of the self-checks
 IDENTITY_TOL = 1e-8
 FD_IDENTITY_TOL = 1e-4
@@ -45,13 +45,20 @@ class IdentityReport:
     residuals: dict = field(default_factory=dict)
 
     @property
-    def failures(self):
-        return {k: v for k, v in self.residuals.items()
-                if v > (FD_IDENTITY_TOL if k in _FD_CHECKS else IDENTITY_TOL)}
-
-    @property
     def ok(self):
-        return not self.failures
+        return all(v < (FD_IDENTITY_TOL if k in _FD_CHECKS else IDENTITY_TOL)
+                   for k, v in self.residuals.items())
+
+
+def residuals_block(report, checks):
+    """The `residuals` report block of a model's IdentityReport `report` and
+    the pointwise `checks` of a hypersurface in it: the residuals, their
+    tolerances and the verdict, "fail" when one is not below its own."""
+    passed = report.ok and all(v < IDENTITY_TOL for v in checks.values())
+    return {"ambient": report.residuals, "hypersurface": checks,
+            "pointwise_tolerance": IDENTITY_TOL, "fd_tolerance": FD_IDENTITY_TOL,
+            "fd_keys": sorted(_FD_CHECKS & report.residuals.keys()),
+            "verdict": "pass" if passed else "fail"}
 
 
 class Draws:

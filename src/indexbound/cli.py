@@ -3,8 +3,8 @@ checks, and writes JSON reports plus a CSV summary.
 
 Configs are flat INI files (see the bundled files under `configs/`); a bad
 value, or a key that no scenario reads, is a usage error (exit 2).  Exit
-status is 1 when any verdict fails, a residual exceeds its tolerance, or a
-solver reports an error.
+status is 1 when a block's own verdict, stated with its tolerances by the
+module that owns its rule, reads "fail" or a stage raises (`failed_blocks`).
 """
 
 from __future__ import annotations
@@ -155,23 +155,6 @@ def _json_default(x):
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _spectrum_block(rep, eta):
-    return {
-        "eigenvalues": rep.eigenvalues.tolist(),
-        "index": rep.morse_index,
-        "inertia_index": rep.inertia_index,
-        "count_below": {"0.0": rep.morse_index, f"{eta}": rep.count_below(eta)},
-        "inertia_count_below": {"0.0": rep.inertia_counts[0.0],
-                                f"{eta}": rep.inertia_counts[eta]},
-        "max_residual": float(rep.residuals.max()),
-        "cluster_ids": rep.cluster_ids.tolist(),
-        "dofs": rep.n_dofs,
-        "blocks": len(rep.block_sizes),
-        "invariance_defect": rep.invariance_defect,
-        "parseval_residual": rep.parseval_residual,
-    } | ({"quotient": rep.quotient} if rep.quotient else {})
-
-
 #: why a task skips a surface without a stability potential, or without forms
 _NO_POTENTIAL = "surface carries no potential"
 _NO_FORMS = "no harmonic one-forms (b1 = 0)"
@@ -194,82 +177,58 @@ class _Run:
         return self.spectrum
 
 
-def _identities(run, report):
+def _identities(run):
     sc = run.scenario
-    amb_rep = ambient_mod.verify_model_identities(sc.ambient, seed=sc.seed)
-    checks = run.surface.pointwise_checks(seed=sc.seed)
-    tol = ambient_mod.IDENTITY_TOL
-    report["residuals"] = {
-        "ambient": amb_rep.residuals,
-        "hypersurface": checks,
-        "pointwise_tolerance": tol,
-    }
-    return amb_rep.ok and max(checks.values()) < tol
+    return {"residuals": ambient_mod.residuals_block(
+        ambient_mod.verify_model_identities(sc.ambient, seed=sc.seed),
+        run.surface.pointwise_checks(seed=sc.seed))}
 
 
-def _spectrum(run, report):
+def _spectrum(run):
     if run.surface.potential is None:
-        report["spectrum"] = {"skipped": _NO_POTENTIAL}
-    else:
-        report["spectrum"] = _spectrum_block(run.spectrum_report(),
-                                             run.scenario.eta)
-    return True
+        return {"spectrum": {"skipped": _NO_POTENTIAL}}
+    return {"spectrum": run.spectrum_report().block(run.scenario.eta)}
 
 
-def _hodge(run, report):
+def _hodge(run):
     run.basis = hodge_mod.harmonic_one_forms(run.surface)
-    return True
+    return {}
 
 
-def _verify_identity(run, report):
+def _verify_identity(run):
     if not run.basis:
-        report["identity"] = {"skipped": _NO_FORMS}
-        return True
+        return {"identity": {"skipped": _NO_FORMS}}
     sc = run.scenario
     c = ambient_mod.Draws(sc.seed).standard_normal(len(run.basis))
-    form = hodge_mod.combine(run.basis, c)
-    report["identity"] = testfns_mod.q_identity_report(run.surface, form)
-    return all(rep["relative_residual"] < sc.identity_tol
-               for rep in report["identity"].values())
+    return {"identity": testfns_mod.q_identity_report(
+        run.surface, hodge_mod.combine(run.basis, c), sc.identity_tol)}
 
 
-def _certify(run, report):
+def _certify(run):
     if not run.basis:
-        report["certificate"] = {"skipped": _NO_FORMS}
-        return True
-    blocks = bounds_mod.certificates(run.surface, run.basis, run.scenario.eta,
-                                     spectrum=run.spectrum_report())
-    report.update(blocks)
-    return all(block["verdict"] == "pass" for block in blocks.values())
+        return {"certificate": {"skipped": _NO_FORMS}}
+    return bounds_mod.certificates(run.surface, run.basis, run.scenario.eta,
+                                   spectrum=run.spectrum_report())
 
 
-def _margins(run, report):
-    report["margins"] = margins = bounds_mod.application_margins(
-        run.surface, run.basis, seed=run.scenario.seed)
-    return all(v["verdict"].startswith(("pass", "borderline"))
-               for v in margins.values())
+def _margins(run):
+    return {"margins": bounds_mod.application_margins(
+        run.surface, run.basis, seed=run.scenario.seed)}
 
 
-def _borderline(run, report):
-    rep = bounds_mod.borderline_cp_report(run.surface)
-    if rep is None:
-        report["borderline"] = {"skipped": "ambient is not complex projective"}
-        return True
-    report["borderline"] = rep
-    return max(rep["div_jn_residual"], rep["decomposition_residual"],
-               rep["traced_gauss_residual"]) < rep["tolerance"]
+def _borderline(run):
+    return {"borderline": bounds_mod.borderline_cp_report(run.surface)}
 
 
-def _bounds(run, report):
+def _bounds(run):
     if run.surface.potential is None:
-        report["bounds"] = {"skipped": _NO_POTENTIAL}
-        return True
-    report["bounds"] = table = bounds_mod.index_bound_report(
-        run.surface, spectrum=run.spectrum_report())
-    return bool(table["consistent"])
+        return {"bounds": {"skipped": _NO_POTENTIAL}}
+    return {"bounds": bounds_mod.index_bound_report(
+        run.surface, spectrum=run.spectrum_report())}
 
 
-#: the stages of a run in order; "hodge" runs when a task needs the forms
+#: the stages of a run in order, each returning the blocks it adds to the
+#: report; "hodge" runs when a task needs the forms
 _STAGES = {
     "identities": _identities,
     "spectrum": _spectrum,
@@ -282,13 +241,23 @@ _STAGES = {
 }
 
 
-def run_tasks(scenario, tasks, artifacts=None):
-    """Execute the requested task set; returns (report dict, ok flag).
+def failed_blocks(report):
+    """The one pass/fail rule of a run, which passes when this names none:
+    the blocks of `report` whose verdict reads "fail", by block (`bounds`)
+    or part (`margins.convex`), then `error:<stage>` if a stage raised."""
+    blocks = {name: b for name, b in report.items() if isinstance(b, dict)}
+    parts = blocks | {f"{name}.{key}": part for name, b in blocks.items()
+                      for key, part in b.items() if isinstance(part, dict)}
+    failed = [n for n, part in parts.items() if part.get("verdict") == "fail"]
+    error = [f"error:{report['error']['stage']}"] if "error" in report else []
+    return failed + error
 
-    A stage that raises ends the run: the report then carries an `error`
-    naming the stage, and ok is False.  When `artifacts` is a dict, non-JSON
-    side products (the spectrum report) are stored there for the caller to
-    serialize separately.
+
+def run_tasks(scenario, tasks, artifacts=None):
+    """Execute the requested task set; returns (report dict, ok flag), ok
+    when `failed_blocks` names nothing.  A stage that raises ends the run,
+    and the report names it in an `error`.  When `artifacts` is a dict, the
+    spectrum report, which is no JSON, is stored there for the caller.
     """
     surf = scenario.surface
     report = {
@@ -309,22 +278,22 @@ def run_tasks(scenario, tasks, artifacts=None):
     if tasks & {"verify-identity", "certify", "margins"}:  # they need the forms
         tasks.add("hodge")
     run = _Run(scenario)
-    ok = True
     for stage, task in _STAGES.items():
         if stage not in tasks:
             continue
         try:
-            ok &= bool(task(run, report))
+            report.update(task(run))
         except Exception as exc:  # solver, assembly or geometry failure
             import traceback  # only here: a run that succeeds never loads it
             traceback.print_exc()
             report["error"] = {"stage": stage, "type": type(exc).__name__,
                                "message": str(exc)}
-            ok = False
+            print(f"error in {stage}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             break
     if artifacts is not None and run.spectrum is not None:
         artifacts["spectrum"] = run.spectrum
-    return report, ok
+    return report, not failed_blocks(report)
 
 
 #: each command and the tasks it runs
@@ -337,9 +306,10 @@ def bundled_config(name):
     return resources.files("indexbound").joinpath("configs", name)
 
 
-def _summary_row(report, ok):
+def _summary_row(report):
     spec = report.get("spectrum", {})
     cert = report.get("certificate", {})
+    failed = failed_blocks(report)
     return {
         "scenario": report["scenario"],
         "ambient": report["ambient"],
@@ -348,7 +318,8 @@ def _summary_row(report, ok):
         "index": spec.get("index", ""),
         "required": cert.get("required", ""),
         "actual": cert.get("actual", ""),
-        "verdict": "pass" if ok else "fail",
+        "failed": ";".join(failed),
+        "verdict": "fail" if failed else "pass",
     }
 
 
@@ -379,10 +350,6 @@ def main(argv=None):
 
     artifacts = {}
     report, ok = run_tasks(scenario, TASK_NAMES[args.command], artifacts)
-    if "error" in report:
-        err = report["error"]
-        print(f"error in {err['stage']}: {err['type']}: {err['message']}",
-              file=sys.stderr)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -392,7 +359,7 @@ def main(argv=None):
         fh.write("\n")
 
     summary_path = out_dir / "summary.csv"
-    row = _summary_row(report, ok)
+    row = _summary_row(report)
     new_file = not summary_path.exists()
     with open(summary_path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(row))

@@ -106,6 +106,26 @@ class SpectrumReport:
         """Number of eigenvalues strictly below eta."""
         return int(np.searchsorted(self.all_eigenvalues, float(eta)))
 
+    def block(self, eta):
+        """The `spectrum` block: "pass", since a split past a tolerance raises."""
+        return {
+            "eigenvalues": self.eigenvalues.tolist(),
+            "index": self.morse_index,
+            "inertia_index": self.inertia_index,
+            "count_below": {f"{e}": self.count_below(e) for e in (0.0, eta)},
+            "inertia_count_below": {f"{e}": self.inertia_counts[e]
+                                    for e in (0.0, eta)},
+            "max_residual": float(self.residuals.max()),
+            "cluster_ids": self.cluster_ids.tolist(),
+            "dofs": self.n_dofs,
+            "blocks": len(self.block_sizes),
+            "invariance_defect": self.invariance_defect,
+            "invariance_tolerance": INVARIANCE_TOL,
+            "parseval_residual": self.parseval_residual,
+            "parseval_tolerance": PARSEVAL_TOL,
+            "verdict": "pass",
+        } | ({"quotient": self.quotient} if self.quotient else {})
+
     def to_csv(self):
         buf = io.StringIO()
         buf.write("index,eigenvalue,residual,cluster id\n")

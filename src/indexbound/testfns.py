@@ -78,10 +78,11 @@ def _rhs_integrand(surface, form, mode):
                      form)
 
 
-def q_identity_report(surface, form):
-    """Both sides of the summed index-form identity and their mismatch, one
-    report for each mode that holds, keyed by mode: the wedge mode Prop32,
-    and on a surface (n = 2) the coordinate mode Prop31 of omega-sharp.
+def q_identity_report(surface, form, tol):
+    """Both sides of the summed index-form identity, their mismatch and its
+    verdict (below `tol`), one report for each mode that holds, keyed by
+    mode: the wedge mode Prop32, and on a surface (n = 2) the coordinate
+    mode Prop31 of omega-sharp.
 
     lhs sums Q over the test functions, cell by cell, through the cell
     matrices of the surface's K - P, each chunk of cells formed once for all
@@ -101,14 +102,12 @@ def q_identity_report(surface, form):
     reports = {}
     for mode, lhs in zip(modes, lhs_sums):
         rhs = fem.integrate(fem.to_dof(_rhs_integrand(surface, form, mode)))
+        relative = abs(lhs - rhs) / norm_sq
         reports[mode] = {
-            "mode": mode,
-            "lhs": lhs,
-            "rhs": rhs,
-            "norm_sq_integral": norm_sq,
-            "relative_residual": abs(lhs - rhs) / norm_sq,
-            "bochner_residual": res,
-        }
+            "mode": mode, "lhs": lhs, "rhs": rhs, "norm_sq_integral": norm_sq,
+            "relative_residual": relative, "tolerance": tol,
+            "bochner_residual": res, "bochner_tolerance": _BOCHNER_TOL,
+            "verdict": "pass" if relative < tol else "fail"}
     return reports
 
 

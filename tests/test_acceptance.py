@@ -67,7 +67,7 @@ def test_criterion_01_wedge_energy_identity(torus96, t96_forms, capsys):
     worst = 0.0
     ratio_err = 0.0
     for w in forms:
-        rep = testfns.q_identity_report(torus96, w)["Prop32"]
+        rep = testfns.q_identity_report(torus96, w, 1e-4)["Prop32"]
         worst = max(worst, rep["relative_residual"])
         ratio_err = max(
             ratio_err, abs(rep["rhs"] / rep["norm_sq_integral"] + 2.0)
@@ -89,7 +89,7 @@ def test_criterion_02_coordinate_energy_identity(torus96, t96_forms, capsys):
     worst = 0.0
     ratio_err = 0.0
     for w in forms:
-        rep = testfns.q_identity_report(torus96, w)["Prop31"]
+        rep = testfns.q_identity_report(torus96, w, 1e-4)["Prop31"]
         worst = max(worst, rep["relative_residual"])
         # integrand sum_k |II(e_k, w)|^2 - (R/2)|w|^2 with R = 6 gives -2|w|^2
         ratio_err = max(

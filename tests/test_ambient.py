@@ -97,7 +97,7 @@ def test_random_point_batch_is_on_the_model(kind, params):
 def test_identity_report_passes(kind, params):
     model = AMBIENT_KINDS[kind].model(**params)
     report = verify_model_identities(model, seed=3)
-    assert report.ok, report.failures
+    assert report.ok, report.residuals
 
 
 def test_embed_dims():

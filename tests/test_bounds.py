@@ -282,8 +282,9 @@ def test_borderline_decay_under_refinement():
 
 
 def test_borderline_requires_complex_ambient(torus48):
-    # the lemmas hold in a complex projective ambient only: no report
-    assert bounds.borderline_cp_report(torus48) is None
+    # the lemmas hold in a complex projective ambient only: a skipped block
+    assert bounds.borderline_cp_report(torus48) == {
+        "skipped": "ambient is not complex projective"}
 
 
 def test_certificate_roundoff_margin_fails(monkeypatch):

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import re
 import subprocess
@@ -97,6 +99,11 @@ def test_report_provenance(run_all, config_path):
     }
 
 
+def _summary_rows(out):
+    with open(out / "summary.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_summary_csv(run_all):
     _, out = run_all
     lines = (out / "summary.csv").read_text().strip().splitlines()
@@ -104,6 +111,9 @@ def test_summary_csv(run_all):
     header = lines[0].split(",")
     assert "scenario" in header
     assert lines[1].split(",")[header.index("scenario")] == "torus-small"
+    # the blocks that failed, none on a pass, just before the verdict
+    assert header[-2:] == ["failed", "verdict"]
+    assert _summary_rows(out)[0]["failed"] == ""
 
 
 def test_spectrum_csv(run_all):
@@ -465,6 +475,27 @@ def _parallel_torus(ambient, nodes):
                                     (r * r, s * s), normal, 4.0)
 
 
+def _twisted_normal(ambient, nodes):
+    # the Clifford normal turned toward the circle's tangent e_theta by
+    # 1e-6 sin(phi) rad: turned by a varying angle, so that its derivative
+    # along phi has an e_theta part of 1e-6 cos(phi) that the derivative of
+    # the normal along theta does not mirror in e_phi
+    r = s = np.sqrt(0.5)
+
+    def normal(p):
+        theta, phi = p[..., 0], p[..., 1]
+        circ = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        n = np.concatenate([s * circ, -r * hyp.spherical_chart(p[..., 1:])],
+                           axis=-1)
+        e_theta = np.stack([-np.sin(theta), np.cos(theta),
+                            np.zeros_like(theta), np.zeros_like(theta)], axis=-1)
+        n += 1e-6 * np.sin(phi)[..., None] * e_theta
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+
+    return hyp._circle_times_sphere("clifford_torus", ambient, nodes, 2, r, s,
+                                    (r * r, s * s), normal, 4.0)
+
+
 @pytest.mark.parametrize("check, name, kind, wrong, also", [
     ("metric_consistency", "cp2-borderline.cfg", "geodesic_sphere_cp2",
      _scaled_metric, ()),
@@ -475,8 +506,11 @@ def _parallel_torus(ambient, nodes):
     ("minimality", "clifford.cfg", "clifford_torus", _parallel_torus, ()),
     ("normal_ambient_tangency", "clifford.cfg", "clifford_torus",
      _leaning_normal, ()),
+    # the turned normal is off the frame by up to 1e-6 as well
+    ("shape_asymmetry", "clifford.cfg", "clifford_torus", _twisted_normal,
+     ("normal_vs_frame",)),
 ], ids=["metric_consistency", "normal_vs_frame", "normal_unit", "minimality",
-        "normal_ambient_tangency"])
+        "normal_ambient_tangency", "shape_asymmetry"])
 def test_wrong_declared_geometry_fails_its_pointwise_check(
         check, name, kind, wrong, also, tmp_path, monkeypatch):
     # the pencil reads the declared metric and the index form the declared
@@ -511,6 +545,51 @@ def test_scaled_ricci_fails_the_traced_gauss_residual(tmp_path, monkeypatch):
     assert rep["traced_gauss_residual"] > rep["tolerance"]
     assert max(rep["div_jn_residual"],
                rep["decomposition_residual"]) < rep["tolerance"]
+
+
+def test_turned_complex_structure_fails_the_div_jn_residual(tmp_path,
+                                                           monkeypatch):
+    # JN of a minimal hypersurface of CP^m is divergence free; J followed by
+    # a turn of 1e-4 Re(z_1) rad toward the complex line orthogonal to z
+    # and to its argument keeps JN a unit field tangent to the surface, so
+    # the decomposition still holds and the traced Gauss residual moves by
+    # 3 sin^2 of the angle alone, about 3e-8; the turn's gradient moves the
+    # divergence by about 1e-4
+    def turned(model, z, X):
+        v = model.horizontal_from_ambient(z, X)
+        angle = 1e-4 * np.real(z[..., 1:2])
+        return model.tangent_from_horizontal(
+            z, np.cos(angle) * 1j * v + np.sin(angle) * np.conj(np.cross(z, v)))
+
+    monkeypatch.setattr(ComplexProjectiveVeroneseModel, "complex_structure",
+                        turned)
+    code = cli.main(["borderline", "--config",
+                     str(cli.bundled_config("cp2-borderline.cfg")),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    rep = json.loads((tmp_path / "cp2-borderline.json").read_text())[
+        "borderline"]
+    assert code == 1
+    assert rep["div_jn_residual"] > rep["tolerance"]
+    assert max(rep["decomposition_residual"],
+               rep["traced_gauss_residual"]) < rep["tolerance"]
+
+
+def test_scaled_right_hand_side_fails_the_identity(tmp_path, monkeypatch):
+    # |rhs| = 2 |omega|^2 on the Clifford torus: a right-hand side integrand
+    # 1 + 1e-3 too large moves each mode's relative residual by about 2e-3,
+    # past the configured 1e-4, and `verify-identity` exits 1 on it
+    rhs = cli.testfns_mod._rhs_integrand
+    monkeypatch.setattr(cli.testfns_mod, "_rhs_integrand",
+                        lambda *args: rhs(*args) * (1.0 + 1e-3))
+    code = cli.main(["verify-identity", "--config",
+                     str(cli.bundled_config("clifford.cfg")),
+                     "--out", str(tmp_path), "--resolution-scale", "0.5"])
+    identity = json.loads((tmp_path / "clifford.json").read_text())["identity"]
+    assert code == 1
+    assert {mode: rep["verdict"] for mode, rep in identity.items()} == {
+        "Prop31": "fail", "Prop32": "fail"}
+    assert all(rep["relative_residual"] > 10 * rep["tolerance"]
+               for rep in identity.values())
 
 
 def test_index_below_the_bound_fails_bounds(tmp_path, monkeypatch):
@@ -612,9 +691,20 @@ def test_all_reruns_byte_identical(bundled_all, tmp_path):
         assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
+def _residuals_below_stated_tolerances(residuals):
+    # each residual against the tolerance the block states for its key: the
+    # finite-difference one for `fd_keys`, the pointwise one for the others
+    for part in ("ambient", "hypersurface"):
+        for key, value in residuals[part].items():
+            tol = residuals["fd_tolerance" if key in residuals["fd_keys"]
+                            else "pointwise_tolerance"]
+            assert value < tol, (part, key, value, tol)
+
+
 def _pointwise_residuals_ok(report, ambient):
     residuals = report["residuals"]
-    assert max(residuals["hypersurface"].values()) < residuals["pointwise_tolerance"]
+    assert residuals["verdict"] == "pass"
+    _residuals_below_stated_tolerances(residuals)
     assert IdentityReport(ambient, 200, residuals["ambient"]).ok
 
 
@@ -640,6 +730,11 @@ def test_clifford_passes_every_block(bundled_all):
     bounds = report["bounds"]
     assert bounds["index"] == bounds["bound"] == 5
     assert bounds["consistent"] and bounds["tight"]
+    # ceil(C b1) = ceil(2/6) = 1, plus n + 2 = 4: the torus is not totally
+    # geodesic (declared potential 4, einstein_constant 2)
+    assert bounds["terms"] == {
+        "ceil(constant * betti_one)": 1,
+        "n + 2 in a sphere, where potential != einstein_constant": 4}
 
 
 @pytest.mark.parametrize("bundled_all", ["clifford.cfg"], indirect=True)
@@ -689,10 +784,14 @@ def test_cp2_borderline_passes_every_block(bundled_all):
     assert max(border["div_jn_residual"], border["decomposition_residual"],
                border["traced_gauss_residual"]) < border["tolerance"]
     # b1 = 0: the bound is 0, below the index 1 of the constant function
-    assert report["bounds"] == {
+    bounds = report["bounds"]
+    assert {k: bounds[k] for k in ("surface", "ambient", "constant", "betti_one",
+                                   "bound", "index", "consistent", "tight")} == {
         "surface": "geodesic_sphere_cp2", "ambient": "complex_projective_veronese",
         "constant": "1/36", "betti_one": 0, "bound": 0, "index": 1,
         "consistent": True, "tight": False}
+    # not a sphere: no n + 2 term
+    assert list(bounds["terms"].values()) == [0, 0]
 
 
 def test_ellipsoid_fails_on_convex_pinching(tmp_path):
@@ -710,9 +809,8 @@ def test_ellipsoid_fails_on_convex_pinching(tmp_path):
     assert set(margins) == {"convex", "scalar3"}
     assert margins["convex"]["verdict"] == "fail"
     assert margins["scalar3"]["verdict"] == "pass"
-    residuals = report["residuals"]
-    assert max(residuals["hypersurface"].values()) < residuals["pointwise_tolerance"]
-    assert IdentityReport("ellipsoid", 200, residuals["ambient"]).ok
+    _pointwise_residuals_ok(report, "ellipsoid")
+    assert _summary_rows(tmp_path)[-1]["failed"] == "margins.convex"
 
 
 def test_pointwise_tolerance_gates_identities(config_path, tmp_path,
@@ -782,4 +880,103 @@ def test_failed_stage_writes_its_json(stage, owner, attr, exc, config_path,
     assert ("spectrum" in report) == (stage != "spectrum")
     assert f"error in {stage}" in capsys.readouterr().err
     summary = (tmp_path / "summary.csv").read_text().splitlines()
-    assert summary[-1].endswith(",fail")
+    # the stage error is named last, after any block that failed before it
+    assert summary[-1].endswith(f"error:{stage},fail")
+
+
+#: the numbers that each kind of block (or part of one) is judged by: the
+#: key of the number, the relation it must hold and the key of the bound it
+#: is judged against, which the same block must state
+_JUDGED = {
+    "spectrum": [("invariance_defect", operator.le, "invariance_tolerance"),
+                 ("parseval_residual", operator.le, "parseval_tolerance")],
+    "identity": [("relative_residual", operator.lt, "tolerance"),
+                 ("bochner_residual", operator.le, "bochner_tolerance")],
+    "certificate": [("actual", operator.ge, "required"),
+                    ("normalized_margin", lambda m, tol: m < -tol, "tol")],
+    "borderline": [(key, operator.lt, "tolerance") for key in (
+        "div_jn_residual", "decomposition_residual", "traced_gauss_residual")],
+    "bounds": [("index", operator.ge, "bound")],
+}
+_JUDGED["certificate_starred"] = _JUDGED["certificate"]
+
+
+def _verdict_blocks(report):
+    """(kind, name, block) of every block of `report` that is judged: a
+    block that states a verdict, or each part of one whose parts do (the
+    identity modes, the margins); skipped blocks are left out."""
+    for name, block in report.items():
+        if (not isinstance(block, dict) or name in ("provenance", "error")
+                or "skipped" in block):
+            continue
+        if "verdict" in block:
+            yield name, name, block
+            continue
+        assert block, name
+        for key, part in block.items():
+            assert isinstance(part, dict) and "verdict" in part, f"{name}.{key}"
+            yield name, f"{name}.{key}", part
+
+
+@pytest.mark.parametrize(
+    "bundled_all", ["clifford.cfg", "cp2-borderline.cfg", "ellipsoid-elongated.cfg"],
+    indirect=True)
+def test_every_block_states_its_verdict_and_bounds(bundled_all):
+    sid, code, out = bundled_all
+    report = json.loads((out / f"{sid}.json").read_text())
+    verdicts = {}
+    for kind, name, block in _verdict_blocks(report):
+        verdicts[name] = block["verdict"]
+        assert block["verdict"] in ("pass", "fail") or block[
+            "verdict"].startswith("borderline: "), name
+        if kind == "residuals":  # each key against the tolerance stated for it
+            _residuals_below_stated_tolerances(block)
+        elif kind == "margins":
+            assert block["thresholds"], name
+        elif block["verdict"] == "pass":
+            for key, holds, bound in _JUDGED[kind]:
+                assert holds(block[key], block[bound]), (name, key, bound)
+    # the blocks every `all` run writes, each judged or skipped
+    assert {"residuals", "spectrum", "identity", "certificate", "margins",
+            "borderline", "bounds"} <= set(report)
+    assert code == (1 if "fail" in verdicts.values() else 0)
+
+
+def _flipped(real, *path):
+    """`real`, with the verdict of its result, or of the part of it at
+    `path`, turned to "fail"."""
+    def flipped(*args, **kwargs):
+        result = block = real(*args, **kwargs)
+        for key in path:
+            block = block[key]
+        block["verdict"] = "fail"
+        return result
+    return flipped
+
+
+@pytest.mark.parametrize("command, config, owner, attr, path, failed", [
+    ("identities", None, cli.ambient_mod, "residuals_block", (), "residuals"),
+    ("verify-identity", None, cli.testfns_mod, "q_identity_report",
+     ("Prop32",), "identity.Prop32"),
+    ("certify", None, cli.bounds_mod, "concentration_certificate", (),
+     "certificate;certificate_starred"),
+    ("margins", None, cli.bounds_mod, "margins_scalar3", (), "margins.scalar3"),
+    ("borderline", "cp2-borderline.cfg", cli.bounds_mod, "borderline_cp_report",
+     (), "borderline"),
+    ("bounds", None, cli.bounds_mod, "index_bound_report", (), "bounds"),
+], ids=["residuals", "identity", "certificate", "margins", "borderline",
+        "bounds"])
+def test_one_failed_block_fails_the_run(command, config, owner, attr, path,
+                                        failed, config_path, tmp_path,
+                                        monkeypatch):
+    # the exit code and the summary read the blocks' own verdicts: one block
+    # that reads "fail" fails the run, and the summary names it
+    argv = [command, "--out", str(tmp_path), "--config",
+            str(cli.bundled_config(config) if config else config_path)]
+    argv += ["--resolution-scale", "0.5"] if config else []
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(owner, attr, _flipped(getattr(owner, attr), *path))
+    assert cli.main(argv) == 1
+    clean, flipped = _summary_rows(tmp_path)
+    assert (clean["failed"], clean["verdict"]) == ("", "pass")
+    assert (flipped["failed"], flipped["verdict"]) == (failed, "fail")

@@ -7,8 +7,9 @@ function is reached only from the tests (the benchmark counts as a caller),
 every defaulted parameter of a public function is passed by some package
 call, every strict inequality of `bounds` goes through its one rule,
 every package name that the benchmark's traced child wraps exists, the
-scenario runner reads the config only through its one reader, and it leaves
-the margins and the ambient model checks to the modules that own them."""
+scenario runner reads the config only through its one reader, it leaves
+the margins and the ambient model checks to the modules that own them, and
+it judges a run only by the blocks' own verdicts, through its one rule."""
 
 import ast
 import re
@@ -456,3 +457,93 @@ def test_cli_leaves_margins_and_model_checks_to_their_owners():
     # runner would have to be kept in step with the first
     source = (Path(indexbound.__file__).parent / "cli.py").read_text()
     assert registry_decisions(source) == []
+
+
+def _text(node):
+    """The identifier or string that `node` names: a name, an attribute or
+    a string constant ("" for any other node)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
+def judgements(source, rule="failed_blocks"):
+    """Line numbers of `source`, outside the function `rule`, that compare a
+    value with a tolerance (a comparison one of whose names, attributes or
+    string keys contains "tol") or read a verdict (the key "verdict" or
+    "consistent", by subscript or `.get`, or the attribute `verdict`, `ok`
+    or `failures`)."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == rule
+              for node in ast.walk(fn)}
+
+    def key(node):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            return _text(node.slice)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and node.args):
+            return _text(node.args[0])
+        return ""
+
+    return sorted({
+        node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+            isinstance(node, ast.Compare)
+            and any("tol" in _text(n).lower() for n in ast.walk(node))
+            or key(node) in ("verdict", "consistent")
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("verdict", "ok", "failures"))})
+
+
+#: the runner's own judgements before each block stated its verdict: two of
+#: its stage functions as they were
+_RUNNER_JUDGEMENTS = """\
+def _verify_identity(run, report):
+    if not run.basis:
+        report["identity"] = {"skipped": _NO_FORMS}
+        return True
+    sc = run.scenario
+    c = ambient_mod.Draws(sc.seed).standard_normal(len(run.basis))
+    form = hodge_mod.combine(run.basis, c)
+    report["identity"] = testfns_mod.q_identity_report(run.surface, form)
+    return all(rep["relative_residual"] < sc.identity_tol
+               for rep in report["identity"].values())
+
+
+def _borderline(run, report):
+    rep = bounds_mod.borderline_cp_report(run.surface)
+    if rep is None:
+        report["borderline"] = {"skipped": "ambient is not complex projective"}
+        return True
+    report["borderline"] = rep
+    return max(rep["div_jn_residual"], rep["decomposition_residual"],
+               rep["traced_gauss_residual"]) < rep["tolerance"]
+"""
+
+
+def test_runner_judgement_is_found():
+    assert judgements(_RUNNER_JUDGEMENTS) == [9, 19]
+    source = (
+        "def failed_blocks(report):\n"
+        "    return [k for k, b in report.items() if b.get('verdict') == 'fail']\n"
+        "def _stages(rep, amb, checks, tol, table, margins):\n"
+        "    ok = amb.ok and max(checks.values()) < tol\n"
+        "    ok &= all(b['verdict'] == 'pass' for b in rep.values())\n"
+        "    ok &= all(v.get('verdict').startswith('pass') for v in margins)\n"
+        "    ok &= bool(table['consistent']) and not amb.failures\n"
+        "    row = {'verdict': 'pass' if ok else 'fail', 'n': len(rep) < 3}\n"
+        "    return row, rep['tolerance'], ok\n"
+    )
+    assert judgements(source) == [4, 5, 6, 7]
+
+
+def test_cli_judges_a_run_only_by_the_blocks_verdicts():
+    # each module that owns a rule states its block's verdict and the
+    # tolerances it was judged against; a comparison or a verdict read in
+    # the runner would be a second rule, stated nowhere in the report
+    source = (Path(indexbound.__file__).parent / "cli.py").read_text()
+    assert judgements(source) == []

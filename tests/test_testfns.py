@@ -59,13 +59,13 @@ def test_rotation_invariance(torus48, torus_forms, torus_system, rng):
 
 
 def test_energy_identity_wedge(torus48, torus_forms):
-    rep = testfns.q_identity_report(torus48, torus_forms[0])["Prop32"]
+    rep = testfns.q_identity_report(torus48, torus_forms[0], 1e-4)["Prop32"]
     assert rep["relative_residual"] < 1e-4
     assert abs(rep["rhs"] / rep["norm_sq_integral"] + 2.0) < 1e-6
 
 
 def test_energy_identity_coordinates(torus48, torus_forms):
-    rep = testfns.q_identity_report(torus48, torus_forms[0])["Prop31"]
+    rep = testfns.q_identity_report(torus48, torus_forms[0], 1e-4)["Prop31"]
     assert rep["relative_residual"] < 1e-4
 
 
@@ -74,7 +74,7 @@ def test_identity_modes_in_one_call_match_single_calls(torus48, torus_forms):
     # serve both modes of a surface, with the numbers of each mode's own
     # sums, bit for bit; the chunked sum is the whole grid's to roundoff
     form = torus_forms[0]
-    both = testfns.q_identity_report(torus48, form)
+    both = testfns.q_identity_report(torus48, form, 1e-4)
     assert list(both) == ["Prop32", "Prop31"]
     fem = torus48.fem()
     for mode, rep in both.items():
@@ -95,10 +95,10 @@ def test_identity_heap_peak():
     at once it read 3.75 MiB."""
     surface = hyp.clifford_torus(SphereModel(3), 96)
     form = hodge.combine(hodge.harmonic_one_forms(surface), [0.3, -1.1])
-    testfns.q_identity_report(surface, form)
+    testfns.q_identity_report(surface, form, 1e-4)
     tracemalloc.start()
     try:
-        testfns.q_identity_report(surface, form)
+        testfns.q_identity_report(surface, form, 1e-4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -110,7 +110,7 @@ def test_identity_rejects_gradient_probe(torus48):
         torus48, lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1])
     )
     with pytest.raises(testfns.TestFunctionError):
-        testfns.q_identity_report(torus48, probe)
+        testfns.q_identity_report(torus48, probe, 1e-4)
 
 
 def test_coordinate_mode_needs_dimension_two():
@@ -118,7 +118,7 @@ def test_coordinate_mode_needs_dimension_two():
     # three-dimensional hypersurface reports the wedge identity alone
     surf = hyp.generalized_clifford(SphereModel(4), 12)
     forms = hodge.harmonic_one_forms(surf)
-    assert list(testfns.q_identity_report(surf, forms[0])) == ["Prop32"]
+    assert list(testfns.q_identity_report(surf, forms[0], 1e-4)) == ["Prop32"]
 
 
 def test_starred_integrand_needs_dimension_two():
@@ -148,7 +148,7 @@ def test_hypothesis_margin(torus48, torus_forms):
 def test_higher_dimension_identity():
     surf = hyp.generalized_clifford(SphereModel(4), 20)
     forms = hodge.harmonic_one_forms(surf)
-    rep = testfns.q_identity_report(surf, forms[0])["Prop32"]
+    rep = testfns.q_identity_report(surf, forms[0], 5e-3)["Prop32"]
     assert rep["relative_residual"] < 5e-3
     assert abs(rep["rhs"] / rep["norm_sq_integral"] + 4.0) < 1e-6
 
