@@ -104,8 +104,6 @@ class AmbientModel:
     involution = None
 
     def __init__(self, intrinsic_dim, embed_dim):
-        if intrinsic_dim < 1:
-            raise AmbientError("intrinsic dimension must be >= 1")
         self.intrinsic_dim = int(intrinsic_dim)
         self.embed_dim = int(embed_dim)
 
@@ -172,8 +170,6 @@ class AmbientModel:
 
     def ricci(self, point, X):
         """Ric(X, X), summing sectional terms over an orthonormal frame."""
-        if np.any(np.linalg.norm(X, axis=-1) == 0.0):
-            raise AmbientError("cannot complete a frame around the zero vector")
         frame = self.tangent_frame(point)
         rm = self.riemann_xyxy(point[..., None, :], X[..., None, :], frame)
         return rm.sum(axis=-1)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ambient import AMBIENT_KINDS, ComplexProjectiveVeroneseModel, Draws
-from .hypersurface import _NODE_CHUNK, chart_jacobian
+from .hypersurface import _by_chunks, chart_jacobian
 from .testfns import _rhs_integrand, integrand_holds, integrand_quadratic_form
 
 
@@ -24,12 +24,18 @@ class BoundsError(Exception):
 STRICT_TOL = 1e-12
 #: bound that each borderline residual passes below, stated as `tolerance`
 BORDERLINE_TOL = 1e-5
+#: what the margins judge by and state in `thresholds`: the bounds of the
+#: `sphere` deviation, the `scalar3` contraction residual and the `product_q`
+#: closed-form agreement, and q's minimum 7/8 on the `product_q` grid
+SPHERE_TOL = 1e-8
+CONTRACTION_TOL = 1e-8
+Q_AGREEMENT_TOL = 1e-12
+Q_MIN = 0.875
 
 #: margin sample sizes (the product profile's (theta, phi) grid and random
 #: draws, the ambient points of `convex` and `scalar3`), the tolerance of the
 #: profile's grid minimum, and the central-difference step of the borderline
-#: residuals per mesh spacing (differenced `hypersurface._NODE_CHUNK` nodes at
-#: once)
+#: residuals per mesh spacing
 _Q_GRID_POINTS = 2001
 _Q_SAMPLES = 10000
 _Q_MIN_TOL = 1e-6
@@ -124,7 +130,7 @@ def index_bound_report(surface, spectrum):
     return {
         "surface": surface.name,
         "ambient": ambient.kind,
-        "constant": C,
+        "constant": str(C),
         "betti_one": b1,
         "terms": terms,
         "bound": bound,
@@ -165,8 +171,8 @@ def margins_sphere(surface, form):
         "max_deviation": float(dev.max()),
         "mean_deviation": float(dev.mean()),
     }
-    verdict = "pass" if values["max_deviation"] < 1e-8 else "fail"
-    return {"values": values, "thresholds": {"max_deviation": 1e-8},
+    verdict = "pass" if values["max_deviation"] < SPHERE_TOL else "fail"
+    return {"values": values, "thresholds": {"max_deviation": SPHERE_TOL},
             "verdict": verdict}
 
 
@@ -174,8 +180,6 @@ def margins_cross(ambient):
     """Einstein margin (8/3)(n+3-K) of a rank-one ambient; zero flags the
     borderline complex-projective case."""
     K = ambient.einstein_constant
-    if K is None:
-        raise BoundsError("cross margin needs an Einstein ambient")
     n = ambient.intrinsic_dim - 1
     margin = (8.0 / 3.0) * (n + 3 - K)
     scale = (8.0 / 3.0) * (n + 3 + abs(K))
@@ -211,13 +215,14 @@ def margins_product_q(surface, form, seed=0):
         "closed_form_agreement": agree,
         f"integrand_max_{surface.name}": integrand_max,
     }
-    ok = abs(values["q_min"] - 0.875) < _Q_MIN_TOL and agree < 1e-12
+    ok = abs(values["q_min"] - Q_MIN) < _Q_MIN_TOL and agree < Q_AGREEMENT_TOL
     verdict = _strict(integrand_max, scale, "borderline: the wedge integrand "
                       "vanishes to roundoff") if ok else "fail"
     return {
         "values": values,
-        "thresholds": {"q_min": 0.875, "q_min_tol": _Q_MIN_TOL,
-                       "closed_form_agreement": 1e-12, "integrand_max": 0.0,
+        "thresholds": {"q_min": Q_MIN, "q_min_tol": _Q_MIN_TOL,
+                       "closed_form_agreement": Q_AGREEMENT_TOL,
+                       "integrand_max": 0.0,
                        "integrand_scale": scale, "tol": STRICT_TOL},
         "verdict": verdict,
     }
@@ -265,10 +270,11 @@ def margins_scalar3(ambient, seed=0):
     values = {"min_2R_minus_H2": float(min_margin),
               "contraction_residual": float(max_contraction)}
     # 2R - |H|^2 > 0 is the strict inequality -min_margin < 0
-    verdict = "fail" if max_contraction >= 1e-8 else _strict(
+    verdict = "fail" if max_contraction >= CONTRACTION_TOL else _strict(
         -min_margin, scale, "borderline: 2R - |H|^2 vanishes to roundoff")
     return {"values": values,
-            "thresholds": {"margin": 0.0, "tol": STRICT_TOL, "contraction": 1e-8},
+            "thresholds": {"margin": 0.0, "tol": STRICT_TOL,
+                           "contraction": CONTRACTION_TOL},
             "verdict": verdict}
 
 
@@ -305,8 +311,8 @@ def borderline_cp_report(surface):
     Derivatives use central differences with a step tied to the mesh spacing,
     so the residuals decay under refinement.  JN, f JN and f are differenced
     as one stacked field along the surface's own frames, a chunk of nodes
-    at a time.  Off a complex projective ambient, where the lemmas do not
-    apply, the block is skipped.
+    at a time (`hypersurface._by_chunks`).  Off a complex projective
+    ambient, where the lemmas do not apply, the block is skipped.
     """
     model = surface.ambient
     if not isinstance(model, ComplexProjectiveVeroneseModel):
@@ -329,20 +335,15 @@ def borderline_cp_report(surface):
     fields = surface.node_fields()
     frames, coeffs, ok = fields["frames"], fields["coeffs"], fields["interior"]
     D = model.embed_dim
-    div_residual = decomposition_residual = 0.0
-    for at in range(0, len(params), _NODE_CHUNK):
-        part = slice(at, at + _NODE_CHUNK)
-        p, F, inside = params[part], frames[part], ok[part]
+
+    def mismatches(part):  # per node: div JN, largest decomposition mismatch
+        p, F = params[part], frames[part]
         # frame derivatives X of the stacked field, sliced into d(JN),
         # d(f JN), X f
         d = coeffs[part] @ chart_jacobian(stacked, p, step)
         d_jn, d_fjn, xf = d[..., :D], d[..., D:2 * D], d[..., 2 * D]
-
         # (i) divergence of JN
         div_jn = np.einsum("nad,nad->n", d_jn, F)
-        div_residual = max(div_residual,
-                           float(np.abs(div_jn[inside]).max(initial=0.0)))
-
         # (ii) norm decomposition |grad_X (f JN)|^2 = |X f|^2 + f^2
         # |grad_X JN|^2, of the derivatives' tangential parts, by their
         # orthonormal-frame components
@@ -351,9 +352,12 @@ def borderline_cp_report(surface):
         lhs = np.einsum("nab,nab->na", omega_t, omega_t)
         rhs = xf**2 + _weight(p)[:, None] ** 2 * np.einsum(
             "nab,nab->na", jn_t, jn_t)
-        decomposition_residual = max(
-            decomposition_residual,
-            float(np.abs(lhs - rhs)[inside].max(initial=0.0)))
+        return div_jn, np.abs(lhs - rhs).max(axis=-1)
+
+    div_jn, decomposition = np.empty(len(params)), np.empty(len(params))
+    _by_chunks(mismatches, (div_jn, decomposition))
+    div_residual = float(np.abs(div_jn[ok]).max(initial=0.0))
+    decomposition_residual = float(decomposition[ok].max(initial=0.0))
 
     # (iii) traced Gauss with U = JN: Ric(U,U) - Rm(U,N,U,N) must equal 2m-2
     idx = Draws(0).choice(np.flatnonzero(ok), min(200, int(ok.sum())))

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -144,15 +143,6 @@ class Scenario:
                   for key in parser.options(s)]
         if unread:
             raise ConfigError("no scenario reads " + ", ".join(unread))
-
-
-def _json_default(x):
-    """JSON form of the report values json.dump does not know."""
-    if isinstance(x, (np.ndarray, np.generic)):
-        return x.tolist()
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 #: why a task skips a surface without a stability potential, or without forms
@@ -306,21 +296,19 @@ def bundled_config(name):
     return resources.files("indexbound").joinpath("configs", name)
 
 
+#: the header of summary.csv, one column per value of `_summary_row`
+SUMMARY_FIELDS = ["scenario", "ambient", "hypersurface", "resolution", "index",
+                  "required", "actual", "failed", "verdict"]
+
+
 def _summary_row(report):
     spec = report.get("spectrum", {})
     cert = report.get("certificate", {})
     failed = failed_blocks(report)
-    return {
-        "scenario": report["scenario"],
-        "ambient": report["ambient"],
-        "hypersurface": report["hypersurface"],
-        "resolution": "x".join(map(str, report["resolution"])),
-        "index": spec.get("index", ""),
-        "required": cert.get("required", ""),
-        "actual": cert.get("actual", ""),
-        "failed": ";".join(failed),
-        "verdict": "fail" if failed else "pass",
-    }
+    return [report["scenario"], report["ambient"], report["hypersurface"],
+            "x".join(map(str, report["resolution"])), spec.get("index", ""),
+            cert.get("required", ""), cert.get("actual", ""),
+            ";".join(failed), "fail" if failed else "pass"]
 
 
 def main(argv=None):
@@ -341,6 +329,18 @@ def main(argv=None):
 
     config = args.config or str(bundled_config("clifford.cfg"))
 
+    # a row appended under another header would be read under the wrong keys
+    out_dir = Path(args.out)
+    summary_path = out_dir / "summary.csv"
+    header = None
+    if summary_path.exists():
+        with open(summary_path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+    if header not in (None, SUMMARY_FIELDS):
+        print(f"error: {summary_path} has the header {','.join(header)}, not "
+              f"{','.join(SUMMARY_FIELDS)}", file=sys.stderr)
+        return 2
+
     try:
         scenario = Scenario(config, resolution_scale=args.resolution_scale,
                             seed=args.seed)
@@ -351,21 +351,17 @@ def main(argv=None):
     artifacts = {}
     report, ok = run_tasks(scenario, TASK_NAMES[args.command], artifacts)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{scenario.id}.json"
     with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    summary_path = out_dir / "summary.csv"
-    row = _summary_row(report)
-    new_file = not summary_path.exists()
     with open(summary_path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        if new_file:
-            writer.writeheader()
-        writer.writerow(row)
+        writer = csv.writer(fh)
+        if header is None:
+            writer.writerow(SUMMARY_FIELDS)
+        writer.writerow(_summary_row(report))
 
     if "spectrum" in artifacts:
         (out_dir / f"{scenario.id}-spectrum.csv").write_text(

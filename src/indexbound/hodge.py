@@ -32,8 +32,6 @@ def l2_inner(surface, a, b):
 
 def combine(basis, coefficients):
     """Linear combination of one-forms given by their frame components."""
-    if len(basis) != len(coefficients):
-        raise HodgeError("coefficient count does not match basis size")
     return sum(c * w for c, w in zip(coefficients, basis))
 
 
@@ -100,8 +98,6 @@ def harmonic_one_forms(surface):
             )
     basis = [surface.node_fields()["coeffs"][..., k]
              for k in surface.harmonic_axes]
-    if not np.all(np.isfinite(basis)):
-        raise HodgeError("one-form has non-finite components")
     return _orthonormalize(surface, basis)
 
 

@@ -16,10 +16,8 @@ import numpy as np
 
 from .hodge import bochner_residual, sharp
 
-#: largest integrated Bochner residual of a form taken as harmonic, and
-#: largest condition number of the mass Gram matrix of a harmonic basis
+#: largest integrated Bochner residual of a form taken as harmonic
 _BOCHNER_TOL = 1e-6
-_COND_LIMIT = 1e8
 
 
 class TestFunctionError(Exception):
@@ -115,15 +113,12 @@ def q_identity_report(surface, form, tol):
 # integrand quadratic form over a basis of harmonic forms
 
 def integrand_quadratic_form(surface, basis, mode="Prop32"):
-    """The integrand Gram matrix on a basis of harmonic forms and their L2
+    """The integrand Gram matrix on a nonempty L2-orthonormal basis of
+    harmonic forms, as `hodge.harmonic_one_forms` returns, and their L2
     mass matrix, as (gram, mass): c^T gram c integrates the curvature
     integrand of `mode` for omega = sum c_a omega_a, c^T mass c integrates
     |omega|^2.  Both are integrated from pairs c_a^T Q c_b at the nodes."""
-    if not basis:
-        raise TestFunctionError("empty basis of harmonic forms")
     C = np.stack(basis)  # (q, n_nodes, n)
-    if np.any(np.abs(C).max(axis=(1, 2)) == 0.0):
-        raise TestFunctionError("zero form not allowed in a basis")
     fem = surface.fem()
 
     def gram(X, Y):
@@ -132,7 +127,4 @@ def integrand_quadratic_form(surface, basis, mode="Prop32"):
 
     QC = np.einsum("nab,qnb->qna", integrand_matrices(surface, mode), C)
     G = gram(C, QC)
-    M = gram(C, C)
-    if np.linalg.cond(M) > _COND_LIMIT:
-        raise TestFunctionError("harmonic basis is ill-conditioned")
-    return 0.5 * (G + G.T), M
+    return 0.5 * (G + G.T), gram(C, C)

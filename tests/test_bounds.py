@@ -109,7 +109,7 @@ def test_constant_closure_families():
 
 def test_index_bound_table(torus48, torus_spectrum):
     rep = bounds.index_bound_report(torus48, spectrum=torus_spectrum)
-    assert rep["constant"] == Fraction(1, 6)
+    assert rep["constant"] == "1/6"
     assert rep["bound"] == 5  # ceil(2/6) + n + 2
     assert rep["index"] == 5
     assert rep["consistent"] and rep["tight"]

@@ -376,11 +376,27 @@ def test_non_number_config_value_is_usage_error(old, new, key, tmp_path):
      "no scenario reads [extra] note"),
     ("[scenario]", "[DEFAULT]\nnodes = 8\n[scenario]", [],
      "no scenario reads [DEFAULT] nodes"),
+    # the other models' parameter checks, an unknown surface kind, a line
+    # configparser cannot read and a config without its [scenario]
+    ("kind = sphere\ndim = 3", "kind = complex_projective_veronese\nm = 0", [],
+     "complex projective dimension must be >= 1"),
+    ("kind = sphere\ndim = 3", "kind = circle_times_sphere\nn = 1", [],
+     "sphere factor dimension must be >= 2"),
+    ("kind = sphere\ndim = 3", "kind = ellipsoid\nsemi_axes = 1 2", [],
+     "need at least three semi-axes"),
+    ("kind = clifford_torus", "kind = klein_bottle", [],
+     "unknown hypersurface kind 'klein_bottle'"),
+    ("[tolerances]\n", "[tolerances]\nno equals sign\n", [],
+     "config parse error"),
+    ("[scenario]\nid = torus-small\nseed = 7\n", "", [],
+     "config lacks a [scenario] section"),
 ], ids=["seed", "zero-nodes", "negative-nodes", "missing-dim", "sphere-dim-1",
         "infinite-identity",
         "negative-identity", "seed-flag", "seed-under-flag",
         "unread-node", "unread-pointwise", "unread-borderline", "unread-extra",
-        "unread-default"])
+        "unread-default", "cp-m-0", "circle-times-sphere-n-1",
+        "two-semi-axes", "unknown-surface", "line-without-equals",
+        "no-scenario"])
 def test_value_out_of_range_is_usage_error(old, new, flags, message, tmp_path,
                                            capsys):
     cfg = tmp_path / "bad.cfg"
@@ -392,7 +408,23 @@ def test_value_out_of_range_is_usage_error(old, new, flags, message, tmp_path,
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "torus-small.json").exists()
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_summary_with_another_header_is_refused(config_path, tmp_path,
+                                                capsys):
+    # a summary.csv written before the `failed` column: a row appended to it
+    # would be one field wider than its header, and DictReader would read
+    # `verdict` as empty
+    summary = tmp_path / "summary.csv"
+    old = ("scenario,ambient,hypersurface,resolution,index,required,actual,"
+           "verdict\ntorus-small,sphere,clifford_torus,32x32,5,,,pass\n")
+    summary.write_text(old)
+    assert cli.main(["spectrum", "--config", str(config_path), "--out",
+                     str(tmp_path)]) == 2
+    assert f"error: {summary} has the header" in capsys.readouterr().err
+    assert summary.read_text() == old
+    assert list(tmp_path.iterdir()) == [summary]
 
 
 @pytest.mark.parametrize("name", ["clifford.cfg", "cp2-borderline.cfg"])

@@ -5,9 +5,13 @@ cannot be built in, is a config error.  Every SURFACE_KINDS entry gives b1
 orthonormal harmonic one-forms.
 Every AMBIENT_KINDS entry names its own model, gets the paper's constant for
 its kind from `theorem_constant`, and is listed by some SURFACE_KINDS entry.
+Every residual that a pairing's clean report checks names the test that
+perturbs it past its tolerance.
 Parametrized over the registries themselves, so a new entry is covered
 without a test edit."""
 
+import importlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +19,7 @@ import pytest
 
 from indexbound import bounds, cli, hodge
 from indexbound.ambient import AMBIENT_KINDS, IDENTITY_TOL
-from indexbound.hypersurface import SURFACE_KINDS
+from indexbound.hypersurface import SURFACE_KINDS, DiscreteHypersurface
 from indexbound.spectral import SpectralError, SpectralSystem
 from oracles import deck_permutation, deck_sign_spectrum, dense_spectrum, parity_basis
 
@@ -235,3 +239,63 @@ def test_harmonic_forms_of_every_kind(kind):
             assert hodge.bochner_residual(surface, w) < 1e-8
         if surface.dim == 2:
             assert hodge._euler_betti_one(surface) == surface.betti_one
+
+
+#: the test that moves each residual of `residuals.hypersurface` and of the
+#: `borderline` block past its tolerance, so that a check that cannot fail
+#: is seen: a new residual key comes with its failing case
+KILLED_BY = {
+    **{key: "test_cli.py::test_wrong_declared_geometry_fails_its_pointwise_"
+            f"check[{key}]" for key in (
+        "normal_unit", "normal_vs_frame", "normal_ambient_tangency",
+        "shape_asymmetry", "minimality", "metric_consistency")},
+    "potential_consistency":
+        "test_cli.py::test_identities_check_the_declared_potential",
+    "div_jn_residual":
+        "test_cli.py::test_turned_complex_structure_fails_the_div_jn_residual",
+    "decomposition_residual": "test_bounds.py::test_borderline_decomposition_"
+                              "catches_a_scaled_structure",
+    "traced_gauss_residual":
+        "test_cli.py::test_scaled_ricci_fails_the_traced_gauss_residual",
+}
+
+#: the keys of a borderline block that are no residual
+BORDERLINE_INFO = {"surface", "step", "tolerance", "verdict"}
+
+
+def _unkilled_keys(kind, ambient_kind, tmp_path):
+    """The residual keys of the pairing's clean `identities` and
+    `borderline` report that KILLED_BY does not name."""
+    path = _config(tmp_path, kind, ambient_kind, EXAMPLE_AMBIENTS[ambient_kind])
+    report, ok = cli.run_tasks(cli.Scenario(path), {"identities", "borderline"})
+    assert ok, cli.failed_blocks(report)
+    border = report["borderline"]
+    keys = set(report["residuals"]["hypersurface"])
+    if "skipped" not in border:
+        keys |= set(border) - BORDERLINE_INFO
+    return keys - set(KILLED_BY)
+
+
+@pytest.mark.parametrize("kind, ambient_kind", PAIRS)
+def test_every_residual_names_the_test_that_fails_it(kind, ambient_kind,
+                                                     tmp_path):
+    assert _unkilled_keys(kind, ambient_kind, tmp_path) == set()
+
+
+def test_a_residual_without_a_failing_test_is_found(tmp_path, monkeypatch):
+    checks = DiscreteHypersurface.pointwise_checks
+    monkeypatch.setattr(DiscreteHypersurface, "pointwise_checks",
+                        lambda self, seed=0: {**checks(self, seed=seed),
+                                              "normal_drift": 0.0})
+    assert _unkilled_keys("clifford_torus", "sphere", tmp_path) == {
+        "normal_drift"}
+
+
+@pytest.mark.parametrize("key", KILLED_BY)
+def test_the_named_failing_test_exists(key):
+    module, name, case = re.fullmatch(
+        r"(\w+)\.py::(\w+)(?:\[(.+)\])?", KILLED_BY[key]).groups()
+    test = getattr(importlib.import_module(module), name)
+    cases = [i for mark in getattr(test, "pytestmark", [])
+             if mark.name == "parametrize" for i in mark.kwargs.get("ids", [])]
+    assert case is None or case in cases
